@@ -263,6 +263,32 @@ def test_batched_ingest_speedup(tmp_path):
         assert speedup > 1.0, f"{kind}: batched path never beat single-beat ({speedup:.2f}x)"
 
 
+def test_shm_current_rate_cost_does_not_grow_with_depth():
+    """``current_rate()`` on ``shm://`` reads its window, not the ring.
+
+    The application's own rate query copies the ``window`` newest records,
+    so a 65 536-slot history must cost about what a 64-slot one does (the
+    whole-ring copy it replaced was ~100x).  A ratio between two timings
+    taken back to back, best of three — no absolute floor to tune per host.
+    """
+
+    def per_call(depth: int) -> float:
+        hb = Heartbeat(window=20, backend=f"shm://?depth={depth}")
+        try:
+            for i in range(depth + 100):  # a full, wrapped ring
+                hb.heartbeat(tag=i)
+            hb.current_rate()
+            start = time.perf_counter()
+            for _ in range(2000):
+                hb.current_rate()
+            return (time.perf_counter() - start) / 2000
+        finally:
+            hb.finalize()
+
+    best = min(per_call(65536) / per_call(64) for _ in range(3))
+    assert best <= 5.0, f"current_rate() at depth 65536 costs {best:.1f}x depth 64 (best of 3)"
+
+
 def test_file_buffered_appends_beat_write_through(tmp_path):
     """Buffered file appends must beat syscall-per-beat write-through.
 

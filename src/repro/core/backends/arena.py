@@ -12,9 +12,10 @@ fleet* in one mmap-able slab:
   :data:`repro.core.record.RECORD_DTYPE` — stream *i*'s circular history is
   row *i*;
 * a per-stream header table with one fixed 128-byte row per stream carrying
-  the beat total, target range, default window and a per-row seqlock
-  sequence counter (the same odd-while-writing discipline
-  :mod:`repro.core.backends.shared_memory` uses per segment);
+  the beat total, target range, default window and a per-row sequence
+  counter (odd while a write is in progress) — every row is one ring of the
+  kernel in :mod:`repro.core.backends.ring`, exactly like a ``shm://``
+  segment;
 * one arena header naming the geometry.
 
 Producers write through :class:`ArenaRowView` — a full
@@ -60,11 +61,13 @@ from __future__ import annotations
 
 import atexit
 import os
+import struct
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -75,10 +78,11 @@ from repro.core.backends.base import (
     SnapshotCursor,
     delta_bounds,
 )
-from repro.core.backends.shared_memory import _attach_untracked, _copy_last, _untrack_segment
+from repro.core.backends.ring import Ring
+from repro.core.backends.shared_memory import _attach_untracked, _untrack_segment
 from repro.core.buffer import circular_batch_slices
 from repro.core.errors import BackendError, BackendFormatError, InvalidWindowError
-from repro.core.record import RECORD_DTYPE
+from repro.core.record import RECORD_DTYPE, RECORD_STRUCT
 
 __all__ = [
     "Arena",
@@ -128,6 +132,13 @@ _ROW_HEADER_DTYPE = np.dtype(
     ]
 )
 assert _ROW_HEADER_DTYPE.itemsize == ROW_HEADER_SIZE
+
+#: A row header as int64 words: ``total`` and ``sequence`` lead it.
+_ROW_WORDS = ROW_HEADER_SIZE // 8
+_SEQUENCE_AT = 1
+#: ``(total, default_window, target_min, target_max)`` from a row header's start.
+_ROW_FIELDS = struct.Struct("<q8xq2d")
+_pack_record, _RECORD_SIZE = RECORD_STRUCT.pack_into, RECORD_STRUCT.size
 
 #: Row ``state`` values.
 _ROW_FREE, _ROW_IN_USE = 0, 1
@@ -293,6 +304,11 @@ class Arena:
         self.streams = streams
         self.depth = depth
         table_end = ARENA_HEADER_SIZE + streams * ROW_HEADER_SIZE
+        # Bound once per arena: row views index these instead of paying a
+        # structured-field lookup per header access.
+        self._buf = buf
+        self._words = buf[ARENA_HEADER_SIZE:table_end].cast("q")
+        self._records_offset = table_end
         self._header = np.ndarray(
             shape=(), dtype=_ARENA_HEADER_DTYPE, buffer=buf[:ARENA_HEADER_SIZE]
         )
@@ -418,9 +434,10 @@ class Arena:
         Consistency: header columns are captured under a vectorized seqlock
         check (rows whose writer raced the read are retried as a shrinking
         subset); the record gather is then validated against the captured
-        sequences and any row a writer lapped mid-gather is repaired through
-        the scalar per-row seqlock read.  Cost is a handful of O(rows) numpy
-        passes — no per-stream Python dispatch.
+        sequences and any row a writer touched mid-gather is re-read through
+        the scalar ring kernel (copy once, drop what the writer can have
+        reached).  Cost is a handful of O(rows) numpy passes — no per-stream
+        Python dispatch.
         """
         self._check_open()
         if isinstance(window, bool) or not isinstance(window, int):
@@ -514,12 +531,16 @@ class Arena:
             raise BackendError("could not obtain a consistent arena read")
 
         out_retained = np.minimum(out_total, depth)
-        produced = out_total - cur
-        behind = (~explicit) | (produced < 0)
-        included = np.where(behind, out_retained, np.minimum(produced, out_retained))
-        gap = np.where(behind, 0, produced - included)
-        resync = behind | (gap > 0)
 
+        def bounds() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            # delta_bounds, vectorized: (included, gap, resync) per row.
+            produced = out_total - cur
+            behind = (~explicit) | (produced < 0)
+            included = np.where(behind, out_retained, np.minimum(produced, out_retained))
+            gap = np.where(behind, 0, produced - included)
+            return included, gap, behind | (gap > 0)
+
+        included, gap, resync = bounds()
         offsets = np.zeros(count + 1, dtype=np.int64)
         if include_records and count:
             counts = included.astype(np.int64)
@@ -528,13 +549,9 @@ class Arena:
             if bad is not None and bad.any():
                 flat, offsets = self._repair(
                     bad, cur, explicit, requested, flat, offsets,
-                    out_total, out_dw, out_tmin, out_tmax, out_last, out_rate,
+                    out_total, out_retained, out_dw, out_tmin, out_tmax, out_last, out_rate,
                 )
-                out_retained = np.minimum(out_total, depth)
-                produced = out_total - cur
-                included = np.where(behind, out_retained, np.minimum(produced, out_retained))
-                gap = np.where(behind, 0, produced - included)
-                resync = behind | (gap > 0)
+                included, gap, resync = bounds()
             records = flat
         else:
             records = np.empty(0, dtype=RECORD_DTYPE)
@@ -590,52 +607,67 @@ class Arena:
         flat: np.ndarray,
         offsets: np.ndarray,
         out_total: np.ndarray,
+        out_retained: np.ndarray,
         out_dw: np.ndarray,
         out_tmin: np.ndarray,
         out_tmax: np.ndarray,
         out_last: np.ndarray,
         out_rate: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Re-read the (rare) rows a writer lapped mid-gather, scalar-ly.
+        """Re-read the (rare) rows a writer touched mid-gather, scalar-ly.
 
         Splits the flat gather back into per-row segments, replaces the torn
-        ones with consistent per-row seqlock reads, and reassembles.  Only
-        rows with an actively racing writer pay this path.
+        ones with one ring-kernel read each — the delta and the rate window
+        come out of the same copy — and reassembles.  Only rows with an
+        actively racing writer pay this path.
         """
         count = bad.shape[0]
         parts: list[np.ndarray] = np.split(flat, offsets[1:-1]) if count else []
         for i in np.nonzero(bad)[0]:
             i = int(i)
             row_cursor = SnapshotCursor(total=int(cur[i])) if explicit[i] else None
-
-            def copy(
-                total: int, dw: int, tmin: float, tmax: float, retained: int
-            ) -> tuple[int, int, float, float, float, float, np.ndarray]:
-                inc, _gap, _resync = delta_bounds(row_cursor, total, retained)
-                recs = _copy_last(self._records[i], total, self.depth, inc)
-                dw_eff = dw if dw > 0 else max(requested, 1)
-                eff = min(dw_eff if requested == 0 else min(requested, dw_eff), retained)
-                last = float(self._records["timestamp"][i, (total - 1) % self.depth]) if retained else np.nan
-                rate = 0.0
-                if eff >= 2:
-                    first = float(self._records["timestamp"][i, (total - eff) % self.depth])
-                    span = last - first
-                    if span > 0:
-                        rate = (eff - 1) / span
-                return total, dw, tmin, tmax, last, rate, recs
-
-            total, dw, tmin, tmax, last, rate, recs = _row_seqlock_read(self, i, copy)
+            ring = self._ring(i)
+            total, dw, tmin, tmax = ring.capture()
+            retained = min(total, self.depth)
+            dw_eff = dw if dw > 0 else max(requested, 1)
+            eff = min(dw_eff if requested == 0 else min(requested, dw_eff), retained)
+            inc, _gap, _resync = delta_bounds(row_cursor, total, retained)
+            recs, retained = ring.copy_newest(total, max(inc, eff))
+            inc, eff = min(inc, retained), min(eff, retained)
+            stamps = recs["timestamp"]
+            last, rate = (float(stamps[-1]) if retained else np.nan), 0.0
+            if eff >= 2:
+                span = last - float(stamps[-eff])
+                if span > 0:
+                    rate = (eff - 1) / span
             out_total[i] = total
+            out_retained[i] = retained
             out_dw[i] = dw
             out_tmin[i] = tmin
             out_tmax[i] = tmax
             out_last[i] = last
             out_rate[i] = rate
-            parts[i] = recs
+            parts[i] = recs[recs.shape[0] - inc :]
         new_offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum([part.shape[0] for part in parts], out=new_offsets[1:])
         merged = np.concatenate(parts) if parts else np.empty(0, dtype=RECORD_DTYPE)
         return merged, new_offsets
+
+    def _ring(self, index: int) -> Ring:
+        """The ring kernel's view of row ``index``, built per read.
+
+        Never kept: a view that outlived :meth:`close` would pin the slab.
+        """
+        base = index * _ROW_WORDS
+        row_bytes = self.depth * _RECORD_SIZE
+        first_slot = self._records_offset + index * row_bytes
+        return Ring(
+            self._words,
+            base + _SEQUENCE_AT,
+            base,
+            partial(_ROW_FIELDS.unpack_from, self._buf, ARENA_HEADER_SIZE + index * ROW_HEADER_SIZE),
+            self._buf[first_slot : first_slot + row_bytes],
+        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -649,6 +681,8 @@ class Arena:
         self._header = None  # type: ignore[assignment]
         self._rows = None  # type: ignore[assignment]
         self._records = None  # type: ignore[assignment]
+        self._words.release()
+        self._buf = None  # type: ignore[assignment]
         if self._shm is not None:
             self._shm.close()
             if self._owner:
@@ -670,32 +704,6 @@ class Arena:
             f"Arena({kind}, name={self.name!r}, streams={self.streams}, "
             f"depth={self.depth}, in_use={0 if self._closed else self.rows_in_use})"
         )
-
-
-def _row_seqlock_read(arena: Arena, index: int, copy: Callable[..., Any]) -> Any:
-    """One seqlock-consistent read of arena row ``index``.
-
-    The per-row analogue of the shared-memory segment's read scaffold:
-    ``copy(total, default_window, tmin, tmax, retained)`` runs against a
-    consistent header capture and is retried whenever the row's sequence
-    counter moved (or was odd) around it.
-    """
-    rows = arena._rows
-    for attempt in range(256):
-        if attempt:
-            time.sleep(0.0001 if attempt % 32 == 31 else 0)
-        seq_before = int(rows["sequence"][index])
-        if seq_before % 2 == 1:
-            continue  # write in progress; retry
-        total = int(rows["total"][index])
-        default_window = int(rows["default_window"][index])
-        tmin = float(rows["target_min"][index])
-        tmax = float(rows["target_max"][index])
-        retained = min(total, arena.depth)
-        result = copy(total, default_window, tmin, tmax, retained)
-        if int(rows["sequence"][index]) == seq_before:
-            return result
-    raise BackendError("could not obtain a consistent arena row read")
 
 
 class ArenaRowView(Backend):
@@ -730,105 +738,89 @@ class ArenaRowView(Backend):
     # ------------------------------------------------------------------ #
     # Backend interface — writer side
     # ------------------------------------------------------------------ #
+    # Nothing is cached between calls: ``Arena.row(i)`` hands out fresh views
+    # of one row, so the slab's own words are the only truth about it.
     def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
         self._check_open()
-        rows = self._arena._rows
-        i = self.index
-        total = int(rows["total"][i])
-        slot = total % self.capacity
-        rows["sequence"][i] = int(rows["sequence"][i]) + 1  # odd: write in progress
-        self._arena._records[i, slot] = (beat, timestamp, tag, thread_id)
-        rows["total"][i] = total + 1
-        rows["sequence"][i] = int(rows["sequence"][i]) + 1  # even: write published
+        arena = self._arena
+        words = arena._words
+        base = self.index * _ROW_WORDS
+        total = words[base]
+        sequence = words[base + _SEQUENCE_AT] + 1
+        words[base + _SEQUENCE_AT] = sequence  # odd: write in progress
+        try:  # a value the record cannot hold must not leave the word odd
+            _pack_record(
+                arena._buf,
+                arena._records_offset
+                + (self.index * self.capacity + total % self.capacity) * _RECORD_SIZE,
+                beat, timestamp, tag, thread_id,
+            )
+            words[base] = total + 1
+        finally:
+            words[base + _SEQUENCE_AT] = sequence + 1  # even: write published
 
     def append_many(self, records: np.ndarray) -> None:
-        """Publish a whole batch under a single seqlock cycle (cf. shm)."""
+        """Publish a whole batch under a single sequence cycle (cf. shm)."""
         self._check_open()
         if records.dtype != RECORD_DTYPE:
             raise ValueError(f"records dtype must be {RECORD_DTYPE}, got {records.dtype}")
         n = int(records.shape[0])
         if n == 0:
             return
-        rows = self._arena._rows
-        i = self.index
-        total = int(rows["total"][i])
+        words = self._arena._words
+        base = self.index * _ROW_WORDS
+        total = words[base]
         placement = circular_batch_slices(total, self.capacity, n)
-        row_records = self._arena._records[i]
-        rows["sequence"][i] = int(rows["sequence"][i]) + 1  # odd: write in progress
+        row_records = self._arena._records[self.index]
+        sequence = words[base + _SEQUENCE_AT] + 1
+        words[base + _SEQUENCE_AT] = sequence  # odd: write in progress
         for destination, source in placement:
             row_records[destination] = records[source]
-        rows["total"][i] = total + n
-        rows["sequence"][i] = int(rows["sequence"][i]) + 1  # even: write published
+        words[base] = total + n
+        words[base + _SEQUENCE_AT] = sequence + 1  # even: write published
 
     def set_targets(self, target_min: float, target_max: float) -> None:
         self._check_open()
+        target_min, target_max = float(target_min), float(target_max)
         rows = self._arena._rows
-        i = self.index
-        rows["sequence"][i] = int(rows["sequence"][i]) + 1
-        rows["target_min"][i] = float(target_min)
-        rows["target_max"][i] = float(target_max)
-        rows["sequence"][i] = int(rows["sequence"][i]) + 1
+        words = self._arena._words
+        at = self.index * _ROW_WORDS + _SEQUENCE_AT
+        sequence = words[at] + 1
+        words[at] = sequence
+        rows["target_min"][self.index] = target_min
+        rows["target_max"][self.index] = target_max
+        words[at] = sequence + 1
 
     def set_default_window(self, window: int) -> None:
         self._check_open()
-        rows = self._arena._rows
-        i = self.index
-        rows["sequence"][i] = int(rows["sequence"][i]) + 1
-        rows["default_window"][i] = int(window)
-        rows["sequence"][i] = int(rows["sequence"][i]) + 1
+        window = int(window)
+        words = self._arena._words
+        at = self.index * _ROW_WORDS + _SEQUENCE_AT
+        sequence = words[at] + 1
+        words[at] = sequence
+        self._arena._rows["default_window"][self.index] = window
+        words[at] = sequence + 1
 
     # ------------------------------------------------------------------ #
     # Backend interface — reader side
     # ------------------------------------------------------------------ #
     def snapshot(self, n: int | None = None) -> BackendSnapshot:
         self._check_open()
-
-        def copy(
-            total: int, default_window: int, tmin: float, tmax: float, retained: int
-        ) -> BackendSnapshot:
-            records = _copy_last(self._arena._records[self.index], total, self.capacity, retained)
-            if n is not None and n < records.shape[0]:
-                records = records[records.shape[0] - n :]
-            return BackendSnapshot(
-                records=records,
-                total_beats=total,
-                target_min=tmin,
-                target_max=tmax,
-                default_window=default_window,
-            )
-
-        return _row_seqlock_read(self._arena, self.index, copy)
+        return self._arena._ring(self.index).snapshot(n)
 
     def snapshot_since(
         self, cursor: SnapshotCursor | None = None
     ) -> tuple[DeltaSnapshot, SnapshotCursor]:
-        """Seqlock-consistent delta of only this row's unseen ring region."""
+        """Copy-once delta of only this row's unseen ring region."""
         self._check_open()
-
-        def copy(
-            total: int, default_window: int, tmin: float, tmax: float, retained: int
-        ) -> tuple[DeltaSnapshot, SnapshotCursor]:
-            included, gap, resync = delta_bounds(cursor, total, retained)
-            records = _copy_last(self._arena._records[self.index], total, self.capacity, included)
-            delta = DeltaSnapshot(
-                records=records,
-                total_beats=total,
-                retained=retained,
-                target_min=tmin,
-                target_max=tmax,
-                default_window=default_window,
-                gap=gap,
-                resync=resync,
-            )
-            return delta, SnapshotCursor(total=total)
-
-        return _row_seqlock_read(self._arena, self.index, copy)
+        return self._arena._ring(self.index).snapshot_since(cursor)
 
     def version(self) -> tuple[int, int]:
         """Cheap change token: ``(total, sequence)``, same contract as shm."""
         self._check_open()
-        rows = self._arena._rows
-        return (int(rows["total"][self.index]), int(rows["sequence"][self.index]))
+        words = self._arena._words
+        base = self.index * _ROW_WORDS
+        return (words[base], words[base + _SEQUENCE_AT])
 
     def close(self) -> None:
         """Mark this view closed.  The slab (and the row's history) remain."""

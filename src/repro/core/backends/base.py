@@ -56,12 +56,16 @@ class DeltaSnapshot:
     retained:
         Number of records the backend currently retains.  A consumer
         replaying deltas trims its reconstruction to the last ``retained``
-        records to mirror the backend's eviction.
+        records to mirror the backend's eviction.  The cross-process rings
+        (``shm://`` segments, arena rows) copy once and never re-read, so
+        when a write overlaps the read this is the number of beats ending at
+        ``total_beats`` the ring still held *intact* afterwards — shorter
+        than the ring by however far the writer advanced meanwhile.
     gap:
         Beats produced since the cursor that are *not* in ``records``
-        because the writer overwrote them before this read (a slow reader
-        lapped by the producer, or a truncated log).  ``gap > 0`` always
-        comes with ``resync=True``.
+        because the writer overwrote them before — or, on the cross-process
+        rings, during — this read (a reader lapped by the producer, or a
+        truncated log).  ``gap > 0`` always comes with ``resync=True``.
     resync:
         True when ``records`` is the full retained history rather than an
         increment — the consumer must replace, not append.  Set on the first
@@ -71,7 +75,9 @@ class DeltaSnapshot:
     Replay rule: ``state = records if resync else concat(state, records)``,
     then trim ``state`` to its last ``retained`` records.  The invariant the
     contract tests enforce is that this reconstruction equals
-    ``backend.snapshot().records`` at every step.
+    ``backend.snapshot().records`` at every step — and, when a writer
+    overlapped the read, exactly the records ending at ``total_beats`` that
+    were still intact, always contiguous and never torn.
     """
 
     records: np.ndarray
@@ -218,8 +224,8 @@ class Backend(abc.ABC):
         :meth:`snapshot` read, which is correct for any backend but pays
         O(history) per call.  The built-in backends override it with true
         incremental reads: ring-index arithmetic (memory), a persisted byte
-        offset (file) or a seqlock read of just the unseen ring region
-        (shared memory), so the cost is O(new beats) instead.
+        offset (file) or one copy of just the unseen ring region (shared
+        memory, arena rows), so the cost is O(new beats) instead.
         """
         return delta_from_snapshot(self.snapshot(), cursor)
 

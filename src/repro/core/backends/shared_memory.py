@@ -26,20 +26,35 @@ offset       type     field
 128          records  ``capacity`` records of dtype ``RECORD_DTYPE``
 ===========  =======  ====================================================
 
-Writes use a seqlock-style protocol: the sequence counter is incremented to an
-odd value before the record slot and the total are updated and incremented
-again afterwards.  Readers retry a snapshot whenever they observe an odd or
-changed sequence counter, so an observer polling from another process never
-sees a torn record.
+The writer is the segment's sole creator and sole writer, so it keeps
+``total`` and ``sequence`` as plain Python ints and only ever *stores* to the
+header: sequence odd, the record slot, ``total``, sequence even — the same
+order for a single beat and for a whole batch.
+
+Readers follow the ring kernel's protocol (:mod:`repro.core.backends.ring`):
+*copy once, then bound the damage*.  The header is captured under the
+sequence word (only that ~40-byte copy is ever retried), the records wanted
+— the last ``n`` for ``snapshot(n)``, the unseen ones for ``snapshot_since``
+— are copied exactly once, and afterwards the reader waits for an even
+sequence word, re-reads ``total`` and drops just the oldest copied records a
+concurrent write can have reached (beats older than ``total_after -
+capacity``).  A delta that lost records this way reports them as ``gap`` with
+``resync=True`` and a shortened ``retained``; what is returned is always
+untorn, contiguous and ends at the captured ``total - 1``.  A writer that
+never pauses therefore costs an observer some of the oldest records, never a
+retry storm.  The sequence word is still written because the capture and the
+settle wait on it, ``version()`` uses it as the change token, and readers
+built only from this table need it to validate their own copies.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from multiprocessing import resource_tracker, shared_memory
 import mmap
 import os
+import struct
 import sys
-import time
 
 try:  # POSIX only; Windows uses named file mappings with no resource tracker.
     import _posixshmem
@@ -48,16 +63,11 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 
 import numpy as np
 
-from repro.core.backends.base import (
-    Backend,
-    BackendSnapshot,
-    DeltaSnapshot,
-    SnapshotCursor,
-    delta_bounds,
-)
+from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
+from repro.core.backends.ring import Ring
 from repro.core.buffer import circular_batch_slices
 from repro.core.errors import BackendError, BackendFormatError
-from repro.core.record import RECORD_DTYPE
+from repro.core.record import RECORD_DTYPE, RECORD_STRUCT
 
 __all__ = ["SharedMemoryBackend", "SharedMemoryReader", "HEADER_SIZE", "MAGIC"]
 
@@ -65,21 +75,16 @@ MAGIC = 0x4842454154313036
 LAYOUT_VERSION = 1
 HEADER_SIZE = 128
 
-_HEADER_DTYPE = np.dtype(
-    [
-        ("magic", np.int64),
-        ("version", np.int64),
-        ("capacity", np.int64),
-        ("total", np.int64),
-        ("default_window", np.int64),
-        ("target_min", np.float64),
-        ("target_max", np.float64),
-        ("writer_pid", np.int64),
-        ("sequence", np.int64),
-        ("reserved", np.int64, 7),
-    ]
-)
-assert _HEADER_DTYPE.itemsize == HEADER_SIZE
+#: The whole header up to the reserved words, in the table's order.
+_HEADER = struct.Struct("<5q2d2q")
+#: int64 word indices of the header fields the protocol touches one at a time.
+_TOTAL_AT, _WINDOW_AT, _PID_AT, _SEQUENCE_AT = 3, 4, 7, 8
+#: ``(total, default_window, target_min, target_max)``, contiguous from byte 24.
+_FIELDS = struct.Struct("<2q2d")
+_FIELDS_OFFSET = 24
+_TARGETS = struct.Struct("<2d")
+_TARGETS_OFFSET = 40
+_pack_record, _RECORD_SIZE = RECORD_STRUCT.pack_into, RECORD_STRUCT.size
 
 
 def segment_size(capacity: int) -> int:
@@ -148,18 +153,15 @@ def _attach_untracked(name: str):
     return shared_memory.SharedMemory(name=name, create=False)  # pragma: no cover
 
 
-class _SharedLayout:
-    """Views of the header and record array inside a shared-memory buffer."""
-
-    __slots__ = ("header", "records")
-
-    def __init__(self, buf: memoryview, capacity: int) -> None:
-        self.header = np.ndarray(shape=(), dtype=_HEADER_DTYPE, buffer=buf[:HEADER_SIZE])
-        self.records = np.ndarray(
-            shape=(capacity,),
-            dtype=RECORD_DTYPE,
-            buffer=buf[HEADER_SIZE : HEADER_SIZE + capacity * RECORD_DTYPE.itemsize],
-        )
+def _segment_ring(buf: memoryview, capacity: int) -> Ring:
+    """The ring kernel's view of a mapped segment (drop it before closing ``buf``)."""
+    return Ring(
+        buf[:HEADER_SIZE].cast("q"),
+        _SEQUENCE_AT,
+        _TOTAL_AT,
+        partial(_FIELDS.unpack_from, buf, _FIELDS_OFFSET),
+        buf[HEADER_SIZE : segment_size(capacity)],
+    )
 
 
 class SharedMemoryBackend(Backend):
@@ -188,17 +190,16 @@ class SharedMemoryBackend(Backend):
         except OSError as exc:
             raise BackendError(f"cannot create shared-memory segment: {exc}") from exc
         self.name = self._shm.name
-        self._layout = _SharedLayout(self._shm.buf, self.capacity)
-        header = self._layout.header
-        header["magic"] = MAGIC
-        header["version"] = LAYOUT_VERSION
-        header["capacity"] = self.capacity
-        header["total"] = 0
-        header["default_window"] = 0
-        header["target_min"] = 0.0
-        header["target_max"] = 0.0
-        header["writer_pid"] = os.getpid()
-        header["sequence"] = 0
+        self._buf = self._shm.buf
+        _HEADER.pack_into(
+            self._buf, 0, MAGIC, LAYOUT_VERSION, self.capacity, 0, 0, 0.0, 0.0, os.getpid(), 0
+        )
+        self._ring = _segment_ring(self._buf, self.capacity)
+        self._records = np.frombuffer(self._ring.slots, dtype=RECORD_DTYPE)
+        # Sole creator, sole writer: the publication words are cached here
+        # and only ever stored to the header, never read back.
+        self._total = 0
+        self._sequence = 0
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -207,20 +208,25 @@ class SharedMemoryBackend(Backend):
     def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
         if self._closed:
             raise BackendError("shared-memory backend is closed")
-        header = self._layout.header
-        total = int(header["total"])
-        slot = total % self.capacity
-        header["sequence"] = int(header["sequence"]) + 1  # odd: write in progress
-        self._layout.records[slot] = (beat, timestamp, tag, thread_id)
-        header["total"] = total + 1
-        header["sequence"] = int(header["sequence"]) + 1  # even: write published
+        words = self._ring.words
+        total = self._total
+        sequence = self._sequence + 1
+        words[_SEQUENCE_AT] = sequence  # odd: write in progress
+        try:  # a value the record cannot hold must not leave the word odd
+            _pack_record(
+                self._buf,
+                HEADER_SIZE + (total % self.capacity) * _RECORD_SIZE,
+                beat, timestamp, tag, thread_id,
+            )
+            self._total = words[_TOTAL_AT] = total + 1
+        finally:
+            self._sequence = words[_SEQUENCE_AT] = sequence + 1  # even: write published
 
     def append_many(self, records: np.ndarray) -> None:
-        """Publish a whole batch of records under a single seqlock cycle.
+        """Publish a whole batch of records under a single sequence cycle.
 
-        Observers either see the segment before the batch or after all of it;
-        the per-record protocol would otherwise force a reader racing with a
-        large batch to retry once per record.
+        One odd/even pair covers the batch, so ``version()`` moves once and
+        a reader's settle wait sees one write, not one per record.
         """
         if self._closed:
             raise BackendError("shared-memory backend is closed")
@@ -229,49 +235,52 @@ class SharedMemoryBackend(Backend):
         n = int(records.shape[0])
         if n == 0:
             return
-        header = self._layout.header
-        total = int(header["total"])
+        words, slots = self._ring.words, self._records
+        total = self._total
         placement = circular_batch_slices(total, self.capacity, n)
-        header["sequence"] = int(header["sequence"]) + 1  # odd: write in progress
+        sequence = self._sequence + 1
+        words[_SEQUENCE_AT] = sequence  # odd: write in progress
         for destination, source in placement:
-            self._layout.records[destination] = records[source]
-        header["total"] = total + n
-        header["sequence"] = int(header["sequence"]) + 1  # even: write published
+            slots[destination] = records[source]
+        self._total = words[_TOTAL_AT] = total + n
+        self._sequence = words[_SEQUENCE_AT] = sequence + 1  # even: write published
 
     def set_targets(self, target_min: float, target_max: float) -> None:
         if self._closed:
             raise BackendError("shared-memory backend is closed")
-        header = self._layout.header
-        header["sequence"] = int(header["sequence"]) + 1
-        header["target_min"] = float(target_min)
-        header["target_max"] = float(target_max)
-        header["sequence"] = int(header["sequence"]) + 1
+        targets = _TARGETS.pack(target_min, target_max)  # rejects non-numbers before the word goes odd
+        words = self._ring.words
+        sequence = self._sequence + 1
+        words[_SEQUENCE_AT] = sequence
+        self._buf[_TARGETS_OFFSET : _TARGETS_OFFSET + _TARGETS.size] = targets
+        self._sequence = words[_SEQUENCE_AT] = sequence + 1
 
     def set_default_window(self, window: int) -> None:
         if self._closed:
             raise BackendError("shared-memory backend is closed")
-        header = self._layout.header
-        header["sequence"] = int(header["sequence"]) + 1
-        header["default_window"] = int(window)
-        header["sequence"] = int(header["sequence"]) + 1
+        window = int(window)
+        words = self._ring.words
+        sequence = self._sequence + 1
+        words[_SEQUENCE_AT] = sequence
+        words[_WINDOW_AT] = window
+        self._sequence = words[_SEQUENCE_AT] = sequence + 1
 
     def snapshot(self, n: int | None = None) -> BackendSnapshot:
         if self._closed:
             raise BackendError("shared-memory backend is closed")
-        return _read_snapshot(self._layout, self.capacity, n)
+        return self._ring.snapshot(n)
 
     def snapshot_since(
         self, cursor: SnapshotCursor | None = None
     ) -> tuple[DeltaSnapshot, SnapshotCursor]:
         if self._closed:
             raise BackendError("shared-memory backend is closed")
-        return _read_delta(self._layout, self.capacity, cursor)
+        return self._ring.snapshot_since(cursor)
 
     def version(self) -> tuple[int, int]:
         if self._closed:
             raise BackendError("shared-memory backend is closed")
-        header = self._layout.header
-        return (int(header["total"]), int(header["sequence"]))
+        return self._ring.version()
 
     def close(self) -> None:
         """Release the segment.  The writer also unlinks it."""
@@ -279,7 +288,7 @@ class SharedMemoryBackend(Backend):
             return
         self._closed = True
         # Drop views before closing the buffer, otherwise close() raises.
-        self._layout = None
+        self._ring = self._records = self._buf = None
         self._shm.close()
         try:
             self._shm.unlink()
@@ -309,55 +318,45 @@ class SharedMemoryReader:
             raise BackendFormatError(
                 f"cannot attach to shared-memory segment {name!r}: {exc}"
             ) from exc
-        header_probe = np.ndarray(
-            shape=(), dtype=_HEADER_DTYPE, buffer=self._shm.buf[:HEADER_SIZE]
-        )
-        if int(header_probe["magic"]) != MAGIC:
+        magic, version, capacity = struct.unpack_from("<3q", self._shm.buf, 0)
+        if magic != MAGIC:
             self._shm.close()
             raise BackendFormatError(f"segment {name!r} is not a heartbeat segment")
-        if int(header_probe["version"]) != LAYOUT_VERSION:
+        if version != LAYOUT_VERSION:
             self._shm.close()
-            raise BackendFormatError(
-                f"unsupported heartbeat segment version {int(header_probe['version'])}"
-            )
-        self.capacity = int(header_probe["capacity"])
+            raise BackendFormatError(f"unsupported heartbeat segment version {version}")
+        self.capacity = capacity
         self.name = name
-        self._layout = _SharedLayout(self._shm.buf, self.capacity)
+        self._ring = _segment_ring(self._shm.buf, capacity)
         self._closed = False
 
     def snapshot(self, n: int | None = None) -> BackendSnapshot:
         if self._closed:
             raise BackendError("shared-memory reader is closed")
-        return _read_snapshot(self._layout, self.capacity, n)
+        return self._ring.snapshot(n)
 
     def snapshot_since(
         self, cursor: SnapshotCursor | None = None
     ) -> tuple[DeltaSnapshot, SnapshotCursor]:
-        """Seqlock-consistent read of only the ring region unseen by ``cursor``."""
+        """Copy-once read of only the ring region unseen by ``cursor``."""
         if self._closed:
             raise BackendError("shared-memory reader is closed")
-        return _read_delta(self._layout, self.capacity, cursor)
+        return self._ring.snapshot_since(cursor)
 
     def version(self) -> tuple[int, int]:
-        """Cheap change token: ``(total, sequence)`` read without the seqlock.
-
-        An in-progress write leaves the sequence odd, which can never equal a
-        previously returned (even) value — so "unchanged" is always safe to
-        trust and "changed" merely costs one delta read.
-        """
+        """Cheap change token ``(total, sequence)`` (see :meth:`Ring.version`)."""
         if self._closed:
             raise BackendError("shared-memory reader is closed")
-        header = self._layout.header
-        return (int(header["total"]), int(header["sequence"]))
+        return self._ring.version()
 
     def writer_pid(self) -> int:
         """PID of the producing process (useful for liveness checks)."""
-        return int(self._layout.header["writer_pid"])
+        return self._ring.words[_PID_AT]
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self._layout = None
+            self._ring = None
             self._shm.close()
 
     def __enter__(self) -> "SharedMemoryReader":
@@ -365,92 +364,3 @@ class SharedMemoryReader:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _seqlock_read(layout: _SharedLayout, capacity: int, copy):
-    """Run one seqlock-consistent read of the segment.
-
-    ``copy(total, default_window, tmin, tmax, retained)`` performs the
-    read-side record copy against a consistent header capture and returns
-    the result; the scaffold retries whenever the writer's sequence counter
-    moved (or was odd) around the copy.  Shared by the full-snapshot and
-    delta reads so the retry/backoff policy lives in exactly one place.
-    """
-    header = layout.header
-    for attempt in range(256):
-        if attempt:
-            # Yield so a writer mid-batch (possibly sharing our GIL) can
-            # publish; escalate to a real sleep if it keeps winning the race.
-            time.sleep(0.0001 if attempt % 32 == 31 else 0)
-        seq_before = int(header["sequence"])
-        if seq_before % 2 == 1:
-            continue  # write in progress; retry
-        total = int(header["total"])
-        default_window = int(header["default_window"])
-        tmin = float(header["target_min"])
-        tmax = float(header["target_max"])
-        retained = min(total, capacity)
-        result = copy(total, default_window, tmin, tmax, retained)
-        if int(header["sequence"]) == seq_before:
-            return result
-    raise BackendError("could not obtain a consistent shared-memory read")
-
-
-def _read_snapshot(layout: _SharedLayout, capacity: int, n: int | None) -> BackendSnapshot:
-    """Seqlock-consistent snapshot of the segment."""
-
-    def copy(total, default_window, tmin, tmax, retained):
-        records = _copy_last(layout.records, total, capacity, retained)
-        if n is not None and n < records.shape[0]:
-            records = records[records.shape[0] - n :]
-        return BackendSnapshot(
-            records=records,
-            total_beats=total,
-            target_min=tmin,
-            target_max=tmax,
-            default_window=default_window,
-        )
-
-    return _seqlock_read(layout, capacity, copy)
-
-
-def _read_delta(
-    layout: _SharedLayout, capacity: int, cursor: SnapshotCursor | None
-) -> tuple[DeltaSnapshot, SnapshotCursor]:
-    """Seqlock-consistent delta: copies only the records unseen by ``cursor``.
-
-    Falls back to a full read (``resync=True``) when the writer lapped the
-    cursor — more beats arrived than the ring retains — or when the cursor is
-    from a segment generation we cannot reconcile (``cursor.total`` ahead of
-    the segment's own counter).
-    """
-
-    def copy(total, default_window, tmin, tmax, retained):
-        included, gap, resync = delta_bounds(cursor, total, retained)
-        records = _copy_last(layout.records, total, capacity, included)
-        delta = DeltaSnapshot(
-            records=records,
-            total_beats=total,
-            retained=retained,
-            target_min=tmin,
-            target_max=tmax,
-            default_window=default_window,
-            gap=gap,
-            resync=resync,
-        )
-        return delta, SnapshotCursor(total=total)
-
-    return _seqlock_read(layout, capacity, copy)
-
-
-def _copy_last(records: np.ndarray, total: int, capacity: int, count: int) -> np.ndarray:
-    """Copy the last ``count`` records out of the circular array."""
-    if count == 0:
-        return np.empty(0, dtype=RECORD_DTYPE)
-    end = total % capacity
-    if total <= capacity:
-        return records[total - count : total].copy()
-    start = (end - count) % capacity
-    if start < end:
-        return records[start:end].copy()
-    return np.concatenate((records[start:], records[:end]))

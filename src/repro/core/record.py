@@ -11,6 +11,7 @@ components and layout of the heartbeat data structures in memory").
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -19,6 +20,7 @@ import numpy as np
 __all__ = [
     "HeartbeatRecord",
     "RECORD_DTYPE",
+    "RECORD_STRUCT",
     "records_to_array",
     "array_to_records",
     "iter_intervals",
@@ -37,6 +39,11 @@ RECORD_DTYPE = np.dtype(
         ("thread_id", np.int64),
     ]
 )
+
+#: The same layout for writers that pack one record straight into a mapped
+#: buffer (``RECORD_STRUCT.pack_into(buf, offset, beat, timestamp, tag, tid)``).
+RECORD_STRUCT = struct.Struct("<qdqq")
+assert RECORD_STRUCT.size == RECORD_DTYPE.itemsize
 
 
 @dataclass(frozen=True, slots=True)

@@ -107,9 +107,9 @@ class TestAppendMany:
     def test_shared_memory_batch_is_one_seqlock_cycle(self):
         backend = SharedMemoryBackend(capacity=64)
         try:
-            seq_before = int(backend._layout.header["sequence"])
+            _, seq_before = backend.version()
             backend.append_many(make_records(0, 50))
-            seq_after = int(backend._layout.header["sequence"])
+            _, seq_after = backend.version()
             assert seq_after == seq_before + 2  # one odd/even pair for 50 records
         finally:
             backend.close()

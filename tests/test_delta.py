@@ -191,6 +191,59 @@ class TestDeltaContract:
         finally:
             backend.close()
 
+    @pytest.mark.parametrize("kind", ["shared_memory", "arena"])
+    def test_replay_holds_when_a_write_overlaps_the_read(self, kind, tmp_path, monkeypatch):
+        """The cross-process rings copy once and then drop what a concurrent
+        write can have reached: ``retained`` comes back shortened (and lost
+        records as ``gap`` + ``resync``), and the replay rule still yields
+        exactly the records the ring held intact — then converges again."""
+        from repro.core.backends.ring import Ring
+
+        backend = _make_backend(kind, tmp_path)
+        replay = _Replay()
+        beat = 0
+
+        def produce(count):
+            nonlocal beat
+            for _ in range(count):
+                backend.append(beat, beat * 0.25, beat % 3, 9)
+                beat += 1
+
+        def read_overlapped_by(count):
+            real = Ring._copy_last
+
+            def copy_then_write(ring, total, wanted):
+                copied = real(ring, total, wanted)
+                produce(count)
+                return copied
+
+            with monkeypatch.context() as patched:
+                patched.setattr(Ring, "_copy_last", copy_then_write)
+                delta, replay.cursor = backend.snapshot_since(replay.cursor)
+            replay.consume(delta)
+            return delta
+
+        try:
+            produce(20)
+            read_overlapped_by(0)
+            produce(3)
+            # 5 beats land mid-read: beats 7..11 are rewritten, none of the
+            # 3 new ones — an increment, with retained shortened to 11.
+            delta = read_overlapped_by(5)
+            assert (delta.new, delta.gap, delta.resync, delta.retained) == (3, 0, False, 11)
+            assert list(replay.records["beat"]) == list(range(12, 23))
+            # 15 beats land mid-read: only the newest 1 of the 5 unseen
+            # beats (23..27) is still intact.
+            delta = read_overlapped_by(15)
+            assert (delta.new, delta.gap, delta.resync, delta.retained) == (1, 4, True, 1)
+            assert list(replay.records["beat"]) == [27]
+            # A quiet read appends the 15 beats since and converges again.
+            delta = read_overlapped_by(0)
+            assert (delta.new, delta.gap, delta.resync, delta.retained) == (15, 0, False, 16)
+            assert np.array_equal(replay.records, backend.snapshot().records)
+        finally:
+            backend.close()
+
     @pytest.mark.parametrize("kind", ["memory", "file", "shared_memory", "arena"])
     def test_version_equality_means_no_news(self, kind, tmp_path):
         backend = _make_backend(kind, tmp_path)

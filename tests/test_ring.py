@@ -1,0 +1,369 @@
+"""The single-writer ring kernel behind ``shm://`` segments and arena rows.
+
+Three layers of evidence for the copy-once read protocol of
+:mod:`repro.core.backends.ring`:
+
+* the clobbered-prefix arithmetic, deterministically, against a plain-list
+  oracle — a writer is advanced by a chosen number of records exactly
+  between a read's copy and its settle step;
+* writer-side coherence — the segment writer's cached publication words and
+  the (uncached) arena row writers always leave a header any reader agrees
+  with;
+* a real second process beating as fast as it can while this one hammers
+  every read the backends offer.
+"""
+
+from __future__ import annotations
+
+import multiprocessing as mp
+import os
+import struct
+import time
+
+import numpy as np
+import pytest
+
+from repro.clock import ManualClock
+from repro.core.backends import Arena, SharedMemoryBackend, SnapshotCursor
+from repro.core.backends.ring import Ring
+from repro.core.backends.shared_memory import SharedMemoryReader
+from repro.core.heartbeat import Heartbeat
+from repro.core.record import RECORD_DTYPE
+
+CAPACITY = 16
+
+
+class _Pair:
+    """One ring with its writer and an independent reader attachment."""
+
+    def __init__(self, kind: str, capacity: int = CAPACITY) -> None:
+        if kind == "shm":
+            self.writer = SharedMemoryBackend(capacity=capacity)
+            self.reader = SharedMemoryReader(self.writer.name)
+            self._owned = [self.reader, self.writer]
+        else:
+            arena = Arena(streams=2, depth=capacity)
+            self.writer = arena.allocate("ring")
+            self.reader = arena.row(0)
+            self._owned = [arena]
+        self.written: list[tuple[int, float, int, int]] = []
+
+    def write(self, count: int, batch: bool = False) -> None:
+        """Advance the writer by ``count`` records, mirrored into the oracle."""
+        first = len(self.written)
+        rows = [(b, b * 0.5, b % 7, 3) for b in range(first, first + count)]
+        self.written.extend(rows)
+        if batch:
+            self.writer.append_many(np.array(rows, dtype=RECORD_DTYPE))
+        else:
+            for row in rows:
+                self.writer.append(*row)
+
+    def expect(self, low: int, high: int) -> np.ndarray:
+        return np.array(self.written[low:high], dtype=RECORD_DTYPE)
+
+    def close(self) -> None:
+        for thing in self._owned:
+            thing.close()
+
+
+@pytest.fixture(params=["shm", "arena-row"])
+def pair(request):
+    made = _Pair(request.param)
+    yield made
+    made.close()
+
+
+def _racing(monkeypatch, pair: _Pair, advance: int, batch: bool, read):
+    """Run ``read()`` with the writer advanced between its copy and its settle."""
+    real = Ring._copy_last
+    copies: list[int] = []
+
+    def copy_then_write(ring, total, count):
+        copied = real(ring, total, count)
+        copies.append(count)
+        if len(copies) == 1:
+            pair.write(advance, batch)
+        return copied
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Ring, "_copy_last", copy_then_write)
+        result = read()
+    assert len(copies) == 1, "a read copies records exactly once"
+    return result, copies[0]
+
+
+class TestClobberedPrefix:
+    """Which records a read keeps when a write overlaps it, vs a list oracle."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["appends", "one-batch"])
+    @pytest.mark.parametrize("advance", [0, 1, CAPACITY - 1, CAPACITY, CAPACITY + 5])
+    @pytest.mark.parametrize("prefill", [5, CAPACITY + 3], ids=["filling", "wrapped"])
+    def test_reads_keep_exactly_the_untouched_records(
+        self, pair, monkeypatch, prefill, advance, batch
+    ):
+        pair.write(prefill)
+        for n in (None, 0, 1, 4, CAPACITY, CAPACITY + 9):
+            before = len(pair.written)
+            held = min(before, CAPACITY)
+            snap, copied = _racing(
+                monkeypatch, pair, advance, batch, lambda n=n: pair.reader.snapshot(n)
+            )
+            wanted = held if n is None else min(n, held)
+            assert copied == wanted, "snapshot(n) copies min(n, retained), not the ring"
+            # Slots of beats older than ``total_after - capacity`` were rewritten.
+            low = max(before - wanted, len(pair.written) - CAPACITY)
+            assert snap.total_beats == before
+            assert np.array_equal(snap.records, pair.expect(min(low, before), before))
+
+        for back in (None, 0, 3, CAPACITY, CAPACITY + 4):
+            before = len(pair.written)
+            held = min(before, CAPACITY)
+            cursor = None if back is None else SnapshotCursor(total=max(before - back, 0))
+            (delta, new_cursor), _ = _racing(
+                monkeypatch, pair, advance, batch,
+                lambda cursor=cursor: pair.reader.snapshot_since(cursor),
+            )
+            retained = max(min(held, CAPACITY - advance), 0)
+            start = before - retained if cursor is None else max(cursor.total, before - retained)
+            assert new_cursor.total == delta.total_beats == before
+            assert delta.retained == retained
+            assert np.array_equal(delta.records, pair.expect(start, before))
+            assert delta.gap == (0 if cursor is None else start - cursor.total)
+            assert delta.resync == (cursor is None or delta.gap > 0)
+
+    def test_undisturbed_reads_are_whole(self, pair):
+        pair.write(CAPACITY + 3)
+        snap = pair.reader.snapshot()
+        assert np.array_equal(snap.records, pair.expect(3, CAPACITY + 3))
+        delta, _ = pair.reader.snapshot_since(SnapshotCursor(total=CAPACITY))
+        assert (delta.gap, delta.resync, delta.retained) == (0, False, CAPACITY)
+        assert np.array_equal(delta.records, pair.expect(CAPACITY, CAPACITY + 3))
+
+    def test_fleet_read_repairs_a_raced_row_with_the_same_arithmetic(self, monkeypatch):
+        """``snapshot_since_all`` re-reads a row its gather raced through the
+        kernel: the row's slice, ``retained`` and ``gap`` follow the rule."""
+        made = _Pair("arena-row")
+        try:
+            arena = made._owned[0]
+            made.write(CAPACITY + 3)
+            cursors = arena.snapshot_since_all(None).cursors
+            made.write(4)
+            real = Arena._gather
+
+            def gather_then_write(self, *args):
+                made.write(1)  # the row moves under the gather -> flagged bad
+                return real(self, *args)
+
+            monkeypatch.setattr(Arena, "_gather", gather_then_write)
+            before = len(made.written)
+            (fleet, _) = _racing(
+                monkeypatch, made, 6, False, lambda: arena.snapshot_since_all(cursors, window=4)
+            )
+            total = before + 1  # the repair re-captured after gather_then_write's beat
+            assert int(fleet.totals[0]) == total
+            assert int(fleet.retained[0]) == CAPACITY - 6
+            assert np.array_equal(fleet.records_for(0), made.expect(total - 5, total))
+            assert (int(fleet.new[0]), int(fleet.gap[0]), bool(fleet.resync[0])) == (5, 0, False)
+            assert fleet.last_timestamp[0] == made.written[total - 1][1]
+            assert fleet.rate[0] == pytest.approx(2.0)  # 0.5 s per beat
+        finally:
+            made.close()
+
+
+class TestWriterCoherence:
+    def test_segment_writer_cache_matches_what_readers_see(self):
+        pair = _Pair("shm", capacity=8)
+        try:
+            backend, reader = pair.writer, pair.reader
+            versions = [reader.version()]
+            steps = [
+                lambda: pair.write(1),
+                lambda: backend.set_targets(2.0, 5.0),
+                lambda: pair.write(3, batch=True),
+                lambda: backend.set_default_window(4),
+                lambda: pair.write(11, batch=True),  # larger than the ring
+                lambda: pair.write(2),
+                lambda: backend.set_targets(1.0, 9.0),
+                lambda: backend.append_many(np.empty(0, dtype=RECORD_DTYPE)),  # no-op
+            ]
+            for step in steps * 2:
+                step()
+                total, sequence = reader.version()
+                assert (total, sequence) == backend.version()
+                assert sequence % 2 == 0
+                assert total == len(pair.written)
+                assert sequence >= versions[-1][1]
+                versions.append((total, sequence))
+                snap = reader.snapshot()
+                assert snap.total_beats == total
+                low = max(total - 8, 0)
+                assert np.array_equal(snap.records, pair.expect(low, total))
+            assert len({sequence for _, sequence in versions}) == len(versions) - 2
+            snap = reader.snapshot(1)
+            assert (snap.target_min, snap.target_max, snap.default_window) == (1.0, 9.0, 4)
+        finally:
+            pair.close()
+
+    def test_two_views_of_one_row_interleave_without_losing_beats(self):
+        """Row writers read the slab's words on every write — two views of
+        one row stay coherent, which a per-view cache could not."""
+        arena = Arena(streams=1, depth=8)
+        try:
+            first = arena.allocate("shared")
+            second = arena.row(0)
+            for beat in range(0, 20, 4):
+                first.append(beat, beat * 1.0, 0, 1)
+                second.append(beat + 1, beat + 1.0, 0, 2)
+                batch = np.zeros(2, dtype=RECORD_DTYPE)
+                batch["beat"] = (beat + 2, beat + 3)
+                (second if beat % 8 else first).append_many(batch)
+                assert first.version() == second.version()
+            snap = arena.row(0).snapshot()
+            assert snap.total_beats == 20
+            assert list(snap.records["beat"]) == list(range(12, 20))
+            assert first.version()[1] % 2 == 0
+        finally:
+            arena.close()
+
+    def test_a_rejected_record_leaves_the_ring_readable(self, pair):
+        pair.write(3)
+        before = pair.reader.version()
+        with pytest.raises(struct.error):
+            pair.writer.append(3, 1.5, 1 << 63, 0)  # tag does not fit an int64
+        total, sequence = pair.reader.version()
+        assert total == before[0] and sequence % 2 == 0
+        pair.write(2)
+        snap = pair.reader.snapshot()
+        assert snap.total_beats == 5
+        assert np.array_equal(snap.records, pair.expect(0, 5))
+
+
+# --------------------------------------------------------------------- #
+# A real second process
+# --------------------------------------------------------------------- #
+_DT = 0.001
+_THREAD = 7
+_STRESS_SECONDS = 1.0
+
+
+def _tags(beats):
+    """The tag every beat must carry: a function of its number alone."""
+    return (beats * 2654435761) % (1 << 31)
+
+
+def _stress_writer(kind, name, batch, ready, stop, written, done) -> None:
+    """Beat as fast as possible with payloads derived from the beat number."""
+    arena = None
+    if kind == "shm":
+        backend = SharedMemoryBackend(name=name, capacity=65536)
+    else:
+        arena = Arena.attach(name)
+        backend = arena.row(0)
+    clock = ManualClock()
+    hb = Heartbeat(window=20, clock=clock, backend=backend)
+    clock.time = _DT
+    hb.heartbeat(0, thread_id=_THREAD)  # a batch spreads stamps from the previous beat
+    ready.set()
+    count = 1
+    offsets = np.arange(batch)
+    while not stop.is_set():
+        for _ in range(64):
+            clock.time = (count + batch) * _DT
+            if batch == 1:
+                hb.heartbeat(_tags(count), thread_id=_THREAD)
+            else:
+                hb.heartbeat_batch(batch, _tags(count + offsets), thread_id=_THREAD)
+            count += batch
+    written.put(count)
+    done.wait(60.0)  # the parent's final reads need the segment alive
+    hb.finalize()
+    if arena is not None:
+        arena.close()
+
+
+def _check_records(records: np.ndarray, total: int) -> None:
+    """Untorn, in order, contiguous, and ending at the read's ``total - 1``."""
+    if records.shape[0] == 0:
+        return
+    beats = records["beat"]
+    assert int(beats[-1]) == total - 1
+    assert np.all(np.diff(beats) == 1)
+    assert np.array_equal(records["tag"], _tags(beats))
+    assert np.all(records["thread_id"] == _THREAD)
+    assert np.allclose(records["timestamp"], (beats + 1) * _DT, rtol=1e-9, atol=0.0)
+
+
+class TestCrossProcessStress:
+    @pytest.mark.parametrize("batch", [1, 64], ids=["heartbeat", "heartbeat_batch64"])
+    @pytest.mark.parametrize("kind", ["shm", "arena-row"])
+    def test_hot_writer_never_starves_or_tears_a_reader(self, kind, batch):
+        ctx = mp.get_context("spawn")
+        ready, stop, done = ctx.Event(), ctx.Event(), ctx.Event()
+        written = ctx.Queue()
+        arena = None
+        if kind == "shm":
+            name = f"hb-ring-{os.getpid()}-{batch}"
+        else:
+            arena = Arena.create(streams=1, depth=4096)
+            arena.allocate("stress")
+            name = arena.name
+        child = ctx.Process(
+            target=_stress_writer, args=(kind, name, batch, ready, stop, written, done)
+        )
+        child.start()
+        reader = None
+        try:
+            assert ready.wait(60.0), "the writer process never came up"
+            reader = SharedMemoryReader(name) if kind == "shm" else arena.row(0)
+            state = np.empty(0, dtype=RECORD_DTYPE)
+            cursor = None
+            reads = shortened = 0
+
+            def consume() -> None:
+                nonlocal state, cursor, shortened
+                previous = cursor
+                delta, cursor = reader.snapshot_since(previous)
+                _check_records(delta.records, delta.total_beats)
+                assert delta.retained <= reader.capacity
+                if previous is not None:
+                    assert delta.new + delta.gap == delta.total_beats - previous.total
+                    assert delta.resync == (delta.gap > 0)
+                shortened += delta.retained < min(delta.total_beats, reader.capacity)
+                state = delta.records if delta.resync else np.concatenate((state, delta.records))
+                state = state[max(state.shape[0] - delta.retained, 0) :]
+                _check_records(state, delta.total_beats)
+
+            # At least _STRESS_SECONDS, and (bounded) until the race is one
+            # worth the name: a wrapped ring and a read a write overlapped.
+            start = time.monotonic()
+            while (elapsed := time.monotonic() - start) < _STRESS_SECONDS or (
+                elapsed < 30.0 and not (shortened and cursor.total > reader.capacity)
+            ):
+                for n in (None, 20):
+                    snap = reader.snapshot(n)
+                    _check_records(snap.records, snap.total_beats)
+                    assert snap.retained <= (reader.capacity if n is None else n)
+                consume()
+                reads += 1
+            stop.set()
+            total = written.get(timeout=60.0)
+            consume()
+            final = reader.snapshot()
+            assert final.total_beats == total == cursor.total
+            _check_records(final.records, total)
+            assert final.retained == min(total, reader.capacity)
+            assert np.array_equal(state, final.records)
+            assert total > reader.capacity, "the writer never wrapped the ring"
+            assert shortened > 0, "no read ever overlapped a write"
+            assert reads > 20
+        finally:
+            stop.set()
+            done.set()
+            child.join(timeout=60.0)
+            if reader is not None and kind == "shm":
+                reader.close()
+            if arena is not None:
+                arena.close()
+        assert not child.is_alive()
+        assert child.exitcode == 0
