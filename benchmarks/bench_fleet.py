@@ -3,13 +3,14 @@
 Measures :class:`repro.core.aggregator.HeartbeatAggregator` poll latency and
 aggregate ingest throughput at fleet sizes 100 / 1 000 / 10 000 across every
 stream source — in-process memory backends, shared-memory segments, log
-files and a live TCP collector — comparing the incremental cursored-delta
-poll against the classic full-snapshot poll (``incremental=False``), which
-re-reads and re-classifies every stream's whole retained history each time.
+files and a live TCP collector — comparing the aggregator's cursored-delta
+poll against a full-snapshot reference loop (:func:`full_snapshot_poll`),
+which re-reads and re-classifies every stream's whole retained history each
+time.
 
 Three regimes per fleet:
 
-* ``full``      — the baseline arm: every poll copies/parses every record.
+* ``full``      — the reference arm: every poll copies/parses every record.
 * ``idle``      — incremental poll of a quiet fleet: change-token probes
   only, no delta reads at all.
 * ``trickle``   — incremental poll with a few new beats per stream per
@@ -55,12 +56,14 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.core.aggregator import HeartbeatAggregator
 from repro.core.backends import FileBackend, MemoryBackend, SharedMemoryBackend
 from repro.core.backends.arena import NAME_SIZE, Arena
+from repro.core.monitor import reading_from_snapshot
 from repro.core.record import RECORD_DTYPE
 
 #: Beat spacing of the synthetic histories (100 beats/s per stream).
@@ -114,12 +117,7 @@ class _Fleet:
 
     def attach_all(self, agg: HeartbeatAggregator) -> None:
         for i, backend in enumerate(self.backends):
-            agg.attach_source(
-                f"{self.source}-{i}",
-                backend.snapshot,
-                delta=backend.snapshot_since,
-                probe=backend.version,
-            )
+            agg.attach_stream(f"{self.source}-{i}", backend)
 
     def trickle(self, beats: int) -> None:
         """Append ``beats`` new records to every stream."""
@@ -216,13 +214,26 @@ def build_collector_fleet(streams: int, depth: int) -> tuple[_Fleet, object]:
 # --------------------------------------------------------------------- #
 # Measurement
 # --------------------------------------------------------------------- #
-def _median_poll_seconds(agg: HeartbeatAggregator, polls: int, before=None) -> float:
+def full_snapshot_poll(sources, now: float, pool: ThreadPoolExecutor) -> list:
+    """The reference arm: every stream's whole retained history read and
+    classified from scratch, round-robin over as many reader threads
+    (:data:`SHARDS`) as the measured aggregator gets."""
+    sources = list(sources)
+
+    def drain(shard: list) -> list:
+        return [reading_from_snapshot(source.snapshot(), now=now) for source in shard]
+
+    shards = [sources[i::SHARDS] for i in range(SHARDS)]
+    return [reading for part in pool.map(drain, shards) for reading in part]
+
+
+def _median_poll_seconds(poll, polls: int, before=None) -> float:
     samples = []
     for _ in range(polls):
         if before is not None:
             before()
         start = time.perf_counter()
-        agg.poll()
+        poll()
         samples.append(time.perf_counter() - start)
     return float(np.median(samples))
 
@@ -230,6 +241,7 @@ def _median_poll_seconds(agg: HeartbeatAggregator, polls: int, before=None) -> f
 def measure_fleet(
     fleet: _Fleet,
     attach,
+    sources,
     *,
     full_polls: int,
     idle_polls: int,
@@ -238,6 +250,8 @@ def measure_fleet(
 ) -> dict:
     """Measure the three regimes over one provisioned fleet.
 
+    ``attach`` wires the fleet into the measured aggregator; ``sources()``
+    yields the same streams as objects for the full-snapshot reference arm.
     ``trickle`` is the between-polls beat generator; it defaults to
     appending :data:`TRICKLE` beats to every stream directly.  The collector
     arm substitutes a generator that also waits for the beats to land over
@@ -250,23 +264,19 @@ def measure_fleet(
     clock = _FrozenClock(now=fleet.depth * DT)
     result = {"streams": fleet.streams, "depth": fleet.depth}
 
-    full = HeartbeatAggregator(clock=clock, num_shards=SHARDS, incremental=False)
-    try:
-        attach(full)
-        full.poll()  # warm caches (page cache, numpy) outside the timing
-        result["full_poll_ms"] = _median_poll_seconds(full, full_polls) * 1e3
-    finally:
-        # Plain close() would tear down shared-memory readers the fleet
-        # still needs for the incremental arm only when attach created
-        # them; attach_all uses raw sources, so close() is safe.
-        full.close()
+    with ThreadPoolExecutor(max_workers=SHARDS) as pool:
+        def full() -> None:
+            full_snapshot_poll(sources(), clock.now(), pool)
 
-    incr = HeartbeatAggregator(clock=clock, num_shards=SHARDS, incremental=True)
+        full()  # warm caches (page cache, numpy) outside the timing
+        result["full_poll_ms"] = _median_poll_seconds(full, full_polls) * 1e3
+
+    incr = HeartbeatAggregator(clock=clock, num_shards=SHARDS)
     try:
         attach(incr)
         incr.poll()  # builds every stream's cursor state
-        result["idle_poll_ms"] = _median_poll_seconds(incr, idle_polls) * 1e3
-        trickle_seconds = _median_poll_seconds(incr, trickle_polls, before=trickle)
+        result["idle_poll_ms"] = _median_poll_seconds(incr.poll, idle_polls) * 1e3
+        trickle_seconds = _median_poll_seconds(incr.poll, trickle_polls, before=trickle)
         result["trickle_poll_ms"] = trickle_seconds * 1e3
         result["trickle_beats_per_poll"] = TRICKLE * fleet.streams
         result["ingested_beats_per_sec"] = (
@@ -286,6 +296,7 @@ def run_memory(streams: int, depth: int, *, full_polls=3, idle_polls=9, trickle_
         return measure_fleet(
             fleet,
             fleet.attach_all,
+            lambda: fleet.backends,
             full_polls=full_polls,
             idle_polls=idle_polls,
             trickle_polls=trickle_polls,
@@ -298,7 +309,12 @@ def run_shm(streams: int, depth: int) -> dict:
     fleet = build_shm_fleet(streams, depth)
     try:
         return measure_fleet(
-            fleet, fleet.attach_all, full_polls=3, idle_polls=9, trickle_polls=9
+            fleet,
+            fleet.attach_all,
+            lambda: fleet.backends,
+            full_polls=3,
+            idle_polls=9,
+            trickle_polls=9,
         )
     finally:
         fleet.close()
@@ -308,7 +324,12 @@ def run_file(streams: int, depth: int, tmp_dir) -> dict:
     fleet = build_file_fleet(streams, depth, tmp_dir)
     try:
         return measure_fleet(
-            fleet, fleet.attach_all, full_polls=2, idle_polls=9, trickle_polls=9
+            fleet,
+            fleet.attach_all,
+            lambda: fleet.backends,
+            full_polls=2,
+            idle_polls=9,
+            trickle_polls=9,
         )
     finally:
         fleet.close()
@@ -316,6 +337,7 @@ def run_file(streams: int, depth: int, tmp_dir) -> dict:
 
 def run_collector(streams: int, depth: int) -> dict:
     fleet, collector = build_collector_fleet(streams, depth)
+    views = [collector.source(stream_id) for stream_id in collector.stream_ids()]
 
     def attach(agg: HeartbeatAggregator) -> None:
         agg.attach_collector(collector)
@@ -333,6 +355,7 @@ def run_collector(streams: int, depth: int) -> dict:
         return measure_fleet(
             fleet,
             attach,
+            lambda: views,
             full_polls=3,
             idle_polls=9,
             trickle_polls=9,
@@ -357,16 +380,14 @@ class _ArenaFleet:
     def attach_slab(self, agg: HeartbeatAggregator) -> None:
         agg.attach_arena(self.arena)
 
+    def rows(self):
+        """Every row as its own source object (made on demand: 1M of them)."""
+        return (self.arena.row(i) for i in range(self.streams))
+
     def attach_rows(self, agg: HeartbeatAggregator) -> None:
         """The per-object arm: every row its own source, probe and cursor."""
-        for i in range(self.streams):
-            row = self.arena.row(i)
-            agg.attach_source(
-                f"arena-row-{i}",
-                row.snapshot,
-                delta=row.snapshot_since,
-                probe=row.version,
-            )
+        for i, row in enumerate(self.rows()):
+            agg.attach_stream(f"arena-row-{i}", row)
 
     def trickle(self, beats: int) -> None:
         # Columnar writer: every row advances by the same ``beats`` records
@@ -425,7 +446,8 @@ def run_arena(
 
     The ``arena`` arm attaches the whole slab as one vectorized shard; the
     ``per_object`` arm attaches every row as its own source — the exact
-    per-stream dispatch the slab path replaces.  ``per_object=False`` (the
+    per-stream dispatch the slab path replaces.  Both arms' ``full`` regime
+    is the same per-row reference loop.  ``per_object=False`` (the
     1M-stream configuration) records why the arm was skipped instead of
     spending minutes proving Python-rate dispatch does not scale.
     """
@@ -439,6 +461,7 @@ def run_arena(
         result["arena"] = measure_fleet(
             fleet,
             fleet.attach_slab,
+            fleet.rows,
             full_polls=full_polls,
             idle_polls=idle_polls,
             trickle_polls=trickle_polls,
@@ -447,6 +470,7 @@ def run_arena(
             result["per_object"] = measure_fleet(
                 fleet,
                 fleet.attach_rows,
+                fleet.rows,
                 full_polls=full_polls,
                 idle_polls=idle_polls,
                 trickle_polls=trickle_polls,
@@ -957,7 +981,7 @@ def main(argv: list[str] | None = None) -> int:
                 a = row["arena"]
                 line = (
                     f"{source:>9} n={row['streams']:>7} depth={row['depth']:>5}: "
-                    f"slab full {a['full_poll_ms']:>10.2f} ms   "
+                    f"full {a['full_poll_ms']:>10.2f} ms   "
                     f"idle {a['idle_poll_ms']:>8.3f} ms   "
                     f"trickle {a['trickle_poll_ms']:>8.3f} ms   "
                     f"ingest {a['ingested_beats_per_sec']:>12,.0f} beats/s"

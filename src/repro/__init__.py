@@ -56,7 +56,6 @@ from repro.adapt import (
 from repro.clock import Clock, ManualClock, SimulatedClock, WallClock
 from repro.core import (
     DEFAULT_WINDOW,
-    BoundSource,
     DeltaSnapshot,
     FileBackend,
     FleetSample,
@@ -96,7 +95,6 @@ __all__ = [
     "StreamSource",
     "StreamSink",
     "SourceCapabilities",
-    "BoundSource",
     "capabilities_of",
     "Heartbeat",
     "HeartbeatMonitor",

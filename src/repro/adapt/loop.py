@@ -119,7 +119,7 @@ def backend_monitor(
     """
     if getattr(backend, "snapshot", None) is None:
         raise TypeError(f"backend {type(backend).__name__} has no snapshot()")
-    return HeartbeatMonitor.for_source(
+    return HeartbeatMonitor(
         backend,
         clock=clock,  # type: ignore[arg-type]
         window=window,
@@ -137,29 +137,15 @@ def collector_monitor(
 ) -> HeartbeatMonitor:
     """A monitor over one registered stream of a network collector.
 
-    Collectors exposing a per-stream ``source(stream_id)`` view (as
-    :class:`~repro.net.collector.HeartbeatCollector` does) attach it
-    directly through the capability protocol; others fall back to the
-    ``snapshot_source``/``delta_source``/``version_source`` triple.
+    Attaches the collector's per-stream ``source(stream_id)`` view (as
+    :class:`~repro.net.collector.HeartbeatCollector` provides) through the
+    capability protocol.
     """
-    source_of = getattr(collector, "source", None)
-    if source_of is not None and callable(source_of):
-        return HeartbeatMonitor.for_source(
-            source_of(stream_id),
-            clock=clock,  # type: ignore[arg-type]
-            window=window,
-            liveness_timeout=liveness_timeout,
-        )
-    from repro.core.aggregator import collector_stream_sources
-
-    source, delta, probe = collector_stream_sources(collector, stream_id)  # type: ignore[arg-type]
     return HeartbeatMonitor(
-        source,
+        collector.source(stream_id),  # type: ignore[attr-defined]
         clock=clock,  # type: ignore[arg-type]
         window=window,
         liveness_timeout=liveness_timeout,
-        delta=delta,
-        probe=probe,
     )
 
 

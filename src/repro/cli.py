@@ -38,9 +38,8 @@ library APIs accept::
     *would* take against the live fleet — the dry run an operator does
     before wiring real knobs to the engine in code.
 
-The legacy ``--bind`` / ``--listen`` / ``--shm`` / ``--file`` flags remain
-as deprecated facades over the positional URLs.  All commands are bounded by
-``--duration`` (handy for tests and demos) and exit cleanly on Ctrl-C.
+All commands are bounded by ``--duration`` (handy for tests and demos) and
+exit cleanly on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import argparse
 import os
 import sys
 import time
-import warnings
 from typing import Callable, Sequence
 
 from repro._version import __version__
@@ -70,7 +68,6 @@ from repro.endpoints import (
     open_collector,
 )
 from repro.net.collector import HeartbeatCollector
-from repro.net.protocol import parse_address
 
 __all__ = ["main"]
 
@@ -95,15 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
     collect.add_argument(
         "endpoint",
         nargs="?",
-        default=None,
+        default="tcp://127.0.0.1:0",
         metavar="ENDPOINT",
         help="tcp:// endpoint to bind (default tcp://127.0.0.1:0 — an ephemeral port)",
-    )
-    collect.add_argument(
-        "--bind",
-        default=None,
-        metavar="HOST:PORT",
-        help="deprecated facade for the positional tcp:// endpoint",
     )
     collect.add_argument(
         "--port-file",
@@ -144,26 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "endpoints", nargs="*", default=[], metavar="ENDPOINT", help=_ENDPOINT_HELP
     )
     watch.add_argument(
-        "--listen",
-        default=None,
-        metavar="HOST:PORT",
-        help="deprecated facade for a positional tcp:// endpoint",
-    )
-    watch.add_argument(
-        "--shm",
-        action="append",
-        default=[],
-        metavar="SEGMENT",
-        help="deprecated facade for a positional shm:// endpoint (repeatable)",
-    )
-    watch.add_argument(
-        "--file",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help="deprecated facade for a positional file:// endpoint (repeatable)",
-    )
-    watch.add_argument(
         "--interval", type=float, default=1.0, help="seconds between table refreshes"
     )
     watch.add_argument(
@@ -202,26 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="PATH",
         help="adaptation spec file (.toml on Python 3.11+, or JSON)",
-    )
-    adapt.add_argument(
-        "--listen",
-        default=None,
-        metavar="HOST:PORT",
-        help="deprecated facade for a positional tcp:// endpoint",
-    )
-    adapt.add_argument(
-        "--shm",
-        action="append",
-        default=[],
-        metavar="SEGMENT",
-        help="deprecated facade for a positional shm:// endpoint (repeatable)",
-    )
-    adapt.add_argument(
-        "--file",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help="deprecated facade for a positional file:// endpoint (repeatable)",
     )
     adapt.add_argument(
         "--interval",
@@ -333,32 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(line: str, *, stream=None) -> None:
     print(line, file=stream if stream is not None else sys.stdout, flush=True)
-
-
-def _deprecated_flag(flag: str, url: str) -> str:
-    message = (
-        f"{flag} is a deprecated facade; pass the endpoint URL {url!r} "
-        "as a positional argument instead"
-    )
-    # Both channels on purpose: the warning for programmatic callers and
-    # test filters, the stderr line for CLI users (whose default warning
-    # filter hides DeprecationWarning raised outside __main__).
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-    _emit(f"note: {message}", stream=sys.stderr)
-    return url
-
-
-def _gather_endpoints(args: argparse.Namespace) -> list[Endpoint]:
-    """Positional endpoint URLs plus the legacy-flag shims, parsed and merged."""
-    urls: list[str | Endpoint] = list(args.endpoints)
-    if args.listen is not None:
-        host, port = parse_address(args.listen)
-        urls.append(_deprecated_flag("--listen", str(TcpEndpoint(host=host, port=port))))
-    for segment in args.shm:
-        urls.append(_deprecated_flag("--shm", str(ShmEndpoint(name=segment))))
-    for path in args.file:
-        urls.append(_deprecated_flag("--file", str(FileEndpoint(path=path))))
-    return [Endpoint.parse(url) for url in urls]
 
 
 def _attach_endpoints(
@@ -506,21 +431,8 @@ def _stats_line(collector: HeartbeatCollector) -> str:
     return "stats: " + " ".join(parts)
 
 
-def _collect_endpoint(args: argparse.Namespace) -> Endpoint:
-    if args.endpoint is not None:
-        if args.bind is not None:
-            raise EndpointError("pass the tcp:// endpoint or --bind, not both")
-        return Endpoint.parse(args.endpoint)
-    if args.bind is not None:
-        host, port = parse_address(args.bind)
-        return Endpoint.parse(
-            _deprecated_flag("--bind", str(TcpEndpoint(host=host, port=port)))
-        )
-    return TcpEndpoint(host="127.0.0.1", port=0)
-
-
 def _cmd_collect(args: argparse.Namespace) -> int:
-    endpoint = _collect_endpoint(args)
+    endpoint = Endpoint.parse(args.endpoint)
     if not isinstance(endpoint, TcpEndpoint):
         _emit(f"collect: collectors bind tcp:// endpoints, not {endpoint}", stream=sys.stderr)
         return 2
@@ -598,7 +510,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    endpoints = _gather_endpoints(args)
+    endpoints = [Endpoint.parse(url) for url in args.endpoints]
     if not endpoints:
         _emit(
             "watch: nothing to watch — pass endpoint URLs (tcp://, shm://, file://)",
@@ -695,7 +607,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     except (OSError, SpecError) as exc:
         _emit(f"cannot load adaptation spec {args.spec!r}: {exc}", stream=sys.stderr)
         return 2
-    endpoints = [*spec.attach, *_gather_endpoints(args)]
+    endpoints = [*spec.attach, *(Endpoint.parse(url) for url in args.endpoints)]
     if not endpoints:
         _emit(
             "adapt: nothing to adapt — pass endpoint URLs (tcp://, shm://, file://) "

@@ -24,12 +24,7 @@ from repro.adapt.loop import ControlLoop
 from repro.clock import Clock
 from repro.cloud.cluster import CloudCluster, CloudNode, CloudVM
 from repro.control import ControlDecision, StepController, TargetWindow
-from repro.core.aggregator import (
-    CollectorLike,
-    FleetSample,
-    HeartbeatAggregator,
-    collector_stream_sources,
-)
+from repro.core.aggregator import CollectorLike, FleetSample, HeartbeatAggregator
 
 __all__ = ["BalancerAction", "VMPlacementActuator", "HeartbeatLoadBalancer"]
 
@@ -228,8 +223,7 @@ class HeartbeatLoadBalancer:
             if name in self._aggregator or name not in expected:
                 continue
             if self._collector is not None:
-                source, delta, probe = collector_stream_sources(self._collector, name)
-                self._aggregator.attach_source(name, source, delta=delta, probe=probe)
+                self._aggregator.attach_stream(name, self._collector.source(name))
             else:
                 self._aggregator.attach(name, vm.heartbeat)
         self._expected = expected

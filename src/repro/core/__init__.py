@@ -56,7 +56,6 @@ from repro.core.rate import (
 from repro.core.record import RECORD_DTYPE, HeartbeatRecord
 from repro.core.registry import HeartbeatRegistry
 from repro.core.stream import (
-    BoundSource,
     SourceCapabilities,
     StreamSink,
     StreamSource,
@@ -93,7 +92,6 @@ __all__ = [
     "StreamSource",
     "StreamSink",
     "SourceCapabilities",
-    "BoundSource",
     "capabilities_of",
     # backends
     "Backend",

@@ -9,24 +9,26 @@ bottleneck batched fan-in aggregation removes in massively parallel
 evaluation loops.
 
 :class:`HeartbeatAggregator` is that fan-in stage.  It attaches to any mix of
-stream kinds — in-process :class:`~repro.core.heartbeat.Heartbeat` objects,
-heartbeat log files, shared-memory segments, whole registries, or raw
-snapshot providers — shards them across a pool of reader threads, and turns
-one :meth:`poll` into a :class:`FleetSample`: a columnar view of every
-stream's rate, goal and health on which fleet-level queries (:meth:`rates`,
-:meth:`lagging`, :meth:`FleetSample.percentiles`) are vectorized numpy
-operations rather than per-stream loops.
+stream kinds — every one a :class:`~repro.core.stream.StreamSource` object
+handed to :meth:`HeartbeatAggregator.attach_stream` (the ``attach_*``
+conveniences for heartbeats, log files, shared-memory segments, registries
+and collectors all end there), plus whole arena slabs — shards them across a
+pool of reader threads, and turns one :meth:`poll` into a
+:class:`FleetSample`: a columnar view of every stream's rate, goal and health
+on which fleet-level queries (:meth:`rates`, :meth:`lagging`,
+:meth:`FleetSample.percentiles`) are vectorized numpy operations rather than
+per-stream loops.
 
-Polling is *incremental* by default.  Each stream carries a
+Polling is incremental.  Each stream carries a
 :class:`~repro.core.monitor.StreamDeltaState` — a cursor into the backend's
 beat sequence plus a rolling window of recent timestamps — so a poll reads
 only the beats produced since the previous poll (``snapshot_since``), skips
 streams whose cheap change token (``version``) is unchanged, writes the
 per-stream columns into preallocated reusable numpy arrays, and classifies
 the whole fleet with one vectorized pass instead of one
-:func:`~repro.core.monitor.reading_from_snapshot` call per stream.  The
-classic full-snapshot path is kept (``incremental=False``) as a fallback for
-exotic sources and as the benchmark baseline arm.
+:func:`~repro.core.monitor.reading_from_snapshot` call per stream.  A source
+that cannot read incrementally is re-snapshotted in full and read through
+the same path (see :func:`repro.core.stream.capabilities_of`).
 
 Each stream is classified by the same rule the per-stream
 :class:`~repro.core.monitor.HeartbeatMonitor` applies (see
@@ -47,18 +49,11 @@ import numpy as np
 
 from repro.clock import Clock, WallClock
 from repro.core.backends.arena import Arena
-from repro.core.backends.base import BackendSnapshot, delta_from_snapshot
 from repro.core.errors import HeartbeatError, MonitorAttachError
 from repro.core.heartbeat import Heartbeat
-from repro.core.monitor import (
-    DeltaSource,
-    HealthStatus,
-    HeartbeatMonitor,
-    MonitorReading,
-    StreamDeltaState,
-    reading_from_snapshot,
-)
+from repro.core.monitor import HealthStatus, MonitorReading, StreamDeltaState
 from repro.core.registry import HeartbeatRegistry
+from repro.core.stream import DeltaSource, ProbeSource, StreamSource, capabilities_of
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -66,7 +61,6 @@ __all__ = [
     "FleetSample",
     "FleetSummary",
     "CollectorLike",
-    "collector_stream_sources",
 ]
 
 
@@ -74,40 +68,13 @@ class CollectorLike(Protocol):
     """What :meth:`HeartbeatAggregator.attach_collector` needs from a collector.
 
     :class:`repro.net.collector.HeartbeatCollector` satisfies it; so would
-    any other fan-in stage that registers named streams dynamically.
-    Collectors additionally exposing ``delta_source(stream_id)`` and
-    ``version_source(stream_id)`` (as :class:`HeartbeatCollector` does) get
-    incremental O(new-records) polling; others fall back to full snapshots.
+    any other fan-in stage that registers named streams dynamically and
+    hands each one out as a :class:`~repro.core.stream.StreamSource`.
     """
 
     def stream_ids(self) -> list[str]: ...  # pragma: no cover - protocol stub
 
-    def snapshot_source(
-        self, stream_id: str
-    ) -> Callable[[], BackendSnapshot]: ...  # pragma: no cover - protocol stub
-
-
-def collector_stream_sources(
-    collector: CollectorLike, stream_id: str
-) -> tuple[
-    Callable[[], BackendSnapshot],
-    DeltaSource | None,
-    Callable[[], object | None] | None,
-]:
-    """The ``(source, delta, probe)`` attachment triple for one collector stream.
-
-    The single capability probe for incremental collector polling (the
-    counterpart of :func:`repro.core.monitor.file_observer_sources` for log
-    files): collectors exposing ``delta_source`` / ``version_source`` get
-    O(new-records) polling, others fall back to full snapshots via ``None``.
-    """
-    delta_of = getattr(collector, "delta_source", None)
-    probe_of = getattr(collector, "version_source", None)
-    return (
-        collector.snapshot_source(stream_id),
-        delta_of(stream_id) if delta_of is not None else None,
-        probe_of(stream_id) if probe_of is not None else None,
-    )
+    def source(self, stream_id: str) -> StreamSource: ...  # pragma: no cover - protocol stub
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +107,6 @@ _STATUS_BY_CODE = (
     HealthStatus.FAST,
     HealthStatus.STALLED,
 )
-_CODE_BY_STATUS = {status: code for code, status in enumerate(_STATUS_BY_CODE)}
 
 
 def classify_codes(
@@ -217,35 +183,6 @@ class FleetSample:
         self._codes = codes
         self._readings: tuple[MonitorReading, ...] | None = None
         self._by_name: dict[str, MonitorReading] | None = None
-
-    @classmethod
-    def from_readings(
-        cls,
-        names: tuple[str, ...],
-        readings: Sequence[MonitorReading],
-        errors: Mapping[str, str],
-        taken_at: float,
-    ) -> "FleetSample":
-        """Build a sample from per-stream readings (the full-snapshot path)."""
-        sample = cls(
-            names,
-            errors,
-            taken_at,
-            rate=np.array([r.rate for r in readings], dtype=np.float64),
-            total=np.array([r.total_beats for r in readings], dtype=np.int64),
-            target_min=np.array([r.target_min for r in readings], dtype=np.float64),
-            target_max=np.array([r.target_max for r in readings], dtype=np.float64),
-            last_ts=np.array(
-                [np.nan if r.last_timestamp is None else r.last_timestamp for r in readings],
-                dtype=np.float64,
-            ),
-            age=np.array(
-                [np.nan if r.age is None else r.age for r in readings], dtype=np.float64
-            ),
-            codes=np.array([_CODE_BY_STATUS[r.status] for r in readings], dtype=np.int8),
-        )
-        sample._readings = tuple(readings)
-        return sample
 
     # ------------------------------------------------------------------ #
     # Per-stream view
@@ -361,23 +298,21 @@ def _rate_percentiles(rates: np.ndarray, q: Sequence[float]) -> dict[float, floa
 
 
 class _Stream:
-    """One attached stream: snapshot/delta providers plus cached poll state."""
+    """One attached stream: its delta/probe providers plus cached poll state."""
 
-    __slots__ = ("name", "source", "close", "delta", "probe", "state")
+    __slots__ = ("name", "delta", "probe", "close", "state")
 
     def __init__(
         self,
         name: str,
-        source: Callable[[], BackendSnapshot],
+        delta: DeltaSource,
+        probe: ProbeSource | None,
         close: Callable[[], None] | None,
-        delta: DeltaSource | None = None,
-        probe: Callable[[], object | None] | None = None,
     ) -> None:
         self.name = name
-        self.source = source
-        self.close = close
         self.delta = delta
         self.probe = probe
+        self.close = close
         self.state: StreamDeltaState | None = None
 
 
@@ -456,6 +391,14 @@ class _Columns:
 class HeartbeatAggregator:
     """Fan-in observer over many heartbeat streams.
 
+    A stream joins the fleet as one :class:`~repro.core.stream.StreamSource`
+    object through :meth:`attach_stream` — every other ``attach_*`` method is
+    a convenience that opens or looks up such an object and ends there — or
+    as a row of a slab attached with :meth:`attach_arena`.  :meth:`poll`
+    reads each per-object stream the same cursored way (version probe, then
+    ``snapshot_since`` only when the token moved) and each slab in one
+    vectorized pass.
+
     Parameters
     ----------
     clock:
@@ -472,10 +415,6 @@ class HeartbeatAggregator:
         Number of reader threads the attached streams are sharded across
         during :meth:`poll`.  ``0`` selects a shard per CPU (capped at 8);
         ``1`` polls inline with no thread hand-off.
-    incremental:
-        When True (default) :meth:`poll` consumes cursored deltas and skips
-        idle streams; ``False`` restores the full-snapshot-per-stream poll
-        (the benchmark baseline arm, and a refuge for exotic sources).
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` holding poll
         counters and the poll-duration histogram.  A private registry is
@@ -489,7 +428,6 @@ class HeartbeatAggregator:
         window: int = 0,
         liveness_timeout: float | None = None,
         num_shards: int = 1,
-        incremental: bool = True,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if num_shards < 0:
@@ -500,12 +438,10 @@ class HeartbeatAggregator:
         self._window = int(window)
         self._liveness_timeout = liveness_timeout
         self._num_shards = int(num_shards)
-        self._incremental = bool(incremental)
         self._lock = threading.Lock()
         #: Serialises whole polls: the per-stream cursors and the reusable
         #: column arrays are aggregator state, so concurrent poll() calls
-        #: (e.g. a balancer loop racing a metrics thread) take turns — same
-        #: external contract as the stateless full-snapshot poll had.
+        #: (e.g. a balancer loop racing a metrics thread) take turns.
         self._poll_lock = threading.Lock()
         self._streams: dict[str, _Stream] = {}
         self._arenas: list[_ArenaShard] = []
@@ -553,27 +489,27 @@ class HeartbeatAggregator:
     def attach_stream(self, name: str, source: object, *, own: bool = False) -> None:
         """Attach any :class:`~repro.core.stream.StreamSource`-shaped object.
 
-        The universal attachment: capabilities (``snapshot_since`` deltas,
-        ``version`` probes, a ``close`` hook) are discovered with
+        The one per-stream attachment: capabilities (``snapshot_since``
+        deltas, ``version`` probes, a ``close`` hook) are discovered with
         :func:`repro.core.stream.capabilities_of`, so backends, readers,
-        collector per-stream views, ``Heartbeat`` objects, monitors and bare
-        snapshot callables all come in through the same door.  ``own=True``
-        hands the source's ``close`` to :meth:`detach`/:meth:`close`.
+        collector per-stream views, arena rows, ``Heartbeat`` objects,
+        monitors and bare snapshot callables all come in through the same
+        door.  ``own=True`` hands the source's ``close`` to
+        :meth:`detach`/:meth:`close`.
         """
-        from repro.core.stream import capabilities_of
-
         caps = capabilities_of(source)
+        close = caps.close if own else None
         try:
-            self.attach_source(
-                name,
-                caps.snapshot,
-                close=caps.close if own else None,
-                delta=caps.delta,
-                probe=caps.probe,
-            )
-        except Exception:
-            if own and caps.close is not None:
-                caps.close()  # don't leak the attachment on a rejected stream
+            with self._lock:
+                if self._closed:
+                    raise MonitorAttachError("aggregator is closed")
+                if name in self._streams:
+                    raise MonitorAttachError(f"stream {name!r} is already attached")
+                self._streams[name] = _Stream(str(name), caps.delta, caps.probe, close)
+                self._membership += 1
+        except MonitorAttachError:
+            if close is not None:
+                close()  # don't leak the attachment on a rejected stream
             raise
 
     def attach_endpoint(self, endpoint: object, *, name: str | None = None) -> str:
@@ -673,20 +609,6 @@ class HeartbeatAggregator:
             ShmEndpoint(name=segment if segment is not None else name), name=name
         )
 
-    def attach_monitor(self, name: str, monitor: "HeartbeatMonitor") -> None:
-        """Adopt an existing per-stream monitor attachment as stream ``name``.
-
-        The monitor keeps working independently; closing it (for
-        shared-memory attachments) also invalidates the aggregator's stream,
-        so hand over teardown to :meth:`detach`/:meth:`close` instead.
-        """
-        self.attach_source(
-            name,
-            monitor.snapshot_source,
-            delta=monitor.delta_source,
-            probe=monitor.probe_source,
-        )
-
     def attach_registry(
         self, registry: HeartbeatRegistry | None = None, *, prefix: str = ""
     ) -> list[str]:
@@ -767,35 +689,12 @@ class HeartbeatAggregator:
                 for name, stream_id in missing:
                     if name in self._streams:
                         continue
-                    source, delta, probe = collector_stream_sources(collector, stream_id)
-                    self._streams[name] = _Stream(name, source, None, delta, probe)
+                    caps = capabilities_of(collector.source(stream_id))
+                    self._streams[name] = _Stream(name, caps.delta, caps.probe, None)
                     self._membership += 1
                     existing.add(name)
                     added.append(name)
         return added
-
-    def attach_source(
-        self,
-        name: str,
-        source: Callable[[], BackendSnapshot],
-        *,
-        close: Callable[[], None] | None = None,
-        delta: DeltaSource | None = None,
-        probe: Callable[[], object | None] | None = None,
-    ) -> None:
-        """Attach a raw snapshot provider (the lowest-level attachment).
-
-        ``delta`` and ``probe`` opt the stream into incremental polling (see
-        :meth:`Backend.snapshot_since` / :meth:`Backend.version`); without
-        them the stream is re-snapshotted in full on every poll.
-        """
-        with self._lock:
-            if self._closed:
-                raise MonitorAttachError("aggregator is closed")
-            if name in self._streams:
-                raise MonitorAttachError(f"stream {name!r} is already attached")
-            self._streams[name] = _Stream(str(name), source, close, delta, probe)
-            self._membership += 1
 
     def detach(self, name: str) -> None:
         """Detach one stream, releasing its reader resources."""
@@ -828,10 +727,6 @@ class HeartbeatAggregator:
     def num_shards(self) -> int:
         return self._num_shards
 
-    @property
-    def incremental(self) -> bool:
-        return self._incremental
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._streams) + sum(
@@ -840,7 +735,11 @@ class HeartbeatAggregator:
 
     def __contains__(self, name: str) -> bool:
         with self._lock:
-            return name in self._streams
+            if name in self._streams:
+                return True
+            if not self._arenas:
+                return False
+        return name in self.names  # arena rows: the slab header is the membership
 
     # ------------------------------------------------------------------ #
     # Observation
@@ -848,14 +747,22 @@ class HeartbeatAggregator:
     def poll(self) -> FleetSample:
         """Observe every attached stream and classify the whole fleet.
 
-        The incremental path costs O(new beats) plus one cheap change-token
-        probe per stream: each reader shard probes its streams and reads a
+        A poll costs O(new beats) plus one cheap change-token probe per
+        stream: each reader shard probes its streams and reads a
         delta only from those whose backend reports news, the deltas are
         folded into cached rolling-window state, and the health
         classification runs as one vectorized pass over the reusable column
         arrays.  Streams are split round-robin over ``num_shards`` reader
         threads, so the wall time of a poll is the slowest shard, not the
         sum of every stream's probe/read latency.
+
+        A stream whose read fails — its source raises a
+        :class:`~repro.core.errors.HeartbeatError` (writer gone, segment
+        unlinked) or its rate window holds a backwards timestamp — is left
+        out of the sample and reported in ``FleetSample.errors`` under its
+        name; it is re-read in full on the next poll.  Arena rows are not
+        checked for timestamp order: the slab path reports such a row with
+        rate ``0.0``.
 
         Concurrent ``poll`` calls from different threads are serialised
         internally (the per-stream cursors and reusable column arrays are
@@ -885,9 +792,6 @@ class HeartbeatAggregator:
             streams = list(self._streams.values())
             membership = self._membership
         now = self._clock.now()
-        if not self._incremental:
-            return self._poll_full(streams, now)
-
         n = len(streams)
         columns = self._columns
         columns.ensure(n)
@@ -919,17 +823,13 @@ class HeartbeatAggregator:
                     state = stream.state
                     if state is None:
                         state = StreamDeltaState(self._window)
-                    if stream.delta is not None:
-                        state.consume(stream.delta)
-                    else:
-                        # Plain snapshot provider: read once, serve the
-                        # consume protocol (including its resync retry)
-                        # from that one snapshot.
-                        snap = stream.source()
-                        state.consume(lambda cursor: delta_from_snapshot(snap, cursor))
+                    state.consume(stream.delta)
                     state.version = version
                     stream.state = state
-                except HeartbeatError as exc:
+                except (HeartbeatError, ValueError) as exc:
+                    # ValueError: a backwards timestamp inside the rate
+                    # window (wall-clock step, clock-skewed relay) — one
+                    # producer's bad stamps must not fail the fleet's poll.
                     stream.state = None  # full resync whenever it recovers
                     with error_lock:
                         errors[stream.name] = str(exc)
@@ -1050,61 +950,6 @@ class HeartbeatAggregator:
             return names, cols[0]
         return names, tuple(
             np.concatenate([c[k] for c in cols]) for k in range(6)
-        )
-
-    def _poll_full(self, streams: list[_Stream], now: float) -> FleetSample:
-        """The classic full-snapshot poll: every stream, whole history."""
-        results: list[tuple[str, MonitorReading] | None] = [None] * len(streams)
-        errors: dict[str, str] = {}
-        error_lock = threading.Lock()
-
-        def _drain(shard: list[tuple[int, _Stream]]) -> None:
-            for index, stream in shard:
-                try:
-                    snap = stream.source()
-                except HeartbeatError as exc:
-                    with error_lock:
-                        errors[stream.name] = str(exc)
-                    continue
-                results[index] = (
-                    stream.name,
-                    reading_from_snapshot(
-                        snap,
-                        now=now,
-                        window=self._window,
-                        liveness_timeout=self._liveness_timeout,
-                    ),
-                )
-
-        self._run_sharded(list(enumerate(streams)), _drain)
-        kept = [entry for entry in results if entry is not None]
-        names = tuple(name for name, _ in kept)
-        readings = [reading for _, reading in kept]
-        arena = self._poll_arenas(errors)
-        if arena is not None:
-            a_names, (rate, total, tmin, tmax, last_ts, retained) = arena
-            age = now - last_ts
-            codes = classify_codes(
-                rate, retained, tmin, tmax, age, self._liveness_timeout
-            )
-            names = names + a_names
-            readings.extend(
-                MonitorReading(
-                    rate=float(rate[i]),
-                    total_beats=int(total[i]),
-                    target_min=float(tmin[i]),
-                    target_max=float(tmax[i]),
-                    last_timestamp=None if np.isnan(last_ts[i]) else float(last_ts[i]),
-                    age=None if np.isnan(age[i]) else float(age[i]),
-                    status=_STATUS_BY_CODE[codes[i]],
-                )
-                for i in range(len(a_names))
-            )
-        return FleetSample.from_readings(
-            names=names,
-            readings=readings,
-            errors=errors,
-            taken_at=now,
         )
 
     def _run_sharded(

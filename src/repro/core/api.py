@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import threading
-import warnings
 
 from repro.core.heartbeat import Heartbeat
 from repro.core.record import HeartbeatRecord
@@ -71,7 +70,6 @@ def reset_registry() -> None:
 def HB_initialize(
     window: int = 0,
     local: bool = False,
-    remote: str | None = None,
     endpoint: object | None = None,
     **kwargs: object,
 ) -> Heartbeat:
@@ -93,20 +91,7 @@ def HB_initialize(
     host-wide monotonic clock (``WallClock(rebase=False)``) unless a
     ``clock`` is supplied, so external observers compute liveness ages
     against the producer's time base.
-
-    ``remote="host:port"`` is the deprecated facade spelling of
-    ``endpoint="tcp://host:port"`` and delegates to it.
     """
-    if remote is not None:
-        if endpoint is not None:
-            raise ValueError("pass either endpoint= or remote=, not both")
-        warnings.warn(
-            "HB_initialize(remote='host:port') is a deprecated facade; "
-            "pass endpoint='tcp://host:port' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        endpoint = f"tcp://{remote}"
     if endpoint is not None:
         if "backend" in kwargs:
             raise ValueError("pass either endpoint= or backend=, not both")

@@ -58,10 +58,16 @@ from repro.core.backends.base import (
     DeltaSnapshot,
     SnapshotCursor,
 )
-from repro.core.errors import BackendError, BackendFormatError
+from repro.core.errors import BackendError, BackendFormatError, MonitorAttachError
 from repro.core.record import RECORD_DTYPE
 
-__all__ = ["FileBackend", "HEADER_WIDTH", "read_heartbeat_log", "tail_heartbeat_log"]
+__all__ = [
+    "FileBackend",
+    "FileReader",
+    "HEADER_WIDTH",
+    "read_heartbeat_log",
+    "tail_heartbeat_log",
+]
 
 _MAGIC = "HBLOG"
 _VERSION = 1
@@ -304,6 +310,61 @@ class FileBackend(Backend):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FileBackend(path={str(self.path)!r}, total={self._total})"
+
+
+class FileReader:
+    """Read-only observer attachment to a heartbeat log file.
+
+    The ``file://`` sibling of
+    :class:`~repro.core.backends.shared_memory.SharedMemoryReader`: what an
+    external observer in any process opens on a log some
+    :class:`FileBackend` writes.  ``snapshot_since`` tails the file from a
+    byte-offset cursor (:func:`tail_heartbeat_log`), so a poll parses only
+    the appended lines.
+    """
+
+    def __init__(self, path: str | os.PathLike[str]) -> None:
+        self.path = os.fspath(path)
+        if not os.path.exists(self.path):
+            raise MonitorAttachError(f"heartbeat log {self.path!r} does not exist")
+
+    def snapshot(self) -> BackendSnapshot:
+        default_window, tmin, tmax, records = read_heartbeat_log(self.path)
+        return BackendSnapshot(
+            records=records,
+            total_beats=int(records.shape[0]),
+            target_min=tmin,
+            target_max=tmax,
+            default_window=default_window,
+        )
+
+    def snapshot_since(
+        self, cursor: SnapshotCursor | None = None
+    ) -> tuple[DeltaSnapshot, SnapshotCursor]:
+        return tail_heartbeat_log(self.path, cursor)
+
+    def version(self) -> tuple[int, int, int, bytes] | None:
+        """Change token ``(size, inode, mtime, header bytes)``.
+
+        Appends grow the size, rotation changes the inode, and reading the
+        fixed-width header directly (rather than trusting mtime alone, whose
+        granularity is filesystem-dependent) catches in-place target/window
+        rewrites that change nothing else; mtime stays in the tuple as a
+        second line of defense against a same-path producer restart that
+        lands on the exact same size and header.  Answers ``None`` ("cannot
+        tell, poll me") when the read fails so the delta read reports the
+        real error.
+        """
+        try:
+            with open(self.path, "rb") as fh:
+                header = fh.read(HEADER_WIDTH)
+                stat = os.fstat(fh.fileno())
+        except OSError:
+            return None
+        return (stat.st_size, stat.st_ino, stat.st_mtime_ns, header)
+
+    def close(self) -> None:
+        """Nothing to release: every read opens and closes the file."""
 
 
 def read_heartbeat_log(path: str | os.PathLike[str]) -> tuple[int, float, float, np.ndarray]:

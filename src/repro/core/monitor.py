@@ -5,20 +5,17 @@ external service (OS, scheduler, cloud manager, system-administration tool)
 that observes a Heartbeat-enabled application's progress and goals without
 participating in its execution.
 
-A monitor can observe:
-
-* a :class:`~repro.core.heartbeat.Heartbeat` object in the same process
-  (used by the simulated-machine experiments and the external scheduler);
-* a heartbeat log file written by a :class:`~repro.core.backends.FileBackend`
-  in any process;
-* a shared-memory segment written by a
-  :class:`~repro.core.backends.SharedMemoryBackend` in any process on the
-  same host.
-
-All three attachment modes expose the same query surface: windowed heart
-rate, target range, history, liveness (time since the last beat) and simple
-health classification, which is what the fault-tolerance and cloud use cases
-in the paper's Sections 2.3, 2.6 and 5.4 need.
+A monitor observes one :class:`~repro.core.stream.StreamSource`: a
+:class:`~repro.core.heartbeat.Heartbeat` or backend in the same process, a
+log file written by a :class:`~repro.core.backends.FileBackend` or a
+shared-memory segment written by a
+:class:`~repro.core.backends.SharedMemoryBackend` in any process on the same
+host (:meth:`HeartbeatMonitor.attach_endpoint`), one stream of a network
+collector, an arena row.  Whatever the source, the query surface is the
+same: windowed heart rate, target range, history, liveness (time since the
+last beat) and simple health classification, which is what the
+fault-tolerance and cloud use cases in the paper's Sections 2.3, 2.6 and 5.4
+need.
 """
 
 from __future__ import annotations
@@ -27,18 +24,16 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from repro.clock import Clock, WallClock
 from repro.core.backends.base import BackendSnapshot, DeltaSnapshot, SnapshotCursor
-from repro.core.backends.file import HEADER_WIDTH, read_heartbeat_log, tail_heartbeat_log
 from repro.core.buffer import circular_batch_slices
-from repro.core.errors import MonitorAttachError
 from repro.core.heartbeat import Heartbeat
 from repro.core.rate import windowed_rate
 from repro.core.record import RECORD_DTYPE, HeartbeatRecord, array_to_records
+from repro.core.stream import DeltaSource, capabilities_of
 from repro.core.window import resolve_window
 
 __all__ = [
@@ -49,9 +44,6 @@ __all__ = [
     "classify",
     "reading_from_snapshot",
 ]
-
-#: Type of a cursored delta provider (see :meth:`Backend.snapshot_since`).
-DeltaSource = Callable[[SnapshotCursor | None], tuple[DeltaSnapshot, SnapshotCursor]]
 
 
 class HealthStatus(Enum):
@@ -306,14 +298,28 @@ class StreamDeltaState:
 class HeartbeatMonitor:
     """Read-only observer of one heartbeat stream.
 
-    Construct via one of the ``attach_*`` class methods (or pass a snapshot
-    provider directly).  Each call to :meth:`read` re-polls the source, so a
-    monitor held by a scheduler naturally tracks the application over time.
+    Pass any :class:`~repro.core.stream.StreamSource`-shaped object — a
+    backend, a reader, a collector's ``source(stream_id)`` view, an arena
+    row, a ``Heartbeat``, another monitor, or a bare zero-argument snapshot
+    callable — or use one of the ``attach_*`` class methods.  Each call to
+    :meth:`read` re-polls the source, so a monitor held by a scheduler
+    naturally tracks the application over time.
+
+    :meth:`read` polls incrementally: the source's ``snapshot_since`` (found
+    with :func:`repro.core.stream.capabilities_of`) delivers only the beats
+    produced since the previous read, and two equal ``version`` tokens skip
+    even that on an idle stream.  A source with neither is re-snapshotted in
+    full and read through the same path.
+
+    The monitor is itself a ``StreamSource`` (:meth:`snapshot`,
+    :meth:`snapshot_since`, :meth:`version` forward to what it observes), so
+    ``HeartbeatAggregator.attach_stream(name, monitor)`` adopts an existing
+    attachment as one stream of a fleet.
 
     Parameters
     ----------
     source:
-        Callable returning a fresh :class:`BackendSnapshot`.
+        The stream to observe (see above).
     clock:
         Clock used to compute the age of the last beat for liveness checks;
         it must be the same time base the producer stamps beats with
@@ -324,72 +330,32 @@ class HeartbeatMonitor:
     liveness_timeout:
         Seconds without a beat after which the application is classified
         :attr:`HealthStatus.STALLED`.  ``None`` disables the check.
-    delta:
-        Optional cursored delta provider (``Backend.snapshot_since`` or an
-        equivalent).  When present, :meth:`read` polls incrementally — cost
-        proportional to the beats produced since the previous read instead
-        of the whole retained history.  The ``attach_*`` constructors wire
-        this automatically.
-    probe:
-        Optional cheap change token (``Backend.version``); two equal values
-        let :meth:`read` skip the delta read entirely on an idle stream.
+    own:
+        When True, :meth:`close` also closes ``source``.
     """
 
     def __init__(
         self,
-        source: Callable[[], BackendSnapshot],
-        *,
-        clock: Clock | None = None,
-        window: int = 0,
-        liveness_timeout: float | None = None,
-        close: Callable[[], None] | None = None,
-        delta: DeltaSource | None = None,
-        probe: Callable[[], object | None] | None = None,
-    ) -> None:
-        self._source = source
-        self._clock = clock if clock is not None else WallClock()
-        self._window = int(window)
-        self._liveness_timeout = liveness_timeout
-        self._close = close
-        self._delta = delta
-        self._probe = probe
-        self._state: StreamDeltaState | None = None
-
-    # ------------------------------------------------------------------ #
-    # Attachment constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def for_source(
-        cls,
         source: object,
         *,
         clock: Clock | None = None,
         window: int = 0,
         liveness_timeout: float | None = None,
         own: bool = False,
-    ) -> "HeartbeatMonitor":
-        """Observe any :class:`~repro.core.stream.StreamSource`-shaped object.
-
-        Capabilities (``snapshot_since`` deltas, ``version`` probes, a
-        ``close`` hook) are discovered with
-        :func:`repro.core.stream.capabilities_of`, so a backend, a reader, a
-        collector per-stream view, a ``Heartbeat`` or a bare snapshot
-        callable all attach through the same door and get every fast path
-        they support.  ``own=True`` makes :meth:`close` release the source.
-        """
-        from repro.core.stream import capabilities_of
-
+    ) -> None:
         caps = capabilities_of(source)
-        return cls(
-            caps.snapshot,
-            clock=clock,
-            window=window,
-            liveness_timeout=liveness_timeout,
-            close=caps.close if own else None,
-            delta=caps.delta,
-            probe=caps.probe,
-        )
+        self._source = caps.snapshot
+        self._delta: DeltaSource = caps.delta
+        self._probe = caps.probe
+        self._close = caps.close if own else None
+        self._clock = clock if clock is not None else WallClock()
+        self._window = int(window)
+        self._liveness_timeout = liveness_timeout
+        self._state: StreamDeltaState | None = None
 
+    # ------------------------------------------------------------------ #
+    # Attachment constructors
+    # ------------------------------------------------------------------ #
     @classmethod
     def attach(
         cls,
@@ -399,7 +365,7 @@ class HeartbeatMonitor:
         liveness_timeout: float | None = None,
     ) -> "HeartbeatMonitor":
         """Observe a heartbeat object living in this process."""
-        return cls.for_source(
+        return cls(
             heartbeat,
             clock=heartbeat.clock,
             window=window,
@@ -424,7 +390,7 @@ class HeartbeatMonitor:
         """
         from repro.endpoints import open_source
 
-        return cls.for_source(
+        return cls(
             open_source(endpoint),  # type: ignore[arg-type]
             clock=clock,
             window=window,
@@ -482,28 +448,24 @@ class HeartbeatMonitor:
     def read(self, window: int | None = None) -> MonitorReading:
         """Poll the source and classify the application's current health.
 
-        Sources attached with delta support are read incrementally: only the
-        beats produced since the previous ``read`` are fetched and folded
-        into cached rolling-window state, so a steady poll costs O(new
-        beats) instead of O(history).  A ``window`` override different from
-        the monitor's configured window falls back to the full-snapshot
-        path, as does any source without delta support.
+        Only the beats produced since the previous ``read`` are fetched and
+        folded into cached rolling-window state, so a steady poll costs
+        O(new beats) instead of O(history).  A ``window`` override different
+        from the monitor's configured window is answered from a full
+        snapshot instead (the cached state is sized for one window).
         """
         requested = self._window if window is None else int(window)
-        if self._delta is not None and requested == self._window:
-            return self._read_incremental()
-        return reading_from_snapshot(
-            self._source(),
-            now=self._clock.now(),
-            window=requested,
-            liveness_timeout=self._liveness_timeout,
-        )
-
-    def _read_incremental(self) -> MonitorReading:
+        if requested != self._window:
+            return reading_from_snapshot(
+                self._source(),
+                now=self._clock.now(),
+                window=requested,
+                liveness_timeout=self._liveness_timeout,
+            )
         state = self._state
         if state is None:
             state = self._state = StreamDeltaState(self._window)
-        version = self._probe() if self._probe is not None else None
+        version = self.version()
         # Probe *before* the read: a beat landing in between is consumed now
         # and read again next time — never the other way around.
         if state.cursor is None or version is None or version != state.version:
@@ -511,24 +473,19 @@ class HeartbeatMonitor:
             state.version = version
         return state.reading(self._clock.now(), self._liveness_timeout)
 
-    @property
-    def snapshot_source(self) -> Callable[[], BackendSnapshot]:
-        """The snapshot provider this monitor polls.
+    def snapshot(self) -> BackendSnapshot:
+        """A full snapshot of the observed stream."""
+        return self._source()
 
-        Exposed so a :class:`repro.core.aggregator.HeartbeatAggregator` can
-        adopt an existing monitor attachment as one stream of a fleet.
-        """
-        return self._source
+    def snapshot_since(
+        self, cursor: SnapshotCursor | None = None
+    ) -> tuple[DeltaSnapshot, SnapshotCursor]:
+        """The observed stream's records since ``cursor`` (see :class:`DeltaSnapshot`)."""
+        return self._delta(cursor)
 
-    @property
-    def delta_source(self) -> DeltaSource | None:
-        """The cursored delta provider, when the attachment supports one."""
-        return self._delta
-
-    @property
-    def probe_source(self) -> Callable[[], object | None] | None:
-        """The cheap change-token provider, when the attachment supports one."""
-        return self._probe
+    def version(self) -> object | None:
+        """The observed stream's cheap change token (``None``: it has none)."""
+        return self._probe() if self._probe is not None else None
 
     def current_rate(self, window: int | None = None) -> float:
         """Convenience: the windowed rate only."""
@@ -574,49 +531,3 @@ class HeartbeatMonitor:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def file_observer_sources(
-    path: str | os.PathLike[str],
-) -> tuple[Callable[[], BackendSnapshot], DeltaSource, Callable[[], object | None]]:
-    """Build the (snapshot, delta, probe) triple for observing a log file.
-
-    Shared by :meth:`HeartbeatMonitor.attach_file` and
-    :meth:`repro.core.aggregator.HeartbeatAggregator.attach_file`.  The
-    probe fingerprint is ``(size, inode, mtime, header bytes)`` — appends
-    grow the size, rotation changes the inode, and reading the fixed-width
-    header directly (rather than trusting mtime alone, whose granularity is
-    filesystem-dependent) catches in-place target/window rewrites that
-    change nothing else; mtime stays in the tuple as a second line of
-    defense against a same-path producer restart that lands on the exact
-    same size and header.  It answers ``None`` ("cannot tell, poll me")
-    when the read fails so the delta read reports the real error.
-    """
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        raise MonitorAttachError(f"heartbeat log {path!r} does not exist")
-
-    def _snapshot() -> BackendSnapshot:
-        default_window, tmin, tmax, records = read_heartbeat_log(path)
-        return BackendSnapshot(
-            records=records,
-            total_beats=int(records.shape[0]),
-            target_min=tmin,
-            target_max=tmax,
-            default_window=default_window,
-        )
-
-    def _delta(cursor: SnapshotCursor | None) -> tuple[DeltaSnapshot, SnapshotCursor]:
-        return tail_heartbeat_log(path, cursor)
-
-    def _probe() -> tuple[int, int, int, bytes] | None:
-        try:
-            with open(path, "rb") as fh:
-                header = fh.read(HEADER_WIDTH)
-                stat = os.fstat(fh.fileno())
-        except OSError:
-            return None
-        return (stat.st_size, stat.st_ino, stat.st_mtime_ns, header)
-
-    return _snapshot, _delta, _probe
-

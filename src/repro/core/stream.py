@@ -1,34 +1,28 @@
-"""Capability-based stream protocols: the one contract every wiring speaks.
+"""The stream contract: one object shape every observer attaches to.
 
-Four PRs of growth produced several ways to hand an observer a heartbeat
-stream: ``Backend`` objects, ``SharedMemoryReader``\\ s, the collector's
-per-stream views, monitor ``snapshot_source``/``delta_source`` properties and
-bare ``(snapshot, delta, probe)`` callable triples.  They all answer the same
-three questions — *what is the state now* (``snapshot``), *what changed since
-my cursor* (``snapshot_since``) and *did anything change at all*
-(``version``) — they just spell them differently.
-
-This module names that contract once:
+A heartbeat stream answers three questions for whoever watches it — *what
+is the state now* (``snapshot``), *what changed since my cursor*
+(``snapshot_since``) and *did anything change at all* (``version``) — and a
+producer needs one place to publish beats and goals.  This module names
+both sides once:
 
 * :class:`StreamSource` — the read side.  ``snapshot()`` is the only
-  required capability; ``snapshot_since`` (cursored deltas), ``version``
-  (cheap change probe) and ``close`` (detach) are optional and *discovered*,
-  never ``isinstance``-checked, so any object that grew the methods gets the
-  incremental fast paths for free.
+  required method; ``snapshot_since`` (cursored deltas), ``version`` (cheap
+  change probe) and ``close`` (detach) are optional and *discovered*, never
+  ``isinstance``-checked, so any object that grew the methods gets the
+  incremental fast paths for free.  Every
+  :class:`~repro.core.backends.base.Backend`, the ``shm://`` and ``file://``
+  readers, an arena row, a collector's ``source(stream_id)`` view and a
+  :class:`~repro.core.monitor.HeartbeatMonitor` satisfy it.
 * :class:`StreamSink` — the write side: what a producer needs to publish
   beats and goals.  Every :class:`~repro.core.backends.base.Backend`
   satisfies it.
 * :func:`capabilities_of` — the single discovery routine.  It accepts a
-  source object, a ``Heartbeat`` (unwrapping its backend), a
-  ``HeartbeatMonitor`` (adopting its attachment), or a bare zero-argument
-  snapshot callable, and returns the normalized
-  :class:`SourceCapabilities` bundle every attacher
+  source object, a ``Heartbeat`` (unwrapping its backend) or a bare
+  zero-argument snapshot callable, and returns the normalized
+  :class:`SourceCapabilities` bundle the two observers
   (:class:`~repro.core.monitor.HeartbeatMonitor`,
-  :class:`~repro.core.aggregator.HeartbeatAggregator`,
-  :class:`~repro.session.TelemetrySession`) consumes.
-* :class:`BoundSource` — the inverse adapter: packages loose callables back
-  into an object satisfying :class:`StreamSource`, which is how log-file
-  observation (a path, not an object) joins the protocol.
+  :class:`~repro.core.aggregator.HeartbeatAggregator`) read through.
 """
 
 from __future__ import annotations
@@ -38,7 +32,12 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.backends.base import BackendSnapshot, DeltaSnapshot, SnapshotCursor
+from repro.core.backends.base import (
+    BackendSnapshot,
+    DeltaSnapshot,
+    SnapshotCursor,
+    delta_from_snapshot,
+)
 
 __all__ = [
     "StreamSource",
@@ -46,11 +45,10 @@ __all__ = [
     "DeltaSource",
     "ProbeSource",
     "SourceCapabilities",
-    "BoundSource",
     "capabilities_of",
 ]
 
-#: Cursored delta provider (the optional incremental-read capability).
+#: Cursored delta provider (the incremental-read capability).
 DeltaSource = Callable[
     [SnapshotCursor | None], "tuple[DeltaSnapshot, SnapshotCursor]"
 ]
@@ -105,68 +103,20 @@ class StreamSink(Protocol):
 class SourceCapabilities:
     """The normalized capability bundle of one stream source.
 
-    ``snapshot`` is always present; the rest are ``None`` when the source
-    does not offer the capability.  ``close`` is *reported*, not exercised —
-    whether detaching the consumer should also release the source is an
-    ownership decision the attacher makes (``own=True`` on the attach
-    surfaces).
+    ``snapshot`` and ``delta`` are always present: ``delta`` is the source's
+    own ``snapshot_since`` when it has one, otherwise its full snapshot
+    re-expressed as a delta (:func:`~repro.core.backends.base.
+    delta_from_snapshot`), so observers read every source the same cursored
+    way.  ``probe`` and ``close`` are ``None`` when the source does not offer
+    them.  ``close`` is *reported*, not exercised — whether detaching the
+    consumer should also release the source is an ownership decision the
+    attacher makes (``own=True`` on the attach surfaces).
     """
 
     snapshot: Callable[[], BackendSnapshot]
-    delta: DeltaSource | None = None
+    delta: DeltaSource
     probe: ProbeSource | None = None
     close: Callable[[], None] | None = None
-
-
-class BoundSource:
-    """Loose ``(snapshot, delta, probe, close)`` callables as one object.
-
-    The adapter that brings callable-shaped attachments (log-file observers,
-    lambdas in tests) into the :class:`StreamSource` protocol, so every
-    consumer can be written against objects only.
-    """
-
-    __slots__ = ("_snapshot", "_delta", "_probe", "_close")
-
-    def __init__(
-        self,
-        snapshot: Callable[[], BackendSnapshot],
-        delta: DeltaSource | None = None,
-        probe: ProbeSource | None = None,
-        close: Callable[[], None] | None = None,
-    ) -> None:
-        self._snapshot = snapshot
-        self._delta = delta
-        self._probe = probe
-        self._close = close
-
-    def snapshot(self) -> BackendSnapshot:
-        return self._snapshot()
-
-    def snapshot_since(
-        self, cursor: SnapshotCursor | None = None
-    ) -> tuple[DeltaSnapshot, SnapshotCursor]:
-        if self._delta is None:
-            from repro.core.backends.base import delta_from_snapshot
-
-            return delta_from_snapshot(self._snapshot(), cursor)
-        return self._delta(cursor)
-
-    def version(self) -> object | None:
-        return self._probe() if self._probe is not None else None
-
-    def close(self) -> None:
-        if self._close is not None:
-            self._close()
-
-    def capabilities(self) -> SourceCapabilities:
-        """This adapter's exact capabilities (no fallback synthesis)."""
-        return SourceCapabilities(
-            snapshot=self._snapshot,
-            delta=self._delta,
-            probe=self._probe,
-            close=self._close,
-        )
 
 
 def capabilities_of(obj: object) -> SourceCapabilities:
@@ -174,11 +124,9 @@ def capabilities_of(obj: object) -> SourceCapabilities:
 
     Accepted shapes, probed in order:
 
-    * a :class:`BoundSource` (its exact capabilities are adopted);
-    * anything exposing monitor-style ``snapshot_source`` / ``delta_source``
-      / ``probe_source`` properties (a ``HeartbeatMonitor`` attachment);
-    * anything with ``snapshot`` (a ``Backend``, a ``SharedMemoryReader``, a
-      collector per-stream view, ...) — ``snapshot_since`` / ``version`` /
+    * anything with ``snapshot`` (a ``Backend``, a ``SharedMemoryReader`` or
+      ``FileReader``, an arena row, a collector per-stream view, a
+      ``HeartbeatMonitor``, ...) — ``snapshot_since`` / ``version`` /
       ``close`` ride along when present.  An object's own ``snapshot``
       always wins over any ``backend`` it wraps, so locking wrappers are
       never bypassed;
@@ -191,24 +139,14 @@ def capabilities_of(obj: object) -> SourceCapabilities:
     attribute, never by ``isinstance``: a third-party object that grew
     ``snapshot_since`` yesterday gets incremental polling today.
     """
-    if isinstance(obj, BoundSource):
-        return obj.capabilities()
     if callable(getattr(obj, "stream_ids", None)):
-        # A collector-like object is a *set* of streams, and its
-        # snapshot/snapshot_source surface takes a stream id — accepting it
-        # here would wire a source whose every read fails.  Reject loudly.
+        # A collector-like object is a *set* of streams, and its snapshot
+        # surface takes a stream id — accepting it here would wire a source
+        # whose every read fails.  Reject loudly.
         raise TypeError(
             f"{type(obj).__name__} is collector-like (it has stream_ids); "
             "attach it with attach_collector() / TelemetrySession.fleet(), "
             "or pick one stream via its source(stream_id) view"
-        )
-    monitor_snapshot = getattr(obj, "snapshot_source", None)
-    if monitor_snapshot is not None and callable(monitor_snapshot):
-        return SourceCapabilities(
-            snapshot=monitor_snapshot,
-            delta=getattr(obj, "delta_source", None),
-            probe=getattr(obj, "probe_source", None),
-            close=getattr(obj, "close", None),
         )
     # The object's own snapshot wins over any `backend` attribute it holds:
     # a wrapper like the collector's per-stream view serialises access to
@@ -218,7 +156,7 @@ def capabilities_of(obj: object) -> SourceCapabilities:
         close = getattr(obj, "close", None)
         return SourceCapabilities(
             snapshot=snapshot,
-            delta=getattr(obj, "snapshot_since", None),
+            delta=getattr(obj, "snapshot_since", None) or _delta_of(snapshot),
             probe=getattr(obj, "version", None),
             close=close if callable(close) else None,
         )
@@ -226,8 +164,19 @@ def capabilities_of(obj: object) -> SourceCapabilities:
     if backend is not None and callable(getattr(backend, "snapshot", None)):
         return capabilities_of(backend)
     if callable(obj):
-        return SourceCapabilities(snapshot=obj)  # type: ignore[arg-type]
+        return SourceCapabilities(snapshot=obj, delta=_delta_of(obj))  # type: ignore[arg-type]
     raise TypeError(
-        f"{type(obj).__name__} is not a stream source: expected snapshot()/"
-        "snapshot_source, a Heartbeat, or a zero-argument snapshot callable"
+        f"{type(obj).__name__} is not a stream source: expected snapshot(), "
+        "a Heartbeat, or a zero-argument snapshot callable"
     )
+
+
+def _delta_of(snapshot: Callable[[], BackendSnapshot]) -> DeltaSource:
+    """A snapshot provider's full read re-expressed as a cursored delta."""
+
+    def delta(
+        cursor: SnapshotCursor | None = None,
+    ) -> tuple[DeltaSnapshot, SnapshotCursor]:
+        return delta_from_snapshot(snapshot(), cursor)
+
+    return delta

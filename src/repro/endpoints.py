@@ -674,7 +674,8 @@ def open_sink(endpoint: "str | Endpoint", *, stream: str | None = None) -> "Stre
 def open_source(endpoint: "str | Endpoint") -> "StreamSource":
     """Open the observer side of an endpoint as a :class:`StreamSource`.
 
-    ``file://`` endpoints return a log-file observer (incremental cursored
+    ``file://`` endpoints return a
+    :class:`~repro.core.backends.file.FileReader` (incremental cursored
     tailing included); ``shm://`` endpoints attach a read-only
     :class:`~repro.core.backends.shared_memory.SharedMemoryReader`.  The
     returned object owns its attachment: call ``close()`` (or let the owning
@@ -701,11 +702,9 @@ through the TelemetrySession that produced it (session.observe)
     """
     ep = Endpoint.parse(endpoint)
     if isinstance(ep, FileEndpoint):
-        from repro.core.monitor import file_observer_sources
-        from repro.core.stream import BoundSource
+        from repro.core.backends.file import FileReader
 
-        snapshot, delta, probe = file_observer_sources(ep.path)
-        return BoundSource(snapshot, delta, probe)
+        return FileReader(ep.path)
     if isinstance(ep, ShmEndpoint):
         from repro.core.backends.shared_memory import SharedMemoryReader
 

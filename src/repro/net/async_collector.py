@@ -472,21 +472,11 @@ class AsyncHeartbeatCollector:
 
         The returned per-stream view carries the full capability set —
         ``snapshot`` / ``snapshot_since`` / ``version`` — so it attaches
-        anywhere a source does (``HeartbeatMonitor.for_source``,
+        anywhere a source does (``HeartbeatMonitor``,
         ``HeartbeatAggregator.attach_stream``, a ``ControlLoop`` rate
         source) with incremental polling intact.
         """
         return self._get_stream(stream_id)
-
-    def snapshot_source(self, stream_id: str) -> Callable[[], BackendSnapshot]:
-        """A zero-argument snapshot provider for aggregator attachment."""
-        return self._get_stream(stream_id).snapshot
-
-    def delta_source(
-        self, stream_id: str
-    ) -> Callable[[SnapshotCursor | None], tuple[DeltaSnapshot, SnapshotCursor]]:
-        """A cursored delta provider: poll cost proportional to new records."""
-        return self._get_stream(stream_id).snapshot_since
 
     def version_source(self, stream_id: str) -> Callable[[], tuple[int, int]]:
         """A cheap change-token provider for the aggregator's idle-skip path."""

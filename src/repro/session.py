@@ -229,7 +229,7 @@ class TelemetrySession:
         if isinstance(ep, MemEndpoint):
             heartbeat = self._lookup(ep)
             observer_clock = clock if clock is not None else self._clock
-            monitor = HeartbeatMonitor.for_source(
+            monitor = HeartbeatMonitor(
                 heartbeat,
                 clock=observer_clock if observer_clock is not None else heartbeat.clock,
                 window=window,
@@ -255,7 +255,6 @@ class TelemetrySession:
         window: int | None = None,
         liveness_timeout: float | None = None,
         num_shards: int = 1,
-        incremental: bool = True,
         clock: Clock | None = None,
     ) -> HeartbeatAggregator:
         """Open a fleet observer over any mix of endpoints.
@@ -298,7 +297,6 @@ class TelemetrySession:
                 self._liveness_timeout if liveness_timeout is None else liveness_timeout
             ),
             num_shards=num_shards,
-            incremental=incremental,
         )
         self._register("fleet", aggregator.close)
         for entry in endpoints:

@@ -103,7 +103,7 @@ class TestAttachment:
         hb = Heartbeat(window=5, clock=sim_clock)
         monitor = HeartbeatMonitor.attach(hb)
         agg = HeartbeatAggregator(clock=sim_clock)
-        agg.attach_monitor("adopted", monitor)
+        agg.attach_stream("adopted", monitor)  # a monitor is itself a StreamSource
         for _ in range(6):
             sim_clock.advance(0.5)
             hb.heartbeat()
@@ -242,7 +242,7 @@ class TestFailureIsolation:
         def broken():
             raise HeartbeatError("writer went away")
 
-        agg.attach_source("broken", broken)
+        agg.attach_stream("broken", broken)
         for _ in range(3):
             sim_clock.advance(1.0)
             healthy.heartbeat()
@@ -250,6 +250,52 @@ class TestFailureIsolation:
         assert list(sample.names) == ["healthy"]
         assert "broken" in sample.errors
         assert "writer went away" in sample.errors["broken"]
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_backwards_timestamp_poisons_only_its_own_stream(self, num_shards):
+        """A backwards stamp inside one stream's rate window (wall-clock
+        step, clock-skewed relay) lands that stream in ``errors``; the rest
+        of the fleet is still sampled, and the stream recovers by a full
+        resync once the bad stamp has left its window."""
+        from repro.clock import ManualClock
+        from repro.core.backends import MemoryBackend
+
+        good, bad = MemoryBackend(16), MemoryBackend(16)
+        for backend in (good, bad):
+            backend.set_default_window(4)
+        for beat, stamp in enumerate((10.0, 11.0, 12.0, 13.0)):
+            good.append(beat, stamp, 0, 1)
+        for beat, stamp in enumerate((10.0, 11.0, 12.0, 3.0)):
+            bad.append(beat, stamp, 0, 1)
+        with HeartbeatAggregator(clock=ManualClock(13.0), num_shards=num_shards) as agg:
+            agg.attach_stream("good", good)
+            agg.attach_stream("bad", bad)
+            for _ in range(2):  # the poisoned state is not kept between polls
+                sample = agg.poll()
+                assert sample.names == ("good",)
+                assert sample.reading("good").rate == pytest.approx(1.0)
+                assert "not sorted" in sample.errors["bad"]
+            for beat, stamp in enumerate((14.0, 15.0, 16.0, 17.0), start=4):
+                bad.append(beat, stamp, 0, 1)
+            sample = agg.poll()
+            assert sample.errors == {}
+            assert sample.reading("bad").rate == pytest.approx(1.0)
+            assert sample.reading("bad").total_beats == 8
+
+    def test_contains_agrees_with_names_and_len_for_arena_rows(self, sim_clock):
+        from repro.core.backends import Arena
+
+        arena = Arena(streams=4, depth=8)
+        arena.allocate("row-name")
+        with HeartbeatAggregator(clock=sim_clock) as agg:
+            agg.attach("object", Heartbeat(window=5, clock=sim_clock))
+            agg.attach_arena(arena, prefix="slab/", own=True)
+            assert agg.names == ["object", "slab/row-name"]
+            assert len(agg) == 2
+            assert "object" in agg and "slab/row-name" in agg
+            assert "row-name" not in agg and "nope" not in agg
+            arena.allocate("late")  # the slab header is the membership
+            assert "slab/late" in agg and len(agg) == 3
 
     def test_reading_lookup(self, sim_clock):
         agg = HeartbeatAggregator(clock=sim_clock)

@@ -133,7 +133,7 @@ class TestLocalHeartbeats:
 
 
 class TestRemoteInitialization:
-    """HB_initialize(remote=...) — Table 1 instrumentation shipped over TCP."""
+    """HB_initialize(endpoint="tcp://...") — Table 1 instrumentation shipped over TCP."""
 
     def test_remote_stream_reaches_collector(self):
         import time
@@ -141,8 +141,11 @@ class TestRemoteInitialization:
         from repro.net import HeartbeatCollector
 
         with HeartbeatCollector() as collector:
-            heartbeat = hb.HB_initialize(window=10, remote=collector.endpoint)
+            heartbeat = hb.HB_initialize(window=10, endpoint=collector.endpoint_url)
             assert heartbeat.backend.__class__.__name__ == "NetworkBackend"
+            assert heartbeat.backend.address == collector.address
+            # Wire producers stamp with the host-wide monotonic clock.
+            assert heartbeat.clock.now() == pytest.approx(time.perf_counter(), abs=1.0)
             hb.HB_set_target_rate(1.0, 1e6)
             hb.HB_heartbeat_n(25)
             hb.HB_finalize()
@@ -163,13 +166,13 @@ class TestRemoteInitialization:
         from repro.core.backends import MemoryBackend
 
         with pytest.raises(ValueError, match="not both"):
-            hb.HB_initialize(remote="127.0.0.1:1", backend=MemoryBackend(16))
+            hb.HB_initialize(endpoint="tcp://127.0.0.1:1", backend=MemoryBackend(16))
 
     def test_local_after_remote_global_gets_its_own_backend(self):
         from repro.net import HeartbeatCollector
 
         with HeartbeatCollector() as collector:
-            hb.HB_initialize(window=10, remote=collector.endpoint)
+            hb.HB_initialize(window=10, endpoint=collector.endpoint_url)
             local = hb.HB_initialize(local=True)
             # The global's network backend must not be shared with locals.
             assert local.backend is not hb.get_registry().get(local=False).backend
@@ -185,11 +188,11 @@ class TestRemoteInitialization:
             return sum(1 for t in threading.enumerate() if t.name.startswith("hb-net-"))
 
         with HeartbeatCollector() as collector:
-            hb.HB_initialize(window=10, remote=collector.endpoint)
+            hb.HB_initialize(window=10, endpoint=collector.endpoint_url)
             baseline = net_threads()
             for _ in range(3):
                 with pytest.raises(RegistryError):
-                    hb.HB_initialize(window=10, remote=collector.endpoint)
+                    hb.HB_initialize(window=10, endpoint=collector.endpoint_url)
             # The rejected backends were closed; give their senders a beat to exit.
             deadline = time.monotonic() + 5.0
             while net_threads() > baseline and time.monotonic() < deadline:

@@ -84,7 +84,7 @@ class TestTelemetryCLI:
         assert not port_file.exists()  # cleaned up on exit
 
     def test_watch_once_with_inline_collector(self, capsys):
-        assert cli.main(["watch", "--listen", "127.0.0.1:0", "--once"]) == 0
+        assert cli.main(["watch", "tcp://127.0.0.1:0", "--once"]) == 0
         out = capsys.readouterr().out
         assert "collector listening on 127.0.0.1:" in out
         assert "stream" in out and "status" in out
@@ -100,13 +100,13 @@ class TestTelemetryCLI:
         for _ in range(10):
             hb.heartbeat()
         hb.finalize()
-        assert cli.main(["watch", "--file", str(log), "--once"]) == 0
+        assert cli.main(["watch", f"file://{log}", "--once"]) == 0
         out = capsys.readouterr().out
         assert "file:svc.hblog" in out
         assert "1 streams, 1 measurable" in out
 
     def test_watch_missing_file_fails_cleanly(self, tmp_path, capsys):
-        assert cli.main(["watch", "--file", str(tmp_path / "absent.hblog"), "--once"]) == 1
+        assert cli.main(["watch", f"file://{tmp_path / 'absent.hblog'}", "--once"]) == 1
         assert "cannot attach heartbeat log" in capsys.readouterr().err
 
     def test_watch_sees_live_producer(self, capsys):
@@ -122,7 +122,7 @@ class TestTelemetryCLI:
 
         thread = threading.Thread(
             target=lambda: rc.append(
-                cli.main(["watch", "--listen", "127.0.0.1:0", "--duration", "1.2",
+                cli.main(["watch", "tcp://127.0.0.1:0", "--duration", "1.2",
                           "--interval", "0.1"])
             ),
             daemon=True,
@@ -170,7 +170,7 @@ class TestAdaptCLI:
             tmp_path,
             {"loops": [{"match": "file:*", "target": "published", "actuator": "log"}]},
         )
-        assert cli.main(["adapt", "--spec", str(spec), "--file", str(log), "--once"]) == 0
+        assert cli.main(["adapt", "--spec", str(spec), f"file://{log}", "--once"]) == 0
         out = capsys.readouterr().out
         assert "advisory actuators" in out
         assert "tick=0" in out and "loops=1" in out and "decisions=1" in out
@@ -184,7 +184,7 @@ class TestAdaptCLI:
     def test_adapt_rejects_bad_specs(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"loops": [{"match": "x", "controller": "warp"}]}))
-        assert cli.main(["adapt", "--spec", str(bad), "--listen", "127.0.0.1:0"]) == 2
+        assert cli.main(["adapt", "--spec", str(bad), "tcp://127.0.0.1:0"]) == 2
         assert "cannot load adaptation spec" in capsys.readouterr().err
         assert cli.main(["adapt", "--spec", str(tmp_path / "absent.json"), "--once"]) == 2
 
@@ -208,7 +208,7 @@ class TestAdaptCLI:
 
         thread = threading.Thread(
             target=lambda: rc.append(
-                cli.main(["adapt", "--spec", str(spec), "--listen", "127.0.0.1:0",
+                cli.main(["adapt", "--spec", str(spec), "tcp://127.0.0.1:0",
                           "--duration", "1.2", "--interval", "0.1"])
             ),
             daemon=True,
@@ -277,8 +277,11 @@ class TestEndpointCLI:
         assert "tcp://" in capsys.readouterr().err
 
     def test_collect_rejects_endpoint_plus_bind(self, capsys):
-        assert cli.main(["collect", "tcp://127.0.0.1:0", "--bind", "127.0.0.1:0"]) == 2
-        assert "not both" in capsys.readouterr().err
+        """The removed ``--bind`` flag is refused by the parser (exit 2)."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["collect", "tcp://127.0.0.1:0", "--bind", "127.0.0.1:0"])
+        assert exit_info.value.code == 2
+        assert "--bind" in capsys.readouterr().err
 
     def test_collect_reports_bind_failure_in_one_line(self, capsys):
         import socket
@@ -342,14 +345,6 @@ class TestEndpointCLI:
         for out in (positional_out, attach_out):
             assert "tick=0" in out and "loops=1" in out and "decisions=1" in out
             assert "file:svc.hblog" in out
-
-    def test_legacy_flags_warn_deprecation(self, tmp_path, capsys):
-        log = tmp_path / "svc.hblog"
-        hb = Heartbeat(window=5, backend=FileBackend(log))
-        hb.heartbeat()
-        hb.finalize()
-        with pytest.warns(DeprecationWarning, match="deprecated facade"):
-            assert cli.main(["watch", "--file", str(log), "--once"]) == 0
 
     def test_port_file_written_atomically(self, tmp_path):
         """The port file appears fully-formed: temp file + rename, no tail."""

@@ -28,7 +28,7 @@ from repro.core.backends import (
     SnapshotCursor,
 )
 from repro.core.backends.base import delta_from_snapshot
-from repro.core.backends.file import tail_heartbeat_log
+from repro.core.backends.file import FileReader, tail_heartbeat_log
 from repro.core.backends.shared_memory import SharedMemoryReader
 from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import HealthStatus, HeartbeatMonitor, classify, reading_from_snapshot
@@ -113,11 +113,33 @@ class _CollectorHarness:
         self._settle()
         if not self._registered():
             return self._empty.snapshot_since(cursor)
-        return self.collector.delta_source("contract")(cursor)
+        return self.collector.source("contract").snapshot_since(cursor)
 
     def close(self) -> None:
         self.exporter.close()
         self.collector.close()
+
+
+def full_snapshot_reading(source, *, now, window=0, liveness_timeout=None):
+    """The full-snapshot oracle: one stream's whole retained history, read
+    and classified from scratch — what every incremental read must equal."""
+    return reading_from_snapshot(
+        source.snapshot(), now=now, window=window, liveness_timeout=liveness_timeout
+    )
+
+
+class _CountingSource:
+    """A source that counts the delta reads an observer makes through it."""
+
+    def __init__(self, inner, counts) -> None:
+        self._inner = inner
+        self._counts = counts
+        self.snapshot = inner.snapshot
+        self.version = inner.version
+
+    def snapshot_since(self, cursor=None):
+        self._counts["delta"] += 1
+        return self._inner.snapshot_since(cursor)
 
 
 class _ArenaRowHarness:
@@ -501,14 +523,12 @@ class TestFileCursorEdges:
         """set_targets rewrites the fixed-width header in place (size and
         inode unchanged); the observer probe must still see it so skip-idle
         polling never classifies against stale targets."""
-        from repro.core.monitor import file_observer_sources
-
         backend = self._filled(tmp_path)
         try:
-            _, _, probe = file_observer_sources(backend.path)
-            before = probe()
+            reader = FileReader(backend.path)
+            before = reader.version()
             backend.set_targets(3.0, 9.0)
-            assert probe() != before
+            assert reader.version() != before
         finally:
             backend.close()
 
@@ -627,17 +647,18 @@ class TestIncrementalMonitor:
         hb = Heartbeat(window=10, clock=clock)
         hb.set_target_rate(5.0, 15.0)
         incremental = HeartbeatMonitor.attach(hb, liveness_timeout=3.0)
-        # A monitor stripped of its delta source takes the full path.
-        full = HeartbeatMonitor.attach(hb, liveness_timeout=3.0)
-        full._delta = None
+
+        def full():
+            return full_snapshot_reading(hb.backend, now=clock.now(), liveness_timeout=3.0)
+
         for i in range(40):
             clock.time = i * 0.1
             hb.heartbeat(tag=i)
             if i % 7 == 0:
-                a, b = incremental.read(), full.read()
+                a, b = incremental.read(), full()
                 assert a == b, (i, a, b)
         clock.time = 30.0  # stalled now
-        assert incremental.read() == full.read()
+        assert incremental.read() == full()
         assert incremental.read().status is HealthStatus.STALLED
 
     def test_idle_monitor_skips_delta_reads(self):
@@ -682,10 +703,7 @@ class TestIncrementalMonitor:
         hb._window = 50  # what a re-initialising producer would publish
         clock.time = 95.0
         hb.heartbeat()
-        expected = reading_from_snapshot(
-            hb.backend.snapshot(), now=clock.now(), window=0, liveness_timeout=None
-        )
-        assert monitor.read() == expected
+        assert monitor.read() == full_snapshot_reading(hb.backend, now=clock.now())
 
     def test_explicit_window_override_still_works(self):
         clock = ManualClock()
@@ -717,23 +735,30 @@ class TestIncrementalAggregator:
 
     def test_incremental_matches_full_snapshot_poll(self, sim_clock):
         incremental = HeartbeatAggregator(clock=sim_clock, liveness_timeout=5.0)
-        full = HeartbeatAggregator(clock=sim_clock, liveness_timeout=5.0, incremental=False)
         streams = self._fleet(sim_clock, incremental)
-        for i, hb in enumerate(streams):
-            full.attach(f"s{i}", hb)
         for _ in range(4):
-            a, b = incremental.poll(), full.poll()
-            assert a.names == b.names
-            assert [r.rate for r in a.readings] == [r.rate for r in b.readings]
-            assert [r.status for r in a.readings] == [r.status for r in b.readings]
-            assert [r.total_beats for r in a.readings] == [r.total_beats for r in b.readings]
-            assert a.summary() == b.summary()
-            assert a.lagging() == b.lagging()
+            sample = incremental.poll()
+            full = [
+                full_snapshot_reading(hb.backend, now=sim_clock.now(), liveness_timeout=5.0)
+                for hb in streams
+            ]
+            assert sample.names == tuple(f"s{i}" for i in range(len(streams)))
+            assert list(sample.readings) == full
+            rates = sorted(
+                (r.rate, name) for name, r in zip(sample.names, full)
+                if r.status in (HealthStatus.SLOW, HealthStatus.STALLED)
+            )
+            assert sample.lagging() == [name for _, name in rates]
+            summary = sample.summary()
+            measurable = [r.rate for r in full if r.total_beats >= 2]
+            assert summary.measurable == len(measurable)
+            assert summary.mean == pytest.approx(np.mean(measurable))
+            assert summary.lagging == sum(r.status is HealthStatus.SLOW for r in full)
+            assert summary.stalled == sum(r.status is HealthStatus.STALLED for r in full)
             sim_clock.advance(0.1)
             for hb in streams[::2]:
                 hb.heartbeat()
         incremental.close()
-        full.close()
 
     def test_all_idle_fleet_skips_every_delta_read(self, sim_clock):
         """Satellite regression: an idle fleet must not re-read any stream.
@@ -751,13 +776,7 @@ class TestIncrementalAggregator:
             for _ in range(20):
                 hb.heartbeat()
 
-            def counting_delta(cursor=None, _inner=backend.snapshot_since):
-                counts["delta"] += 1
-                return _inner(cursor)
-
-            agg.attach_source(
-                f"s{i}", backend.snapshot, delta=counting_delta, probe=backend.version
-            )
+            agg.attach_stream(f"s{i}", _CountingSource(backend, counts))
         first = agg.poll()
         assert counts["delta"] == 50
         assert len(first) == 50
@@ -835,6 +854,133 @@ class TestIncrementalAggregator:
         assert after.reading("s0").rate == before.reading("s0").rate
         assert after.reading("s9").total_beats == 5
         agg.close()
+
+
+SOURCE_KINDS = [
+    "memory", "shm_reader", "file_reader", "arena_row",
+    "collector", "heartbeat", "monitor", "callable",
+]
+
+
+def _open_source_kind(kind, tmp_path, clock, cleanup):
+    """``(writer, source)`` for one kind of object an observer can be handed.
+
+    ``writer`` is the backend the test appends through; ``source`` is what
+    goes through ``attach_stream`` / ``HeartbeatMonitor(...)``.  Teardown
+    callables are pushed onto ``cleanup`` (run last-in first-out).
+    """
+    if kind == "shm_reader":
+        writer = SharedMemoryBackend(capacity=256)
+        cleanup.append(writer.close)
+        source = SharedMemoryReader(writer.name)
+        cleanup.append(source.close)
+        return writer, source
+    if kind == "file_reader":
+        writer = FileBackend(tmp_path / "door.log", capacity=256, buffered=False)
+        cleanup.append(writer.close)
+        return writer, FileReader(writer.path)
+    if kind == "arena_row":
+        from repro.core.backends import Arena
+
+        arena = Arena(streams=2, depth=256)
+        cleanup.append(arena.close)
+        return arena.allocate("door"), arena.row(0)
+    if kind == "collector":
+        collector = HeartbeatCollector(default_capacity=256)
+        cleanup.append(collector.close)
+        producer = NetworkBackend(collector.endpoint, stream="door", capacity=256)
+        producer.append(0, 0.0, 0, 1)  # registers the stream (HELLO + one beat)
+        producer.close()
+        assert wait_until(
+            lambda: "door" in collector.stream_ids()
+            and collector.snapshot("door").total_beats == 1
+        )
+        view = collector.source("door")
+        # The producer is gone, so the test is the stream's only writer.
+        return view.backend, view
+    writer = MemoryBackend(256)
+    if kind == "memory":
+        return writer, writer
+    if kind == "heartbeat":
+        return writer, Heartbeat(window=10, backend=writer, clock=clock)
+    if kind == "monitor":
+        return writer, HeartbeatMonitor(writer, clock=clock)
+    assert kind == "callable"
+    return writer, lambda: writer.snapshot()
+
+
+class TestOneDoor:
+    """Every source kind attaches as one object and reads the one way."""
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_every_source_kind_matches_the_full_snapshot_oracle(
+        self, kind, tmp_path, monkeypatch
+    ):
+        from repro.core.monitor import StreamDeltaState
+
+        clock = ManualClock()
+        cleanup: list = []
+        try:
+            writer, source = _open_source_kind(kind, tmp_path, clock, cleanup)
+            agg = HeartbeatAggregator(clock=clock, liveness_timeout=5.0)
+            cleanup.append(agg.close)
+            agg.attach_stream("door", source)
+            monitor = HeartbeatMonitor(source, clock=clock, liveness_timeout=5.0)
+
+            # The oracle reads the source's own snapshot(); a Heartbeat and a
+            # bare callable have none, so theirs is the backend's.
+            reference = source if hasattr(source, "snapshot") else writer
+
+            reads = {"n": 0}
+            consume = StreamDeltaState.consume
+
+            def counting(state, delta_source):
+                reads["n"] += 1
+                return consume(state, delta_source)
+
+            monkeypatch.setattr(StreamDeltaState, "consume", counting)
+
+            def check():
+                expected = full_snapshot_reading(
+                    reference, now=clock.now(), liveness_timeout=5.0
+                )
+                sample = agg.poll()
+                assert sample.errors == {}
+                assert sample.reading("door") == expected
+                assert monitor.read() == expected
+                return expected
+
+            writer.set_default_window(10)
+            writer.set_targets(5.0, 15.0)
+            beat = reference.snapshot().total_beats
+            # Empty stream (or one beat), small deltas, more than a window,
+            # nothing new, more than the ring the window-10 state keeps.
+            for burst in (0, 3, 1, 40, 0, 70):
+                for _ in range(burst):
+                    clock.time = beat * 0.1
+                    writer.append(beat, clock.time, 0, 1)
+                    beat += 1
+                check()
+            assert check().status is HealthStatus.HEALTHY
+
+            # Idle: two equal version tokens skip the delta read entirely; a
+            # source without a token (the bare callable) must be re-read.
+            reads["n"] = 0
+            check()
+            assert reads["n"] == (2 if kind == "callable" else 0)
+
+            # The producer grows its default window past what the rolling
+            # state retained: consume() retries with a fresh cursor.
+            writer.set_default_window(50)
+            clock.time += 0.1
+            writer.append(beat, clock.time, 0, 1)
+            check()
+
+            clock.time += 30.0
+            assert check().status is HealthStatus.STALLED
+        finally:
+            for fn in reversed(cleanup):
+                fn()
 
 
 class TestVectorizedClassification:

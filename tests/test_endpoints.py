@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from repro.core.backends.file import FileBackend
 from repro.core.backends.memory import MemoryBackend
 from repro.core.backends.shared_memory import SharedMemoryBackend, SharedMemoryReader
-from repro.core.stream import BoundSource, StreamSink, StreamSource
+from repro.core.backends.file import FileReader
+from repro.core.stream import StreamSink, StreamSource
 from repro.endpoints import (
     SCHEMES,
     Endpoint,
@@ -207,7 +208,7 @@ class TestFactories:
         backend.append(1, 2.0, 0, 0)
         backend.close()
         source = open_source(f"file://{log}")
-        assert isinstance(source, BoundSource)
+        assert isinstance(source, FileReader)
         assert isinstance(source, StreamSource)
         snap = source.snapshot()
         assert snap.total_beats == 2

@@ -184,7 +184,7 @@ class TestEndToEnd:
             with pytest.raises(MonitorAttachError):
                 collector.snapshot("nope")
             with pytest.raises(MonitorAttachError):
-                collector.snapshot_source("nope")
+                collector.source("nope")
 
 
 class TestGarbageIsolation:

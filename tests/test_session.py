@@ -307,6 +307,46 @@ class TestReviewRegressions:
             assert reading.status.value == "stalled"
 
 
+class TestOneObserverDoor:
+    """A stream reaches an observer as one ``StreamSource`` object: the
+    callable-triple spellings, the second poll path and the legacy flags
+    they kept alive are gone from the public surface."""
+
+    def test_removed_spellings_are_not_importable_or_reachable(self):
+        import inspect
+
+        import repro
+        import repro.core
+        import repro.core.aggregator
+        import repro.core.monitor
+        import repro.core.stream
+        from repro.core.aggregator import FleetSample
+
+        modules = (
+            repro, repro.core, repro.core.stream, repro.core.monitor, repro.core.aggregator
+        )
+        for module in modules:
+            for name in ("BoundSource", "file_observer_sources", "collector_stream_sources"):
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+                assert name not in module.__all__
+        removed_attributes = {
+            HeartbeatAggregator: ("attach_source", "attach_monitor", "incremental", "_poll_full"),
+            HeartbeatMonitor: ("for_source", "snapshot_source", "delta_source", "probe_source"),
+            HeartbeatCollector: ("snapshot_source", "delta_source"),
+            FleetSample: ("from_readings",),
+        }
+        for cls, names in removed_attributes.items():
+            for name in names:
+                assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+        for fn in (HeartbeatAggregator.__init__, HeartbeatMonitor.__init__, TelemetrySession.fleet):
+            parameters = set(inspect.signature(fn).parameters)
+            assert not parameters & {"incremental", "delta", "probe", "close"}, fn.__qualname__
+        assert "remote" not in inspect.signature(hb_api.HB_initialize).parameters
+        # What replaces them, and what the benchmark ledger calls, stays.
+        assert {"snapshot", "snapshot_since", "version"} <= set(dir(HeartbeatMonitor))
+        assert {"source", "version_source"} <= set(dir(HeartbeatCollector))
+
+
 class TestSessionLifecycle:
     def test_close_is_idempotent_and_lifo(self):
         order: list[str] = []
@@ -396,26 +436,6 @@ class TestLegacyEquivalence:
             legacy.finalize()
             via_url.finalize()
 
-    def test_hb_initialize_remote_vs_endpoint(self):
-        with HeartbeatCollector() as collector:
-            hb_api.reset_registry()
-            with pytest.warns(DeprecationWarning, match="deprecated facade"):
-                legacy = hb_api.HB_initialize(window=5, remote=collector.endpoint)
-            legacy_stream, legacy_type = legacy._backend.stream, type(legacy._backend)
-            legacy_address = legacy._backend.address
-            hb_api.HB_finalize()
-            hb_api.reset_registry()
-            modern = hb_api.HB_initialize(window=5, endpoint=collector.endpoint_url)
-            try:
-                assert type(modern._backend) is legacy_type is NetworkBackend
-                assert modern._backend.stream == legacy_stream  # "global-<pid>"
-                assert modern._backend.address == legacy_address
-                # Both stamp with the host-wide monotonic clock.
-                assert modern.clock.now() == pytest.approx(time.perf_counter(), abs=1.0)
-            finally:
-                hb_api.HB_finalize()
-                hb_api.reset_registry()
-
     def test_monitor_attach_file_vs_endpoint(self, tmp_path):
         log = tmp_path / "svc.hblog"
         clock = SimulatedClock()
@@ -444,28 +464,6 @@ class TestLegacyEquivalence:
             legacy_agg.close()
             url_agg.close()
             producer.finalize()
-
-    def test_cli_legacy_flags_vs_positional_urls(self, tmp_path, capsys):
-        """`watch --file P` and `watch file://P` print the same table."""
-        from repro import cli
-
-        log = tmp_path / "svc.hblog"
-        hb = Heartbeat(window=5, backend=FileBackend(log))
-        for _ in range(10):
-            hb.heartbeat()
-        hb.finalize()
-        with pytest.warns(DeprecationWarning, match="deprecated facade"):
-            assert cli.main(["watch", "--file", str(log), "--once"]) == 0
-        legacy_out = capsys.readouterr().out
-        assert cli.main(["watch", f"file://{log}", "--once"]) == 0
-        url_out = capsys.readouterr().out
-        # Identical pipelines ⇒ identical stream names and beat counts (rate
-        # columns may differ between the two reads of a finalized log only
-        # in the liveness age, which keeps growing).
-        strip = lambda text: [line.split("age")[0][:60] for line in text.splitlines()]  # noqa: E731
-        assert "file:svc.hblog" in legacy_out and "file:svc.hblog" in url_out
-        assert strip(legacy_out)[0] == strip(url_out)[0]
-        assert legacy_out.split()[7] == url_out.split()[7]  # beat column
 
     def test_balancer_collector_url_binds_and_closes(self):
         from repro.cloud.balancer import HeartbeatLoadBalancer
