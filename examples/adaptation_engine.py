@@ -236,9 +236,9 @@ def main() -> int:
         assert len(engine.loops) == STREAMS, (len(engine.loops), STREAMS)
         assert not out_of_window, f"{len(out_of_window)} loops out of window: {out_of_window[:5]}"
         assert victim is not None and victim.name in stalled, stalled[:5]
-        victim_decisions = len(engine.loops[victim.name].traces)
+        victim_decisions = engine.loops[victim.name].decisions
         engine.tick()
-        assert len(engine.loops[victim.name].traces) == victim_decisions, (
+        assert engine.loops[victim.name].decisions == victim_decisions, (
             "engine kept steering a stalled stream"
         )
 

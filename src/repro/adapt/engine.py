@@ -3,9 +3,11 @@
 :class:`AdaptationEngine` closes the loop the fleet observation pipeline
 left open: a :class:`~repro.core.aggregator.HeartbeatAggregator` already
 turns thousands of heartbeat streams into one O(new-beats) incremental
-:meth:`poll`, and the engine feeds each polled rate into that stream's
-:class:`~repro.adapt.loop.ControlLoop` — so a 10k-stream fleet is *adapted*,
-not just observed, at the cost of one sharded poll per tick.
+:meth:`poll`, and the engine reads the sample's *columns* to find the streams
+that beat since its previous tick and steps only their
+:class:`~repro.adapt.loop.ControlLoop` — decisions are paced by beats, as in
+the paper, not by the observer's clock, so a mostly idle 10k-stream fleet
+costs a few vector operations plus the loops that had news.
 
 Membership is dynamic.  Streams that appear (a producer dials into an
 attached collector, a registry grows) are offered to the ``loop_factory``,
@@ -22,9 +24,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Union
 
+import numpy as np
+
 from repro.adapt.loop import ControlLoop, DecisionTrace
 from repro.core.aggregator import FleetSample, HeartbeatAggregator
-from repro.core.monitor import HealthStatus, MonitorReading
+from repro.core.monitor import MonitorReading
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["AdaptationEngine", "EngineTick", "LoopFactory"]
@@ -46,7 +50,7 @@ class EngineTick:
     attached: tuple[str, ...]
     #: Streams whose loop was dropped this tick (stream vanished).
     detached: tuple[str, ...]
-    #: Decisions taken this tick, in loop order.
+    #: Decisions taken this tick, in sample order.
     traces: tuple[DecisionTrace, ...]
     #: Per-stream factory/step failures this tick (one bad stream never
     #: poisons the rest of the fleet; its error is reported here instead).
@@ -65,6 +69,13 @@ class EngineTick:
 class AdaptationEngine:
     """Runs many control loops over a fleet through one aggregator.
 
+    A tick steps the loops whose stream has *news*: its total beat count
+    differs from the one the previous tick saw (a stream seen for the first
+    time, or whose count dropped because its producer restarted, has news).
+    A stream without news keeps its controller state, cadence and knob
+    exactly as they were.  ``loops`` maps stream name to loop; read it
+    freely, but leave adding and removing to the engine.
+
     Parameters
     ----------
     aggregator:
@@ -82,9 +93,9 @@ class AdaptationEngine:
         Beats a stream must have produced before its loop is stepped (a
         rate needs two beats to exist at all).
     step_stalled:
-        Step loops even when their stream is classified STALLED.  Off by
-        default: a stalled stream's rate is stale, and acting on it usually
-        does harm.
+        Also step, on every tick, loops whose stream is classified STALLED
+        (which by then has no news).  Off by default: a stalled stream's
+        rate is stale, and acting on it usually does harm.
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` holding the
         engine's tick/decision counters.  A private registry is created
@@ -108,6 +119,7 @@ class AdaptationEngine:
         self._step_stalled = bool(step_stalled)
         self.loops: dict[str, ControlLoop] = {}
         self._declined: set[str] = set()
+        self._forget_columns()
         self._ticks = 0
         self.last_tick: EngineTick | None = None
         #: The exception that killed the threaded drive, if one did; the
@@ -187,12 +199,16 @@ class AdaptationEngine:
     # The engine step
     # ------------------------------------------------------------------ #
     def tick(self) -> EngineTick:
-        """One engine round: poll the fleet, sync loops, step every loop.
+        """One engine round: poll the fleet, sync loops, step the loops with news.
 
-        Concurrent calls (a threaded drive racing a manual tick) are
-        serialised; the poll itself is the aggregator's sharded incremental
-        pass, so the cost of a mostly idle fleet is the probe pass plus the
-        loops that actually had news.
+        Vector operations over the sample's columns pick the rows to step —
+        total changed since the previous tick, at least ``min_beats``, not
+        STALLED (``step_stalled=True`` adds the stalled rows back) — and only
+        those reach Python, one ``ControlLoop.step`` each.  Membership is
+        re-synced only when ``sample.names`` changed, a goalless stream awaits
+        re-offer, or a stream held across an erroring poll left
+        ``sample.errors``.  Concurrent calls (a threaded drive racing a
+        manual tick) are serialised.
         """
         with self._tick_lock:
             return self._tick_locked()
@@ -202,22 +218,72 @@ class AdaptationEngine:
         index = self._ticks
         self._ticks += 1
 
-        observed = set(sample.names)
-        detached = tuple(
-            name for name in self.loops if name not in observed and name not in sample.errors
-        )
+        errors: dict[str, str] = {}
+        stale = self._resync or sample.names != self._names or bool(self._held - sample.errors.keys())
+        attached, detached = self._sync_membership(sample, errors) if stale else ((), ())
+
+        total, stalled = sample.totals(), sample.stalled_mask()
+        news = total != self._prev_total
+        wanted = (news | stalled) if self._step_stalled else (news & ~stalled)
+        eligible = self._managed & (total >= self._min_beats) & wanted
+        self._prev_total = total
+
+        traces: list[DecisionTrace] = []
+        rows = np.nonzero(eligible)[0]
+        for i, rate in zip(rows.tolist(), sample.rates()[rows].tolist()):
+            loop = self._aligned[i]
+            try:
+                trace = loop.step(index, rate=rate)  # type: ignore[union-attr]
+            except Exception as exc:
+                errors[sample.names[i]] = f"step failed: {exc}"
+                continue
+            if trace is not None:
+                traces.append(trace)
+
+        tick = EngineTick(index, sample, attached, detached, tuple(traces), errors)
+        self.last_tick = tick
+        self._m_ticks.inc()
+        self._m_decisions.inc(tick.decisions)
+        self._m_changes.inc(tick.changes)
+        self._m_stream_errors.inc(len(errors))
+        for listener in list(self._listeners):
+            try:
+                listener(tick)
+            except Exception:  # noqa: BLE001 - a bad exporter must not stop ticking
+                pass
+        return tick
+
+    def _forget_columns(self) -> None:
+        """Empty the state kept position-aligned with the last ``sample.names``."""
+        self._names: tuple[str, ...] = ()
+        self._aligned: list[ControlLoop | None] = []
+        self._managed = np.zeros(0, dtype=bool)
+        self._prev_total = np.zeros(0, dtype=np.int64)
+        self._held: set[str] = set()
+        self._resync = False
+
+    def _sync_membership(
+        self, sample: FleetSample, errors: dict[str, str]
+    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Drop, offer and re-align with ``sample.names``; returns ``(attached, detached)``.
+
+        A stream in ``sample.errors`` is merely unreadable this poll: its
+        loop, or the factory's refusal of it, is kept.
+        """
+        names = sample.names
+        present = set(names).union(sample.errors)
+        detached = tuple(name for name in self.loops if name not in present)
         for name in detached:
             del self.loops[name]
-        self._declined &= observed
+        self._declined &= present
 
+        pending = [i for i, name in enumerate(names) if name not in self.loops and name not in self._declined]
+        # Many pending (a fleet's first tick): one bulk build beats row by row.
+        reading_at = sample.readings.__getitem__ if 4 * len(pending) >= len(names) else sample.reading_at
         attached: list[str] = []
-        errors: dict[str, str] = {}
-        for name in sample.names:
-            if name in self.loops or name in self._declined:
-                continue
-            reading = sample.get(name)
-            if reading is None:  # pragma: no cover - names never error in-sample
-                continue
+        self._resync = False
+        for i in pending:
+            name, reading = names[i], reading_at(i)
             try:
                 loop = self._factory(name, reading)
             except Exception as exc:
@@ -231,44 +297,22 @@ class AdaptationEngine:
                     # Goal published and still refused: a definitive "not
                     # managed".  Goalless streams are re-offered later.
                     self._declined.add(name)
+                else:
+                    # Names cannot show a goal published later: look again.
+                    self._resync = True
                 continue
             self.loops[name] = loop
             attached.append(name)
 
-        traces: list[DecisionTrace] = []
-        for name, loop in self.loops.items():
-            reading = sample.get(name)
-            if reading is None or reading.total_beats < self._min_beats:
-                continue
-            if reading.status is HealthStatus.STALLED and not self._step_stalled:
-                continue
-            try:
-                trace = loop.step(index, rate=reading.rate)
-            except Exception as exc:
-                errors[name] = f"step failed: {exc}"
-                continue
-            if trace is not None:
-                traces.append(trace)
-
-        tick = EngineTick(
-            index=index,
-            sample=sample,
-            attached=tuple(attached),
-            detached=detached,
-            traces=tuple(traces),
-            errors=errors,
-        )
-        self.last_tick = tick
-        self._m_ticks.inc()
-        self._m_decisions.inc(tick.decisions)
-        self._m_changes.inc(tick.changes)
-        self._m_stream_errors.inc(len(errors))
-        for listener in list(self._listeners):
-            try:
-                listener(tick)
-            except Exception:  # noqa: BLE001 - a bad exporter must not stop ticking
-                pass
-        return tick
+        previous = dict(zip(self._names, self._prev_total.tolist(), strict=True))
+        self._names = names
+        self._aligned = [self.loops.get(name) for name in names]
+        self._managed = np.array([loop is not None for loop in self._aligned], dtype=bool)
+        # -1 is no beat count: a stream seen for the first time has news.
+        self._prev_total = np.array([previous.get(name, -1) for name in names], dtype=np.int64)
+        # Held across an erroring poll; gone for good once it leaves errors too.
+        self._held = present.difference(names)
+        return tuple(attached), detached
 
     def run(
         self,
@@ -296,6 +340,12 @@ class AdaptationEngine:
     # ------------------------------------------------------------------ #
     # Fleet-level questions
     # ------------------------------------------------------------------ #
+    def _managed_rows(self, sample: FleetSample) -> list[tuple[str, ControlLoop, float, int]]:
+        """``(name, loop, rate, total)`` for every managed stream in ``sample``."""
+        loops = map(self.loops.get, sample.names)
+        rows = zip(sample.names, loops, sample.rates().tolist(), sample.totals().tolist())
+        return [(name, loop, rate, total) for name, loop, rate, total in rows if loop is not None]
+
     def converged(self, sample: FleetSample | None = None) -> bool:
         """True when every managed stream's rate sits inside its loop's window.
 
@@ -308,13 +358,11 @@ class AdaptationEngine:
             sample = self.last_tick.sample
         if not self.loops:
             return False
-        for name, loop in self.loops.items():
-            reading = sample.get(name)
-            if reading is None or reading.total_beats < max(self._min_beats, 2):
-                return False
-            if not loop.in_target(reading.rate):
-                return False
-        return True
+        rows = self._managed_rows(sample)
+        need = max(self._min_beats, 2)
+        return len(rows) == len(self.loops) and all(
+            total >= need and loop.in_target(rate) for _, loop, rate, total in rows
+        )
 
     def lagging(self, sample: FleetSample | None = None) -> list[str]:
         """Managed streams currently outside their loop's target window."""
@@ -322,11 +370,11 @@ class AdaptationEngine:
             sample = self.last_tick.sample if self.last_tick is not None else None
         if sample is None:
             return sorted(self.loops)
-        out = []
-        for name, loop in self.loops.items():
-            reading = sample.get(name)
-            if reading is None or not loop.in_target(reading.rate):
-                out.append(name)
+        rows = self._managed_rows(sample)
+        out = [name for name, loop, rate, _ in rows if not loop.in_target(rate)]
+        if len(rows) < len(self.loops):  # managed, but absent from this sample
+            seen = {row[0] for row in rows}
+            out.extend(name for name in self.loops if name not in seen)
         return out
 
     # ------------------------------------------------------------------ #
@@ -379,6 +427,7 @@ class AdaptationEngine:
             loop.stop()
         self.loops.clear()
         self._declined.clear()
+        self._forget_columns()
         self._listeners.clear()
         if close_aggregator:
             self._aggregator.close()

@@ -179,6 +179,7 @@ class ControlLoop:
         transient — the external scheduler's anti-oscillation rule.
     trace_limit:
         Maximum traces retained (oldest dropped); ``None`` keeps everything.
+        :attr:`decisions` counts every decision taken either way.
     """
 
     def __init__(
@@ -204,7 +205,10 @@ class ControlLoop:
             raise ValueError(f"trace_limit must be >= 1, got {trace_limit}")
         self._trace_limit = trace_limit
         self._query: RateQuery | None = None if source is None else _as_rate_query(source)
-        self.traces: list[DecisionTrace] = []
+        self._traces: list[DecisionTrace] = []
+        #: Decisions taken since construction or :meth:`reset` (unlike
+        #: ``len(traces)`` it is not reduced by ``trace_limit``).
+        self.decisions = 0
         #: The exception that killed the threaded drive, if one did.
         self.last_error: BaseException | None = None
         self._last_change_beat: int | None = None
@@ -221,9 +225,18 @@ class ControlLoop:
         return self.controller.target
 
     @property
+    def traces(self) -> list[DecisionTrace]:
+        """The retained decision traces, oldest first (the live list)."""
+        # step() lets the list overshoot so that trimming costs amortised
+        # O(1) per decision; readers always see at most ``trace_limit``.
+        if self._trace_limit is not None and len(self._traces) > self._trace_limit:
+            del self._traces[: -self._trace_limit]
+        return self._traces
+
+    @property
     def last_trace(self) -> DecisionTrace | None:
         """The most recent decision trace, if any."""
-        return self.traces[-1] if self.traces else None
+        return self._traces[-1] if self._traces else None
 
     def in_target(self, rate: float) -> bool:
         """Whether ``rate`` sits inside the loop's target window."""
@@ -263,9 +276,10 @@ class ControlLoop:
             before=before,
             after=after,
         )
-        self.traces.append(trace)
-        if self._trace_limit is not None and len(self.traces) > self._trace_limit:
-            del self.traces[: len(self.traces) - self._trace_limit]
+        self.decisions += 1
+        self._traces.append(trace)
+        if self._trace_limit is not None and len(self._traces) >= 2 * self._trace_limit:
+            del self._traces[: -self._trace_limit]
         return trace
 
     def _effective_window(self, beat_index: int) -> int | None:
@@ -296,7 +310,8 @@ class ControlLoop:
         realigned to the controller's (reset) level; otherwise the two walk
         different rungs for the rest of the run.
         """
-        self.traces.clear()
+        self._traces.clear()
+        self.decisions = 0
         self.controller.reset()
         level = getattr(self.controller, "level", None)
         if isinstance(self.actuator, LadderActuator) and isinstance(level, int):
@@ -359,5 +374,5 @@ class ControlLoop:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ControlLoop(name={self.name!r}, target=[{self.target.minimum}, "
-            f"{self.target.maximum}], decisions={len(self.traces)})"
+            f"{self.target.maximum}], decisions={self.decisions})"
         )

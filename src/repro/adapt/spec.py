@@ -95,6 +95,10 @@ ActuatorFactory = Callable[[str, MonitorReading, Mapping[str, Any]], Actuator]
 
 _CONTROLLER_KINDS = ("step", "proportional", "pid", "ladder")
 
+#: Traces each spec-built loop retains: a long-lived engine must not grow
+#: with its uptime, and decisions are exported as they happen (listeners).
+_LOOP_TRACE_LIMIT = 64
+
 
 def _build_controller(kind: str, target: TargetWindow, options: Mapping[str, Any]) -> Controller:
     try:
@@ -510,6 +514,7 @@ class AdaptSpec:
                 name=name,
                 decision_interval=rule.decision_interval,
                 warmup=rule.warmup,
+                trace_limit=_LOOP_TRACE_LIMIT,
             )
 
         return factory

@@ -596,7 +596,7 @@ def _loop_table(engine: AdaptationEngine) -> str:
         rate = f"{trace.observed_rate:10.2f}" if trace is not None else f"{'-':>10}"
         target = f"[{loop.target.minimum:.1f}, {loop.target.maximum:.1f}]"
         lines.append(
-            f"{name:<24} {loop.actuator.current():>9.2f} {target:>17} {rate} {len(loop.traces):>9d}"
+            f"{name:<24} {loop.actuator.current():>9.2f} {target:>17} {rate} {loop.decisions:>9d}"
         )
     return "\n".join(lines)
 

@@ -273,10 +273,8 @@ class TelemetryServer:
 
     def _stream_rows(self, sample: FleetSample) -> list[dict[str, Any]]:
         rows: list[dict[str, Any]] = []
-        for name in sample.names[: self._max_streams]:
-            reading = sample.get(name)
-            if reading is None:  # pragma: no cover - names never error in-sample
-                continue
+        for i, name in enumerate(sample.names[: self._max_streams]):
+            reading = sample.reading_at(i)
             rows.append(
                 {
                     "name": name,
