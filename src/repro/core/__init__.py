@@ -30,7 +30,6 @@ from repro.core.backends import (
     SharedMemoryBackend,
     SnapshotCursor,
 )
-from repro.core.buffer import CircularBuffer
 from repro.core.errors import (
     BackendError,
     BackendFormatError,
@@ -74,7 +73,6 @@ __all__ = [
     "FleetSummary",
     "HeartbeatRegistry",
     "HeartbeatRecord",
-    "CircularBuffer",
     "RECORD_DTYPE",
     # functional API (Table 1)
     "HB_initialize",

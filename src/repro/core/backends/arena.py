@@ -61,11 +61,9 @@ from __future__ import annotations
 
 import atexit
 import os
-import struct
 import threading
 import time
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any
 
@@ -80,9 +78,8 @@ from repro.core.backends.base import (
 )
 from repro.core.backends.ring import Ring
 from repro.core.backends.shared_memory import _attach_untracked, _untrack_segment
-from repro.core.buffer import circular_batch_slices
 from repro.core.errors import BackendError, BackendFormatError, InvalidWindowError
-from repro.core.record import RECORD_DTYPE, RECORD_STRUCT
+from repro.core.record import RECORD_DTYPE
 
 __all__ = [
     "Arena",
@@ -133,12 +130,10 @@ _ROW_HEADER_DTYPE = np.dtype(
 )
 assert _ROW_HEADER_DTYPE.itemsize == ROW_HEADER_SIZE
 
-#: A row header as int64 words: ``total`` and ``sequence`` lead it.
+#: A row header as 8-byte words: ``total``, ``sequence`` and the default
+#: window lead it (``target_min`` and ``target_max`` follow the window).
 _ROW_WORDS = ROW_HEADER_SIZE // 8
-_SEQUENCE_AT = 1
-#: ``(total, default_window, target_min, target_max)`` from a row header's start.
-_ROW_FIELDS = struct.Struct("<q8xq2d")
-_pack_record, _RECORD_SIZE = RECORD_STRUCT.pack_into, RECORD_STRUCT.size
+_TOTAL_AT, _SEQUENCE_AT, _WINDOW_AT = 0, 1, 2
 
 #: Row ``state`` values.
 _ROW_FREE, _ROW_IN_USE = 0, 1
@@ -307,7 +302,9 @@ class Arena:
         # Bound once per arena: row views index these instead of paying a
         # structured-field lookup per header access.
         self._buf = buf
-        self._words = buf[ARENA_HEADER_SIZE:table_end].cast("q")
+        table = buf[ARENA_HEADER_SIZE:table_end]
+        self._words = table.cast("q")
+        self._reals = table.cast("d")
         self._records_offset = table_end
         self._header = np.ndarray(
             shape=(), dtype=_ARENA_HEADER_DTYPE, buffer=buf[:ARENA_HEADER_SIZE]
@@ -654,19 +651,21 @@ class Arena:
         return merged, new_offsets
 
     def _ring(self, index: int) -> Ring:
-        """The ring kernel's view of row ``index``, built per read.
+        """The ring kernel over row ``index``.
 
-        Never kept: a view that outlived :meth:`close` would pin the slab.
+        It borrows the arena's own views and makes none, so a row view may
+        keep it: :meth:`close` releases those views and nothing pins the slab.
         """
         base = index * _ROW_WORDS
-        row_bytes = self.depth * _RECORD_SIZE
-        first_slot = self._records_offset + index * row_bytes
         return Ring(
             self._words,
+            self._reals,
             base + _SEQUENCE_AT,
-            base,
-            partial(_ROW_FIELDS.unpack_from, self._buf, ARENA_HEADER_SIZE + index * ROW_HEADER_SIZE),
-            self._buf[first_slot : first_slot + row_bytes],
+            base + _TOTAL_AT,
+            base + _WINDOW_AT,
+            self._buf,
+            self._records_offset + index * self.depth * RECORD_DTYPE.itemsize,
+            self.depth,
         )
 
     # ------------------------------------------------------------------ #
@@ -681,7 +680,10 @@ class Arena:
         self._header = None  # type: ignore[assignment]
         self._rows = None  # type: ignore[assignment]
         self._records = None  # type: ignore[assignment]
+        # Released, not just dropped: rings kept by row views borrow them.
         self._words.release()
+        self._reals.release()
+        self._buf.release()
         self._buf = None  # type: ignore[assignment]
         if self._shm is not None:
             self._shm.close()
@@ -711,18 +713,21 @@ class ArenaRowView(Backend):
 
     Everything that speaks the Backend ABC — ``Heartbeat``, monitors, the
     aggregator's per-stream attachments, the delta-cursor contract — works
-    against a row view unchanged; writes use the row's seqlock so observers
-    (including :meth:`Arena.snapshot_since_all` in other processes) never
-    see a torn record.  Closing a row view is a no-op on the slab: the
+    against a row view unchanged.  Writes and reads are the ring kernel's
+    (:mod:`repro.core.backends.ring`); a row view reloads the kernel's copy
+    of the row's two words from the slab before every write, because
+    ``Arena.row(i)`` hands out fresh views of one row and only the slab is
+    shared between them.  Closing a row view is a no-op on the slab: the
     arena owns the storage.
     """
 
-    __slots__ = ("_arena", "index", "capacity", "_closed")
+    __slots__ = ("_arena", "_ring", "index", "capacity", "_closed")
 
     def __init__(self, arena: Arena, index: int) -> None:
         self._arena = arena
         self.index = int(index)
         self.capacity = arena.depth
+        self._ring = arena._ring(self.index)
         self._closed = False
 
     @property
@@ -730,97 +735,41 @@ class ArenaRowView(Backend):
         """The stream name recorded at allocation time."""
         return self._arena.row_name(self.index)
 
-    def _check_open(self) -> None:
+    def _open_ring(self) -> Ring:
         if self._closed:
             raise BackendError("arena row view is closed")
         self._arena._check_open()
+        return self._ring
 
-    # ------------------------------------------------------------------ #
-    # Backend interface — writer side
-    # ------------------------------------------------------------------ #
-    # Nothing is cached between calls: ``Arena.row(i)`` hands out fresh views
-    # of one row, so the slab's own words are the only truth about it.
+    def _writer(self) -> Ring:
+        ring = self._open_ring()
+        ring.reload()  # another view of this row may have written since this one did
+        return ring
+
     def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
-        self._check_open()
-        arena = self._arena
-        words = arena._words
-        base = self.index * _ROW_WORDS
-        total = words[base]
-        sequence = words[base + _SEQUENCE_AT] + 1
-        words[base + _SEQUENCE_AT] = sequence  # odd: write in progress
-        try:  # a value the record cannot hold must not leave the word odd
-            _pack_record(
-                arena._buf,
-                arena._records_offset
-                + (self.index * self.capacity + total % self.capacity) * _RECORD_SIZE,
-                beat, timestamp, tag, thread_id,
-            )
-            words[base] = total + 1
-        finally:
-            words[base + _SEQUENCE_AT] = sequence + 1  # even: write published
+        self._writer().append(beat, timestamp, tag, thread_id)
 
     def append_many(self, records: np.ndarray) -> None:
-        """Publish a whole batch under a single sequence cycle (cf. shm)."""
-        self._check_open()
-        if records.dtype != RECORD_DTYPE:
-            raise ValueError(f"records dtype must be {RECORD_DTYPE}, got {records.dtype}")
-        n = int(records.shape[0])
-        if n == 0:
-            return
-        words = self._arena._words
-        base = self.index * _ROW_WORDS
-        total = words[base]
-        placement = circular_batch_slices(total, self.capacity, n)
-        row_records = self._arena._records[self.index]
-        sequence = words[base + _SEQUENCE_AT] + 1
-        words[base + _SEQUENCE_AT] = sequence  # odd: write in progress
-        for destination, source in placement:
-            row_records[destination] = records[source]
-        words[base] = total + n
-        words[base + _SEQUENCE_AT] = sequence + 1  # even: write published
+        self._writer().append_many(records)
 
     def set_targets(self, target_min: float, target_max: float) -> None:
-        self._check_open()
-        target_min, target_max = float(target_min), float(target_max)
-        rows = self._arena._rows
-        words = self._arena._words
-        at = self.index * _ROW_WORDS + _SEQUENCE_AT
-        sequence = words[at] + 1
-        words[at] = sequence
-        rows["target_min"][self.index] = target_min
-        rows["target_max"][self.index] = target_max
-        words[at] = sequence + 1
+        self._writer().set_targets(target_min, target_max)
 
     def set_default_window(self, window: int) -> None:
-        self._check_open()
-        window = int(window)
-        words = self._arena._words
-        at = self.index * _ROW_WORDS + _SEQUENCE_AT
-        sequence = words[at] + 1
-        words[at] = sequence
-        self._arena._rows["default_window"][self.index] = window
-        words[at] = sequence + 1
+        self._writer().set_default_window(window)
 
-    # ------------------------------------------------------------------ #
-    # Backend interface — reader side
-    # ------------------------------------------------------------------ #
     def snapshot(self, n: int | None = None) -> BackendSnapshot:
-        self._check_open()
-        return self._arena._ring(self.index).snapshot(n)
+        return self._open_ring().snapshot(n)
 
     def snapshot_since(
         self, cursor: SnapshotCursor | None = None
     ) -> tuple[DeltaSnapshot, SnapshotCursor]:
         """Copy-once delta of only this row's unseen ring region."""
-        self._check_open()
-        return self._arena._ring(self.index).snapshot_since(cursor)
+        return self._open_ring().snapshot_since(cursor)
 
     def version(self) -> tuple[int, int]:
         """Cheap change token: ``(total, sequence)``, same contract as shm."""
-        self._check_open()
-        words = self._arena._words
-        base = self.index * _ROW_WORDS
-        return (words[base], words[base + _SEQUENCE_AT])
+        return self._open_ring().version()
 
     def close(self) -> None:
         """Mark this view closed.  The slab (and the row's history) remain."""

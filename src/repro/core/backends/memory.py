@@ -2,30 +2,46 @@
 
 from __future__ import annotations
 
-from repro.core.backends.base import (
-    Backend,
-    BackendSnapshot,
-    DeltaSnapshot,
-    SnapshotCursor,
-    delta_bounds,
-)
-from repro.core.buffer import CircularBuffer
+import numpy as np
+
+from repro.core.backends.base import Backend
+from repro.core.backends.ring import Ring
+from repro.core.errors import InvalidWindowError
+from repro.core.record import RECORD_DTYPE
 
 __all__ = ["MemoryBackend"]
 
+#: The private header, in an arena row's field order: ``total``, ``sequence``,
+#: default window, ``target_min``, ``target_max``.
+_TOTAL_AT, _SEQUENCE_AT, _WINDOW_AT, _HEADER_WORDS = 0, 1, 2, 5
 
-class MemoryBackend(Backend):
+
+class MemoryBackend(Ring, Backend):
     """Heartbeat storage private to the current process.
 
     This is the default backend: it has the lowest overhead and is sufficient
     whenever the observer lives in the same process as the producer (the
     "self-optimising application" configuration of the paper's Figure 1a, and
-    all simulated-machine experiments).
-    """
+    all simulated-machine experiments).  It is a
+    :class:`~repro.core.backends.ring.Ring` over private memory — the same
+    writer and reader a ``shm://`` segment and an arena row use — so observer
+    threads read it lock-free while the producer keeps beating.
 
-    __slots__ = (
-        "capacity", "_buffer", "_target_min", "_target_max", "_default_window", "_meta_version",
-    )
+    Parameters
+    ----------
+    capacity:
+        Maximum number of records retained.  Must be a positive integer.
+    storage:
+        Optional pre-allocated contiguous structured array of dtype
+        :data:`repro.core.record.RECORD_DTYPE` and length ``capacity``, used
+        in place as the record slots.  When omitted a private array is
+        allocated.
+    total:
+        Number of records ``storage`` already holds (in append order).  Lets
+        a backend adopt pre-populated storage — e.g. the fleet benchmark
+        sharing one deep synthetic history across thousands of streams —
+        without replaying every append.  Requires ``storage``.
+    """
 
     def __init__(
         self,
@@ -34,100 +50,41 @@ class MemoryBackend(Backend):
         storage: "np.ndarray | None" = None,
         total: int = 0,
     ) -> None:
-        """``storage``/``total`` adopt pre-populated record storage (see
-        :class:`~repro.core.buffer.CircularBuffer`); the fleet benchmark uses
-        this to share one deep synthetic history across thousands of streams."""
-        self._buffer = CircularBuffer(capacity, storage=storage, total=total)
-        self.capacity = self._buffer.capacity
-        self._target_min = 0.0
-        self._target_max = 0.0
-        self._default_window = 0
-        self._meta_version = 0
-
-    def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
-        self._buffer.append_raw(beat, timestamp, tag, thread_id)
-
-    def append_many(self, records) -> None:
-        self._buffer.push_many(records)
-
-    def set_targets(self, target_min: float, target_max: float) -> None:
-        self._target_min = float(target_min)
-        self._target_max = float(target_max)
-        self._meta_version += 1
-
-    def set_default_window(self, window: int) -> None:
-        self._default_window = int(window)
-        self._meta_version += 1
-
-    def snapshot(self, n: int | None = None) -> BackendSnapshot:
-        return BackendSnapshot(
-            records=self._buffer.last_array(n),
-            total_beats=self._buffer.total,
-            target_min=self._target_min,
-            target_max=self._target_max,
-            default_window=self._default_window,
-        )
-
-    def snapshot_since(
-        self, cursor: SnapshotCursor | None = None
-    ) -> tuple[DeltaSnapshot, SnapshotCursor]:
-        """O(new beats) delta via ring-index arithmetic; copies only new slots.
-
-        Observers read lock-free while the producer keeps appending, so the
-        whole delta — bounds *and* record slice — is derived from a single
-        capture of the append counter; a write landing in between cannot
-        shift the slice under the computed bounds (which would silently drop
-        unseen beats).  If the producer wraps into the copied region during
-        the copy itself the read retries, and under pathological contention
-        the delta falls back to ``resync`` so the consumer replaces rather
-        than appends — degraded to a full refresh, never silent loss.
-        """
-        buffer = self._buffer
-        capacity = self.capacity
-        for _ in range(64):
-            total = buffer.total
-            retained = min(total, capacity)
-            included, gap, resync = delta_bounds(cursor, total, retained)
-            if included == capacity:
-                # The delta carries the whole ring anyway; publishing it as a
-                # resync lets the consumer replace instead of concat-and-trim
-                # — and means one copy suffices (no consistency window exists
-                # for a full-ring copy racing a live writer).
-                resync = True
-            records = buffer.last_array_at(total, included)
-            if resync:
-                break  # consumer replaces state anyway; one copy is enough
-            if buffer.total - total < capacity - included or included == 0:
-                break  # no append reached the copied region: consistent
+        if not isinstance(capacity, (int, np.integer)) or isinstance(capacity, bool):
+            raise InvalidWindowError(f"capacity must be an int, got {capacity!r}")
+        if capacity <= 0:
+            raise InvalidWindowError(f"capacity must be positive, got {capacity}")
+        if storage is None:
+            if total != 0:
+                raise ValueError("total requires pre-populated storage")
+            storage = np.zeros(capacity, dtype=RECORD_DTYPE)
         else:
-            # Pathological contention: every retry raced the writer.  Publish
-            # the newest capture as a full-history resync — replay length
-            # stays equal to the retained window, and the consumer replaces
-            # rather than appends, so the worst case is a degraded refresh.
-            total = buffer.total
-            retained = min(total, capacity)
-            included = retained
-            gap = max(total - cursor.total - included, 0)
-            records = buffer.last_array_at(total, included)
-            resync = True
-        delta = DeltaSnapshot(
-            records=records,
-            total_beats=total,
-            retained=retained,
-            target_min=self._target_min,
-            target_max=self._target_max,
-            default_window=self._default_window,
-            gap=gap,
-            resync=resync,
+            if storage.dtype != RECORD_DTYPE:
+                raise ValueError(f"storage dtype must be {RECORD_DTYPE}, got {storage.dtype}")
+            if len(storage) != capacity:
+                raise ValueError(
+                    f"storage length {len(storage)} does not match capacity {capacity}"
+                )
+            if total < 0:
+                raise ValueError(f"total must be >= 0, got {total}")
+        header = memoryview(bytearray(_HEADER_WORDS * 8))
+        words = header.cast("q")
+        words[_TOTAL_AT] = int(total)
+        Ring.__init__(
+            self,
+            words,
+            header.cast("d"),
+            _SEQUENCE_AT,
+            _TOTAL_AT,
+            _WINDOW_AT,
+            memoryview(storage.view(np.uint8)),
+            0,
+            int(capacity),
         )
-        return delta, SnapshotCursor(total=total)
-
-    def version(self) -> tuple[int, int]:
-        return (self._buffer.total, self._meta_version)
 
     def close(self) -> None:
         # Nothing to release; kept for interface symmetry.
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MemoryBackend(capacity={self.capacity}, total={self._buffer.total})"
+        return f"MemoryBackend(capacity={self.capacity}, total={self.total})"

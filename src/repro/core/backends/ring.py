@@ -1,17 +1,45 @@
-"""The single-writer ring kernel behind ``shm://`` segments and arena rows.
+"""The single-writer ring: the one circular buffer every backend stands on.
 
-Both cross-process backends are the same object seen through different
-headers: one writer, a 128-byte header carrying ``total`` (the publication
-word), ``sequence`` (odd while a write is in progress), the default window
-and the target range, and ``capacity`` record slots where beat *i* lives in
-slot ``i % capacity``.  A :class:`Ring` is a reader's view of one such
-object; the segment and the arena row each say where their header words are
-and share everything else.
+The paper stores heartbeats "in a circular buffer; when the buffer fills, old
+heartbeats are simply dropped" (Section 3).  This module is that buffer, both
+halves of it, for every place the tree keeps one: the in-process
+:class:`~repro.core.backends.memory.MemoryBackend` (and with it the network
+exporter's local mirror and every collector stream), a ``shm://`` segment and
+an arena row.  They are the same object seen through different headers: one
+writer, a header carrying ``total`` (the publication word), ``sequence`` (odd
+while a write is in progress), the default window and the target range, and
+``capacity`` record slots where beat *i* lives in slot ``i % capacity``.  A
+:class:`Ring` is told where its header words and its slots are and does
+everything else; this docstring is the normative statement of the protocol
+and the other modules only point here.
+
+Writer protocol — *one sequence cycle per publication*:
+
+1. take ``total`` and ``sequence`` from the ring object's own copy of the two
+   words (:attr:`Ring.total`, :attr:`Ring.sequence`).  An object that is its
+   ring's only writer for life — a ``MemoryBackend``, the creator of a
+   ``shm://`` segment — never reads them back: it stored them last.  Where
+   several objects may write one ring in turn — ``Arena.row(i)`` hands out any
+   number of views of a row, in any process — each calls :meth:`Ring.reload`
+   before it writes, because only the header's words are shared;
+2. store ``sequence + 1`` (odd: write in progress);
+3. place the records — one record packed in place, or a batch as one byte
+   copy (two when it wraps; a batch larger than the ring keeps its tail, at
+   the slots its records would have reached one by one, see :func:`place`);
+4. store the new ``total``;
+5. store ``sequence + 2`` (even: published).  A value a record cannot hold
+   is rejected between 2 and 4, and the word still goes even.  Every store
+   of a word updates the object's copy with it.
+
+Targets and the default window are stored inside the same cycle with
+``total`` unchanged.  There is exactly one writer per ring at a time: callers
+that write from several threads serialise them (``Heartbeat``'s lock, the
+collector's ``stream.lock``).
 
 Reader protocol — *copy once, then bound the damage*:
 
 1. **Capture** the header under the sequence word: read ``sequence``, copy
-   the header fields, re-read ``sequence``.  Only this ~40-byte copy is ever
+   the header fields, re-read ``sequence``.  Only this four-word copy is ever
    retried, so a hot writer cannot starve it.
 2. **Copy** the records wanted — the newest ``count`` ending at the captured
    ``total`` — exactly once, whatever the writer does meanwhile.
@@ -24,17 +52,17 @@ Reader protocol — *copy once, then bound the damage*:
    captured ``total - 1``.
 
 A reader therefore pays one copy of what it asked for, and a writer that laps
-it costs it some of the oldest records — never a re-copy and never an error.
-The writer still bumps ``sequence`` odd/even around every write: step 1 and
-step 3 wait on it, :meth:`Ring.version` uses it as the change token, and
-:meth:`repro.core.backends.arena.Arena.snapshot_since_all` and readers
-built from the published byte layout validate against it.
+it costs it some of the oldest records — never a re-copy, never a torn or
+out-of-order record, and never an error.  The sequence word also serves
+:meth:`Ring.version` as the change token, and
+:meth:`repro.core.backends.arena.Arena.snapshot_since_all` and readers built
+from the published byte layouts validate against it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Any
 
 import numpy as np
 
@@ -44,46 +72,145 @@ from repro.core.backends.base import (
     SnapshotCursor,
     delta_bounds,
 )
-from repro.core.errors import BackendError
-from repro.core.record import RECORD_DTYPE
+from repro.core.errors import BackendError, InvalidWindowError
+from repro.core.record import RECORD_DTYPE, RECORD_STRUCT
 
-__all__ = ["Ring"]
+__all__ = ["Ring", "place"]
 
 #: Polls of the sequence word before a read gives up on a writer that died
 #: (or is stuck) mid-write: milliseconds to tens of them, by the host's
 #: ``sleep(0)``, with the escalating sleeps below.
 _ATTEMPTS = 256
 _EMPTY = np.empty(0, dtype=RECORD_DTYPE)
-_RECORD_SIZE = RECORD_DTYPE.itemsize
+_pack_record, _RECORD_SIZE = RECORD_STRUCT.pack_into, RECORD_STRUCT.size
+
+
+def place(ring: Any, base: int, capacity: int, total: int, items: Any) -> None:
+    """Store ``items`` where appending them one by one after ``total`` would.
+
+    ``ring[base : base + capacity]`` is circular storage that has seen
+    ``total`` items; ``items`` lands as one slice assignment, two when it
+    wraps, and only its last ``capacity`` items when it is larger than the
+    ring.  Units are whatever ``ring`` indexes — bytes for record slots,
+    float64 entries for an observer's timestamp ring — so the lap arithmetic
+    of every batched write lives here.
+    """
+    count = len(items)
+    skip = max(count - capacity, 0)
+    start = (total + skip) % capacity
+    first = min(count - skip, capacity - start)
+    ring[base + start : base + start + first] = items[skip : skip + first]
+    if skip + first < count:  # wrapped: the rest continues from the ring's start
+        ring[base : base + count - skip - first] = items[skip + first :]
 
 
 class Ring:
-    """A reader's view of one single-writer ring (see the module docstring).
+    """One single-writer ring, both halves (see the module docstring).
 
-    ``words`` indexes the header as int64 words (``sequence_at`` and
-    ``total_at`` name the two the protocol needs), ``header()`` makes one
-    copy of ``(total, default_window, target_min, target_max)``, and
-    ``slots`` is the byte view of the record slots.  Holds views only —
-    whoever owns the mapping drops its rings before closing it.
+    ``words`` and ``reals`` index one header as int64 and float64 words:
+    ``sequence_at`` and ``total_at`` name the protocol's two words, and the
+    default window, ``target_min`` and ``target_max`` sit at ``window_at``,
+    ``+ 1`` and ``+ 2``.  The record slots are the ``capacity`` records of
+    ``slots`` (a byte view) from byte ``slots_at``.  A ring only borrows its
+    views — whoever owns the mapping releases them — so a ring over an
+    owner's long-lived views may be kept for as long as the owner is open.
+    ``total`` and ``sequence`` are the *writer's* copy of the two words;
+    readers never use them.
     """
 
-    __slots__ = ("words", "sequence_at", "total_at", "header", "slots", "capacity")
+    __slots__ = (
+        "words", "reals", "sequence_at", "total_at", "window_at", "slots", "slots_at", "capacity",
+        "total", "sequence",
+    )
 
     def __init__(
         self,
         words: memoryview,
+        reals: memoryview,
         sequence_at: int,
         total_at: int,
-        header: Callable[[], tuple[int, int, float, float]],
+        window_at: int,
         slots: memoryview,
+        slots_at: int,
+        capacity: int,
     ) -> None:
         self.words = words
+        self.reals = reals
         self.sequence_at = sequence_at
         self.total_at = total_at
-        self.header = header
+        self.window_at = window_at
         self.slots = slots
-        self.capacity = len(slots) // _RECORD_SIZE
+        self.slots_at = slots_at
+        self.capacity = capacity
+        self.reload()
 
+    # ------------------------------------------------------------------ #
+    # Writer half
+    # ------------------------------------------------------------------ #
+    def reload(self) -> None:
+        """Take ``total`` and ``sequence`` from the header: what a writer does
+        first when another object may have written this ring since it did."""
+        self.total = self.words[self.total_at]
+        self.sequence = self.words[self.sequence_at]
+
+    def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
+        """Publish one record."""
+        words, sequence_at, total = self.words, self.sequence_at, self.total
+        sequence = self.sequence + 1
+        words[sequence_at] = sequence  # odd: write in progress
+        try:  # a value the record cannot hold must not leave the word odd
+            _pack_record(
+                self.slots,
+                self.slots_at + (total % self.capacity) * _RECORD_SIZE,
+                beat, timestamp, tag, thread_id,
+            )
+            self.total = words[self.total_at] = total + 1
+        finally:
+            self.sequence = words[sequence_at] = sequence + 1  # even: write published
+
+    def append_many(self, records: np.ndarray) -> None:
+        """Publish a whole batch under a single sequence cycle.
+
+        One odd/even pair covers the batch, so :meth:`version` moves once and
+        a reader's settle wait sees one write, not one per record.
+        """
+        if records.dtype != RECORD_DTYPE:
+            raise ValueError(f"records dtype must be {RECORD_DTYPE}, got {records.dtype}")
+        count = records.shape[0]
+        if count == 0:
+            return
+        data = records.tobytes()  # contiguous whatever the caller's strides
+        words, sequence_at, total = self.words, self.sequence_at, self.total
+        sequence = self.sequence + 1
+        words[sequence_at] = sequence  # odd: write in progress
+        place(
+            self.slots, self.slots_at, self.capacity * _RECORD_SIZE, total * _RECORD_SIZE, data
+        )
+        self.total = words[self.total_at] = total + count
+        self.sequence = words[sequence_at] = sequence + 1  # even: write published
+
+    def _store(self, view: memoryview, at: int, values: tuple[Any, ...]) -> None:
+        """Store header fields ``view[at:]`` inside one sequence cycle."""
+        words, sequence_at = self.words, self.sequence_at
+        sequence = self.sequence + 1
+        words[sequence_at] = sequence
+        try:  # a value the word cannot hold must not leave the sequence odd
+            for offset, value in enumerate(values):
+                view[at + offset] = value
+        finally:
+            self.sequence = words[sequence_at] = sequence + 1
+
+    def set_targets(self, target_min: float, target_max: float) -> None:
+        """Publish the target heart-rate range."""
+        self._store(self.reals, self.window_at + 1, (float(target_min), float(target_max)))
+
+    def set_default_window(self, window: int) -> None:
+        """Publish the producer's default rate window."""
+        self._store(self.words, self.window_at, (int(window),))
+
+    # ------------------------------------------------------------------ #
+    # Reader half
+    # ------------------------------------------------------------------ #
     def _copy_last(self, total: int, count: int) -> np.ndarray:
         """Copy the ``count`` records ending at beat ``total`` out of the slots.
 
@@ -93,12 +220,12 @@ class Ring:
         """
         if count == 0:
             return _EMPTY[:0]
-        slots, size = self.slots, _RECORD_SIZE
+        slots, base, size = self.slots, self.slots_at, _RECORD_SIZE
         start = (total - count) % self.capacity
         stop = start + count
-        raw = bytearray(slots[start * size : stop * size])
+        raw = bytearray(slots[base + start * size : base + min(stop, self.capacity) * size])
         if stop > self.capacity:  # wrapped: the slice above stopped at the ring's end
-            raw += slots[: (stop - self.capacity) * size]
+            raw += slots[base : base + (stop - self.capacity) * size]
         return np.frombuffer(raw, dtype=RECORD_DTYPE)
 
     def _quiet_sequence(self) -> int:
@@ -117,10 +244,13 @@ class Ring:
 
     def capture(self) -> tuple[int, int, float, float]:
         """Consistent ``(total, default_window, target_min, target_max)``."""
+        words, reals, window_at = self.words, self.reals, self.window_at
         for _ in range(_ATTEMPTS):
             sequence = self._quiet_sequence()
-            fields = self.header()
-            if self.words[self.sequence_at] == sequence:
+            fields = (
+                words[self.total_at], words[window_at], reals[window_at + 1], reals[window_at + 2]
+            )
+            if words[self.sequence_at] == sequence:
                 return fields
         raise BackendError("could not capture a consistent ring header")
 
@@ -141,6 +271,8 @@ class Ring:
 
     def snapshot(self, n: int | None = None) -> BackendSnapshot:
         """The newest ``n`` retained records (all when ``None``)."""
+        if n is not None and n < 0:
+            raise InvalidWindowError(f"n must be >= 0, got {n}")
         total, default_window, tmin, tmax = self.capture()
         retained = min(total, self.capacity)
         records, _ = self.copy_newest(total, retained if n is None else min(n, retained))

@@ -26,48 +26,37 @@ offset       type     field
 128          records  ``capacity`` records of dtype ``RECORD_DTYPE``
 ===========  =======  ====================================================
 
-The writer is the segment's sole creator and sole writer, so it keeps
-``total`` and ``sequence`` as plain Python ints and only ever *stores* to the
-header: sequence odd, the record slot, ``total``, sequence even — the same
-order for a single beat and for a whole batch.
-
-Readers follow the ring kernel's protocol (:mod:`repro.core.backends.ring`):
-*copy once, then bound the damage*.  The header is captured under the
-sequence word (only that ~40-byte copy is ever retried), the records wanted
-— the last ``n`` for ``snapshot(n)``, the unseen ones for ``snapshot_since``
-— are copied exactly once, and afterwards the reader waits for an even
-sequence word, re-reads ``total`` and drops just the oldest copied records a
-concurrent write can have reached (beats older than ``total_after -
-capacity``).  A delta that lost records this way reports them as ``gap`` with
-``resync=True`` and a shortened ``retained``; what is returned is always
-untorn, contiguous and ends at the captured ``total - 1``.  A writer that
-never pauses therefore costs an observer some of the oldest records, never a
-retry storm.  The sequence word is still written because the capture and the
-settle wait on it, ``version()`` uses it as the change token, and readers
-built only from this table need it to validate their own copies.
+Both halves of the protocol — how the writer publishes under the sequence
+word and what a reader keeps when a write overlaps its copy — are the ring
+kernel's and are stated once, in :mod:`repro.core.backends.ring`; this module
+only says where a segment's header words and record slots are (and that a
+segment's creator is its only writer for life, which is what lets the kernel
+keep its own copy of ``total`` and ``sequence``).  Readers built
+from the table alone follow the same rules: capture the header under an even,
+unchanged sequence word, copy once, then drop the copied records older than
+``total_after - capacity``.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from multiprocessing import resource_tracker, shared_memory
 import mmap
 import os
 import struct
 import sys
+from typing import Any
 
 try:  # POSIX only; Windows uses named file mappings with no resource tracker.
     import _posixshmem
 except ImportError:  # pragma: no cover - non-POSIX platform
-    _posixshmem = None
+    _posixshmem = None  # type: ignore[assignment]
 
 import numpy as np
 
 from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
 from repro.core.backends.ring import Ring
-from repro.core.buffer import circular_batch_slices
 from repro.core.errors import BackendError, BackendFormatError
-from repro.core.record import RECORD_DTYPE, RECORD_STRUCT
+from repro.core.record import RECORD_DTYPE
 
 __all__ = ["SharedMemoryBackend", "SharedMemoryReader", "HEADER_SIZE", "MAGIC"]
 
@@ -77,14 +66,9 @@ HEADER_SIZE = 128
 
 #: The whole header up to the reserved words, in the table's order.
 _HEADER = struct.Struct("<5q2d2q")
-#: int64 word indices of the header fields the protocol touches one at a time.
+#: 8-byte word indices of the header fields the ring kernel is told about
+#: (``target_min`` and ``target_max`` follow the default window).
 _TOTAL_AT, _WINDOW_AT, _PID_AT, _SEQUENCE_AT = 3, 4, 7, 8
-#: ``(total, default_window, target_min, target_max)``, contiguous from byte 24.
-_FIELDS = struct.Struct("<2q2d")
-_FIELDS_OFFSET = 24
-_TARGETS = struct.Struct("<2d")
-_TARGETS_OFFSET = 40
-_pack_record, _RECORD_SIZE = RECORD_STRUCT.pack_into, RECORD_STRUCT.size
 
 
 def segment_size(capacity: int) -> int:
@@ -134,7 +118,7 @@ class _PosixAttachment:
             self._mmap.close()
 
 
-def _attach_untracked(name: str):
+def _attach_untracked(name: str) -> Any:
     """Attach to an existing segment without registering it for cleanup.
 
     Only the writer owns a segment's lifetime.  Python < 3.13 registers
@@ -154,13 +138,11 @@ def _attach_untracked(name: str):
 
 
 def _segment_ring(buf: memoryview, capacity: int) -> Ring:
-    """The ring kernel's view of a mapped segment (drop it before closing ``buf``)."""
+    """The ring kernel over a mapped segment (drop it before closing ``buf``)."""
+    header = buf[:HEADER_SIZE]
     return Ring(
-        buf[:HEADER_SIZE].cast("q"),
-        _SEQUENCE_AT,
-        _TOTAL_AT,
-        partial(_FIELDS.unpack_from, buf, _FIELDS_OFFSET),
-        buf[HEADER_SIZE : segment_size(capacity)],
+        header.cast("q"), header.cast("d"), _SEQUENCE_AT, _TOTAL_AT, _WINDOW_AT,
+        buf, HEADER_SIZE, capacity,
     )
 
 
@@ -195,11 +177,6 @@ class SharedMemoryBackend(Backend):
             self._buf, 0, MAGIC, LAYOUT_VERSION, self.capacity, 0, 0, 0.0, 0.0, os.getpid(), 0
         )
         self._ring = _segment_ring(self._buf, self.capacity)
-        self._records = np.frombuffer(self._ring.slots, dtype=RECORD_DTYPE)
-        # Sole creator, sole writer: the publication words are cached here
-        # and only ever stored to the header, never read back.
-        self._total = 0
-        self._sequence = 0
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -208,62 +185,22 @@ class SharedMemoryBackend(Backend):
     def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
         if self._closed:
             raise BackendError("shared-memory backend is closed")
-        words = self._ring.words
-        total = self._total
-        sequence = self._sequence + 1
-        words[_SEQUENCE_AT] = sequence  # odd: write in progress
-        try:  # a value the record cannot hold must not leave the word odd
-            _pack_record(
-                self._buf,
-                HEADER_SIZE + (total % self.capacity) * _RECORD_SIZE,
-                beat, timestamp, tag, thread_id,
-            )
-            self._total = words[_TOTAL_AT] = total + 1
-        finally:
-            self._sequence = words[_SEQUENCE_AT] = sequence + 1  # even: write published
+        self._ring.append(beat, timestamp, tag, thread_id)
 
     def append_many(self, records: np.ndarray) -> None:
-        """Publish a whole batch of records under a single sequence cycle.
-
-        One odd/even pair covers the batch, so ``version()`` moves once and
-        a reader's settle wait sees one write, not one per record.
-        """
         if self._closed:
             raise BackendError("shared-memory backend is closed")
-        if records.dtype != RECORD_DTYPE:
-            raise ValueError(f"records dtype must be {RECORD_DTYPE}, got {records.dtype}")
-        n = int(records.shape[0])
-        if n == 0:
-            return
-        words, slots = self._ring.words, self._records
-        total = self._total
-        placement = circular_batch_slices(total, self.capacity, n)
-        sequence = self._sequence + 1
-        words[_SEQUENCE_AT] = sequence  # odd: write in progress
-        for destination, source in placement:
-            slots[destination] = records[source]
-        self._total = words[_TOTAL_AT] = total + n
-        self._sequence = words[_SEQUENCE_AT] = sequence + 1  # even: write published
+        self._ring.append_many(records)
 
     def set_targets(self, target_min: float, target_max: float) -> None:
         if self._closed:
             raise BackendError("shared-memory backend is closed")
-        targets = _TARGETS.pack(target_min, target_max)  # rejects non-numbers before the word goes odd
-        words = self._ring.words
-        sequence = self._sequence + 1
-        words[_SEQUENCE_AT] = sequence
-        self._buf[_TARGETS_OFFSET : _TARGETS_OFFSET + _TARGETS.size] = targets
-        self._sequence = words[_SEQUENCE_AT] = sequence + 1
+        self._ring.set_targets(target_min, target_max)
 
     def set_default_window(self, window: int) -> None:
         if self._closed:
             raise BackendError("shared-memory backend is closed")
-        window = int(window)
-        words = self._ring.words
-        sequence = self._sequence + 1
-        words[_SEQUENCE_AT] = sequence
-        words[_WINDOW_AT] = window
-        self._sequence = words[_SEQUENCE_AT] = sequence + 1
+        self._ring.set_default_window(window)
 
     def snapshot(self, n: int | None = None) -> BackendSnapshot:
         if self._closed:
@@ -288,7 +225,7 @@ class SharedMemoryBackend(Backend):
             return
         self._closed = True
         # Drop views before closing the buffer, otherwise close() raises.
-        self._ring = self._records = self._buf = None
+        self._ring = self._buf = None  # type: ignore[assignment]
         self._shm.close()
         try:
             self._shm.unlink()
@@ -356,7 +293,7 @@ class SharedMemoryReader:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self._ring = None
+            self._ring = None  # type: ignore[assignment]
             self._shm.close()
 
     def __enter__(self) -> "SharedMemoryReader":

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.clock import Clock, WallClock
 from repro.core.backends.base import BackendSnapshot, DeltaSnapshot, SnapshotCursor
-from repro.core.buffer import circular_batch_slices
+from repro.core.backends.ring import place
 from repro.core.heartbeat import Heartbeat
 from repro.core.rate import windowed_rate
 from repro.core.record import RECORD_DTYPE, HeartbeatRecord, array_to_records
@@ -219,8 +219,7 @@ class StreamDeltaState:
         k = int(timestamps.shape[0])
         cap = self.ring.shape[0]
         if k:
-            for destination, source in circular_batch_slices(self.seen, cap, k):
-                self.ring[destination] = timestamps[source]
+            place(self.ring, 0, cap, self.seen, timestamps)
             self.seen += k
             self.last_ts = float(self.ring[(self.seen - 1) % cap])
         elif self.seen == 0:

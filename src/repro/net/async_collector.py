@@ -159,7 +159,7 @@ class _CollectorStream:
 
     def info(self) -> CollectorStreamInfo:
         with self.lock:
-            total = self.backend.snapshot().total_beats
+            total = self.backend.version()[0]  # the counter, not a copy of the ring
             return CollectorStreamInfo(
                 stream_id=self.stream_id,
                 name=self.name,

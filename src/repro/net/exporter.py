@@ -7,8 +7,10 @@ paper's overhead story: registering a heartbeat must stay cheap and
 predictable no matter what the observer is doing, so the beat path only ever
 touches process-local state —
 
-* every record lands in a local :class:`~repro.core.buffer.CircularBuffer`
-  (the producer can still observe itself, exactly like ``MemoryBackend``);
+* every record lands in a local mirror — a
+  :class:`~repro.core.backends.memory.MemoryBackend`, so the producer (and
+  any observer thread in its process) reads itself through the same ring
+  kernel, delta cursors and change token as any in-process stream;
 * records are *also* queued for a background sender thread that frames them
   with :mod:`repro.net.protocol` and ships them over TCP;
 * the queue is bounded: when the collector is slow, unreachable or dead, the
@@ -31,8 +33,8 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.backends.base import Backend, BackendSnapshot
-from repro.core.buffer import CircularBuffer
+from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
+from repro.core.backends.memory import MemoryBackend
 from repro.core.errors import BackendError
 from repro.core.record import RECORD_DTYPE
 from repro.net import protocol
@@ -122,10 +124,9 @@ class NetworkBackend(Backend):
         self.stream = stream if stream is not None else f"hb-{os.getpid()}"
         self._nonce = next(_nonce_counter)
         self.capacity = int(capacity)
-        self._buffer = CircularBuffer(self.capacity)
-        self._target_min = 0.0
-        self._target_max = 0.0
-        self._default_window = 0
+        #: Local history *and* the stream's metadata: HELLO and TARGETS
+        #: frames are read back from its header.
+        self._mirror = MemoryBackend(self.capacity)
         self._max_pending = int(max_pending)
         self._flush_interval = float(flush_interval)
         self._max_batch_records = int(max_batch_records)
@@ -184,19 +185,17 @@ class NetworkBackend(Backend):
     def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
         if self._closed or self._closing:
             raise BackendError("network backend is closed")
+        self._mirror.append(beat, timestamp, tag, thread_id)
         record = np.empty(1, dtype=RECORD_DTYPE)
         record[0] = (beat, timestamp, tag, thread_id)
-        self._buffer.push_many(record)
         self._enqueue(record)
 
     def append_many(self, records: np.ndarray) -> None:
         if self._closed or self._closing:
             raise BackendError("network backend is closed")
-        if records.dtype != RECORD_DTYPE:
-            raise ValueError(f"records dtype must be {RECORD_DTYPE}, got {records.dtype}")
+        self._mirror.append_many(records)  # rejects a wrong dtype
         if records.shape[0] == 0:
             return
-        self._buffer.push_many(records)
         # The queue keeps its own copy: the caller may reuse its array.
         self._enqueue(records.copy())
 
@@ -204,30 +203,33 @@ class NetworkBackend(Backend):
         if self._closed:
             raise BackendError("network backend is closed")
         with self._lock:
-            self._target_min = float(target_min)
-            self._target_max = float(target_max)
+            self._mirror.set_targets(target_min, target_max)
             self._targets_dirty = True
         self._wake.set()
 
     def set_default_window(self, window: int) -> None:
         if self._closed:
             raise BackendError("network backend is closed")
-        self._default_window = int(window)
+        self._mirror.set_default_window(window)
 
     def snapshot(self, n: int | None = None) -> BackendSnapshot:
-        """Local view of the stream (identical semantics to ``MemoryBackend``).
+        """Local view of the stream (the mirror's, so ``MemoryBackend``'s).
 
         Like ``MemoryBackend``, keeps serving the final history after
         :meth:`close`, so local observers of a finished producer read its
         last state instead of an error.
         """
-        return BackendSnapshot(
-            records=self._buffer.last_array(n),
-            total_beats=self._buffer.total,
-            target_min=self._target_min,
-            target_max=self._target_max,
-            default_window=self._default_window,
-        )
+        return self._mirror.snapshot(n)
+
+    def snapshot_since(
+        self, cursor: SnapshotCursor | None = None
+    ) -> tuple[DeltaSnapshot, SnapshotCursor]:
+        """O(new beats) local delta read (the mirror's)."""
+        return self._mirror.snapshot_since(cursor)
+
+    def version(self) -> tuple[int, int]:
+        """The mirror's change token, so local observers idle-skip."""
+        return self._mirror.version()
 
     def close(self) -> None:
         """Flush the pending queue (bounded by ``close_deadline``) and stop.
@@ -357,14 +359,15 @@ class NetworkBackend(Backend):
             sock.settimeout(self._send_timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
+                _, default_window, target_min, target_max = self._mirror.capture()
                 hello = protocol.encode_hello(
                     self.stream,
                     pid=os.getpid(),
                     nonce=self._nonce,
-                    default_window=self._default_window,
+                    default_window=default_window,
                     capacity=self.capacity,
-                    target_min=self._target_min,
-                    target_max=self._target_max,
+                    target_min=target_min,
+                    target_max=target_max,
                 )
                 # HELLO already carries the current targets.
                 self._targets_dirty = False
@@ -383,7 +386,7 @@ class NetworkBackend(Backend):
         if sock is None:  # pragma: no cover - only racing an abort
             return False
         with self._lock:
-            targets = (self._target_min, self._target_max) if self._targets_dirty else None
+            targets = self._mirror.capture()[2:] if self._targets_dirty else None
             self._targets_dirty = False
             batch = self._pop_batch_locked()
         try:
@@ -453,7 +456,7 @@ class NetworkBackend(Backend):
                 sock.close()
                 return
             try:
-                sock.sendall(protocol.encode_close(self._buffer.total))
+                sock.sendall(protocol.encode_close(self._mirror.version()[0]))
             except OSError:
                 pass
             sock.close()

@@ -1,9 +1,9 @@
 """Tests for the batched heartbeat ingestion path.
 
-Covers ``CircularBuffer.push_many``, ``Backend.append_many`` on every
-backend, ``Heartbeat.heartbeat_batch`` edge cases (empty, negative,
-oversized, closed) and the cross-process torn-read retry guarantee under
-concurrent batched writes.
+Covers the ring's batched write (``MemoryBackend.append_many``),
+``Backend.append_many`` on every backend, ``Heartbeat.heartbeat_batch`` edge
+cases (empty, negative, oversized, closed) and the cross-process torn-read
+retry guarantee under concurrent batched writes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.clock import ManualClock
 from repro.core import api
 from repro.core.backends import FileBackend, MemoryBackend, SharedMemoryBackend
 from repro.core.backends.shared_memory import SharedMemoryReader
-from repro.core.buffer import CircularBuffer
 from repro.core.errors import HeartbeatClosedError
 from repro.core.heartbeat import Heartbeat
 from repro.core.record import RECORD_DTYPE
@@ -36,39 +35,48 @@ class TestPushMany:
     @pytest.mark.parametrize("capacity", [1, 3, 8, 64])
     @pytest.mark.parametrize("sizes", [(5,), (2, 3, 5), (8, 1), (3, 3, 3, 3), (70,)])
     def test_equivalent_to_sequential_appends(self, capacity, sizes):
-        batched = CircularBuffer(capacity)
-        sequential = CircularBuffer(capacity)
+        batched = MemoryBackend(capacity)
+        sequential = MemoryBackend(capacity)
         start = 0
         for size in sizes:
             records = make_records(start, size)
-            batched.push_many(records)
+            batched.append_many(records)
             for beat, timestamp, tag, thread_id in records.tolist():
-                sequential.append_raw(beat, timestamp, tag, thread_id)
+                sequential.append(beat, timestamp, tag, thread_id)
             start += size
-        assert batched.total == sequential.total
-        assert np.array_equal(batched.last_array(), sequential.last_array())
+            assert batched.version()[0] == sequential.version()[0] == start
+            assert np.array_equal(batched.snapshot().records, sequential.snapshot().records)
 
     def test_empty_batch_is_noop(self):
-        buf = CircularBuffer(4)
-        buf.push_many(make_records(0, 0))
-        assert buf.total == 0 and len(buf) == 0
+        backend = MemoryBackend(4)
+        before = backend.version()
+        backend.append_many(make_records(0, 0))
+        assert backend.version() == before
+        assert backend.snapshot().total_beats == 0
 
     def test_batch_larger_than_capacity_keeps_tail(self):
-        buf = CircularBuffer(4)
-        buf.push_many(make_records(0, 11))
-        assert buf.total == 11
-        assert list(buf.last_array()["beat"]) == [7, 8, 9, 10]
+        backend = MemoryBackend(4)
+        backend.append_many(make_records(0, 11))
+        snap = backend.snapshot()
+        assert snap.total_beats == 11
+        assert list(snap.records["beat"]) == [7, 8, 9, 10]
 
     def test_wraparound_split_into_two_slices(self):
-        buf = CircularBuffer(8)
-        buf.push_many(make_records(0, 6))
-        buf.push_many(make_records(6, 5))  # wraps: 2 at the end, 3 at the front
-        assert list(buf.last_array()["beat"]) == list(range(3, 11))
+        backend = MemoryBackend(8)
+        backend.append_many(make_records(0, 6))
+        backend.append_many(make_records(6, 5))  # wraps: 2 at the end, 3 at the front
+        assert list(backend.snapshot().records["beat"]) == list(range(3, 11))
+
+    def test_strided_batch_lands_like_a_contiguous_one(self):
+        backend = MemoryBackend(8)
+        backend.append_many(make_records(0, 12)[::2])  # every other record: not contiguous
+        assert list(backend.snapshot().records["beat"]) == [0, 2, 4, 6, 8, 10]
 
     def test_wrong_dtype_rejected(self):
-        buf = CircularBuffer(4)
+        backend = MemoryBackend(4)
         with pytest.raises(ValueError):
-            buf.push_many(np.zeros(3, dtype=np.float64))
+            backend.append_many(np.zeros(3, dtype=np.float64))
+        assert backend.snapshot().total_beats == 0
 
 
 class TestAppendMany:

@@ -1,144 +1,148 @@
-"""Tests for the circular heartbeat history buffer."""
+"""Tests for the circular heartbeat history, driven through ``MemoryBackend``.
+
+The paper's circular buffer is :mod:`repro.core.backends.ring`; its plainest
+owner is :class:`~repro.core.backends.MemoryBackend`, so the buffer's
+behaviours (capacity validation, storage used in place, wrap and eviction,
+last-``n`` clipping, copies not views) are pinned through it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.buffer import CircularBuffer
+from repro.core.backends import MemoryBackend
 from repro.core.errors import InvalidWindowError
-from repro.core.record import RECORD_DTYPE, HeartbeatRecord
+from repro.core.record import RECORD_DTYPE
 
 
-def fill(buffer: CircularBuffer, count: int) -> None:
+def fill(backend: MemoryBackend, count: int) -> None:
     for i in range(count):
-        buffer.append(HeartbeatRecord(beat=i, timestamp=float(i), tag=i % 5, thread_id=1))
+        backend.append(i, float(i), i % 5, 1)
+
+
+def beats(backend: MemoryBackend, n: int | None = None) -> list[int]:
+    return list(backend.snapshot(n).records["beat"])
 
 
 class TestConstruction:
     def test_capacity_must_be_positive(self):
         with pytest.raises(InvalidWindowError):
-            CircularBuffer(0)
+            MemoryBackend(0)
         with pytest.raises(InvalidWindowError):
-            CircularBuffer(-3)
+            MemoryBackend(-3)
 
     def test_capacity_must_be_int(self):
         with pytest.raises(InvalidWindowError):
-            CircularBuffer(2.5)  # type: ignore[arg-type]
+            MemoryBackend(2.5)  # type: ignore[arg-type]
         with pytest.raises(InvalidWindowError):
-            CircularBuffer(True)  # type: ignore[arg-type]
+            MemoryBackend(True)  # type: ignore[arg-type]
 
     def test_external_storage_must_match(self):
         storage = np.zeros(8, dtype=RECORD_DTYPE)
-        buf = CircularBuffer(8, storage=storage)
-        assert buf.capacity == 8
+        backend = MemoryBackend(8, storage=storage)
+        assert backend.capacity == 8
         with pytest.raises(ValueError):
-            CircularBuffer(4, storage=storage)
+            MemoryBackend(4, storage=storage)
         with pytest.raises(ValueError):
-            CircularBuffer(8, storage=np.zeros(8, dtype=np.float64))
+            MemoryBackend(8, storage=np.zeros(8, dtype=np.float64))
+        with pytest.raises(ValueError):
+            MemoryBackend(8, storage=storage, total=-1)
+        with pytest.raises(ValueError):
+            MemoryBackend(8, total=3)  # a total needs the storage it counts
 
     def test_external_storage_is_used_in_place(self):
         storage = np.zeros(4, dtype=RECORD_DTYPE)
-        buf = CircularBuffer(4, storage=storage)
-        buf.append(HeartbeatRecord(beat=0, timestamp=9.0))
+        backend = MemoryBackend(4, storage=storage)
+        backend.append(0, 9.0, 0, 0)
         assert storage[0]["timestamp"] == 9.0
+        batch = np.zeros(2, dtype=RECORD_DTYPE)
+        batch["timestamp"] = (10.0, 11.0)
+        backend.append_many(batch)
+        assert list(storage["timestamp"][:3]) == [9.0, 10.0, 11.0]
+
+    def test_prepopulated_storage_is_adopted_at_its_total(self):
+        storage = np.zeros(4, dtype=RECORD_DTYPE)
+        storage["beat"] = (4, 5, 2, 3)  # six appends into four slots
+        backend = MemoryBackend(4, storage=storage, total=6)
+        assert backend.snapshot().total_beats == 6
+        assert beats(backend) == [2, 3, 4, 5]
+        backend.append(6, 6.0, 0, 0)
+        assert beats(backend) == [3, 4, 5, 6]
 
 
 class TestAppendAndLength:
     def test_empty(self):
-        buf = CircularBuffer(4)
-        assert len(buf) == 0
-        assert not buf
-        assert buf.total == 0
-        assert not buf.is_full
+        snap = MemoryBackend(4).snapshot()
+        assert snap.retained == 0
+        assert snap.total_beats == 0
+        assert snap.records.dtype == RECORD_DTYPE
 
     def test_partial_fill(self):
-        buf = CircularBuffer(4)
-        fill(buf, 3)
-        assert len(buf) == 3
-        assert buf.total == 3
-        assert not buf.is_full
+        backend = MemoryBackend(4)
+        fill(backend, 3)
+        snap = backend.snapshot()
+        assert snap.retained == 3
+        assert snap.total_beats == 3
 
     def test_wraps_and_evicts_oldest(self):
-        buf = CircularBuffer(4)
-        fill(buf, 10)
-        assert len(buf) == 4
-        assert buf.total == 10
-        assert buf.is_full
-        beats = [r.beat for r in buf.last()]
-        assert beats == [6, 7, 8, 9]
-
-    def test_append_raw_matches_append(self):
-        a, b = CircularBuffer(8), CircularBuffer(8)
-        for i in range(5):
-            a.append(HeartbeatRecord(beat=i, timestamp=i * 1.0, tag=i, thread_id=2))
-            b.append_raw(i, i * 1.0, i, 2)
-        assert a.last() == b.last()
-
-    def test_clear(self):
-        buf = CircularBuffer(4)
-        fill(buf, 6)
-        buf.clear()
-        assert len(buf) == 0
-        assert buf.total == 0
-        assert buf.last() == []
+        backend = MemoryBackend(4)
+        fill(backend, 10)
+        snap = backend.snapshot()
+        assert snap.retained == 4
+        assert snap.total_beats == 10
+        assert beats(backend) == [6, 7, 8, 9]
 
 
 class TestReads:
     def test_last_orders_oldest_first(self):
-        buf = CircularBuffer(8)
-        fill(buf, 5)
-        assert [r.beat for r in buf.last()] == [0, 1, 2, 3, 4]
+        backend = MemoryBackend(8)
+        fill(backend, 5)
+        assert beats(backend) == [0, 1, 2, 3, 4]
 
     def test_last_n_clips_to_retained(self):
-        buf = CircularBuffer(4)
-        fill(buf, 3)
-        assert len(buf.last(100)) == 3
+        backend = MemoryBackend(4)
+        fill(backend, 3)
+        assert backend.snapshot(100).retained == 3
 
     def test_last_n_after_wrap(self):
-        buf = CircularBuffer(4)
-        fill(buf, 7)
-        assert [r.beat for r in buf.last(2)] == [5, 6]
+        backend = MemoryBackend(4)
+        fill(backend, 7)
+        assert beats(backend, 2) == [5, 6]
 
     def test_last_zero(self):
-        buf = CircularBuffer(4)
-        fill(buf, 3)
-        assert buf.last(0) == []
+        backend = MemoryBackend(4)
+        fill(backend, 3)
+        snap = backend.snapshot(0)
+        assert snap.retained == 0 and snap.total_beats == 3
 
     def test_last_negative_rejected(self):
-        buf = CircularBuffer(4)
+        backend = MemoryBackend(4)
         with pytest.raises(InvalidWindowError):
-            buf.last(-1)
+            backend.snapshot(-1)
 
     def test_latest(self):
-        buf = CircularBuffer(4)
-        fill(buf, 6)
-        assert buf.latest().beat == 5
-
-    def test_latest_empty_raises(self):
-        with pytest.raises(IndexError):
-            CircularBuffer(4).latest()
+        backend = MemoryBackend(4)
+        fill(backend, 6)
+        assert beats(backend, 1) == [5]
 
     def test_timestamps(self):
-        buf = CircularBuffer(8)
-        fill(buf, 4)
-        assert list(buf.timestamps()) == pytest.approx([0.0, 1.0, 2.0, 3.0])
-
-    def test_iteration_and_snapshot(self):
-        buf = CircularBuffer(4)
-        fill(buf, 2)
-        assert list(iter(buf)) == buf.snapshot()
+        backend = MemoryBackend(8)
+        fill(backend, 4)
+        stamps = backend.snapshot().records["timestamp"]
+        assert stamps.dtype == np.float64
+        assert list(stamps) == pytest.approx([0.0, 1.0, 2.0, 3.0])
 
     def test_wrap_boundary_exact_capacity(self):
-        buf = CircularBuffer(4)
-        fill(buf, 4)
-        assert [r.beat for r in buf.last()] == [0, 1, 2, 3]
-        buf.append(HeartbeatRecord(beat=4, timestamp=4.0))
-        assert [r.beat for r in buf.last()] == [1, 2, 3, 4]
+        backend = MemoryBackend(4)
+        fill(backend, 4)
+        assert beats(backend) == [0, 1, 2, 3]
+        backend.append(4, 4.0, 0, 0)
+        assert beats(backend) == [1, 2, 3, 4]
 
     def test_last_array_is_a_copy(self):
-        buf = CircularBuffer(4)
-        fill(buf, 4)
-        arr = buf.last_array()
-        arr["timestamp"][:] = -1.0
-        assert buf.latest().timestamp == 3.0
+        backend = MemoryBackend(4)
+        fill(backend, 4)
+        records = backend.snapshot().records
+        records["timestamp"][:] = -1.0
+        assert backend.snapshot(1).records["timestamp"][0] == 3.0

@@ -4,11 +4,11 @@ The contract, shared by every backend: replaying a stream of deltas —
 replace on ``resync``, append otherwise, trim to ``retained`` — always
 reconstructs exactly what ``snapshot()`` would return at that instant, and
 ``version()`` equality always implies an empty delta.  One parametrized
-test enforces it over the memory, file, shared-memory and network-collector
-backends; the rest of the module covers the backend-specific edges (ring
-wraparound, a writer lapping a slow reader, file truncation and rotation,
-cross-process shared-memory cursors) and the incremental observers built on
-top.
+test enforces it over the memory, file, shared-memory, arena-row,
+network-exporter and network-collector backends; the rest of the module
+covers the backend-specific edges (ring wraparound, a writer lapping a slow
+reader, file truncation and rotation, cross-process shared-memory cursors)
+and the incremental observers built on top.
 """
 
 from __future__ import annotations
@@ -163,9 +163,44 @@ class _ArenaRowHarness:
         self.arena.close()
 
 
+def _unreachable_exporter(capacity):
+    """A ``tcp://`` producer with nobody listening: only its local mirror acts."""
+    import socket
+
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return NetworkBackend(
+        f"127.0.0.1:{port}", stream="contract", capacity=capacity, close_deadline=0.2
+    )
+
+
+def _read_overlapped_by(monkeypatch, backend, cursor, produce):
+    """``backend.snapshot_since(cursor)`` with ``produce()`` run between the
+    read's one copy and its settle step, plus how many copies it made."""
+    from repro.core.backends.ring import Ring
+
+    real = Ring._copy_last
+    copies = []
+
+    def copy_then_write(ring, total, wanted):
+        copied = real(ring, total, wanted)
+        copies.append(wanted)
+        produce()
+        return copied
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Ring, "_copy_last", copy_then_write)
+        delta, cursor = backend.snapshot_since(cursor)
+    return delta, cursor, len(copies)
+
+
 def _make_backend(kind, tmp_path):
     if kind == "memory":
         return MemoryBackend(16)
+    if kind == "exporter":
+        return _unreachable_exporter(16)
     if kind == "file":
         return FileBackend(tmp_path / "contract.log", capacity=16)
     if kind == "shared_memory":
@@ -176,10 +211,10 @@ def _make_backend(kind, tmp_path):
 
 
 class TestDeltaContract:
-    """The shared contract, parametrized over all five backend kinds."""
+    """The shared contract, parametrized over all six backend kinds."""
 
     @pytest.mark.parametrize(
-        "kind", ["memory", "file", "shared_memory", "arena", "collector"]
+        "kind", ["memory", "file", "shared_memory", "arena", "exporter", "collector"]
     )
     def test_replay_reconstructs_every_snapshot(self, kind, tmp_path):
         backend = _make_backend(kind, tmp_path)
@@ -213,14 +248,12 @@ class TestDeltaContract:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("kind", ["shared_memory", "arena"])
+    @pytest.mark.parametrize("kind", ["memory", "shared_memory", "arena", "exporter"])
     def test_replay_holds_when_a_write_overlaps_the_read(self, kind, tmp_path, monkeypatch):
-        """The cross-process rings copy once and then drop what a concurrent
-        write can have reached: ``retained`` comes back shortened (and lost
-        records as ``gap`` + ``resync``), and the replay rule still yields
-        exactly the records the ring held intact — then converges again."""
-        from repro.core.backends.ring import Ring
-
+        """Every ring copies once and then drops what a concurrent write can
+        have reached: ``retained`` comes back shortened (and lost records as
+        ``gap`` + ``resync``), and the replay rule still yields exactly the
+        records the ring held intact — then converges again."""
         backend = _make_backend(kind, tmp_path)
         replay = _Replay()
         beat = 0
@@ -232,16 +265,10 @@ class TestDeltaContract:
                 beat += 1
 
         def read_overlapped_by(count):
-            real = Ring._copy_last
-
-            def copy_then_write(ring, total, wanted):
-                copied = real(ring, total, wanted)
-                produce(count)
-                return copied
-
-            with monkeypatch.context() as patched:
-                patched.setattr(Ring, "_copy_last", copy_then_write)
-                delta, replay.cursor = backend.snapshot_since(replay.cursor)
+            delta, replay.cursor, copies = _read_overlapped_by(
+                monkeypatch, backend, replay.cursor, lambda: produce(count)
+            )
+            assert copies == 1
             replay.consume(delta)
             return delta
 
@@ -266,7 +293,7 @@ class TestDeltaContract:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("kind", ["memory", "file", "shared_memory", "arena"])
+    @pytest.mark.parametrize("kind", ["memory", "file", "shared_memory", "arena", "exporter"])
     def test_version_equality_means_no_news(self, kind, tmp_path):
         backend = _make_backend(kind, tmp_path)
         try:
@@ -326,14 +353,12 @@ class TestRingEdges:
     def test_concurrent_appends_during_delta_read_never_lose_beats(self, monkeypatch):
         """A producer racing the lock-free delta read must never cause
         silent loss: bounds and slice are derived from one capture of the
-        append counter, and a writer wrapping into the copied region turns
-        the delta into a declared resync (replace), never a bogus increment.
+        header, and a writer wrapping into the copied region turns the delta
+        into a declared gap + resync (replace), never a bogus increment.
 
         Reproduces the interleaving deterministically by injecting appends
-        inside the slice copy.
+        between the read's copy and its settle step.
         """
-        from repro.core.buffer import CircularBuffer
-
         backend = MemoryBackend(4)
         for i in range(10):
             backend.append(i, float(i), 0, 1)
@@ -342,52 +367,46 @@ class TestRingEdges:
         for i in range(10, 12):  # two unseen beats for the racing read to copy
             backend.append(i, float(i), 0, 1)
 
-        real = CircularBuffer.last_array_at
-        fired = {"done": False}
+        def lap_the_ring():  # 6 appends lap the 4-slot ring mid-read
+            for i in range(12, 18):
+                backend.append(i, float(i), 0, 1)
 
-        def racing(buffer, total, n):
-            copied = real(buffer, total, n)
-            if not fired["done"] and n:
-                fired["done"] = True
-                for i in range(12, 18):  # 6 appends lap the 4-slot ring mid-copy
-                    backend.append(i, float(i), 0, 1)
-            return copied
-
-        monkeypatch.setattr(CircularBuffer, "last_array_at", racing)
+        delta, cursor, copies = _read_overlapped_by(monkeypatch, backend, cursor, lap_the_ring)
+        # Both copied beats were overwritten under the read: it copied once,
+        # kept nothing torn, and said so — a gap, a resync and nothing retained
+        # as of its own total, not a silently-holey "increment".
+        assert copies == 1
+        assert (delta.total_beats, delta.new, delta.gap, delta.resync) == (12, 0, 2, True)
+        assert delta.retained == 0
+        # The next read declares what the lap cost and converges on the ring.
         delta, cursor = backend.snapshot_since(cursor)
-        monkeypatch.setattr(CircularBuffer, "last_array_at", real)
-        # The first copy raced (the writer wrapped into it); the read must
-        # have retried and reported the overwritten beats as a gap+resync,
-        # not returned a silently-holey "increment".
-        assert delta.resync
-        assert delta.gap == 4  # beats 10-13 overwritten before the read landed
+        assert delta.resync and delta.gap == 2  # beats 12-13 overwritten as well
         assert list(delta.records["beat"]) == [14, 15, 16, 17]
         assert np.array_equal(delta.records, backend.snapshot().records)
 
     def test_exact_capacity_delta_is_single_copy_resync(self, monkeypatch):
-        """``new == capacity`` must cost one ring copy, not a retry storm:
-        a delta carrying the whole ring is published as a resync (the
-        consumer replaces state, so no consistency window is needed)."""
-        from repro.core.buffer import CircularBuffer
-
+        """``new == capacity`` costs one ring copy, never a retry: no read
+        copies twice.  Undisturbed it is a plain increment — a consumer's
+        replay trims to ``retained`` either way — and a resync only when a
+        write overlapped the copy."""
         backend = MemoryBackend(8)
         for i in range(8):
             backend.append(i, float(i), 0, 1)
         _, cursor = backend.snapshot_since(None)
         for i in range(8, 16):  # exactly capacity new beats
             backend.append(i, float(i), 0, 1)
-        calls = {"n": 0}
-        real = CircularBuffer.last_array_at
-
-        def counting(buffer, total, n):
-            calls["n"] += 1
-            return real(buffer, total, n)
-
-        monkeypatch.setattr(CircularBuffer, "last_array_at", counting)
-        delta, cursor = backend.snapshot_since(cursor)
-        assert calls["n"] == 1
-        assert delta.resync and delta.gap == 0
+        delta, cursor, copies = _read_overlapped_by(monkeypatch, backend, cursor, lambda: None)
+        assert copies == 1
+        assert (delta.gap, delta.resync, delta.retained) == (0, False, 8)
         assert list(delta.records["beat"]) == list(range(8, 16))
+        for i in range(16, 24):
+            backend.append(i, float(i), 0, 1)
+        delta, cursor, copies = _read_overlapped_by(
+            monkeypatch, backend, cursor, lambda: backend.append(24, 24.0, 0, 1)
+        )
+        assert copies == 1
+        assert (delta.gap, delta.resync, delta.retained) == (1, True, 7)
+        assert list(delta.records["beat"]) == list(range(17, 24))
 
     def test_restarted_stream_resyncs(self):
         """A cursor ahead of the backend's counter (restart) forces resync."""
@@ -857,7 +876,7 @@ class TestIncrementalAggregator:
 
 
 SOURCE_KINDS = [
-    "memory", "shm_reader", "file_reader", "arena_row",
+    "memory", "shm_reader", "file_reader", "arena_row", "exporter",
     "collector", "heartbeat", "monitor", "callable",
 ]
 
@@ -898,6 +917,10 @@ def _open_source_kind(kind, tmp_path, clock, cleanup):
         view = collector.source("door")
         # The producer is gone, so the test is the stream's only writer.
         return view.backend, view
+    if kind == "exporter":
+        writer = _unreachable_exporter(256)
+        cleanup.append(writer.close)
+        return writer, writer
     writer = MemoryBackend(256)
     if kind == "memory":
         return writer, writer

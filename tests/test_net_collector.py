@@ -90,6 +90,28 @@ class TestEndToEnd:
             # Nothing was dropped, so the CLOSE-frame count matches delivery.
             assert info.reported_total == 100 == info.total_beats
 
+    def test_listing_streams_copies_no_ring(self, monkeypatch):
+        """``streams()`` reads each stream's beat counter, not its history:
+        it runs under ``stream.lock`` — the event loop's ingest waits on it —
+        and wait loops poll it."""
+        with HeartbeatCollector(default_capacity=65536) as collector:
+            backend = NetworkBackend(collector.endpoint, stream="svc", flush_interval=0.01)
+            hb = Heartbeat(window=20, backend=backend, clock=WallClock(rebase=False))
+            hb.heartbeat_batch(500)
+            hb.finalize()
+            assert wait_until(
+                lambda: [s.total_beats for s in collector.streams()] == [500]
+            )
+            kind = type(collector.source("svc").backend)
+            real, calls = kind.snapshot, []
+            monkeypatch.setattr(
+                kind, "snapshot", lambda self, n=None: calls.append(n) or real(self, n)
+            )
+            (info,) = collector.streams()
+            assert info.total_beats == 500
+            assert calls == []
+            assert collector.snapshot("svc").total_beats == 500 and calls == [None]
+
     def test_many_producers_demultiplexed(self):
         with HeartbeatCollector() as collector:
             heartbeats = []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock import ManualClock, SimulatedClock
-from repro.core.buffer import CircularBuffer
+from repro.core.backends import MemoryBackend
 from repro.core.heartbeat import Heartbeat
 from repro.core.rate import moving_rate_series, windowed_rate
 from repro.core.window import resolve_window
@@ -34,21 +34,21 @@ capacities = st.integers(min_value=1, max_value=64)
 class TestBufferProperties:
     @given(capacity=capacities, count=st.integers(min_value=0, max_value=300))
     def test_retained_is_min_of_total_and_capacity(self, capacity: int, count: int) -> None:
-        buf = CircularBuffer(capacity)
+        backend = MemoryBackend(capacity)
         for i in range(count):
-            buf.append_raw(i, float(i), 0, 0)
-        assert len(buf) == min(count, capacity)
-        assert buf.total == count
+            backend.append(i, float(i), 0, 0)
+        snap = backend.snapshot()
+        assert snap.retained == min(count, capacity)
+        assert snap.total_beats == count
 
     @given(capacity=capacities, count=st.integers(min_value=1, max_value=300))
     def test_last_returns_most_recent_beats_in_order(self, capacity: int, count: int) -> None:
-        buf = CircularBuffer(capacity)
+        backend = MemoryBackend(capacity)
         for i in range(count):
-            buf.append_raw(i, float(i), 0, 0)
-        records = buf.last()
+            backend.append(i, float(i), 0, 0)
         expected = list(range(max(0, count - capacity), count))
-        assert [r.beat for r in records] == expected
-        assert buf.latest().beat == count - 1
+        assert list(backend.snapshot().records["beat"]) == expected
+        assert list(backend.snapshot(1).records["beat"]) == [count - 1]
 
     @given(
         capacity=capacities,
@@ -56,13 +56,13 @@ class TestBufferProperties:
         n=st.integers(min_value=0, max_value=400),
     )
     def test_last_n_is_a_suffix(self, capacity: int, count: int, n: int) -> None:
-        buf = CircularBuffer(capacity)
+        backend = MemoryBackend(capacity)
         for i in range(count):
-            buf.append_raw(i, float(i), 0, 0)
-        suffix = buf.last(n)
-        full = buf.last()
-        assert suffix == full[len(full) - len(suffix):]
-        assert len(suffix) == min(n, len(buf))
+            backend.append(i, float(i), 0, 0)
+        suffix = backend.snapshot(n).records
+        full = backend.snapshot().records
+        assert np.array_equal(suffix, full[len(full) - len(suffix):])
+        assert len(suffix) == min(n, len(full))
 
 
 # ---------------------------------------------------------------------------

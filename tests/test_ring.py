@@ -1,36 +1,55 @@
-"""The single-writer ring kernel behind ``shm://`` segments and arena rows.
+"""The single-writer ring kernel behind every ring the tree keeps.
 
-Three layers of evidence for the copy-once read protocol of
-:mod:`repro.core.backends.ring`:
+Four kinds stand on :mod:`repro.core.backends.ring` — ``shm://`` segments,
+arena rows, the in-process ``MemoryBackend`` and the network exporter's
+local mirror — and the same evidence is collected for each:
 
 * the clobbered-prefix arithmetic, deterministically, against a plain-list
   oracle — a writer is advanced by a chosen number of records exactly
   between a read's copy and its settle step;
-* writer-side coherence — the segment writer's cached publication words and
-  the (uncached) arena row writers always leave a header any reader agrees
-  with;
-* a real second process beating as fast as it can while this one hammers
-  every read the backends offer.
+* writer-side coherence — whichever object writes, the header it leaves is
+  one any reader agrees with;
+* a real concurrent writer beating as fast as it can — a second process for
+  the cross-process kinds, a second thread for the in-process ones — while
+  this one hammers every read the backends offer.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import socket
 import struct
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.clock import ManualClock
-from repro.core.backends import Arena, SharedMemoryBackend, SnapshotCursor
+from repro.core.backends import Arena, MemoryBackend, SharedMemoryBackend, SnapshotCursor
 from repro.core.backends.ring import Ring
 from repro.core.backends.shared_memory import SharedMemoryReader
 from repro.core.heartbeat import Heartbeat
 from repro.core.record import RECORD_DTYPE
+from repro.net import NetworkBackend
 
 CAPACITY = 16
+KINDS = ["shm", "arena-row", "memory", "exporter"]
+
+
+def _local_backend(kind: str, capacity: int):
+    """An in-process ring: a ``MemoryBackend``, or an exporter nobody answers."""
+    if kind == "memory":
+        return MemoryBackend(capacity)
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()  # bound then closed: a loopback port with no listener
+    return NetworkBackend(
+        f"127.0.0.1:{port}", stream="ring", capacity=capacity, max_pending=256, close_deadline=0.2
+    )
 
 
 class _Pair:
@@ -41,11 +60,14 @@ class _Pair:
             self.writer = SharedMemoryBackend(capacity=capacity)
             self.reader = SharedMemoryReader(self.writer.name)
             self._owned = [self.reader, self.writer]
-        else:
+        elif kind == "arena-row":
             arena = Arena(streams=2, depth=capacity)
             self.writer = arena.allocate("ring")
             self.reader = arena.row(0)
             self._owned = [arena]
+        else:  # in-process: observers read the very object the producer writes
+            self.writer = self.reader = _local_backend(kind, capacity)
+            self._owned = [self.writer]
         self.written: list[tuple[int, float, int, int]] = []
 
     def write(self, count: int, batch: bool = False) -> None:
@@ -67,7 +89,7 @@ class _Pair:
             thing.close()
 
 
-@pytest.fixture(params=["shm", "arena-row"])
+@pytest.fixture(params=KINDS)
 def pair(request):
     made = _Pair(request.param)
     yield made
@@ -169,6 +191,24 @@ class TestClobberedPrefix:
             assert fleet.rate[0] == pytest.approx(2.0)  # 0.5 s per beat
         finally:
             made.close()
+
+
+class TestOneRing:
+    def test_removed_spellings_are_not_importable(self):
+        """The tree keeps one circular buffer; its older spellings are gone."""
+        import importlib
+
+        import repro
+        import repro.core
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.buffer")
+        for module in (repro, repro.core):
+            for name in ("CircularBuffer", "circular_batch_slices", "buffer"):
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+                assert name not in module.__all__
+        # Every in-process ring is the kernel itself, and says so.
+        assert issubclass(MemoryBackend, Ring)
 
 
 class TestWriterCoherence:
@@ -294,6 +334,55 @@ def _check_records(records: np.ndarray, total: int) -> None:
     assert np.allclose(records["timestamp"], (beats + 1) * _DT, rtol=1e-9, atol=0.0)
 
 
+class _Follower:
+    """Hammers every read a ring offers and checks each against the payload rule."""
+
+    def __init__(self, reader) -> None:
+        self.reader = reader
+        self.state = np.empty(0, dtype=RECORD_DTYPE)
+        self.cursor = None
+        self.reads = self.shortened = 0
+
+    def consume(self) -> None:
+        reader, previous = self.reader, self.cursor
+        delta, self.cursor = reader.snapshot_since(previous)
+        _check_records(delta.records, delta.total_beats)
+        assert delta.retained <= reader.capacity
+        if previous is not None:
+            assert delta.new + delta.gap == delta.total_beats - previous.total
+            assert delta.resync == (delta.gap > 0)
+        self.shortened += delta.retained < min(delta.total_beats, reader.capacity)
+        state = delta.records if delta.resync else np.concatenate((self.state, delta.records))
+        self.state = state[max(state.shape[0] - delta.retained, 0) :]
+        _check_records(self.state, delta.total_beats)
+
+    def follow(self, seconds: float) -> None:
+        """At least ``seconds``, and (bounded) until the race is one worth the
+        name: a wrapped ring and a read a write overlapped."""
+        start = time.monotonic()
+        while (elapsed := time.monotonic() - start) < seconds or (
+            elapsed < 30.0 and not (self.shortened and self.cursor.total > self.reader.capacity)
+        ):
+            for n in (None, 20):
+                snap = self.reader.snapshot(n)
+                _check_records(snap.records, snap.total_beats)
+                assert snap.retained <= (self.reader.capacity if n is None else n)
+            self.consume()
+            self.reads += 1
+
+    def finish(self, total: int) -> None:
+        """The writer stopped at ``total``: the replay converges on the ring."""
+        self.consume()
+        final = self.reader.snapshot()
+        assert final.total_beats == total == self.cursor.total
+        _check_records(final.records, total)
+        assert final.retained == min(total, self.reader.capacity)
+        assert np.array_equal(self.state, final.records)
+        assert total > self.reader.capacity, "the writer never wrapped the ring"
+        assert self.shortened > 0, "no read ever overlapped a write"
+        assert self.reads > 20
+
+
 class TestCrossProcessStress:
     @pytest.mark.parametrize("batch", [1, 64], ids=["heartbeat", "heartbeat_batch64"])
     @pytest.mark.parametrize("kind", ["shm", "arena-row"])
@@ -316,47 +405,10 @@ class TestCrossProcessStress:
         try:
             assert ready.wait(60.0), "the writer process never came up"
             reader = SharedMemoryReader(name) if kind == "shm" else arena.row(0)
-            state = np.empty(0, dtype=RECORD_DTYPE)
-            cursor = None
-            reads = shortened = 0
-
-            def consume() -> None:
-                nonlocal state, cursor, shortened
-                previous = cursor
-                delta, cursor = reader.snapshot_since(previous)
-                _check_records(delta.records, delta.total_beats)
-                assert delta.retained <= reader.capacity
-                if previous is not None:
-                    assert delta.new + delta.gap == delta.total_beats - previous.total
-                    assert delta.resync == (delta.gap > 0)
-                shortened += delta.retained < min(delta.total_beats, reader.capacity)
-                state = delta.records if delta.resync else np.concatenate((state, delta.records))
-                state = state[max(state.shape[0] - delta.retained, 0) :]
-                _check_records(state, delta.total_beats)
-
-            # At least _STRESS_SECONDS, and (bounded) until the race is one
-            # worth the name: a wrapped ring and a read a write overlapped.
-            start = time.monotonic()
-            while (elapsed := time.monotonic() - start) < _STRESS_SECONDS or (
-                elapsed < 30.0 and not (shortened and cursor.total > reader.capacity)
-            ):
-                for n in (None, 20):
-                    snap = reader.snapshot(n)
-                    _check_records(snap.records, snap.total_beats)
-                    assert snap.retained <= (reader.capacity if n is None else n)
-                consume()
-                reads += 1
+            follower = _Follower(reader)
+            follower.follow(_STRESS_SECONDS)
             stop.set()
-            total = written.get(timeout=60.0)
-            consume()
-            final = reader.snapshot()
-            assert final.total_beats == total == cursor.total
-            _check_records(final.records, total)
-            assert final.retained == min(total, reader.capacity)
-            assert np.array_equal(state, final.records)
-            assert total > reader.capacity, "the writer never wrapped the ring"
-            assert shortened > 0, "no read ever overlapped a write"
-            assert reads > 20
+            follower.finish(written.get(timeout=60.0))
         finally:
             stop.set()
             done.set()
@@ -367,3 +419,53 @@ class TestCrossProcessStress:
                 arena.close()
         assert not child.is_alive()
         assert child.exitcode == 0
+
+
+class TestThreadStress:
+    """The in-process twin: the observer is a thread of the producer's own
+    process reading the object the producer writes — the default
+    ``Heartbeat`` and a ``tcp://`` producer's local mirror."""
+
+    @pytest.mark.parametrize("batch", [1, 64], ids=["heartbeat", "heartbeat_batch64"])
+    @pytest.mark.parametrize("kind", ["memory", "exporter"])
+    def test_hot_writer_thread_never_tears_a_reader(self, kind, batch):
+        backend = _local_backend(kind, 512)
+        clock = ManualClock()
+        hb = Heartbeat(window=20, clock=clock, backend=backend)
+        clock.time = _DT
+        hb.heartbeat(0, thread_id=_THREAD)  # a batch spreads stamps from the previous beat
+        stop = threading.Event()
+        outcome: list = []
+
+        def beat_until_stopped() -> None:
+            count, offsets = 1, np.arange(batch)
+            try:
+                while not stop.is_set():
+                    clock.time = (count + batch) * _DT
+                    if batch == 1:
+                        hb.heartbeat(_tags(count), thread_id=_THREAD)
+                    else:
+                        hb.heartbeat_batch(batch, _tags(count + offsets), thread_id=_THREAD)
+                    count += batch
+                outcome.append(count)
+            except BaseException as exc:  # surfaced by the assertion below
+                outcome.append(exc)
+                raise
+
+        writer = threading.Thread(target=beat_until_stopped, name="ring-stress-writer")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-read as often as possible
+        try:
+            writer.start()
+            follower = _Follower(backend)
+            follower.follow(0.35)
+            stop.set()
+            writer.join(timeout=60.0)
+            assert not writer.is_alive()
+            assert len(outcome) == 1 and isinstance(outcome[0], int), outcome
+            follower.finish(outcome[0])
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            writer.join(timeout=60.0)
+            hb.finalize()
