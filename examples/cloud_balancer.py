@@ -45,7 +45,7 @@ def main() -> None:
     # target window, so one node could host all of them.
     web = cluster.add_vm(work_per_beat=1.0, target_min=8.0, target_max=12.0, node=node_a)
     api = cluster.add_vm(work_per_beat=2.0, target_min=4.0, target_max=6.0, node=node_b)
-    batch = cluster.add_vm(work_per_beat=5.0, target_min=1.5, target_max=2.5, node=node_c)
+    cluster.add_vm(work_per_beat=5.0, target_min=1.5, target_max=2.5, node=node_c)
 
     balancer = HeartbeatLoadBalancer(cluster, liveness_timeout=5.0)
 

@@ -61,7 +61,11 @@ def run(config: Fig6Config = Fig6Config()) -> ExperimentResult:
                 "most",
                 round(output.fraction_in_window(target, skip=max(first_in_window, 0) + 5), 3),
             ),
-            ("mean steady-state rate (beat/s)", "0.50-0.55", round(float(np.mean(rates[first_in_window:])), 3) if first_in_window >= 0 else 0.0),
+            (
+                "mean steady-state rate (beat/s)",
+                "0.50-0.55",
+                round(float(np.mean(rates[first_in_window:])), 3) if first_in_window >= 0 else 0.0,
+            ),
             ("maximum cores used", "<= 8", int(np.max(output.traces["cores"].values))),
             ("scheduler decisions taken", "n/a", len(output.scheduler.decisions)),
         ],

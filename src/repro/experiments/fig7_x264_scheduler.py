@@ -63,7 +63,11 @@ def run(config: Fig7Config = Fig7Config()) -> ExperimentResult:
         description="x264 scheduled into a 30-35 beat/s window (paper Figure 7)",
         headers=("Quantity", "Paper", "Measured"),
         rows=[
-            ("typical cores in steady state", "4-6", f"{int(np.percentile(steady_cores, 25))}-{int(np.percentile(steady_cores, 75))}"),
+            (
+                "typical cores in steady state",
+                "4-6",
+                f"{int(np.percentile(steady_cores, 25))}-{int(np.percentile(steady_cores, 75))}",
+            ),
             (
                 "fraction of beats inside the window (steady state)",
                 "most",

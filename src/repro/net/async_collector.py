@@ -1,12 +1,9 @@
 """Event-loop ingest tier: one process, 10k+ concurrent producer connections.
 
-:class:`AsyncHeartbeatCollector` is the fan-in point of a remote fleet,
-rebuilt on a ``selectors`` event loop.  The original collector ran one thread
-per connection, which caps a single process at a few hundred producers (stack
-memory, scheduler pressure); here a single loop thread multiplexes every
-connection through ``epoll``/``kqueue``, so the connection count is bounded
-by file descriptors rather than threads — the step that takes one collector
-from "a host's fleet" to an ingest *tier*.
+:class:`AsyncHeartbeatCollector` is the fan-in point of a remote fleet: one
+``selectors`` loop thread multiplexes every connection through
+``epoll``/``kqueue``, so the connection count is bounded by file descriptors
+rather than threads — one collector is an ingest *tier*, not "a host's fleet".
 
 The observation surface is exactly the one the rest of the system already
 speaks: per-stream sources (``snapshot`` / ``snapshot_since`` / ``version``),
@@ -27,6 +24,11 @@ Design points:
 
 * one event-loop thread owns every socket; per-stream backends are guarded
   by their own locks, so observer threads read concurrently with ingest;
+* the unit of ingest is the *read*, not the frame: each ``recv`` is scanned
+  once (:meth:`FrameDecoder.feed_runs <repro.net.protocol.FrameDecoder.feed_runs>`)
+  and every run of consecutive BATCH frames in it costs one lock, one
+  ``append_many``, one journal frame and one counter update, however many
+  wire frames it spans — ``frames``/``records`` still count the wire;
 * a malformed byte stream poisons only its own connection — producer or
   relay — and every other link keeps flowing;
 * relayed records are deduplicated by beat number per stream, so an edge
@@ -668,14 +670,26 @@ class AsyncHeartbeatCollector:
                 self._drop_connection(conn)  # peer hung up
                 return
             try:
-                for frame in conn.decoder.feed(data):
-                    self._handle_frame(conn, frame)
+                self._ingest(conn, data)
             except ProtocolError:
                 self._protocol_errors.inc()
                 self._drop_connection(conn)
                 return
             if len(data) < _RECV_SIZE:
                 return
+
+    def _ingest(self, conn: _Connection, data: bytes) -> None:
+        """Demux one read; valid frames ahead of a malformed one are ingested before
+        it raises, so what lands never depends on how TCP cut the bytes into reads.
+        """
+        items, error = conn.decoder.feed_runs(data)
+        for item in items:
+            if isinstance(item, protocol.BatchRun):
+                self._ingest_run(conn, item)
+            else:
+                self._handle_frame(conn, item)
+        if error is not None:
+            raise error
 
     def _drop_connection(self, conn: _Connection) -> None:
         fd = conn.sock.fileno()
@@ -723,17 +737,7 @@ class AsyncHeartbeatCollector:
         stream = conn.stream
         if stream is None:
             raise ProtocolError("first frame of a connection must be HELLO")
-        if frame.type == protocol.FRAME_BATCH:
-            records = protocol.decode_batch(frame.payload)
-            with stream.lock:
-                stream.backend.append_many(records)
-                if stream.journal is not None:
-                    # The journal is the wire capture: the payload is
-                    # appended as received, one frame in, one frame out.
-                    stream.journal.append_frame(protocol.FRAME_BATCH, frame.payload)
-            self._records.inc(int(records.shape[0]))
-            self._maybe_compact(stream)
-        elif frame.type == protocol.FRAME_TARGETS:
+        if frame.type == protocol.FRAME_TARGETS:
             tmin, tmax = protocol.decode_targets(frame.payload)
             with stream.lock:
                 stream.backend.set_targets(tmin, tmax)
@@ -749,6 +753,21 @@ class AsyncHeartbeatCollector:
                     stream.reported_total = reported
                     if stream.journal is not None:
                         stream.journal.append_frame(protocol.FRAME_CLOSE, frame.payload)
+
+    def _ingest_run(self, conn: _Connection, run: protocol.BatchRun) -> None:
+        """One read's consecutive BATCH frames: one lock, one append, one count."""
+        self._frames.inc(run.frames)
+        if conn.is_relay:
+            raise ProtocolError("producer frame on a relay connection")
+        stream = conn.stream
+        if stream is None:
+            raise ProtocolError("first frame of a connection must be HELLO")
+        with stream.lock:
+            stream.backend.append_many(run.records)
+            if stream.journal is not None:
+                stream.journal.append_records(run.records)  # one journal frame
+        self._records.inc(int(run.records.shape[0]))
+        self._maybe_compact(stream)
 
     def _ingest_relay(self, conn: _Connection, entries: list[protocol.RelayEntry]) -> None:
         appended = 0
@@ -832,8 +851,6 @@ class AsyncHeartbeatCollector:
     def _register(
         self, hello: protocol.Hello, *, via_relay: bool = False
     ) -> tuple[_CollectorStream, int]:
-        capacity = hello.capacity if hello.capacity > 0 else self._default_capacity
-        capacity = min(max(capacity, _MIN_STREAM_CAPACITY), _MAX_STREAM_CAPACITY)
         with self._streams_changed:
             stream_id = hello.name
             suffix = 1
@@ -864,15 +881,7 @@ class AsyncHeartbeatCollector:
                         return existing, existing.conn_gen
                 suffix += 1
                 stream_id = f"{hello.name}@{suffix}"
-            backend: Backend | None = None
-            if self._arena is not None:
-                try:
-                    backend = self._arena.allocate(stream_id)
-                except BackendError:
-                    # Slab full: this stream overflows onto a private
-                    # backend and stays observable the per-object way.
-                    self._unpooled[stream_id] = None
-            stream = _CollectorStream(stream_id, hello, capacity, backend)
+            stream = self._new_stream(stream_id, hello)
             stream.via_relay = via_relay
             if self._journal is not None:
                 stream.journal = self._journal.writer(
@@ -881,6 +890,19 @@ class AsyncHeartbeatCollector:
             self._streams[stream_id] = stream
             self._streams_changed.notify_all()
             return stream, stream.conn_gen
+
+    def _new_stream(self, stream_id: str, hello: protocol.Hello) -> _CollectorStream:
+        capacity = hello.capacity if hello.capacity > 0 else self._default_capacity
+        capacity = min(max(capacity, _MIN_STREAM_CAPACITY), _MAX_STREAM_CAPACITY)
+        backend: Backend | None = None
+        if self._arena is not None:
+            try:
+                backend = self._arena.allocate(stream_id)
+            except BackendError:
+                # Slab full: this stream overflows onto a private
+                # backend and stays observable the per-object way.
+                self._unpooled[stream_id] = None
+        return _CollectorStream(stream_id, hello, capacity, backend)
 
     def _restore_from_journal(self) -> None:
         """Re-register every journaled stream (construction time only).
@@ -893,16 +915,7 @@ class AsyncHeartbeatCollector:
         """
         assert self._journal is not None
         for replayed in self._journal.replay():
-            hello = replayed.hello
-            capacity = hello.capacity if hello.capacity > 0 else self._default_capacity
-            capacity = min(max(capacity, _MIN_STREAM_CAPACITY), _MAX_STREAM_CAPACITY)
-            backend: Backend | None = None
-            if self._arena is not None:
-                try:
-                    backend = self._arena.allocate(replayed.stream_id)
-                except BackendError:
-                    self._unpooled[replayed.stream_id] = None
-            stream = _CollectorStream(replayed.stream_id, hello, capacity, backend)
+            stream = self._new_stream(replayed.stream_id, replayed.hello)
             stream.connected = False
             stream.closed = replayed.closed
             stream.reported_total = replayed.reported_total

@@ -9,15 +9,18 @@ oldest trick in storage: write behind the ingest path, replay on restart.
 The format deliberately reuses the wire protocol.  Each stream's journal
 file is a 12-byte file header followed by a capture of ordinary HBTP frames
 (:mod:`repro.net.protocol`): the registering HELLO first, then the BATCH /
-TARGETS / CLOSE traffic as it was ingested.  Reuse buys three properties for
-free:
+TARGETS / CLOSE traffic as it was ingested — a journal BATCH frame holds one
+ingest *run* (every consecutive BATCH frame of one socket read), not one
+wire frame.  Reuse buys three properties for free:
 
-* **length-prefixed, CRC-checked records** — replay rejects corruption
-  exactly like a collector rejects it off a socket;
+* **length-prefixed, CRC-checked records** — replay walks the file with
+  :func:`~repro.net.protocol.scan_frames`, the socket decoder's own
+  validation, so it rejects exactly what a collector rejects off the wire;
 * **kill-safety without fsync** — appends go straight to the OS page cache
   (``buffering=0``), so a SIGKILL of the collector loses at most the final
-  partial frame, which replay recognises as a truncated tail and discards
-  (host crashes need ``sync=True``, which fsyncs every append);
+  partial journal frame (one read's run), which replay recognises as a
+  truncated tail and discards (host crashes need ``sync=True``, which
+  fsyncs every append);
 * **one parser** — the journal never invents a second serialisation of a
   heartbeat record.
 
@@ -46,8 +49,7 @@ from __future__ import annotations
 
 import os
 import struct
-import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from urllib.parse import quote, unquote
 
@@ -68,9 +70,9 @@ _FLAG_VIA_RELAY = 0x01
 
 _SUFFIX = ".hbj"
 
-#: Compaction rewrites chunk retained records into BATCH frames no larger
-#: than this, honouring the protocol's payload cap with headroom.
-_BATCH_BUDGET = protocol.MAX_PAYLOAD - 4096
+#: Records per journal BATCH frame at most: a longer run (or a compaction's
+#: retained window) is chunked, honouring the payload cap with headroom.
+_RECORDS_PER_BATCH = (protocol.MAX_PAYLOAD - 4096) // protocol.WIRE_RECORD_DTYPE.itemsize
 
 
 @dataclass(slots=True)
@@ -109,26 +111,18 @@ class JournalWriter:
 
     __slots__ = ("path", "_file", "_size", "_max_bytes", "_sync", "_broken", "_journal")
 
-    def __init__(
-        self,
-        path: Path,
-        file: "object",
-        size: int,
-        *,
-        max_bytes: int,
-        sync: bool,
-        journal: "StreamJournal",
-    ) -> None:
+    def __init__(self, journal: "StreamJournal", path: Path, file: "object", size: int) -> None:
         self.path = path
         self._file = file
         self._size = size
-        self._max_bytes = max_bytes
-        self._sync = sync
+        self._max_bytes = journal.max_bytes
+        self._sync = journal.sync
         self._broken = False
         self._journal = journal
+        journal._writers.append(self)
 
     # -------------------------------------------------------------- #
-    # Appends (one ingested frame each)
+    # Appends (one journal frame each)
     # -------------------------------------------------------------- #
     def append_frame(self, ftype: int, payload: bytes | memoryview) -> None:
         """Append one frame verbatim (header re-derived, CRC included)."""
@@ -137,43 +131,21 @@ class JournalWriter:
 
     def append_hello(self, hello: protocol.Hello) -> None:
         """Append a (re-)registration frame carrying current metadata."""
-        self.append_frame(
-            protocol.FRAME_HELLO,
-            protocol.strip_header(
-                protocol.encode_hello(
-                    hello.name,
-                    pid=hello.pid,
-                    nonce=hello.nonce,
-                    default_window=hello.default_window,
-                    capacity=hello.capacity,
-                    target_min=hello.target_min,
-                    target_max=hello.target_max,
-                )
-            ),
-        )
+        self._write(_hello_frame(hello))
 
     def append_records(self, records: np.ndarray) -> None:
         """Append one BATCH of records (chunked under the payload cap)."""
-        if records.shape[0] == 0:
-            return
-        per_batch = max(1, _BATCH_BUDGET // protocol.WIRE_RECORD_DTYPE.itemsize)
-        for start in range(0, int(records.shape[0]), per_batch):
+        for start in range(0, int(records.shape[0]), _RECORDS_PER_BATCH):
             self.append_frame(
                 protocol.FRAME_BATCH,
-                protocol.batch_payload(records[start : start + per_batch]),
+                protocol.batch_payload(records[start : start + _RECORDS_PER_BATCH]),
             )
 
     def append_targets(self, target_min: float, target_max: float) -> None:
-        self.append_frame(
-            protocol.FRAME_TARGETS,
-            protocol.strip_header(protocol.encode_targets(target_min, target_max)),
-        )
+        self._write(protocol.encode_targets(target_min, target_max))
 
     def append_close(self, reported_total: int) -> None:
-        self.append_frame(
-            protocol.FRAME_CLOSE,
-            protocol.strip_header(protocol.encode_close(reported_total)),
-        )
+        self._write(protocol.encode_close(reported_total))
 
     # -------------------------------------------------------------- #
     # Compaction
@@ -206,23 +178,10 @@ class JournalWriter:
             self._close_file()
             with open(tmp_path, "wb") as tmp:
                 tmp.write(_file_header(via_relay))
-                tmp.write(
-                    protocol.encode_hello(
-                        hello.name,
-                        pid=hello.pid,
-                        nonce=hello.nonce,
-                        default_window=hello.default_window,
-                        capacity=hello.capacity,
-                        target_min=hello.target_min,
-                        target_max=hello.target_max,
-                    )
-                )
-                per_batch = max(1, _BATCH_BUDGET // protocol.WIRE_RECORD_DTYPE.itemsize)
-                for start in range(0, int(records.shape[0]), per_batch):
-                    payload = protocol.batch_payload(records[start : start + per_batch])
-                    header, body = protocol.frame_buffers(protocol.FRAME_BATCH, payload)
-                    tmp.write(header)
-                    tmp.write(body)
+                tmp.write(_hello_frame(hello))
+                for start in range(0, int(records.shape[0]), _RECORDS_PER_BATCH):
+                    payload = protocol.batch_payload(records[start : start + _RECORDS_PER_BATCH])
+                    tmp.writelines(protocol.frame_buffers(protocol.FRAME_BATCH, payload))
                 if closed:
                     tmp.write(protocol.encode_close(reported_total or 0))
                 tmp.flush()
@@ -343,10 +302,7 @@ class StreamJournal:
         """Start a fresh journal for a newly registered stream (truncates)."""
         path = self.path_for(stream_id)
         file = open(path, "wb", buffering=0)
-        writer = JournalWriter(
-            path, file, 0, max_bytes=self.max_bytes, sync=self.sync, journal=self
-        )
-        self._writers.append(writer)
+        writer = JournalWriter(self, path, file, 0)
         writer._write(_file_header(via_relay))
         writer.append_hello(hello)
         return writer
@@ -364,16 +320,7 @@ class StreamJournal:
         except OSError:
             file.close()
             raise
-        writer = JournalWriter(
-            replayed.path,
-            file,
-            replayed.valid_bytes,
-            max_bytes=self.max_bytes,
-            sync=self.sync,
-            journal=self,
-        )
-        self._writers.append(writer)
-        return writer
+        return JournalWriter(self, replayed.path, file, replayed.valid_bytes)
 
     def close(self) -> None:
         """Close every writer opened through this journal.  Idempotent."""
@@ -410,63 +357,52 @@ class StreamJournal:
     def _replay_file(self, path: Path) -> ReplayedStream | None:
         try:
             data = path.read_bytes()
-        except OSError:
-            self._torn_tails.inc()
-            return None
-        if len(data) < _FILE_HEADER.size:
-            self._torn_tails.inc()
-            return None
-        magic, version, flags, _reserved = _FILE_HEADER.unpack_from(data)
+            magic, version, flags, _reserved = _FILE_HEADER.unpack_from(data)
+        except (OSError, struct.error):  # unreadable, or shorter than a header
+            magic = None
         if magic != _FILE_MAGIC or version != _FILE_VERSION:
             self._torn_tails.inc()
             return None
         via_relay = bool(flags & _FLAG_VIA_RELAY)
 
+        # Whatever stops the scan (torn write, corruption) ends the valid
+        # prefix; replay never raises.
+        items, end, error = protocol.scan_frames(data, _FILE_HEADER.size, runs=True)
+        torn = error is not None or end != len(data)
         hello: protocol.Hello | None = None
         batches: list[np.ndarray] = []
         closed = False
         reported_total: int | None = None
         last_beat = -1
-        offset = _FILE_HEADER.size
-        valid = offset
-        torn = False
-        while True:
-            frame, end = _next_frame(data, offset)
-            if frame is None:
-                torn = end != len(data)  # leftover bytes that never parse
-                break
-            offset = valid = end
+        valid = _FILE_HEADER.size
+        for item in items:
+            if isinstance(item, protocol.BatchRun):
+                batches.append(item.records)
+                last_beat = max(last_beat, int(item.records["beat"].max()))
+                valid += item.frames * protocol.HEADER_SIZE + item.records.nbytes
+                continue
             try:
-                if frame.type == protocol.FRAME_HELLO:
-                    hello = protocol.decode_hello(frame.payload)
-                elif frame.type == protocol.FRAME_BATCH:
-                    records = np.array(protocol.decode_batch(frame.payload))
-                    batches.append(records)
-                    last_beat = max(last_beat, int(records["beat"].max()))
-                elif frame.type == protocol.FRAME_TARGETS:
-                    tmin, tmax = protocol.decode_targets(frame.payload)
+                if item.type == protocol.FRAME_HELLO:
+                    hello = protocol.decode_hello(item.payload)
+                elif item.type == protocol.FRAME_TARGETS:
+                    tmin, tmax = protocol.decode_targets(item.payload)
                     if hello is not None:
-                        hello = protocol.Hello(
-                            name=hello.name, pid=hello.pid, nonce=hello.nonce,
-                            default_window=hello.default_window, capacity=hello.capacity,
-                            target_min=tmin, target_max=tmax,
-                        )
-                elif frame.type == protocol.FRAME_CLOSE:
+                        hello = replace(hello, target_min=tmin, target_max=tmax)
+                elif item.type == protocol.FRAME_CLOSE:
                     closed = True
                     # Relay links can propagate a CLOSE whose origin total is
                     # unknown; the journal encodes that as a negative count.
-                    value = protocol.decode_close(frame.payload)
+                    value = protocol.decode_close(item.payload)
                     reported_total = None if value < 0 else value
             except protocol.ProtocolError:
-                torn = True
+                torn = True  # well framed, but not a payload this module writes
                 break
+            valid += protocol.HEADER_SIZE + len(item.payload)
         if torn:
             self._torn_tails.inc()
         if hello is None:
             return None
-        records = (
-            np.concatenate(batches) if batches else np.empty(0, dtype=RECORD_DTYPE)
-        )
+        records = np.concatenate(batches) if batches else np.empty(0, dtype=RECORD_DTYPE)
         return ReplayedStream(
             stream_id=unquote(path.name[: -len(_SUFFIX)]),
             hello=hello,
@@ -483,34 +419,18 @@ class StreamJournal:
         return f"StreamJournal({str(self.directory)!r}, max_bytes={self.max_bytes})"
 
 
+def _hello_frame(hello: protocol.Hello) -> bytes:
+    return protocol.encode_hello(
+        hello.name,
+        pid=hello.pid,
+        nonce=hello.nonce,
+        default_window=hello.default_window,
+        capacity=hello.capacity,
+        target_min=hello.target_min,
+        target_max=hello.target_max,
+    )
+
+
 def _file_header(via_relay: bool) -> bytes:
     flags = _FLAG_VIA_RELAY if via_relay else 0
     return _FILE_HEADER.pack(_FILE_MAGIC, _FILE_VERSION, flags, 0)
-
-
-def _next_frame(data: bytes, offset: int) -> tuple[protocol.Frame | None, int]:
-    """Parse one frame at ``offset``; ``(None, offset)`` when none parses.
-
-    Mirrors :class:`~repro.net.protocol.FrameDecoder`'s validation but
-    reports byte offsets, which resumption needs for its truncation point.
-    A header that fails validation (corruption, not mere truncation) returns
-    ``(None, len(data))``-incompatible offset so the caller flags a torn
-    tail.
-    """
-    if len(data) - offset < protocol.HEADER_SIZE:
-        return None, offset  # clean end, or a partial header from a mid-append kill
-    magic, version, ftype, flags, length, crc = protocol.HEADER.unpack_from(data, offset)
-    if (
-        magic != protocol.MAGIC
-        or version != protocol.PROTOCOL_VERSION
-        or flags != 0
-        or length > protocol.MAX_PAYLOAD
-    ):
-        return None, offset  # corrupt header: everything from here is torn
-    body_start = offset + protocol.HEADER_SIZE
-    if len(data) - body_start < length:
-        return None, offset  # truncated tail (kill mid-append)
-    payload = data[body_start : body_start + length]
-    if zlib.crc32(payload) != crc:
-        return None, offset
-    return protocol.Frame(type=ftype, payload=payload), body_start + length

@@ -89,6 +89,7 @@ __all__ = [
     "RELAY_MIN_VERSION",
     "MAX_RELAY_ENTRIES",
     "Frame",
+    "BatchRun",
     "FrameDecoder",
     "Hello",
     "RelayEntry",
@@ -109,6 +110,7 @@ __all__ = [
     "decode_relay_frame",
     "relay_entry_size",
     "strip_header",
+    "scan_frames",
     "parse_address",
 ]
 
@@ -153,6 +155,7 @@ MAX_RELAY_ENTRIES = 0xFFFF
 #: a buffer view rather than a copy.
 WIRE_RECORD_DTYPE = RECORD_DTYPE.newbyteorder("<")
 _NATIVE_IS_WIRE = sys.byteorder == "little"
+_RECORD_SIZE = WIRE_RECORD_DTYPE.itemsize
 
 #: pid, nonce, window, capacity, itemsize, tmin, tmax, name length.  The
 #: nonce is unique per producer backend instance, so a collector can tell a
@@ -181,6 +184,14 @@ class Frame:
 
     type: int
     payload: bytes
+
+
+@dataclass(frozen=True, slots=True)
+class BatchRun:
+    """Consecutive BATCH frames of one scan: ``frames`` wire frames, one array."""
+
+    records: np.ndarray
+    frames: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,15 +301,19 @@ def decode_batch(payload: bytes) -> np.ndarray:
     The returned array is read-only on little-endian hosts (it views the
     payload bytes); callers that store it copy it into their own buffer.
     """
-    if len(payload) == 0:
-        raise ProtocolError("batch frame carries no records")
-    if len(payload) % WIRE_RECORD_DTYPE.itemsize:
-        raise ProtocolError(
-            f"batch payload of {len(payload)} bytes is not a whole number of "
-            f"{WIRE_RECORD_DTYPE.itemsize}-byte records"
-        )
+    if len(payload) == 0 or len(payload) % _RECORD_SIZE:
+        raise _batch_length_error(len(payload))
     records = np.frombuffer(payload, dtype=WIRE_RECORD_DTYPE)
     return records if _NATIVE_IS_WIRE else records.astype(RECORD_DTYPE)
+
+
+def _batch_length_error(length: int) -> ProtocolError:
+    """Why a BATCH payload of ``length`` bytes is not a record batch."""
+    if length == 0:
+        return ProtocolError("batch frame carries no records")
+    return ProtocolError(
+        f"batch payload of {length} bytes is not a whole number of {_RECORD_SIZE}-byte records"
+    )
 
 
 def encode_targets(target_min: float, target_max: float) -> bytes:
@@ -555,13 +570,74 @@ def strip_header(frame: bytes) -> bytes:
 # ---------------------------------------------------------------------- #
 # Decoding
 # ---------------------------------------------------------------------- #
+def scan_frames(
+    buffer: bytes | bytearray, offset: int = 0, *, runs: bool
+) -> tuple[list[Frame | BatchRun], int, ProtocolError | None]:
+    """Validate and split every complete frame of ``buffer`` from ``offset`` on.
+
+    The one frame-validation body in the tree: :class:`FrameDecoder` walks
+    sockets with it, journal replay walks files.  Returns ``(items, end,
+    error)`` — the frames in wire order, the offset of the first byte not
+    consumed (a partial trailing frame, or the offending one) and why the
+    walk stopped early, if it did: returned, not raised, so a caller can keep
+    the valid prefix.  With ``runs``, consecutive BATCH frames come back as
+    one :class:`BatchRun`, each checked to hold whole records; without, they
+    are :class:`Frame` objects for :func:`decode_batch` like the rest.
+    Nothing returned views ``buffer``.
+    """
+    items: list[Frame | BatchRun] = []
+    parts: list[bytes | bytearray] = []  # payloads of the BATCH run being gathered
+    error: ProtocolError | None = None
+    size = len(buffer)
+    while size - offset >= HEADER_SIZE:
+        magic, version, ftype, flags, length, crc = HEADER.unpack_from(buffer, offset)
+        if magic != MAGIC:
+            error = ProtocolError(f"bad frame magic {bytes(magic)!r}")
+        elif version != PROTOCOL_VERSION:
+            error = ProtocolError(f"unsupported protocol version {version}")
+        elif ftype not in _KNOWN_FRAMES:
+            error = ProtocolError(f"unknown frame type {ftype}")
+        elif flags != 0:
+            error = ProtocolError(f"reserved frame flags set ({flags:#x})")
+        elif length > MAX_PAYLOAD:
+            error = ProtocolError(
+                f"frame payload of {length} bytes exceeds the {MAX_PAYLOAD} byte limit"
+            )
+        end = offset + HEADER_SIZE + length
+        if error is not None or end > size:
+            break
+        payload = buffer[offset + HEADER_SIZE : end]
+        if zlib.crc32(payload) != crc:
+            error = ProtocolError("frame payload failed its CRC check")
+            break
+        if runs and ftype == FRAME_BATCH:
+            if length == 0 or length % _RECORD_SIZE:
+                error = _batch_length_error(length)
+                break
+            parts.append(payload)
+        else:
+            if parts:
+                items.append(_gather(parts))
+            items.append(Frame(ftype, bytes(payload)))
+        offset = end
+    if parts:
+        items.append(_gather(parts))
+    return items, offset, error
+
+
+def _gather(parts: list[bytes | bytearray]) -> BatchRun:
+    run = BatchRun(decode_batch(b"".join(parts)), len(parts))
+    parts.clear()
+    return run
+
+
 class FrameDecoder:
     """Incremental frame parser over a TCP byte stream.
 
     Feed it whatever ``recv`` returned; it yields every complete frame and
     retains the trailing partial one for the next call.  Any malformed input
     — bad magic, unknown version or frame type, oversized length prefix, CRC
-    mismatch — raises :class:`ProtocolError`, after which the decoder is
+    mismatch — is a :class:`ProtocolError`, after which the decoder is
     poisoned and the caller must drop the connection: a byte stream that has
     lost framing cannot be trusted to regain it.
     """
@@ -578,43 +654,32 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes | memoryview) -> list[Frame]:
-        """Consume ``data`` and return every frame it completes."""
+        """Consume ``data``; return every frame it completes, or raise and return none."""
+        frames, error = self._scan(data, runs=False)
+        if error is not None:
+            raise error
+        return frames  # type: ignore[return-value]
+
+    def feed_runs(
+        self, data: bytes | memoryview
+    ) -> tuple[list[Frame | BatchRun], ProtocolError | None]:
+        """:meth:`feed` for an ingest loop: one item per BATCH run, not per frame.
+
+        Malformed input is *returned*, beside the valid frames that preceded
+        it, so the caller can ingest those before dropping the connection.
+        """
+        return self._scan(data, runs=True)
+
+    def _scan(
+        self, data: bytes | memoryview, *, runs: bool
+    ) -> tuple[list[Frame | BatchRun], ProtocolError | None]:
         if self._poisoned:
             raise ProtocolError("decoder already failed; the connection must be dropped")
         self._buffer.extend(data)
-        frames: list[Frame] = []
-        try:
-            while True:
-                frame = self._next_frame()
-                if frame is None:
-                    return frames
-                frames.append(frame)
-        except ProtocolError:
-            self._poisoned = True
-            raise
-
-    def _next_frame(self) -> Frame | None:
-        buffer = self._buffer
-        if len(buffer) < HEADER_SIZE:
-            return None
-        magic, version, ftype, flags, length, crc = HEADER.unpack_from(buffer)
-        if magic != MAGIC:
-            raise ProtocolError(f"bad frame magic {bytes(magic)!r}")
-        if version != PROTOCOL_VERSION:
-            raise ProtocolError(f"unsupported protocol version {version}")
-        if ftype not in _KNOWN_FRAMES:
-            raise ProtocolError(f"unknown frame type {ftype}")
-        if flags != 0:
-            raise ProtocolError(f"reserved frame flags set ({flags:#x})")
-        if length > MAX_PAYLOAD:
-            raise ProtocolError(f"frame payload of {length} bytes exceeds the {MAX_PAYLOAD} byte limit")
-        if len(buffer) < HEADER_SIZE + length:
-            return None
-        payload = bytes(buffer[HEADER_SIZE : HEADER_SIZE + length])
-        if zlib.crc32(payload) != crc:
-            raise ProtocolError("frame payload failed its CRC check")
-        del buffer[: HEADER_SIZE + length]
-        return Frame(type=ftype, payload=payload)
+        items, end, error = scan_frames(self._buffer, runs=runs)
+        del self._buffer[:end]
+        self._poisoned = error is not None
+        return items, error
 
 
 # ---------------------------------------------------------------------- #

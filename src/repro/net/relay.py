@@ -44,7 +44,7 @@ from repro.net import protocol
 from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.async_collector import AsyncHeartbeatCollector, _CollectorStream
+    from repro.net.async_collector import AsyncHeartbeatCollector
 
 __all__ = ["RelayForwarder"]
 

@@ -42,7 +42,6 @@ from repro.tune.objective import (
     EvalResult,
     EvaluationConfig,
     evaluate_payload,
-    evaluate_spec,
 )
 from repro.tune.space import ParamSpace, TuneError, apply_values, spec_space
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.adapt.spec import _CONTROLLER_KINDS, AdaptSpec, LoopSpec, SpecError
+from repro.adapt.spec import _CONTROLLER_KINDS, AdaptSpec, SpecError
 
 __all__ = [
     "Param",

@@ -8,6 +8,20 @@ from repro.clock import ManualClock, SimulatedClock
 from repro.core.heartbeat import Heartbeat
 
 
+def pytest_addoption(parser: pytest.Parser) -> None:
+    parser.addoption("--runslow", action="store_true", default=False, help="also run tests marked slow")
+
+
+def pytest_collection_modifyitems(config: pytest.Config, items: list[pytest.Item]) -> None:
+    """Tier-1 skips ``slow`` tests; CI's slow step passes ``-m slow --runslow``."""
+    if config.getoption("--runslow"):
+        return
+    skip_slow = pytest.mark.skip(reason="slow: needs --runslow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip_slow)
+
+
 @pytest.fixture
 def manual_clock() -> ManualClock:
     """A clock whose time the test sets explicitly."""

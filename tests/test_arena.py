@@ -23,7 +23,6 @@ from repro.core.backends import Arena, ArenaRowView
 from repro.core.backends.arena import (
     ARENA_HEADER_SIZE,
     ROW_HEADER_SIZE,
-    arena_for,
     arena_size,
 )
 from repro.core.errors import BackendError, InvalidWindowError

@@ -213,7 +213,7 @@ class TestHeartbeatLoadBalancer:
         busy = cluster.add_node(capacity=10.0)
         idle = cluster.add_node(capacity=100.0)
         # Two VMs share the small node; each needs more than its share.
-        slow = cluster.add_vm(work_per_beat=1.0, target_min=8.0, target_max=12.0, node=busy)
+        cluster.add_vm(work_per_beat=1.0, target_min=8.0, target_max=12.0, node=busy)
         cluster.add_vm(work_per_beat=1.0, target_min=8.0, target_max=12.0, node=busy)
         for _ in range(5):
             cluster.step(1.0)

@@ -7,7 +7,6 @@ journal directory and assert that nothing acknowledged is lost.
 
 from __future__ import annotations
 
-import struct
 import time
 
 import numpy as np

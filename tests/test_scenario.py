@@ -2,7 +2,7 @@
 
 The end-to-end drills (subprocess fleets, SIGKILLed collectors) carry the
 ``scenario`` marker — CI's canary job selects them with ``-m scenario`` —
-plus ``network``/``slow`` where applicable.
+plus ``network`` where applicable (none is ``slow``: tier-1 skips that marker).
 """
 
 from __future__ import annotations
@@ -157,7 +157,6 @@ class TestRunnerSmoke:
 
 @pytest.mark.scenario
 @pytest.mark.network
-@pytest.mark.slow
 class TestPresetDrills:
     def test_churn_storm(self):
         result = ScenarioRunner(ScenarioSpec.preset("churn-storm")).run()
