@@ -46,6 +46,20 @@ from repro.core.window import MAX_WINDOW, resolve_window, validate_default_windo
 
 __all__ = ["Heartbeat"]
 
+#: ``0..n-1`` (int64) and ``1..n`` (float64), read-only: what a batch adds its
+#: first beat number to and multiplies its timestamp step by.
+_RAMP_SIZE = 4096
+_INT_RAMP = np.arange(_RAMP_SIZE, dtype=np.int64)
+_FLOAT_RAMP = np.arange(1, _RAMP_SIZE + 1, dtype=np.float64)
+_INT_RAMP.flags.writeable = _FLOAT_RAMP.flags.writeable = False
+
+
+def _ramps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two ramps at length ``n``: cached slices, or built for a huge batch."""
+    if n <= _RAMP_SIZE:
+        return _INT_RAMP[:n], _FLOAT_RAMP[:n]
+    return np.arange(n, dtype=np.int64), np.arange(1, n + 1, dtype=np.float64)
+
 
 class Heartbeat:
     """A single heartbeat stream (global per application, or per thread).
@@ -193,18 +207,21 @@ class Heartbeat:
             now = self._clock.now()
             first = self._count
             n = int(n)
+            # A fresh array per call (a backend may keep the reference),
+            # filled in place from the cached ramps: no temporaries.
             records = np.empty(n, dtype=RECORD_DTYPE)
-            records["beat"] = np.arange(first, first + n, dtype=np.int64)
+            ints, floats = _ramps(n)
+            np.add(ints, first, out=records["beat"])
+            timestamps = records["timestamp"]
             previous = self._last_timestamp
             if previous is None or previous >= now:
-                records["timestamp"] = now
+                timestamps.fill(now)
             else:
-                step = (now - previous) / n
-                timestamps = previous + step * np.arange(1, n + 1)
+                np.multiply(floats, (now - previous) / n, out=timestamps)
+                np.add(timestamps, previous, out=timestamps)
                 timestamps[-1] = now  # exact, despite float rounding
-                records["timestamp"] = timestamps
             records["tag"] = tag  # scalar broadcast or per-record array
-            records["thread_id"] = tid
+            records["thread_id"].fill(tid)
             self._backend.append_many(records)
             self._count += int(n)
             if self._first_timestamp is None:

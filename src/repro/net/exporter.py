@@ -11,8 +11,20 @@ touches process-local state —
   :class:`~repro.core.backends.memory.MemoryBackend`, so the producer (and
   any observer thread in its process) reads itself through the same ring
   kernel, delta cursors and change token as any in-process stream;
-* records are *also* queued for a background sender thread that frames them
-  with :mod:`repro.net.protocol` and ships them over TCP;
+* records are *also* queued for a background sender thread — as their *wire
+  bytes* (:func:`repro.net.protocol.record_bytes`: one ``tobytes`` per batch,
+  one 32-byte ``pack`` per single beat), so coalescing a frame is a
+  ``b"".join`` and nothing downstream touches an array again;
+* the sender is woken when the queue goes empty → non-empty (and by
+  ``set_targets`` / ``close``); while it is busy or backing off, further
+  appends only queue — it comes straight back when a drain leaves records
+  behind, and its ``flush_interval`` time-out covers the rest, so a dead
+  collector costs the beat path no thread hand-offs;
+* each BATCH frame leaves in one ``sendall``.  A single send into a silently
+  severed link *succeeds*, so before every drain the sender probes the link
+  for EOF (:func:`repro.net.protocol.link_alive`, the relay's rule) and
+  redials first.  Delivery stays at-most-once per in-flight frame: a link
+  can still die between probe and send;
 * the queue is bounded: when the collector is slow, unreachable or dead, the
   oldest queued records are dropped (and counted) instead of the producer
   blocking — heartbeats are telemetry, and recent beats are worth more than
@@ -36,7 +48,7 @@ import numpy as np
 from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
 from repro.core.backends.memory import MemoryBackend
 from repro.core.errors import BackendError
-from repro.core.record import RECORD_DTYPE
+from repro.core.record import RECORD_STRUCT
 from repro.net import protocol
 from repro.obs.registry import MetricsRegistry
 
@@ -46,6 +58,8 @@ __all__ = ["NetworkBackend"]
 #: gives every backend a fleet-unique nonce, so a collector can tell a
 #: reconnect of the same stream from a same-named sibling in one process.
 _nonce_counter = itertools.count(1)
+
+_RECORD_SIZE = RECORD_STRUCT.size
 
 
 class NetworkBackend(Backend):
@@ -138,7 +152,9 @@ class NetworkBackend(Backend):
 
         self._lock = threading.Lock()
         self._wake = threading.Event()
-        self._queue: deque[np.ndarray] = deque()
+        #: Wire bytes of the records awaiting transmission, oldest first;
+        #: every chunk is a whole number of records (a view once split).
+        self._queue: deque[bytes | memoryview] = deque()
         self._pending_records = 0
         self._targets_dirty = False
         self._closing = False
@@ -186,18 +202,15 @@ class NetworkBackend(Backend):
         if self._closed or self._closing:
             raise BackendError("network backend is closed")
         self._mirror.append(beat, timestamp, tag, thread_id)
-        record = np.empty(1, dtype=RECORD_DTYPE)
-        record[0] = (beat, timestamp, tag, thread_id)
-        self._enqueue(record)
+        self._enqueue(RECORD_STRUCT.pack(beat, timestamp, tag, thread_id))
 
     def append_many(self, records: np.ndarray) -> None:
         if self._closed or self._closing:
             raise BackendError("network backend is closed")
         self._mirror.append_many(records)  # rejects a wrong dtype
-        if records.shape[0] == 0:
-            return
-        # The queue keeps its own copy: the caller may reuse its array.
-        self._enqueue(records.copy())
+        if records.shape[0]:
+            # The queue keeps its own bytes: the caller may reuse its array.
+            self._enqueue(protocol.record_bytes(records))
 
     def set_targets(self, target_min: float, target_max: float) -> None:
         if self._closed:
@@ -293,32 +306,30 @@ class NetworkBackend(Backend):
     # ------------------------------------------------------------------ #
     # Queueing (called from the beat path; must never block on the network)
     # ------------------------------------------------------------------ #
-    def _enqueue(self, records: np.ndarray) -> None:
-        n = int(records.shape[0])
+    def _enqueue(self, chunk: bytes) -> None:
         with self._lock:
-            if n > self._max_pending:
-                # A batch larger than the whole queue keeps its newest tail.
-                self._dropped_records.inc(n - self._max_pending)
-                records = records[n - self._max_pending :]
-                n = self._max_pending
-            self._queue.append(records)
-            self._pending_records += n
-            self._trim_pending_locked()
-        self._wake.set()
+            was_idle = not self._queue
+            self._queue.append(chunk)
+            self._pending_records += len(chunk) // _RECORD_SIZE
+            if self._pending_records > self._max_pending:
+                self._trim_pending_locked()
+        if was_idle:
+            # Only the empty → non-empty edge wakes the sender; it drains
+            # whatever else was queued by the time it looks.
+            self._wake.set()
 
     def _trim_pending_locked(self) -> None:
         """Drop the oldest queued records down to the bound (lock held)."""
         while self._pending_records > self._max_pending:
             oldest = self._queue[0]
-            overflow = self._pending_records - self._max_pending
-            if oldest.shape[0] <= overflow:
+            count = len(oldest) // _RECORD_SIZE
+            overflow = min(count, self._pending_records - self._max_pending)
+            if overflow == count:
                 self._queue.popleft()
-                self._pending_records -= oldest.shape[0]
-                self._dropped_records.inc(oldest.shape[0])
-            else:
-                self._queue[0] = oldest[overflow:]
-                self._pending_records -= overflow
-                self._dropped_records.inc(overflow)
+            else:  # mid-chunk, on a record boundary; a view, so O(1) per trim
+                self._queue[0] = memoryview(oldest)[overflow * _RECORD_SIZE :]
+            self._pending_records -= overflow
+            self._dropped_records.inc(overflow)
 
     # ------------------------------------------------------------------ #
     # Sender thread
@@ -338,9 +349,12 @@ class NetworkBackend(Backend):
                 break
             if not has_work:
                 continue
-            now = time.monotonic()
+            if self._sock is not None and not protocol.link_alive(self._sock):
+                # The collector went away quietly (FIN, no RST): one send into
+                # such a link would still succeed and lose the frame.
+                self._shutdown_socket()
             if self._sock is None:
-                if now < next_attempt and not closing:
+                if time.monotonic() < next_attempt and not closing:
                     continue
                 if not self._connect():
                     backoff = min(backoff * 2.0, self._backoff_max)
@@ -349,8 +363,7 @@ class NetworkBackend(Backend):
                         break  # flush deadline work is pointless with no peer
                     continue
                 backoff = self._backoff_initial
-            if not self._drain_once():
-                continue  # connection lost mid-send; records were requeued
+            self._drain_once()  # a connection lost mid-send requeued its records
         self._shutdown_socket()
 
     def _connect(self) -> bool:
@@ -380,11 +393,11 @@ class NetworkBackend(Backend):
         self._connects.inc()
         return True
 
-    def _drain_once(self) -> bool:
-        """Ship queued targets/records; False when the connection dropped."""
+    def _drain_once(self) -> None:
+        """Ship queued targets and one coalesced BATCH frame; requeue on a lost link."""
         sock = self._sock
         if sock is None:  # pragma: no cover - only racing an abort
-            return False
+            return
         with self._lock:
             targets = self._mirror.capture()[2:] if self._targets_dirty else None
             self._targets_dirty = False
@@ -392,73 +405,60 @@ class NetworkBackend(Backend):
         try:
             if targets is not None:
                 sock.sendall(protocol.encode_targets(*targets))
-            if batch is not None:
-                header, payload = protocol.frame_buffers(
-                    protocol.FRAME_BATCH, protocol.batch_payload(batch)
-                )
-                sock.sendall(header)
-                sock.sendall(payload)
+            if batch:
+                sock.sendall(protocol.encode_frame(protocol.FRAME_BATCH, batch))
         except OSError:
             self._drop_connection(requeue=batch, targets_dirty=targets is not None)
-            return False
-        if batch is not None:
+            return
+        if batch:
             self._sent_batches.inc()
-            self._sent_records.inc(int(batch.shape[0]))
+            self._sent_records.inc(len(batch) // _RECORD_SIZE)
             if self._queue:
                 self._wake.set()  # more pending; come straight back
-        return True
 
-    def _pop_batch_locked(self) -> np.ndarray | None:
+    def _pop_batch_locked(self) -> bytes:
         """Coalesce up to ``max_batch_records`` queued records (lock held)."""
-        if not self._queue:
-            return None
-        parts: list[np.ndarray] = []
-        taken = 0
-        while self._queue and taken < self._max_batch_records:
-            chunk = self._queue[0]
-            room = self._max_batch_records - taken
-            if chunk.shape[0] <= room:
-                parts.append(self._queue.popleft())
-                taken += chunk.shape[0]
-            else:
-                parts.append(chunk[:room])
-                self._queue[0] = chunk[room:]
-                taken += room
-        self._pending_records -= taken
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+        parts: list[bytes | memoryview] = []
+        room = self._max_batch_records * _RECORD_SIZE
+        while self._queue and room:
+            chunk = self._queue.popleft()
+            if len(chunk) > room:
+                self._queue.appendleft(memoryview(chunk)[room:])
+                chunk = memoryview(chunk)[:room]
+            parts.append(chunk)
+            room -= len(chunk)
+        batch = b"".join(parts)
+        self._pending_records -= len(batch) // _RECORD_SIZE
+        return batch
 
-    def _drop_connection(self, *, requeue: np.ndarray | None, targets_dirty: bool) -> None:
+    def _drop_connection(self, *, requeue: bytes, targets_dirty: bool) -> None:
         self._shutdown_socket()
+        count = len(requeue) // _RECORD_SIZE
         with self._lock:
             if self._closed:
                 # close() already settled the books (queue cleared, pending
                 # counted as dropped); the in-flight batch joins the dropped
                 # tally instead of resurrecting pending on a closed backend.
-                if requeue is not None:
-                    self._dropped_records.inc(int(requeue.shape[0]))
+                self._dropped_records.inc(count)
                 return
             if targets_dirty:
                 self._targets_dirty = True
-            if requeue is not None:
+            if count:
                 # Unsent records return to the head of the queue so ordering
                 # holds; the bound still applies, trimming their oldest part.
                 self._queue.appendleft(requeue)
-                self._pending_records += int(requeue.shape[0])
+                self._pending_records += count
                 self._trim_pending_locked()
 
     def _shutdown_socket(self) -> None:
         with self._lock:
             sock, self._sock = self._sock, None
         if sock is not None:
-            if not self._closing:
-                sock.close()
-                return
-            try:
-                sock.sendall(protocol.encode_close(self._mirror.version()[0]))
-            except OSError:
-                pass
+            if self._closing:
+                try:
+                    sock.sendall(protocol.encode_close(self._mirror.version()[0]))
+                except OSError:
+                    pass
             sock.close()
 
     def _abort_socket(self) -> None:

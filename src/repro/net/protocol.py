@@ -65,6 +65,7 @@ True
 
 from __future__ import annotations
 
+import socket
 import struct
 import sys
 import zlib
@@ -100,6 +101,7 @@ __all__ = [
     "encode_hello",
     "decode_hello",
     "batch_payload",
+    "record_bytes",
     "decode_batch",
     "encode_targets",
     "decode_targets",
@@ -112,6 +114,7 @@ __all__ = [
     "strip_header",
     "scan_frames",
     "parse_address",
+    "link_alive",
 ]
 
 MAGIC = b"HBTP"
@@ -293,6 +296,16 @@ def batch_payload(records: np.ndarray) -> bytes | memoryview:
     if not wire.flags.c_contiguous:  # pragma: no cover - callers pass fresh arrays
         wire = np.ascontiguousarray(wire)
     return memoryview(wire).cast("B")
+
+
+def record_bytes(records: np.ndarray) -> bytes:
+    """An owned copy of ``records`` as BATCH payload bytes (any strides).
+
+    What a sender queues instead of the array; one record packed with
+    :data:`repro.core.record.RECORD_STRUCT` (always little-endian) is the
+    same 32 bytes.
+    """
+    return (records if _NATIVE_IS_WIRE else records.astype(WIRE_RECORD_DTYPE)).tobytes()
 
 
 def decode_batch(payload: bytes) -> np.ndarray:
@@ -683,8 +696,29 @@ class FrameDecoder:
 
 
 # ---------------------------------------------------------------------- #
-# Addresses
+# Links and addresses
 # ---------------------------------------------------------------------- #
+def link_alive(sock: socket.socket) -> bool:
+    """Probe an idle outbound link for a half-closed or dead peer.
+
+    Collectors never send on a link, so readable means EOF or error and
+    nothing-to-read means healthy.  Without the probe a peer that went away
+    quietly (FIN, no RST) is only noticed by the *second* send after it.
+    """
+    timeout = sock.gettimeout()
+    try:
+        sock.setblocking(False)
+        try:
+            data = sock.recv(4096)
+        finally:
+            sock.settimeout(timeout)
+    except (BlockingIOError, InterruptedError):
+        return True
+    except OSError:
+        return False
+    return data != b""
+
+
 def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
     """Normalise ``"host:port"`` (or a ``(host, port)`` pair) to a tuple.
 

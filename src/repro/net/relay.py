@@ -253,7 +253,7 @@ class RelayForwarder:
             ):
                 if self._probe_interval is not None:
                     next_probe = time.monotonic() + self._probe_interval
-                if not self._link_alive(sock):
+                if not protocol.link_alive(sock):
                     # The upstream went away quietly (FIN, no RST): without
                     # this probe an *idle* link would never error and never
                     # reconnect.
@@ -262,24 +262,6 @@ class RelayForwarder:
             self._sweep()
             if closing:
                 return
-
-    def _link_alive(self, sock: socket.socket) -> bool:
-        """Probe the upstream link for a half-closed/ dead peer.
-
-        Collectors never send on relay links, so a readable socket means
-        EOF (peer closed) or an error; nothing-to-read means healthy.
-        """
-        try:
-            sock.setblocking(False)
-            try:
-                data = sock.recv(4096)
-            finally:
-                sock.settimeout(self._send_timeout)
-        except (BlockingIOError, InterruptedError):
-            return True
-        except OSError:
-            return False
-        return data != b""
 
     def _connect(self) -> bool:
         try:
