@@ -18,7 +18,7 @@ A loop can bind any of the stream shapes the observation side knows:
 * any storage :class:`~repro.core.backends.base.Backend` via
   :func:`backend_monitor`, which wires the backend's ``snapshot_since``
   cursors so steady polling costs O(new beats);
-* one stream of a :class:`~repro.net.collector.HeartbeatCollector` via
+* one stream of a :class:`~repro.net.HeartbeatCollector` via
   :func:`collector_monitor`;
 * no source at all (``source=None``) when a fleet engine feeds observed
   rates into :meth:`ControlLoop.step` directly.
@@ -138,7 +138,7 @@ def collector_monitor(
     """A monitor over one registered stream of a network collector.
 
     Attaches the collector's per-stream ``source(stream_id)`` view (as
-    :class:`~repro.net.collector.HeartbeatCollector` provides) through the
+    :class:`~repro.net.HeartbeatCollector` provides) through the
     capability protocol.
     """
     return HeartbeatMonitor(

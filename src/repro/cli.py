@@ -8,8 +8,15 @@ library APIs accept::
     repro watch tcp://127.0.0.1:0 shm://svc file:///var/log/enc.hblog
     repro adapt --spec fleet.toml tcp://127.0.0.1:7717
 
+Every command that takes endpoints *is* a session: it opens a
+:class:`~repro.session.TelemetrySession`, lets ``collect`` / ``fleet`` /
+``adapt`` wire and own whatever the URLs name (closed newest-first when the
+command ends), and maps failures one way — a URL that cannot mean what was
+asked (:class:`~repro.endpoints.EndpointError`) exits 2, a URL that is fine
+in a world that is not (``OSError``, any other ``HeartbeatError``) exits 1.
+
 ``collect``
-    Run a :class:`repro.net.collector.HeartbeatCollector` and periodically
+    Run a :class:`repro.net.HeartbeatCollector` and periodically
     print a one-line fleet summary.  Defaults to ``tcp://127.0.0.1:0`` (an
     ephemeral port) and prints the actual endpoint on startup
     (machine-readable via ``--port-file``, written atomically), so scripted
@@ -45,36 +52,30 @@ exit cleanly on Ctrl-C.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from repro._version import __version__
 from repro.adapt.engine import AdaptationEngine, EngineTick
 from repro.adapt.spec import AdaptSpec, SpecError
-from repro.clock import WallClock
-from repro.core.aggregator import FleetSample, HeartbeatAggregator
+from repro.core.aggregator import FleetSample
 from repro.core.errors import HeartbeatError
-from repro.endpoints import (
-    Endpoint,
-    EndpointError,
-    FileEndpoint,
-    MemArenaEndpoint,
-    MemEndpoint,
-    ShmArenaEndpoint,
-    ShmEndpoint,
-    TcpEndpoint,
-    open_collector,
-)
-from repro.net.collector import HeartbeatCollector
+from repro.endpoints import SCHEMES, Endpoint, EndpointError, describe_schemes
+from repro.net import HeartbeatCollector
+from repro.session import TelemetrySession
 
 __all__ = ["main"]
 
+#: The endpoint schemes, rendered from the scheme table: in full for
+#: ``--help``, by name for one-line errors.
+_SCHEMES = describe_schemes()
+_SCHEME_NAMES = ", ".join(f"{scheme}://" for scheme in SCHEMES)
 _ENDPOINT_HELP = (
-    "telemetry endpoint URL: tcp://host:port (collector; port 0 for ephemeral), "
-    "shm://segment, shm-arena://name (whole columnar fleet slab), "
-    "file:///path/to/log.hblog (repeatable)"
+    f"telemetry endpoint URL (repeatable): {_SCHEMES}; tcp:// binds a "
+    "collector (port 0: ephemeral), shm-arena:// attaches a whole fleet slab"
 )
 
 
@@ -94,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default="tcp://127.0.0.1:0",
         metavar="ENDPOINT",
-        help="tcp:// endpoint to bind (default tcp://127.0.0.1:0 — an ephemeral port)",
+        help="endpoint to bind (default tcp://127.0.0.1:0 — an ephemeral port); "
+        f"of the schemes — {_SCHEMES} — collectors bind tcp://",
     )
     collect.add_argument(
         "--port-file",
@@ -282,63 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(line: str, *, stream=None) -> None:
+def _emit(line: str, *, stream: TextIO | None = None) -> None:
     print(line, file=stream if stream is not None else sys.stdout, flush=True)
-
-
-def _attach_endpoints(
-    aggregator: HeartbeatAggregator,
-    endpoints: Sequence[Endpoint],
-    *,
-    attach_collector: Callable[[HeartbeatCollector], list[str]],
-    collectors: list[HeartbeatCollector],
-) -> int:
-    """Wire every endpoint; returns 0 or the exit code of the first failure.
-
-    Bound collectors are appended to the caller-owned ``collectors`` list
-    *as they bind*, so the caller's ``finally`` closes every one of them even
-    when a later endpoint raises out of this function (e.g. an unbindable
-    second ``tcp://`` address).
-    """
-    for ep in endpoints:
-        if isinstance(ep, TcpEndpoint):
-            collector = open_collector(ep)
-            collectors.append(collector)
-            _emit(f"collector listening on {collector.endpoint}")
-            _emit(f"producers dial {collector.endpoint_url}")
-            attach_collector(collector)
-        elif isinstance(ep, (MemEndpoint, MemArenaEndpoint)):
-            _emit(
-                f"cannot observe {ep}: {ep.scheme}:// endpoints are process-local",
-                stream=sys.stderr,
-            )
-            return 2
-        elif isinstance(ep, ShmArenaEndpoint):
-            try:
-                aggregator.attach_endpoint(ep)
-            except HeartbeatError as exc:
-                _emit(
-                    f"cannot attach arena slab {ep.name!r}: {exc}",
-                    stream=sys.stderr,
-                )
-                return 1
-        elif isinstance(ep, ShmEndpoint):
-            try:
-                aggregator.attach_endpoint(ep)
-            except HeartbeatError as exc:
-                _emit(
-                    f"cannot attach shared-memory segment {ep.name!r}: {exc}",
-                    stream=sys.stderr,
-                )
-                return 1
-        else:
-            assert isinstance(ep, FileEndpoint)
-            try:
-                aggregator.attach_endpoint(ep)
-            except HeartbeatError as exc:
-                _emit(f"cannot attach heartbeat log {ep.path!r}: {exc}", stream=sys.stderr)
-                return 1
-    return 0
 
 
 def _fmt_age(age: float | None) -> str:
@@ -365,7 +312,7 @@ def _fleet_table(sample: FleetSample) -> str:
     return "\n".join(lines)
 
 
-def _run_loop(duration: float | None, interval: float, tick) -> bool:
+def _run_loop(duration: float | None, interval: float, tick: Callable[[], None]) -> bool:
     """Call ``tick()`` every ``interval`` seconds until duration/Ctrl-C.
 
     Returns ``True`` when the loop ended on Ctrl-C (so callers can label
@@ -431,25 +378,34 @@ def _stats_line(collector: HeartbeatCollector) -> str:
     return "stats: " + " ".join(parts)
 
 
+def _observable(urls: Iterable[str | Endpoint]) -> list[Endpoint]:
+    """Parse the endpoints a *separate* observer process was pointed at.
+
+    Process-local schemes (the scheme table says which) live inside their
+    producer; no URL can reach them from here, so they are refused up front
+    rather than attached as an empty stream.
+    """
+    endpoints = [Endpoint.parse(url) for url in urls]
+    for ep in endpoints:
+        if ep.process_local:
+            raise EndpointError(
+                f"cannot observe {ep}: {ep.scheme}:// endpoints are process-local"
+            )
+    return endpoints
+
+
+def _announce(collectors: Iterable[Any]) -> None:
+    """Say where each collector the session bound is listening."""
+    for collector in collectors:
+        _emit(f"collector listening on {collector.endpoint}")
+        _emit(f"producers dial {collector.endpoint_url}")
+
+
 def _cmd_collect(args: argparse.Namespace) -> int:
-    endpoint = Endpoint.parse(args.endpoint)
-    if not isinstance(endpoint, TcpEndpoint):
-        _emit(f"collect: collectors bind tcp:// endpoints, not {endpoint}", stream=sys.stderr)
-        return 2
     try:
-        collector = open_collector(endpoint, arena=args.arena)
-    except OSError as exc:
-        # The traceback would bury the one fact that matters (address in
-        # use / unresolvable host); say it in one line and exit non-zero.
-        _emit(f"collect: cannot bind {endpoint}: {exc}", stream=sys.stderr)
-        return 1
-    except HeartbeatError as exc:
-        _emit(f"collect: cannot open arena {args.arena!r}: {exc}", stream=sys.stderr)
-        return 1
-    try:
-        with collector:
-            _emit(f"collector listening on {collector.endpoint}")
-            _emit(f"producers dial {collector.endpoint_url}")
+        with TelemetrySession(liveness_timeout=args.liveness) as session:
+            collector = session.collect(args.endpoint, arena=args.arena)
+            _announce([collector])
             if collector.arena is not None:
                 arena = collector.arena
                 _emit(
@@ -462,10 +418,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                 _emit(f"forwarding upstream to {up_host}:{up_port}")
             if args.port_file:
                 _write_port_file(args.port_file, collector.port)
-            aggregator = HeartbeatAggregator(
-                clock=WallClock(rebase=False), liveness_timeout=args.liveness
-            )
-            aggregator.attach_collector(collector)
+            aggregator = session.fleet(collector)
 
             # The summary and the stats line tick on independent cadences;
             # one loop runs at the faster of the two and each tick emits
@@ -498,7 +451,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                 else min(args.interval, args.stats_interval)
             )
             _run_loop(args.duration, loop_interval, tick)
-            aggregator.close()
     finally:
         # Never leave a stale port file: scripts poll it for discovery.
         if args.port_file:
@@ -510,37 +462,27 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    endpoints = [Endpoint.parse(url) for url in args.endpoints]
+    endpoints = _observable(args.endpoints)
     if not endpoints:
-        _emit(
-            "watch: nothing to watch — pass endpoint URLs (tcp://, shm://, file://)",
-            stream=sys.stderr,
-        )
+        _emit(f"watch: nothing to watch — pass endpoint URLs ({_SCHEME_NAMES})", stream=sys.stderr)
         return 2
-    aggregator = HeartbeatAggregator(
-        clock=WallClock(rebase=False), window=args.window, liveness_timeout=args.liveness
-    )
-    collectors: list[HeartbeatCollector] = []
-    server = None
-    try:
-        rc = _attach_endpoints(
-            aggregator,
-            endpoints,
-            attach_collector=aggregator.attach_collector,
-            collectors=collectors,
-        )
-        if rc:
-            return rc
+    session = TelemetrySession(window=args.window, liveness_timeout=args.liveness)
+    with session, contextlib.ExitStack() as dashboard:
+        aggregator = session.fleet(*endpoints)
+        _announce(aggregator.collectors)
         if args.serve:
             # Deferred import: the dashboard pulls in the adaptation layer,
-            # which plain table watching does not need.
+            # which plain table watching does not need.  It serves the same
+            # aggregator the table polls, and closes before the session.
             from repro.obs.serve import TelemetryServer
 
-            server = TelemetryServer(
-                aggregator,
-                collectors=collectors,
-                port=args.port,
-                interval=args.interval,
+            server = dashboard.enter_context(
+                TelemetryServer(
+                    aggregator,
+                    collectors=aggregator.collectors,
+                    port=args.port,
+                    interval=args.interval,
+                )
             )
             _emit(f"dashboard at {server.url} (SSE /events, scrape /metrics)")
 
@@ -558,12 +500,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 f"p99 {summary.percentiles[99.0]:.2f}, "
                 f"{summary.lagging} lagging, {summary.stalled} stalled"
             )
-    finally:
-        if server is not None:
-            server.close()
-        aggregator.close()
-        for collector in collectors:
-            collector.close()
     return 0
 
 
@@ -607,26 +543,16 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     except (OSError, SpecError) as exc:
         _emit(f"cannot load adaptation spec {args.spec!r}: {exc}", stream=sys.stderr)
         return 2
-    endpoints = [*spec.attach, *(Endpoint.parse(url) for url in args.endpoints)]
-    if not endpoints:
+    if not _observable([*spec.attach, *args.endpoints]):
         _emit(
-            "adapt: nothing to adapt — pass endpoint URLs (tcp://, shm://, file://) "
+            f"adapt: nothing to adapt — pass endpoint URLs ({_SCHEME_NAMES}) "
             "or add [engine] attach to the spec",
             stream=sys.stderr,
         )
         return 2
-    engine = spec.build_engine(clock=WallClock(rebase=False))
-    aggregator = engine.aggregator
-    collectors: list[HeartbeatCollector] = []
-    try:
-        rc = _attach_endpoints(
-            aggregator,
-            endpoints,
-            attach_collector=engine.attach_collector,
-            collectors=collectors,
-        )
-        if rc:
-            return rc
+    with TelemetrySession() as session:
+        engine = session.adapt(spec, attach=args.endpoints)
+        _announce(engine.aggregator.collectors)
         _emit(
             f"adaptation engine: {len(spec.loops)} loop rule(s), advisory actuators "
             f"(decisions are logged, not applied)"
@@ -642,10 +568,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             _run_loop(args.duration, interval, tick)
         if engine.loops:
             _emit(_loop_table(engine))
-    finally:
-        engine.close(close_aggregator=True)
-        for collector in collectors:
-            collector.close()
     return 0
 
 
@@ -775,27 +697,19 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
+    "collect": _cmd_collect,
+    "watch": _cmd_watch,
+    "adapt": _cmd_adapt,
+    "scenario": _cmd_scenario,
+    "tune": _cmd_tune,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "collect":
-            return _cmd_collect(args)
-        if args.command == "watch":
-            return _cmd_watch(args)
-        if args.command == "adapt":
-            return _cmd_adapt(args)
-        if args.command == "scenario":
-            return _cmd_scenario(args)
-        if args.command == "tune":
-            return _cmd_tune(args)
-    except EndpointError as exc:
-        _emit(f"{args.command}: {exc}", stream=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        # Ctrl-C outside the steady-state loop (during bind, attach or
-        # teardown): exit with the conventional SIGINT status, no traceback.
-        _emit(f"{args.command}: interrupted", stream=sys.stderr)
-        return 130
+        return _COMMANDS[args.command](args)
     except BrokenPipeError:
         # Downstream pipe closed (e.g. `repro collect | head`): exit quietly
         # the way any well-behaved CLI does, with stdout pointed at devnull
@@ -803,7 +717,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    except EndpointError as exc:
+        # A URL that cannot mean what was asked of it: usage error.
+        _emit(f"{args.command}: {exc}", stream=sys.stderr)
+        return 2
+    except (OSError, HeartbeatError) as exc:
+        # The URL was fine, the world was not (address in use, no such log
+        # or segment): the traceback would bury the one fact that matters.
+        _emit(f"{args.command}: {exc}", stream=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        # Ctrl-C outside the steady-state loop (during bind, attach or
+        # teardown): exit with the conventional SIGINT status, no traceback.
+        _emit(f"{args.command}: interrupted", stream=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

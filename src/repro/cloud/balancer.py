@@ -104,7 +104,7 @@ class HeartbeatLoadBalancer:
         pass observes the whole fleet with one sharded poll instead of one
         monitor round-trip per VM.
     collector:
-        Remote-fleet mode: a :class:`repro.net.collector.HeartbeatCollector`
+        Remote-fleet mode: a :class:`repro.net.HeartbeatCollector`
         (or anything :class:`~repro.core.aggregator.CollectorLike`) whose
         registered streams — named ``vm-<id>`` by each VM's network backend —
         are polled *instead of* the VMs' in-process heartbeat objects.  This

@@ -67,7 +67,7 @@ __all__ = [
 class CollectorLike(Protocol):
     """What :meth:`HeartbeatAggregator.attach_collector` needs from a collector.
 
-    :class:`repro.net.collector.HeartbeatCollector` satisfies it; so would
+    :class:`repro.net.HeartbeatCollector` satisfies it; so would
     any other fan-in stage that registers named streams dynamically and
     hands each one out as a :class:`~repro.core.stream.StreamSource`.
     """
@@ -562,16 +562,10 @@ class HeartbeatAggregator:
         :meth:`TelemetrySession.fleet <repro.session.TelemetrySession.fleet>`)
         and use :meth:`attach_collector`.
         """
-        from repro.endpoints import (
-            Endpoint,
-            _ArenaEndpoint,
-            open_arena,
-            open_source,
-            stream_name_for,
-        )
+        from repro.endpoints import Endpoint, open_arena, open_source, stream_name_for
 
         ep = Endpoint.parse(endpoint)  # type: ignore[arg-type]
-        if isinstance(ep, _ArenaEndpoint) and ep.stream is None:
+        if ep.arena_kind and ep.stream is None:
             prefix = name if name is not None else ""
             self.attach_arena(open_arena(ep), prefix=prefix)
             return prefix
@@ -696,6 +690,12 @@ class HeartbeatAggregator:
         if arena is not None:
             self.attach_arena(arena, prefix=str(prefix))
         return self._sync_collectors()
+
+    @property
+    def collectors(self) -> tuple[CollectorLike, ...]:
+        """The collectors attached through :meth:`attach_collector`, in order."""
+        with self._lock:
+            return tuple(collector for _, collector in self._collectors)
 
     def _sync_collectors(self) -> list[str]:
         """Attach collector streams that appeared since the last sync."""

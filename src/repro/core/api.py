@@ -83,7 +83,7 @@ def HB_initialize(
 
     ``endpoint`` names where the stream publishes, as a telemetry endpoint
     URL (see :mod:`repro.endpoints`): ``tcp://host:port`` ships batched
-    heartbeats to a :class:`repro.net.collector.HeartbeatCollector`,
+    heartbeats to a :class:`repro.net.HeartbeatCollector`,
     registered as ``"global-<pid>"`` (or ``"local-<pid>-<tid>"``) unless the
     URL carries ``?stream=`` or a ``stream=`` keyword is passed;
     ``file://``/``shm://`` endpoints publish for same-host cross-process
@@ -98,11 +98,11 @@ def HB_initialize(
         from dataclasses import replace
 
         from repro.clock import WallClock
-        from repro.endpoints import Endpoint, MemEndpoint, TcpEndpoint
+        from repro.endpoints import Endpoint
 
         ep = Endpoint.parse(endpoint)  # type: ignore[arg-type]
         kwargs = dict(kwargs)
-        if isinstance(ep, TcpEndpoint):
+        if ep.wire:
             if "stream" in kwargs and ep.stream is not None:
                 raise ValueError(
                     "pass the stream name in the URL (?stream=) or as "
@@ -125,7 +125,7 @@ def HB_initialize(
         # validates its arguments before opening, so a rejected stream never
         # leaves an opened backend behind.
         kwargs["backend"] = ep
-        if not isinstance(ep, MemEndpoint):
+        if not ep.inline:
             kwargs.setdefault("clock", WallClock(rebase=False))
     if local:
         return _registry.initialize_local(window, **kwargs)

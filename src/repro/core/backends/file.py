@@ -326,7 +326,7 @@ class FileReader:
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = os.fspath(path)
         if not os.path.exists(self.path):
-            raise MonitorAttachError(f"heartbeat log {self.path!r} does not exist")
+            raise MonitorAttachError(f"cannot attach heartbeat log {self.path!r}: no such file")
 
     def snapshot(self) -> BackendSnapshot:
         default_window, tmin, tmax, records = read_heartbeat_log(self.path)

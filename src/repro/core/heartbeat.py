@@ -119,13 +119,13 @@ class Heartbeat:
             # Anything else non-Backend is trusted as a duck-typed sink.
             from dataclasses import replace
 
-            from repro.endpoints import Endpoint, MemEndpoint, open_backend
+            from repro.endpoints import Endpoint, open_backend
 
             if isinstance(backend, (str, Endpoint)):
                 ep = Endpoint.parse(backend)
-                if isinstance(ep, MemEndpoint) and ep.capacity is None:
-                    # A mem:// URL without ?capacity= sizes its history
-                    # exactly like the default backend would.
+                if ep.inline and ep.capacity is None:
+                    # An inline (mem://) URL without ?capacity= sizes its
+                    # history exactly like the default backend would.
                     ep = replace(ep, capacity=capacity)
                 # A default-named stream must not impose "heartbeat" as the
                 # wire stream id (every process would collide at the

@@ -19,8 +19,21 @@ URL                                         meaning
 The same string works everywhere: :class:`~repro.session.TelemetrySession`
 (``produce`` / ``observe`` / ``fleet``), the declarative
 :class:`~repro.adapt.AdaptSpec` (``[engine] attach = [...]``), every ``repro``
-CLI subcommand (positional endpoint arguments), ``Heartbeat(backend=url)``
-and ``HB_initialize(endpoint=url)``.
+CLI subcommand (positional endpoint arguments — the CLI *is* a session: each
+command opens a ``TelemetrySession`` and lets it wire and own what the URLs
+name), ``Heartbeat(backend=url)`` and ``HB_initialize(endpoint=url)``.
+
+**One scheme table.**  Everything the front door knows about a scheme is
+declared once, on its :class:`Endpoint` subclass.  The per-scheme facts are
+class attributes (``noun``, ``process_local``, ``arena_kind``, ``wire``,
+``inline`` — the scheme's *row*), and every query parameter is one dataclass
+field declared with ``_q(...)``: its wire type, whether it must be positive,
+which role may carry it (``producer`` / ``collector`` / ``both``) and the
+constructor keyword it feeds.  Parsing, ``url()``, validation, the
+producer-/collector-side role check, the ``open_*`` keyword arguments, the
+CLI ``--help`` text (:func:`describe_schemes`) and README's parameter
+reference (:func:`parameter_reference`) are generic passes over those
+declarations, so adding a parameter to a scheme is a one-line change.
 
 URLs parse into frozen, round-trippable :class:`Endpoint` dataclasses —
 ``Endpoint.parse(str(ep)) == ep`` always holds — and the three factories turn
@@ -47,9 +60,10 @@ streams as one vectorized pass.
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping, NamedTuple
 from urllib.parse import parse_qsl, quote, unquote, urlencode
 
 from repro.core.errors import HeartbeatError
@@ -58,7 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.backends.arena import Arena
     from repro.core.backends.base import Backend
     from repro.core.stream import StreamSink, StreamSource
-    from repro.net.collector import HeartbeatCollector
+    from repro.net import HeartbeatCollector
 
 __all__ = [
     "Endpoint",
@@ -76,6 +90,8 @@ __all__ = [
     "open_collector",
     "open_arena",
     "stream_name_for",
+    "describe_schemes",
+    "parameter_reference",
 ]
 
 
@@ -83,73 +99,70 @@ class EndpointError(HeartbeatError, ValueError):
     """A telemetry endpoint URL is malformed or unusable in this role."""
 
 
-#: The canonical URL schemes, one per storage/transport backend.
-SCHEMES = ("mem", "file", "shm", "mem-arena", "shm-arena", "tcp")
-
-
-def _parse_bool(key: str, raw: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise EndpointError(f"query parameter {key}={raw!r} is not a boolean")
+    raise ValueError(raw)
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise EndpointError(f"query parameter {key}={raw!r} is not an integer") from exc
+#: Wire type → (converter, how the error message names it).  ``str`` and
+#: ``host:port`` values are carried verbatim (the latter validated on
+#: construction by the wire protocol's address parser).
+_WIRE: Mapping[str, tuple[Callable[[str], Any], str]] = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_parse_bool, "a boolean"),
+}
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise EndpointError(f"query parameter {key}={raw!r} is not a number") from exc
+class _Param(NamedTuple):
+    """One query parameter of one scheme — the unit the generic passes read."""
+
+    name: str
+    kind: str  # "int" | "float" | "bool" | "str" | "host:port"
+    role: str  # "producer" | "collector" | "both"
+    positive: bool  # numbers must be > 0, strings non-empty
+    keywords: Mapping[str, str | None]  # role -> constructor keyword it feeds
+    default: Any
 
 
-def _positive(key: str, value: int) -> int:
-    if value <= 0:
-        raise EndpointError(f"{key} must be positive, got {value}")
-    return value
+def _q(
+    kind: str,
+    role: str = "both",
+    *,
+    feeds: "str | tuple[str, str] | None" = "",
+    positive: bool = False,
+    default: Any = None,
+) -> Any:
+    """Declare one query parameter (a dataclass field) — the single place it is written.
 
-
-def _split_url(url: str) -> tuple[str, str, str]:
-    """``(scheme, body, query)`` of a ``scheme://body?query`` URL.
-
-    Deliberately simpler than :func:`urllib.parse.urlsplit`: the body is an
-    opaque (percent-encoded) name, path or address — no userinfo, fragments
-    or parameter components — so round-tripping stays exact for any name a
-    backend accepts.
+    ``feeds`` is the constructor keyword the value is passed as when the
+    endpoint is opened: ``""`` (the default) means the field's own name, a
+    ``(producer, collector)`` pair names it per role, and ``None`` means the
+    opener consumes the value itself (no keyword).
     """
-    scheme, sep, rest = url.partition("://")
-    if not sep:
-        raise EndpointError(
-            f"not an endpoint URL: {url!r} (expected scheme://..., one of {SCHEMES})"
-        )
-    body, _, query = rest.partition("?")
-    return scheme.strip().lower(), body, query
+    return field(default=default, metadata={"q": (kind, role, positive, feeds)})
 
 
-def _query_dict(url: str, query: str, known: tuple[str, ...]) -> dict[str, str]:
-    params: dict[str, str] = {}
-    for key, value in parse_qsl(query, keep_blank_values=True):
-        if key not in known:
-            raise EndpointError(
-                f"unknown query parameter {key!r} in {url!r}; known: {sorted(known)}"
-            )
-        if key in params:
-            raise EndpointError(f"duplicate query parameter {key!r} in {url!r}")
-        params[key] = value
-    return params
-
-
-def _format_query(pairs: "list[tuple[str, object]]") -> str:
-    if not pairs:
-        return ""
-    return "?" + urlencode([(k, _format_value(v)) for k, v in pairs])
+@functools.cache
+def _params(cls: "type[Endpoint]") -> Mapping[str, _Param]:
+    """The declared query parameters of one endpoint class, in field order."""
+    table: dict[str, _Param] = {}
+    for f in fields(cls):
+        if "q" not in f.metadata:
+            continue
+        kind, role, positive, feeds = f.metadata["q"]
+        pair = feeds if isinstance(feeds, tuple) else (feeds, feeds)
+        producer, collector = (f.name if kw == "" else kw for kw in pair)
+        keywords = {
+            "producer": None if role == "collector" else producer,
+            "collector": None if role == "producer" else collector,
+        }
+        table[f.name] = _Param(f.name, kind, role, positive, keywords, f.default)
+    return table
 
 
 def _format_value(value: object) -> str:
@@ -168,29 +181,168 @@ class Endpoint:
     holds for every endpoint, so URLs can be carried through configs, specs
     and CLIs without drift.  Use :meth:`parse` (or the scheme classes
     directly) to construct one.
+
+    Each subclass is one row of the scheme table: the class attributes below
+    are the per-scheme facts every layer reads (instead of ``isinstance``
+    ladders), and its ``_q(...)`` fields are the scheme's query parameters.
     """
 
     scheme: ClassVar[str] = ""
+    #: What the thing the URL names is called (``--help``, the README).
+    noun: ClassVar[str] = ""
+    #: The dataclass field holding the URL body, the characters left
+    #: unescaped in it, and (when the body is mandatory) what it must name.
+    body_field: ClassVar[str] = "name"
+    body_safe: ClassVar[str] = ""
+    needs: ClassVar[str] = ""
+    #: Accepted alternative spellings of query parameters.
+    aliases: ClassVar[Mapping[str, str]] = {}
+    #: Reachable only from inside the producing process.
+    process_local: ClassVar[bool] = False
+    #: Fleet-shaped, as one columnar slab: the
+    #: :func:`~repro.core.backends.arena.arena_for` kind behind the scheme.
+    arena_kind: ClassVar[str] = ""
+    #: Fleet-shaped, over a socket: producers dial, observers bind a collector.
+    wire: ClassVar[bool] = False
+    #: The stream lives inside the ``Heartbeat`` object itself (what a bare
+    #: ``Heartbeat()`` has): sized by ``history=``, stamped by the
+    #: heartbeat's own clock rather than the host-wide time base.
+    inline: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        if self.needs and not getattr(self, self.body_field):
+            raise EndpointError(
+                f"{self.scheme} endpoint needs a {self.needs}, got {self.scheme}://"
+            )
+        for name, param in _params(type(self)).items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if param.kind == "host:port":
+                from repro.net.protocol import parse_address
+
+                try:
+                    parse_address(value)
+                except ValueError as exc:
+                    raise EndpointError(
+                        f"{name} must be host:port, got {value!r}: {exc}"
+                    ) from exc
+            elif param.positive and param.kind == "str":
+                if not value:
+                    raise EndpointError(f"{name}= needs a non-empty value")
+            elif param.positive and value <= 0:
+                raise EndpointError(f"{name} must be positive, got {value}")
 
     @staticmethod
     def parse(url: "str | Endpoint") -> "Endpoint":
-        """Parse an endpoint URL (idempotent on already-parsed endpoints)."""
+        """Parse an endpoint URL (idempotent on already-parsed endpoints).
+
+        Deliberately simpler than :func:`urllib.parse.urlsplit`: the body is
+        an opaque (percent-encoded) name, path or address — no userinfo,
+        fragments or parameter components — so round-tripping stays exact
+        for any name a backend accepts.
+        """
         if isinstance(url, Endpoint):
             return url
-        scheme, body, query = _split_url(str(url))
-        parser = _PARSERS.get(scheme)
-        if parser is None:
+        text = str(url)
+        scheme, sep, rest = text.partition("://")
+        if not sep:
+            raise EndpointError(
+                f"not an endpoint URL: {url!r} (expected scheme://..., one of {SCHEMES})"
+            )
+        scheme = scheme.strip().lower()
+        cls = _SCHEMES.get(scheme)
+        if cls is None:
             raise EndpointError(
                 f"unknown endpoint scheme {scheme!r} in {url!r}; known: {SCHEMES}"
             )
-        return parser(str(url), body, query)
+        body, _, query = rest.partition("?")
+        params, aliases = _params(cls), cls.aliases
+        values = cls._parse_body(text, body)
+        pairs = parse_qsl(query, keep_blank_values=True)
+        for key, raw in pairs:
+            name = aliases.get(key, key)
+            param = params.get(name)
+            if param is None:
+                known = sorted({*params, *aliases})
+                raise EndpointError(
+                    f"unknown query parameter {key!r} in {url!r}; known: {known}"
+                )
+            if name in values:
+                spellings = {k for k, _ in pairs if aliases.get(k, k) == name}
+                if len(spellings) == 1:
+                    raise EndpointError(f"duplicate query parameter {key!r} in {url!r}")
+                (alias,) = spellings - {name}
+                raise EndpointError(f"pass {name}= or {alias}=, not both, in {url!r}")
+            if param.kind in _WIRE:
+                convert, what = _WIRE[param.kind]
+                try:
+                    values[name] = convert(raw)
+                except ValueError as exc:
+                    raise EndpointError(f"query parameter {key}={raw!r} is not {what}") from exc
+            else:
+                values[name] = raw
+        return cls(**values)
+
+    @classmethod
+    def _parse_body(cls, url: str, body: str) -> dict[str, Any]:
+        return {cls.body_field: unquote(body)}
+
+    def _body(self) -> str:
+        return quote(getattr(self, self.body_field), safe=self.body_safe)
+
+    def _given(self) -> dict[str, Any]:
+        """The query parameters that differ from their declared default."""
+        given = {}
+        for name, param in _params(type(self)).items():
+            value = getattr(self, name)
+            if value != param.default:
+                given[name] = value
+        return given
 
     def url(self) -> str:
         """The canonical URL string (``Endpoint.parse`` round-trips it)."""
-        raise NotImplementedError
+        pairs = [(name, _format_value(value)) for name, value in self._given().items()]
+        query = "?" + urlencode(pairs) if pairs else ""
+        return f"{self.scheme}://{self._body()}{query}"
 
     def __str__(self) -> str:
         return self.url()
+
+    def _kwargs(self, role: str) -> dict[str, Any]:
+        """Constructor keywords for opening this endpoint as ``role``.
+
+        Rejects parameters that belong to the other side: silently dropping
+        them would read as "configured".
+        """
+        params = _params(type(self))
+        kwargs: dict[str, Any] = {}
+        misplaced = []
+        for name, value in self._given().items():
+            param = params[name]
+            if param.role not in (role, "both"):
+                misplaced.append(name)
+            elif param.keywords[role] is not None:
+                kwargs[param.keywords[role]] = value
+        if misplaced:
+            other, doing = {
+                "producer": ("collector", f"producing to {self}; bind the collector with open_collector()"),
+                "collector": ("producer", f"binding a collector at {self}"),
+            }[role]
+            raise EndpointError(
+                f"{', '.join(misplaced)} are {other}-side parameters and have "
+                f"no meaning when {doing}"
+            )
+        return kwargs
+
+    def _backend(self, kwargs: dict[str, Any], stream: str | None) -> "Backend":
+        raise NotImplementedError
+
+    def _source(self) -> "StreamSource":
+        raise NotImplementedError
+
+    def _stream_name(self) -> str:
+        raise NotImplementedError
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,28 +355,26 @@ class MemEndpoint(Endpoint):
     """
 
     scheme: ClassVar[str] = "mem"
+    noun: ClassVar[str] = "in-process stream"
+    process_local: ClassVar[bool] = True
+    inline: ClassVar[bool] = True
 
     name: str = ""
-    capacity: int | None = None
+    capacity: int | None = _q("int", "producer", positive=True)
 
-    def __post_init__(self) -> None:
-        if self.capacity is not None:
-            _positive("capacity", self.capacity)
+    def _backend(self, kwargs: dict[str, Any], stream: str | None) -> "Backend":
+        from repro.core.backends.memory import MemoryBackend
 
-    @classmethod
-    def _parse(cls, url: str, body: str, query: str) -> "MemEndpoint":
-        params = _query_dict(url, query, ("capacity",))
-        capacity = params.get("capacity")
-        return cls(
-            name=unquote(body),
-            capacity=None if capacity is None else _parse_int("capacity", capacity),
+        return MemoryBackend(**{"capacity": 2048, **kwargs})
+
+    def _source(self) -> "StreamSource":
+        raise EndpointError(
+            f"{self} is process-local: observe it through the TelemetrySession "
+            "that produced it (session.observe)"
         )
 
-    def url(self) -> str:
-        pairs: list[tuple[str, object]] = []
-        if self.capacity is not None:
-            pairs.append(("capacity", self.capacity))
-        return f"mem://{quote(self.name, safe='')}{_format_query(pairs)}"
+    def _stream_name(self) -> str:
+        return self.name or "heartbeat"
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,47 +389,28 @@ class FileEndpoint(Endpoint):
     """
 
     scheme: ClassVar[str] = "file"
+    noun: ClassVar[str] = "heartbeat log"
+    body_field: ClassVar[str] = "path"
+    body_safe: ClassVar[str] = "/"
+    needs: ClassVar[str] = "path"
 
     path: str
-    capacity: int | None = None
-    buffered: bool = True
-    flush_interval: float | None = None
+    capacity: int | None = _q("int", "producer", positive=True)
+    buffered: bool = _q("bool", "producer", default=True)
+    flush_interval: float | None = _q("float", "producer", positive=True)
 
-    def __post_init__(self) -> None:
-        if not self.path:
-            raise EndpointError("file endpoint needs a path, got file://")
-        if self.capacity is not None:
-            _positive("capacity", self.capacity)
-        if self.flush_interval is not None and self.flush_interval <= 0:
-            raise EndpointError(
-                f"flush_interval must be positive, got {self.flush_interval}"
-            )
+    def _backend(self, kwargs: dict[str, Any], stream: str | None) -> "Backend":
+        from repro.core.backends.file import FileBackend
 
-    @classmethod
-    def _parse(cls, url: str, body: str, query: str) -> "FileEndpoint":
-        params = _query_dict(url, query, ("capacity", "buffered", "flush_interval"))
-        capacity = params.get("capacity")
-        flush = params.get("flush_interval")
-        return cls(
-            path=unquote(body),
-            capacity=None if capacity is None else _parse_int("capacity", capacity),
-            buffered=(
-                True
-                if "buffered" not in params
-                else _parse_bool("buffered", params["buffered"])
-            ),
-            flush_interval=None if flush is None else _parse_float("flush_interval", flush),
-        )
+        return FileBackend(self.path, **kwargs)
 
-    def url(self) -> str:
-        pairs: list[tuple[str, object]] = []
-        if self.capacity is not None:
-            pairs.append(("capacity", self.capacity))
-        if not self.buffered:
-            pairs.append(("buffered", False))
-        if self.flush_interval is not None:
-            pairs.append(("flush_interval", self.flush_interval))
-        return f"file://{quote(self.path, safe='/')}{_format_query(pairs)}"
+    def _source(self) -> "StreamSource":
+        from repro.core.backends.file import FileReader
+
+        return FileReader(self.path)
+
+    def _stream_name(self) -> str:
+        return f"file:{os.path.basename(self.path)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,30 +429,26 @@ class ShmEndpoint(Endpoint):
     """
 
     scheme: ClassVar[str] = "shm"
+    noun: ClassVar[str] = "shared-memory segment"
+    aliases: ClassVar[Mapping[str, str]] = {"capacity": "depth"}
 
     name: str = ""
-    depth: int | None = None
+    depth: int | None = _q("int", "producer", feeds="capacity", positive=True)
 
-    def __post_init__(self) -> None:
-        if self.depth is not None:
-            _positive("depth", self.depth)
+    def _backend(self, kwargs: dict[str, Any], stream: str | None) -> "Backend":
+        from repro.core.backends.shared_memory import SharedMemoryBackend
 
-    @classmethod
-    def _parse(cls, url: str, body: str, query: str) -> "ShmEndpoint":
-        params = _query_dict(url, query, ("depth", "capacity"))
-        if "depth" in params and "capacity" in params:
-            raise EndpointError(f"pass depth= or capacity=, not both, in {url!r}")
-        depth = params.get("depth", params.get("capacity"))
-        return cls(
-            name=unquote(body),
-            depth=None if depth is None else _parse_int("depth", depth),
-        )
+        return SharedMemoryBackend(name=self.name or None, **kwargs)
 
-    def url(self) -> str:
-        pairs: list[tuple[str, object]] = []
-        if self.depth is not None:
-            pairs.append(("depth", self.depth))
-        return f"shm://{quote(self.name, safe='')}{_format_query(pairs)}"
+    def _source(self) -> "StreamSource":
+        from repro.core.backends.shared_memory import SharedMemoryReader
+
+        if not self.name:
+            raise EndpointError("observing shm:// needs a segment name")
+        return SharedMemoryReader(self.name)
+
+    def _stream_name(self) -> str:
+        return f"shm:{self.name}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,38 +461,34 @@ class _ArenaEndpoint(Endpoint):
     allocates (defaulting to the producing heartbeat's name).
     """
 
+    noun: ClassVar[str] = "arena slab"
+
     name: str = ""
-    streams: int | None = None
-    depth: int | None = None
-    stream: str | None = None
+    streams: int | None = _q("int", feeds=None, positive=True)
+    depth: int | None = _q("int", feeds=None, positive=True)
+    stream: str | None = _q("str", feeds=None)
 
-    def __post_init__(self) -> None:
-        if self.streams is not None:
-            _positive("streams", self.streams)
-        if self.depth is not None:
-            _positive("depth", self.depth)
+    def _backend(self, kwargs: dict[str, Any], stream: str | None) -> "Backend":
+        # One row of the (process-shared) arena slab; the row name defaults
+        # to the producing heartbeat's name so fleet observers see it.
+        row_name = self.stream if self.stream is not None else stream
+        return open_arena(self).allocate(row_name if row_name is not None else "")
 
-    @classmethod
-    def _parse(cls, url: str, body: str, query: str) -> "_ArenaEndpoint":
-        params = _query_dict(url, query, ("streams", "depth", "stream"))
-        streams = params.get("streams")
-        depth = params.get("depth")
-        return cls(
-            name=unquote(body),
-            streams=None if streams is None else _parse_int("streams", streams),
-            depth=None if depth is None else _parse_int("depth", depth),
-            stream=params.get("stream"),
-        )
+    def _source(self) -> "StreamSource":
+        if self.stream is None:
+            raise EndpointError(
+                f"{self} is fleet-shaped: observe the whole slab through "
+                "TelemetrySession.fleet() / HeartbeatAggregator.attach_arena() "
+                "(or name one row with ?stream=)"
+            )
+        arena = open_arena(self)
+        for index, row_name in enumerate(arena.row_names()):
+            if row_name == self.stream:
+                return arena.row(index)
+        raise EndpointError(f"arena {self.name!r} has no row named {self.stream!r}")
 
-    def url(self) -> str:
-        pairs: list[tuple[str, object]] = []
-        if self.streams is not None:
-            pairs.append(("streams", self.streams))
-        if self.depth is not None:
-            pairs.append(("depth", self.depth))
-        if self.stream is not None:
-            pairs.append(("stream", self.stream))
-        return f"{self.scheme}://{quote(self.name, safe='')}{_format_query(pairs)}"
+    def _stream_name(self) -> str:
+        return self.stream if self.stream is not None else f"arena:{self.name}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -381,6 +504,8 @@ class MemArenaEndpoint(_ArenaEndpoint):
     """
 
     scheme: ClassVar[str] = "mem-arena"
+    arena_kind: ClassVar[str] = "mem"
+    process_local: ClassVar[bool] = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -397,13 +522,8 @@ class ShmArenaEndpoint(_ArenaEndpoint):
     """
 
     scheme: ClassVar[str] = "shm-arena"
-
-    def __post_init__(self) -> None:
-        # Explicit base call: dataclass(slots=True) recreates the class, so
-        # the zero-argument super() closure would point at the pre-slots one.
-        _ArenaEndpoint.__post_init__(self)
-        if not self.name:
-            raise EndpointError("shm-arena endpoint needs a segment name, got shm-arena://")
+    arena_kind: ClassVar[str] = "shm"
+    needs: ClassVar[str] = "segment name"
 
 
 @dataclass(frozen=True, slots=True)
@@ -415,7 +535,7 @@ class TcpEndpoint(Endpoint):
     the local mirror buffer, ``via=HOST:PORT`` dials the named intermediary
     — typically a :class:`~repro.scenario.ChaosProxy` — instead of the
     collector itself).  On the observer side it is the address a
-    :class:`~repro.net.collector.HeartbeatCollector` binds; port ``0`` asks
+    :class:`~repro.net.HeartbeatCollector` binds; port ``0`` asks
     the OS for an ephemeral port, ``upstream=HOST:PORT`` binds an *edge*
     collector that forwards every stream to the named parent collector
     (federation — see :mod:`repro.net.relay`), and ``journal=DIR`` enables
@@ -439,45 +559,36 @@ class TcpEndpoint(Endpoint):
     """
 
     scheme: ClassVar[str] = "tcp"
+    noun: ClassVar[str] = "collector"
+    body_field: ClassVar[str] = "host"
+    needs: ClassVar[str] = "host"
+    wire: ClassVar[bool] = True
 
     host: str
     port: int
-    stream: str | None = None
-    capacity: int | None = None
-    flush_interval: float | None = None
-    upstream: str | None = None
-    via: str | None = None
-    backoff_initial: float | None = None
-    backoff_max: float | None = None
-    journal: str | None = None
-    relay_interval: float | None = None
-    probe_interval: float | None = None
+    stream: str | None = _q("str", "producer")
+    capacity: int | None = _q("int", "producer", positive=True)
+    flush_interval: float | None = _q("float", "producer", positive=True)
+    upstream: str | None = _q("host:port", "collector")
+    via: str | None = _q("host:port", "producer", feeds=None)
+    backoff_initial: float | None = _q(
+        "float", feeds=("backoff_initial", "relay_backoff_initial"), positive=True
+    )
+    backoff_max: float | None = _q(
+        "float", feeds=("backoff_max", "relay_backoff_max"), positive=True
+    )
+    journal: str | None = _q("str", "collector", positive=True)
+    relay_interval: float | None = _q("float", "collector", positive=True)
+    probe_interval: float | None = _q(
+        "float", "collector", feeds="relay_probe_interval", positive=True
+    )
 
     def __post_init__(self) -> None:
-        if not self.host:
-            raise EndpointError("tcp endpoint needs a host, got tcp://")
+        # Explicit base call: dataclass(slots=True) recreates the class, so
+        # the zero-argument super() closure would point at the pre-slots one.
+        Endpoint.__post_init__(self)
         if not 0 <= self.port <= 65535:
             raise EndpointError(f"tcp port must be in [0, 65535], got {self.port}")
-        if self.capacity is not None:
-            _positive("capacity", self.capacity)
-        for key in ("flush_interval", "backoff_initial", "backoff_max",
-                    "relay_interval", "probe_interval"):
-            value = getattr(self, key)
-            if value is not None and value <= 0:
-                raise EndpointError(f"{key} must be positive, got {value}")
-        for key in ("upstream", "via"):
-            address = getattr(self, key)
-            if address is not None:
-                from repro.net.protocol import parse_address
-
-                try:
-                    parse_address(address)
-                except ValueError as exc:
-                    raise EndpointError(
-                        f"{key} must be host:port, got {address!r}: {exc}"
-                    ) from exc
-        if self.journal is not None and not self.journal:
-            raise EndpointError("journal= needs a directory path")
         if self.upstream is None:
             for key in ("relay_interval", "probe_interval"):
                 if getattr(self, key) is not None:
@@ -486,44 +597,22 @@ class TcpEndpoint(Endpoint):
                     )
 
     @classmethod
-    def _parse(cls, url: str, body: str, query: str) -> "TcpEndpoint":
+    def _parse_body(cls, url: str, body: str) -> dict[str, Any]:
         # host:port syntax (incl. IPv6 bracketing) has exactly one owner:
         # the wire protocol's address parser.
         from repro.net.protocol import parse_address
 
-        params = _query_dict(
-            url,
-            query,
-            ("stream", "capacity", "flush_interval", "upstream", "via",
-             "backoff_initial", "backoff_max", "journal",
-             "relay_interval", "probe_interval"),
-        )
         try:
             host, port = parse_address(unquote(body))
         except ValueError as exc:
             raise EndpointError(
                 f"tcp endpoint must be tcp://host:port, got {url!r}: {exc}"
             ) from exc
+        return {"host": host, "port": port}
 
-        def opt_float(key: str) -> float | None:
-            raw = params.get(key)
-            return None if raw is None else _parse_float(key, raw)
-
-        capacity = params.get("capacity")
-        return cls(
-            host=host,
-            port=port,
-            stream=params.get("stream"),
-            capacity=None if capacity is None else _parse_int("capacity", capacity),
-            flush_interval=opt_float("flush_interval"),
-            upstream=params.get("upstream"),
-            via=params.get("via"),
-            backoff_initial=opt_float("backoff_initial"),
-            backoff_max=opt_float("backoff_max"),
-            journal=params.get("journal"),
-            relay_interval=opt_float("relay_interval"),
-            probe_interval=opt_float("probe_interval"),
-        )
+    def _body(self) -> str:
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        return f"{quote(host, safe='[]:')}:{self.port}"
 
     @property
     def address(self) -> tuple[str, int]:
@@ -543,26 +632,73 @@ class TcpEndpoint(Endpoint):
 
         return parse_address(self.via)
 
-    def url(self) -> str:
-        host = f"[{self.host}]" if ":" in self.host else self.host
-        pairs: list[tuple[str, object]] = []
-        for key in ("stream", "capacity", "flush_interval", "upstream", "via",
-                    "backoff_initial", "backoff_max", "journal",
-                    "relay_interval", "probe_interval"):
-            value = getattr(self, key)
-            if value is not None:
-                pairs.append((key, value))
-        return f"tcp://{quote(host, safe='[]:')}:{self.port}{_format_query(pairs)}"
+    def _backend(self, kwargs: dict[str, Any], stream: str | None) -> "Backend":
+        from repro.net.exporter import NetworkBackend
+
+        if stream is not None:
+            kwargs.setdefault("stream", stream)
+        # via= routes the dial through an intermediary (chaos proxy, port
+        # forward) without renaming the collector the endpoint refers to.
+        return NetworkBackend(self.dial_address, **kwargs)
+
+    def _source(self) -> "StreamSource":
+        raise EndpointError(
+            f"{self} is fleet-shaped: bind a collector with open_collector() or "
+            "observe it through TelemetrySession.fleet()"
+        )
+
+    def _stream_name(self) -> str:
+        return self.stream if self.stream is not None else f"tcp:{self.host}:{self.port}"
 
 
-_PARSERS: Mapping[str, Callable[[str, str, str], Endpoint]] = {
-    "mem": MemEndpoint._parse,
-    "file": FileEndpoint._parse,
-    "shm": ShmEndpoint._parse,
-    "mem-arena": MemArenaEndpoint._parse,
-    "shm-arena": ShmArenaEndpoint._parse,
-    "tcp": TcpEndpoint._parse,
+#: The scheme table: one :class:`Endpoint` subclass (one row) per scheme.
+_SCHEMES: Mapping[str, type[Endpoint]] = {
+    cls.scheme: cls
+    for cls in (
+        MemEndpoint, FileEndpoint, ShmEndpoint, MemArenaEndpoint, ShmArenaEndpoint, TcpEndpoint
+    )
 }
+
+#: The canonical URL schemes, one per storage/transport backend.
+SCHEMES = tuple(_SCHEMES)
+
+
+def _usage(cls: type[Endpoint]) -> str:
+    """``scheme://BODY`` with an optional body bracketed, e.g. ``shm://[NAME]``."""
+    body = cls.body_field.upper() + (":PORT" if cls.wire else "")
+    return f"{cls.scheme}://{body if cls.needs else f'[{body}]'}"
+
+
+def describe_schemes() -> str:
+    """The schemes as one ``--help`` line, rendered from the scheme table.
+
+    >>> describe_schemes().split(", ")[:2]
+    ['mem://[NAME] (in-process stream; process-local)', 'file://PATH (heartbeat log)']
+    """
+    return ", ".join(
+        f"{_usage(cls)} ({cls.noun}{'; process-local' if cls.process_local else ''})"
+        for cls in _SCHEMES.values()
+    )
+
+
+def parameter_reference() -> str:
+    """Every scheme's query parameters as a Markdown table (README embeds it).
+
+    One row per declared parameter: name, wire type (``> 0`` when it must be
+    positive), the role that may carry it, and the default written into the
+    URL's absence (``—``: unset, the backend's own default applies).
+    """
+    lines = ["| endpoint | parameter | type | role | default |", "|---|---|---|---|---|"]
+    for cls in _SCHEMES.values():
+        for param in _params(cls).values():
+            kind = param.kind + (" > 0" if param.positive and param.kind != "str" else "")
+            names = [param.name, *(a for a, target in cls.aliases.items() if target == param.name)]
+            default = "—" if param.default is None else f"`{_format_value(param.default)}`"
+            lines.append(
+                f"| `{_usage(cls)}` | {' / '.join(f'`{n}`' for n in names)} | {kind} "
+                f"| {param.role} | {default} |"
+            )
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------- #
@@ -598,68 +734,7 @@ def open_backend(endpoint: "str | Endpoint", *, stream: str | None = None) -> "B
     >>> backend.close()
     """
     ep = Endpoint.parse(endpoint)
-    if isinstance(ep, MemEndpoint):
-        from repro.core.backends.memory import MemoryBackend
-
-        return MemoryBackend(ep.capacity if ep.capacity is not None else 2048)
-    if isinstance(ep, FileEndpoint):
-        from repro.core.backends.file import FileBackend
-
-        kwargs: dict[str, Any] = {"buffered": ep.buffered}
-        if ep.flush_interval is not None:
-            kwargs["flush_interval"] = ep.flush_interval
-        return FileBackend(
-            ep.path,
-            ep.capacity if ep.capacity is not None else 65536,
-            **kwargs,
-        )
-    if isinstance(ep, ShmEndpoint):
-        from repro.core.backends.shared_memory import SharedMemoryBackend
-
-        return SharedMemoryBackend(
-            name=ep.name or None,
-            capacity=ep.depth if ep.depth is not None else 2048,
-        )
-    if isinstance(ep, _ArenaEndpoint):
-        # One row of the (process-shared) arena slab; the row name defaults
-        # to the producing heartbeat's name so fleet observers see it.
-        row_name = ep.stream if ep.stream is not None else stream
-        return open_arena(ep).allocate(row_name if row_name is not None else "")
-    if isinstance(ep, TcpEndpoint):
-        from repro.net.exporter import NetworkBackend
-
-        collector_only = [
-            key
-            for key, value in (
-                ("upstream", ep.upstream),
-                ("journal", ep.journal),
-                ("relay_interval", ep.relay_interval),
-                ("probe_interval", ep.probe_interval),
-            )
-            if value is not None
-        ]
-        if collector_only:
-            raise EndpointError(
-                f"{', '.join(collector_only)} are collector-side parameters "
-                f"and have no meaning when producing to {ep}; bind the "
-                f"collector with open_collector()"
-            )
-        net_kwargs: dict[str, Any] = {}
-        if ep.capacity is not None:
-            net_kwargs["capacity"] = ep.capacity
-        if ep.flush_interval is not None:
-            net_kwargs["flush_interval"] = ep.flush_interval
-        if ep.backoff_initial is not None:
-            net_kwargs["backoff_initial"] = ep.backoff_initial
-        if ep.backoff_max is not None:
-            net_kwargs["backoff_max"] = ep.backoff_max
-        name = ep.stream if ep.stream is not None else stream
-        if name is not None:
-            net_kwargs["stream"] = name
-        # via= routes the dial through an intermediary (chaos proxy, port
-        # forward) without renaming the collector the endpoint refers to.
-        return NetworkBackend(ep.dial_address, **net_kwargs)
-    raise EndpointError(f"cannot open {ep!r} as a backend")  # pragma: no cover
+    return ep._backend(ep._kwargs("producer"), stream)
 
 
 def open_sink(endpoint: "str | Endpoint", *, stream: str | None = None) -> "StreamSink":
@@ -700,40 +775,7 @@ def open_source(endpoint: "str | Endpoint") -> "StreamSource":
     repro.endpoints.EndpointError: mem://svc is process-local: observe it \
 through the TelemetrySession that produced it (session.observe)
     """
-    ep = Endpoint.parse(endpoint)
-    if isinstance(ep, FileEndpoint):
-        from repro.core.backends.file import FileReader
-
-        return FileReader(ep.path)
-    if isinstance(ep, ShmEndpoint):
-        from repro.core.backends.shared_memory import SharedMemoryReader
-
-        if not ep.name:
-            raise EndpointError("observing shm:// needs a segment name")
-        return SharedMemoryReader(ep.name)
-    if isinstance(ep, MemEndpoint):
-        raise EndpointError(
-            f"{ep} is process-local: observe it through the TelemetrySession "
-            "that produced it (session.observe)"
-        )
-    if isinstance(ep, _ArenaEndpoint):
-        if ep.stream is not None:
-            arena = open_arena(ep)
-            for index, row_name in enumerate(arena.row_names()):
-                if row_name == ep.stream:
-                    return arena.row(index)
-            raise EndpointError(f"arena {ep.name!r} has no row named {ep.stream!r}")
-        raise EndpointError(
-            f"{ep} is fleet-shaped: observe the whole slab through "
-            "TelemetrySession.fleet() / HeartbeatAggregator.attach_arena() "
-            "(or name one row with ?stream=)"
-        )
-    if isinstance(ep, TcpEndpoint):
-        raise EndpointError(
-            f"{ep} is fleet-shaped: bind a collector with open_collector() or "
-            "observe it through TelemetrySession.fleet()"
-        )
-    raise EndpointError(f"cannot open {ep!r} as a source")  # pragma: no cover
+    return Endpoint.parse(endpoint)._source()
 
 
 def open_collector(
@@ -741,7 +783,7 @@ def open_collector(
     *,
     arena: "str | Arena | None" = None,
 ) -> "HeartbeatCollector":
-    """Bind a :class:`~repro.net.collector.HeartbeatCollector` at a ``tcp://`` endpoint.
+    """Bind a :class:`~repro.net.HeartbeatCollector` at a ``tcp://`` endpoint.
 
     Port ``0`` resolves to an ephemeral port; the collector's ``endpoint_url``
     property reports the actually-bound ``tcp://host:port``.  An
@@ -764,8 +806,9 @@ def open_collector(
     Raises
     ------
     EndpointError
-        When the endpoint is not ``tcp://`` or carries producer-side
-        parameters (``stream``, ``capacity``, ``flush_interval``, ``via``).
+        When the endpoint is not ``tcp://``, carries producer-side
+        parameters (``stream``, ``capacity``, ``flush_interval``, ``via``),
+        or ``arena`` is a URL of a non-arena scheme.
     OSError
         When the address cannot be bound (already in use, unresolvable).
 
@@ -776,44 +819,16 @@ def open_collector(
     ep = Endpoint.parse(endpoint)
     if not isinstance(ep, TcpEndpoint):
         raise EndpointError(f"collectors bind tcp:// endpoints, not {ep}")
-    producer_only = [
-        key
-        for key, value in (
-            ("stream", ep.stream),
-            ("capacity", ep.capacity),
-            ("flush_interval", ep.flush_interval),
-            ("via", ep.via),
-        )
-        if value is not None
-    ]
-    if producer_only:
-        # Silently dropping them would read as "configured"; stay loud like
-        # every other unusable-input path in this module.
-        raise EndpointError(
-            f"{', '.join(producer_only)} are producer-side parameters and "
-            f"have no meaning when binding a collector at {ep}"
-        )
+    kwargs = ep._kwargs("collector")
     if ep.upstream is None and (ep.backoff_initial is not None or ep.backoff_max is not None):
         raise EndpointError(
             f"backoff_initial/backoff_max tune the relay link and need "
             f"upstream= when binding a collector at {ep}"
         )
-    from repro.net.collector import HeartbeatCollector
+    from repro.net import HeartbeatCollector
 
-    collector_kwargs: dict[str, Any] = {}
-    if ep.journal is not None:
-        collector_kwargs["journal"] = ep.journal
-    if ep.relay_interval is not None:
-        collector_kwargs["relay_interval"] = ep.relay_interval
-    if ep.probe_interval is not None:
-        collector_kwargs["relay_probe_interval"] = ep.probe_interval
-    if ep.backoff_initial is not None:
-        collector_kwargs["relay_backoff_initial"] = ep.backoff_initial
-    if ep.backoff_max is not None:
-        collector_kwargs["relay_backoff_max"] = ep.backoff_max
-    return HeartbeatCollector(
-        ep.host, ep.port, upstream=ep.upstream, arena=arena, **collector_kwargs
-    )
+    # An arena URL is resolved (and a non-arena one refused) by the collector.
+    return HeartbeatCollector(ep.host, ep.port, arena=arena, **kwargs)
 
 
 def open_arena(endpoint: "str | Endpoint") -> "Arena":
@@ -837,8 +852,7 @@ def open_arena(endpoint: "str | Endpoint") -> "Arena":
     ep = Endpoint.parse(endpoint)
     if not isinstance(ep, _ArenaEndpoint):
         raise EndpointError(f"open_arena needs a mem-arena:// or shm-arena:// URL, not {ep}")
-    kind = "shm" if isinstance(ep, ShmArenaEndpoint) else "mem"
-    return arena_for(kind, ep.name, ep.streams, ep.depth)
+    return arena_for(ep.arena_kind, ep.name, ep.streams, ep.depth)
 
 
 def stream_name_for(endpoint: "str | Endpoint") -> str:
@@ -848,15 +862,4 @@ def stream_name_for(endpoint: "str | Endpoint") -> str:
     files, ``shm:<segment>`` for shared memory, the stream/segment name
     otherwise.  Collector streams keep their producer-registered ids.
     """
-    ep = Endpoint.parse(endpoint)
-    if isinstance(ep, FileEndpoint):
-        return f"file:{os.path.basename(ep.path)}"
-    if isinstance(ep, ShmEndpoint):
-        return f"shm:{ep.name}"
-    if isinstance(ep, _ArenaEndpoint):
-        return ep.stream if ep.stream is not None else f"arena:{ep.name}"
-    if isinstance(ep, MemEndpoint):
-        return ep.name or "heartbeat"
-    if isinstance(ep, TcpEndpoint):
-        return ep.stream if ep.stream is not None else f"tcp:{ep.host}:{ep.port}"
-    raise EndpointError(f"no stream name for {ep!r}")  # pragma: no cover
+    return Endpoint.parse(endpoint)._stream_name()

@@ -9,7 +9,6 @@ minimum number of cores.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,17 +80,13 @@ def run_scheduled_workload(
     engine = ExecutionEngine(clock)
     monitor = HeartbeatMonitor.attach(heartbeat, window=config.rate_window)
     allocator = CoreAllocator(machine, process, max_cores=config.cores)
-    with warnings.catch_warnings():
-        # This runner *is* the blessed facade path for the figure
-        # experiments; the deprecation aims at new external callers.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        scheduler = ExternalScheduler(
-            monitor,
-            allocator,
-            decision_interval=config.decision_interval,
-            rate_window=config.rate_window,
-            policy=policy,
-        )
+    scheduler = ExternalScheduler(
+        monitor,
+        allocator,
+        decision_interval=config.decision_interval,
+        rate_window=config.rate_window,
+        policy=policy,
+    )
     scheduler.attach(engine)
     run_result = engine.run(process, config.beats, rate_window=config.rate_window)
     traces = TraceSet(title=title)

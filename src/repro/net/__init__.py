@@ -13,9 +13,9 @@ fleet manager on a different machine entirely:
   buffers beats locally and ships them over TCP on a background thread with
   bounded queueing and drop-oldest backpressure, so the producer's beat path
   never blocks on the network;
-* :mod:`repro.net.async_collector` — :class:`AsyncHeartbeatCollector` (also
-  exported under its historic name :class:`HeartbeatCollector` from
-  :mod:`repro.net.collector`), an event-loop TCP server that multiplexes
+* :mod:`repro.net.async_collector` — :class:`HeartbeatCollector` (the same
+  class as :class:`AsyncHeartbeatCollector`, the name its module gives it),
+  an event-loop TCP server that multiplexes
   thousands of producer connections through one ``selectors`` loop thread,
   demultiplexes their streams into per-stream in-memory backends and exposes
   them to :class:`repro.core.aggregator.HeartbeatAggregator` via
@@ -33,8 +33,7 @@ the collector host shares — on the same host ``WallClock(rebase=False)``; the
 that default.
 """
 
-from repro.net.async_collector import AsyncHeartbeatCollector
-from repro.net.collector import CollectorStreamInfo, HeartbeatCollector
+from repro.net.async_collector import AsyncHeartbeatCollector, CollectorStreamInfo
 from repro.net.exporter import NetworkBackend
 from repro.net.protocol import (
     FRAME_BATCH,
@@ -52,6 +51,9 @@ from repro.net.protocol import (
     parse_address,
 )
 from repro.net.relay import RelayForwarder
+
+#: The collector under the name the docs and the front door use.
+HeartbeatCollector = AsyncHeartbeatCollector
 
 __all__ = [
     "NetworkBackend",

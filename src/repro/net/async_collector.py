@@ -293,15 +293,9 @@ class AsyncHeartbeatCollector:
         self._lock = threading.Lock()
         self._streams: dict[str, _CollectorStream] = {}
         if isinstance(arena, str):
-            from repro.endpoints import Endpoint, _ArenaEndpoint, open_arena
+            from repro.endpoints import open_arena
 
-            ep = Endpoint.parse(arena)
-            if not isinstance(ep, _ArenaEndpoint):
-                raise MonitorAttachError(
-                    f"collector arena must be a mem-arena:// or shm-arena:// "
-                    f"endpoint, got {arena!r}"
-                )
-            arena = open_arena(ep)
+            arena = open_arena(arena)
         self._arena: Arena | None = arena
         #: Arena mode only: stream ids that overflowed the slab and run on
         #: private in-memory backends (insertion order preserved).
@@ -358,15 +352,23 @@ class AsyncHeartbeatCollector:
             # first sweep in edge mode).
             self._restore_from_journal()
 
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        server: socket.socket | None = None
         try:
-            self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._server.bind((host, port))
-            self._server.listen(backlog)
-            self._server.setblocking(False)
-        except OSError:
-            self._server.close()
-            raise
+            # The listen family follows the address (tcp://[::1]:0 is IPv6).
+            family, _, _, _, sockaddr = socket.getaddrinfo(
+                host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+            )[0]
+            server = socket.socket(family, socket.SOCK_STREAM)
+            server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            server.bind(sockaddr)
+            server.listen(backlog)
+            server.setblocking(False)
+        except OSError as exc:
+            if server is not None:
+                server.close()
+            # Say which address: "Address already in use" alone names nothing.
+            raise OSError(exc.errno, f"cannot bind {host}:{port}: {exc.strerror or exc}") from exc
+        self._server = server
         self.host, self.port = self._server.getsockname()[:2]
 
         self._selector = selectors.DefaultSelector()
@@ -407,8 +409,12 @@ class AsyncHeartbeatCollector:
 
     @property
     def endpoint(self) -> str:
-        """The bound address as the ``"host:port"`` string producers dial."""
-        return f"{self.host}:{self.port}"
+        """The bound address as the ``"host:port"`` string producers dial.
+
+        An IPv6 host is bracketed (``"[::1]:7717"``), the form
+        :func:`~repro.net.protocol.parse_address` reads back.
+        """
+        return self.endpoint_url[len("tcp://"):]
 
     @property
     def endpoint_url(self) -> str:

@@ -2,7 +2,7 @@
 
 :class:`NetworkBackend` implements the :class:`repro.core.backends.Backend`
 interface on top of a TCP connection to a
-:class:`repro.net.collector.HeartbeatCollector`.  Its contract mirrors the
+:class:`repro.net.HeartbeatCollector`.  Its contract mirrors the
 paper's overhead story: registering a heartbeat must stay cheap and
 predictable no matter what the observer is doing, so the beat path only ever
 touches process-local state —

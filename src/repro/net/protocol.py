@@ -723,7 +723,9 @@ def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
     """Normalise ``"host:port"`` (or a ``(host, port)`` pair) to a tuple.
 
     IPv6 literals use the standard bracket form, ``"[::1]:7717"``; the
-    brackets are stripped for the socket layer.
+    brackets are stripped for the socket layer.  This is the only
+    ``host:port`` parser in the tree: endpoint URLs, ``upstream=`` / ``via=``
+    parameters, the exporter and the relay all come through it.
     """
     if isinstance(address, tuple):
         host, port = address
@@ -740,6 +742,9 @@ def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
     if not host:
         raise ValueError(f"address must look like 'host:port', got {address!r}")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError as exc:
         raise ValueError(f"address must look like 'host:port', got {address!r}") from exc
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port must be in [0, 65535], got {address!r}")
+    return host, number

@@ -75,7 +75,10 @@ class RelayForwarder:
         The owning edge collector; its registered streams are the source.
     upstream:
         ``"host:port"`` string or ``(host, port)`` tuple of the next
-        collector up the tree.
+        collector up the tree, parsed by
+        :func:`repro.net.protocol.parse_address` (IPv6 literals bracketed:
+        ``"[::1]:7717"``); a leading ``tcp://`` is tolerated so collector
+        endpoint strings can be passed through unchanged.
     interval:
         Seconds between forwarding sweeps while the link is healthy.
     connect_timeout, send_timeout:
@@ -96,9 +99,6 @@ class RelayForwarder:
     ------
     ValueError
         When ``upstream`` is not a parseable address.
-
-    >>> RelayForwarder.parse_upstream("127.0.0.1:9000")
-    ('127.0.0.1', 9000)
     """
 
     def __init__(
@@ -115,7 +115,9 @@ class RelayForwarder:
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self._collector = collector
-        self.address = self.parse_upstream(upstream)
+        if isinstance(upstream, str):
+            upstream = upstream.strip().removeprefix("tcp://")
+        self.address = protocol.parse_address(upstream)
         self._interval = float(interval)
         self._connect_timeout = float(connect_timeout)
         self._send_timeout = float(send_timeout)
@@ -153,31 +155,6 @@ class RelayForwarder:
         self._thread = threading.Thread(
             target=self._run, name=f"hb-relay-{self.address[1]}", daemon=True
         )
-
-    @staticmethod
-    def parse_upstream(upstream: str | tuple[str, int]) -> tuple[str, int]:
-        """Normalize an upstream spec to ``(host, port)``.
-
-        Accepts a ``(host, port)`` tuple or a ``"host:port"`` string (an
-        optional ``tcp://`` prefix is tolerated so collector endpoint
-        strings can be passed through unchanged).
-        """
-        if isinstance(upstream, tuple):
-            host, port = upstream
-            return (str(host), int(port))
-        spec = upstream.strip()
-        if spec.startswith("tcp://"):
-            spec = spec[len("tcp://"):]
-        host, sep, port_text = spec.rpartition(":")
-        if not sep or not host:
-            raise ValueError(f"upstream must be 'host:port', got {upstream!r}")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ValueError(f"upstream port must be an integer, got {upstream!r}") from None
-        if not 0 < port < 65536:
-            raise ValueError(f"upstream port out of range in {upstream!r}")
-        return (host, port)
 
     def start(self) -> None:
         """Start the forwarding thread (called once by the edge collector)."""

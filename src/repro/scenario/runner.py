@@ -50,7 +50,7 @@ from repro.clock import WallClock
 from repro.core.aggregator import HeartbeatAggregator
 from repro.core.monitor import HealthStatus
 from repro.faults.timeline import TimelineEvent
-from repro.net.collector import HeartbeatCollector
+from repro.net import HeartbeatCollector
 from repro.scenario.proxy import ChaosProxy
 from repro.scenario.spec import PROXY_ACTIONS, InvariantSpec, ScenarioError, ScenarioSpec
 

@@ -8,17 +8,15 @@ energy whenever there is headroom.  :class:`DVFSGovernor` implements that
 observer against the simulated machine — it is the frequency-domain analogue
 of the core-allocation scheduler and composes with the same execution engine.
 
-.. deprecated::
-    This class is now a facade over the unified adaptation runtime: a
-    :class:`repro.adapt.ControlLoop` (exposed as :attr:`loop`) binds the
-    monitor to a :class:`~repro.control.step.StepController` and a
-    :class:`repro.adapt.FrequencyActuator` over the discrete ladder.  New
-    code should compose those directly — see the README's migration table.
+The class is composed from the unified adaptation runtime: a
+:class:`repro.adapt.ControlLoop` (exposed as :attr:`loop`) binds the monitor
+to a :class:`~repro.control.step.StepController` and a
+:class:`repro.adapt.FrequencyActuator` over the discrete ladder — see the
+README's "how these classes are composed" table.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.adapt.actuator import FrequencyActuator
@@ -30,11 +28,6 @@ from repro.sim.machine import SimulatedMachine
 from repro.sim.process import SimulatedProcess
 
 __all__ = ["DVFSDecisionRecord", "DVFSGovernor"]
-
-_DEPRECATION = (
-    "DVFSGovernor is a deprecated facade: compose repro.adapt.ControlLoop "
-    "with a FrequencyActuator instead (see the README 'Adaptation runtime' section)"
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +79,6 @@ class DVFSGovernor:
         decision_interval: int = 5,
         rate_window: int = 0,
     ) -> None:
-        warnings.warn(_DEPRECATION, DeprecationWarning, stacklevel=2)
         if not frequencies or any(f <= 0 for f in frequencies):
             raise ValueError("frequencies must be a non-empty tuple of positive values")
         if decision_interval < 1:

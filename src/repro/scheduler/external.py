@@ -12,19 +12,17 @@ point: "the decisions the scheduler makes are based directly on the
 application's performance instead of being based on priority or some other
 indirect measure."
 
-.. deprecated::
-    This class is now a facade over the unified adaptation runtime: it wires
-    its monitor, policy and allocator into a
-    :class:`repro.adapt.ControlLoop` (exposed as :attr:`loop`) with a
-    :class:`repro.adapt.CoreActuator`, and only converts the loop's uniform
-    :class:`~repro.adapt.DecisionTrace` records into the legacy
-    :class:`SchedulerDecisionRecord` shape.  New code should compose a
-    ``ControlLoop`` directly — see the README's migration table.
+The class is the paper's observer under the paper's name, composed from the
+unified adaptation runtime: it wires its monitor, policy and allocator into
+a :class:`repro.adapt.ControlLoop` (exposed as :attr:`loop`) with a
+:class:`repro.adapt.CoreActuator`, and converts the loop's uniform
+:class:`~repro.adapt.DecisionTrace` records into the
+:class:`SchedulerDecisionRecord` shape the figures read — see the README's
+"how these classes are composed" table.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.adapt.actuator import CoreActuator
@@ -37,11 +35,6 @@ from repro.sim.engine import ExecutionEngine
 from repro.sim.process import SimulatedProcess
 
 __all__ = ["SchedulerDecisionRecord", "ExternalScheduler"]
-
-_DEPRECATION = (
-    "ExternalScheduler is a deprecated facade: compose repro.adapt.ControlLoop "
-    "with a CoreActuator instead (see the README 'Adaptation runtime' section)"
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +109,6 @@ class ExternalScheduler:
         rate_window: int = 0,
         policy: AllocationPolicy | None = None,
     ) -> None:
-        warnings.warn(_DEPRECATION, DeprecationWarning, stacklevel=2)
         if decision_interval < 1:
             raise ValueError(f"decision_interval must be >= 1, got {decision_interval}")
         self.monitor = monitor

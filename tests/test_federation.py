@@ -294,3 +294,36 @@ class TestEndpointAndSessionWiring:
 
         with pytest.raises(EndpointError, match="producer-side"):
             open_collector("tcp://127.0.0.1:0?stream=x&upstream=127.0.0.1:1")
+
+    def test_ipv6_tree_from_bracketed_urls(self):
+        """producer -> edge bound at tcp://[::1]:0 -> root via upstream=[::1]:PORT.
+
+        ``host:port`` has one owner (``protocol.parse_address``): the
+        collector binds the family its address names, the relay dials the
+        unbracketed host, and ``endpoint_url`` round-trips with brackets.
+        """
+        from repro.endpoints import Endpoint
+
+        try:
+            probe = socket.socket(socket.AF_INET6, socket.SOCK_STREAM)
+            try:
+                probe.bind(("::1", 0))
+            finally:
+                probe.close()
+        except OSError as exc:
+            pytest.skip(f"cannot bind ::1 on this host: {exc}")
+        with TelemetrySession() as session:
+            root = session.collect("tcp://[::1]:0")
+            assert root.address[0] == "::1"
+            assert root.endpoint_url == f"tcp://[::1]:{root.port}"
+            assert Endpoint.parse(root.endpoint_url).url() == root.endpoint_url
+            edge = session.collect(
+                f"tcp://[::1]:0?upstream=[::1]:{root.port}&relay_interval=0.02"
+            )
+            assert edge.upstream_address == ("::1", root.port)
+            heartbeat = session.produce(
+                f"{edge.endpoint_url}?stream=svc6&flush_interval=0.01", window=8
+            )
+            heartbeat.heartbeat_batch(50)
+            assert wait_until(lambda: root_total(root, "svc6") == 50)
+            assert edge.relay_stats()["send_errors"] == 0

@@ -24,7 +24,7 @@ from repro.core.backends.file import FileBackend
 from repro.core.backends.memory import MemoryBackend
 from repro.core.backends.shared_memory import SharedMemoryBackend
 from repro.endpoints import EndpointError, TcpEndpoint
-from repro.net.collector import HeartbeatCollector
+from repro.net import HeartbeatCollector
 from repro.net.exporter import NetworkBackend
 
 
@@ -272,24 +272,27 @@ class TestReviewRegressions:
             hb_api.reset_registry()
 
     def test_cli_closes_bound_collector_when_later_bind_raises(self, capsys):
-        from repro import cli
+        """The CLI is a session: its LIFO close releases the first collector
+        when a later bind fails, and the failure is one line + exit 1."""
+        from repro import cli, session as session_module
 
         bound: list[object] = []
-        real_open = cli.open_collector
+        real_open = session_module.open_collector
 
-        def spying_open(ep):
+        def spying_open(ep, **kwargs):
             if len(bound) >= 1:
                 raise OSError("cannot bind second collector")
-            collector = real_open(ep)
+            collector = real_open(ep, **kwargs)
             bound.append(collector)
             return collector
 
-        cli.open_collector = spying_open
+        session_module.open_collector = spying_open
         try:
-            with pytest.raises(OSError):
-                cli.main(["watch", "tcp://127.0.0.1:0", "tcp://127.0.0.1:0", "--once"])
+            rc = cli.main(["watch", "tcp://127.0.0.1:0", "tcp://127.0.0.1:0", "--once"])
         finally:
-            cli.open_collector = real_open
+            session_module.open_collector = real_open
+        assert rc == 1
+        assert "cannot bind second collector" in capsys.readouterr().err
         assert len(bound) == 1
         assert bound[0]._closed  # the first collector did not leak its socket
 
