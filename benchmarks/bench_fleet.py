@@ -712,7 +712,6 @@ def run_tree(
     edge_nodes = [
         HeartbeatCollector(
             upstream=root.endpoint,
-            relay_interval=0.02,
             backlog=4096,
             default_capacity=max(64, rounds * batch),
         )

@@ -8,8 +8,9 @@ surface is indistinguishable from direct collection:
 
 1. **Edges** — two :class:`~repro.net.HeartbeatCollector` instances bound
    with ``upstream=<root>``: each absorbs its own producers' fan-in and a
-   background relay batches every stream's new records into RELAY frames
-   shipped upstream (reconnect/backoff and drop-oldest discipline included).
+   background relay, woken whenever a stream has news, batches those
+   streams' new records into RELAY frames shipped upstream
+   (reconnect/backoff and drop-oldest discipline included).
 2. **Root** — a plain collector; relayed streams register exactly like
    dialled-in producers, so ``HeartbeatAggregator.attach_collector()`` gives
    fleet rate / percentile / health queries over the whole tree.
@@ -73,7 +74,7 @@ def main() -> int:
     ctx = mp.get_context("spawn")
     with HeartbeatCollector() as root:
         edges = [
-            HeartbeatCollector(upstream=root.endpoint, relay_interval=0.02)
+            HeartbeatCollector(upstream=root.endpoint)
             for _ in range(2)
         ]
         try:

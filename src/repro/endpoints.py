@@ -546,10 +546,11 @@ class TcpEndpoint(Endpoint):
     Link-discipline tuning rides along: ``backoff_initial`` /
     ``backoff_max`` set the reconnect backoff window of the endpoint's
     outbound link (the exporter's when producing, the relay forwarder's
-    when collecting with ``upstream=``); ``relay_interval`` and
-    ``probe_interval`` set an edge collector's forwarding sweep cadence and
-    idle-EOF probe cadence.  Defaults are unchanged when the parameters are
-    absent.
+    when collecting with ``upstream=``); ``relay_interval`` is an edge
+    collector's idle cadence (how often a quiet upstream link is probed
+    for EOF; forwarding itself runs on news, not on this timer) and
+    ``probe_interval`` rate-limits that probe before each sweep.  Defaults
+    are unchanged when the parameters are absent.
 
     >>> ep = Endpoint.parse("tcp://0.0.0.0:7717?upstream=root.example:7717")
     >>> ep.upstream

@@ -12,8 +12,9 @@ speaks: per-stream sources (``snapshot`` / ``snapshot_since`` / ``version``),
 streams that survive disconnects so a producer death reads ``STALLED``.
 
 Collectors also *compose*.  A collector constructed with ``upstream=`` runs
-in **edge mode**: a background :class:`~repro.net.relay.RelayForwarder`
-batches every local stream's new records into RELAY frames (see
+in **edge mode**: the event loop marks each stream that has news for the
+root, and a background :class:`~repro.net.relay.RelayForwarder`, woken by
+the first mark, batches those streams' new records into RELAY frames (see
 :mod:`repro.net.protocol`) and ships them to the next collector up the tree,
 with reconnect/backoff and ring-buffer drop-oldest backpressure.  Any
 collector accepts RELAY links alongside producer links, so trees of any
@@ -219,17 +220,18 @@ class AsyncHeartbeatCollector:
         forwarder relays every stream's new records upstream — see
         :class:`repro.net.relay.RelayForwarder` for the full discipline.
     relay_interval:
-        Edge mode only: seconds between forwarding sweeps (the relay
-        analogue of the exporter's ``flush_interval``).
+        Edge mode only: the forwarder's idle cadence — how often it probes
+        a quiet upstream link for EOF (and the longest it waits to redial
+        a lost one).  It does not pace forwarding: the event loop marks
+        every stream with news and the first mark wakes the forwarder.
     relay_backoff_initial, relay_backoff_max:
         Edge mode only: the forwarder's reconnect backoff window (delay
         starts at the initial value and doubles per failed dial up to the
         max).  Scenario runs tighten these so a healed partition reconnects
         in milliseconds; the defaults match the forwarder's.
     relay_probe_interval:
-        Edge mode only: seconds between idle-EOF probes of the upstream
-        link (``None``, the default, probes on every sweep — the historic
-        behaviour).
+        Edge mode only: seconds between EOF probes of the upstream link
+        (``None``, the default, probes before every sweep).
     journal:
         A :class:`~repro.net.persistence.StreamJournal` (or a directory
         path) enabling collector persistence: every registered stream's
@@ -567,9 +569,14 @@ class AsyncHeartbeatCollector:
     # Internal surface for the relay forwarder
     # ------------------------------------------------------------------ #
     def _relay_streams(self) -> list[_CollectorStream]:
-        """Every registered stream object (forwarder sweep; order stable)."""
+        """Every registered stream object (the forwarder's replay; order stable)."""
         with self._lock:
             return list(self._streams.values())
+
+    def _news(self, stream: _CollectorStream) -> None:
+        """Edge mode: queue ``stream`` for the forwarder's next sweep."""
+        if self._relay is not None:
+            self._relay.mark(stream)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -713,10 +720,12 @@ class AsyncHeartbeatCollector:
                 # already redialled) must not clobber its successor.
                 if conn.stream.conn_gen == conn.gen:
                     conn.stream.connected = False
+            self._news(conn.stream)
         for stream, gen in conn.relay_streams.values():
             with stream.lock:
                 if stream.conn_gen == gen:
                     stream.connected = False
+            self._news(stream)
         conn.relay_streams.clear()
 
     # ------------------------------------------------------------------ #
@@ -739,6 +748,7 @@ class AsyncHeartbeatCollector:
             if conn.stream is not None:
                 raise ProtocolError("duplicate HELLO on one connection")
             conn.stream, conn.gen = self._register(protocol.decode_hello(frame.payload))
+            self._news(conn.stream)
             return
         stream = conn.stream
         if stream is None:
@@ -759,6 +769,7 @@ class AsyncHeartbeatCollector:
                     stream.reported_total = reported
                     if stream.journal is not None:
                         stream.journal.append_frame(protocol.FRAME_CLOSE, frame.payload)
+        self._news(stream)
 
     def _ingest_run(self, conn: _Connection, run: protocol.BatchRun) -> None:
         """One read's consecutive BATCH frames: one lock, one append, one count."""
@@ -773,6 +784,7 @@ class AsyncHeartbeatCollector:
             if stream.journal is not None:
                 stream.journal.append_records(run.records)  # one journal frame
         self._records.inc(int(run.records.shape[0]))
+        self._news(stream)
         self._maybe_compact(stream)
 
     def _ingest_relay(self, conn: _Connection, entries: list[protocol.RelayEntry]) -> None:
@@ -832,6 +844,7 @@ class AsyncHeartbeatCollector:
                             stream.journal.append_close(
                                 -1 if entry.reported_total is None else entry.reported_total
                             )
+            self._news(stream)
             self._maybe_compact(stream)
         self._relay_frames.inc()
         self._relay_records.inc(appended)

@@ -2,27 +2,37 @@
 
 :class:`RelayForwarder` is the other half of collector federation (see
 :mod:`repro.net.async_collector`).  An edge collector absorbs producer
-fan-in locally; this forwarder's single background thread sweeps every
-registered stream on a fixed interval, pulls *new* records through the
-backend's cursored :meth:`snapshot_since` delta path, and batches them —
-many streams per frame — into the versioned RELAY frames defined by
-:mod:`repro.net.protocol`, shipped over one upstream TCP connection.
+fan-in locally, and its event loop *marks* each stream the root must hear
+about: records appended, a TARGETS or CLOSE frame, a producer hanging up, a
+stream (re)registering.  The first mark into an empty set wakes this
+forwarder's single background thread, which swaps the set out and sweeps
+only the streams in it — O(moved), not O(registered) — pulling *new*
+records through the backend's cursored :meth:`snapshot_since` delta path
+and batching them, many streams per frame, into the versioned RELAY frames
+defined by :mod:`repro.net.protocol`, shipped over one upstream TCP
+connection.  Whatever lands while a sweep encodes and sends is the next
+sweep's batch, so forwarding keeps pace with ingest rather than a timer;
+``interval`` is only the idle cadence of the upstream EOF probe.
 
 The discipline is the exporter's, applied one tier up:
 
 * **reconnect with exponential backoff** — the upstream being down never
   blocks local ingest; the forwarder retries from 50 ms up to 2 s;
 * **full replay on reconnect** — every per-stream cursor is discarded when
-  a connection is established, so the next sweep re-sends each stream's
-  retained history.  A restarted (empty) root rebuilds the fleet from the
-  replay; a root that never went away deduplicates the overlap by beat
-  number, so replay is idempotent;
+  a connection is established and the first sweep on it covers every
+  registered stream, moved or not.  A restarted (empty) root rebuilds the
+  fleet from the replay; a root that never went away deduplicates the
+  overlap by beat number, so replay is idempotent.  A send that fails
+  mid-sweep drops the link, so that replay also covers the unsent rest;
 * **drop-oldest backpressure** — unsent records are *not* queued here; they
   live in the edge's per-stream ring buffers.  If the upstream stays down
   long enough for a ring to lap, the delta path resynchronizes from the
   retained window and the oldest records are the ones lost;
 * **at-least-once delivery** — cursors commit only after a successful send,
-  so a connection lost mid-sweep re-sends from the last committed cursor.
+  so a connection lost mid-sweep re-sends from the last committed cursor;
+* **metadata never overtakes records** — a stream's delta and its
+  metadata (targets, liveness, CLOSE) are read under one lock, so a CLOSE
+  reaches the root with, never ahead of, the records before it.
 
 >>> def chunks(total, per_entry):
 ...     return (total + per_entry - 1) // per_entry
@@ -44,7 +54,7 @@ from repro.net import protocol
 from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.async_collector import AsyncHeartbeatCollector
+    from repro.net.async_collector import AsyncHeartbeatCollector, _CollectorStream
 
 __all__ = ["RelayForwarder"]
 
@@ -80,15 +90,17 @@ class RelayForwarder:
         ``"[::1]:7717"``); a leading ``tcp://`` is tolerated so collector
         endpoint strings can be passed through unchanged.
     interval:
-        Seconds between forwarding sweeps while the link is healthy.
+        Idle cadence: with no news, the forwarder wakes this often to probe
+        the upstream for EOF (and redials no later than this while the link
+        is down).  It does not pace forwarding — a mark does.
     connect_timeout, send_timeout:
         Socket timeouts for dialling and for one ``sendall``.
     backoff_initial, backoff_max:
         Reconnect backoff window (doubles on each failure).
     probe_interval:
-        Seconds between idle-EOF probes of the upstream link.  ``None``
-        (the default) probes on every sweep — the historic cadence; a
-        positive value rate-limits the probe for high-frequency sweeps.
+        Seconds between EOF probes of the upstream link.  ``None`` (the
+        default) probes before every sweep, so no send goes into a link
+        already half-closed; a positive value rate-limits the probe.
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` to register
         forwarding counters into (labelled by upstream address); the owning
@@ -130,6 +142,8 @@ class RelayForwarder:
         self._closing = False
         self._sock: socket.socket | None = None
         self._states: dict[str, _StreamState] = {}
+        #: Streams marked since the last sweep (a dict: ordered, deduplicated).
+        self._moved: dict[_CollectorStream, None] = {}
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         labels = {"upstream": f"{self.address[0]}:{self.address[1]}"}
@@ -175,6 +189,14 @@ class RelayForwarder:
             self._thread.join(timeout=timeout)
         self._shutdown_socket()
 
+    def mark(self, stream: "_CollectorStream") -> None:
+        """Queue ``stream`` for the next sweep; a mark into an empty set wakes it."""
+        with self._lock:
+            wake = not self._moved
+            self._moved[stream] = None
+        if wake:
+            self._wake.set()
+
     def stats(self) -> dict[str, int]:
         """Forwarding counters.
 
@@ -208,8 +230,12 @@ class RelayForwarder:
         backoff = self._backoff_initial
         next_attempt = 0.0
         next_probe = 0.0
+        replay = False
         while True:
-            self._wake.wait(timeout=self._interval)
+            timeout = self._interval
+            if self._sock is None:  # redial on the backoff schedule
+                timeout = min(timeout, max(0.0, next_attempt - time.monotonic()))
+            self._wake.wait(timeout=timeout)
             self._wake.clear()
             with self._lock:
                 closing = self._closing
@@ -224,6 +250,7 @@ class RelayForwarder:
                         return  # no peer; a final flush is pointless
                     continue
                 backoff = self._backoff_initial
+                replay = True
             sock = self._sock
             if sock is not None and (
                 self._probe_interval is None or time.monotonic() >= next_probe
@@ -236,7 +263,12 @@ class RelayForwarder:
                     # reconnect.
                     self._shutdown_socket()
                     continue
-            self._sweep()
+            # Swapped after the clear: any later mark wakes the next pass.
+            with self._lock:
+                moved, self._moved = self._moved, {}
+            # A fresh link replays every stream; otherwise only the news.
+            self._sweep(self._collector._relay_streams() if replay else list(moved))
+            replay = False
             if closing:
                 return
 
@@ -257,9 +289,8 @@ class RelayForwarder:
         self._states.clear()
         return True
 
-    def _sweep(self) -> None:
-        """Forward one round of per-stream deltas; commit cursors on success."""
-        streams = self._collector._relay_streams()
+    def _sweep(self, streams: "list[_CollectorStream]") -> None:
+        """Forward these streams' deltas; commit cursors on success."""
         pending: list[protocol.RelayEntry] = []
         commits: list[tuple[_StreamState, SnapshotCursor, _Meta]] = []
         pending_size = 0
@@ -267,8 +298,11 @@ class RelayForwarder:
             state = self._states.get(stream.stream_id)
             if state is None:
                 state = self._states[stream.stream_id] = _StreamState()
-            delta, cursor = stream.snapshot_since(state.cursor)
             with stream.lock:
+                # Records and metadata in ONE critical section: a CLOSE
+                # ingested between two reads would otherwise be relayed
+                # ahead of the records that preceded it.
+                delta, cursor = stream.backend.snapshot_since(state.cursor)
                 meta: _Meta = (
                     stream.target_min,
                     stream.target_max,

@@ -2,8 +2,9 @@
 
 Every collector binds ``127.0.0.1`` port 0 so parallel CI runs never collide
 on a fixed port; every wait is bounded so a broken link can fail a test but
-not hang the suite.  Relay intervals are shrunk to keep wall-clock short on
-a loaded 1-CPU box.
+not hang the suite.  Edges run at the default ``relay_interval``: the
+relay forwards on news, so the interval no longer sets how fast a beat
+reaches the root.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def records_for(beats: list[tuple[int, float]]) -> np.ndarray:
 
 
 def edge_for(root: HeartbeatCollector, **kwargs) -> HeartbeatCollector:
-    return HeartbeatCollector(upstream=root.endpoint, relay_interval=0.02, **kwargs)
+    return HeartbeatCollector(upstream=root.endpoint, **kwargs)
 
 
 def root_total(root: HeartbeatCollector, stream_id: str) -> int:
@@ -318,7 +319,7 @@ class TestEndpointAndSessionWiring:
             assert root.endpoint_url == f"tcp://[::1]:{root.port}"
             assert Endpoint.parse(root.endpoint_url).url() == root.endpoint_url
             edge = session.collect(
-                f"tcp://[::1]:0?upstream=[::1]:{root.port}&relay_interval=0.02"
+                f"tcp://[::1]:0?upstream=[::1]:{root.port}"
             )
             assert edge.upstream_address == ("::1", root.port)
             heartbeat = session.produce(

@@ -116,7 +116,7 @@ class TestMetricsEquivalence:
 
     def test_relay_and_collector_stats_match_scrape(self):
         with HeartbeatCollector() as root:
-            with HeartbeatCollector(upstream=root.endpoint, relay_interval=0.02) as edge:
+            with HeartbeatCollector(upstream=root.endpoint) as edge:
                 backend = NetworkBackend(edge.address, stream="svc", flush_interval=0.01)
                 try:
                     for beat in range(1, 31):
@@ -161,7 +161,7 @@ class TestAcceptanceTwoEdgeTree:
         with TelemetrySession() as session:
             root = session.collect("tcp://127.0.0.1:0")
             edges = [
-                HeartbeatCollector(upstream=root.endpoint, relay_interval=0.02)
+                HeartbeatCollector(upstream=root.endpoint)
                 for _ in range(2)
             ]
             backends = [

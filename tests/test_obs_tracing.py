@@ -103,9 +103,7 @@ class TestRelayHopTimestampWire:
 class TestLinkLatencyOverRealTree:
     def test_root_observes_per_link_latency_from_edge(self):
         with HeartbeatCollector() as root:
-            with HeartbeatCollector(
-                upstream=root.endpoint, relay_interval=0.02
-            ) as edge:
+            with HeartbeatCollector(upstream=root.endpoint) as edge:
                 backend = NetworkBackend(
                     edge.address, stream="svc", flush_interval=0.01
                 )
