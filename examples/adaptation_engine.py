@@ -72,7 +72,7 @@ ENC_CAPACITY = 48.0
 ENC_TARGET = (28.0, 1e9)  # "at least 28 frames/s"
 
 SPEC = {
-    "engine": {"liveness_timeout": LIVENESS, "num_shards": 4},
+    "engine": {"liveness_timeout": LIVENESS},
     "loops": [
         {"match": "svc-*", "target": "published", "controller": {"kind": "step"}, "actuator": "cores"},
         {
@@ -173,9 +173,7 @@ def main() -> int:
         return LadderActuator(len(ENC_WORK), initial_level=0, on_change=on_change)
 
     with HeartbeatCollector("127.0.0.1", 0) as collector:
-        aggregator = HeartbeatAggregator(
-            clock=clock, liveness_timeout=LIVENESS, num_shards=4
-        )
+        aggregator = HeartbeatAggregator(clock=clock, liveness_timeout=LIVENESS)
         engine = spec.build_engine(
             aggregator=aggregator,
             actuators={"cores": cores_actuator, "preset": preset_actuator},

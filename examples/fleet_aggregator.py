@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fleet observation: batched ingestion + the sharded multi-stream aggregator.
+"""Fleet observation: batched ingestion + the multi-stream aggregator.
 
 Simulates a small "fleet" of instrumented services, each registering progress
 with the batched API (``heartbeat_batch`` — one lock acquisition and one
@@ -32,9 +32,7 @@ def main() -> None:
             f"mem://svc-{i:02d}", window=256, history=4096, target=(60.0, 1000.0)
         )
         services[service.name] = service
-    aggregator = session.fleet(
-        *(f"mem://{name}" for name in services), num_shards=4, liveness_timeout=5.0
-    )
+    aggregator = session.fleet(*(f"mem://{name}" for name in services), liveness_timeout=5.0)
 
     # One simulated second per tick; each service ingests its whole tick's
     # worth of completed work items as a single batch.
@@ -45,7 +43,7 @@ def main() -> None:
             if tick < 20 or i != 3:  # svc-03 goes silent after tick 20
                 service.heartbeat_batch(completed, tag=tick)
 
-    # One sharded poll observes the whole fleet.
+    # One poll observes the whole fleet.
     sample = aggregator.poll()
     print(f"fleet of {len(sample)} streams, {sample.total_beats()} beats total")
     for name, reading in sample:

@@ -89,9 +89,7 @@ def run_producers(collector: HeartbeatCollector) -> dict[str, tuple[int, float]]
     if not collector.wait_for_streams(PRODUCERS, timeout=30.0):
         raise SystemExit(f"only {len(collector.stream_ids())}/{PRODUCERS} producers registered")
 
-    aggregator = HeartbeatAggregator(
-        clock=WallClock(rebase=False), num_shards=4, liveness_timeout=30.0
-    )
+    aggregator = HeartbeatAggregator(clock=WallClock(rebase=False), liveness_timeout=30.0)
     aggregator.attach_collector(collector)
     sample = aggregator.poll()
     print(f"mid-run: {len(sample)} streams, {sample.total_beats()} beats collected so far")

@@ -38,8 +38,9 @@ knobs are code).  The built-in ``log`` actuator needs no factory: it applies
 decisions to an internal value only, which is how the ``repro adapt`` CLI
 dry-runs a spec against a live fleet.
 
-TOML parsing uses :mod:`tomllib` and therefore Python 3.11+; on 3.10 use
-JSON files or build from a dict.
+Files load through :mod:`repro.specfile`, the strict loader shared with
+chaos scenarios: TOML needs :mod:`tomllib` and therefore Python 3.11+; on
+3.10 use JSON files or build from a dict.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import fnmatch
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Any, Callable, Mapping, Sequence, Union
 
 from repro.adapt.actuator import Actuator, LogActuator
@@ -66,6 +67,7 @@ from repro.control import (
 from repro.core.aggregator import HeartbeatAggregator
 from repro.core.monitor import MonitorReading
 from repro.endpoints import Endpoint, EndpointError
+from repro.specfile import Table, load_file, load_text
 
 __all__ = ["AdaptSpec", "LoopSpec", "SpecError", "ActuatorFactory"]
 
@@ -120,9 +122,7 @@ def _build_controller(kind: str, target: TargetWindow, options: Mapping[str, Any
                 minimum_output=float(options.get("minimum_output", 1.0)),
                 maximum_output=float(options.get("maximum_output", 64.0)),
             )
-        if kind == "ladder":
-            if "levels" not in options:
-                raise SpecError("ladder controller needs 'levels'")
+        if kind == "ladder":  # LoopSpec has already checked for 'levels'
             return LadderController(
                 target,
                 levels=int(options["levels"]),
@@ -130,8 +130,6 @@ def _build_controller(kind: str, target: TargetWindow, options: Mapping[str, Any
                 climb_margin=float(options.get("climb_margin", 0.25)),
             )
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, SpecError):
-            raise
         raise SpecError(f"invalid {kind} controller options {dict(options)!r}: {exc}") from exc
     raise SpecError(f"unknown controller kind {kind!r}; choose from {_CONTROLLER_KINDS}")
 
@@ -181,6 +179,31 @@ def _toml_value(value: Any) -> str:
     if isinstance(value, Sequence):
         return "[" + ", ".join(_toml_value(item) for item in value) + "]"
     raise SpecError(f"cannot serialize {value!r} ({type(value).__name__}) as TOML")
+
+
+def _controller_table(value: object) -> dict[str, Any]:
+    """A loop's ``controller``: a kind name or a table with ``kind`` (copied)."""
+    if isinstance(value, str):
+        return {"kind": value}
+    if not isinstance(value, Mapping) or "kind" not in value:
+        raise ValueError("must be a kind name or a table with 'kind'")
+    return dict(value)
+
+
+def _target_pair(value: Any) -> tuple[float, float] | None:
+    """A loop's ``target``: ``[min, max]``, or ``"published"`` (``None``)."""
+    if value == "published":
+        return None
+    if isinstance(value, str):
+        raise ValueError("must be [min, max] or 'published'")
+    low, high = value
+    return float(low), float(high)
+
+
+def _warmup(value: Any) -> int | None:
+    """A loop's ``warmup``; ``"auto"`` is the file spelling of null (TOML has
+    none): the bare-ControlLoop default, ``warmup = decision_interval``."""
+    return None if value is None or value == "auto" else int(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,48 +271,26 @@ class LoopSpec:
         return TargetWindow(minimum, maximum)
 
     @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "LoopSpec":
-        known = {
-            "match", "actuator", "controller", "target",
-            "decision_interval", "warmup", "tune", "actuator_options",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise SpecError(f"unknown loop spec keys {sorted(unknown)}; known: {sorted(known)}")
-        if "match" not in data:
-            raise SpecError("loop spec needs a 'match' pattern")
-        controller = data.get("controller", {"kind": "step"})
-        if isinstance(controller, str):
-            controller = {"kind": controller}
-        if not isinstance(controller, Mapping) or "kind" not in controller:
-            raise SpecError(f"loop controller must be a kind name or a table with 'kind', got {controller!r}")
-        options = {k: v for k, v in controller.items() if k != "kind"}
-        target = data.get("target", "published")
-        if isinstance(target, str):
-            if target != "published":
-                raise SpecError(f"target must be [min, max] or 'published', got {target!r}")
-            resolved: tuple[float, float] | None = None
-        else:
-            try:
-                low, high = target
-                resolved = (float(low), float(high))
-            except (TypeError, ValueError) as exc:
-                raise SpecError(f"target must be [min, max] or 'published', got {target!r}") from exc
-        warmup = data.get("warmup", 0)
-        if warmup == "auto":
-            # TOML cannot express null; "auto" is the file spelling for the
-            # bare-ControlLoop default (warmup = decision_interval).
-            warmup = None
+    def from_mapping(cls, raw: object) -> "LoopSpec":
+        table = Table(
+            raw, SpecError, "loop spec",
+            {
+                "match", "actuator", "controller", "target",
+                "decision_interval", "warmup", "tune", "actuator_options",
+            },
+            required=("match",),
+        )
+        options = table.get("controller", _controller_table, "step")
         return cls(
-            match=str(data["match"]),
-            actuator=str(data.get("actuator", "log")),
-            controller=str(controller["kind"]),
+            match=table.get("match", str),
+            actuator=table.get("actuator", str, "log"),
+            controller=str(options.pop("kind")),
             controller_options=options,
-            target=resolved,
-            decision_interval=int(data.get("decision_interval", 1)),
-            warmup=None if warmup is None else int(warmup),
-            tune=bool(data.get("tune", False)),
-            actuator_options=dict(data.get("actuator_options", {})),
+            target=table.get("target", _target_pair, "published"),
+            decision_interval=table.get("decision_interval", int, 1),
+            warmup=table.get("warmup", _warmup, 0),
+            tune=table.get("tune", bool, False),
+            actuator_options=table.get("actuator_options", dict, {}),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -313,6 +314,7 @@ class LoopSpec:
         }
 
 
+@dataclass
 class AdaptSpec:
     """A whole adaptation-engine description: engine knobs plus loop rules.
 
@@ -320,101 +322,54 @@ class AdaptSpec:
     rule wins, so specific patterns go before catch-alls.
     """
 
-    def __init__(
-        self,
-        loops: Sequence[LoopSpec],
-        *,
-        window: int = 0,
-        liveness_timeout: float | None = None,
-        num_shards: int = 1,
-        interval: float = 1.0,
-        min_beats: int = 2,
-        attach: Sequence[Union[str, Endpoint]] = (),
-    ) -> None:
-        if not loops:
+    loops: Sequence[LoopSpec]
+    _: KW_ONLY
+    window: int = 0
+    liveness_timeout: float | None = None
+    interval: float = 1.0
+    min_beats: int = 2
+    #: Endpoint URLs (parsed to :class:`Endpoint` at construction).
+    attach: Sequence[Union[str, Endpoint]] = ()
+
+    def __post_init__(self) -> None:
+        if not self.loops:
             raise SpecError("an adaptation spec needs at least one [[loops]] entry")
-        if interval <= 0:
-            raise SpecError(f"engine interval must be positive, got {interval}")
-        self.loops = tuple(loops)
-        self.window = int(window)
-        self.liveness_timeout = liveness_timeout
-        self.num_shards = int(num_shards)
-        self.interval = float(interval)
-        self.min_beats = int(min_beats)
-        self.attach = tuple(_parse_attach(attach))
+        if self.interval <= 0:
+            raise SpecError(f"engine interval must be positive, got {self.interval}")
+        self.loops = tuple(self.loops)
+        self.window = int(self.window)
+        self.interval = float(self.interval)
+        self.min_beats = int(self.min_beats)
+        self.attach = tuple(_parse_attach(self.attach))
 
     # ------------------------------------------------------------------ #
     # Parsing
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AdaptSpec":
-        unknown = set(data) - {"engine", "loops"}
-        if unknown:
-            raise SpecError(f"unknown spec sections {sorted(unknown)}; known: ['engine', 'loops']")
-        engine = data.get("engine", {})
-        if not isinstance(engine, Mapping):
-            raise SpecError(f"'engine' must be a table, got {type(engine).__name__}")
-        known_engine = {
-            "window", "liveness_timeout", "num_shards", "interval", "min_beats", "attach",
-        }
-        unknown = set(engine) - known_engine
-        if unknown:
-            raise SpecError(f"unknown engine keys {sorted(unknown)}; known: {sorted(known_engine)}")
-        raw_loops = data.get("loops", [])
-        if not isinstance(raw_loops, Sequence) or isinstance(raw_loops, (str, bytes)):
-            raise SpecError("'loops' must be an array of loop tables")
-        loops = [LoopSpec.from_mapping(entry) for entry in raw_loops]
-        timeout = engine.get("liveness_timeout")
-        attach = engine.get("attach", ())
-        if isinstance(attach, (str, bytes)) or not isinstance(attach, Sequence):
-            raise SpecError("'attach' must be an array of endpoint URL strings")
+    def from_dict(cls, data: object) -> "AdaptSpec":
+        spec = Table(data, SpecError, "spec", {"engine", "loops"})
+        engine = Table(
+            spec.data.get("engine", {}), SpecError, "engine",
+            {"window", "liveness_timeout", "interval", "min_beats", "attach"},
+        )
         return cls(
-            loops,
-            window=int(engine.get("window", 0)),
-            liveness_timeout=None if timeout is None else float(timeout),
-            num_shards=int(engine.get("num_shards", 1)),
-            interval=float(engine.get("interval", 1.0)),
-            min_beats=int(engine.get("min_beats", 2)),
-            attach=attach,
+            [LoopSpec.from_mapping(entry) for entry in spec.array("loops")],
+            window=engine.get("window", int, 0),
+            liveness_timeout=engine.get("liveness_timeout", float),
+            interval=engine.get("interval", float, 1.0),
+            min_beats=engine.get("min_beats", int, 2),
+            attach=engine.array("attach"),
         )
 
     @classmethod
-    def from_toml(cls, text: str) -> "AdaptSpec":
-        """Parse a TOML spec (requires Python 3.11+ for :mod:`tomllib`)."""
-        try:
-            import tomllib
-        except ModuleNotFoundError as exc:  # pragma: no cover - py3.10 only
-            raise SpecError(
-                "TOML specs need Python 3.11+ (tomllib); use a JSON spec or AdaptSpec.from_dict"
-            ) from exc
-        try:
-            return cls.from_dict(tomllib.loads(text))
-        except tomllib.TOMLDecodeError as exc:
-            raise SpecError(f"invalid TOML: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "AdaptSpec":
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid JSON: {exc}") from exc
-
-    @classmethod
     def from_file(cls, path: Union[str, os.PathLike[str]]) -> "AdaptSpec":
-        """Load a spec file: ``.toml`` via tomllib, anything else as JSON."""
-        path = os.fspath(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if path.endswith(".toml"):
-            return cls.from_toml(text)
-        return cls.from_json(text)
+        """Load a spec file: ``.toml`` as TOML, anything else as JSON."""
+        return cls.from_dict(load_file(path, SpecError))
 
     @classmethod
     def parse(cls, text: str) -> "AdaptSpec":
         """Parse spec text by sniffing the format: JSON objects else TOML."""
-        if text.lstrip().startswith("{"):
-            return cls.from_json(text)
-        return cls.from_toml(text)
+        return cls.from_dict(load_text(text, SpecError))
 
     # ------------------------------------------------------------------ #
     # Emitting
@@ -428,7 +383,6 @@ class AdaptSpec:
         """
         engine: dict[str, Any] = {
             "window": self.window,
-            "num_shards": self.num_shards,
             "interval": self.interval,
             "min_beats": self.min_beats,
         }
@@ -454,21 +408,6 @@ class AdaptSpec:
             for key, value in loop.items():
                 lines.append(f"{_toml_key(key)} = {_toml_value(value)}")
         return "\n".join(lines) + "\n"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AdaptSpec):
-            return NotImplemented
-        return (
-            self.loops == other.loops
-            and self.window == other.window
-            and self.liveness_timeout == other.liveness_timeout
-            and self.num_shards == other.num_shards
-            and self.interval == other.interval
-            and self.min_beats == other.min_beats
-            and self.attach == other.attach
-        )
-
-    __hash__ = None  # type: ignore[assignment]  # mutable-ish container semantics
 
     # ------------------------------------------------------------------ #
     # Building
@@ -533,7 +472,6 @@ class AdaptSpec:
                 clock=clock,
                 window=self.window,
                 liveness_timeout=self.liveness_timeout,
-                num_shards=self.num_shards,
             )
         return AdaptationEngine(
             aggregator,
@@ -541,6 +479,3 @@ class AdaptSpec:
             min_beats=self.min_beats,
             step_stalled=step_stalled,
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AdaptSpec(loops={[rule.match for rule in self.loops]}, interval={self.interval})"

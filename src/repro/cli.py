@@ -717,8 +717,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except EndpointError as exc:
-        # A URL that cannot mean what was asked of it: usage error.
+    except (EndpointError, SpecError) as exc:
+        # A URL or spec that cannot mean what was asked of it: usage error.
         _emit(f"{args.command}: {exc}", stream=sys.stderr)
         return 2
     except (OSError, HeartbeatError) as exc:

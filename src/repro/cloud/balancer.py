@@ -98,11 +98,6 @@ class HeartbeatLoadBalancer:
     headroom:
         Fractional rate above a VM's target maximum regarded as "comfortably
         exceeding" its goal for consolidation purposes.
-    num_shards:
-        Reader shards of the underlying
-        :class:`~repro.core.aggregator.HeartbeatAggregator`; every management
-        pass observes the whole fleet with one sharded poll instead of one
-        monitor round-trip per VM.
     collector:
         Remote-fleet mode: a :class:`repro.net.HeartbeatCollector`
         (or anything :class:`~repro.core.aggregator.CollectorLike`) whose
@@ -127,7 +122,6 @@ class HeartbeatLoadBalancer:
         *,
         liveness_timeout: float = 5.0,
         headroom: float = 0.2,
-        num_shards: int = 1,
         collector: "CollectorLike | str | None" = None,
         clock: Clock | None = None,
     ) -> None:
@@ -149,7 +143,6 @@ class HeartbeatLoadBalancer:
         self._aggregator = HeartbeatAggregator(
             clock=clock if clock is not None else cluster.clock,
             liveness_timeout=self.liveness_timeout,
-            num_shards=num_shards,
         )
         self._expected: set[str] = set()
         self._last_sample: FleetSample | None = None
@@ -166,7 +159,7 @@ class HeartbeatLoadBalancer:
         return self._aggregator
 
     def observe(self) -> FleetSample:
-        """Poll every VM's heartbeats in one sharded pass."""
+        """Poll every VM's heartbeats in one fleet pass."""
         self._sync_streams()
         self._last_sample = self._aggregator.poll()
         return self._last_sample
@@ -225,7 +218,7 @@ class HeartbeatLoadBalancer:
             if self._collector is not None:
                 self._aggregator.attach_stream(name, self._collector.source(name))
             else:
-                self._aggregator.attach(name, vm.heartbeat)
+                self._aggregator.attach_stream(name, vm.heartbeat)
         self._expected = expected
 
     # ------------------------------------------------------------------ #
@@ -286,7 +279,7 @@ class HeartbeatLoadBalancer:
         :class:`StepController` against ``[target_min, inf)`` — only "too
         slow" triggers a placement request — driving a
         :class:`VMPlacementActuator`.  The balancer feeds the fleet sample's
-        observed rate in, so the whole fleet still costs one sharded poll.
+        observed rate in, so the whole fleet still costs one aggregator poll.
         """
         loop = self._slow_loops.get(vm.vm_id)
         if loop is None:

@@ -1,4 +1,4 @@
-"""Sharded fleet-level aggregation of many heartbeat streams.
+"""Fleet-level aggregation of many heartbeat streams.
 
 The paper's external observer (Figure 1b) reads *one* application's
 heartbeats.  Scaling that idea to a cluster manager or load balancer watching
@@ -10,10 +10,9 @@ evaluation loops.
 
 :class:`HeartbeatAggregator` is that fan-in stage.  It attaches to any mix of
 stream kinds — every one a :class:`~repro.core.stream.StreamSource` object
-handed to :meth:`HeartbeatAggregator.attach_stream` (the ``attach_*``
-conveniences for heartbeats, log files, shared-memory segments, registries
-and collectors all end there), plus whole arena slabs — shards them across a
-pool of reader threads, and turns one :meth:`poll` into a
+handed to :meth:`HeartbeatAggregator.attach_stream` (endpoint URLs,
+registries and collectors all end there), plus whole arena slabs — and
+turns one :meth:`poll` into a
 :class:`FleetSample`: a columnar view of every stream's rate, goal and health
 on which fleet-level queries (:meth:`rates`, :meth:`lagging`,
 :meth:`FleetSample.percentiles`) are vectorized numpy operations rather than
@@ -38,10 +37,8 @@ fleet observer as to a dedicated one.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
@@ -427,9 +424,10 @@ class HeartbeatAggregator:
     """Fan-in observer over many heartbeat streams.
 
     A stream joins the fleet as one :class:`~repro.core.stream.StreamSource`
-    object through :meth:`attach_stream` — every other ``attach_*`` method is
-    a convenience that opens or looks up such an object and ends there — or
-    as a row of a slab attached with :meth:`attach_arena`.  :meth:`poll`
+    object through :meth:`attach_stream` — :meth:`attach_endpoint`,
+    :meth:`attach_registry` and :meth:`attach_collector` open or look up
+    such objects and end there — or as a row of a slab attached with
+    :meth:`attach_arena`.  :meth:`poll`
     reads each per-object stream the same cursored way (version probe, then
     ``snapshot_since`` only when the token moved) and each slab in one
     vectorized pass.
@@ -446,10 +444,6 @@ class HeartbeatAggregator:
     liveness_timeout:
         Seconds without a beat after which a stream is classified STALLED.
         ``None`` disables the check.
-    num_shards:
-        Number of reader threads the attached streams are sharded across
-        during :meth:`poll`.  ``0`` selects a shard per CPU (capped at 8);
-        ``1`` polls inline with no thread hand-off.
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` holding poll
         counters and the poll-duration histogram.  A private registry is
@@ -462,17 +456,11 @@ class HeartbeatAggregator:
         clock: Clock | None = None,
         window: int = 0,
         liveness_timeout: float | None = None,
-        num_shards: int = 1,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if num_shards < 0:
-            raise ValueError(f"num_shards must be >= 0, got {num_shards}")
-        if num_shards == 0:
-            num_shards = min(os.cpu_count() or 1, 8)
         self._clock = clock if clock is not None else WallClock()
         self._window = int(window)
         self._liveness_timeout = liveness_timeout
-        self._num_shards = int(num_shards)
         self._lock = threading.Lock()
         #: Serialises whole polls: the per-stream cursors and the reusable
         #: column arrays are aggregator state, so concurrent poll() calls
@@ -484,7 +472,6 @@ class HeartbeatAggregator:
         #: reset by :meth:`poll`, accumulated by :meth:`_poll_arenas`.
         self._arena_seconds = 0.0
         self._collectors: list[tuple[str, CollectorLike]] = []
-        self._pool: ThreadPoolExecutor | None = None
         self._closed = False
         self._columns = _Columns()
         #: Bumped on every attach/detach; while unchanged, idle streams'
@@ -620,24 +607,6 @@ class HeartbeatAggregator:
             labels=labels, fn=_safe(lambda: arena.occupancy),
         )
 
-    def attach(self, name: str, heartbeat: Heartbeat) -> None:
-        """Attach an in-process heartbeat object as stream ``name``."""
-        self.attach_stream(name, heartbeat)
-
-    def attach_file(self, name: str, path: str | os.PathLike[str]) -> None:
-        """Attach a heartbeat log file (``file://`` endpoint) as stream ``name``."""
-        from repro.endpoints import FileEndpoint
-
-        self.attach_endpoint(FileEndpoint(path=os.fspath(path)), name=name)
-
-    def attach_shared_memory(self, name: str, segment: str | None = None) -> None:
-        """Attach a shared-memory segment (``segment`` defaults to ``name``)."""
-        from repro.endpoints import ShmEndpoint
-
-        self.attach_endpoint(
-            ShmEndpoint(name=segment if segment is not None else name), name=name
-        )
-
     def attach_registry(
         self, registry: HeartbeatRegistry | None = None, *, prefix: str = ""
     ) -> list[str]:
@@ -660,7 +629,7 @@ class HeartbeatAggregator:
             (f"{prefix}{hb.name}", hb) for _, hb in registry.iter_locals()
         )
         for name, hb in streams:
-            self.attach(name, hb)
+            self.attach_stream(name, hb)
             attached.append(name)
         return attached
 
@@ -758,10 +727,6 @@ class HeartbeatAggregator:
             names.extend(shard.names)
         return names
 
-    @property
-    def num_shards(self) -> int:
-        return self._num_shards
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._streams) + sum(
@@ -783,13 +748,10 @@ class HeartbeatAggregator:
         """Observe every attached stream and classify the whole fleet.
 
         A poll costs O(new beats) plus one cheap change-token probe per
-        stream: each reader shard probes its streams and reads a
-        delta only from those whose backend reports news, the deltas are
-        folded into cached rolling-window state, and the health
-        classification runs as one vectorized pass over the reusable column
-        arrays.  Streams are split round-robin over ``num_shards`` reader
-        threads, so the wall time of a poll is the slowest shard, not the
-        sum of every stream's probe/read latency.
+        stream: each stream is probed and a delta is read only from those
+        whose backend reports news, the deltas are folded into cached
+        rolling-window state, and the health classification runs as one
+        vectorized pass over the reusable column arrays.
 
         A stream whose read fails — its source raises a
         :class:`~repro.core.errors.HeartbeatError` (writer gone, segment
@@ -801,8 +763,7 @@ class HeartbeatAggregator:
 
         Concurrent ``poll`` calls from different threads are serialised
         internally (the per-stream cursors and reusable column arrays are
-        aggregator state); the shard threads *inside* one poll still run in
-        parallel.
+        aggregator state).
         """
         with self._poll_lock:
             self._arena_seconds = 0.0
@@ -810,7 +771,7 @@ class HeartbeatAggregator:
             sample = self._poll_locked()
             elapsed = time.perf_counter() - start
             self._m_poll_duration.observe(elapsed)
-            # Split the poll wall time by shard kind so the dashboard can
+            # Split the poll wall time by path (slab vs per-object) so the dashboard can
             # show what the slab path saves over per-object dispatch.
             if self._arenas:
                 self._m_poll_arena.observe(self._arena_seconds)
@@ -834,45 +795,35 @@ class HeartbeatAggregator:
 
         errors: dict[str, str] = {}
         dead: list[int] = []
-        error_lock = threading.Lock()
-
-        def _drain(shard: list[tuple[int, _Stream]]) -> None:
-            # Probe-then-read per stream, inside the shard: the change-token
-            # probes (an ``os.stat``-class syscall for file streams) are
-            # spread across the reader threads with the delta reads they
-            # gate, so an idle fleet's poll parallelizes too.
-            for i, stream in shard:
-                version: object | None = None
-                if stream.probe is not None:
-                    try:
-                        version = stream.probe()
-                    except HeartbeatError:
-                        version = None  # let the delta read report the failure
-                if (
-                    stream.state is not None
-                    and version is not None
-                    and version == stream.state.version
-                ):
-                    continue  # no new beats, no goal change: skip the read
+        for i, stream in enumerate(streams):
+            version: object | None = None
+            if stream.probe is not None:
                 try:
-                    state = stream.state
-                    if state is None:
-                        state = StreamDeltaState(self._window)
-                    state.consume(stream.delta)
-                    state.version = version
-                    stream.state = state
-                except (HeartbeatError, ValueError) as exc:
-                    # ValueError: a backwards timestamp inside the rate
-                    # window (wall-clock step, clock-skewed relay) — one
-                    # producer's bad stamps must not fail the fleet's poll.
-                    stream.state = None  # full resync whenever it recovers
-                    with error_lock:
-                        errors[stream.name] = str(exc)
-                        dead.append(i)
-                    continue
-                columns.write(i, state)
-
-        self._run_sharded(list(enumerate(streams)), _drain)
+                    version = stream.probe()
+                except HeartbeatError:
+                    version = None  # let the delta read report the failure
+            if (
+                stream.state is not None
+                and version is not None
+                and version == stream.state.version
+            ):
+                continue  # no new beats, no goal change: skip the read
+            try:
+                state = stream.state
+                if state is None:
+                    state = StreamDeltaState(self._window)
+                state.consume(stream.delta)
+                state.version = version
+                stream.state = state
+            except (HeartbeatError, ValueError) as exc:
+                # ValueError: a backwards timestamp inside the rate window
+                # (wall-clock step, clock-skewed relay) — one producer's bad
+                # stamps must not fail the fleet's poll.
+                stream.state = None  # full resync whenever it recovers
+                errors[stream.name] = str(exc)
+                dead.append(i)
+                continue
+            columns.write(i, state)
 
         if rewrite_all:
             # Stream layout changed since the last poll: refresh every live
@@ -987,26 +938,6 @@ class HeartbeatAggregator:
             np.concatenate([c[k] for c in cols]) for k in range(6)
         )
 
-    def _run_sharded(
-        self,
-        work: list[tuple[int, _Stream]],
-        drain: Callable[[list[tuple[int, _Stream]]], None],
-    ) -> None:
-        """Split ``work`` round-robin over the reader shards and drain it."""
-        if not work:
-            return
-        shards: list[list[tuple[int, _Stream]]] = [
-            [] for _ in range(min(self._num_shards, len(work)))
-        ]
-        for j, item in enumerate(work):
-            shards[j % len(shards)].append(item)
-        if len(shards) == 1:
-            drain(shards[0])
-            return
-        pool = self._ensure_pool()
-        for future in [pool.submit(drain, shard) for shard in shards]:
-            future.result()
-
     def rates(self) -> dict[str, float]:
         """Convenience: poll once and return ``{stream name: rate}``."""
         sample = self.poll()
@@ -1024,7 +955,7 @@ class HeartbeatAggregator:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Detach every stream and stop the reader pool.  Idempotent."""
+        """Detach every stream and release what the aggregator owns.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -1035,15 +966,12 @@ class HeartbeatAggregator:
             self._arenas.clear()
             self._collectors.clear()
             self._membership += 1
-            pool, self._pool = self._pool, None
         for stream in streams:
             if stream.close is not None:
                 stream.close()
         for shard in shards:
             if shard.close is not None:
                 shard.close()
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def __enter__(self) -> "HeartbeatAggregator":
         return self
@@ -1051,19 +979,7 @@ class HeartbeatAggregator:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._closed:
-                raise MonitorAttachError("aggregator is closed")
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._num_shards,
-                    thread_name_prefix="hb-aggregator",
-                )
-            return self._pool
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"HeartbeatAggregator(streams={len(self)}, shards={self._num_shards}, "
-            f"window={self._window})"
+            f"HeartbeatAggregator(streams={len(self)}, window={self._window})"
         )

@@ -153,8 +153,8 @@ class SharedMemoryBackend(Backend):
     ----------
     name:
         Name of the shared-memory segment.  Observers attach with the same
-        name via :class:`SharedMemoryReader` (or
-        :meth:`repro.core.monitor.HeartbeatMonitor.attach_shared_memory`).
+        name via :class:`SharedMemoryReader` (or an ``shm://NAME`` URL:
+        :meth:`repro.core.monitor.HeartbeatMonitor.attach_endpoint`).
         When omitted an OS-assigned unique name is used and exposed as
         :attr:`name`.
     capacity:

@@ -21,7 +21,6 @@ need.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -300,7 +299,8 @@ class HeartbeatMonitor:
     Pass any :class:`~repro.core.stream.StreamSource`-shaped object — a
     backend, a reader, a collector's ``source(stream_id)`` view, an arena
     row, a ``Heartbeat``, another monitor, or a bare zero-argument snapshot
-    callable — or use one of the ``attach_*`` class methods.  Each call to
+    callable — or use :meth:`attach` (an in-process heartbeat, on its own
+    clock) or :meth:`attach_endpoint` (a ``file://``/``shm://`` URL).  Each call to
     :meth:`read` re-polls the source, so a monitor held by a scheduler
     naturally tracks the application over time.
 
@@ -395,50 +395,6 @@ class HeartbeatMonitor:
             window=window,
             liveness_timeout=liveness_timeout,
             own=True,
-        )
-
-    @classmethod
-    def attach_file(
-        cls,
-        path: str | os.PathLike[str],
-        *,
-        clock: Clock | None = None,
-        window: int = 0,
-        liveness_timeout: float | None = None,
-    ) -> "HeartbeatMonitor":
-        """Observe a heartbeat log file written by a :class:`FileBackend`.
-
-        Equivalent to :meth:`attach_endpoint` with a ``file://`` URL.
-        """
-        from repro.endpoints import FileEndpoint
-
-        return cls.attach_endpoint(
-            FileEndpoint(path=os.fspath(path)),
-            clock=clock,
-            window=window,
-            liveness_timeout=liveness_timeout,
-        )
-
-    @classmethod
-    def attach_shared_memory(
-        cls,
-        name: str,
-        *,
-        clock: Clock | None = None,
-        window: int = 0,
-        liveness_timeout: float | None = None,
-    ) -> "HeartbeatMonitor":
-        """Observe a shared-memory segment written by another process.
-
-        Equivalent to :meth:`attach_endpoint` with a ``shm://`` URL.
-        """
-        from repro.endpoints import ShmEndpoint
-
-        return cls.attach_endpoint(
-            ShmEndpoint(name=name),
-            clock=clock,
-            window=window,
-            liveness_timeout=liveness_timeout,
         )
 
     # ------------------------------------------------------------------ #

@@ -43,18 +43,19 @@ True
 >>> sorted(i.kind for i in spec.invariants)[:2]
 ['all_beats_delivered', 'closed_reported']
 
-TOML parsing uses :mod:`tomllib` and therefore Python 3.11+; on 3.10 use
-JSON files or build from a dict.
+Files load through :mod:`repro.specfile`, the strict loader shared with
+adaptation specs: TOML needs :mod:`tomllib` and therefore Python 3.11+; on
+3.10 use JSON files or build from a dict.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Union
 
 from repro.faults.timeline import Timeline, TimelineEvent
+from repro.specfile import Table, load_file
 
 __all__ = [
     "FleetSpec",
@@ -112,16 +113,14 @@ class FleetSpec:
             raise ScenarioError("fleet prefix must be non-empty")
 
     @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "FleetSpec":
-        unknown = set(data) - {"producers", "beats", "rate", "skew", "prefix"}
-        if unknown:
-            raise ScenarioError(f"unknown fleet keys {sorted(unknown)}")
+    def from_mapping(cls, raw: object) -> "FleetSpec":
+        table = Table(raw, ScenarioError, "fleet", {"producers", "beats", "rate", "skew", "prefix"})
         return cls(
-            producers=int(data.get("producers", 2)),
-            beats=int(data.get("beats", 200)),
-            rate=float(data.get("rate", 200.0)),
-            skew=float(data.get("skew", 0.0)),
-            prefix=str(data.get("prefix", "svc")),
+            producers=table.get("producers", int, 2),
+            beats=table.get("beats", int, 200),
+            rate=table.get("rate", float, 200.0),
+            skew=table.get("skew", float, 0.0),
+            prefix=table.get("prefix", str, "svc"),
         )
 
 
@@ -151,35 +150,30 @@ class InvariantSpec:
             raise ScenarioError(f"invariant count must be >= 1, got {self.count}")
 
     @classmethod
-    def from_mapping(cls, data: Mapping[str, Any]) -> "InvariantSpec":
-        unknown = set(data) - {"kind", "deadline", "count"}
-        if unknown:
-            raise ScenarioError(f"unknown invariant keys {sorted(unknown)}")
-        if "kind" not in data:
-            raise ScenarioError("invariant needs a 'kind'")
+    def from_mapping(cls, raw: object) -> "InvariantSpec":
+        table = Table(raw, ScenarioError, "invariant", {"kind", "deadline", "count"}, ("kind",))
         return cls(
-            kind=str(data["kind"]),
-            deadline=float(data.get("deadline", 10.0)),
-            count=int(data.get("count", 1)),
+            kind=table.get("kind", str),
+            deadline=table.get("deadline", float, 10.0),
+            count=table.get("count", int, 1),
         )
 
 
-def _parse_timeline(entries: Sequence[Mapping[str, Any]]) -> tuple[TimelineEvent, ...]:
-    events = []
-    for entry in entries:
-        if not isinstance(entry, Mapping):
-            raise ScenarioError(f"timeline entries must be tables, got {entry!r}")
-        if "at" not in entry or "action" not in entry:
-            raise ScenarioError(f"timeline entry needs 'at' and 'action': {dict(entry)!r}")
-        action = str(entry["action"])
-        if action not in PROXY_ACTIONS and action not in FLEET_ACTIONS:
-            raise ScenarioError(
-                f"unknown timeline action {action!r}; known: "
-                f"{list(PROXY_ACTIONS + FLEET_ACTIONS)}"
-            )
-        params = {k: v for k, v in entry.items() if k not in ("at", "action")}
-        events.append(TimelineEvent(at=float(entry["at"]), action=action, params=params))
-    return tuple(sorted(events, key=lambda e: e.at))
+def _timeline_event(raw: object) -> TimelineEvent:
+    """One timeline table: ``at`` and ``action``; every other key is a parameter."""
+    table = Table(raw, ScenarioError, "timeline entry", None, required=("at", "action"))
+    action = table.get("action", str)
+    if action not in PROXY_ACTIONS and action not in FLEET_ACTIONS:
+        raise ScenarioError(
+            f"unknown timeline action {action!r}; known: "
+            f"{list(PROXY_ACTIONS + FLEET_ACTIONS)}"
+        )
+    at = table.get("at", float, 0.0)  # non-None default: an explicit null is rejected
+    params = {k: v for k, v in table.data.items() if k not in ("at", "action")}
+    try:
+        return TimelineEvent(at=at, action=action, params=params)
+    except ValueError as exc:  # a negative time
+        raise ScenarioError(f"timeline entry: {exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,78 +233,40 @@ class ScenarioSpec:
     # Parsing
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        known = {
-            "name", "description", "fleet", "topology", "proxy", "journal",
-            "latency", "jitter", "bandwidth", "drop_probability", "seed",
-            "timeline", "invariants", "deadline",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(f"unknown scenario keys {sorted(unknown)}; known: {sorted(known)}")
-        if "name" not in data:
-            raise ScenarioError("scenario needs a name")
-        fleet = data.get("fleet", {})
-        if not isinstance(fleet, Mapping):
-            raise ScenarioError(f"'fleet' must be a table, got {type(fleet).__name__}")
-        raw_timeline = data.get("timeline", ())
-        if isinstance(raw_timeline, (str, bytes)) or not isinstance(raw_timeline, Sequence):
-            raise ScenarioError("'timeline' must be an array of event tables")
-        raw_invariants = data.get("invariants", ())
-        if isinstance(raw_invariants, (str, bytes)) or not isinstance(raw_invariants, Sequence):
-            raise ScenarioError("'invariants' must be an array of invariant tables")
-        bandwidth = data.get("bandwidth")
-        seed = data.get("seed")
+    def from_dict(cls, data: object) -> "ScenarioSpec":
+        table = Table(
+            data, ScenarioError, "scenario",
+            {
+                "name", "description", "fleet", "topology", "proxy", "journal",
+                "latency", "jitter", "bandwidth", "drop_probability", "seed",
+                "timeline", "invariants", "deadline",
+            },
+            required=("name",),
+        )
+        timeline = (_timeline_event(entry) for entry in table.array("timeline"))
         return cls(
-            name=str(data["name"]),
-            description=str(data.get("description", "")),
-            fleet=FleetSpec.from_mapping(fleet),
-            topology=str(data.get("topology", "direct")),
-            proxy=bool(data.get("proxy", False)),
-            journal=bool(data.get("journal", False)),
-            latency=float(data.get("latency", 0.0)),
-            jitter=float(data.get("jitter", 0.0)),
-            bandwidth=None if bandwidth is None else float(bandwidth),
-            drop_probability=float(data.get("drop_probability", 0.0)),
-            seed=None if seed is None else int(seed),
-            timeline=_parse_timeline(raw_timeline),
+            name=table.get("name", str),
+            description=table.get("description", str, ""),
+            fleet=FleetSpec.from_mapping(table.data.get("fleet", {})),
+            topology=table.get("topology", str, "direct"),
+            proxy=table.get("proxy", bool, False),
+            journal=table.get("journal", bool, False),
+            latency=table.get("latency", float, 0.0),
+            jitter=table.get("jitter", float, 0.0),
+            bandwidth=table.get("bandwidth", float),
+            drop_probability=table.get("drop_probability", float, 0.0),
+            seed=table.get("seed", int),
+            timeline=tuple(sorted(timeline, key=lambda e: e.at)),
             invariants=tuple(
-                InvariantSpec.from_mapping(entry) for entry in raw_invariants
+                InvariantSpec.from_mapping(entry) for entry in table.array("invariants")
             ),
-            deadline=float(data.get("deadline", 60.0)),
+            deadline=table.get("deadline", float, 60.0),
         )
 
     @classmethod
-    def from_toml(cls, text: str) -> "ScenarioSpec":
-        """Parse a TOML scenario (requires Python 3.11+ for :mod:`tomllib`)."""
-        try:
-            import tomllib
-        except ModuleNotFoundError as exc:  # pragma: no cover - py3.10 only
-            raise ScenarioError(
-                "TOML scenarios need Python 3.11+ (tomllib); use JSON or "
-                "ScenarioSpec.from_dict"
-            ) from exc
-        try:
-            return cls.from_dict(tomllib.loads(text))
-        except tomllib.TOMLDecodeError as exc:
-            raise ScenarioError(f"invalid TOML: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid JSON: {exc}") from exc
-
-    @classmethod
     def from_file(cls, path: Union[str, os.PathLike[str]]) -> "ScenarioSpec":
-        """Load a scenario file: ``.toml`` via tomllib, anything else as JSON."""
-        path = os.fspath(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if path.endswith(".toml"):
-            return cls.from_toml(text)
-        return cls.from_json(text)
+        """Load a scenario file: ``.toml`` as TOML, anything else as JSON."""
+        return cls.from_dict(load_file(path, ScenarioError))
 
     @classmethod
     def preset(cls, name: str) -> "ScenarioSpec":

@@ -247,7 +247,6 @@ class TelemetrySession:
         *endpoints: str | Endpoint | object,
         window: int | None = None,
         liveness_timeout: float | None = None,
-        num_shards: int = 1,
         clock: Clock | None = None,
     ) -> HeartbeatAggregator:
         """Open a fleet observer over any mix of endpoints.
@@ -289,7 +288,6 @@ class TelemetrySession:
             liveness_timeout=(
                 self._liveness_timeout if liveness_timeout is None else liveness_timeout
             ),
-            num_shards=num_shards,
         )
         self._register("fleet", aggregator.close)
         for entry in endpoints:
@@ -431,7 +429,6 @@ class TelemetrySession:
             *attach,
             window=spec.window,
             liveness_timeout=spec.liveness_timeout,
-            num_shards=spec.num_shards,
             clock=clock,
         )
         engine = spec.build_engine(aggregator=aggregator, actuators=actuators)
@@ -539,6 +536,6 @@ class TelemetrySession:
             aggregator.attach_collector(self.collect(ep))
         elif ep.inline:
             heartbeat = self._lookup(ep)
-            aggregator.attach(heartbeat.name, heartbeat)
+            aggregator.attach_stream(heartbeat.name, heartbeat)
         else:
             aggregator.attach_endpoint(ep)

@@ -247,7 +247,6 @@ def evaluate_spec(spec: AdaptSpec, config: EvaluationConfig) -> EvalResult:
         clock=fleet_clock,
         window=spec.window,
         liveness_timeout=None,
-        num_shards=spec.num_shards,
     )
     for plant in plants:
         aggregator.attach_stream(plant.name, plant.heartbeat)

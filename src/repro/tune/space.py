@@ -296,7 +296,6 @@ def apply_values(spec: AdaptSpec, values: Mapping[str, float | int]) -> AdaptSpe
             loops,
             window=spec.window,
             liveness_timeout=spec.liveness_timeout,
-            num_shards=spec.num_shards,
             interval=spec.interval,
             min_beats=spec.min_beats,
             attach=spec.attach,

@@ -301,7 +301,7 @@ class TestAdaptationEngine:
         }
         aggregator, engine = build_engine(clock, streams)
         for name, stream in streams.items():
-            aggregator.attach(name, stream.heartbeat)
+            aggregator.attach_stream(name, stream.heartbeat)
         with engine:
             for _ in range(25):
                 clock.advance(1.0)
@@ -317,10 +317,10 @@ class TestAdaptationEngine:
         clock = SimulatedClock()
         streams = {"svc-0": SimStream(clock, 2.0)}
         aggregator, engine = build_engine(clock, streams)
-        aggregator.attach("svc-0", streams["svc-0"].heartbeat)
+        aggregator.attach_stream("svc-0", streams["svc-0"].heartbeat)
         other = Heartbeat(window=4, clock=clock)
         other.set_target_rate(1.0, 2.0)
-        aggregator.attach("ignored", other)  # factory answers None
+        aggregator.attach_stream("ignored", other)  # factory answers None
         with engine:
             tick = engine.tick()
             assert tick.attached == ("svc-0",)
@@ -329,7 +329,7 @@ class TestAdaptationEngine:
             assert engine.tick().attached == ()
             # A stream joining later is offered and adopted on the next tick.
             streams["svc-1"] = SimStream(clock, 20.0)
-            aggregator.attach("svc-1", streams["svc-1"].heartbeat)
+            aggregator.attach_stream("svc-1", streams["svc-1"].heartbeat)
             assert engine.tick().attached == ("svc-1",)
 
     def test_goalless_streams_are_reoffered_until_they_publish(self):
@@ -337,7 +337,7 @@ class TestAdaptationEngine:
         hb = Heartbeat(window=4, clock=clock)
         hb.heartbeat()
         aggregator = HeartbeatAggregator(clock=clock)
-        aggregator.attach("svc-0", hb)
+        aggregator.attach_stream("svc-0", hb)
         offers = []
 
         def factory(name, reading):
@@ -358,7 +358,7 @@ class TestAdaptationEngine:
         clock = SimulatedClock()
         streams = {"svc-0": SimStream(clock, 5.0)}
         aggregator, engine = build_engine(clock, streams)
-        aggregator.attach("svc-0", streams["svc-0"].heartbeat)
+        aggregator.attach_stream("svc-0", streams["svc-0"].heartbeat)
         with engine:
             engine.tick()
             assert "svc-0" in engine.loops
@@ -371,7 +371,7 @@ class TestAdaptationEngine:
         clock = SimulatedClock()
         streams = {"svc-0": SimStream(clock, 2.0)}
         aggregator, engine = build_engine(clock, streams)
-        aggregator.attach("svc-0", streams["svc-0"].heartbeat)
+        aggregator.attach_stream("svc-0", streams["svc-0"].heartbeat)
         with engine:
             for _ in range(3):
                 clock.advance(1.0)
@@ -388,7 +388,7 @@ class TestAdaptationEngine:
         clock = SimulatedClock()
         streams = {"svc-0": SimStream(clock, 2.0)}
         aggregator, engine = build_engine(clock, streams)
-        aggregator.attach("svc-0", streams["svc-0"].heartbeat)
+        aggregator.attach_stream("svc-0", streams["svc-0"].heartbeat)
         with engine:
             engine.start(interval=0.01)
             with pytest.raises(RuntimeError):
@@ -403,7 +403,7 @@ class TestAdaptationEngine:
         clock = SimulatedClock()
         streams = {"svc-0": SimStream(clock, 2.0)}
         aggregator, engine = build_engine(clock, streams)
-        aggregator.attach("svc-0", streams["svc-0"].heartbeat)
+        aggregator.attach_stream("svc-0", streams["svc-0"].heartbeat)
 
         def between(tick):
             clock.advance(1.0)
@@ -455,10 +455,13 @@ class TestAdaptSpec:
         path.write_text(json.dumps(data))
         spec = AdaptSpec.from_file(path)
         assert spec.rule_for("anything") is not None
+        assert AdaptSpec.parse("  " + json.dumps(data)) == spec  # sniffed as JSON
+        with pytest.raises(SpecError):
+            AdaptSpec.parse("{not json")
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs 3.11+")
     def test_toml_parsing(self):
-        spec = AdaptSpec.from_toml(
+        spec = AdaptSpec.parse(
             """
             [engine]
             liveness_timeout = 5.0
@@ -474,7 +477,7 @@ class TestAdaptSpec:
         assert rule.controller == "proportional"
         assert rule.controller_options["gain"] == 2.0
         with pytest.raises(SpecError):
-            AdaptSpec.from_toml("not [valid toml")
+            AdaptSpec.parse("not [valid toml")
 
     @pytest.mark.parametrize(
         "bad",
@@ -489,13 +492,18 @@ class TestAdaptSpec:
             {"loops": [{"match": "x"}], "mystery": {}},
             {"engine": {"warp": 9}, "loops": [{"match": "x"}]},
             {"loops": [{"match": "x", "decision_interval": 0}]},
+            pytest.param({"loops": "x"}, id="loops-not-array"),
+            pytest.param({"engine": 3, "loops": [{"match": "x"}]}, id="engine-not-table"),
+            pytest.param({"loops": [{"match": "x", "target": None}]}, id="target-null"),
+            pytest.param({"loops": [{"match": "x", "controller": 7}]}, id="controller-not-kind"),
         ],
         ids=lambda d: str(sorted(d))[:40],
     )
     def test_malformed_specs_raise(self, bad):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError) as info:
             spec = AdaptSpec.from_dict(bad)
             spec.loop_factory()  # some errors surface at build time
+        assert type(info.value) is SpecError
 
     def test_unknown_actuator_name_raises_at_build(self):
         spec = AdaptSpec.from_dict({"loops": [{"match": "*", "actuator": "warp-core"}]})
@@ -509,7 +517,7 @@ class TestAdaptSpec:
         hb = Heartbeat(window=4, clock=clock)
         hb.heartbeat()
         aggregator = HeartbeatAggregator(clock=clock)
-        aggregator.attach("svc", hb)
+        aggregator.attach_stream("svc", hb)
         sample = aggregator.poll()
         assert factory("svc", sample.reading("svc")) is None
         hb.set_target_rate(30.0, 120.0)
@@ -525,7 +533,7 @@ class TestAdaptSpec:
             {"loops": [{"match": "svc-*", "target": "published", "actuator": "knob"}]}
         )
         aggregator = HeartbeatAggregator(clock=clock)
-        aggregator.attach("svc-0", stream.heartbeat)
+        aggregator.attach_stream("svc-0", stream.heartbeat)
         engine = spec.build_engine(
             aggregator=aggregator,
             actuators={"knob": lambda name, reading, options: stream.actuator()},
@@ -663,8 +671,8 @@ class TestFaultIsolation:
         good = SimStream(clock, 2.0, target=(9.0, 15.0))
         bad = SimStream(clock, 2.0, target=(9.0, 15.0))
         aggregator = HeartbeatAggregator(clock=clock)
-        aggregator.attach("good", good.heartbeat)
-        aggregator.attach("bad", bad.heartbeat)
+        aggregator.attach_stream("good", good.heartbeat)
+        aggregator.attach_stream("bad", bad.heartbeat)
 
         def factory(name, reading):
             if name == "bad":
@@ -688,7 +696,7 @@ class TestFaultIsolation:
         streams = {"svc-0": SimStream(clock, 2.0), "svc-1": SimStream(clock, 2.0)}
         aggregator, engine = build_engine(clock, streams)
         for name, stream in streams.items():
-            aggregator.attach(name, stream.heartbeat)
+            aggregator.attach_stream(name, stream.heartbeat)
         with engine:
             clock.advance(1.0)
             for stream in streams.values():

@@ -469,7 +469,7 @@ def test_dashboard_builds_readings_for_the_rows_it_shows(reading_count):
     for i in range(20):
         heartbeat = Heartbeat(window=4, clock=clock)
         heartbeat.heartbeat_batch(i + 1)
-        aggregator.attach(f"svc-{i:02d}", heartbeat)
+        aggregator.attach_stream(f"svc-{i:02d}", heartbeat)
     try:
         with TelemetryServer(aggregator, interval=60.0, max_streams=3) as server:
             snapshot = server.snapshot()  # built synchronously by the constructor

@@ -73,7 +73,7 @@ class TestCollectorFleetAdaptation:
         producers: dict[str, TcpProducer] = {}
         spec = AdaptSpec.from_dict(
             {
-                "engine": {"liveness_timeout": 2.5, "num_shards": 2},
+                "engine": {"liveness_timeout": 2.5},
                 "loops": [{"match": "svc-*", "target": "published", "actuator": "speed"}],
             }
         )
@@ -88,7 +88,7 @@ class TestCollectorFleetAdaptation:
             return FunctionActuator(lambda: producer.speed, set_speed, bounds=(1.0, 64.0))
 
         with HeartbeatCollector() as collector:
-            aggregator = HeartbeatAggregator(clock=clock, liveness_timeout=2.5, num_shards=2)
+            aggregator = HeartbeatAggregator(clock=clock, liveness_timeout=2.5)
             engine = spec.build_engine(
                 aggregator=aggregator, actuators={"speed": speed_actuator}
             )

@@ -1,4 +1,8 @@
-"""Tests for the sharded multi-stream heartbeat aggregator."""
+"""Tests for the multi-stream heartbeat aggregator.
+
+Streams attach through the object door (``attach_stream``) or the URL door
+(``attach_endpoint``); one ``poll`` drains every per-object stream inline.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ def build_fleet(clock, agg, n=6, *, window=10, target=(5.0, 100.0)):
     for i in range(n):
         hb = Heartbeat(window=window, clock=clock, name=f"s{i}")
         hb.set_target_rate(*target)
-        agg.attach(f"s{i}", hb)
+        agg.attach_stream(f"s{i}", hb)
         streams[f"s{i}"] = hb
     for tick in range(100):
         clock.advance(0.1)
@@ -33,25 +37,25 @@ class TestAttachment:
     def test_attach_and_names_in_order(self, sim_clock):
         agg = HeartbeatAggregator(clock=sim_clock)
         for i in range(5):
-            agg.attach(f"s{i}", Heartbeat(window=10, clock=sim_clock))
+            agg.attach_stream(f"s{i}", Heartbeat(window=10, clock=sim_clock))
         assert agg.names == [f"s{i}" for i in range(5)]
         assert len(agg) == 5
         assert "s3" in agg and "nope" not in agg
 
     def test_duplicate_name_rejected(self, sim_clock):
         agg = HeartbeatAggregator(clock=sim_clock)
-        agg.attach("dup", Heartbeat(window=10, clock=sim_clock))
+        agg.attach_stream("dup", Heartbeat(window=10, clock=sim_clock))
         with pytest.raises(MonitorAttachError):
-            agg.attach("dup", Heartbeat(window=10, clock=sim_clock))
+            agg.attach_stream("dup", Heartbeat(window=10, clock=sim_clock))
 
     def test_rejected_shared_memory_attach_closes_reader(self, sim_clock):
         backend = SharedMemoryBackend(capacity=16)
         hb = Heartbeat(window=5, clock=sim_clock, backend=backend)
         agg = HeartbeatAggregator(clock=sim_clock)
-        agg.attach("dup", Heartbeat(window=5, clock=sim_clock))
+        agg.attach_stream("dup", Heartbeat(window=5, clock=sim_clock))
         try:
             with pytest.raises(MonitorAttachError):
-                agg.attach_shared_memory("dup", backend.name)  # name collision
+                agg.attach_endpoint(f"shm://{backend.name}", name="dup")  # name collision
             # The rejected reader must not keep a mapping open: the writer can
             # still close and unlink its segment without a dangling attach.
         finally:
@@ -60,7 +64,7 @@ class TestAttachment:
 
     def test_detach(self, sim_clock):
         agg = HeartbeatAggregator(clock=sim_clock)
-        agg.attach("a", Heartbeat(window=10, clock=sim_clock))
+        agg.attach_stream("a", Heartbeat(window=10, clock=sim_clock))
         agg.detach("a")
         assert len(agg) == 0
         with pytest.raises(MonitorAttachError):
@@ -74,14 +78,14 @@ class TestAttachment:
             hb.heartbeat()
         backend.flush()  # file appends are buffered; publish to observers
         agg = HeartbeatAggregator(clock=sim_clock)
-        agg.attach_file("logged", tmp_path / "stream.log")
+        agg.attach_endpoint(f"file://{tmp_path / 'stream.log'}", name="logged")
         assert agg.rates()["logged"] == pytest.approx(2.0)
         hb.finalize()
 
     def test_attach_file_missing_rejected(self, tmp_path):
         agg = HeartbeatAggregator()
         with pytest.raises(MonitorAttachError):
-            agg.attach_file("missing", tmp_path / "nope.log")
+            agg.attach_endpoint(f"file://{tmp_path / 'nope.log'}", name="missing")
 
     def test_attach_shared_memory_stream(self, sim_clock):
         backend = SharedMemoryBackend(capacity=64)
@@ -90,7 +94,7 @@ class TestAttachment:
             sim_clock.advance(0.25)
             hb.heartbeat()
         agg = HeartbeatAggregator(clock=sim_clock)
-        agg.attach_shared_memory("shm", backend.name)
+        agg.attach_endpoint(f"shm://{backend.name}", name="shm")
         try:
             assert agg.rates()["shm"] == pytest.approx(4.0)
         finally:
@@ -125,7 +129,7 @@ class TestAttachment:
         agg = HeartbeatAggregator(clock=sim_clock)
         agg.close()
         with pytest.raises(MonitorAttachError):
-            agg.attach("late", Heartbeat(window=10, clock=sim_clock))
+            agg.attach_stream("late", Heartbeat(window=10, clock=sim_clock))
 
 
 class TestFleetQueries:
@@ -168,8 +172,8 @@ class TestFleetQueries:
         agg = HeartbeatAggregator(clock=sim_clock, liveness_timeout=2.0)
         fast = Heartbeat(window=5, clock=sim_clock, name="fast")
         dead = Heartbeat(window=5, clock=sim_clock, name="dead")
-        agg.attach("fast", fast)
-        agg.attach("dead", dead)
+        agg.attach_stream("fast", fast)
+        agg.attach_stream("dead", dead)
         for _ in range(10):
             sim_clock.advance(0.5)
             fast.heartbeat()
@@ -196,8 +200,8 @@ class TestFleetQueries:
         agg = HeartbeatAggregator(clock=sim_clock)
         warm = Heartbeat(window=5, clock=sim_clock)
         cold = Heartbeat(window=5, clock=sim_clock)
-        agg.attach("warm", warm)
-        agg.attach("cold", cold)
+        agg.attach_stream("warm", warm)
+        agg.attach_stream("cold", cold)
         for _ in range(5):
             sim_clock.advance(1.0)
             warm.heartbeat()
@@ -207,37 +211,11 @@ class TestFleetQueries:
         assert summary.mean == pytest.approx(1.0)
 
 
-class TestSharding:
-    @pytest.mark.parametrize("num_shards", [1, 2, 4, 16])
-    def test_results_independent_of_shard_count(self, sim_clock, num_shards):
-        agg = HeartbeatAggregator(clock=sim_clock, num_shards=num_shards)
-        streams = build_fleet(sim_clock, agg, n=9)
-        sample = agg.poll()
-        assert list(sample.names) == [f"s{i}" for i in range(9)]
-        assert sample.errors == {}
-        inline = HeartbeatAggregator(clock=sim_clock, num_shards=1)
-        for name, hb in streams.items():
-            inline.attach(name, hb)
-        expected = inline.poll()
-        assert [r.rate for r in sample.readings] == [r.rate for r in expected.readings]
-        agg.close()
-        inline.close()
-
-    def test_auto_shards_positive(self):
-        agg = HeartbeatAggregator(num_shards=0)
-        assert agg.num_shards >= 1
-        agg.close()
-
-    def test_negative_shards_rejected(self):
-        with pytest.raises(ValueError):
-            HeartbeatAggregator(num_shards=-1)
-
-
 class TestFailureIsolation:
     def test_dead_stream_reported_not_fatal(self, sim_clock):
         agg = HeartbeatAggregator(clock=sim_clock)
         healthy = Heartbeat(window=5, clock=sim_clock)
-        agg.attach("healthy", healthy)
+        agg.attach_stream("healthy", healthy)
 
         def broken():
             raise HeartbeatError("writer went away")
@@ -251,29 +229,36 @@ class TestFailureIsolation:
         assert "broken" in sample.errors
         assert "writer went away" in sample.errors["broken"]
 
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_backwards_timestamp_poisons_only_its_own_stream(self, num_shards):
+    @pytest.mark.parametrize("healthy", [1, 2])
+    def test_backwards_timestamp_poisons_only_its_own_stream(self, healthy):
         """A backwards stamp inside one stream's rate window (wall-clock
         step, clock-skewed relay) lands that stream in ``errors``; the rest
         of the fleet is still sampled, and the stream recovers by a full
-        resync once the bad stamp has left its window."""
+        resync once the bad stamp has left its window.  With two healthy
+        streams the poisoned one sits between them, so the sample's columns
+        must close over the gap it leaves."""
         from repro.clock import ManualClock
         from repro.core.backends import MemoryBackend
 
-        good, bad = MemoryBackend(16), MemoryBackend(16)
-        for backend in (good, bad):
+        goods = {f"good{i}": MemoryBackend(16) for i in range(healthy)}
+        bad = MemoryBackend(16)
+        for backend in (*goods.values(), bad):
             backend.set_default_window(4)
-        for beat, stamp in enumerate((10.0, 11.0, 12.0, 13.0)):
-            good.append(beat, stamp, 0, 1)
+        for good in goods.values():
+            for beat, stamp in enumerate((10.0, 11.0, 12.0, 13.0)):
+                good.append(beat, stamp, 0, 1)
         for beat, stamp in enumerate((10.0, 11.0, 12.0, 3.0)):
             bad.append(beat, stamp, 0, 1)
-        with HeartbeatAggregator(clock=ManualClock(13.0), num_shards=num_shards) as agg:
-            agg.attach_stream("good", good)
+        with HeartbeatAggregator(clock=ManualClock(13.0)) as agg:
+            agg.attach_stream("good0", goods["good0"])
             agg.attach_stream("bad", bad)
+            if healthy == 2:
+                agg.attach_stream("good1", goods["good1"])
             for _ in range(2):  # the poisoned state is not kept between polls
                 sample = agg.poll()
-                assert sample.names == ("good",)
-                assert sample.reading("good").rate == pytest.approx(1.0)
+                assert sample.names == tuple(goods)
+                for name in goods:
+                    assert sample.reading(name).rate == pytest.approx(1.0)
                 assert "not sorted" in sample.errors["bad"]
             for beat, stamp in enumerate((14.0, 15.0, 16.0, 17.0), start=4):
                 bad.append(beat, stamp, 0, 1)
@@ -288,7 +273,7 @@ class TestFailureIsolation:
         arena = Arena(streams=4, depth=8)
         arena.allocate("row-name")
         with HeartbeatAggregator(clock=sim_clock) as agg:
-            agg.attach("object", Heartbeat(window=5, clock=sim_clock))
+            agg.attach_stream("object", Heartbeat(window=5, clock=sim_clock))
             agg.attach_arena(arena, prefix="slab/", own=True)
             assert agg.names == ["object", "slab/row-name"]
             assert len(agg) == 2
@@ -309,13 +294,13 @@ class TestFailureIsolation:
 class TestLifecycle:
     def test_close_idempotent_and_context_manager(self, sim_clock):
         with HeartbeatAggregator(clock=sim_clock) as agg:
-            agg.attach("s", Heartbeat(window=5, clock=sim_clock))
+            agg.attach_stream("s", Heartbeat(window=5, clock=sim_clock))
         agg.close()  # second close is a no-op
 
     def test_close_releases_shared_memory_readers(self, sim_clock):
         backend = SharedMemoryBackend(capacity=16)
         hb = Heartbeat(window=5, clock=sim_clock, backend=backend)
         agg = HeartbeatAggregator(clock=sim_clock)
-        agg.attach_shared_memory("shm", backend.name)
+        agg.attach_endpoint(f"shm://{backend.name}", name="shm")
         agg.close()
         hb.finalize()  # unlink succeeds because the reader already closed

@@ -743,7 +743,7 @@ class TestIncrementalAggregator:
         for i in range(n):
             hb = Heartbeat(window=10, clock=clock, name=f"s{i}")
             hb.set_target_rate(4.0, 50.0)
-            agg.attach(f"s{i}", hb)
+            agg.attach_stream(f"s{i}", hb)
             streams.append(hb)
         for tick in range(60):
             clock.advance(0.1)
@@ -786,7 +786,7 @@ class TestIncrementalAggregator:
         further polls of a quiet fleet perform zero delta reads (only the
         O(1)-per-stream version probes), independent of history depth.
         """
-        agg = HeartbeatAggregator(clock=sim_clock, num_shards=4)
+        agg = HeartbeatAggregator(clock=sim_clock)
         counts = {"delta": 0}
         for i in range(50):
             hb = Heartbeat(window=10, clock=sim_clock, name=f"s{i}")
@@ -810,7 +810,7 @@ class TestIncrementalAggregator:
         """Skipped reads must not freeze liveness: age grows with the clock."""
         agg = HeartbeatAggregator(clock=sim_clock, liveness_timeout=2.0)
         hb = Heartbeat(window=5, clock=sim_clock)
-        agg.attach("s", hb)
+        agg.attach_stream("s", hb)
         for _ in range(10):
             sim_clock.advance(0.5)
             hb.heartbeat()
@@ -822,7 +822,7 @@ class TestIncrementalAggregator:
     def test_target_change_without_beats_is_observed(self, sim_clock):
         agg = HeartbeatAggregator(clock=sim_clock)
         hb = Heartbeat(window=5, clock=sim_clock)
-        agg.attach("s", hb)
+        agg.attach_stream("s", hb)
         for _ in range(10):
             sim_clock.advance(0.1)
             hb.heartbeat()
@@ -836,7 +836,7 @@ class TestIncrementalAggregator:
         are aggregator state; polls take turns internally)."""
         import threading
 
-        agg = HeartbeatAggregator(clock=sim_clock, num_shards=2)
+        agg = HeartbeatAggregator(clock=sim_clock)
         streams = self._fleet(sim_clock, agg, n=12)
         failures: list[str] = []
 
@@ -867,7 +867,7 @@ class TestIncrementalAggregator:
         for _ in range(5):
             sim_clock.advance(0.1)
             hb.heartbeat()
-        agg.attach("s9", hb)
+        agg.attach_stream("s9", hb)
         after = agg.poll()
         assert after.names == ("s0", "s2", "s3", "s9")
         assert after.reading("s0").rate == before.reading("s0").rate

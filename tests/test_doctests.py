@@ -18,6 +18,7 @@ import pytest
 DOCUMENTED_MODULES = [
     "repro.endpoints",
     "repro.session",
+    "repro.specfile",
     "repro.core.backends.arena",
     "repro.net.protocol",
     "repro.net.exporter",

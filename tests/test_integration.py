@@ -97,8 +97,8 @@ class TestCrossProcessObservation:
             monitor = None
             for _ in range(100):
                 try:
-                    monitor = HeartbeatMonitor.attach_shared_memory(
-                        segment, clock=WallClock(rebase=False)
+                    monitor = HeartbeatMonitor.attach_endpoint(
+                        f"shm://{segment}", clock=WallClock(rebase=False)
                     )
                     break
                 except Exception:

@@ -90,7 +90,7 @@ class TestFileAttachment:
             manual_clock.time = i * 0.1
             hb.heartbeat(tag=i)
         hb.backend.flush()  # file appends are buffered; publish to observers
-        monitor = HeartbeatMonitor.attach_file(path, clock=manual_clock)
+        monitor = HeartbeatMonitor.attach_endpoint(f"file://{path}", clock=manual_clock)
         reading = monitor.read()
         assert reading.total_beats == 20
         assert reading.rate == pytest.approx(10.0)
@@ -104,7 +104,7 @@ class TestFileAttachment:
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(MonitorAttachError):
-            HeartbeatMonitor.attach_file(tmp_path / "absent.log")
+            HeartbeatMonitor.attach_endpoint(f"file://{tmp_path / 'absent.log'}")
 
 
 class TestSharedMemoryAttachment:
@@ -115,7 +115,7 @@ class TestSharedMemoryAttachment:
         for i in range(30):
             manual_clock.time = i * 0.1
             hb.heartbeat()
-        with HeartbeatMonitor.attach_shared_memory(backend.name, clock=manual_clock) as monitor:
+        with HeartbeatMonitor.attach_endpoint(f"shm://{backend.name}", clock=manual_clock) as monitor:
             reading = monitor.read()
             assert reading.rate == pytest.approx(10.0)
             assert reading.total_beats == 30
@@ -126,4 +126,4 @@ class TestSharedMemoryAttachment:
         from repro.core.errors import BackendFormatError
 
         with pytest.raises(BackendFormatError):
-            HeartbeatMonitor.attach_shared_memory("no-such-heartbeat-segment")
+            HeartbeatMonitor.attach_endpoint("shm://no-such-heartbeat-segment")

@@ -276,7 +276,7 @@ class TestAggregatorIntegration:
             assert wait_until(
                 lambda: all(collector.snapshot(f"s{i}").total_beats == 100 for i in range(4))
             )
-            agg = HeartbeatAggregator(clock=WallClock(rebase=False), num_shards=2)
+            agg = HeartbeatAggregator(clock=WallClock(rebase=False))
             try:
                 attached = agg.attach_collector(collector)
                 assert sorted(attached) == [f"s{i}" for i in range(4)]

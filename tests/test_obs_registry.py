@@ -241,7 +241,7 @@ class TestEngineCountersUnderThreadedDrive:
             )
 
         engine = AdaptationEngine(aggregator, factory, min_beats=1, metrics=MetricsRegistry())
-        aggregator.attach("svc", heartbeat)
+        aggregator.attach_stream("svc", heartbeat)
         seen = {"ticks": 0, "decisions": 0, "changes": 0}
         lock = threading.Lock()
 

@@ -200,7 +200,7 @@ class TestDecisionTraceLog:
             )
 
         engine = AdaptationEngine(aggregator, factory, min_beats=1)
-        aggregator.attach("svc", heartbeat)
+        aggregator.attach_stream("svc", heartbeat)
         return clock, heartbeat, engine
 
     def drive(self, clock, heartbeat, engine, ticks: int = 6) -> None:

@@ -54,6 +54,9 @@ class TestSpecParsing:
             ScenarioSpec.from_dict(
                 {"name": "x", "timeline": [{"at": 0.0, "action": "earthquake"}]}
             )
+        with pytest.raises(ScenarioError) as info:
+            ScenarioSpec.from_dict({"name": "x", "timeline": [7]})
+        assert type(info.value) is ScenarioError
 
     def test_proxy_actions_imply_proxy(self):
         spec = ScenarioSpec.from_dict(
@@ -91,6 +94,12 @@ class TestSpecParsing:
             "[fleet]\nproducers = 1\nbeats = 5\nrate = 100.0\n"
             '[[invariants]]\nkind = "all_beats_delivered"\n'
         )
+        for bad in ("{not json", "[]"):  # undecodable; top level not a table
+            json_path.write_text(bad)
+            with pytest.raises(ScenarioError) as info:
+                ScenarioSpec.from_file(json_path)
+            assert type(info.value) is ScenarioError
+
         tomllib = pytest.importorskip("tomllib")
         assert tomllib is not None
         assert ScenarioSpec.from_file(toml_path).name == "file-spec"
@@ -105,6 +114,9 @@ class TestSpecParsing:
             ScenarioSpec.from_dict({"name": "x", "fleet": {"producers": 0}})
         with pytest.raises(ScenarioError):
             ScenarioSpec.from_dict({"name": "x", "fleet": {"rate": -1.0}})
+        with pytest.raises(ScenarioError) as info:
+            ScenarioSpec.from_dict({"name": "x", "fleet": 2})
+        assert type(info.value) is ScenarioError
 
     def test_timeline_event_params(self):
         event = TimelineEvent(at=1.0, action="spawn", params={"producers": 3})

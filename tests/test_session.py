@@ -20,10 +20,10 @@ from repro import (
 )
 from repro.clock import SimulatedClock, WallClock
 from repro.core import api as hb_api
-from repro.core.backends.file import FileBackend
+from repro.core.backends.file import FileBackend, FileReader
 from repro.core.backends.memory import MemoryBackend
 from repro.core.backends.shared_memory import SharedMemoryBackend
-from repro.endpoints import EndpointError, TcpEndpoint
+from repro.endpoints import EndpointError, TcpEndpoint, open_source
 from repro.net import HeartbeatCollector
 from repro.net.exporter import NetworkBackend
 
@@ -323,7 +323,10 @@ class TestOneObserverDoor:
         import repro.core.aggregator
         import repro.core.monitor
         import repro.core.stream
+        from repro.adapt.spec import AdaptSpec, LoopSpec, SpecError
+        from repro.cloud.balancer import HeartbeatLoadBalancer
         from repro.core.aggregator import FleetSample
+        from repro.scenario import ScenarioSpec
 
         modules = (
             repro, repro.core, repro.core.stream, repro.core.monitor, repro.core.aggregator
@@ -333,20 +336,44 @@ class TestOneObserverDoor:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
                 assert name not in module.__all__
         removed_attributes = {
-            HeartbeatAggregator: ("attach_source", "attach_monitor", "incremental", "_poll_full"),
-            HeartbeatMonitor: ("for_source", "snapshot_source", "delta_source", "probe_source"),
+            HeartbeatAggregator: (
+                "attach_source", "attach_monitor", "incremental", "_poll_full",
+                "attach", "attach_file", "attach_shared_memory",
+                "num_shards", "_run_sharded", "_ensure_pool", "_pool",
+            ),
+            HeartbeatMonitor: (
+                "for_source", "snapshot_source", "delta_source", "probe_source",
+                "attach_file", "attach_shared_memory",
+            ),
             HeartbeatCollector: ("snapshot_source", "delta_source"),
             FleetSample: ("from_readings",),
+            AdaptSpec: ("from_toml", "from_json", "num_shards"),
+            ScenarioSpec: ("from_toml", "from_json"),
         }
         for cls, names in removed_attributes.items():
             for name in names:
                 assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+        assert not hasattr(HeartbeatAggregator(), "num_shards")
+        assert not hasattr(AdaptSpec([LoopSpec(match="*")]), "num_shards")
         for fn in (HeartbeatAggregator.__init__, HeartbeatMonitor.__init__, TelemetrySession.fleet):
             parameters = set(inspect.signature(fn).parameters)
             assert not parameters & {"incremental", "delta", "probe", "close"}, fn.__qualname__
+        for fn in (
+            HeartbeatAggregator.__init__, TelemetrySession.fleet,
+            HeartbeatLoadBalancer.__init__, AdaptSpec.__init__,
+        ):
+            assert "num_shards" not in inspect.signature(fn).parameters, fn.__qualname__
+        with pytest.raises(SpecError, match="unknown engine keys"):
+            AdaptSpec.from_dict({"engine": {"num_shards": 2}, "loops": [{"match": "*"}]})
         assert "remote" not in inspect.signature(hb_api.HB_initialize).parameters
         # What replaces them, and what the benchmark ledger calls, stays.
         assert {"snapshot", "snapshot_since", "version"} <= set(dir(HeartbeatMonitor))
+        assert {"attach", "attach_endpoint"} <= set(dir(HeartbeatMonitor))
+        assert {
+            "attach_stream", "attach_endpoint", "attach_arena", "attach_collector", "attach_registry",
+        } <= set(dir(HeartbeatAggregator))
+        assert {"from_dict", "from_file", "parse"} <= set(dir(AdaptSpec))
+        assert {"from_dict", "from_file"} <= set(dir(ScenarioSpec))
         assert {"source", "version_source"} <= set(dir(HeartbeatCollector))
 
 
@@ -445,9 +472,9 @@ class TestLegacyEquivalence:
         producer = Heartbeat(window=5, backend=f"file://{log}?buffered=0", clock=clock)
         producer.set_target_rate(2.0, 100.0)
         _pump(producer, clock)
-        legacy = HeartbeatMonitor.attach_file(log, clock=clock)
+        via_object = HeartbeatMonitor(FileReader(log), clock=clock, own=True)
         via_url = HeartbeatMonitor.attach_endpoint(f"file://{log}", clock=clock)
-        assert legacy.read() == via_url.read()
+        assert via_object.read() == via_url.read()
         producer.finalize()
 
     def test_aggregator_attach_shared_memory_vs_endpoint(self):
@@ -457,14 +484,14 @@ class TestLegacyEquivalence:
         )
         producer.set_target_rate(2.0, 100.0)
         _pump(producer, clock)
-        legacy_agg = HeartbeatAggregator(clock=clock)
-        legacy_agg.attach_shared_memory("s", "repro-eq-agg")
+        object_agg = HeartbeatAggregator(clock=clock)
+        object_agg.attach_stream("s", open_source("shm://repro-eq-agg"), own=True)
         url_agg = HeartbeatAggregator(clock=clock)
         assert url_agg.attach_endpoint("shm://repro-eq-agg", name="s") == "s"
         try:
-            assert legacy_agg.poll().reading("s") == url_agg.poll().reading("s")
+            assert object_agg.poll().reading("s") == url_agg.poll().reading("s")
         finally:
-            legacy_agg.close()
+            object_agg.close()
             url_agg.close()
             producer.finalize()
 

@@ -83,7 +83,6 @@ def adapt_specs(draw: st.DrawFn) -> AdaptSpec:
         liveness_timeout=draw(
             st.one_of(st.none(), st.floats(min_value=0.1, max_value=60.0, allow_nan=False))
         ),
-        num_shards=draw(st.integers(min_value=1, max_value=8)),
         interval=draw(st.floats(min_value=0.01, max_value=30.0, allow_nan=False)),
         min_beats=draw(st.integers(min_value=0, max_value=16)),
         attach=draw(
