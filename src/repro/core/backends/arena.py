@@ -79,7 +79,7 @@ from repro.core.backends.base import (
 from repro.core.backends.ring import Ring
 from repro.core.backends.shared_memory import _attach_untracked, _untrack_segment
 from repro.core.errors import BackendError, BackendFormatError, InvalidWindowError
-from repro.core.record import RECORD_DTYPE
+from repro.core.record import RECORD_DTYPE, pack_record
 
 __all__ = [
     "Arena",
@@ -747,6 +747,7 @@ class ArenaRowView(Backend):
         return ring
 
     def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
+        pack_record(beat, timestamp, tag, thread_id)  # the ring's precondition, checked first
         self._writer().append(beat, timestamp, tag, thread_id)
 
     def append_many(self, records: np.ndarray) -> None:

@@ -59,7 +59,7 @@ from repro.core.backends.base import (
     SnapshotCursor,
 )
 from repro.core.errors import BackendError, BackendFormatError, MonitorAttachError
-from repro.core.record import RECORD_DTYPE
+from repro.core.record import RECORD_DTYPE, pack_record
 
 __all__ = [
     "FileBackend",
@@ -129,7 +129,7 @@ def _parse_record_lines(lines: list[str]) -> np.ndarray:
             raise BackendFormatError(f"malformed heartbeat record line: {line!r}")
         try:
             records[i] = (int(fields[0]), float(fields[1]), int(fields[2]), int(fields[3]))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: a value past int64
             raise BackendFormatError(f"malformed heartbeat record line: {line!r}") from exc
     return records
 
@@ -181,6 +181,7 @@ class FileBackend(Backend):
     def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
         if self._closed:
             raise BackendError("heartbeat log is closed")
+        pack_record(beat, timestamp, tag, thread_id)  # a line no reader could parse back
         line = f"{beat} {timestamp!r} {tag} {thread_id}\n".encode("ascii")
         self._fh.write(line)
         self._total += 1
@@ -420,24 +421,26 @@ def tail_heartbeat_log(
         raise BackendError(f"cannot read heartbeat log {path}: {exc}") from exc
     with fh:
         stat = os.fstat(fh.fileno())
-        resync = (
-            cursor is None
-            or cursor.stamp != stat.st_ino
-            or cursor.position < _HEADER_WIDTH
-            or stat.st_size < cursor.position
-        )
-        if not resync and cursor.position > _HEADER_WIDTH:
+        resume = cursor  # None from here on means a full resync
+        if resume is not None and (
+            resume.stamp != stat.st_ino
+            or resume.position < _HEADER_WIDTH
+            or stat.st_size < resume.position
+        ):
+            resume = None
+        if resume is not None and resume.position > _HEADER_WIDTH:
             # Same inode and the file is at least as long as we left it —
             # but a producer restarting on this path truncates in place and
             # may have regrown past the stale offset.  Genuine continuations
             # still have our last consumed line ending exactly at the
             # cursor, carrying the beat number the cursor recorded.
-            back = min(cursor.position - _HEADER_WIDTH, _VERIFY_WINDOW)
-            fh.seek(cursor.position - back)
-            chunk = fh.read(back)
-            resync = not _ends_with_beat(chunk, cursor.check)
-        start = _HEADER_WIDTH if resync else cursor.position
-        base_total = 0 if resync else cursor.total
+            back = min(resume.position - _HEADER_WIDTH, _VERIFY_WINDOW)
+            fh.seek(resume.position - back)
+            if not _ends_with_beat(fh.read(back), resume.check):
+                resume = None
+        resync = resume is None
+        start = _HEADER_WIDTH if resume is None else resume.position
+        base_total = 0 if resume is None else resume.total
         fh.seek(0)
         header = fh.read(_HEADER_WIDTH)
         if len(header) < _HEADER_WIDTH:
@@ -454,7 +457,7 @@ def tail_heartbeat_log(
     if records.shape[0]:
         last_beat = int(records[-1]["beat"])
     else:
-        last_beat = -1 if resync else cursor.check
+        last_beat = -1 if resume is None else resume.check
     new_cursor = SnapshotCursor(
         total=total, position=start + consumed, stamp=stat.st_ino, check=last_beat
     )

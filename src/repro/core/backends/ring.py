@@ -27,9 +27,14 @@ Writer protocol — *one sequence cycle per publication*:
    copy (two when it wraps; a batch larger than the ring keeps its tail, at
    the slots its records would have reached one by one, see :func:`place`);
 4. store the new ``total``;
-5. store ``sequence + 2`` (even: published).  A value a record cannot hold
-   is rejected between 2 and 4, and the word still goes even.  Every store
-   of a word updates the object's copy with it.
+5. store ``sequence + 2`` (even: published).  Every store of a word updates
+   the object's copy with it.
+
+A record's values must fit its int64 fields, the caller's precondition (a
+check here would cost every beat): ``Heartbeat.heartbeat``, ``NetworkBackend.
+append`` (its wire pack), ``ArenaRowView.append`` and ``FileBackend.append``
+check before step 2 and raise ``OverflowError`` with nothing stored.  A value
+slipping past them tears its slot; the word still goes even.
 
 Targets and the default window are stored inside the same cycle with
 ``total`` unchanged.  There is exactly one writer per ring at a time: callers
@@ -154,11 +159,11 @@ class Ring:
         self.sequence = self.words[self.sequence_at]
 
     def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
-        """Publish one record."""
+        """Publish one record whose values fit its fields (the caller checks: see above)."""
         words, sequence_at, total = self.words, self.sequence_at, self.total
         sequence = self.sequence + 1
         words[sequence_at] = sequence  # odd: write in progress
-        try:  # a value the record cannot hold must not leave the word odd
+        try:  # a broken precondition must not leave the word odd
             _pack_record(
                 self.slots,
                 self.slots_at + (total % self.capacity) * _RECORD_SIZE,

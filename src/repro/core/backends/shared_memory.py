@@ -51,8 +51,6 @@ try:  # POSIX only; Windows uses named file mappings with no resource tracker.
 except ImportError:  # pragma: no cover - non-POSIX platform
     _posixshmem = None  # type: ignore[assignment]
 
-import numpy as np
-
 from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
 from repro.core.backends.ring import Ring
 from repro.core.errors import BackendError, BackendFormatError
@@ -137,17 +135,32 @@ def _attach_untracked(name: str) -> Any:
     return shared_memory.SharedMemory(name=name, create=False)  # pragma: no cover
 
 
-def _segment_ring(buf: memoryview, capacity: int) -> Ring:
-    """The ring kernel over a mapped segment (drop it before closing ``buf``)."""
+def _segment_layout(buf: memoryview, capacity: int) -> tuple[Any, ...]:
+    """:class:`Ring`'s arguments over a mapped segment (drop the ring before closing ``buf``)."""
     header = buf[:HEADER_SIZE]
-    return Ring(
+    return (
         header.cast("q"), header.cast("d"), _SEQUENCE_AT, _TOTAL_AT, _WINDOW_AT,
         buf, HEADER_SIZE, capacity,
     )
 
 
-class SharedMemoryBackend(Backend):
-    """Writer side of the shared-memory heartbeat segment.
+class _Closed:
+    """What a closed segment's ring holds in place of its views: any access raises."""
+
+    __slots__ = ()
+
+    def _raise(self, *index_and_value: object) -> Any:
+        raise BackendError("shared-memory segment is closed")
+
+    __getitem__ = __setitem__ = _raise
+
+
+_CLOSED: Any = _Closed()
+
+
+class SharedMemoryBackend(Ring, Backend):
+    """Writer side of the shared-memory heartbeat segment: the
+    :class:`~repro.core.backends.ring.Ring` over it, as ``MemoryBackend`` is over private memory.
 
     Parameters
     ----------
@@ -164,68 +177,24 @@ class SharedMemoryBackend(Backend):
     def __init__(self, name: str | None = None, capacity: int = 2048) -> None:
         if capacity <= 0:
             raise BackendError(f"capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
+        capacity = int(capacity)
         try:
-            self._shm = shared_memory.SharedMemory(
-                name=name, create=True, size=segment_size(self.capacity)
-            )
+            self._shm = shared_memory.SharedMemory(name=name, create=True, size=segment_size(capacity))
         except OSError as exc:
             raise BackendError(f"cannot create shared-memory segment: {exc}") from exc
         self.name = self._shm.name
-        self._buf = self._shm.buf
-        _HEADER.pack_into(
-            self._buf, 0, MAGIC, LAYOUT_VERSION, self.capacity, 0, 0, 0.0, 0.0, os.getpid(), 0
-        )
-        self._ring = _segment_ring(self._buf, self.capacity)
+        buf = self._shm.buf
+        _HEADER.pack_into(buf, 0, MAGIC, LAYOUT_VERSION, capacity, 0, 0, 0.0, 0.0, os.getpid(), 0)
+        Ring.__init__(self, *_segment_layout(buf, capacity))
         self._closed = False
 
-    # ------------------------------------------------------------------ #
-    # Backend interface
-    # ------------------------------------------------------------------ #
-    def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
-        if self._closed:
-            raise BackendError("shared-memory backend is closed")
-        self._ring.append(beat, timestamp, tag, thread_id)
-
-    def append_many(self, records: np.ndarray) -> None:
-        if self._closed:
-            raise BackendError("shared-memory backend is closed")
-        self._ring.append_many(records)
-
-    def set_targets(self, target_min: float, target_max: float) -> None:
-        if self._closed:
-            raise BackendError("shared-memory backend is closed")
-        self._ring.set_targets(target_min, target_max)
-
-    def set_default_window(self, window: int) -> None:
-        if self._closed:
-            raise BackendError("shared-memory backend is closed")
-        self._ring.set_default_window(window)
-
-    def snapshot(self, n: int | None = None) -> BackendSnapshot:
-        if self._closed:
-            raise BackendError("shared-memory backend is closed")
-        return self._ring.snapshot(n)
-
-    def snapshot_since(
-        self, cursor: SnapshotCursor | None = None
-    ) -> tuple[DeltaSnapshot, SnapshotCursor]:
-        if self._closed:
-            raise BackendError("shared-memory backend is closed")
-        return self._ring.snapshot_since(cursor)
-
-    def version(self) -> tuple[int, int]:
-        if self._closed:
-            raise BackendError("shared-memory backend is closed")
-        return self._ring.version()
-
     def close(self) -> None:
-        """Release the segment.  The writer also unlinks it."""
+        """Release (and unlink) the segment; every method, even one bound earlier, then raises."""
         if self._closed:
             return
         self._closed = True
         # Drop views before closing the buffer, otherwise close() raises.
-        self._ring = self._buf = None  # type: ignore[assignment]
+        self.words = self.reals = self.slots = _CLOSED
         self._shm.close()
         try:
             self._shm.unlink()
@@ -264,26 +233,20 @@ class SharedMemoryReader:
             raise BackendFormatError(f"unsupported heartbeat segment version {version}")
         self.capacity = capacity
         self.name = name
-        self._ring = _segment_ring(self._shm.buf, capacity)
+        self._ring = Ring(*_segment_layout(self._shm.buf, capacity))
         self._closed = False
 
     def snapshot(self, n: int | None = None) -> BackendSnapshot:
-        if self._closed:
-            raise BackendError("shared-memory reader is closed")
         return self._ring.snapshot(n)
 
     def snapshot_since(
         self, cursor: SnapshotCursor | None = None
     ) -> tuple[DeltaSnapshot, SnapshotCursor]:
         """Copy-once read of only the ring region unseen by ``cursor``."""
-        if self._closed:
-            raise BackendError("shared-memory reader is closed")
         return self._ring.snapshot_since(cursor)
 
     def version(self) -> tuple[int, int]:
         """Cheap change token ``(total, sequence)`` (see :meth:`Ring.version`)."""
-        if self._closed:
-            raise BackendError("shared-memory reader is closed")
         return self._ring.version()
 
     def writer_pid(self) -> int:
@@ -291,9 +254,11 @@ class SharedMemoryReader:
         return self._ring.words[_PID_AT]
 
     def close(self) -> None:
+        """Detach; every read raises :class:`BackendError` afterwards."""
         if not self._closed:
             self._closed = True
-            self._ring = None  # type: ignore[assignment]
+            ring = self._ring  # drop the views first, or closing the mapping raises
+            ring.words = ring.reals = ring.slots = _CLOSED
             self._shm.close()
 
     def __enter__(self) -> "SharedMemoryReader":

@@ -21,6 +21,7 @@ __all__ = [
     "HeartbeatRecord",
     "RECORD_DTYPE",
     "RECORD_STRUCT",
+    "pack_record",
     "records_to_array",
     "array_to_records",
     "iter_intervals",
@@ -44,6 +45,20 @@ RECORD_DTYPE = np.dtype(
 #: buffer (``RECORD_STRUCT.pack_into(buf, offset, beat, timestamp, tag, tid)``).
 RECORD_STRUCT = struct.Struct("<qdqq")
 assert RECORD_STRUCT.size == RECORD_DTYPE.itemsize
+
+
+def pack_record(beat: int, timestamp: float, tag: int, thread_id: int) -> bytes:
+    """One record's bytes, or ``OverflowError`` when a value does not fit its field.
+
+    The check a writer runs on values from outside before it stores any of
+    them: the ring's precondition (:mod:`repro.core.backends.ring`).
+    """
+    try:
+        return RECORD_STRUCT.pack(beat, timestamp, tag, thread_id)
+    except struct.error as exc:
+        raise OverflowError(
+            f"heartbeat record {(beat, timestamp, tag, thread_id)} does not fit: {exc}"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True)

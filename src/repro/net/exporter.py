@@ -48,7 +48,7 @@ import numpy as np
 from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
 from repro.core.backends.memory import MemoryBackend
 from repro.core.errors import BackendError
-from repro.core.record import RECORD_STRUCT
+from repro.core.record import RECORD_STRUCT, pack_record
 from repro.net import protocol
 from repro.obs.registry import MetricsRegistry
 
@@ -102,6 +102,8 @@ class NetworkBackend(Backend):
         When ``address`` is not a parseable ``host:port``.
     BackendError
         From :meth:`append` after the backend is closed.
+    OverflowError
+        From :meth:`append` for a value no record can hold; nothing is stored.
 
     >>> from repro.net import HeartbeatCollector
     >>> with HeartbeatCollector() as collector:
@@ -201,8 +203,9 @@ class NetworkBackend(Backend):
     def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
         if self._closed or self._closing:
             raise BackendError("network backend is closed")
+        record = pack_record(beat, timestamp, tag, thread_id)  # before the mirror: the check
         self._mirror.append(beat, timestamp, tag, thread_id)
-        self._enqueue(RECORD_STRUCT.pack(beat, timestamp, tag, thread_id))
+        self._enqueue(record)
 
     def append_many(self, records: np.ndarray) -> None:
         if self._closed or self._closing:

@@ -229,6 +229,26 @@ class TestFailureIsolation:
         assert "broken" in sample.errors
         assert "writer went away" in sample.errors["broken"]
 
+    def test_an_out_of_range_log_line_poisons_only_its_own_stream(self, sim_clock, tmp_path):
+        from repro.endpoints import FileEndpoint
+
+        path = tmp_path / "poisoned.hblog"
+        log = FileBackend(path, buffered=False)
+        log.append(0, 1.0, 0, 1)
+        log.close()
+        with open(path, "ab") as fh:
+            fh.write(b"1 2.0 %d 1\n" % (1 << 70))  # a tag no record can hold
+        with HeartbeatAggregator(clock=sim_clock) as agg:
+            healthy = Heartbeat(window=5, clock=sim_clock)
+            agg.attach_stream("healthy", healthy)
+            agg.attach_endpoint(FileEndpoint(path=str(path)), name="log")
+            for _ in range(3):
+                sim_clock.advance(1.0)
+                healthy.heartbeat()
+            sample = agg.poll()
+            assert list(sample.names) == ["healthy"]
+            assert "malformed" in sample.errors["log"]
+
     @pytest.mark.parametrize("healthy", [1, 2])
     def test_backwards_timestamp_poisons_only_its_own_stream(self, healthy):
         """A backwards stamp inside one stream's rate window (wall-clock

@@ -10,7 +10,7 @@ from repro.core.backends import (
     MemoryBackend,
     SharedMemoryBackend,
 )
-from repro.core.backends.file import read_heartbeat_log
+from repro.core.backends.file import read_heartbeat_log, tail_heartbeat_log
 from repro.core.backends.shared_memory import SharedMemoryReader, segment_size
 from repro.core.errors import BackendError, BackendFormatError
 from repro.core.heartbeat import Heartbeat
@@ -116,6 +116,33 @@ class TestFileBackend:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(BackendError):
             read_heartbeat_log(tmp_path / "absent.log")
+
+    @pytest.mark.parametrize("record", [(1, 2.0, 1 << 70, 1), (1, 2.0, 0, -(1 << 64))], ids=["tag", "thread_id"])
+    def test_a_value_no_record_holds_is_never_written(self, tmp_path, record):
+        path = tmp_path / "hb.log"
+        backend = FileBackend(path, buffered=False)
+        backend.append(0, 1.0, 5, 1)
+        with pytest.raises(OverflowError):
+            backend.append(*record)
+        backend.append(1, 2.0, 6, 1)
+        _, _, _, records = read_heartbeat_log(path)
+        assert list(records["tag"]) == [5, 6]
+        assert backend.version()[0] == 2
+        backend.close()
+
+    def test_an_out_of_range_line_is_a_format_error(self, tmp_path):
+        """A log already holding such a line (a writer without the check)
+        fails as malformed, not with a bare ``OverflowError``."""
+        path = tmp_path / "poisoned.log"
+        backend = FileBackend(path, buffered=False)
+        backend.append(0, 1.0, 0, 1)
+        backend.close()
+        with open(path, "ab") as fh:
+            fh.write(b"1 2.0 %d 1\n" % (1 << 70))
+        with pytest.raises(BackendFormatError):
+            read_heartbeat_log(path)
+        with pytest.raises(BackendFormatError):
+            tail_heartbeat_log(path)
 
 
 class TestSharedMemoryBackend:
