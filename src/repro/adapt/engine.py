@@ -98,8 +98,9 @@ class AdaptationEngine:
         rate is stale, and acting on it usually does harm.
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` holding the
-        engine's tick/decision counters.  A private registry is created
-        when omitted.
+        engine's tick/decision counters, the rows each tick stepped and
+        skipped for want of news, and the tick-duration histogram.  A
+        private registry is created when omitted.
     """
 
     def __init__(
@@ -143,6 +144,16 @@ class AdaptationEngine:
         )
         self._m_stream_errors = self.metrics.counter(
             "engine_stream_errors_total", help="per-stream factory/step failures"
+        )
+        self._m_rows_stepped = self.metrics.counter(
+            "engine_rows_stepped_total", help="managed rows stepped"
+        )
+        self._m_rows_skipped = self.metrics.counter(
+            "engine_rows_skipped_no_news_total",
+            help="managed rows left unstepped because they had no new beats",
+        )
+        self._m_tick_duration = self.metrics.histogram(
+            "engine_tick_duration_seconds", help="wall time of one engine tick, poll included"
         )
         self.metrics.gauge(
             "engine_loops", help="streams under active management",
@@ -214,6 +225,7 @@ class AdaptationEngine:
             return self._tick_locked()
 
     def _tick_locked(self) -> EngineTick:
+        start = time.perf_counter()
         sample = self._aggregator.poll()
         index = self._ticks
         self._ticks += 1
@@ -226,6 +238,7 @@ class AdaptationEngine:
         news = total != self._prev_total
         wanted = (news | stalled) if self._step_stalled else (news & ~stalled)
         eligible = self._managed & (total >= self._min_beats) & wanted
+        skipped = int(np.count_nonzero(self._managed & ~(news | eligible)))
         self._prev_total = total
 
         traces: list[DecisionTrace] = []
@@ -246,6 +259,9 @@ class AdaptationEngine:
         self._m_decisions.inc(tick.decisions)
         self._m_changes.inc(tick.changes)
         self._m_stream_errors.inc(len(errors))
+        self._m_rows_stepped.inc(len(rows))
+        self._m_rows_skipped.inc(skipped)
+        self._m_tick_duration.observe(time.perf_counter() - start)
         for listener in list(self._listeners):
             try:
                 listener(tick)

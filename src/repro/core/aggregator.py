@@ -40,6 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -94,15 +95,12 @@ class FleetSummary:
     stalled: int
 
 
-#: Integer health codes used by the vectorized classification; index into
-#: :data:`_STATUS_BY_CODE` to recover the enum.
+#: Integer health codes used by the vectorized classification; index
+#: :data:`_STATUS_BY_CODE` with a code, or a whole code column, for the enum.
 _UNKNOWN, _HEALTHY, _SLOW, _FAST, _STALLED = range(5)
-_STATUS_BY_CODE = (
-    HealthStatus.UNKNOWN,
-    HealthStatus.HEALTHY,
-    HealthStatus.SLOW,
-    HealthStatus.FAST,
-    HealthStatus.STALLED,
+_STATUS_BY_CODE = np.array(
+    [HealthStatus.UNKNOWN, HealthStatus.HEALTHY, HealthStatus.SLOW, HealthStatus.FAST, HealthStatus.STALLED],
+    dtype=object,
 )
 
 
@@ -143,17 +141,18 @@ class FleetSample:
     :meth:`stalled_mask`, plus the internal target/age/status arrays the
     fleet queries operate on), so fleet-level questions are vectorized
     instead of per-stream loops.  ``readings`` materialises
-    :class:`MonitorReading` objects lazily for callers that want the
-    per-stream view of the whole fleet; :meth:`reading_at` builds one
-    row's.  Streams whose source failed to answer (e.g. their writer exited
-    and the segment vanished mid-poll) appear in ``errors`` instead, so one
-    dead producer never poisons the fleet view.
+    :class:`MonitorReading` rows lazily for callers that want the
+    per-stream view of the whole fleet; :meth:`reading_at` and
+    :meth:`reading` build one row's.  Streams whose source failed to
+    answer (e.g. their writer exited and the segment vanished mid-poll)
+    appear in ``errors`` instead, so one dead producer never poisons the
+    fleet view.
     """
 
     __slots__ = (
         "names", "errors", "taken_at",
         "_rate", "_total", "_tmin", "_tmax", "_last_ts", "_age", "_codes",
-        "_readings", "_by_name",
+        "_readings", "_index",
     )
 
     def __init__(
@@ -181,7 +180,7 @@ class FleetSample:
         self._age = age
         self._codes = codes
         self._readings: tuple[MonitorReading, ...] | None = None
-        self._by_name: dict[str, MonitorReading] | None = None
+        self._index: dict[str, int] | None = None
 
     # ------------------------------------------------------------------ #
     # Per-stream view
@@ -190,11 +189,7 @@ class FleetSample:
     def readings(self) -> tuple[MonitorReading, ...]:
         """Per-stream readings in attachment order (materialised lazily)."""
         if self._readings is None:
-            # One ``tolist()`` per column, then plain Python values: a numpy
-            # scalar read per field per row costs ~2.5x as much at 10k rows.
-            self._readings = tuple(
-                map(_reading, *(column.tolist() for column in self._columns()))
-            )
+            self._readings = tuple(_rows(self._columns()))
         return self._readings
 
     def reading_at(self, i: int) -> MonitorReading:
@@ -205,10 +200,11 @@ class FleetSample:
         """
         if self._readings is not None:
             return self._readings[i]
-        return _reading(*(column[i].item() for column in self._columns()))
+        i = range(len(self.names))[i]  # IndexError, and negative i, as a tuple would
+        return next(_rows([column[i : i + 1] for column in self._columns()]))
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        """The per-stream columns, in :func:`_reading` argument order."""
+        """The per-stream columns, in :class:`MonitorReading` field order."""
         return (
             self._rate, self._total, self._tmin, self._tmax,
             self._last_ts, self._age, self._codes,
@@ -222,15 +218,17 @@ class FleetSample:
 
     def reading(self, name: str) -> MonitorReading:
         """The reading for one stream (``KeyError`` if absent or errored)."""
-        if self._by_name is None:
-            self._by_name = dict(zip(self.names, self.readings, strict=True))
-        return self._by_name[name]
+        return self.reading_at(self._rows_by_name()[name])
 
     def get(self, name: str) -> MonitorReading | None:
         """Like :meth:`reading`, but ``None`` for absent or errored streams."""
-        if self._by_name is None:
-            self._by_name = dict(zip(self.names, self.readings, strict=True))
-        return self._by_name.get(name)
+        i = self._rows_by_name().get(name)
+        return None if i is None else self.reading_at(i)
+
+    def _rows_by_name(self) -> dict[str, int]:
+        if self._index is None:
+            self._index = dict(zip(self.names, range(len(self.names))))
+        return self._index
 
     # ------------------------------------------------------------------ #
     # Vectorized fleet queries
@@ -279,8 +277,8 @@ class FleetSample:
     def by_status(self) -> dict[HealthStatus, list[str]]:
         """Stream names grouped by health classification."""
         out: dict[HealthStatus, list[str]] = {status: [] for status in HealthStatus}
-        for name, code in zip(self.names, self._codes):
-            out[_STATUS_BY_CODE[code]].append(name)
+        for name, status in zip(self.names, _STATUS_BY_CODE[self._codes].tolist()):
+            out[status].append(name)
         return out
 
     def _measurable_rates(self) -> np.ndarray:
@@ -308,17 +306,19 @@ class FleetSample:
         )
 
 
-def _reading(
-    rate: float, total: int, tmin: float, tmax: float, last_ts: float, age: float, code: int
-) -> MonitorReading:
-    """One row of the sample columns as a reading (``nan`` stamps → ``None``)."""
-    # Positional: keyword passing costs ~40 % more per reading at 10k rows.
-    return MonitorReading(
-        rate, total, tmin, tmax,
-        None if last_ts != last_ts else last_ts,
-        None if age != age else age,
-        _STATUS_BY_CODE[code],
-    )
+def _rows(columns: Sequence[np.ndarray]) -> Iterator[MonitorReading]:
+    """The sample columns as readings, one ``tolist()`` each, no Python call per row.
+
+    ``nan`` stamps and ages become ``None`` in one object-array pass, codes
+    become :class:`HealthStatus` in one index of :data:`_STATUS_BY_CODE`.
+    """
+    rate, total, tmin, tmax, last_ts, age, codes = columns
+    stamps = np.stack((last_ts, age))
+    held = stamps.astype(object)
+    held[np.isnan(stamps)] = None
+    statuses = _STATUS_BY_CODE[codes].tolist()
+    rows = zip(rate.tolist(), total.tolist(), tmin.tolist(), tmax.tolist(), *held.tolist(), statuses)
+    return map(partial(tuple.__new__, MonitorReading), rows)
 
 
 def _rate_percentiles(rates: np.ndarray, q: Sequence[float]) -> dict[float, float]:
@@ -941,7 +941,7 @@ class HeartbeatAggregator:
     def rates(self) -> dict[str, float]:
         """Convenience: poll once and return ``{stream name: rate}``."""
         sample = self.poll()
-        return {name: reading.rate for name, reading in sample}
+        return dict(zip(sample.names, sample.rates().tolist()))
 
     def lagging(self, target: float | None = None) -> list[str]:
         """Convenience: poll once and return the lagging streams, worst first."""

@@ -21,8 +21,8 @@ need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,9 +61,8 @@ class HealthStatus(Enum):
     STALLED = "stalled"
 
 
-@dataclass(frozen=True, slots=True)
-class MonitorReading:
-    """One observation taken by :meth:`HeartbeatMonitor.read`."""
+class MonitorReading(NamedTuple):
+    """One observation taken by :meth:`HeartbeatMonitor.read` (a tuple row)."""
 
     rate: float
     total_beats: int

@@ -22,7 +22,7 @@ from repro.core.aggregator import FleetSample, HeartbeatAggregator
 from repro.core.backends.arena import Arena
 from repro.core.backends.memory import MemoryBackend
 from repro.core.heartbeat import Heartbeat
-from repro.core.monitor import HealthStatus, MonitorReading
+from repro.core.monitor import HealthStatus
 from repro.net import HeartbeatCollector, NetworkBackend
 
 WINDOW = TargetWindow(8.0, 12.0)
@@ -319,6 +319,48 @@ class TestGating:
         for _ in range(3):
             assert [trace.loop for trace in tick(rows).traces] == ["dead"]
         assert engine.loops["dead"].decisions == 4
+        # A stalled row stepped without news is stepped, not skipped.
+        flat = engine.metrics.as_dict()
+        assert flat["engine_rows_stepped_total"] == 2 + 3
+        assert flat["engine_rows_skipped_no_news_total"] == 3 * 2  # idle and cold
+
+
+def test_row_counters_follow_the_news_mask():
+    clock = SimulatedClock()
+    arena = Arena(streams=16, depth=32)
+    aggregator = HeartbeatAggregator(clock=clock, liveness_timeout=None)
+    aggregator.attach_arena(arena)
+    managed = [
+        Heartbeat(window=4, clock=clock, backend=arena.allocate(f"row-{i}")) for i in range(10)
+    ]
+    unmanaged = Heartbeat(window=4, clock=clock, backend=arena.allocate("free"))
+    spec = AdaptSpec.from_dict({"loops": [{"match": "row-*", "target": [8.0, 12.0]}]})
+    engine = spec.build_engine(aggregator=aggregator)
+
+    def counters():
+        flat = engine.metrics.as_dict()
+        return (
+            flat["engine_rows_stepped_total"],
+            flat["engine_rows_skipped_no_news_total"],
+            flat["engine_tick_duration_seconds_count"],
+        )
+
+    try:
+        for index, beating in enumerate((10, 10, 3, 0, 7)):  # the first tick sees every row beat
+            clock.advance(1.0)
+            for heartbeat in managed[:beating]:
+                heartbeat.heartbeat_batch(5)
+            if index % 2 == 0:  # the unmanaged row's news, or its silence, counts for neither
+                unmanaged.heartbeat_batch(5)
+            before = counters()
+            tick = engine.tick()
+            stepped, skipped, ticks = (b - a for a, b in zip(before, counters()))
+            assert tick.decisions == beating == stepped
+            assert (skipped, ticks) == (len(managed) - beating, 1)
+        assert len(engine.loops) == len(managed)
+    finally:
+        engine.close(close_aggregator=True)
+        arena.close()
 
 
 # --------------------------------------------------------------------- #
@@ -399,14 +441,20 @@ def test_a_held_loop_is_dropped_once_its_stream_leaves_errors_too():
 # --------------------------------------------------------------------- #
 @pytest.fixture
 def reading_count(monkeypatch):
-    """Counts every :class:`MonitorReading` the aggregator module constructs."""
+    """Every :class:`MonitorReading` a :class:`FleetSample` builds.
+
+    ``_rows`` is the one construction site: ``readings`` (bulk) and
+    ``reading_at`` / ``reading`` / ``get`` (one row) all go through it.
+    """
     built = []
+    rows = aggregator_module._rows
 
-    def counting(*args, **kwargs):
-        built.append(1)
-        return MonitorReading(*args, **kwargs)
+    def counting(columns):
+        made = list(rows(columns))
+        built.extend(made)
+        return iter(made)
 
-    monkeypatch.setattr(aggregator_module, "MonitorReading", counting)
+    monkeypatch.setattr(aggregator_module, "_rows", counting)
     return built
 
 
