@@ -15,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.control import TargetWindow
+from repro.control import PIDController, ProportionalStepController, StepController, TargetWindow
 from repro.experiments.scheduler_runner import SchedulerRunConfig, run_scheduled_workload
-from repro.scheduler.policies import MinimizeCoresPolicy, ProportionalPolicy
 from repro.sim.scaling import AmdahlScaling, LinearScaling, SaturatingScaling
 from repro.workloads.bodytrack import BodytrackWorkload
 
 
-def _run(policy=None, rate_window=20, scaling=None, beats=240, load_drop_beat=141):
+def _run(controller=None, rate_window=20, scaling=None, beats=240, load_drop_beat=141):
     kwargs = {"seed": 0, "load_drop_beat": load_drop_beat}
     if scaling is not None:
         kwargs["scaling"] = scaling
@@ -30,7 +29,7 @@ def _run(policy=None, rate_window=20, scaling=None, beats=240, load_drop_beat=14
     config = SchedulerRunConfig(
         target_min=2.5, target_max=3.5, beats=beats, cores=8, rate_window=rate_window
     )
-    return run_scheduled_workload(workload, config, policy=policy)
+    return run_scheduled_workload(workload, config, controller=controller)
 
 
 @pytest.mark.parametrize("rate_window", [5, 20, 60])
@@ -59,13 +58,13 @@ def test_ablation_allocation_policy(benchmark, policy_name):
     """The paper's step policy vs proportional and PI alternatives."""
     target = TargetWindow(2.5, 3.5)
     if policy_name == "step":
-        policy = MinimizeCoresPolicy(target)
+        controller = StepController(target)
     elif policy_name == "proportional":
-        policy = ProportionalPolicy(target, gain=2.0, max_step=4)
+        controller = ProportionalStepController(target, gain=2.0, max_step=4)
     else:
-        policy = ProportionalPolicy(target, use_pid=True, max_cores=8)
+        controller = PIDController(target, kp=2.0, ki=0.5, base_output=1.0, maximum_output=8.0)
     output = benchmark.pedantic(
-        _run, kwargs={"policy": policy}, rounds=1, iterations=1, warmup_rounds=0
+        _run, kwargs={"controller": controller}, rounds=1, iterations=1, warmup_rounds=0
     )
     rates = output.traces["heart_rate"].values
     # Every policy must eventually hold the application near its window.

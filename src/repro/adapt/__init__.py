@@ -18,8 +18,9 @@ source to any controller to any knob:
 * :class:`~repro.adapt.spec.AdaptSpec` — declarative dict/TOML/JSON specs
   building whole engines (the ``repro adapt`` CLI subcommand).
 
-The legacy ``ExternalScheduler``, ``DVFSGovernor``, ``AdaptiveEncoder`` and
-balancer slow-VM handling are facades over these pieces.
+The paper's observers are built from these pieces: ``ExternalScheduler`` and
+``DVFSGovernor`` are :class:`ControlLoop` subclasses, and the
+``AdaptiveEncoder`` and the balancer's slow-VM handling each hold one.
 """
 
 from repro.adapt.actuator import (
@@ -32,12 +33,7 @@ from repro.adapt.actuator import (
     actuator_cost,
 )
 from repro.adapt.engine import AdaptationEngine, EngineTick, LoopFactory
-from repro.adapt.loop import (
-    ControlLoop,
-    DecisionTrace,
-    backend_monitor,
-    collector_monitor,
-)
+from repro.adapt.loop import ControlLoop, DecisionTrace
 from repro.adapt.spec import ActuatorFactory, AdaptSpec, LoopSpec, SpecError
 
 __all__ = [
@@ -50,8 +46,6 @@ __all__ = [
     "LogActuator",
     "ControlLoop",
     "DecisionTrace",
-    "backend_monitor",
-    "collector_monitor",
     "AdaptationEngine",
     "EngineTick",
     "LoopFactory",

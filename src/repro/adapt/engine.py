@@ -193,7 +193,7 @@ class AdaptationEngine:
         unsubscribe callable.
 
         This is the engine's export hook: a
-        :class:`~repro.obs.tracing.DecisionTraceLog` streams decisions to
+        :class:`~repro.obs.tracing.FlightRecorder` streams decisions to
         JSONL through it, and the dashboard streams them over SSE.
         """
         self._listeners.append(listener)

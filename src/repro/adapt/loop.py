@@ -6,20 +6,18 @@ resizing a core allocation (Section 5.3) — turn out to share once the
 observe, decide and act stages are named: read the heart rate from a stream
 source, hand it to a :class:`~repro.control.base.Controller`, apply the
 resulting decision through an :class:`~repro.adapt.actuator.Actuator`, and
-record a uniform :class:`DecisionTrace`.  The legacy ``observe_and_act``
-entry points (``ExternalScheduler``, ``DVFSGovernor``, ``AdaptiveEncoder``,
-the balancer's slow-VM handling) are thin facades over this class.
+record a uniform :class:`DecisionTrace`.  ``ExternalScheduler`` and
+``DVFSGovernor`` are subclasses of this class; ``AdaptiveEncoder`` and the
+balancer's slow-VM handling each hold one.
 
 A loop can bind any of the stream shapes the observation side knows:
 
 * an in-process :class:`~repro.core.heartbeat.Heartbeat` or a
   :class:`~repro.core.monitor.HeartbeatMonitor` (both expose
-  ``current_rate``), passed directly as ``source``;
-* any storage :class:`~repro.core.backends.base.Backend` via
-  :func:`backend_monitor`, which wires the backend's ``snapshot_since``
-  cursors so steady polling costs O(new beats);
-* one stream of a :class:`~repro.net.HeartbeatCollector` via
-  :func:`collector_monitor`;
+  ``current_rate``), passed directly as ``source`` — and a monitor takes any
+  stream object through its one door (``HeartbeatMonitor(backend)``,
+  ``HeartbeatMonitor(collector.source(stream_id))``), reading O(new beats)
+  per poll when the object offers ``snapshot_since`` cursors;
 * no source at all (``source=None``) when a fleet engine feeds observed
   rates into :meth:`ControlLoop.step` directly.
 
@@ -37,15 +35,8 @@ from typing import Callable, Union
 from repro.adapt.actuator import Actuator, LadderActuator
 from repro.control.base import ControlDecision, Controller, TargetWindow
 from repro.control.hysteresis import DecisionSpacer
-from repro.core.monitor import HeartbeatMonitor
 
-__all__ = [
-    "DecisionTrace",
-    "ControlLoop",
-    "RateQuery",
-    "backend_monitor",
-    "collector_monitor",
-]
+__all__ = ["DecisionTrace", "ControlLoop", "RateQuery"]
 
 #: A windowed rate query: ``query(window)`` with ``None`` meaning "the
 #: source's configured default window".
@@ -56,11 +47,8 @@ RateQuery = Callable[[Union[int, None]], float]
 class DecisionTrace:
     """One uniform observe-decide-act record.
 
-    Supersedes the bespoke per-loop records (``SchedulerDecisionRecord``,
-    ``DVFSDecisionRecord`` and the balancer's ad-hoc action bookkeeping):
-    every loop, whatever its knob, traces the same six fields, so fleet-wide
-    analyses can mix scheduler, DVFS and encoder decisions freely.  The
-    legacy record types are kept as conversions inside their facades.
+    Every loop, whatever its knob, traces the same six fields, so fleet-wide
+    analyses can mix scheduler, DVFS and encoder decisions freely.
     """
 
     #: Name of the loop that took the decision.
@@ -103,52 +91,6 @@ def _as_rate_query(source: object) -> RateQuery:
     )
 
 
-def backend_monitor(
-    backend: object,
-    *,
-    clock: object | None = None,
-    window: int = 0,
-    liveness_timeout: float | None = None,
-) -> HeartbeatMonitor:
-    """A monitor over any storage backend, incremental when the backend allows.
-
-    Wires ``backend.snapshot`` plus — when present — the ``snapshot_since``
-    cursored delta provider and the ``version`` change token, so a loop
-    polling the monitor reads O(new beats) per step exactly like the fleet
-    aggregator does.
-    """
-    if getattr(backend, "snapshot", None) is None:
-        raise TypeError(f"backend {type(backend).__name__} has no snapshot()")
-    return HeartbeatMonitor(
-        backend,
-        clock=clock,  # type: ignore[arg-type]
-        window=window,
-        liveness_timeout=liveness_timeout,
-    )
-
-
-def collector_monitor(
-    collector: object,
-    stream_id: str,
-    *,
-    clock: object | None = None,
-    window: int = 0,
-    liveness_timeout: float | None = None,
-) -> HeartbeatMonitor:
-    """A monitor over one registered stream of a network collector.
-
-    Attaches the collector's per-stream ``source(stream_id)`` view (as
-    :class:`~repro.net.HeartbeatCollector` provides) through the
-    capability protocol.
-    """
-    return HeartbeatMonitor(
-        collector.source(stream_id),  # type: ignore[attr-defined]
-        clock=clock,  # type: ignore[arg-type]
-        window=window,
-        liveness_timeout=liveness_timeout,
-    )
-
-
 class ControlLoop:
     """Binds a stream source, a controller and an actuator into one loop.
 
@@ -156,8 +98,8 @@ class ControlLoop:
     ----------
     source:
         Where observed rates come from: anything with ``current_rate(window)``
-        (a :class:`Heartbeat`, a :class:`HeartbeatMonitor`, including ones
-        built by :func:`backend_monitor`/:func:`collector_monitor`), a bare
+        (a :class:`Heartbeat`, a :class:`HeartbeatMonitor` over any stream
+        object), a bare
         ``query(window) -> rate`` callable, or ``None`` when every ``step``
         call supplies ``rate=`` explicitly (the fleet-engine mode).
     controller:

@@ -79,6 +79,44 @@ _ENDPOINT_HELP = (
 )
 
 
+def _add_run_options(
+    parser: argparse.ArgumentParser,
+    *,
+    interval: tuple[float | None, str] | None = None,
+    duration: bool = False,
+    liveness: bool = False,
+    once: str | None = None,
+    serve: str | None = None,
+) -> None:
+    """Add the run-shape options a subcommand takes, spelled one way everywhere.
+
+    ``interval`` is the command's own ``(default, help)`` for ``--interval``;
+    ``once`` and ``serve`` are the help lines of ``--once`` and of
+    ``--serve`` (which brings ``--port`` along).
+    """
+    if interval is not None:
+        default, help_text = interval
+        parser.add_argument("--interval", type=float, default=default, help=help_text)
+    if duration:
+        parser.add_argument(
+            "--duration", type=float, default=None, help="stop after this many seconds"
+        )
+    if liveness:
+        parser.add_argument(
+            "--liveness", type=float, default=5.0, help="seconds without a beat before 'stalled'"
+        )
+    if once is not None:
+        parser.add_argument("--once", action="store_true", help=once)
+    if serve is not None:
+        parser.add_argument("--serve", action="store_true", help=serve)
+        parser.add_argument(
+            "--port",
+            type=int,
+            default=0,
+            help="dashboard port for --serve (default 0: an ephemeral port)",
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -103,14 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the bound port to this file once listening (atomic, for scripts)",
     )
-    collect.add_argument(
-        "--interval", type=float, default=2.0, help="seconds between summary lines"
-    )
-    collect.add_argument(
-        "--duration", type=float, default=None, help="stop after this many seconds"
-    )
-    collect.add_argument(
-        "--liveness", type=float, default=5.0, help="seconds without a beat before 'stalled'"
+    _add_run_options(
+        collect, interval=(2.0, "seconds between summary lines"), duration=True, liveness=True
     )
     collect.add_argument(
         "--quiet", action="store_true", help="no periodic summaries, just collect"
@@ -136,27 +168,14 @@ def _build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "endpoints", nargs="*", default=[], metavar="ENDPOINT", help=_ENDPOINT_HELP
     )
-    watch.add_argument(
-        "--interval", type=float, default=1.0, help="seconds between table refreshes"
-    )
-    watch.add_argument(
-        "--duration", type=float, default=None, help="stop after this many seconds"
-    )
-    watch.add_argument(
-        "--liveness", type=float, default=5.0, help="seconds without a beat before 'stalled'"
-    )
     watch.add_argument("--window", type=int, default=0, help="rate window (0: producer default)")
-    watch.add_argument("--once", action="store_true", help="print one table and exit")
-    watch.add_argument(
-        "--serve",
-        action="store_true",
-        help="also serve the live dashboard over HTTP (SSE /events, scrape /metrics)",
-    )
-    watch.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="dashboard port for --serve (default 0: an ephemeral port)",
+    _add_run_options(
+        watch,
+        interval=(1.0, "seconds between table refreshes"),
+        duration=True,
+        liveness=True,
+        once="print one table and exit",
+        serve="also serve the live dashboard over HTTP (SSE /events, scrape /metrics)",
     )
 
     adapt = sub.add_parser(
@@ -176,16 +195,12 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="adaptation spec file (.toml on Python 3.11+, or JSON)",
     )
-    adapt.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        help="seconds between engine ticks (default: the spec's engine.interval)",
+    _add_run_options(
+        adapt,
+        interval=(None, "seconds between engine ticks (default: the spec's engine.interval)"),
+        duration=True,
+        once="run one tick and exit",
     )
-    adapt.add_argument(
-        "--duration", type=float, default=None, help="stop after this many seconds"
-    )
-    adapt.add_argument("--once", action="store_true", help="run one tick and exit")
 
     scenario = sub.add_parser(
         "scenario",
@@ -212,16 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="keep journals/port files under DIR instead of a self-cleaning tempdir",
     )
-    scenario_run.add_argument(
-        "--serve",
-        action="store_true",
-        help="publish the run's fleet as a live HTTP/SSE dashboard while it runs",
-    )
-    scenario_run.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="dashboard port for --serve (default 0: an ephemeral port)",
+    _add_run_options(
+        scenario_run, serve="publish the run's fleet as a live HTTP/SSE dashboard while it runs"
     )
     scenario_sub.add_parser("list", help="list the built-in scenario presets")
 
@@ -621,13 +628,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     # Deferred import: the tuning subsystem pulls in the simulated plant and
     # the optimizer, which no observation command needs.
-    from repro.tune import (
-        EvaluationConfig,
-        FlightLog,
-        PRESET_SPECS,
-        Tuner,
-        write_tuned_spec,
-    )
+    from repro.obs.tracing import FlightRecorder
+    from repro.tune import EvaluationConfig, PRESET_SPECS, Tuner, write_tuned_spec
     from repro.tune.space import TuneError
 
     try:
@@ -647,7 +649,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         beats_per_tick=args.beats_per_tick,
         profile=args.profile,
     )
-    log = FlightLog(args.log) if args.log else None
+    log = FlightRecorder(args.log) if args.log else None
     try:
         tuner = Tuner(
             spec,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.adapt.actuator import LadderActuator
 from repro.adapt.loop import ControlLoop
 from repro.clock import SimulatedClock
-from repro.control import DecisionSpacer, LadderController, TargetWindow
+from repro.control import LadderController, TargetWindow
 from repro.core.heartbeat import Heartbeat
 from repro.encoder.encoder import BlockEncoder, FrameResult
 from repro.encoder.frames import SyntheticVideoSource
@@ -137,11 +137,6 @@ class AdaptiveEncoder:
     def level(self) -> int:
         """Current preset-ladder level."""
         return self.controller.level
-
-    @property
-    def spacer(self) -> DecisionSpacer:
-        """The loop's decision spacer (legacy accessor)."""
-        return self.loop.spacer
 
     @property
     def frames_encoded(self) -> int:

@@ -548,8 +548,7 @@ class TcpEndpoint(Endpoint):
     outbound link (the exporter's when producing, the relay forwarder's
     when collecting with ``upstream=``); ``relay_interval`` is an edge
     collector's idle cadence (how often a quiet upstream link is probed
-    for EOF; forwarding itself runs on news, not on this timer) and
-    ``probe_interval`` rate-limits that probe before each sweep.  Defaults
+    for EOF; forwarding itself runs on news, not on this timer).  Defaults
     are unchanged when the parameters are absent.
 
     >>> ep = Endpoint.parse("tcp://0.0.0.0:7717?upstream=root.example:7717")
@@ -580,9 +579,6 @@ class TcpEndpoint(Endpoint):
     )
     journal: str | None = _q("str", "collector", positive=True)
     relay_interval: float | None = _q("float", "collector", positive=True)
-    probe_interval: float | None = _q(
-        "float", "collector", feeds="relay_probe_interval", positive=True
-    )
 
     def __post_init__(self) -> None:
         # Explicit base call: dataclass(slots=True) recreates the class, so
@@ -590,12 +586,10 @@ class TcpEndpoint(Endpoint):
         Endpoint.__post_init__(self)
         if not 0 <= self.port <= 65535:
             raise EndpointError(f"tcp port must be in [0, 65535], got {self.port}")
-        if self.upstream is None:
-            for key in ("relay_interval", "probe_interval"):
-                if getattr(self, key) is not None:
-                    raise EndpointError(
-                        f"{key}= tunes the relay link and needs upstream= on {self.url()!r}"
-                    )
+        if self.upstream is None and self.relay_interval is not None:
+            raise EndpointError(
+                f"relay_interval= tunes the relay link and needs upstream= on {self.url()!r}"
+            )
 
     @classmethod
     def _parse_body(cls, url: str, body: str) -> dict[str, Any]:
@@ -801,8 +795,8 @@ def open_collector(
     frame is appended to a per-stream journal under ``DIR`` and replayed if
     a collector later rebinds over the same directory (failover recovery —
     see :mod:`repro.net.persistence`).  ``relay_interval=``,
-    ``probe_interval=``, ``backoff_initial=`` and ``backoff_max=`` tune an
-    edge collector's forwarding link.
+    ``backoff_initial=`` and ``backoff_max=`` tune an edge collector's
+    forwarding link.
 
     Raises
     ------

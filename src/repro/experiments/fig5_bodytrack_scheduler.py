@@ -74,7 +74,7 @@ def run(config: Fig5Config = Fig5Config()) -> ExperimentResult:
             ),
             ("mean rate before the load drop (beat/s)", "2.5-3.5", round(float(np.mean(rates[before_drop])), 2)),
             ("mean rate after the load drop (beat/s)", "2.5-3.5", round(float(np.mean(rates[after_drop])), 2)),
-            ("scheduler decisions taken", "n/a", len(output.scheduler.decisions)),
+            ("scheduler decisions taken", "n/a", output.scheduler.decisions),
         ],
         traces=output.traces,
     )

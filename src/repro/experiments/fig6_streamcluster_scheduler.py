@@ -67,7 +67,7 @@ def run(config: Fig6Config = Fig6Config()) -> ExperimentResult:
                 round(float(np.mean(rates[first_in_window:])), 3) if first_in_window >= 0 else 0.0,
             ),
             ("maximum cores used", "<= 8", int(np.max(output.traces["cores"].values))),
-            ("scheduler decisions taken", "n/a", len(output.scheduler.decisions)),
+            ("scheduler decisions taken", "n/a", output.scheduler.decisions),
         ],
         traces=output.traces,
     )

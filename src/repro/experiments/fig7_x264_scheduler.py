@@ -75,7 +75,7 @@ def run(config: Fig7Config = Fig7Config()) -> ExperimentResult:
             ),
             ("peak rate during spikes (beat/s)", "> 45", round(float(np.max(rates)), 1)),
             ("mean steady-state rate (beat/s)", "30-35", round(float(np.mean(rates[warmup:])), 2)),
-            ("scheduler decisions taken", "n/a", len(output.scheduler.decisions)),
+            ("scheduler decisions taken", "n/a", output.scheduler.decisions),
         ],
         traces=output.traces,
     )

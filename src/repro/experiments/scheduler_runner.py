@@ -15,12 +15,11 @@ import numpy as np
 
 from repro.analysis.traces import TraceSet
 from repro.clock import SimulatedClock
-from repro.control import TargetWindow
+from repro.control import Controller, TargetWindow
 from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import HeartbeatMonitor
 from repro.scheduler.allocator import CoreAllocator
 from repro.scheduler.external import ExternalScheduler
-from repro.scheduler.policies import AllocationPolicy
 from repro.sim.engine import ExecutionEngine, RunResult
 from repro.sim.machine import SimulatedMachine
 from repro.sim.process import SimulatedProcess
@@ -64,7 +63,7 @@ def run_scheduled_workload(
     workload: Workload,
     config: SchedulerRunConfig,
     *,
-    policy: AllocationPolicy | None = None,
+    controller: Controller | None = None,
     title: str = "external scheduler run",
 ) -> SchedulerRunOutput:
     """Run ``workload`` under the external scheduler and collect the traces."""
@@ -85,7 +84,7 @@ def run_scheduled_workload(
         allocator,
         decision_interval=config.decision_interval,
         rate_window=config.rate_window,
-        policy=policy,
+        controller=controller,
     )
     scheduler.attach(engine)
     run_result = engine.run(process, config.beats, rate_window=config.rate_window)

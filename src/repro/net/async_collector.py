@@ -229,9 +229,6 @@ class AsyncHeartbeatCollector:
         starts at the initial value and doubles per failed dial up to the
         max).  Scenario runs tighten these so a healed partition reconnects
         in milliseconds; the defaults match the forwarder's.
-    relay_probe_interval:
-        Edge mode only: seconds between EOF probes of the upstream link
-        (``None``, the default, probes before every sweep).
     journal:
         A :class:`~repro.net.persistence.StreamJournal` (or a directory
         path) enabling collector persistence: every registered stream's
@@ -285,7 +282,6 @@ class AsyncHeartbeatCollector:
         relay_interval: float = 0.05,
         relay_backoff_initial: float = 0.05,
         relay_backoff_max: float = 2.0,
-        relay_probe_interval: float | None = None,
         arena: "Arena | str | None" = None,
         journal: "StreamJournal | str | None" = None,
         metrics: MetricsRegistry | None = None,
@@ -390,7 +386,6 @@ class AsyncHeartbeatCollector:
                 interval=float(relay_interval),
                 backoff_initial=float(relay_backoff_initial),
                 backoff_max=float(relay_backoff_max),
-                probe_interval=relay_probe_interval,
                 metrics=self.metrics,
             )
 

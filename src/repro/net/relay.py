@@ -97,10 +97,6 @@ class RelayForwarder:
         Socket timeouts for dialling and for one ``sendall``.
     backoff_initial, backoff_max:
         Reconnect backoff window (doubles on each failure).
-    probe_interval:
-        Seconds between EOF probes of the upstream link.  ``None`` (the
-        default) probes before every sweep, so no send goes into a link
-        already half-closed; a positive value rate-limits the probe.
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` to register
         forwarding counters into (labelled by upstream address); the owning
@@ -123,7 +119,6 @@ class RelayForwarder:
         send_timeout: float = 5.0,
         backoff_initial: float = 0.05,
         backoff_max: float = 2.0,
-        probe_interval: float | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self._collector = collector
@@ -135,7 +130,6 @@ class RelayForwarder:
         self._send_timeout = float(send_timeout)
         self._backoff_initial = float(backoff_initial)
         self._backoff_max = float(backoff_max)
-        self._probe_interval = None if probe_interval is None else float(probe_interval)
 
         self._lock = threading.Lock()
         self._wake = threading.Event()
@@ -229,7 +223,6 @@ class RelayForwarder:
     def _run(self) -> None:
         backoff = self._backoff_initial
         next_attempt = 0.0
-        next_probe = 0.0
         replay = False
         while True:
             timeout = self._interval
@@ -251,18 +244,14 @@ class RelayForwarder:
                     continue
                 backoff = self._backoff_initial
                 replay = True
+            # Probed before every sweep, so no send goes into a link already
+            # half-closed: the upstream went away quietly (FIN, no RST) and
+            # without this probe an *idle* link would never error and never
+            # reconnect.
             sock = self._sock
-            if sock is not None and (
-                self._probe_interval is None or time.monotonic() >= next_probe
-            ):
-                if self._probe_interval is not None:
-                    next_probe = time.monotonic() + self._probe_interval
-                if not protocol.link_alive(sock):
-                    # The upstream went away quietly (FIN, no RST): without
-                    # this probe an *idle* link would never error and never
-                    # reconnect.
-                    self._shutdown_socket()
-                    continue
+            if sock is not None and not protocol.link_alive(sock):
+                self._shutdown_socket()
+                continue
             # Swapped after the clear: any later mark wakes the next pass.
             with self._lock:
                 moved, self._moved = self._moved, {}

@@ -6,9 +6,9 @@ system itself.  Three layers:
 
 * :mod:`repro.obs.registry` — the shared :class:`MetricsRegistry` every
   subsystem registers its counters, gauges and latency histograms into;
-* :mod:`repro.obs.tracing` — structured JSONL export of adaptation
-  :class:`~repro.adapt.loop.DecisionTrace` records, plus helpers for the
-  per-hop RELAY latency accounting the collectors implement;
+* :mod:`repro.obs.tracing` — the :class:`FlightRecorder`, the one JSONL
+  record format adaptation decisions, tuning runs and scenario drills are
+  written in;
 * :mod:`repro.obs.serve` — the stdlib-only HTTP/SSE server behind
   ``repro watch --serve`` and ``TelemetrySession.watch(serve=...)``.
 
@@ -31,7 +31,7 @@ from repro.obs.registry import (
 #: itself registers metrics — so those names load lazily (PEP 562) to keep
 #: ``repro.obs.registry`` importable from anywhere in the dependency graph.
 _LAZY = {
-    "DecisionTraceLog": "repro.obs.tracing",
+    "FlightRecorder": "repro.obs.tracing",
     "iter_traces": "repro.obs.tracing",
     "trace_from_dict": "repro.obs.tracing",
     "trace_to_dict": "repro.obs.tracing",
@@ -55,7 +55,7 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "render_registries",
-    "DecisionTraceLog",
+    "FlightRecorder",
     "iter_traces",
     "trace_from_dict",
     "trace_to_dict",

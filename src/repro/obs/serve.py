@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.aggregator import FleetSample, HeartbeatAggregator
 from repro.obs.registry import MetricsRegistry, render_registries
-from repro.obs.tracing import DecisionTraceLog
+from repro.obs.tracing import FlightRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adapt.engine import AdaptationEngine
@@ -74,7 +74,7 @@ class TelemetryServer:
     engine:
         An :class:`~repro.adapt.engine.AdaptationEngine` whose decisions
         feed the live decision stream (subscribed via a
-        :class:`~repro.obs.tracing.DecisionTraceLog` ring).
+        :class:`~repro.obs.tracing.FlightRecorder` ring).
     registries:
         Extra :class:`~repro.obs.registry.MetricsRegistry` objects to merge
         into ``/metrics`` and the snapshot.
@@ -109,8 +109,9 @@ class TelemetryServer:
         self._interval = float(interval)
         self._max_streams = int(max_streams)
 
-        self._traces = DecisionTraceLog(ring=64)
-        self._detach_traces = self._traces.attach(engine) if engine is not None else None
+        self._traces = FlightRecorder(ring=64)
+        if engine is not None:
+            self._traces.attach(engine)
 
         self._cond = threading.Condition()
         self._closing = threading.Event()
@@ -159,8 +160,6 @@ class TelemetryServer:
         self._server_thread.join(timeout=5.0)
         self._httpd.server_close()
         self._sampler.join(timeout=5.0)
-        if self._detach_traces is not None:
-            self._detach_traces()
         self._traces.close()
 
     def __enter__(self) -> "TelemetryServer":

@@ -1,18 +1,22 @@
-"""Structured decision tracing: adaptation decisions as JSONL streams.
+"""The flight recorder: decisions, tuning runs and drills as one JSONL format.
 
 The engine's :class:`~repro.adapt.loop.DecisionTrace` records are the
 reproduction's ground truth for *why* the fleet moved — every
 observe-decide-act round, with the rate the controller saw and the actuator
-value it landed on.  This module gives them a durable, analyzable form:
+value it landed on.  The tuner's evaluations and a scenario drill's events
+are the same kind of evidence.  This module gives all three one durable,
+analyzable form — one compact JSON object per line whose first key is
+``"kind"``:
 
-* :func:`trace_to_dict` / :func:`trace_from_dict` — a lossless JSON shape
-  (round-trips field for field, including the nested
-  :class:`~repro.control.base.ControlDecision`);
-* :class:`DecisionTraceLog` — an engine subscriber that appends one JSON
-  line per decision to a file as ticks happen, keeps a bounded in-memory
-  ring of recent decisions for live consumers (the SSE dashboard), and
-  flushes on every tick so a crashed run loses at most the current tick;
-* :func:`iter_traces` — read a JSONL file back into trace objects.
+* :func:`trace_to_dict` / :func:`trace_from_dict` — a lossless
+  ``kind="decision"`` shape (round-trips field for field, including the
+  nested :class:`~repro.control.base.ControlDecision`);
+* :class:`FlightRecorder` — writes ``kind``-first records to a path, an open
+  stream or nowhere, keeps an optional bounded ring of recent records for
+  live consumers (the SSE dashboard), and subscribes to an engine so each
+  tick's decisions land in one flushed write;
+* :func:`iter_traces` — read a JSONL file back into trace objects, skipping
+  records of other kinds.
 
 >>> from repro.adapt.loop import DecisionTrace
 >>> from repro.control.base import ControlDecision
@@ -25,9 +29,10 @@ True
 from __future__ import annotations
 
 import json
+import os
 import threading
 from collections import deque
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterator
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, Union
 
 from repro.adapt.loop import DecisionTrace
 from repro.control.base import ControlDecision
@@ -41,12 +46,12 @@ __all__ = [
     "trace_to_json",
     "trace_from_json",
     "iter_traces",
-    "DecisionTraceLog",
+    "FlightRecorder",
 ]
 
 
 def trace_to_dict(trace: DecisionTrace, *, tick: int | None = None) -> dict[str, Any]:
-    """One trace as a flat JSON-safe dict.
+    """One trace as a flat JSON-safe ``kind="decision"`` record.
 
     The nested :class:`~repro.control.base.ControlDecision` is flattened
     into ``delta`` / ``value`` keys; ``tick`` optionally stamps the engine
@@ -54,6 +59,7 @@ def trace_to_dict(trace: DecisionTrace, *, tick: int | None = None) -> dict[str,
     step index).
     """
     out: dict[str, Any] = {
+        "kind": "decision",
         "loop": trace.loop,
         "beat": int(trace.beat),
         "observed_rate": float(trace.observed_rate),
@@ -84,9 +90,13 @@ def trace_from_dict(data: dict[str, Any]) -> DecisionTrace:
     )
 
 
+def _line(record: dict[str, Any]) -> str:
+    return json.dumps(record, separators=(",", ":"))
+
+
 def trace_to_json(trace: DecisionTrace, *, tick: int | None = None) -> str:
     """One trace as a single JSON line (no trailing newline)."""
-    return json.dumps(trace_to_dict(trace, tick=tick), separators=(",", ":"))
+    return _line(trace_to_dict(trace, tick=tick))
 
 
 def trace_from_json(line: str) -> DecisionTrace:
@@ -95,51 +105,70 @@ def trace_from_json(line: str) -> DecisionTrace:
 
 
 def iter_traces(path: str) -> Iterator[DecisionTrace]:
-    """Yield every trace in a JSONL file, skipping blank lines."""
+    """Yield every decision in a JSONL file, skipping blank lines and other kinds."""
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if line:
-                yield trace_from_json(line)
+                record = json.loads(line)
+                if record.get("kind") == "decision":
+                    yield trace_from_dict(record)
 
 
-class DecisionTraceLog:
-    """Stream an engine's decisions to JSONL, with a live tail for the UI.
+class FlightRecorder:
+    """One JSONL record stream: engine decisions, tuning events, drill events.
 
-    Attach it to an :class:`~repro.adapt.engine.AdaptationEngine` and every
-    tick's traces are appended — one JSON object per line, stamped with the
-    tick index — and flushed, so the file is a valid JSONL stream at any
-    moment.  ``recent()`` returns the last ``ring`` decision dicts for
-    consumers that want the live tail without re-reading the file (the SSE
-    dashboard's decision feed).
+    Every record is one compact JSON object per line with ``"kind"`` as its
+    first key, and every call flushes once, so the file is a valid JSONL
+    stream at any moment and a killed run loses nothing it wrote.
 
     Parameters
     ----------
-    path:
-        JSONL file to append to, or ``None`` for an in-memory-only log
-        (ring buffer, no file).
+    sink:
+        A path (opened for writing and owned: :meth:`close` closes it), an
+        open text stream (written to, never closed), or ``None`` for no
+        output at all (the ring alone).
     ring:
-        How many recent decision dicts to retain in memory.
+        How many recent records to retain in memory for :meth:`recent`
+        (the SSE dashboard's decision feed); ``None`` keeps none.
 
-    >>> log = DecisionTraceLog()   # in-memory only
-    >>> log.recent()
+    >>> import io
+    >>> buffer = io.StringIO()
+    >>> recorder = FlightRecorder(buffer, ring=8)
+    >>> recorder.write("evaluation", candidate=0, score=1.5)
+    >>> buffer.getvalue()
+    '{"kind":"evaluation","candidate":0,"score":1.5}\\n'
+    >>> recorder.recent(0)
     []
     """
 
-    def __init__(self, path: str | None = None, *, ring: int = 256) -> None:
+    def __init__(
+        self,
+        sink: Union[str, "os.PathLike[str]", IO[str], None] = None,
+        *,
+        ring: int | None = None,
+    ) -> None:
         self._lock = threading.Lock()
+        self._owns = False
         self._handle: IO[str] | None = None
-        if path is not None:
-            self._handle = open(path, "a", encoding="utf-8")
-        self._ring: deque[dict[str, Any]] = deque(maxlen=int(ring))
+        if sink is not None and hasattr(sink, "write"):
+            self._handle = sink  # type: ignore[assignment]
+        elif sink is not None:
+            self._handle = open(os.fspath(sink), "w", encoding="utf-8")  # type: ignore[arg-type]
+            self._owns = True
+        self._ring: deque[dict[str, Any]] | None = None if ring is None else deque(maxlen=int(ring))
         self._written = 0
         self._unsubscribes: list[Callable[[], None]] = []
 
     @property
     def written(self) -> int:
-        """Decisions recorded so far (file lines plus ring-only entries)."""
+        """Records written so far (sink lines plus ring-only records)."""
         with self._lock:
             return self._written
+
+    def write(self, kind: str, **fields: Any) -> None:
+        """Record one ``{"kind": kind, **fields}`` line and flush."""
+        self._record([{"kind": kind, **fields}])
 
     def attach(self, engine: "AdaptationEngine") -> Callable[[], None]:
         """Subscribe to ``engine``; returns the unsubscribe callable."""
@@ -148,36 +177,39 @@ class DecisionTraceLog:
         return unsubscribe
 
     def record_tick(self, tick: "EngineTick") -> None:
-        """Record every trace of one tick (the engine-subscriber entry point)."""
-        if not tick.traces:
-            return
-        rows = [trace_to_dict(trace, tick=tick.index) for trace in tick.traces]
+        """Record one tick's decisions, stamped with its index, in one write."""
+        if tick.traces:
+            self._record([trace_to_dict(trace, tick=tick.index) for trace in tick.traces])
+
+    def _record(self, records: list[dict[str, Any]]) -> None:
         with self._lock:
-            for row in rows:
-                self._ring.append(row)
-                if self._handle is not None:
-                    self._handle.write(json.dumps(row, separators=(",", ":")) + "\n")
-            self._written += len(rows)
+            if self._ring is not None:
+                self._ring.extend(records)
             if self._handle is not None:
+                self._handle.write("".join(_line(record) + "\n" for record in records))
                 self._handle.flush()
+            self._written += len(records)
 
     def recent(self, limit: int | None = None) -> list[dict[str, Any]]:
-        """The newest decision dicts, oldest first (at most ``limit``)."""
+        """The newest retained records, oldest first (at most ``limit``)."""
         with self._lock:
-            rows = list(self._ring)
-        return rows if limit is None else rows[-int(limit):]
+            rows = list(self._ring or ())
+        return rows if limit is None else rows[max(len(rows) - int(limit), 0):]
 
     def close(self) -> None:
-        """Unsubscribe from every engine and close the file.  Idempotent."""
+        """Unsubscribe from every engine and release the sink.  Idempotent.
+
+        An owned file is closed; a caller's stream is only let go of.
+        """
         for unsubscribe in self._unsubscribes:
             unsubscribe()
         self._unsubscribes.clear()
         with self._lock:
             handle, self._handle = self._handle, None
-        if handle is not None:
+        if handle is not None and self._owns:
             handle.close()
 
-    def __enter__(self) -> "DecisionTraceLog":
+    def __enter__(self) -> "FlightRecorder":
         return self
 
     def __exit__(self, *exc_info: object) -> None:

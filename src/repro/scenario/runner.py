@@ -11,7 +11,8 @@ polling the root's :class:`~repro.core.aggregator.HeartbeatAggregator`.
 Every observation that an invariant could need is recorded as it happens
 (per-stream totals, health transitions, event application times), so the
 verdict is computed from the run's own evidence and the whole history can
-be written as a JSONL report::
+be written as a JSONL report (a :class:`~repro.obs.tracing.FlightRecorder`
+file: one ``kind``-first record per line)::
 
     result = ScenarioRunner(ScenarioSpec.preset("partition")).run()
     assert result.passed, result.failures()
@@ -44,13 +45,14 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, TextIO
+from typing import Any
 
 from repro.clock import WallClock
 from repro.core.aggregator import HeartbeatAggregator
 from repro.core.monitor import HealthStatus
 from repro.faults.timeline import TimelineEvent
 from repro.net import HeartbeatCollector
+from repro.obs.tracing import FlightRecorder
 from repro.scenario.proxy import ChaosProxy
 from repro.scenario.spec import PROXY_ACTIONS, InvariantSpec, ScenarioError, ScenarioSpec
 
@@ -133,8 +135,9 @@ class ScenarioRunner:
     spec:
         The drill to execute.
     report_path:
-        Optional JSONL file receiving one line per observation (events as
-        they land, coarse fleet samples, invariant verdicts, final summary).
+        Optional JSONL file receiving one record per observation (events as
+        they land, coarse fleet samples, invariant verdicts, final summary),
+        each stamped with ``t``, seconds since setup.
     workdir:
         Directory for journals and port files; kept as-is when given (so a
         failed run's journals can be inspected), a self-cleaning temporary
@@ -161,7 +164,7 @@ class ScenarioRunner:
         self._serve = serve
         self._serve_port = serve_port
 
-        self._report_file: TextIO | None = None
+        self._recorder = FlightRecorder()
         self._epoch = 0.0
         self._producers: list[_Producer] = []
         self._next_producer = 0
@@ -191,12 +194,11 @@ class ScenarioRunner:
     def _now(self) -> float:
         return time.monotonic() - self._epoch
 
-    def _log(self, type_: str, **fields: Any) -> None:
-        if self._report_file is None:
-            return
-        line = {"t": round(self._now(), 4), "type": type_, **fields}
-        self._report_file.write(json.dumps(line) + "\n")
-        self._report_file.flush()
+    def _log(self, kind: str, **fields: Any) -> None:
+        self._recorder.write(kind, t=round(self._now(), 4), **fields)
+
+    def _log_verdict(self, result: InvariantResult) -> None:
+        self._log("invariant", invariant=result.kind, passed=result.passed, detail=result.detail)
 
     # ------------------------------------------------------------------ #
     # Fleet management
@@ -492,7 +494,7 @@ class ScenarioRunner:
             os.makedirs(self._workdir, exist_ok=True)
             self._rundir = self._workdir
         if self._report_path is not None:
-            self._report_file = open(self._report_path, "w", encoding="utf-8")
+            self._recorder = FlightRecorder(self._report_path)
         try:
             return self._run_inner(started)
         finally:
@@ -588,7 +590,7 @@ class ScenarioRunner:
         ]
         self._tick()
         for result in results:
-            self._log("invariant", **result.as_dict())
+            self._log_verdict(result)
 
         result = ScenarioResult(
             name=spec.name,
@@ -616,7 +618,7 @@ class ScenarioRunner:
     def _fail_deadline(self, started: float) -> ScenarioResult:
         detail = f"scenario exceeded its {self.spec.deadline}s deadline"
         results = [InvariantResult("deadline", False, detail)]
-        self._log("invariant", **results[0].as_dict())
+        self._log_verdict(results[0])
         result = ScenarioResult(
             name=self.spec.name,
             passed=False,
@@ -646,7 +648,6 @@ class ScenarioRunner:
             self._aggregator.close()
         if self._root is not None:
             self._root.close()
-        if self._report_file is not None:
-            self._report_file.close()
+        self._recorder.close()
         if self._tmp is not None:
             self._tmp.cleanup()

@@ -8,22 +8,12 @@ using as few cores as possible.
 """
 
 from repro.scheduler.allocator import AllocationChange, CoreAllocator
-from repro.scheduler.dvfs import DVFSDecisionRecord, DVFSGovernor
-from repro.scheduler.external import ExternalScheduler, SchedulerDecisionRecord
-from repro.scheduler.policies import (
-    AllocationPolicy,
-    MinimizeCoresPolicy,
-    ProportionalPolicy,
-)
+from repro.scheduler.dvfs import DVFSGovernor
+from repro.scheduler.external import ExternalScheduler
 
 __all__ = [
     "CoreAllocator",
     "AllocationChange",
     "ExternalScheduler",
-    "SchedulerDecisionRecord",
     "DVFSGovernor",
-    "DVFSDecisionRecord",
-    "AllocationPolicy",
-    "MinimizeCoresPolicy",
-    "ProportionalPolicy",
 ]

@@ -18,13 +18,14 @@ The pieces:
   baseline.
 - :mod:`repro.tune.optimizer` — the search driver: IPOP restarts,
   multiprocess evaluation islands, deterministic per-candidate seeding,
-  ``obs`` metrics and the JSONL flight log.
+  ``obs`` metrics and the JSONL flight log (a
+  :class:`~repro.obs.tracing.FlightRecorder`).
 - :mod:`repro.tune.emit` — tuned-spec emission with round-trip validation.
 - :mod:`repro.tune.presets` — bundled hand-written baseline specs.
 """
 
 from repro.tune.cmaes import CMAES, RandomSearch
-from repro.tune.emit import FlightLog, write_tuned_spec
+from repro.tune.emit import write_tuned_spec
 from repro.tune.objective import EvalResult, EvaluationConfig, evaluate_spec
 from repro.tune.optimizer import TuneResult, Tuner
 from repro.tune.presets import PRESET_SPECS, scheduler_preset
@@ -41,7 +42,6 @@ __all__ = [
     "CMAES",
     "EvalResult",
     "EvaluationConfig",
-    "FlightLog",
     "PRESET_SPECS",
     "Param",
     "ParamSpace",

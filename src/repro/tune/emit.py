@@ -1,4 +1,4 @@
-"""Tuned-spec emission and the JSONL tuning flight log.
+"""Tuned-spec emission.
 
 :func:`write_tuned_spec` is the last step of `repro tune`: serialize the
 tuned :class:`~repro.adapt.spec.AdaptSpec` to TOML, prove the text parses
@@ -7,64 +7,29 @@ a crash never leaves a half-written spec behind).  On Python 3.10 — where
 :mod:`tomllib` does not exist — validation falls back to the dict round
 trip, which exercises the same ``from_mapping`` path.
 
-:class:`FlightLog` is the tuner's black box: one JSON object per line, an
-event per evaluation and per generation, flushed as written so a killed run
-still leaves a readable trace.
+The tuner's flight log is a :class:`repro.obs.tracing.FlightRecorder`, the
+same JSONL format engine decisions and scenario drills are written in.
 
->>> import io, json
->>> buffer = io.StringIO()
->>> log = FlightLog(buffer)
->>> log.write("evaluation", candidate=0, score=1.5)
->>> json.loads(buffer.getvalue())["event"]
-'evaluation'
+>>> import os, tempfile
+>>> from repro.tune.presets import scheduler_preset
+>>> with tempfile.TemporaryDirectory() as tmp:
+...     text = write_tuned_spec(scheduler_preset(), os.path.join(tmp, "tuned.toml"))
+...     sorted(os.listdir(tmp))
+['tuned.toml']
+>>> text.splitlines()[0]
+'[engine]'
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import tempfile
-from typing import IO, Any, Union
+from typing import Union
 
 from repro.adapt.spec import AdaptSpec, SpecError
 
-__all__ = ["FlightLog", "write_tuned_spec"]
-
-
-class FlightLog:
-    """Append-only JSONL event stream for one tuning run.
-
-    Accepts an open text file or a path; owns (and closes) the handle only
-    when it opened the file itself.  Usable as a context manager.
-    """
-
-    def __init__(self, sink: Union[str, os.PathLike[str], IO[str]]) -> None:
-        if hasattr(sink, "write"):
-            self._fh: IO[str] = sink  # type: ignore[assignment]
-            self._owns = False
-        else:
-            self._fh = open(os.fspath(sink), "w", encoding="utf-8")  # type: ignore[arg-type]
-            self._owns = True
-        self.records = 0
-
-    def write(self, event: str, **fields: Any) -> None:
-        """Append one event line (``{"event": ..., **fields}``) and flush."""
-        record = {"event": event}
-        record.update(fields)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-        self.records += 1
-
-    def close(self) -> None:
-        if self._owns:
-            self._fh.close()
-
-    def __enter__(self) -> "FlightLog":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+__all__ = ["write_tuned_spec"]
 
 
 def _validate_round_trip(spec: AdaptSpec, text: str) -> None:

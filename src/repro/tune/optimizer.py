@@ -36,8 +36,8 @@ import numpy as np
 
 from repro.adapt.spec import AdaptSpec
 from repro.obs import MetricsRegistry
+from repro.obs.tracing import FlightRecorder
 from repro.tune.cmaes import CMAES, RandomSearch
-from repro.tune.emit import FlightLog
 from repro.tune.objective import (
     EvalResult,
     EvaluationConfig,
@@ -97,7 +97,7 @@ class Tuner:
         seed: int = 0,
         max_restarts: int = 4,
         metrics: MetricsRegistry | None = None,
-        flight_log: FlightLog | None = None,
+        flight_log: FlightRecorder | None = None,
     ) -> None:
         if strategy not in STRATEGIES:
             raise TuneError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")

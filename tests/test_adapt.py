@@ -20,7 +20,6 @@ from repro.adapt import (
     LogActuator,
     SpecError,
     actuator_cost,
-    backend_monitor,
 )
 from repro.clock import SimulatedClock
 from repro.control import (
@@ -32,6 +31,7 @@ from repro.control import (
 from repro.core.aggregator import HeartbeatAggregator
 from repro.core.backends.memory import MemoryBackend
 from repro.core.heartbeat import Heartbeat
+from repro.core.monitor import HeartbeatMonitor
 from repro.scheduler import CoreAllocator, DVFSGovernor, ExternalScheduler
 from repro.sim.engine import ExecutionEngine
 from repro.sim.machine import SimulatedMachine
@@ -163,7 +163,7 @@ class TestControlLoop:
         backend = MemoryBackend(64)
         backend.set_default_window(4)
         hb = Heartbeat(window=4, clock=clock, backend=backend)
-        monitor = backend_monitor(backend, clock=clock, window=4)
+        monitor = HeartbeatMonitor(backend, clock=clock, window=4)
         loop = ControlLoop(
             monitor, StepController(WINDOW), LogActuator(), decision_interval=1, warmup=0
         )
@@ -553,8 +553,6 @@ class TestAdaptSpec:
 # --------------------------------------------------------------------- #
 class TestDeprecatedFacades:
     def build_scheduler(self):
-        from repro.core.monitor import HeartbeatMonitor
-
         clock = SimulatedClock()
         machine = SimulatedMachine(8)
         heartbeat = Heartbeat(window=5, clock=clock, history=4096)
@@ -572,18 +570,15 @@ class TestDeprecatedFacades:
         engine = ExecutionEngine(clock)
         scheduler.attach(engine)
         engine.run(process, 60, rate_window=5)
-        # Legacy behavior: the linear workload converges onto 3 cores with
-        # the legacy record shape intact.
+        # The linear workload converges onto 3 cores ...
         assert process.allocated_cores == 3
-        assert scheduler.decisions and scheduler.decisions[-1].cores_after == 3
-        assert isinstance(scheduler.decisions[-1].observed_rate, float)
-        # ... and the scheduler really is a facade over a ControlLoop.
-        assert isinstance(scheduler.loop, ControlLoop)
-        assert len(scheduler.loop.traces) == len(scheduler.decisions)
+        assert scheduler.decisions > 0 and scheduler.last_trace.after == 3.0
+        assert isinstance(scheduler.last_trace.observed_rate, float)
+        # ... and the scheduler is a ControlLoop, its decisions the loop's traces.
+        assert isinstance(scheduler, ControlLoop)
+        assert len(scheduler.traces) == scheduler.decisions
 
     def test_dvfs_governor_warns_and_routes_through_the_loop(self):
-        from repro.core.monitor import HeartbeatMonitor
-
         clock = SimulatedClock()
         machine = SimulatedMachine(4)
         heartbeat = Heartbeat(window=5, clock=clock, history=4096)
@@ -599,8 +594,8 @@ class TestDeprecatedFacades:
         engine.run(process, 80, rate_window=5)
         assert governor.current_frequency < 1.0
         assert machine.cores[0].frequency == governor.current_frequency
-        assert isinstance(governor.loop, ControlLoop)
-        assert len(governor.loop.traces) == len(governor.decisions)
+        assert isinstance(governor, ControlLoop)
+        assert len(governor.traces) == governor.decisions > 0
 
     def test_blessed_experiment_runner_does_not_warn(self):
         from repro.experiments.scheduler_runner import SchedulerRunConfig, run_scheduled_workload

@@ -96,9 +96,25 @@ class TestDVFSGovernor:
     def test_decision_records(self):
         _, _, _, process, governor, engine = build()
         engine.run(process, 40, rate_window=5)
-        assert governor.decisions
-        changed = [d for d in governor.decisions if d.changed]
+        assert len(governor.traces) == governor.decisions > 0
+        changed = [t for t in governor.traces if t.changed]
         assert changed, "the governor should have changed frequency at least once"
+        assert governor.mean_frequency() == sum(t.after for t in governor.traces) / governor.decisions
+
+    def test_reset_forgets_the_settle_window(self):
+        clock = SimulatedClock()
+        machine = SimulatedMachine(2)
+        heartbeat = Heartbeat(window=5, clock=clock)
+        heartbeat.set_target_rate(1.0, 2.0)
+        governor = DVFSGovernor(
+            HeartbeatMonitor.attach(heartbeat), machine, rate_window=10
+        )
+        governor.settle_after_change = True  # the scheduler's rule, on the twin loop
+        governor._last_change_beat = 18
+        assert governor._effective_window(20) == 2
+        governor.reset()
+        assert governor._effective_window(20) == 10
+        assert governor.decisions == 0
 
     def test_validation(self):
         clock = SimulatedClock()

@@ -67,7 +67,7 @@ def _endpoints(cls: type[Endpoint]) -> st.SearchStrategy[Endpoint]:
     def build(drawn: dict) -> Endpoint:
         if cls is TcpEndpoint and drawn["upstream"] is None:
             # The one cross-field rule: relay tuning needs upstream=.
-            drawn = {**drawn, "relay_interval": None, "probe_interval": None}
+            drawn = {**drawn, "relay_interval": None}
         return cls(**drawn)
 
     return st.fixed_dictionaries(fields).map(build)
@@ -105,7 +105,7 @@ class TestGeneratedFromTheTable:
             "tcp://collector:7717?stream=svc",
             "tcp://[::1]:0",
             "tcp://0.0.0.0:7717?upstream=root%3A7717&journal=%2Fvar%2Flib%2Fhb"
-            "&relay_interval=0.02&probe_interval=1.5",
+            "&relay_interval=0.02",
             "tcp://10.0.0.1:7717?stream=svc&capacity=64&flush_interval=0.01"
             "&via=127.0.0.1%3A9999&backoff_initial=0.01&backoff_max=0.5",
         ]:
@@ -135,7 +135,7 @@ class TestRoleMatrix:
         param = _params(_SCHEMES[scheme])[name]
         body = {"tcp": "127.0.0.1:1", "file": "x.hblog"}.get(scheme, "role-matrix")
         url = f"{scheme}://{body}?{name}={_example(param.kind)}"
-        if scheme == "tcp" and name in ("relay_interval", "probe_interval"):
+        if scheme == "tcp" and name == "relay_interval":
             url += "&upstream=127.0.0.1:2"
         return url
 
@@ -186,7 +186,6 @@ class TestRoleMatrix:
             "backoff_max": ("backoff_max", "relay_backoff_max"),
             "journal": (None, "journal"),
             "relay_interval": (None, "relay_interval"),
-            "probe_interval": (None, "relay_probe_interval"),
         }
 
 

@@ -278,12 +278,11 @@ class TestChaosAndDurabilityParameters:
     def test_collector_params_round_trip(self):
         ep = Endpoint.parse(
             "tcp://0.0.0.0:0?upstream=root:7717&journal=/var/lib/hb"
-            "&relay_interval=0.02&probe_interval=1.5&backoff_initial=0.05"
+            "&relay_interval=0.02&backoff_initial=0.05"
         )
         assert Endpoint.parse(str(ep)) == ep
         assert ep.journal == "/var/lib/hb"
         assert ep.relay_interval == 0.02
-        assert ep.probe_interval == 1.5
 
     def test_dial_address_defaults_to_host(self):
         ep = Endpoint.parse("tcp://10.0.0.1:7717")
@@ -292,8 +291,8 @@ class TestChaosAndDurabilityParameters:
     def test_relay_tuning_requires_upstream(self):
         with pytest.raises(EndpointError, match="needs upstream"):
             Endpoint.parse("tcp://127.0.0.1:0?relay_interval=0.5")
-        with pytest.raises(EndpointError, match="needs upstream"):
-            Endpoint.parse("tcp://127.0.0.1:0?probe_interval=0.5")
+        with pytest.raises(EndpointError, match="unknown query parameter 'probe_interval'"):
+            Endpoint.parse("tcp://127.0.0.1:0?upstream=root:7717&probe_interval=0.5")
 
     def test_rejects_malformed_values(self):
         with pytest.raises(EndpointError, match="via"):

@@ -136,18 +136,20 @@ class TestRelayCountersAcrossFlaps:
                     edge.close()
 
     def test_probe_interval_query_param_reaches_forwarder(self):
-        from repro.endpoints import open_collector
+        from repro.endpoints import EndpointError, open_collector
 
         with HeartbeatCollector() as root:
+            # The forwarder probes before every sweep; there is no knob.
+            with pytest.raises(EndpointError, match="unknown query parameter 'probe_interval'"):
+                open_collector(f"tcp://127.0.0.1:0?upstream={root.endpoint}&probe_interval=0.5")
             edge = open_collector(
                 f"tcp://127.0.0.1:0?upstream={root.endpoint}"
-                "&relay_interval=0.02&probe_interval=0.5"
-                "&backoff_initial=0.01&backoff_max=0.25"
+                "&relay_interval=0.02&backoff_initial=0.01&backoff_max=0.25"
             )
             try:
                 forwarder = edge._relay  # the wiring under test
                 assert forwarder is not None
-                assert forwarder._probe_interval == 0.5
+                assert forwarder._interval == 0.02
                 assert forwarder._backoff_initial == 0.01
                 assert forwarder._backoff_max == 0.25
             finally:

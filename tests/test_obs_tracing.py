@@ -3,8 +3,8 @@
 Three layers under test: the RELAY v2 hop-timestamp annotation at the wire
 level (including v1 back-compat), the per-link latency histograms a root
 collector derives from it over a real federation tree, and the
-:class:`~repro.obs.tracing.DecisionTraceLog` JSONL round-trip the issue
-pins field for field.
+:class:`~repro.obs.tracing.FlightRecorder` JSONL round-trip, pinned field
+for field.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.core.heartbeat import Heartbeat
 from repro.core.record import RECORD_DTYPE
 from repro.net import HeartbeatCollector, NetworkBackend, protocol
 from repro.obs.tracing import (
-    DecisionTraceLog,
+    FlightRecorder,
     iter_traces,
     trace_from_dict,
     trace_from_json,
@@ -155,6 +155,7 @@ class TestTraceRoundTrip:
         assert rebuilt.before == trace.before
         assert rebuilt.after == trace.after
         assert data["tick"] == 9
+        assert next(iter(data)) == "kind" and data["kind"] == "decision"
 
     def test_value_decision_round_trips(self):
         trace = make_trace(decision=ControlDecision(value=4.25))
@@ -169,6 +170,7 @@ class TestTraceRoundTrip:
         assert "\n" not in line
         assert trace_from_json(line) == trace
         assert json.loads(line)["tick"] == 2
+        assert line.startswith('{"kind":"decision",')
 
     def test_jsonl_file_round_trip(self, tmp_path):
         path = tmp_path / "decisions.jsonl"
@@ -176,10 +178,13 @@ class TestTraceRoundTrip:
         with open(path, "w", encoding="utf-8") as handle:
             for trace in traces:
                 handle.write(trace_to_json(trace) + "\n\n")  # blank lines skipped
+                handle.write('{"kind":"evaluation","score":1.0}\n')  # other kinds skipped
         assert list(iter_traces(str(path))) == traces
 
 
 class TestDecisionTraceLog:
+    """The engine-subscriber side of the :class:`FlightRecorder`."""
+
     def build_engine(self):
         clock = SimulatedClock()
         aggregator = HeartbeatAggregator(clock=clock, liveness_timeout=60.0)
@@ -213,7 +218,7 @@ class TestDecisionTraceLog:
         path = tmp_path / "decisions.jsonl"
         clock, heartbeat, engine = self.build_engine()
         try:
-            with DecisionTraceLog(str(path)) as log:
+            with FlightRecorder(str(path), ring=256) as log:
                 log.attach(engine)
                 self.drive(clock, heartbeat, engine)
                 assert log.written > 0
@@ -226,10 +231,11 @@ class TestDecisionTraceLog:
         assert [trace_to_dict(t) for t in replayed] == [
             {k: v for k, v in row.items() if k != "tick"} for row in recent
         ]
-        assert all("tick" in row for row in recent)
+        assert all("tick" in row and row["kind"] == "decision" for row in recent)
+        assert all(line.startswith('{"kind":"decision",') for line in path.read_text().splitlines())
 
     def test_ring_bounds_recent_and_limit_slices(self):
-        log = DecisionTraceLog(ring=4)
+        log = FlightRecorder(ring=4)
         clock, heartbeat, engine = self.build_engine()
         try:
             log.attach(engine)
@@ -239,11 +245,12 @@ class TestDecisionTraceLog:
         assert log.written >= 4
         assert len(log.recent()) == 4
         assert log.recent(limit=2) == log.recent()[-2:]
+        assert log.recent(0) == []
         log.close()
 
     def test_close_detaches_from_engine(self, tmp_path):
         clock, heartbeat, engine = self.build_engine()
-        log = DecisionTraceLog()
+        log = FlightRecorder()
         try:
             log.attach(engine)
             self.drive(clock, heartbeat, engine, ticks=2)

@@ -145,10 +145,13 @@ class TestRunnerSmoke:
         assert result.passed, result.failures()
         assert result.producer_totals == {"svc-0": 30, "svc-1": 30}
         lines = [json.loads(line) for line in report.read_text().splitlines()]
-        types = {line["type"] for line in lines}
-        assert {"start", "spawn", "invariant", "summary"} <= types
+        assert all(next(iter(line)) == "kind" for line in lines)
+        kinds = {line["kind"] for line in lines}
+        assert {"start", "spawn", "invariant", "summary"} <= kinds
+        verdicts = [line["invariant"] for line in lines if line["kind"] == "invariant"]
+        assert verdicts == ["no_lost_acked", "all_beats_delivered", "closed_reported"]
         summary = lines[-1]
-        assert summary["type"] == "summary"
+        assert summary["kind"] == "summary"
         assert summary["passed"] is True
 
     def test_invariant_violation_reported_not_raised(self):
@@ -181,10 +184,10 @@ class TestPresetDrills:
         ).run()
         assert result.passed, result.failures()
         events = [json.loads(line) for line in report.read_text().splitlines()]
-        actions = [e.get("action") for e in events if e["type"] == "event"]
+        actions = [e.get("action") for e in events if e["kind"] == "event"]
         assert "kill_collector" in actions and "restart_collector" in actions
         # The flight recording ends on the summary — teardown stays silent.
-        assert events[-1]["type"] == "summary"
+        assert events[-1]["kind"] == "summary"
         # The root ends with every producer-acknowledged beat.
         assert result.root_totals == result.producer_totals
 

@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adapt import CoreActuator
 from repro.clock import SimulatedClock
-from repro.control import TargetWindow
+from repro.control import PIDController, ProportionalStepController, StepController, TargetWindow
 from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import HeartbeatMonitor
-from repro.scheduler import (
-    CoreAllocator,
-    ExternalScheduler,
-    MinimizeCoresPolicy,
-    ProportionalPolicy,
-)
+from repro.scheduler import CoreAllocator, ExternalScheduler
 from repro.sim.engine import ExecutionEngine
 from repro.sim.machine import SimulatedMachine
 from repro.sim.process import SimulatedProcess
@@ -81,21 +77,34 @@ class TestCoreAllocator:
             CoreAllocator(machine, process, min_cores=4, max_cores=2)
 
 
+def next_cores(controller, rate: float, current_cores: int) -> int:
+    """One decision applied to a ``current_cores`` allocation on an 8-core machine."""
+    machine = SimulatedMachine(8)
+    process = SimulatedProcess(LinearWorkload(), Heartbeat(window=5), machine, cores=current_cores)
+    actuator = CoreActuator(CoreAllocator(machine, process))
+    return int(actuator.apply(controller.decide(rate)))
+
+
 class TestPolicies:
+    """The allocation policies are controllers applied through a CoreActuator."""
+
     def test_minimize_cores_policy_steps_by_one(self):
-        policy = MinimizeCoresPolicy(TargetWindow(2.5, 3.5))
-        assert policy.next_cores(rate=1.0, current_cores=2) == 3
-        assert policy.next_cores(rate=5.0, current_cores=4) == 3
-        assert policy.next_cores(rate=3.0, current_cores=3) == 3
+        controller = StepController(TargetWindow(2.5, 3.5))
+        assert next_cores(controller, rate=1.0, current_cores=2) == 3
+        assert next_cores(controller, rate=5.0, current_cores=4) == 3
+        assert next_cores(controller, rate=3.0, current_cores=3) == 3
 
     def test_proportional_policy_can_jump(self):
-        policy = ProportionalPolicy(TargetWindow(10.0, 12.0), gain=2.0, max_step=4)
-        assert policy.next_cores(rate=1.0, current_cores=1) > 2
+        controller = ProportionalStepController(TargetWindow(10.0, 12.0), gain=2.0, max_step=4)
+        assert next_cores(controller, rate=1.0, current_cores=1) > 2
 
     def test_pid_policy_returns_absolute_core_counts(self):
-        policy = ProportionalPolicy(TargetWindow(4.0, 6.0), use_pid=True, max_cores=8)
-        cores = policy.next_cores(rate=1.0, current_cores=1)
-        assert 1 <= cores <= 8
+        controller = PIDController(
+            TargetWindow(4.0, 6.0), kp=2.0, ki=0.5, base_output=1.0, maximum_output=8.0
+        )
+        decision = controller.decide(1.0)
+        assert decision.value is not None and decision.delta is None
+        assert 1 <= next_cores(controller, rate=1.0, current_cores=1) <= 8
 
 
 class TestExternalScheduler:
@@ -121,7 +130,7 @@ class TestExternalScheduler:
         # The linear workload needs exactly 3 cores for a 3 beat/s rate.
         assert process.allocated_cores == 3
         assert rates[-1] == pytest.approx(3.0)
-        assert scheduler.decisions, "the scheduler must have acted"
+        assert scheduler.decisions > 0, "the scheduler must have acted"
 
     def test_reclaims_cores_when_load_drops(self):
         class DroppingWorkload(LinearWorkload):
@@ -150,16 +159,17 @@ class TestExternalScheduler:
         other = SimulatedProcess(LinearWorkload(), other_hb, machine, cores=2, pid=4242)
         engine.run(other, 20, rate_window=5)
         assert other.allocated_cores == 2
-        assert not scheduler.decisions
+        assert scheduler.decisions == 0
 
     def test_decision_records_and_reset(self):
         _, _, _, process, scheduler, engine = build()
         engine.run(process, 30, rate_window=5)
-        assert all(d.cores_after >= d.cores_before - 1 for d in scheduler.decisions)
-        changed = [d for d in scheduler.decisions if d.changed]
+        assert len(scheduler.traces) == scheduler.decisions > 0
+        assert all(t.after >= t.before - 1 for t in scheduler.traces)
+        changed = [t for t in scheduler.traces if t.changed]
         assert changed
         scheduler.reset()
-        assert scheduler.decisions == []
+        assert scheduler.decisions == 0 and scheduler.traces == []
 
     def test_effective_window_shrinks_after_a_change(self):
         _, _, _, _, scheduler, _ = build(rate_window=10)
@@ -167,6 +177,25 @@ class TestExternalScheduler:
         scheduler._last_change_beat = 18
         assert scheduler._effective_window(20) == 2
         assert scheduler._effective_window(40) == 10
+
+    def test_reset_forgets_the_settle_window(self):
+        _, _, _, _, scheduler, _ = build(rate_window=10)
+        scheduler._last_change_beat = 18
+        scheduler.reset()
+        assert scheduler._effective_window(20) == 10
+        assert scheduler.decisions == 0
+
+    def test_controller_replaces_the_default_step(self):
+        _, _, heartbeat, process, _, _ = build()
+        controller = ProportionalStepController(TargetWindow(2.5, 3.5), gain=2.0, max_step=4)
+        scheduler = ExternalScheduler(
+            HeartbeatMonitor.attach(heartbeat, window=5),
+            CoreAllocator(process.machine, process, max_cores=8),
+            decision_interval=3,
+            rate_window=5,
+            controller=controller,
+        )
+        assert scheduler.controller is controller
 
     def test_invalid_decision_interval(self):
         clock = SimulatedClock()

@@ -366,6 +366,7 @@ class TestOneObserverDoor:
         with pytest.raises(SpecError, match="unknown engine keys"):
             AdaptSpec.from_dict({"engine": {"num_shards": 2}, "loops": [{"match": "*"}]})
         assert "remote" not in inspect.signature(hb_api.HB_initialize).parameters
+        self._assert_observers_are_loops_and_one_recorder_remains()
         # What replaces them, and what the benchmark ledger calls, stays.
         assert {"snapshot", "snapshot_since", "version"} <= set(dir(HeartbeatMonitor))
         assert {"attach", "attach_endpoint"} <= set(dir(HeartbeatMonitor))
@@ -375,6 +376,64 @@ class TestOneObserverDoor:
         assert {"from_dict", "from_file", "parse"} <= set(dir(AdaptSpec))
         assert {"from_dict", "from_file"} <= set(dir(ScenarioSpec))
         assert {"source", "version_source"} <= set(dir(HeartbeatCollector))
+
+    @staticmethod
+    def _assert_observers_are_loops_and_one_recorder_remains():
+        """The scheduler's second decision list, its policy layer, the monitor
+        wrappers, the per-subsystem JSONL writers and the relay probe knob."""
+        import importlib.util
+        import inspect
+
+        import repro.adapt
+        import repro.adapt.loop
+        import repro.obs
+        import repro.obs.tracing
+        import repro.scheduler
+        import repro.scheduler.dvfs
+        import repro.scheduler.external
+        import repro.tune
+        import repro.tune.emit
+        from repro.adapt import ControlLoop
+        from repro.encoder.adaptive import AdaptiveEncoder
+        from repro.endpoints import TcpEndpoint, _params
+        from repro.experiments.scheduler_runner import run_scheduled_workload
+        from repro.net.async_collector import AsyncHeartbeatCollector
+        from repro.net.relay import RelayForwarder
+        from repro.scheduler import DVFSGovernor, ExternalScheduler
+
+        gone = {
+            repro.scheduler: (
+                "SchedulerDecisionRecord", "DVFSDecisionRecord",
+                "AllocationPolicy", "MinimizeCoresPolicy", "ProportionalPolicy",
+            ),
+            repro.scheduler.external: ("SchedulerDecisionRecord", "_PolicyController", "MinimizeCoresPolicy"),
+            repro.scheduler.dvfs: ("DVFSDecisionRecord",),
+            repro.adapt: ("backend_monitor", "collector_monitor"),
+            repro.adapt.loop: ("backend_monitor", "collector_monitor"),
+            repro.obs: ("DecisionTraceLog",),
+            repro.obs.tracing: ("DecisionTraceLog",),
+            repro.tune: ("FlightLog",),
+            repro.tune.emit: ("FlightLog",),
+        }
+        for module, names in gone.items():
+            for name in names:
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+                assert name not in getattr(module, "__all__", ())
+        assert importlib.util.find_spec("repro.scheduler.policies") is None
+        for cls in (ExternalScheduler, DVFSGovernor):
+            assert issubclass(cls, ControlLoop)
+            for name in ("observe_and_act", "loop", "spacer", "policy"):
+                assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+            for name in ("_last_change_beat", "_effective_window", "reset", "__repr__"):
+                assert name not in vars(cls), f"{cls.__name__}.{name} is ControlLoop's"
+        assert not hasattr(AdaptiveEncoder, "spacer")
+        for fn in (ExternalScheduler.__init__, run_scheduled_workload):
+            parameters = inspect.signature(fn).parameters
+            assert "policy" not in parameters and "controller" in parameters, fn.__qualname__
+        assert "relay_probe_interval" not in inspect.signature(AsyncHeartbeatCollector.__init__).parameters
+        assert "probe_interval" not in inspect.signature(RelayForwarder.__init__).parameters
+        assert "probe_interval" not in _params(TcpEndpoint)
+        assert {"FlightRecorder", "iter_traces"} <= set(repro.obs.tracing.__all__)
 
 
 class TestSessionLifecycle:

@@ -11,10 +11,10 @@ import pytest
 
 from repro.adapt.spec import AdaptSpec, SpecError
 from repro.obs import MetricsRegistry
+from repro.obs.tracing import FlightRecorder
 from repro.tune import (
     CMAES,
     EvaluationConfig,
-    FlightLog,
     RandomSearch,
     Tuner,
     evaluate_spec,
@@ -325,7 +325,7 @@ class TestTuner:
             popsize=4,
             seed=1,
             metrics=registry,
-            flight_log=FlightLog(buffer),
+            flight_log=FlightRecorder(buffer),
         ).run()
         rendered = registry.as_dict()
         assert rendered["tune_evaluations_total"] == pytest.approx(
@@ -334,12 +334,13 @@ class TestTuner:
         assert "tune_generation_best" in rendered
         assert any(k.startswith("tune_evaluation_duration_seconds") for k in rendered)
         events = [json.loads(line) for line in buffer.getvalue().splitlines()]
-        kinds = {e["event"] for e in events}
+        assert all(next(iter(e)) == "kind" for e in events)
+        kinds = {e["kind"] for e in events}
         assert {"restart", "evaluation", "generation", "result"} <= kinds
-        evaluations = [e for e in events if e["event"] == "evaluation"]
+        evaluations = [e for e in events if e["kind"] == "evaluation"]
         assert len(evaluations) == result.evaluations
         final = events[-1]
-        assert final["event"] == "result"
+        assert final["kind"] == "result"
         assert final["best_score"] == result.best_score
 
     def test_budget_and_strategy_validation(self):
@@ -382,12 +383,17 @@ class TestEmit:
 
     def test_flight_log_owns_files(self, tmp_path):
         path = tmp_path / "flight.jsonl"
-        with FlightLog(path) as log:
+        with FlightRecorder(path) as log:
             log.write("evaluation", score=1.0)
             log.write("result", best=1.0)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
-        assert json.loads(lines[0]) == {"event": "evaluation", "score": 1.0}
+        assert lines[0] == '{"kind":"evaluation","score":1.0}'
+        buffer = io.StringIO()
+        with FlightRecorder(buffer) as log:
+            log.write("result", best=1.0)
+        assert not buffer.closed  # a caller's stream is only let go of
+        assert json.loads(buffer.getvalue()) == {"kind": "result", "best": 1.0}
 
 
 # --------------------------------------------------------------------- #
