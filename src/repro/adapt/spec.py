@@ -56,14 +56,7 @@ from repro.adapt.actuator import Actuator, LogActuator
 from repro.adapt.engine import AdaptationEngine, LoopFactory
 from repro.adapt.loop import ControlLoop
 from repro.clock import Clock
-from repro.control import (
-    Controller,
-    LadderController,
-    PIDController,
-    ProportionalStepController,
-    StepController,
-    TargetWindow,
-)
+from repro.control import CONTROLLER_KINDS, Controller, TargetWindow
 from repro.core.aggregator import HeartbeatAggregator
 from repro.core.monitor import MonitorReading
 from repro.endpoints import Endpoint, EndpointError
@@ -95,56 +88,12 @@ def _parse_attach(entries: Sequence[Union[str, Endpoint]]) -> list[Endpoint]:
 #: reading, the loop spec's actuator options)``.
 ActuatorFactory = Callable[[str, MonitorReading, Mapping[str, Any]], Actuator]
 
-_CONTROLLER_KINDS = ("step", "proportional", "pid", "ladder")
-
 #: Traces each spec-built loop retains: a long-lived engine must not grow
 #: with its uptime, and decisions are exported as they happen (listeners).
 _LOOP_TRACE_LIMIT = 64
 
-
-def _build_controller(kind: str, target: TargetWindow, options: Mapping[str, Any]) -> Controller:
-    try:
-        if kind == "step":
-            return StepController(target, step=int(options.get("step", 1)))
-        if kind == "proportional":
-            return ProportionalStepController(
-                target,
-                gain=float(options.get("gain", 1.0)),
-                max_step=int(options.get("max_step", 4)),
-            )
-        if kind == "pid":
-            return PIDController(
-                target,
-                kp=float(options.get("kp", 1.0)),
-                ki=float(options.get("ki", 0.2)),
-                kd=float(options.get("kd", 0.0)),
-                base_output=float(options.get("base_output", 1.0)),
-                minimum_output=float(options.get("minimum_output", 1.0)),
-                maximum_output=float(options.get("maximum_output", 64.0)),
-            )
-        if kind == "ladder":  # LoopSpec has already checked for 'levels'
-            return LadderController(
-                target,
-                levels=int(options["levels"]),
-                initial_level=int(options.get("initial_level", 0)),
-                climb_margin=float(options.get("climb_margin", 0.25)),
-            )
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"invalid {kind} controller options {dict(options)!r}: {exc}") from exc
-    raise SpecError(f"unknown controller kind {kind!r}; choose from {_CONTROLLER_KINDS}")
-
-
-def _log_actuator_factory(name: str, reading: MonitorReading, options: Mapping[str, Any]) -> Actuator:
-    bounds = options.get("bounds", (-math.inf, math.inf))
-    return LogActuator(
-        initial=float(options.get("initial", 0.0)),
-        bounds=(float(bounds[0]), float(bounds[1])),
-        step=float(options.get("step", 1.0)),
-    )
-
-
 #: Actuator factories every spec can name without registering anything.
-BUILTIN_ACTUATORS: dict[str, ActuatorFactory] = {"log": _log_actuator_factory}
+BUILTIN_ACTUATORS: dict[str, ActuatorFactory] = {"log": lambda name, reading, options: LogActuator(**options)}
 
 
 _BARE_KEY_CHARS = frozenset(
@@ -169,9 +118,7 @@ def _toml_value(value: Any) -> str:
         return "true" if value else "false"
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, int):
-        return repr(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return repr(value)  # repr floats always carry a '.' or 'e'/'inf'/'nan'
     if isinstance(value, Mapping):
         items = ", ".join(f"{_toml_key(str(k))} = {_toml_value(v)}" for k, v in value.items())
@@ -214,9 +161,9 @@ class LoopSpec:
     match: str
     #: Actuator factory name resolved at build time (``log`` is built in).
     actuator: str = "log"
-    #: Controller kind (one of ``step``/``proportional``/``pid``/``ladder``).
+    #: Controller kind, a key of :data:`repro.control.CONTROLLER_KINDS`.
     controller: str = "step"
-    #: Extra controller constructor options (gain, levels, kp, ...).
+    #: The kind's constructor keywords (gain, levels, kp, ...), checked at load.
     controller_options: Mapping[str, Any] = field(default_factory=dict)
     #: ``(minimum, maximum)`` target window, or ``None`` to adopt the window
     #: each matched stream published itself (``"published"`` in files).
@@ -238,15 +185,19 @@ class LoopSpec:
     def __post_init__(self) -> None:
         if not self.match:
             raise SpecError("loop spec needs a non-empty 'match' pattern")
-        if self.controller not in _CONTROLLER_KINDS:
-            raise SpecError(
-                f"unknown controller kind {self.controller!r}; choose from {_CONTROLLER_KINDS}"
-            )
         if self.decision_interval < 1:
             raise SpecError(f"decision_interval must be >= 1, got {self.decision_interval}")
-        if self.controller == "ladder" and "levels" not in self.controller_options:
-            # Fail at parse time, not when the first stream matches.
-            raise SpecError(f"loop {self.match!r}: ladder controller needs 'levels'")
+        self.build_controller(TargetWindow(1.0, 2.0))  # bad options fail at load, not at a match
+
+    def build_controller(self, target: TargetWindow) -> Controller:
+        """This rule's controller: its kind's class with ``controller_options``."""
+        kind = CONTROLLER_KINDS.get(self.controller)
+        if kind is None:
+            raise SpecError(f"unknown controller kind {self.controller!r}; choose from {list(CONTROLLER_KINDS)}")
+        try:
+            return kind(target, **self.controller_options)
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
+            raise SpecError(f"loop {self.match!r}: invalid {self.controller} controller options: {exc}") from exc
 
     def matches(self, name: str) -> bool:
         return fnmatch.fnmatchcase(name, self.match)
@@ -300,12 +251,10 @@ class LoopSpec:
         >>> LoopSpec.from_mapping(rule.to_dict()) == rule
         True
         """
-        controller: dict[str, Any] = {"kind": self.controller}
-        controller.update(self.controller_options)
         return {
             "match": self.match,
             "actuator": self.actuator,
-            "controller": controller,
+            "controller": {"kind": self.controller, **self.controller_options},
             "target": "published" if self.target is None else list(self.target),
             "decision_interval": self.decision_interval,
             "warmup": "auto" if self.warmup is None else self.warmup,
@@ -444,11 +393,10 @@ class AdaptSpec:
             target = rule.resolve_target(reading)
             if target is None:
                 return None  # no goal yet; the engine re-offers the stream later
-            controller = _build_controller(rule.controller, target, rule.controller_options)
             actuator = registry[rule.actuator](name, reading, rule.actuator_options)
             return ControlLoop(
                 None,
-                controller,
+                rule.build_controller(target),
                 actuator,
                 name=name,
                 decision_interval=rule.decision_interval,

@@ -5,8 +5,9 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from typing import Any, ClassVar, Mapping, NamedTuple
 
-__all__ = ["TargetWindow", "ControlDecision", "Controller"]
+__all__ = ["TargetWindow", "ControlDecision", "Controller", "SearchRange"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,6 +73,15 @@ class ControlDecision:
         return (self.delta in (None, 0)) and self.value is None
 
 
+class SearchRange(NamedTuple):
+    """Bounds ``repro tune`` searches one constructor keyword within; the
+    keyword's default starts the search, and an ``int`` default makes it integral."""
+
+    low: float
+    high: float
+    log: bool = False
+
+
 class Controller(abc.ABC):
     """Maps an observed heart rate to an actuator adjustment.
 
@@ -80,7 +90,17 @@ class Controller(abc.ABC):
     query (or an infinity from a degenerate timestamp span) can never reach a
     controller's arithmetic — it yields a no-op decision instead of
     propagating through integrators into actuator deltas.
+
+    A spec's controller options are the subclass's constructor keywords.
     """
+
+    #: Constructor keyword → the range :mod:`repro.tune` searches it within.
+    search_ranges: ClassVar[Mapping[str, SearchRange]] = {}
+
+    @classmethod
+    def ranges_for(cls, options: Mapping[str, Any]) -> Mapping[str, SearchRange]:
+        """The search ranges given a spec rule's own options."""
+        return cls.search_ranges
 
     def __init__(self, target: TargetWindow) -> None:
         self.target = target

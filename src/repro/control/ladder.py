@@ -12,7 +12,9 @@ discrete ladder.
 
 from __future__ import annotations
 
-from repro.control.base import ControlDecision, Controller, TargetWindow
+from typing import Any, Mapping
+
+from repro.control.base import ControlDecision, Controller, SearchRange, TargetWindow
 
 __all__ = ["LadderController"]
 
@@ -47,6 +49,15 @@ class LadderController(Controller):
     reacts to a change in the environment that might make rejected levels
     viable again.
     """
+
+    search_ranges = {"climb_margin": SearchRange(0.0, 2.0)}
+
+    @classmethod
+    def ranges_for(cls, options: Mapping[str, Any]) -> Mapping[str, SearchRange]:
+        """Adds ``initial_level`` once ``levels`` leaves more than one rung."""
+        levels = int(options.get("levels", 0))
+        start = {"initial_level": SearchRange(0, levels - 1)} if levels >= 2 else {}
+        return {**cls.search_ranges, **start}
 
     def __init__(
         self,

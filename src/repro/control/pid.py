@@ -8,7 +8,7 @@ control-theoretic one on the same actuator.
 
 from __future__ import annotations
 
-from repro.control.base import ControlDecision, Controller, TargetWindow
+from repro.control.base import ControlDecision, Controller, SearchRange, TargetWindow
 
 __all__ = ["PIDController"]
 
@@ -21,6 +21,12 @@ class PIDController(Controller):
     ``[minimum_output, maximum_output]``.  The caller rounds/coerces the
     value onto its actuator (e.g. a core count).
     """
+
+    search_ranges = {
+        "kp": SearchRange(1e-3, 64.0, log=True),
+        "ki": SearchRange(1e-4, 16.0, log=True),
+        "kd": SearchRange(0.0, 8.0),
+    }
 
     def __init__(
         self,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from repro.control.base import ControlDecision, Controller, TargetWindow
+from repro.control.base import ControlDecision, Controller, SearchRange, TargetWindow
 
 __all__ = ["StepController", "ProportionalStepController"]
 
@@ -23,6 +23,8 @@ class StepController(Controller):
     caller's interpretation of the sign).  Above the window: -1 unit.  Inside
     the window: no change.
     """
+
+    search_ranges = {"step": SearchRange(1, 16)}
 
     def __init__(self, target: TargetWindow, *, step: int = 1) -> None:
         super().__init__(target)
@@ -47,6 +49,11 @@ class ProportionalStepController(Controller):
     decisions at the cost of possible overshoot (explored by the ablation
     benchmark).
     """
+
+    search_ranges = {
+        "gain": SearchRange(0.05, 32.0, log=True),
+        "max_step": SearchRange(1, 16),
+    }
 
     def __init__(
         self,

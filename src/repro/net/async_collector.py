@@ -146,6 +146,18 @@ class _CollectorStream:
         #: Persistence hook: the stream's journal writer, or ``None``.
         self.journal: "JournalWriter | None" = None
 
+    def hello(self) -> protocol.Hello:
+        """A HELLO carrying the stream's current metadata (caller holds ``lock``)."""
+        return protocol.Hello(
+            name=self.name,
+            pid=self.pid,
+            nonce=self.nonce,
+            default_window=self.default_window,
+            capacity=self.capacity,
+            target_min=self.target_min,
+            target_max=self.target_max,
+        )
+
     def snapshot(self) -> BackendSnapshot:
         with self.lock:
             return self.backend.snapshot()
@@ -830,6 +842,9 @@ class AsyncHeartbeatCollector:
                 if entry.default_window != stream.default_window:
                     stream.backend.set_default_window(entry.default_window)
                     stream.default_window = entry.default_window
+                    if stream.journal is not None:
+                        # Replay takes the window from the latest HELLO.
+                        stream.journal.append_hello(stream.hello())
                 if stream.conn_gen == gen:
                     stream.connected = entry.connected
                     if entry.closed and not stream.closed:
@@ -951,19 +966,9 @@ class AsyncHeartbeatCollector:
         if writer is None or not writer.oversized:
             return
         with stream.lock:
-            snapshot = stream.backend.snapshot()
-            hello = protocol.Hello(
-                name=stream.name,
-                pid=stream.pid,
-                nonce=stream.nonce,
-                default_window=stream.default_window,
-                capacity=stream.capacity,
-                target_min=stream.target_min,
-                target_max=stream.target_max,
-            )
             writer.rewrite(
-                hello,
-                snapshot.records,
+                stream.hello(),
+                stream.backend.snapshot().records,
                 via_relay=stream.via_relay,
                 closed=stream.closed,
                 reported_total=stream.reported_total,

@@ -29,7 +29,9 @@ directory; the file header (``!8sBBH``: magic, format version, flags,
 reserved) records whether the stream arrived via a relay link.  Journals are
 bounded by compaction: when a file outgrows ``max_bytes``, it is rewritten
 from the stream's *retained* ring-buffer window (temp file + atomic rename),
-so the journal holds what the collector would replay anyway.
+so the journal holds what the collector would replay anyway.  A stream whose
+retained window alone is near ``max_bytes`` is next rewritten at twice the
+size of its last rewrite, so compaction never runs on every append.
 
 >>> import tempfile
 >>> from repro.net.protocol import Hello
@@ -152,7 +154,7 @@ class JournalWriter:
     # -------------------------------------------------------------- #
     @property
     def oversized(self) -> bool:
-        """True once the file outgrew ``max_bytes`` (compaction is due)."""
+        """True once the file outgrew its compaction threshold."""
         return not self._broken and self._size > self._max_bytes
 
     def rewrite(
@@ -189,6 +191,9 @@ class JournalWriter:
                     os.fsync(tmp.fileno())
             os.replace(tmp_path, self.path)
             self._size = self.path.stat().st_size
+            # A retained window larger than max_bytes would otherwise leave
+            # the file oversized at once and rewrite it on the next append.
+            self._max_bytes = max(self._journal.max_bytes, 2 * self._size)
             self._file = open(self.path, "ab", buffering=0)
             self._journal._compactions.inc()
         except OSError:
@@ -239,8 +244,9 @@ class StreamJournal:
         stream ids map to file names, so two collectors sharing a directory
         would interleave incompatible streams.
     max_bytes:
-        Per-stream compaction threshold: once a file outgrows this, the
-        collector rewrites it from the stream's retained window.
+        Per-stream compaction threshold: once a file outgrows this (or twice
+        its size after the last rewrite, when larger), the collector rewrites
+        it from the stream's retained window.
     sync:
         When true, fsync every append (host-crash durability at a heavy
         ingest cost); the default survives process kills only.

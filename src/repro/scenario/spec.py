@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import Any, Union
 
 from repro.faults.timeline import Timeline, TimelineEvent
+from repro.scenario.proxy import _PARTITION_MODES
 from repro.specfile import Table, load_file
 
 __all__ = [
@@ -70,10 +71,22 @@ class ScenarioError(ValueError):
     """A declarative chaos scenario is malformed."""
 
 
-#: Timeline actions the runner understands.  The first group forwards to
-#: :meth:`ChaosProxy.apply`; the second manipulates the fleet/collectors.
+#: Each timeline action the runner understands → the parameters it reads.
+#: :data:`PROXY_ACTIONS` forward to :meth:`ChaosProxy.apply`; the rest
+#: manipulate the fleet and collectors.
+ACTION_PARAMS: dict[str, tuple[str, ...]] = {
+    "latency": ("latency", "jitter"),
+    "bandwidth": ("bytes_per_second",),
+    "drop": ("probability",),
+    "partition": ("mode",),
+    "heal": (),
+    "flap": (),
+    "spawn": ("producers",),
+    "kill_producers": ("producers",),
+    "kill_collector": ("after_producers",),
+    "restart_collector": (),
+}
 PROXY_ACTIONS = ("latency", "bandwidth", "drop", "partition", "heal", "flap")
-FLEET_ACTIONS = ("spawn", "kill_producers", "kill_collector", "restart_collector")
 
 #: Invariant kinds the runner can check (see :mod:`repro.scenario.runner`).
 INVARIANT_KINDS = (
@@ -160,16 +173,18 @@ class InvariantSpec:
 
 
 def _timeline_event(raw: object) -> TimelineEvent:
-    """One timeline table: ``at`` and ``action``; every other key is a parameter."""
+    """One timeline table: ``at``, ``action`` and the parameters that action reads."""
     table = Table(raw, ScenarioError, "timeline entry", None, required=("at", "action"))
     action = table.get("action", str)
-    if action not in PROXY_ACTIONS and action not in FLEET_ACTIONS:
-        raise ScenarioError(
-            f"unknown timeline action {action!r}; known: "
-            f"{list(PROXY_ACTIONS + FLEET_ACTIONS)}"
-        )
+    if action not in ACTION_PARAMS:
+        raise ScenarioError(f"unknown timeline action {action!r}; known: {list(ACTION_PARAMS)}")
+    unknown = sorted(set(table.data) - {"at", "action", *ACTION_PARAMS[action]})
+    if unknown:
+        raise ScenarioError(f"unknown {action} parameters {unknown}; it reads {list(ACTION_PARAMS[action])}")
     at = table.get("at", float, 0.0)  # non-None default: an explicit null is rejected
     params = {k: v for k, v in table.data.items() if k not in ("at", "action")}
+    if params.get("mode", "blackhole") not in _PARTITION_MODES:  # only partition reads it
+        raise ScenarioError(f"partition mode must be one of {_PARTITION_MODES}, got {params['mode']!r}")
     try:
         return TimelineEvent(at=at, action=action, params=params)
     except ValueError as exc:  # a negative time

@@ -9,8 +9,8 @@ fleets and emit a tuned, validated AdaptSpec TOML.
 
 The pieces:
 
-- :mod:`repro.tune.space` — declarative parameter spaces plus the
-  tunable-parameter registry covering every ``repro.control`` controller kind.
+- :mod:`repro.tune.space` — declarative parameter spaces over the search
+  ranges every ``repro.control`` controller kind declares on its class.
 - :mod:`repro.tune.objective` — the evaluation harness: a
   ``ControlLoop``/``AdaptationEngine`` fleet over per-stream simulated
   machines, scored from :class:`~repro.adapt.loop.DecisionTrace` records.
@@ -34,7 +34,6 @@ from repro.tune.space import (
     ParamSpace,
     apply_values,
     controller_tunables,
-    register_tunables,
     spec_space,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "apply_values",
     "controller_tunables",
     "evaluate_spec",
-    "register_tunables",
     "scheduler_preset",
     "spec_space",
     "write_tuned_spec",

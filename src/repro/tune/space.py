@@ -1,13 +1,13 @@
-"""Declarative parameter spaces and the controller tunable registry.
+"""Declarative parameter spaces over the controllers' own search ranges.
 
 A :class:`Param` describes one searchable knob — bounds, optional log scale,
 optional integrality — and maps between its native range and the unit cube
 the optimizer works in.  A :class:`ParamSpace` bundles several params.
 
-Every controller kind in :data:`repro.adapt.spec._CONTROLLER_KINDS` registers
-its tunable parameters here (the contract test in ``tests/test_control.py``
-enforces coverage), so any spec rule that declares ``tune = true`` yields a
-search space via :func:`spec_space` without further configuration:
+Every controller kind in :data:`repro.control.CONTROLLER_KINDS` declares
+its searchable keywords' ranges on its class (``search_ranges``), and its
+constructor's defaults start the search, so any spec rule that declares
+``tune = true`` yields a search space via :func:`spec_space`:
 
 >>> from repro.tune.space import controller_tunables
 >>> [p.name for p in controller_tunables("proportional")]
@@ -19,23 +19,23 @@ search space via :func:`spec_space` without further configuration:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.adapt.spec import _CONTROLLER_KINDS, AdaptSpec, SpecError
+from repro.adapt.spec import AdaptSpec, SpecError
+from repro.control import CONTROLLER_KINDS
 
 __all__ = [
     "Param",
     "ParamSpace",
     "TuneError",
     "controller_tunables",
-    "register_tunables",
     "spec_space",
     "apply_values",
-    "KIND_BY_CONTROLLER",
 ]
 
 
@@ -164,79 +164,30 @@ class ParamSpace:
 
 
 # --------------------------------------------------------------------- #
-# Controller tunable registry
+# Controller tunables
 # --------------------------------------------------------------------- #
-
-#: Builds the tunables for one controller kind given the rule's own options
-#: (ladder needs ``levels`` to bound ``initial_level``).
-TunableFactory = Callable[[Mapping[str, Any]], tuple[Param, ...]]
-
-_TUNABLES: dict[str, TunableFactory] = {}
-
-
-def register_tunables(kind: str, factory: TunableFactory) -> None:
-    """Register (or override) the tunable metadata for a controller kind."""
-    _TUNABLES[str(kind)] = factory
-
 
 def controller_tunables(
     kind: str, options: Mapping[str, Any] | None = None
 ) -> tuple[Param, ...]:
     """The searchable parameters of controller ``kind``.
 
+    Ranges come from the kind's class, defaults from its constructor.
     ``options`` is the spec rule's ``controller_options``; it both
     parameterizes bounds (ladder rung count) and seeds defaults so the
     search starts from the hand-written values.
     """
-    if kind not in _TUNABLES:
-        raise TuneError(
-            f"no tunables registered for controller kind {kind!r}; known: {sorted(_TUNABLES)}"
-        )
+    if kind not in CONTROLLER_KINDS:
+        raise TuneError(f"unknown controller kind {kind!r}; known: {sorted(CONTROLLER_KINDS)}")
     options = options or {}
-    return tuple(p.clamped_default(options.get(p.name)) for p in _TUNABLES[kind](options))
-
-
-def _step_tunables(options: Mapping[str, Any]) -> tuple[Param, ...]:
-    return (Param("step", 1, 16, default=1, integer=True),)
-
-
-def _proportional_tunables(options: Mapping[str, Any]) -> tuple[Param, ...]:
-    return (
-        Param("gain", 0.05, 32.0, default=1.0, log=True),
-        Param("max_step", 1, 16, default=4, integer=True),
-    )
-
-
-def _pid_tunables(options: Mapping[str, Any]) -> tuple[Param, ...]:
-    return (
-        Param("kp", 1e-3, 64.0, default=1.0, log=True),
-        Param("ki", 1e-4, 16.0, default=0.2, log=True),
-        Param("kd", 0.0, 8.0, default=0.0),
-    )
-
-
-def _ladder_tunables(options: Mapping[str, Any]) -> tuple[Param, ...]:
-    params = [Param("climb_margin", 0.0, 2.0, default=0.25)]
-    levels = int(options.get("levels", 0))
-    if levels >= 2:
-        params.append(Param("initial_level", 0, levels - 1, default=0, integer=True))
+    cls = CONTROLLER_KINDS[kind]
+    keywords = inspect.signature(cls).parameters
+    params = []
+    for name, (low, high, log) in cls.ranges_for(options).items():
+        default = keywords[name].default
+        param = Param(name, low, high, default, log=log, integer=type(default) is int)
+        params.append(param.clamped_default(options.get(name)))
     return tuple(params)
-
-
-register_tunables("step", _step_tunables)
-register_tunables("proportional", _proportional_tunables)
-register_tunables("pid", _pid_tunables)
-register_tunables("ladder", _ladder_tunables)
-
-#: Controller class name → spec kind, for the contract test to pivot on.
-KIND_BY_CONTROLLER: dict[str, str] = {
-    "StepController": "step",
-    "ProportionalStepController": "proportional",
-    "PIDController": "pid",
-    "LadderController": "ladder",
-}
-
-assert set(_TUNABLES) == set(_CONTROLLER_KINDS), "tunable registry drifted from spec kinds"
 
 
 # --------------------------------------------------------------------- #
@@ -284,21 +235,11 @@ def apply_values(spec: AdaptSpec, values: Mapping[str, float | int]) -> AdaptSpe
         if not rule.tune:
             raise TuneError(f"tuned value {name!r} targets a rule without tune = true")
         updates.setdefault(index, {})[option] = value
-    loops = []
-    for index, rule in enumerate(spec.loops):
-        if index in updates:
-            options = dict(rule.controller_options)
-            options.update(updates[index])
-            rule = replace(rule, controller_options=options)
-        loops.append(rule)
     try:
-        return AdaptSpec(
-            loops,
-            window=spec.window,
-            liveness_timeout=spec.liveness_timeout,
-            interval=spec.interval,
-            min_beats=spec.min_beats,
-            attach=spec.attach,
-        )
-    except SpecError as exc:  # pragma: no cover - registry bounds keep options valid
+        return replace(spec, loops=[
+            replace(rule, controller_options={**rule.controller_options, **updates[index]})
+            if index in updates else rule
+            for index, rule in enumerate(spec.loops)
+        ])
+    except SpecError as exc:  # e.g. a value for an option the kind does not take
         raise TuneError(f"tuned values produced an invalid spec: {exc}") from exc

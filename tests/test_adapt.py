@@ -496,6 +496,22 @@ class TestAdaptSpec:
             pytest.param({"engine": 3, "loops": [{"match": "x"}]}, id="engine-not-table"),
             pytest.param({"loops": [{"match": "x", "target": None}]}, id="target-null"),
             pytest.param({"loops": [{"match": "x", "controller": 7}]}, id="controller-not-kind"),
+            pytest.param(
+                {"loops": [{"match": "x", "controller": {"kind": "proportional", "gian": 8.0}}]},
+                id="controller-misspelt-option",
+            ),
+            pytest.param(
+                {"loops": [{"match": "x", "controller": {"kind": "pid", "kp": "fast"}}]},
+                id="controller-option-not-a-number",
+            ),
+            pytest.param(
+                {"loops": [{"match": "x", "controller": {"kind": "step", "step": 0}}]},
+                id="controller-option-out-of-range",
+            ),
+            pytest.param(
+                {"loops": [{"match": "x", "controller": {"kind": "step", "step": float("inf")}}]},
+                id="controller-option-infinite",
+            ),
         ],
         ids=lambda d: str(sorted(d))[:40],
     )

@@ -281,35 +281,74 @@ class TestControllerContract:
 
 
 class TestTunableContract:
-    """Every controller factory must expose searchable parameter metadata.
+    """Every controller kind must expose searchable parameter metadata.
 
-    The auto-tuner (repro.tune) can only search what the registry describes,
+    The auto-tuner (repro.tune) can only search the ranges a kind declares,
     so the contract walks repro.control the same way the factory contract
-    does: a Controller subclass without tunable metadata fails loudly here.
+    does: a Controller subclass outside the kind table, or a kind without
+    search ranges, fails loudly here.
     """
 
     #: controller_options that satisfy each kind's construction requirements.
     KIND_OPTIONS = {"ladder": {"levels": 6}}
 
     def test_every_control_subclass_has_a_registered_kind(self):
-        from repro.tune.space import KIND_BY_CONTROLLER
+        from repro.control import CONTROLLER_KINDS
 
         missing = [
             cls for cls in _control_subclasses()
-            if cls.__name__ not in KIND_BY_CONTROLLER
+            if cls not in CONTROLLER_KINDS.values()
         ]
         assert not missing, (
-            f"Controller subclasses without tunable metadata: {missing}; "
-            "map them in repro.tune.space.KIND_BY_CONTROLLER and register_tunables"
+            f"Controller subclasses without a spec kind: {missing}; "
+            "add them to repro.control.CONTROLLER_KINDS"
         )
 
     def test_every_spec_kind_has_tunables(self):
-        from repro.adapt.spec import _CONTROLLER_KINDS
+        from repro.control import CONTROLLER_KINDS
         from repro.tune.space import controller_tunables
 
-        for kind in _CONTROLLER_KINDS:
+        for kind, cls in CONTROLLER_KINDS.items():
+            assert cls.search_ranges, f"controller kind {kind!r} declares no search ranges"
             params = controller_tunables(kind, self.KIND_OPTIONS.get(kind))
-            assert params, f"controller kind {kind!r} registered no tunable params"
+            assert params, f"controller kind {kind!r} has no tunable params"
+
+    @pytest.mark.parametrize(
+        "kind, options, expected",
+        [
+            ("step", {}, [("step", 1, 16, 1, False, True)]),
+            (
+                "proportional", {},
+                [("gain", 0.05, 32.0, 1.0, True, False), ("max_step", 1, 16, 4, False, True)],
+            ),
+            (
+                "pid", {},
+                [
+                    ("kp", 1e-3, 64.0, 1.0, True, False),
+                    ("ki", 1e-4, 16.0, 0.2, True, False),
+                    ("kd", 0.0, 8.0, 0.0, False, False),
+                ],
+            ),
+            ("ladder", {}, [("climb_margin", 0.0, 2.0, 0.25, False, False)]),
+            (
+                "ladder", {"levels": 6},
+                [
+                    ("climb_margin", 0.0, 2.0, 0.25, False, False),
+                    ("initial_level", 0, 5, 0, False, True),
+                ],
+            ),
+        ],
+        ids=["step", "proportional", "pid", "ladder-no-levels", "ladder-6-levels"],
+    )
+    def test_tunables_are_the_pinned_params(self, kind, options, expected):
+        """Ranges from the class, defaults from the constructor: the same
+        Params the per-kind tunable functions used to spell out by hand."""
+        from repro.tune.space import Param, controller_tunables
+
+        assert controller_tunables(kind, options) == tuple(
+            Param(name, low, high, default=default, log=log, integer=integer)
+            for name, low, high, default, log, integer in expected
+        )
 
     @pytest.mark.parametrize("kind", ["step", "proportional", "pid", "ladder"])
     def test_bounds_present_and_defaults_in_bounds(self, kind):
@@ -325,25 +364,26 @@ class TestTunableContract:
     @pytest.mark.parametrize("kind", ["step", "proportional", "pid", "ladder"])
     def test_defaults_construct_a_working_controller(self, kind):
         """Round-tripping the defaults through the spec builder must succeed."""
-        from repro.adapt.spec import _build_controller
+        from repro.adapt.spec import LoopSpec
         from repro.tune.space import controller_tunables
 
         options = dict(self.KIND_OPTIONS.get(kind, {}))
         for param in controller_tunables(kind, options):
             options[param.name] = param.from_unit(param.to_unit(param.default))
-        controller = _build_controller(kind, CONTRACT_WINDOW, options)
+        rule = LoopSpec(match="*", controller=kind, controller_options=options)
+        controller = rule.build_controller(CONTRACT_WINDOW)
         assert controller.decide(CONTRACT_WINDOW.midpoint).is_noop
 
     @pytest.mark.parametrize("kind", ["step", "proportional", "pid", "ladder"])
     def test_extremes_construct_a_working_controller(self, kind):
         """The search's phenotype bounds themselves must be buildable."""
-        from repro.adapt.spec import _build_controller
+        from repro.adapt.spec import LoopSpec
         from repro.tune.space import controller_tunables
 
         for unit in (0.0, 1.0):
             options = dict(self.KIND_OPTIONS.get(kind, {}))
             for param in controller_tunables(kind, options):
                 options[param.name] = param.from_unit(unit)
-            controller = _build_controller(kind, CONTRACT_WINDOW, options)
-            decision = controller.decide(1.0)
+            rule = LoopSpec(match="*", controller=kind, controller_options=options)
+            decision = rule.build_controller(CONTRACT_WINDOW).decide(1.0)
             assert decision.delta is not None or decision.value is not None

@@ -19,6 +19,7 @@ DOCUMENTED_MODULES = [
     "repro.endpoints",
     "repro.session",
     "repro.specfile",
+    "repro.control",
     "repro.core.backends.arena",
     "repro.net.protocol",
     "repro.net.exporter",

@@ -7,11 +7,13 @@ journal directory and assert that nothing acknowledged is lost.
 
 from __future__ import annotations
 
+import socket
 import time
 
 import numpy as np
 import pytest
 
+from repro.core.backends import MemoryBackend
 from repro.core.record import RECORD_DTYPE
 from repro.net import HeartbeatCollector, NetworkBackend, protocol
 from repro.net.persistence import StreamJournal
@@ -175,6 +177,49 @@ class TestCompaction:
         assert replayed.records.shape[0] == 4
 
 
+    def test_retained_window_over_max_bytes_does_not_compact_every_append(self, tmp_path):
+        """A 4096-record (128 KiB) window into a 64 KiB journal: each rewrite is
+        already over ``max_bytes``, so the threshold follows the rewrite."""
+        journal = StreamJournal(tmp_path, max_bytes=64 * 1024)
+        hello = make_hello()
+        ring = MemoryBackend(4096)
+        writer = journal.writer("svc", hello)
+        for start in range(0, 400 * 64, 64):  # what the collector does per ingest
+            records = make_records(range(start, start + 64))
+            ring.append_many(records)
+            writer.append_records(records)
+            if writer.oversized:
+                writer.rewrite(hello, ring.snapshot().records)
+        assert journal._compactions.value <= 10
+        journal.close()
+        [replayed] = StreamJournal(tmp_path).replay()
+        beats = replayed.records["beat"]
+        assert beats[-1] == 25_599 and beats.shape[0] >= 4096
+        assert (np.diff(beats) == 1).all()
+
+    @pytest.mark.network
+    def test_collector_compacts_a_large_window_at_a_bounded_cadence(self, tmp_path):
+        journal = StreamJournal(tmp_path, max_bytes=64 * 1024)
+        collector = HeartbeatCollector("127.0.0.1", 0, journal=journal)
+        sock = socket.create_connection(collector.address, timeout=5.0)
+        try:
+            sock.sendall(protocol.encode_hello("svc", pid=1, nonce=1, default_window=8, capacity=4096))
+            for start in range(0, 400 * 64, 64):
+                payload = protocol.batch_payload(make_records(range(start, start + 64)))
+                sock.sendall(protocol.encode_frame(protocol.FRAME_BATCH, payload))
+            assert wait_until(lambda: collector.snapshot("svc").total_beats == 400 * 64)
+        finally:
+            sock.close()
+            collector.close()
+        assert journal._compactions.value <= 10
+        restarted = HeartbeatCollector("127.0.0.1", 0, journal=str(tmp_path))
+        try:
+            beats = restarted.snapshot("svc").records["beat"]
+            assert beats[-1] == 25_599 and (np.diff(beats) == 1).all()
+        finally:
+            restarted.close()
+
+
 @pytest.mark.network
 class TestCollectorFailover:
     def test_restart_restores_streams_from_journal(self, tmp_path):
@@ -201,6 +246,24 @@ class TestCollectorFailover:
             assert not info.connected
             snap = restarted.snapshot("durable")
             assert snap.total_beats == 30
+        finally:
+            restarted.close()
+
+    def test_relayed_window_change_survives_a_restart(self, tmp_path):
+        collector = HeartbeatCollector("127.0.0.1", 0, journal=str(tmp_path))
+        sock = socket.create_connection(collector.address, timeout=5.0)
+        try:
+            for window in (4, 16):
+                entry = protocol.RelayEntry(stream_id="svc", pid=7, nonce=3, default_window=window)
+                sock.sendall(protocol.encode_relay([entry]))
+            assert wait_until(lambda: "svc" in collector.stream_ids()
+                              and collector.snapshot("svc").default_window == 16)
+        finally:
+            sock.close()
+            collector.close()
+        restarted = HeartbeatCollector("127.0.0.1", 0, journal=str(tmp_path))
+        try:
+            assert restarted.snapshot("svc").default_window == 16
         finally:
             restarted.close()
 

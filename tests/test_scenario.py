@@ -37,6 +37,26 @@ class TestSpecParsing:
             ScenarioSpec.from_dict(
                 {"name": "x", "invariants": [{"kind": "vibes"}]}
             )
+        # A timeline entry takes only the parameters its action reads.
+        for entry in (
+            {"action": "latency", "latncy": 0.2},
+            {"action": "bandwidth", "bytes": 1024},
+            {"action": "drop", "probability": 0.1, "seed": 3},
+            {"action": "heal", "mode": "drop"},
+            {"action": "spawn", "count": 2},
+            {"action": "kill_producers", "after_producers": True},
+            {"action": "kill_collector", "producers": 1},
+        ):
+            with pytest.raises(ScenarioError, match="unknown .* parameters") as info:
+                ScenarioSpec.from_dict(
+                    {"name": "x", "topology": "edge", "timeline": [{"at": 0.1, **entry}]}
+                )
+            assert type(info.value) is ScenarioError
+        for mode in ("blackhol", 5):
+            with pytest.raises(ScenarioError, match="partition mode"):
+                ScenarioSpec.from_dict(
+                    {"name": "x", "timeline": [{"at": 0.1, "action": "partition", "mode": mode}]}
+                )
 
     def test_timeline_sorted_and_validated(self):
         spec = ScenarioSpec.from_dict(

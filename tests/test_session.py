@@ -380,12 +380,14 @@ class TestOneObserverDoor:
     @staticmethod
     def _assert_observers_are_loops_and_one_recorder_remains():
         """The scheduler's second decision list, its policy layer, the monitor
-        wrappers, the per-subsystem JSONL writers and the relay probe knob."""
+        wrappers, the per-subsystem JSONL writers, the relay probe knob and
+        the copies of the controller kind table."""
         import importlib.util
         import inspect
 
         import repro.adapt
         import repro.adapt.loop
+        import repro.adapt.spec
         import repro.obs
         import repro.obs.tracing
         import repro.scheduler
@@ -393,6 +395,7 @@ class TestOneObserverDoor:
         import repro.scheduler.external
         import repro.tune
         import repro.tune.emit
+        import repro.tune.space
         from repro.adapt import ControlLoop
         from repro.encoder.adaptive import AdaptiveEncoder
         from repro.endpoints import TcpEndpoint, _params
@@ -412,8 +415,11 @@ class TestOneObserverDoor:
             repro.adapt.loop: ("backend_monitor", "collector_monitor"),
             repro.obs: ("DecisionTraceLog",),
             repro.obs.tracing: ("DecisionTraceLog",),
-            repro.tune: ("FlightLog",),
+            repro.tune: ("FlightLog", "register_tunables"),
             repro.tune.emit: ("FlightLog",),
+            # One controller table: repro.control.CONTROLLER_KINDS.
+            repro.tune.space: ("register_tunables", "_TUNABLES", "KIND_BY_CONTROLLER"),
+            repro.adapt.spec: ("_CONTROLLER_KINDS", "_build_controller", "_log_actuator_factory"),
         }
         for module, names in gone.items():
             for name in names:

@@ -4,8 +4,9 @@ The emitter in ``repro.adapt.spec`` is what `repro tune` uses to write tuned
 specs, so ``AdaptSpec.parse(spec.to_toml()) == spec`` is load-bearing: a
 lossy emitter would silently change tuned gains between the search and the
 deployed file.  Hypothesis drives the spec constructor through its whole
-surface — every controller kind, published and explicit targets, "auto"
-warmups, tuned and untuned rules, engine knobs and attach endpoints.
+surface — every controller kind with options drawn from its own search
+ranges, published and explicit targets, "auto" warmups, tuned and untuned
+rules, engine knobs, attach endpoints, and arbitrary actuator options.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adapt.spec import AdaptSpec, LoopSpec
+from repro.tune.space import controller_tunables
 
 NEEDS_TOMLLIB = pytest.mark.skipif(
     sys.version_info < (3, 11), reason="TOML parsing needs tomllib (Python 3.11+)"
@@ -32,19 +34,26 @@ _option_values = st.one_of(
 
 
 @st.composite
+def controller_options(draw: st.DrawFn, kind: str) -> dict[str, object]:
+    """Options a spec accepts for ``kind``: values from the kind's own search
+    ranges (arbitrary keys are rejected when the spec loads)."""
+    options: dict[str, object] = {}
+    if kind == "ladder":
+        options["levels"] = draw(st.integers(min_value=2, max_value=12))
+    for param in controller_tunables(kind, options):
+        if not draw(st.booleans()):
+            continue
+        if param.integer:
+            options[param.name] = draw(st.integers(int(param.low), int(param.high)))
+        else:
+            options[param.name] = draw(st.floats(param.low, param.high, allow_nan=False))
+    return options
+
+
+@st.composite
 def loop_specs(draw: st.DrawFn) -> LoopSpec:
     controller = draw(st.sampled_from(["step", "proportional", "pid", "ladder"]))
-    options: dict[str, object] = dict(
-        draw(
-            st.dictionaries(
-                st.text(alphabet="abcdefghij_", min_size=1, max_size=10),
-                _option_values,
-                max_size=3,
-            )
-        )
-    )
-    if controller == "ladder":
-        options["levels"] = draw(st.integers(min_value=2, max_value=12))
+    options = draw(controller_options(controller))
     target = draw(
         st.one_of(
             st.none(),

@@ -135,6 +135,8 @@ class TestSpecSpace:
             apply_values(spec, {"loops[9].gain": 1.0})  # no such rule
         with pytest.raises(TuneError):
             apply_values(spec, {"gain": 1.0})  # unqualified
+        with pytest.raises(TuneError, match="gian"):
+            apply_values(spec, {"loops[0].gian": 1.0})  # the kind takes no such option
 
     def test_ladder_tunables_scale_with_levels(self):
         params = {p.name: p for p in controller_tunables("ladder", {"levels": 8})}
