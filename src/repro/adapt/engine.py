@@ -216,10 +216,10 @@ class AdaptationEngine:
         total changed since the previous tick, at least ``min_beats``, not
         STALLED (``step_stalled=True`` adds the stalled rows back) — and only
         those reach Python, one ``ControlLoop.step`` each.  Membership is
-        re-synced only when ``sample.names`` changed, a goalless stream awaits
-        re-offer, or a stream held across an erroring poll left
-        ``sample.errors``.  Concurrent calls (a threaded drive racing a
-        manual tick) are serialised.
+        re-synced only when ``sample.names`` changed or a stream held across
+        an erroring poll left ``sample.errors``; otherwise only the goalless
+        rows awaiting re-offer are offered again.  Concurrent calls (a
+        threaded drive racing a manual tick) are serialised.
         """
         with self._tick_lock:
             return self._tick_locked()
@@ -231,8 +231,12 @@ class AdaptationEngine:
         self._ticks += 1
 
         errors: dict[str, str] = {}
-        stale = self._resync or sample.names != self._names or bool(self._held - sample.errors.keys())
-        attached, detached = self._sync_membership(sample, errors) if stale else ((), ())
+        attached: tuple[str, ...] = ()
+        detached: tuple[str, ...] = ()
+        if sample.names != self._names or self._held - sample.errors.keys():
+            attached, detached = self._sync_membership(sample, errors)
+        elif self._awaiting:
+            attached = self._reoffer(sample, errors)
 
         total, stalled = sample.totals(), sample.stalled_mask()
         news = total != self._prev_total
@@ -276,7 +280,8 @@ class AdaptationEngine:
         self._managed = np.zeros(0, dtype=bool)
         self._prev_total = np.zeros(0, dtype=np.int64)
         self._held: set[str] = set()
-        self._resync = False
+        #: Rows of goalless streams the factory refused: offered again every tick.
+        self._awaiting: list[int] = []
 
     def _sync_membership(
         self, sample: FleetSample, errors: dict[str, str]
@@ -294,11 +299,38 @@ class AdaptationEngine:
         self._declined &= present
 
         pending = [i for i, name in enumerate(names) if name not in self.loops and name not in self._declined]
+        attached = tuple(names[i] for i in self._offer(sample, pending, errors))
+
+        previous = dict(zip(self._names, self._prev_total.tolist(), strict=True))
+        self._names = names
+        self._aligned = [self.loops.get(name) for name in names]
+        self._managed = np.array([loop is not None for loop in self._aligned], dtype=bool)
+        # -1 is no beat count: a stream seen for the first time has news.
+        self._prev_total = np.array([previous.get(name, -1) for name in names], dtype=np.int64)
+        # Held across an erroring poll; gone for good once it leaves errors too.
+        self._held = present.difference(names)
+        return attached, detached
+
+    def _reoffer(self, sample: FleetSample, errors: dict[str, str]) -> tuple[str, ...]:
+        """Offer the awaiting rows again, with ``sample.names`` unchanged; returns those attached."""
+        rows = self._offer(sample, self._awaiting, errors)
+        for i in rows:
+            self._aligned[i] = self.loops[sample.names[i]]
+            self._managed[i] = True
+        return tuple(sample.names[i] for i in rows)
+
+    def _offer(self, sample: FleetSample, rows: list[int], errors: dict[str, str]) -> list[int]:
+        """Offer ``rows`` of ``sample`` to the loop factory; returns the rows attached.
+
+        A goalless refusal is kept in ``_awaiting`` for the next tick; every
+        other refusal, and a factory that raises, declines the stream.
+        """
+        names = sample.names
         # Many pending (a fleet's first tick): one bulk build beats row by row.
-        reading_at = sample.readings.__getitem__ if 4 * len(pending) >= len(names) else sample.reading_at
-        attached: list[str] = []
-        self._resync = False
-        for i in pending:
+        reading_at = sample.readings.__getitem__ if 4 * len(rows) >= len(names) else sample.reading_at
+        attached: list[int] = []
+        awaiting: list[int] = []
+        for i in rows:
             name, reading = names[i], reading_at(i)
             try:
                 loop = self._factory(name, reading)
@@ -314,21 +346,12 @@ class AdaptationEngine:
                     # managed".  Goalless streams are re-offered later.
                     self._declined.add(name)
                 else:
-                    # Names cannot show a goal published later: look again.
-                    self._resync = True
+                    awaiting.append(i)
                 continue
             self.loops[name] = loop
-            attached.append(name)
-
-        previous = dict(zip(self._names, self._prev_total.tolist(), strict=True))
-        self._names = names
-        self._aligned = [self.loops.get(name) for name in names]
-        self._managed = np.array([loop is not None for loop in self._aligned], dtype=bool)
-        # -1 is no beat count: a stream seen for the first time has news.
-        self._prev_total = np.array([previous.get(name, -1) for name in names], dtype=np.int64)
-        # Held across an erroring poll; gone for good once it leaves errors too.
-        self._held = present.difference(names)
-        return tuple(attached), detached
+            attached.append(i)
+        self._awaiting = awaiting
+        return attached
 
     def run(
         self,

@@ -122,6 +122,9 @@ class ControlLoop:
     trace_limit:
         Maximum traces retained (oldest dropped); ``None`` keeps everything.
         :attr:`decisions` counts every decision taken either way.
+
+    A loop is one row of a fleet: an engine may hold ten thousand of them, so
+    it builds no threading primitive until :meth:`start` asks for a thread.
     """
 
     def __init__(
@@ -145,9 +148,11 @@ class ControlLoop:
         self.settle_after_change = bool(settle_after_change)
         if trace_limit is not None and trace_limit < 1:
             raise ValueError(f"trace_limit must be >= 1, got {trace_limit}")
-        self._trace_limit = trace_limit
+        self.trace_limit = trace_limit
         self._query: RateQuery | None = None if source is None else _as_rate_query(source)
-        self._traces: list[DecisionTrace] = []
+        #: The retained decision traces, oldest first: never more than
+        #: ``trace_limit`` (a reader may ``clear()`` it).
+        self.traces: list[DecisionTrace] = []
         #: Decisions taken since construction or :meth:`reset` (unlike
         #: ``len(traces)`` it is not reduced by ``trace_limit``).
         self.decisions = 0
@@ -156,7 +161,7 @@ class ControlLoop:
         self._last_change_beat: int | None = None
         self._next_beat = 0
         self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
+        self._stop: threading.Event | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -167,18 +172,9 @@ class ControlLoop:
         return self.controller.target
 
     @property
-    def traces(self) -> list[DecisionTrace]:
-        """The retained decision traces, oldest first (the live list)."""
-        # step() lets the list overshoot so that trimming costs amortised
-        # O(1) per decision; readers always see at most ``trace_limit``.
-        if self._trace_limit is not None and len(self._traces) > self._trace_limit:
-            del self._traces[: -self._trace_limit]
-        return self._traces
-
-    @property
     def last_trace(self) -> DecisionTrace | None:
         """The most recent decision trace, if any."""
-        return self._traces[-1] if self._traces else None
+        return self.traces[-1] if self.traces else None
 
     def in_target(self, rate: float) -> bool:
         """Whether ``rate`` sits inside the loop's target window."""
@@ -219,9 +215,10 @@ class ControlLoop:
             after=after,
         )
         self.decisions += 1
-        self._traces.append(trace)
-        if self._trace_limit is not None and len(self._traces) >= 2 * self._trace_limit:
-            del self._traces[: -self._trace_limit]
+        traces = self.traces
+        traces.append(trace)
+        if self.trace_limit is not None and len(traces) > self.trace_limit:
+            del traces[: -self.trace_limit]
         return trace
 
     def _effective_window(self, beat_index: int) -> int | None:
@@ -252,7 +249,7 @@ class ControlLoop:
         realigned to the controller's (reset) level; otherwise the two walk
         different rungs for the rest of the run.
         """
-        self._traces.clear()
+        self.traces.clear()
         self.decisions = 0
         self.controller.reset()
         level = getattr(self.controller, "level", None)
@@ -276,7 +273,9 @@ class ControlLoop:
             raise ValueError(f"interval must be positive, got {interval}")
         if self._thread is not None:
             raise RuntimeError(f"loop {self.name!r} is already running")
-        self._stop.clear()
+        # Each drive gets its own event: a drive stopped by a timed-out join
+        # still sees its own stop, whatever a later start() builds.
+        stop = self._stop = threading.Event()
         self.last_error = None
 
         def drive() -> None:
@@ -284,12 +283,13 @@ class ControlLoop:
             # ``last_error`` and flips ``running`` off — a dead thread must
             # never masquerade as a live loop.
             try:
-                while not self._stop.wait(interval):
+                while not stop.wait(interval):
                     self.step()
             except BaseException as exc:  # noqa: BLE001 - recorded, not hidden
                 self.last_error = exc
             finally:
-                self._thread = None
+                if self._stop is stop:
+                    self._thread = None
 
         self._thread = threading.Thread(target=drive, name=f"control-loop-{self.name}", daemon=True)
         self._thread.start()
@@ -297,7 +297,7 @@ class ControlLoop:
     def stop(self, timeout: float = 5.0) -> None:
         """Stop the threaded drive (no-op when not running)."""
         thread, self._thread = self._thread, None
-        if thread is None:
+        if thread is None or self._stop is None:
             return
         self._stop.set()
         thread.join(timeout=timeout)

@@ -49,6 +49,7 @@ import fnmatch
 import json
 import math
 import os
+import re
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Any, Callable, Mapping, Sequence, Union
 
@@ -188,6 +189,7 @@ class LoopSpec:
         if self.decision_interval < 1:
             raise SpecError(f"decision_interval must be >= 1, got {self.decision_interval}")
         self.build_controller(TargetWindow(1.0, 2.0))  # bad options fail at load, not at a match
+        self.fixed_window()  # and so does a bad fixed target
 
     def build_controller(self, target: TargetWindow) -> Controller:
         """This rule's controller: its kind's class with ``controller_options``."""
@@ -202,18 +204,27 @@ class LoopSpec:
     def matches(self, name: str) -> bool:
         return fnmatch.fnmatchcase(name, self.match)
 
+    def fixed_window(self) -> TargetWindow | None:
+        """The rule's own target window, or ``None`` when it adopts a published one."""
+        if self.target is None:
+            return None
+        try:
+            return TargetWindow(float(self.target[0]), float(self.target[1]))
+        except ValueError as exc:
+            raise SpecError(f"loop {self.match!r}: invalid target {list(self.target)}: {exc}") from exc
+
     def resolve_target(self, reading: MonitorReading) -> TargetWindow | None:
         """The loop's goal for one stream; ``None`` when nothing usable is published.
 
-        A malformed published window (inverted, or a negative minimum — the
-        producer-side API forbids both, but the wire path does not validate)
-        is treated exactly like "no goal yet": the stream stays unmanaged
-        rather than poisoning the whole engine tick.
+        A malformed published window (inverted, a negative minimum or a NaN
+        bound — the producer-side API forbids all three, but the wire path
+        does not validate) is treated exactly like "no goal yet": the stream
+        stays unmanaged rather than poisoning the whole engine tick.
         """
         if self.target is not None:
-            return TargetWindow(float(self.target[0]), float(self.target[1]))
+            return self.fixed_window()
         tmin, tmax = reading.target_min, reading.target_max
-        if tmin <= 0.0 and tmax <= 0.0:
+        if math.isnan(tmin) or math.isnan(tmax) or (tmin <= 0.0 and tmax <= 0.0):
             return None
         maximum = tmax if tmax > 0.0 else math.inf
         minimum = max(tmin, 0.0)
@@ -386,17 +397,35 @@ class AdaptSpec:
                     f"available: {sorted(registry)}"
                 )
 
+        # Everything a rule fixes is bound once here, so attaching a stream
+        # costs one pattern match and the loop's own objects: a fixed window
+        # is shared (TargetWindow is frozen) and the controller options were
+        # checked when the spec loaded.
+        bound = [
+            (
+                re.compile(fnmatch.translate(rule.match)).match,
+                rule,
+                rule.fixed_window(),
+                CONTROLLER_KINDS[rule.controller],
+                registry[rule.actuator],
+            )
+            for rule in self.loops
+        ]
+
         def factory(name: str, reading: MonitorReading) -> ControlLoop | None:
-            rule = self.rule_for(name)
-            if rule is None:
+            for match, rule, target, kind, make_actuator in bound:
+                if match(name) is not None:
+                    break
+            else:
                 return None
-            target = rule.resolve_target(reading)
             if target is None:
-                return None  # no goal yet; the engine re-offers the stream later
-            actuator = registry[rule.actuator](name, reading, rule.actuator_options)
+                target = rule.resolve_target(reading)
+                if target is None:
+                    return None  # no goal yet; the engine re-offers the stream later
+            actuator = make_actuator(name, reading, rule.actuator_options)
             return ControlLoop(
                 None,
-                rule.build_controller(target),
+                kind(target, **rule.controller_options),
                 actuator,
                 name=name,
                 decision_interval=rule.decision_interval,

@@ -22,6 +22,8 @@ class TargetWindow:
     maximum: float
 
     def __post_init__(self) -> None:
+        if math.isnan(self.minimum) or math.isnan(self.maximum):
+            raise ValueError(f"target window bounds must be numbers, got [{self.minimum}, {self.maximum}]")
         if self.minimum < 0:
             raise ValueError(f"minimum must be >= 0, got {self.minimum}")
         if self.maximum < self.minimum:

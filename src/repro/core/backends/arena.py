@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -129,11 +130,19 @@ _ROW_HEADER_DTYPE = np.dtype(
     ]
 )
 assert _ROW_HEADER_DTYPE.itemsize == ROW_HEADER_SIZE
+#: The same row header as one packed record, so a new row's header is a
+#: single store (``total, sequence, default_window, target_min,
+#: target_max, state, name, reserved[2]``).
+_ROW_HEADER = struct.Struct(f"=3q2dq{NAME_SIZE}s2q")
+assert _ROW_HEADER.size == ROW_HEADER_SIZE
 
 #: A row header as 8-byte words: ``total``, ``sequence`` and the default
 #: window lead it (``target_min`` and ``target_max`` follow the window).
 _ROW_WORDS = ROW_HEADER_SIZE // 8
 _TOTAL_AT, _SEQUENCE_AT, _WINDOW_AT = 0, 1, 2
+
+#: The arena header's ``rows_in_use`` publication word, as an int64 index.
+_ROWS_IN_USE_AT = _ARENA_HEADER_DTYPE.fields["rows_in_use"][1] // 8
 
 #: Row ``state`` values.
 _ROW_FREE, _ROW_IN_USE = 0, 1
@@ -309,6 +318,7 @@ class Arena:
         self._header = np.ndarray(
             shape=(), dtype=_ARENA_HEADER_DTYPE, buffer=buf[:ARENA_HEADER_SIZE]
         )
+        self._head_words = buf[:ARENA_HEADER_SIZE].cast("q")
         self._rows = np.ndarray(
             shape=(streams,), dtype=_ROW_HEADER_DTYPE, buffer=buf[ARENA_HEADER_SIZE:table_end]
         )
@@ -340,7 +350,7 @@ class Arena:
     def rows_in_use(self) -> int:
         """Number of rows handed out so far (allocation is append-only)."""
         self._check_open()
-        return int(self._header["rows_in_use"])
+        return self._head_words[_ROWS_IN_USE_AT]
 
     @property
     def nbytes(self) -> int:
@@ -367,23 +377,20 @@ class Arena:
         """
         self._check_open()
         with self._alloc_lock:
-            index = int(self._header["rows_in_use"])
+            index = self._head_words[_ROWS_IN_USE_AT]
             if index >= self.streams:
                 raise BackendError(
                     f"arena is full ({self.streams} rows allocated); "
                     "create a larger arena (?streams=N)"
                 )
-            rows = self._rows
-            rows["total"][index] = 0
-            rows["sequence"][index] = 0
-            rows["default_window"][index] = 0
-            rows["target_min"][index] = 0.0
-            rows["target_max"][index] = 0.0
-            rows["name"][index] = name.encode("utf-8", "replace")[:NAME_SIZE]
-            rows["state"][index] = _ROW_IN_USE
-            # Publication word last: observers scanning [0, rows_in_use)
-            # never see a half-initialised row header.
-            self._header["rows_in_use"] = index + 1
+            # The whole row header in one store (the name is truncated to
+            # NAME_SIZE bytes), then the publication word: observers scanning
+            # [0, rows_in_use) never see a half-initialised row header.
+            _ROW_HEADER.pack_into(
+                self._buf, ARENA_HEADER_SIZE + index * ROW_HEADER_SIZE,
+                0, 0, 0, 0.0, 0.0, _ROW_IN_USE, name.encode("utf-8", "replace"), 0, 0,
+            )
+            self._head_words[_ROWS_IN_USE_AT] = index + 1
         return ArenaRowView(self, index)
 
     def row(self, index: int) -> "ArenaRowView":
@@ -403,8 +410,7 @@ class Arena:
     def row_names(self) -> list[str]:
         """Names of all allocated rows, in allocation order."""
         count = self.rows_in_use
-        raw = self._rows["name"][:count]
-        return [bytes(entry).decode("utf-8", "replace") for entry in raw]
+        return [raw.decode("utf-8", "replace") for raw in self._rows["name"][:count].tolist()]
 
     # ------------------------------------------------------------------ #
     # The fleet fast path
@@ -681,6 +687,7 @@ class Arena:
         self._rows = None  # type: ignore[assignment]
         self._records = None  # type: ignore[assignment]
         # Released, not just dropped: rings kept by row views borrow them.
+        self._head_words.release()
         self._words.release()
         self._reals.release()
         self._buf.release()

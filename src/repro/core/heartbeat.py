@@ -27,6 +27,7 @@ A thin C-style functional facade over this class lives in
 
 from __future__ import annotations
 
+import math
 import threading
 from functools import partial
 from threading import get_ident
@@ -258,6 +259,8 @@ class Heartbeat:
         """Publish the heart-rate range this application wants to maintain."""
         tmin = float(target_min)
         tmax = float(target_max)
+        if math.isnan(tmin) or math.isnan(tmax):
+            raise InvalidTargetError(f"target rates must be numbers, got [{tmin}, {tmax}]")
         if tmin < 0 or tmax < 0:
             raise InvalidTargetError(
                 f"target rates must be non-negative, got [{tmin}, {tmax}]"

@@ -66,6 +66,7 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping, NamedTuple
 from urllib.parse import parse_qsl, quote, unquote, urlencode
 
+from repro.core.backends.arena import arena_for
 from repro.core.errors import HeartbeatError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -127,6 +128,8 @@ class _Param(NamedTuple):
     positive: bool  # numbers must be > 0, strings non-empty
     keywords: Mapping[str, str | None]  # role -> constructor keyword it feeds
     default: Any
+    convert: Callable[[str], Any] | None  # query text -> value; None carries it verbatim
+    what: str  # how a conversion error names the wire type
 
 
 def _q(
@@ -147,10 +150,23 @@ def _q(
     return field(default=default, metadata={"q": (kind, role, positive, feeds)})
 
 
+class _Table(NamedTuple):
+    """One endpoint class's query parameters, indexed once for the per-call passes."""
+
+    #: Field name → parameter, in field order.
+    params: Mapping[str, _Param]
+    #: Every query key the class accepts, aliases included → its parameter.
+    spellings: Mapping[str, _Param]
+    #: The parameters validated on construction (``host:port`` or positive).
+    checked: tuple[_Param, ...]
+    #: Role → the parameters that feed a keyword in that role or are refused there.
+    roles: Mapping[str, tuple[_Param, ...]]
+
+
 @functools.cache
-def _params(cls: "type[Endpoint]") -> Mapping[str, _Param]:
-    """The declared query parameters of one endpoint class, in field order."""
-    table: dict[str, _Param] = {}
+def _table(cls: "type[Endpoint]") -> _Table:
+    """Read one endpoint class's ``_q(...)`` declarations (once per class)."""
+    params: dict[str, _Param] = {}
     for f in fields(cls):
         if "q" not in f.metadata:
             continue
@@ -161,8 +177,24 @@ def _params(cls: "type[Endpoint]") -> Mapping[str, _Param]:
             "producer": None if role == "collector" else producer,
             "collector": None if role == "producer" else collector,
         }
-        table[f.name] = _Param(f.name, kind, role, positive, keywords, f.default)
-    return table
+        convert, what = _WIRE.get(kind, (None, ""))
+        params[f.name] = _Param(f.name, kind, role, positive, keywords, f.default, convert, what)
+    return _Table(
+        params,
+        {**params, **{alias: params[name] for alias, name in cls.aliases.items()}},
+        tuple(p for p in params.values() if p.positive or p.kind == "host:port"),
+        {
+            role: tuple(
+                p for p in params.values() if p.role not in (role, "both") or p.keywords[role] is not None
+            )
+            for role in ("producer", "collector")
+        },
+    )
+
+
+def _params(cls: "type[Endpoint]") -> Mapping[str, _Param]:
+    """The declared query parameters of one endpoint class, in field order."""
+    return _table(cls).params
 
 
 def _format_value(value: object) -> str:
@@ -214,8 +246,8 @@ class Endpoint:
             raise EndpointError(
                 f"{self.scheme} endpoint needs a {self.needs}, got {self.scheme}://"
             )
-        for name, param in _params(type(self)).items():
-            value = getattr(self, name)
+        for param in _table(type(self)).checked:
+            name, value = param.name, getattr(self, param.name)
             if value is None:
                 continue
             if param.kind == "host:port":
@@ -227,10 +259,10 @@ class Endpoint:
                     raise EndpointError(
                         f"{name} must be host:port, got {value!r}: {exc}"
                     ) from exc
-            elif param.positive and param.kind == "str":
+            elif param.kind == "str":
                 if not value:
                     raise EndpointError(f"{name}= needs a non-empty value")
-            elif param.positive and value <= 0:
+            elif value <= 0:
                 raise EndpointError(f"{name} must be positive, got {value}")
 
     @staticmethod
@@ -257,31 +289,32 @@ class Endpoint:
                 f"unknown endpoint scheme {scheme!r} in {url!r}; known: {SCHEMES}"
             )
         body, _, query = rest.partition("?")
-        params, aliases = _params(cls), cls.aliases
+        spellings = _table(cls).spellings
         values = cls._parse_body(text, body)
-        pairs = parse_qsl(query, keep_blank_values=True)
+        if "%" in query or "+" in query:
+            pairs = parse_qsl(query, keep_blank_values=True)
+        else:  # nothing to unquote: parse_qsl's own split, minus its per-part unquote
+            pairs = [part.partition("=")[::2] for part in query.split("&") if part]
         for key, raw in pairs:
-            name = aliases.get(key, key)
-            param = params.get(name)
+            param = spellings.get(key)
             if param is None:
-                known = sorted({*params, *aliases})
                 raise EndpointError(
-                    f"unknown query parameter {key!r} in {url!r}; known: {known}"
+                    f"unknown query parameter {key!r} in {url!r}; known: {sorted(spellings)}"
                 )
+            name = param.name
             if name in values:
-                spellings = {k for k, _ in pairs if aliases.get(k, k) == name}
-                if len(spellings) == 1:
+                given = {k for k, _ in pairs if spellings.get(k) is param}
+                if len(given) == 1:
                     raise EndpointError(f"duplicate query parameter {key!r} in {url!r}")
-                (alias,) = spellings - {name}
+                (alias,) = given - {name}
                 raise EndpointError(f"pass {name}= or {alias}=, not both, in {url!r}")
-            if param.kind in _WIRE:
-                convert, what = _WIRE[param.kind]
-                try:
-                    values[name] = convert(raw)
-                except ValueError as exc:
-                    raise EndpointError(f"query parameter {key}={raw!r} is not {what}") from exc
-            else:
+            if param.convert is None:
                 values[name] = raw
+            else:
+                try:
+                    values[name] = param.convert(raw)
+                except ValueError as exc:
+                    raise EndpointError(f"query parameter {key}={raw!r} is not {param.what}") from exc
         return cls(**values)
 
     @classmethod
@@ -315,15 +348,16 @@ class Endpoint:
         Rejects parameters that belong to the other side: silently dropping
         them would read as "configured".
         """
-        params = _params(type(self))
         kwargs: dict[str, Any] = {}
         misplaced = []
-        for name, value in self._given().items():
-            param = params[name]
+        for param in _table(type(self)).roles[role]:
+            value = getattr(self, param.name)
+            if value == param.default:
+                continue
             if param.role not in (role, "both"):
-                misplaced.append(name)
-            elif param.keywords[role] is not None:
-                kwargs[param.keywords[role]] = value
+                misplaced.append(param.name)
+            else:
+                kwargs[param.keywords[role]] = value  # type: ignore[index]
         if misplaced:
             other, doing = {
                 "producer": ("collector", f"producing to {self}; bind the collector with open_collector()"),
@@ -472,7 +506,7 @@ class _ArenaEndpoint(Endpoint):
         # One row of the (process-shared) arena slab; the row name defaults
         # to the producing heartbeat's name so fleet observers see it.
         row_name = self.stream if self.stream is not None else stream
-        return open_arena(self).allocate(row_name if row_name is not None else "")
+        return self._arena().allocate(row_name if row_name is not None else "")
 
     def _source(self) -> "StreamSource":
         if self.stream is None:
@@ -481,7 +515,7 @@ class _ArenaEndpoint(Endpoint):
                 "TelemetrySession.fleet() / HeartbeatAggregator.attach_arena() "
                 "(or name one row with ?stream=)"
             )
-        arena = open_arena(self)
+        arena = self._arena()
         for index, row_name in enumerate(arena.row_names()):
             if row_name == self.stream:
                 return arena.row(index)
@@ -489,6 +523,9 @@ class _ArenaEndpoint(Endpoint):
 
     def _stream_name(self) -> str:
         return self.stream if self.stream is not None else f"arena:{self.name}"
+
+    def _arena(self) -> "Arena":
+        return arena_for(self.arena_kind, self.name, self.streams, self.depth)
 
 
 @dataclass(frozen=True, slots=True)
@@ -842,12 +879,10 @@ def open_arena(endpoint: "str | Endpoint") -> "Arena":
     >>> open_arena("mem-arena://doc-fleet") is arena
     True
     """
-    from repro.core.backends.arena import arena_for
-
     ep = Endpoint.parse(endpoint)
     if not isinstance(ep, _ArenaEndpoint):
         raise EndpointError(f"open_arena needs a mem-arena:// or shm-arena:// URL, not {ep}")
-    return arena_for(ep.arena_kind, ep.name, ep.streams, ep.depth)
+    return ep._arena()
 
 
 def stream_name_for(endpoint: "str | Endpoint") -> str:

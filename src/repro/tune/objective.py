@@ -228,9 +228,8 @@ def _build_plants(config: EvaluationConfig) -> list[_Plant]:
 
 def _resolve_window(spec: AdaptSpec, plant: _Plant, config: EvaluationConfig) -> TargetWindow:
     rule = spec.rule_for(plant.name)
-    if rule is not None and rule.target is not None:
-        return TargetWindow(float(rule.target[0]), float(rule.target[1]))
-    return TargetWindow(config.target[0], config.target[1])
+    window = rule.fixed_window() if rule is not None else None
+    return window if window is not None else TargetWindow(config.target[0], config.target[1])
 
 
 def evaluate_spec(spec: AdaptSpec, config: EvaluationConfig) -> EvalResult:

@@ -236,6 +236,39 @@ class TestControlLoop:
         assert not loop.running
         assert loop.traces, "the threaded drive never stepped"
 
+    def test_threading_primitives_wait_for_start(self, monkeypatch):
+        import repro.adapt.loop as loop_module
+
+        events = []
+
+        class CountedEvent(loop_module.threading.Event):
+            def __init__(self):
+                super().__init__()
+                events.append(self)
+
+        monkeypatch.setattr(loop_module.threading, "Event", CountedEvent)
+        rates = iter(range(1, 10_000))
+        loops = [
+            ControlLoop(lambda window=None: float(next(rates)), StepController(WINDOW), LogActuator(), warmup=0)
+            for _ in range(100)
+        ]
+        assert events == [] and loops[1]._stop is None
+        loops[1].stop()  # before start(): a no-op
+        assert events == [] and not loops[1].running
+        loop, stops = loops[0], []
+        for _ in range(2):  # start, stop, start
+            loop.start(interval=0.005)
+            assert loop.running and loop._stop in events
+            stops.append(loop._stop)
+            seen = loop.decisions
+            deadline = time.monotonic() + 5.0
+            while loop.decisions == seen and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert loop.decisions > seen, "the threaded drive never stepped"
+            loop.stop()
+            assert not loop.running
+        assert stops[0] is not stops[1] and all(stop.is_set() for stop in stops)
+
     def test_nan_rate_is_a_noop_end_to_end(self):
         actuator = LogActuator(initial=5.0)
         loop = ControlLoop(None, StepController(WINDOW), actuator, warmup=0)
@@ -353,6 +386,41 @@ class TestAdaptationEngine:
             hb.set_target_rate(5.0, 6.0)
             engine.tick()
             assert set(engine.loops) == {"svc-0"}
+
+    def test_a_goalless_stream_does_not_resync_membership_every_tick(self):
+        clock = SimulatedClock()
+        aggregator = HeartbeatAggregator(clock=clock)
+        heartbeats = {}
+        for i in range(4):
+            hb = heartbeats[f"svc-{i}"] = Heartbeat(window=4, clock=clock)
+            if i:
+                hb.set_target_rate(5.0, 6.0)
+            aggregator.attach_stream(f"svc-{i}", hb)
+        offered = []
+
+        def factory(name, reading):
+            offered.append(name)
+            if reading.target_min <= 0:
+                return None
+            return ControlLoop(None, StepController(TargetWindow(5.0, 6.0)), LogActuator(), name=name, warmup=0)
+
+        with AdaptationEngine(aggregator, factory) as engine:
+            syncs = []
+            sync = engine._sync_membership
+            engine._sync_membership = lambda *args: syncs.append(1) or sync(*args)
+            for _ in range(5):
+                clock.advance(0.1)
+                for hb in heartbeats.values():
+                    hb.heartbeat()
+                engine.tick()
+            assert len(syncs) == 1  # the first tick; the goalless row is re-offered alone
+            assert offered == ["svc-0", "svc-1", "svc-2", "svc-3"] + ["svc-0"] * 4
+            heartbeats["svc-0"].set_target_rate(5.0, 6.0)
+            tick = engine.tick()
+            assert tick.attached == ("svc-0",) and len(syncs) == 1
+            clock.advance(0.1)
+            heartbeats["svc-0"].heartbeat()
+            assert [trace.loop for trace in engine.tick().traces] == ["svc-0"]
 
     def test_vanished_streams_lose_their_loops(self):
         clock = SimulatedClock()
@@ -495,6 +563,8 @@ class TestAdaptSpec:
             pytest.param({"loops": "x"}, id="loops-not-array"),
             pytest.param({"engine": 3, "loops": [{"match": "x"}]}, id="engine-not-table"),
             pytest.param({"loops": [{"match": "x", "target": None}]}, id="target-null"),
+            pytest.param({"loops": [{"match": "x", "target": [5.0, 1.0]}]}, id="target-inverted"),
+            pytest.param({"loops": [{"match": "x", "target": [float("nan"), 1.0]}]}, id="target-nan"),
             pytest.param({"loops": [{"match": "x", "controller": 7}]}, id="controller-not-kind"),
             pytest.param(
                 {"loops": [{"match": "x", "controller": {"kind": "proportional", "gian": 8.0}}]},
@@ -673,6 +743,17 @@ class TestFaultIsolation:
         rule = AdaptSpec.from_dict({"loops": [{"match": "*"}]}).loops[0]
         bad = MonitorReading(
             rate=5.0, total_beats=10, target_min=10.0, target_max=5.0,
+            last_timestamp=1.0, age=0.0, status=HealthStatus.HEALTHY,
+        )
+        assert rule.resolve_target(bad) is None
+
+    @pytest.mark.parametrize("window", [(float("nan"), 5.0), (5.0, float("nan")), (float("nan"), float("nan"))])
+    def test_nan_published_window_declines_instead_of_never_firing(self, window):
+        from repro.core.monitor import HealthStatus, MonitorReading
+
+        rule = AdaptSpec.from_dict({"loops": [{"match": "*"}]}).loops[0]
+        bad = MonitorReading(
+            rate=5.0, total_beats=10, target_min=window[0], target_max=window[1],
             last_timestamp=1.0, age=0.0, status=HealthStatus.HEALTHY,
         )
         assert rule.resolve_target(bad) is None

@@ -552,10 +552,120 @@ def test_spec_built_loops_keep_a_bounded_trace_history():
     steps = 5 * _LOOP_TRACE_LIMIT + 3
     for beat in range(steps):
         loop.step(beat, rate=2.0)
-        assert len(loop._traces) < 2 * _LOOP_TRACE_LIMIT
+        assert len(loop.traces) <= _LOOP_TRACE_LIMIT
     assert loop.decisions == steps and len(loop.traces) == _LOOP_TRACE_LIMIT
     assert loop.last_trace.beat == steps - 1 and loop.traces[0].beat == steps - _LOOP_TRACE_LIMIT
     loop.traces.clear()
     assert loop.traces == [] and loop.last_trace is None and loop.decisions == steps
     loop.reset()
     assert loop.decisions == 0
+
+
+# --------------------------------------------------------------------- #
+# (e) Attaching at fleet width: spec loops are thin rows, built as prescribed
+# --------------------------------------------------------------------- #
+NAN = float("nan")
+ATTACH_SPEC = {
+    "loops": [
+        {
+            "match": "fix-*", "target": [10.0, 20.0], "actuator": "knob",
+            "controller": {"kind": "pid", "kp": 2.0, "ki": 0.25},
+            "decision_interval": 3, "warmup": "auto", "actuator_options": {"scale": 2},
+        },
+        {"match": "pub-*", "controller": {"kind": "proportional", "gain": 1.5}, "actuator": "knob", "warmup": 4},
+        {"match": "lad-?[0-4]*", "target": [5.0, 1e9], "controller": {"kind": "ladder", "levels": 5}},
+    ]
+}
+#: Published windows of the ``pub-*`` streams, by ``index % 5``: a usable
+#: one, none, an inverted one and a NaN in either bound.
+PUBLISHED = [(6.0, 9.0), (0.0, 0.0), (9.0, 6.0), (NAN, 9.0), (6.0, NAN)]
+
+
+def attach_fleet(n=1000):
+    """``n`` streams over every attach outcome, and what the spec prescribes for each."""
+    rows, prescribed = {}, {}
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            name, goal = f"fix-{i:04d}", (0.0, 0.0)
+            prescribed[name] = (0, TargetWindow(10.0, 20.0))
+        elif kind == 1:
+            name, goal = f"pub-{i:04d}", PUBLISHED[(i // 4) % 5]
+            if (i // 4) % 5 == 0:
+                prescribed[name] = (1, TargetWindow(*goal))
+            else:
+                prescribed[name] = "awaiting" if goal == (0.0, 0.0) else "declined"
+        elif kind == 2:
+            name, goal = f"lad-{i:04d}", (0.0, 0.0)
+            prescribed[name] = (2, TargetWindow(5.0, 1e9)) if name[5] in "01234" else "awaiting"
+        else:
+            name, goal = f"other-{i:04d}", (7.0, 8.0) if i % 8 == 3 else (0.0, 0.0)
+            prescribed[name] = "declined" if goal[0] else "awaiting"
+        rows[name] = (3, 5.0, HealthStatus.HEALTHY, goal)
+    prescribed["fix-0500"] = "error"  # its actuator factory raises
+    return rows, prescribed
+
+
+def test_thousand_streams_attach_exactly_as_the_spec_prescribes():
+    from repro.adapt.spec import _LOOP_TRACE_LIMIT
+    from repro.control import CONTROLLER_KINDS
+
+    rows, prescribed = attach_fleet()
+    spec = AdaptSpec.from_dict(ATTACH_SPEC)
+    calls = []
+
+    def knob(name, reading, options):
+        calls.append((name, reading, dict(options)))
+        if name == "fix-0500":
+            raise ValueError("boom")
+        return LogActuator()
+
+    engine, tick = scripted_engine(spec.loop_factory({"knob": knob, "log": knob}))
+    first = tick(rows)
+    sample = first.sample
+    managed = [name for name in sample.names if isinstance(prescribed[name], tuple)]
+    assert first.attached == tuple(managed)
+    assert engine._declined == {name for name, want in prescribed.items() if want in ("declined", "error")}
+    assert dict(first.errors) == {"fix-0500": "loop factory failed: boom"}
+    assert calls == [
+        (name, sample.readings[i], dict(spec.rule_for(name).actuator_options))
+        for i, name in enumerate(sample.names)
+        if isinstance(prescribed[name], tuple) or name == "fix-0500"
+    ]
+    for name in managed:
+        rule_index, target = prescribed[name]
+        rule = spec.loops[rule_index]
+        loop = engine.loops[name]
+        reference = CONTROLLER_KINDS[rule.controller](target, **rule.controller_options)
+        assert type(loop.controller) is type(reference) and vars(loop.controller) == vars(reference)
+        assert loop.target == target and loop.name == name
+        warmup = rule.decision_interval if rule.warmup is None else rule.warmup
+        assert (loop.spacer.interval, loop.spacer.warmup) == (rule.decision_interval, warmup)
+        assert loop.trace_limit == _LOOP_TRACE_LIMIT
+    # Unchanged names: only the awaiting rows are offered again, and nothing attaches.
+    calls.clear()
+    second = tick(rows)
+    assert (second.attached, dict(second.errors), calls) == ((), {}, [])
+    assert sorted(engine._awaiting) == [i for i, name in enumerate(sample.names) if prescribed[name] == "awaiting"]
+
+
+def test_the_engine_steps_a_per_instance_step_wrapper():
+    """A tracer wraps ``loop.step`` on the instance (the ledger's traced replay does)."""
+    build = AdaptSpec.from_dict({"loops": [{"match": "*", "target": [8.0, 12.0]}]}).loop_factory()
+    stepped = []
+
+    def factory(name, reading):
+        loop = build(name, reading)
+        step = loop.step
+
+        def wrapped(*args, **kwargs):
+            stepped.append(name)
+            return step(*args, **kwargs)
+
+        loop.step = wrapped
+        return loop
+
+    engine, tick = scripted_engine(factory)
+    decided = tick({"a": (5, 2.0), "b": (5, 2.0)})
+    assert stepped == ["a", "b"] and decided.decisions == 2
+    assert tick({"a": (6, 2.0), "b": (5, 2.0)}).decisions == 1 and stepped == ["a", "b", "a"]

@@ -67,6 +67,20 @@ class TestGeometry:
             with pytest.raises(BackendError, match="full"):
                 arena.allocate("c")
 
+    def test_allocate_writes_the_whole_row_header(self):
+        from repro.core.backends.arena import NAME_SIZE
+
+        name = "é" * NAME_SIZE  # 2 * NAME_SIZE UTF-8 bytes: the header keeps the first NAME_SIZE
+        with Arena(streams=3, depth=8) as arena:
+            arena.allocate("first").append(1, 0.5, 0, 0)
+            arena.allocate(name)
+            header = arena._rows[1]
+            words = ("total", "sequence", "default_window", "state")
+            assert [header[field].tolist() for field in words] == [0, 0, 0, 1]
+            assert header["target_min"] == header["target_max"] == 0.0 and header["reserved"].tolist() == [0, 0]
+            assert header["name"] == name.encode()[:NAME_SIZE] and arena.row_names()[1] == name[: NAME_SIZE // 2]
+            assert arena.rows_in_use == 2 and arena._rows[2]["state"] == 0 and arena.row(0).snapshot().total_beats == 1
+
     def test_row_names_and_views(self):
         with Arena(streams=4, depth=8) as arena:
             arena.allocate("x")

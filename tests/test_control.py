@@ -41,6 +41,11 @@ class TestTargetWindow:
         with pytest.raises(ValueError):
             TargetWindow(3.0, 2.0)
 
+    @pytest.mark.parametrize("bounds", [(float("nan"), 5.0), (1.0, float("nan")), (float("nan"), float("inf"))])
+    def test_nan_bound_is_refused(self, bounds):
+        with pytest.raises(ValueError, match="must be numbers"):
+            TargetWindow(*bounds)
+
 
 class TestStepController:
     def test_moves_towards_the_window(self):

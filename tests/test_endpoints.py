@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urllib.parse import parse_qsl
+
 from repro.core.backends.file import FileBackend
 from repro.core.backends.memory import MemoryBackend
 from repro.core.backends.shared_memory import SharedMemoryBackend, SharedMemoryReader
@@ -31,6 +33,7 @@ from repro.endpoints import (
     open_source,
     stream_name_for,
 )
+from repro.endpoints import _SCHEMES, _WIRE, _params
 from repro.net import HeartbeatCollector
 from repro.net.exporter import NetworkBackend
 
@@ -309,3 +312,69 @@ class TestChaosAndDurabilityParameters:
             open_collector("tcp://127.0.0.1:0?via=127.0.0.1:9")
         with pytest.raises(EndpointError, match="backoff"):
             open_collector("tcp://127.0.0.1:0?backoff_initial=0.1")
+
+
+def parse_with_qsl(url: str) -> Endpoint:
+    """``Endpoint.parse`` as it was when every query went through ``parse_qsl`` (the oracle)."""
+    scheme, _, rest = url.partition("://")
+    cls = _SCHEMES[scheme.strip().lower()]
+    body, _, query = rest.partition("?")
+    params, aliases = _params(cls), cls.aliases
+    values = cls._parse_body(url, body)
+    pairs = parse_qsl(query, keep_blank_values=True)
+    for key, raw in pairs:
+        name = aliases.get(key, key)
+        param = params.get(name)
+        if param is None:
+            known = sorted({*params, *aliases})
+            raise EndpointError(f"unknown query parameter {key!r} in {url!r}; known: {known}")
+        if name in values:
+            spellings = {k for k, _ in pairs if aliases.get(k, k) == name}
+            if len(spellings) == 1:
+                raise EndpointError(f"duplicate query parameter {key!r} in {url!r}")
+            (alias,) = spellings - {name}
+            raise EndpointError(f"pass {name}= or {alias}=, not both, in {url!r}")
+        if param.kind in _WIRE:
+            convert, what = _WIRE[param.kind]
+            try:
+                values[name] = convert(raw)
+            except ValueError as exc:
+                raise EndpointError(f"query parameter {key}={raw!r} is not {what}") from exc
+        else:
+            values[name] = raw
+    return cls(**values)
+
+
+_QUERY_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789=&%+"
+_keys = st.sampled_from(
+    ["depth", "capacity", "streams", "stream", "buffered", "flush_interval", "journal", "via", "port", "bogus", ""]
+)
+_values = st.one_of(
+    st.sampled_from(["1", "64", "0", "yes", "off", "2e3", "nan"]),
+    st.text(_QUERY_CHARS.replace("&", ""), max_size=5),
+)
+_parts = st.one_of(st.just(""), _keys, st.builds("{}={}".format, _keys, _values))
+
+
+class TestQuerySplit:
+    """Queries with nothing to unquote skip ``parse_qsl``; nothing else may change."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        base=st.sampled_from([
+            "shm://seg", "mem://w", "mem-arena://fleet", "shm-arena://fleet",
+            "file:///tmp/x.hblog", "tcp://127.0.0.1:7717",
+        ]),
+        query=st.one_of(st.lists(_parts, max_size=5).map("&".join), st.text(_QUERY_CHARS, max_size=24)),
+    )
+    def test_parse_matches_parse_qsl(self, base, query):
+        url = f"{base}?{query}"
+        try:
+            expected = parse_with_qsl(url)
+        except EndpointError as exc:
+            with pytest.raises(EndpointError) as got:
+                Endpoint.parse(url)
+            assert str(got.value) == str(exc)
+        else:
+            parsed = Endpoint.parse(url)  # repr: a NaN value is not equal to itself
+            assert type(parsed) is type(expected) and repr(parsed) == repr(expected)

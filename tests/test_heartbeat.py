@@ -104,6 +104,14 @@ class TestTargets:
         with pytest.raises(InvalidTargetError):
             heartbeat.set_target_rate(-1.0, 2.0)
 
+    @pytest.mark.parametrize("bounds", [(float("nan"), 10.0), (1.0, float("nan")), (float("nan"),) * 2])
+    def test_nan_target_is_refused_and_nothing_is_published(self, heartbeat, bounds):
+        heartbeat.set_target_rate(1.0, 2.0)
+        with pytest.raises(InvalidTargetError):
+            heartbeat.set_target_rate(*bounds)
+        snap = heartbeat.backend.snapshot()
+        assert (heartbeat.target_min, heartbeat.target_max) == (snap.target_min, snap.target_max) == (1.0, 2.0)
+
     def test_targets_published_to_backend(self, heartbeat):
         heartbeat.set_target_rate(1.0, 2.0)
         snap = heartbeat.backend.snapshot()
