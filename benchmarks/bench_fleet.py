@@ -62,7 +62,7 @@ import numpy as np
 from repro.core.aggregator import HeartbeatAggregator
 from repro.core.backends import FileBackend, MemoryBackend, SharedMemoryBackend
 from repro.core.backends.arena import NAME_SIZE, Arena
-from repro.core.monitor import reading_from_snapshot
+from repro.core.rate import windowed_rate
 from repro.core.record import RECORD_DTYPE
 
 #: Beat spacing of the synthetic histories (100 beats/s per stream).
@@ -212,9 +212,17 @@ def build_collector_fleet(streams: int, depth: int) -> tuple[_Fleet, object]:
 # Measurement
 # --------------------------------------------------------------------- #
 def full_snapshot_poll(sources, now: float) -> list:
-    """The reference arm: every stream's whole retained history read and
-    classified from scratch, inline like the measured aggregator's poll."""
-    return [reading_from_snapshot(source.snapshot(), now=now) for source in sources]
+    """The reference arm: every stream's whole retained history read and its
+    windowed rate and age computed from scratch, inline like the measured
+    aggregator's poll."""
+    readings = []
+    for source in sources:
+        snap = source.snapshot()
+        stamps = snap.records["timestamp"]
+        window = min(max(snap.default_window, 1), stamps.shape[0])
+        rate = windowed_rate(stamps[stamps.shape[0] - window :]) if window >= 2 else 0.0
+        readings.append((rate, now - stamps[-1] if window else None))
+    return readings
 
 
 def _median_poll_seconds(poll, polls: int, before=None) -> float:

@@ -18,21 +18,20 @@ on which fleet-level queries (:meth:`rates`, :meth:`lagging`,
 :meth:`FleetSample.percentiles`) are vectorized numpy operations rather than
 per-stream loops.
 
-Polling is incremental.  Each stream carries a
-:class:`~repro.core.monitor.StreamDeltaState` — a cursor into the backend's
-beat sequence plus a rolling window of recent timestamps — so a poll reads
-only the beats produced since the previous poll (``snapshot_since``), skips
-streams whose cheap change token (``version``) is unchanged, writes the
-per-stream columns into preallocated reusable numpy arrays, and classifies
-the whole fleet with one vectorized pass instead of one
-:func:`~repro.core.monitor.reading_from_snapshot` call per stream.  A source
-that cannot read incrementally is re-snapshotted in full and read through
-the same path (see :func:`repro.core.stream.capabilities_of`).
+Polling is incremental, and there is one read path.  Every per-object
+stream mirrors into a row of a private ``mem-arena`` slab: a poll probes
+its cheap change token (``version``) and, only when it moved, replays
+``snapshot_since(cursor)`` into the row.  Then one
+:meth:`~repro.core.backends.arena.Arena.snapshot_since_all` pass per slab —
+private and attached alike — yields every stream's columns, and
+:func:`~repro.core.monitor.classify_codes` classifies the whole fleet in one
+vectorized pass.  A source that cannot read incrementally is
+re-snapshotted in full and read through the same path (see
+:func:`repro.core.stream.capabilities_of`).
 
-Each stream is classified by the same rule the per-stream
-:class:`~repro.core.monitor.HeartbeatMonitor` applies (see
-:func:`repro.core.monitor.classify`), so "slow" means the same thing to a
-fleet observer as to a dedicated one.
+The per-stream :class:`~repro.core.monitor.HeartbeatMonitor` is the same
+path for one row, so "slow" means the same thing to a fleet observer as to
+a dedicated one.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from functools import partial
+from itertools import compress
 from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -49,7 +48,17 @@ from repro.clock import Clock, WallClock
 from repro.core.backends.arena import Arena
 from repro.core.errors import HeartbeatError, MonitorAttachError
 from repro.core.heartbeat import Heartbeat
-from repro.core.monitor import HealthStatus, MonitorReading, StreamDeltaState
+from repro.core.monitor import (
+    _SLOW,
+    _STALLED,
+    _STATUS_BY_CODE,
+    HealthStatus,
+    MonitorReading,
+    _Mirror,
+    _rows,
+    _SlabPool,
+    classify_codes,
+)
 from repro.core.registry import HeartbeatRegistry
 from repro.core.stream import DeltaSource, ProbeSource, StreamSource, capabilities_of
 from repro.obs.registry import MetricsRegistry
@@ -93,44 +102,6 @@ class FleetSummary:
     percentiles: Mapping[float, float]
     lagging: int
     stalled: int
-
-
-#: Integer health codes used by the vectorized classification; index
-#: :data:`_STATUS_BY_CODE` with a code, or a whole code column, for the enum.
-_UNKNOWN, _HEALTHY, _SLOW, _FAST, _STALLED = range(5)
-_STATUS_BY_CODE = np.array(
-    [HealthStatus.UNKNOWN, HealthStatus.HEALTHY, HealthStatus.SLOW, HealthStatus.FAST, HealthStatus.STALLED],
-    dtype=object,
-)
-
-
-def classify_codes(
-    rate: np.ndarray,
-    retained: np.ndarray,
-    target_min: np.ndarray,
-    target_max: np.ndarray,
-    age: np.ndarray,
-    liveness_timeout: float | None,
-) -> np.ndarray:
-    """Vectorized transliteration of :func:`repro.core.monitor.classify`.
-
-    ``age`` uses ``nan`` for "no beat observed" (which can never exceed the
-    liveness timeout, matching the scalar rule's ``age is None`` guard).
-    Returns one int8 status code per stream.
-    """
-    unknown = retained == 0
-    if liveness_timeout is not None:
-        stalled = (age > liveness_timeout) & ~unknown
-    else:
-        stalled = np.zeros(rate.shape, dtype=bool)
-    no_goal = (target_min <= 0.0) & (target_max <= 0.0)
-    slow = rate < target_min
-    fast = (target_max > 0.0) & (rate > target_max)
-    return np.select(
-        [unknown, stalled, no_goal, slow, fast],
-        [_UNKNOWN, _STALLED, _HEALTHY, _SLOW, _FAST],
-        default=_HEALTHY,
-    ).astype(np.int8)
 
 
 class FleetSample:
@@ -306,21 +277,6 @@ class FleetSample:
         )
 
 
-def _rows(columns: Sequence[np.ndarray]) -> Iterator[MonitorReading]:
-    """The sample columns as readings, one ``tolist()`` each, no Python call per row.
-
-    ``nan`` stamps and ages become ``None`` in one object-array pass, codes
-    become :class:`HealthStatus` in one index of :data:`_STATUS_BY_CODE`.
-    """
-    rate, total, tmin, tmax, last_ts, age, codes = columns
-    stamps = np.stack((last_ts, age))
-    held = stamps.astype(object)
-    held[np.isnan(stamps)] = None
-    statuses = _STATUS_BY_CODE[codes].tolist()
-    rows = zip(rate.tolist(), total.tolist(), tmin.tolist(), tmax.tolist(), *held.tolist(), statuses)
-    return map(partial(tuple.__new__, MonitorReading), rows)
-
-
 def _rate_percentiles(rates: np.ndarray, q: Sequence[float]) -> dict[float, float]:
     """Percentile dict over a rate array; an empty array yields all zeros."""
     if rates.size == 0:
@@ -329,10 +285,47 @@ def _rate_percentiles(rates: np.ndarray, q: Sequence[float]) -> dict[float, floa
     return {float(p): float(v) for p, v in zip(q, values, strict=True)}
 
 
-class _Stream:
-    """One attached stream: its delta/probe providers plus cached poll state."""
+#: Empty ``(rate, total, target_min, target_max, last_ts, retained)`` columns.
+_NO_COLUMNS = tuple(
+    np.zeros(0, dtype=dtype)
+    for dtype in (np.float64, np.int64, np.float64, np.float64, np.float64, np.int64)
+)
 
-    __slots__ = ("name", "delta", "probe", "close", "state")
+
+def _read_slab(
+    arena: Arena, window: int, held: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """One slab's ``(rate, total, target_min, target_max, last_ts, retained)``."""
+    fleet = arena.snapshot_since_all(window=window, include_records=False, held=held)
+    return (
+        fleet.rate, fleet.totals, fleet.target_min, fleet.target_max,
+        fleet.last_timestamp, fleet.retained,
+    )
+
+
+def _concat(parts: Sequence[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Column-wise concatenation of slab reads (each read's arrays are fresh)."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(_NO_COLUMNS, *parts))
+
+
+def _zero_if_closed(fn: Callable[[], float]) -> Callable[[], float]:
+    """A gauge function that reads 0 once a slab was closed under it."""
+
+    def call() -> float:
+        try:
+            return float(fn())
+        except HeartbeatError:
+            return 0.0
+
+    return call
+
+
+class _Stream(_Mirror):
+    """One attached per-object stream: its providers plus its mirror row."""
+
+    __slots__ = ("name", "delta", "probe", "close")
 
     def __init__(
         self,
@@ -341,25 +334,21 @@ class _Stream:
         probe: ProbeSource | None,
         close: Callable[[], None] | None,
     ) -> None:
+        super().__init__()
         self.name = name
         self.delta = delta
         self.probe = probe
         self.close = close
-        self.state: StreamDeltaState | None = None
 
 
 class _ArenaShard:
-    """One attached arena slab, polled whole via the vectorized slab path.
+    """One attached arena slab, read whole by one :meth:`Arena.snapshot_since_all`.
 
-    Unlike :class:`_Stream` (one Python object, one ``snapshot_since`` call
-    per poll), an arena shard covers *every* allocated row of the slab with a
-    single :meth:`Arena.snapshot_since_all` pass — the aggregator never
-    touches the rows individually.  ``cursors`` is the fleet cursor vector
-    carried between polls; ``names`` caches the prefixed row names and is
-    refreshed only when the slab allocates new rows.
+    Every allocated row joins the sample as ``prefix + row_name``; ``names``
+    caches those and is refreshed only when the slab allocates new rows.
     """
 
-    __slots__ = ("label", "arena", "prefix", "cursors", "names", "close")
+    __slots__ = ("label", "arena", "prefix", "names", "close")
 
     def __init__(
         self,
@@ -371,7 +360,6 @@ class _ArenaShard:
         self.label = label
         self.arena = arena
         self.prefix = prefix
-        self.cursors: np.ndarray | None = None
         self.names: tuple[str, ...] = ()
         self.close = close
 
@@ -383,43 +371,6 @@ class _ArenaShard:
         )
 
 
-class _Columns:
-    """Preallocated, reusable per-stream column arrays for :meth:`poll`.
-
-    Grown (never shrunk) to the fleet size; each poll rewrites only the
-    slots of streams that had news, so the steady-state cost of a mostly
-    idle fleet is the probe pass plus a few vectorized operations.
-    """
-
-    __slots__ = ("rate", "total", "tmin", "tmax", "last_ts", "retained", "size")
-
-    def __init__(self) -> None:
-        self.size = 0
-        self.ensure(64)
-
-    def ensure(self, n: int) -> None:
-        if n <= self.size:
-            return
-        size = max(64, 2 * self.size, n)
-        # No copy-over: every slot is (re)written before it is read whenever
-        # the stream layout changes, which includes every growth.
-        self.rate = np.zeros(size, dtype=np.float64)
-        self.total = np.zeros(size, dtype=np.int64)
-        self.tmin = np.zeros(size, dtype=np.float64)
-        self.tmax = np.zeros(size, dtype=np.float64)
-        self.last_ts = np.full(size, np.nan, dtype=np.float64)
-        self.retained = np.zeros(size, dtype=np.int64)
-        self.size = size
-
-    def write(self, i: int, state: StreamDeltaState) -> None:
-        self.rate[i] = state.rate
-        self.total[i] = state.total
-        self.tmin[i] = state.tmin
-        self.tmax[i] = state.tmax
-        self.last_ts[i] = state.last_ts
-        self.retained[i] = state.retained
-
-
 class HeartbeatAggregator:
     """Fan-in observer over many heartbeat streams.
 
@@ -427,10 +378,10 @@ class HeartbeatAggregator:
     object through :meth:`attach_stream` — :meth:`attach_endpoint`,
     :meth:`attach_registry` and :meth:`attach_collector` open or look up
     such objects and end there — or as a row of a slab attached with
-    :meth:`attach_arena`.  :meth:`poll`
-    reads each per-object stream the same cursored way (version probe, then
-    ``snapshot_since`` only when the token moved) and each slab in one
-    vectorized pass.
+    :meth:`attach_arena`.  :meth:`poll` mirrors each per-object stream
+    into a private slab row the same cursored way (version probe, then
+    ``snapshot_since`` only when the token moved) and reads every slab,
+    private and attached, in one vectorized pass each.
 
     Parameters
     ----------
@@ -462,23 +413,27 @@ class HeartbeatAggregator:
         self._window = int(window)
         self._liveness_timeout = liveness_timeout
         self._lock = threading.Lock()
-        #: Serialises whole polls: the per-stream cursors and the reusable
-        #: column arrays are aggregator state, so concurrent poll() calls
-        #: (e.g. a balancer loop racing a metrics thread) take turns.
+        #: Serialises whole polls: the per-stream cursors and the private
+        #: slabs are aggregator state, so concurrent poll() calls (e.g. a
+        #: balancer loop racing a metrics thread) take turns.
         self._poll_lock = threading.Lock()
         self._streams: dict[str, _Stream] = {}
+        self._pool = _SlabPool()
+        #: Detached streams whose rows the next poll frees (a poll may be
+        #: replaying into them right now).
+        self._released: list[_Stream] = []
         self._arenas: list[_ArenaShard] = []
         #: Wall seconds the current poll spent in the arena slab path;
         #: reset by :meth:`poll`, accumulated by :meth:`_poll_arenas`.
         self._arena_seconds = 0.0
         self._collectors: list[tuple[str, CollectorLike]] = []
         self._closed = False
-        self._columns = _Columns()
-        #: Bumped on every attach/detach; while unchanged, idle streams'
-        #: column slots are still valid from the previous poll.
+        #: Bumped on every attach/detach.  With the pool's layout it keys
+        #: the cached stream names and their positions among the slab rows.
         self._membership = 0
-        self._columns_membership = -1
-        self._names_cache: tuple[str, ...] = ()
+        self._layout: tuple[int, int] = (-1, -1)
+        self._names: tuple[str, ...] = ()
+        self._order = np.zeros(0, dtype=np.int64)
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_polls = self.metrics.counter(
@@ -502,7 +457,7 @@ class HeartbeatAggregator:
         )
         self.metrics.gauge(
             "aggregator_streams", help="attached streams",
-            fn=lambda: float(len(self._streams)),
+            fn=_zero_if_closed(lambda: len(self)),
         )
 
     # ------------------------------------------------------------------ #
@@ -584,27 +539,17 @@ class HeartbeatAggregator:
             self._arenas.append(shard)
             self._membership += 1
         labels = {"arena": label}
-
-        def _safe(fn: Callable[[], float]) -> Callable[[], float]:
-            def call() -> float:
-                try:
-                    return float(fn())
-                except HeartbeatError:
-                    return 0.0  # slab closed under the gauge; report empty
-
-            return call
-
         self.metrics.gauge(
             "aggregator_arena_streams", help="allocated rows in the arena slab",
-            labels=labels, fn=_safe(lambda: arena.rows_in_use),
+            labels=labels, fn=_zero_if_closed(lambda: arena.rows_in_use),
         )
         self.metrics.gauge(
             "aggregator_arena_bytes", help="arena slab size in bytes",
-            labels=labels, fn=_safe(lambda: arena.nbytes),
+            labels=labels, fn=_zero_if_closed(lambda: arena.nbytes),
         )
         self.metrics.gauge(
             "aggregator_arena_occupancy", help="fraction of arena rows allocated",
-            labels=labels, fn=_safe(lambda: arena.occupancy),
+            labels=labels, fn=_zero_if_closed(lambda: arena.occupancy),
         )
 
     def attach_registry(
@@ -706,6 +651,7 @@ class HeartbeatAggregator:
             stream = self._streams.pop(name, None)
             if stream is not None:
                 self._membership += 1
+                self._released.append(stream)
         if stream is None:
             raise MonitorAttachError(f"no stream named {name!r} is attached")
         if stream.close is not None:
@@ -748,22 +694,21 @@ class HeartbeatAggregator:
         """Observe every attached stream and classify the whole fleet.
 
         A poll costs O(new beats) plus one cheap change-token probe per
-        stream: each stream is probed and a delta is read only from those
-        whose backend reports news, the deltas are folded into cached
-        rolling-window state, and the health classification runs as one
-        vectorized pass over the reusable column arrays.
+        per-object stream: a delta is read only from streams whose source
+        reports news and replayed into their private slab rows, then one
+        ``snapshot_since_all`` pass per slab and one vectorized
+        classification cover the whole fleet.
 
         A stream whose read fails — its source raises a
         :class:`~repro.core.errors.HeartbeatError` (writer gone, segment
         unlinked) or its rate window holds a backwards timestamp — is left
         out of the sample and reported in ``FleetSample.errors`` under its
-        name; it is re-read in full on the next poll.  Arena rows are not
-        checked for timestamp order: the slab path reports such a row with
-        rate ``0.0``.
+        name; a failed read is redone in full on the next poll.  Arena rows
+        follow the same rule, since every row is read by the same pass.
 
         Concurrent ``poll`` calls from different threads are serialised
-        internally (the per-stream cursors and reusable column arrays are
-        aggregator state).
+        internally (the per-stream cursors and private slabs are aggregator
+        state).
         """
         with self._poll_lock:
             self._arena_seconds = 0.0
@@ -786,86 +731,54 @@ class HeartbeatAggregator:
             self._sync_collectors()
         with self._lock:
             streams = list(self._streams.values())
-            membership = self._membership
+            layout = self._membership
+            released, self._released = self._released, []
+        pool, window = self._pool, self._window
+        for stream in released:
+            if stream.slab is not None:
+                pool.give(stream.slab, stream.index)
         now = self._clock.now()
-        n = len(streams)
-        columns = self._columns
-        columns.ensure(n)
-        rewrite_all = membership != self._columns_membership
 
         errors: dict[str, str] = {}
-        dead: list[int] = []
+        failed: list[int] = []
         for i, stream in enumerate(streams):
-            version: object | None = None
-            if stream.probe is not None:
-                try:
-                    version = stream.probe()
-                except HeartbeatError:
-                    version = None  # let the delta read report the failure
-            if (
-                stream.state is not None
-                and version is not None
-                and version == stream.state.version
-            ):
-                continue  # no new beats, no goal change: skip the read
             try:
-                state = stream.state
-                if state is None:
-                    state = StreamDeltaState(self._window)
-                state.consume(stream.delta)
-                state.version = version
-                stream.state = state
+                stream.sync(pool, stream.delta, stream.probe, window)
             except (HeartbeatError, ValueError) as exc:
-                # ValueError: a backwards timestamp inside the rate window
-                # (wall-clock step, clock-skewed relay) — one producer's bad
-                # stamps must not fail the fleet's poll.
-                stream.state = None  # full resync whenever it recovers
+                # ValueError: records the row cannot hold — one producer's
+                # bad data must not fail the fleet's poll.
                 errors[stream.name] = str(exc)
-                dead.append(i)
-                continue
-            columns.write(i, state)
-
-        if rewrite_all:
-            # Stream layout changed since the last poll: refresh every live
-            # slot from its cached state (idle slots may have moved).
-            for i, stream in enumerate(streams):
-                if stream.state is not None:
-                    columns.write(i, stream.state)
-            self._columns_membership = membership
-            self._names_cache = tuple(stream.name for stream in streams)
-
-        if dead:
-            keep = np.ones(n, dtype=bool)
-            keep[dead] = False
-            names = tuple(
-                stream.name for stream, alive in zip(streams, keep) if alive
+                failed.append(i)
+        if (layout, pool.layout) != self._layout:
+            # Where each stream's row sits among the private slabs' rows.
+            bases = np.cumsum([0] + [slab.arena.rows_in_use for slab in pool.slabs])
+            base_of = {id(slab): int(base) for slab, base in zip(pool.slabs, bases)}
+            self._order = np.array(
+                [-1 if s.slab is None else base_of[id(s.slab)] + s.index for s in streams],
+                dtype=np.int64,
             )
-            rate = columns.rate[:n][keep]
-            total = columns.total[:n][keep]
-            tmin = columns.tmin[:n][keep]
-            tmax = columns.tmax[:n][keep]
-            last_ts = columns.last_ts[:n][keep]
-            retained = columns.retained[:n][keep]
-        else:
-            names = self._names_cache
-            rate = columns.rate[:n].copy()
-            total = columns.total[:n].copy()
-            tmin = columns.tmin[:n].copy()
-            tmax = columns.tmax[:n].copy()
-            last_ts = columns.last_ts[:n].copy()
-            retained = columns.retained[:n].copy()
-
-        arena = self._poll_arenas(errors)
-        if arena is not None:
-            a_names, a_cols = arena
-            names = names + a_names
-            rate = np.concatenate([rate, a_cols[0]])
-            total = np.concatenate([total, a_cols[1]])
-            tmin = np.concatenate([tmin, a_cols[2]])
-            tmax = np.concatenate([tmax, a_cols[3]])
-            last_ts = np.concatenate([last_ts, a_cols[4]])
-            retained = np.concatenate([retained, a_cols[5]])
-
+            self._names = tuple(stream.name for stream in streams)
+            self._layout = (layout, pool.layout)
+        names, order = self._names, self._order
+        if failed:
+            keep = np.ones(len(streams), dtype=bool)
+            keep[failed] = False
+            names, order = tuple(compress(names, keep)), order[keep]
+        parts: list[tuple[np.ndarray, ...]] = []
+        if pool.slabs:  # a fleet of attached slabs only pays for no private one
+            rows = _concat([_read_slab(slab.arena, window, slab.held) for slab in pool.slabs])
+            parts.append(tuple(column[order] for column in rows))
+        names = names + self._poll_arenas(parts, errors)
+        rate, total, tmin, tmax, last_ts, retained = _concat(parts)
+        backwards = np.isnan(rate)
+        if backwards.any():
+            for i in np.flatnonzero(backwards):
+                errors[names[i]] = "timestamps are not sorted in non-decreasing order"
+            keep = ~backwards
+            names = tuple(compress(names, keep))
+            rate, total, tmin, tmax, last_ts, retained = (
+                column[keep] for column in (rate, total, tmin, tmax, last_ts, retained)
+            )
         age = now - last_ts  # nan where no beat has been observed
         codes = classify_codes(rate, retained, tmin, tmax, age, self._liveness_timeout)
         return FleetSample(
@@ -882,61 +795,33 @@ class HeartbeatAggregator:
         )
 
     def _poll_arenas(
-        self, errors: dict[str, str]
-    ) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]] | None:
-        """Poll every arena shard through the slab path; concatenated columns.
+        self, parts: list[tuple[np.ndarray, ...]], errors: dict[str, str]
+    ) -> tuple[str, ...]:
+        """Read every attached slab into ``parts``; returns their row names.
 
-        Returns ``(names, (rate, total, tmin, tmax, last_ts, retained))``
-        covering all allocated rows of all attached arenas, or ``None`` when
-        no arena is attached.  One ``snapshot_since_all`` call per slab —
-        the per-row work is numpy's, not the interpreter's.  A slab that
-        fails to answer (e.g. its creator unlinked it mid-poll) lands in
-        ``errors`` under ``arena:<label>`` and drops out of this sample,
-        mirroring how dead per-object streams are handled.
+        One ``snapshot_since_all`` call per slab — the per-row work is
+        numpy's, not the interpreter's.  A slab that fails to answer (e.g.
+        its creator unlinked it mid-poll) lands in ``errors`` under
+        ``arena:<label>`` and drops out of this sample, as a dead per-object
+        stream does.
         """
         with self._lock:
             shards = list(self._arenas)
-        if not shards:
-            return None
-        t0 = time.perf_counter()
         names: tuple[str, ...] = ()
-        cols: list[tuple[np.ndarray, ...]] = []
+        t0 = time.perf_counter()
         for shard in shards:
             try:
-                fleet = shard.arena.snapshot_since_all(
-                    shard.cursors, window=self._window, include_records=False
-                )
+                columns = _read_slab(shard.arena, self._window)
             except HeartbeatError as exc:
                 errors[f"arena:{shard.label}"] = str(exc)
                 continue
-            shard.cursors = fleet.cursors
-            if fleet.rows != len(shard.names):
+            rows = columns[0].shape[0]
+            if rows != len(shard.names):
                 shard.refresh_names()
-            names = names + shard.names
-            cols.append(
-                (
-                    fleet.rate,
-                    fleet.totals,
-                    fleet.target_min,
-                    fleet.target_max,
-                    fleet.last_timestamp,
-                    fleet.retained,
-                )
-            )
+            names = names + shard.names[:rows]  # a row allocated since the read waits
+            parts.append(columns)
         self._arena_seconds += time.perf_counter() - t0
-        if not cols:
-            return names, tuple(
-                np.zeros(0, dtype=dtype)
-                for dtype in (
-                    np.float64, np.int64, np.float64,
-                    np.float64, np.float64, np.int64,
-                )
-            )
-        if len(cols) == 1:
-            return names, cols[0]
-        return names, tuple(
-            np.concatenate([c[k] for c in cols]) for k in range(6)
-        )
+        return names
 
     def rates(self) -> dict[str, float]:
         """Convenience: poll once and return ``{stream name: rate}``."""

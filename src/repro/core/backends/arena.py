@@ -421,6 +421,7 @@ class Arena:
         *,
         window: int = 0,
         include_records: bool = True,
+        held: np.ndarray | None = None,
     ) -> ArenaFleetDelta:
         """Read the whole fleet's state — and new beats — in one masked pass.
 
@@ -432,7 +433,11 @@ class Arena:
         same rule :func:`repro.core.window.resolve_window` applies to single
         streams.  ``include_records=False`` skips gathering the new record
         payloads and returns columns only — the aggregator's classification
-        pass needs nothing more.
+        pass needs nothing more.  ``held`` caps each row's ``retained`` (one
+        entry per slab row): an observer mirroring a source into a row passes
+        what the source itself still holds, so the rate window never reaches
+        past it.  A row whose rate window spans backwards in time reads rate
+        ``nan``.
 
         Consistency: header columns are captured under a vectorized seqlock
         check (rows whose writer raced the read are retried as a shrinking
@@ -462,14 +467,6 @@ class Arena:
         rows = self._rows
         ts2d = self._records["timestamp"]
 
-        out_seq = np.zeros(count, dtype=np.int64)
-        out_total = np.zeros(count, dtype=np.int64)
-        out_dw = np.zeros(count, dtype=np.int64)
-        out_tmin = np.zeros(count, dtype=np.float64)
-        out_tmax = np.zeros(count, dtype=np.float64)
-        out_last = np.full(count, np.nan, dtype=np.float64)
-        out_rate = np.zeros(count, dtype=np.float64)
-
         pending = np.arange(count, dtype=np.int64)
         for attempt in range(256):
             if attempt:
@@ -494,11 +491,14 @@ class Arena:
                 tmin = rows["target_min"][idx].copy()
                 tmax = rows["target_max"][idx].copy()
             retained = np.minimum(totals, depth)
+            if held is not None:
+                retained = np.minimum(retained, held[idx])
             has = retained > 0
             safe_total = np.maximum(totals, 1)
             last_ts = ts2d[idx, (safe_total - 1) % depth]
-            # Effective window per row: resolve_window(requested, dw, retained)
-            # with the same dw<=0 fallback reading_from_snapshot applies.
+            # Effective window per row: resolve_window(requested, dw, retained),
+            # a producer without a published window (dw <= 0) read at the
+            # observer's requested one.
             dw_eff = np.where(dw > 0, dw, max(requested, 1))
             base = dw_eff if requested == 0 else np.minimum(requested, dw_eff)
             effective = np.minimum(base, retained)
@@ -508,7 +508,7 @@ class Arena:
             rate = np.where(
                 measurable,
                 (np.maximum(effective, 2) - 1) / np.where(span > 0, span, 1.0),
-                0.0,
+                np.where(span < 0, np.nan, 0.0),
             )
             seq1 = rows["sequence"][:count] if full_pass else rows["sequence"][idx]
             ok = (seq0 % 2 == 0) & (seq1 == seq0)
@@ -519,6 +519,10 @@ class Arena:
                 out_rate = rate
                 pending = idx[:0]
                 break
+            if full_pass:  # a writer raced the capture: assemble row by row
+                out_seq, out_total, out_dw = (np.zeros(count, dtype=np.int64) for _ in range(3))
+                out_tmin, out_tmax, out_rate = (np.zeros(count) for _ in range(3))
+                out_last = np.full(count, np.nan)
             good = idx[ok]
             out_seq[good] = seq0[ok]
             out_total[good] = totals[ok]
@@ -534,9 +538,13 @@ class Arena:
             raise BackendError("could not obtain a consistent arena read")
 
         out_retained = np.minimum(out_total, depth)
+        if held is not None:
+            out_retained = np.minimum(out_retained, held[:count])
 
         def bounds() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             # delta_bounds, vectorized: (included, gap, resync) per row.
+            if cursors is None:  # no row has a cursor: every row resyncs in full
+                return out_retained, np.zeros(count, dtype=np.int64), np.ones(count, dtype=bool)
             produced = out_total - cur
             behind = (~explicit) | (produced < 0)
             included = np.where(behind, out_retained, np.minimum(produced, out_retained))
@@ -551,7 +559,7 @@ class Arena:
             flat, bad = self._gather(counts, offsets, out_total, out_seq)
             if bad is not None and bad.any():
                 flat, offsets = self._repair(
-                    bad, cur, explicit, requested, flat, offsets,
+                    bad, cur, explicit, requested, held, flat, offsets,
                     out_total, out_retained, out_dw, out_tmin, out_tmax, out_last, out_rate,
                 )
                 included, gap, resync = bounds()
@@ -607,6 +615,7 @@ class Arena:
         cur: np.ndarray,
         explicit: np.ndarray,
         requested: int,
+        held: np.ndarray | None,
         flat: np.ndarray,
         offsets: np.ndarray,
         out_total: np.ndarray,
@@ -631,11 +640,13 @@ class Arena:
             row_cursor = SnapshotCursor(total=int(cur[i])) if explicit[i] else None
             ring = self._ring(i)
             total, dw, tmin, tmax = ring.capture()
-            retained = min(total, self.depth)
+            cap = self.depth if held is None else int(held[i])
+            retained = min(total, self.depth, cap)
             dw_eff = dw if dw > 0 else max(requested, 1)
             eff = min(dw_eff if requested == 0 else min(requested, dw_eff), retained)
             inc, _gap, _resync = delta_bounds(row_cursor, total, retained)
             recs, retained = ring.copy_newest(total, max(inc, eff))
+            retained = min(retained, cap)
             inc, eff = min(inc, retained), min(eff, retained)
             stamps = recs["timestamp"]
             last, rate = (float(stamps[-1]) if retained else np.nan), 0.0
@@ -643,6 +654,8 @@ class Arena:
                 span = last - float(stamps[-eff])
                 if span > 0:
                     rate = (eff - 1) / span
+                elif span < 0:
+                    rate = np.nan
             out_total[i] = total
             out_retained[i] = retained
             out_dw[i] = dw

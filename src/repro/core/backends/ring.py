@@ -25,7 +25,8 @@ Writer protocol — *one sequence cycle per publication*:
 2. store ``sequence + 1`` (odd: write in progress);
 3. place the records — one record packed in place, or a batch as one byte
    copy (two when it wraps; a batch larger than the ring keeps its tail, at
-   the slots its records would have reached one by one, see :func:`place`);
+   the slots its records would have reached one by one, see
+   :meth:`Ring.append_many`);
 4. store the new ``total``;
 5. store ``sequence + 2`` (even: published).  Every store of a word updates
    the object's copy with it.
@@ -80,7 +81,7 @@ from repro.core.backends.base import (
 from repro.core.errors import BackendError, InvalidWindowError
 from repro.core.record import RECORD_DTYPE, RECORD_STRUCT
 
-__all__ = ["Ring", "place"]
+__all__ = ["Ring"]
 
 #: Polls of the sequence word before a read gives up on a writer that died
 #: (or is stuck) mid-write: milliseconds to tens of them, by the host's
@@ -88,25 +89,6 @@ __all__ = ["Ring", "place"]
 _ATTEMPTS = 256
 _EMPTY = np.empty(0, dtype=RECORD_DTYPE)
 _pack_record, _RECORD_SIZE = RECORD_STRUCT.pack_into, RECORD_STRUCT.size
-
-
-def place(ring: Any, base: int, capacity: int, total: int, items: Any) -> None:
-    """Store ``items`` where appending them one by one after ``total`` would.
-
-    ``ring[base : base + capacity]`` is circular storage that has seen
-    ``total`` items; ``items`` lands as one slice assignment, two when it
-    wraps, and only its last ``capacity`` items when it is larger than the
-    ring.  Units are whatever ``ring`` indexes — bytes for record slots,
-    float64 entries for an observer's timestamp ring — so the lap arithmetic
-    of every batched write lives here.
-    """
-    count = len(items)
-    skip = max(count - capacity, 0)
-    start = (total + skip) % capacity
-    first = min(count - skip, capacity - start)
-    ring[base + start : base + start + first] = items[skip : skip + first]
-    if skip + first < count:  # wrapped: the rest continues from the ring's start
-        ring[base : base + count - skip - first] = items[skip + first :]
 
 
 class Ring:
@@ -188,9 +170,16 @@ class Ring:
         words, sequence_at, total = self.words, self.sequence_at, self.total
         sequence = self.sequence + 1
         words[sequence_at] = sequence  # odd: write in progress
-        place(
-            self.slots, self.slots_at, self.capacity * _RECORD_SIZE, total * _RECORD_SIZE, data
-        )
+        # The bytes land where appending the records one by one would put
+        # them: one slice, two when they wrap, and only the last ``capacity``
+        # records of a batch larger than the ring.
+        size, ring, base = len(data), self.capacity * _RECORD_SIZE, self.slots_at
+        skip = max(size - ring, 0)
+        start = (total * _RECORD_SIZE + skip) % ring
+        first = min(size - skip, ring - start)
+        self.slots[base + start : base + start + first] = data[skip : skip + first]
+        if skip + first < size:  # wrapped: the rest continues from the ring's start
+            self.slots[base : base + size - skip - first] = data[skip + first :]
         self.total = words[self.total_at] = total + count
         self.sequence = words[sequence_at] = sequence + 1  # even: write published
 

@@ -16,32 +16,40 @@ same: windowed heart rate, target range, history, liveness (time since the
 last beat) and simple health classification, which is what the
 fault-tolerance and cloud use cases in the paper's Sections 2.3, 2.6 and 5.4
 need.
+
+Both observers read one way.  Every stream they observe is a row of a
+private ``mem-arena`` slab, in the chain of the smallest power-of-two depth
+holding its published window.  The sync step (:meth:`_Mirror.sync`) replays
+the source's deltas into the row by :class:`DeltaSnapshot`'s replay rule and
+records what the source still retains; one :meth:`Arena.snapshot_since_all`
+pass then computes the windowed rate and liveness stamp of every row, and
+:func:`classify_codes` is the health rule.  A monitor is that path for one
+row; :class:`~repro.core.aggregator.HeartbeatAggregator` runs it for a fleet.
+``tests/model.py`` states the contract both must meet.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
-from typing import NamedTuple
+from functools import partial
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.clock import Clock, WallClock
+from repro.core.backends.arena import ROW_HEADER_SIZE, Arena
 from repro.core.backends.base import BackendSnapshot, DeltaSnapshot, SnapshotCursor
-from repro.core.backends.ring import place
+from repro.core.backends.ring import Ring
+from repro.core.errors import HeartbeatError
 from repro.core.heartbeat import Heartbeat
-from repro.core.rate import windowed_rate
 from repro.core.record import RECORD_DTYPE, HeartbeatRecord, array_to_records
-from repro.core.stream import DeltaSource, capabilities_of
-from repro.core.window import resolve_window
+from repro.core.stream import DeltaSource, ProbeSource, capabilities_of
 
 __all__ = [
     "HeartbeatMonitor",
     "HealthStatus",
     "MonitorReading",
-    "StreamDeltaState",
-    "classify",
-    "reading_from_snapshot",
+    "classify_codes",
 ]
 
 
@@ -85,211 +93,177 @@ class MonitorReading(NamedTuple):
         return self.status is HealthStatus.HEALTHY
 
 
-def reading_from_snapshot(
-    snap: BackendSnapshot,
-    *,
-    now: float,
-    window: int = 0,
-    liveness_timeout: float | None = None,
-) -> MonitorReading:
-    """Classify one backend snapshot into a :class:`MonitorReading`.
-
-    This is the single interpretation of a heartbeat stream's state shared by
-    the per-stream :class:`HeartbeatMonitor` and the fleet-level
-    :class:`repro.core.aggregator.HeartbeatAggregator`, so a stream is
-    "slow" or "stalled" by exactly the same rule no matter which observer is
-    asking.  ``now`` is the observer's current time in the producer's time
-    base.
-    """
-    requested = int(window)
-    default_window = snap.default_window if snap.default_window > 0 else max(requested, 1)
-    effective = resolve_window(requested, default_window, snap.retained)
-    timestamps = snap.records["timestamp"]
-    rate = windowed_rate(timestamps[timestamps.shape[0] - effective :]) if effective >= 2 else 0.0
-    last_ts: float | None = float(timestamps[-1]) if timestamps.shape[0] else None
-    age = (now - last_ts) if last_ts is not None else None
-    status = _classify_snapshot(rate, snap, age, liveness_timeout)
-    return MonitorReading(
-        rate=rate,
-        total_beats=snap.total_beats,
-        target_min=snap.target_min,
-        target_max=snap.target_max,
-        last_timestamp=last_ts,
-        age=age,
-        status=status,
-    )
+#: Integer health codes of :func:`classify_codes`; index
+#: :data:`_STATUS_BY_CODE` with a code, or a whole code column, for the enum.
+_UNKNOWN, _HEALTHY, _SLOW, _FAST, _STALLED = range(5)
+_STATUS_BY_CODE = np.array(
+    [HealthStatus.UNKNOWN, HealthStatus.HEALTHY, HealthStatus.SLOW, HealthStatus.FAST, HealthStatus.STALLED],
+    dtype=object,
+)
 
 
-def classify(
-    rate: float,
-    retained: int,
-    target_min: float,
-    target_max: float,
-    age: float | None,
+def classify_codes(
+    rate: np.ndarray,
+    retained: np.ndarray,
+    target_min: np.ndarray,
+    target_max: np.ndarray,
+    age: np.ndarray,
     liveness_timeout: float | None,
-) -> HealthStatus:
-    """The single scalar health-classification rule.
+) -> np.ndarray:
+    """The health rule, one int8 status code per stream.
 
-    :func:`reading_from_snapshot` and the incremental delta consumers both
-    reduce to this function; the aggregator's vectorized classification is
-    its numpy transliteration (and is tested for equivalence against it).
+    UNKNOWN without a retained beat; STALLED when the last beat is older
+    than ``liveness_timeout``; HEALTHY without a published goal; otherwise
+    SLOW below ``target_min``, FAST above a set ``target_max``, else HEALTHY.
+    ``age`` is ``nan`` where no beat was observed, which is never stalled.
     """
-    if retained == 0:
-        return HealthStatus.UNKNOWN
-    if liveness_timeout is not None and age is not None and age > liveness_timeout:
-        return HealthStatus.STALLED
-    if target_min <= 0.0 and target_max <= 0.0:
-        # No published goal: any progress is healthy.
-        return HealthStatus.HEALTHY
-    if rate < target_min:
-        return HealthStatus.SLOW
-    if target_max > 0.0 and rate > target_max:
-        return HealthStatus.FAST
-    return HealthStatus.HEALTHY
+    # Lowest precedence first: each later rule overrides the ones before.
+    codes = np.full(rate.shape, _HEALTHY, dtype=np.int8)
+    codes[(target_max > 0.0) & (rate > target_max)] = _FAST
+    codes[rate < target_min] = _SLOW
+    codes[(target_min <= 0.0) & (target_max <= 0.0)] = _HEALTHY
+    if liveness_timeout is not None:
+        codes[age > liveness_timeout] = _STALLED
+    codes[retained == 0] = _UNKNOWN
+    return codes
 
 
-def _classify_snapshot(
-    rate: float,
-    snap: BackendSnapshot,
-    age: float | None,
-    liveness_timeout: float | None,
-) -> HealthStatus:
-    return classify(
-        rate, snap.retained, snap.target_min, snap.target_max, age, liveness_timeout
-    )
+def _rows(columns: Sequence[np.ndarray]) -> Iterator[MonitorReading]:
+    """Readings from ``(rate, total, target_min, target_max, last_ts, age, codes)``.
+
+    One ``tolist()`` per column and no Python call per row: ``nan`` stamps
+    and ages become ``None`` in one object-array pass, codes become
+    :class:`HealthStatus` in one index of :data:`_STATUS_BY_CODE`.
+    """
+    rate, total, tmin, tmax, last_ts, age, codes = columns
+    stamps = np.stack((last_ts, age))
+    held = stamps.astype(object)
+    held[np.isnan(stamps)] = None
+    statuses = _STATUS_BY_CODE[codes].tolist()
+    rows = zip(rate.tolist(), total.tolist(), tmin.tolist(), tmax.tolist(), *held.tolist(), statuses)
+    return map(partial(tuple.__new__, MonitorReading), rows)
 
 
-class StreamDeltaState:
-    """Rolling per-stream observation state fed by :class:`DeltaSnapshot`\\ s.
+#: Bytes of a depth class's first private slab; each slab chained after it
+#: doubles the rows of the one before.
+_FIRST_SLAB_BYTES = 1 << 16
 
-    Replaces the "copy the retained history, recompute the windowed rate
-    from scratch" read with O(new beats) bookkeeping: a small ring of the
-    last ``default_window`` beat timestamps is updated from each delta's
-    records, and the windowed rate falls out of the ring's first/last
-    entries — the same arithmetic :func:`repro.core.rate.windowed_rate`
-    applies to a full timestamp copy.
 
-    Shared by the incremental :meth:`HeartbeatMonitor.read` and every stream
-    of a :class:`repro.core.aggregator.HeartbeatAggregator`.
+class _Slab:
+    """One private observer slab: an anonymous arena, the ``held`` column
+    (beats each row's source still retains) and the rows detach freed."""
+
+    __slots__ = ("arena", "held", "free")
+
+    def __init__(self, rows: int, depth: int) -> None:
+        self.arena = Arena(streams=rows, depth=depth)
+        self.held = np.zeros(rows, dtype=np.int64)
+        self.free: list[int] = []
+
+
+class _SlabPool:
+    """The private slabs of one observer, chained per power-of-two depth.
+
+    A stream's row sits in the class of the smallest power of two holding
+    its published window, so it costs O(its own window) whatever the
+    fleet's largest.  ``layout`` moves whenever a row is taken or freed.
     """
 
-    __slots__ = (
-        "requested", "cursor", "version", "ring", "seen", "dw",
-        "rate", "total", "retained", "tmin", "tmax", "last_ts",
-    )
+    __slots__ = ("first_bytes", "chains", "slabs", "layout")
 
-    def __init__(self, requested: int) -> None:
-        #: Window requested by the observer (0: the producer's default).
-        self.requested = int(requested)
+    def __init__(self, first_bytes: int = _FIRST_SLAB_BYTES) -> None:
+        self.first_bytes = first_bytes  # 0: every chain starts at one row
+        self.chains: dict[int, list[_Slab]] = {}
+        self.slabs: list[_Slab] = []  # every chain's slabs, in creation order
+        self.layout = 0
+
+    def take(self, need: int) -> tuple[_Slab, int]:
+        depth = 1 << max(need - 1, 1).bit_length()
+        chain = self.chains.setdefault(depth, [])
+        self.layout += 1
+        for slab in chain:
+            if slab.free:
+                return slab, slab.free.pop()
+        last = chain[-1] if chain else None
+        if last is None or last.arena.rows_in_use == last.arena.streams:
+            row_bytes = ROW_HEADER_SIZE + depth * RECORD_DTYPE.itemsize
+            rows = 2 * last.arena.streams if last else max(1, self.first_bytes // row_bytes)
+            last = _Slab(rows, depth)
+            chain.append(last)
+            self.slabs.append(last)
+        return last, last.arena.allocate().index
+
+    def give(self, slab: _Slab, index: int) -> None:
+        slab.free.append(index)
+        self.layout += 1
+
+
+def _need(window: int, requested: int) -> int:
+    """The beats a row must hold: the published window, else the requested one."""
+    return window if window > 0 else max(requested, 1)
+
+
+class _Mirror:
+    """One observed stream's private slab row, with its cursor and version token.
+
+    :meth:`sync` is the one sync step of both observers; the windowed
+    rate, the liveness stamp and the health class are then read for every
+    row at once by :meth:`Arena.snapshot_since_all` and
+    :func:`classify_codes`.
+    """
+
+    __slots__ = ("cursor", "version", "slab", "index", "ring")
+
+    def __init__(self) -> None:
         self.cursor: SnapshotCursor | None = None
         self.version: object | None = None
-        self.ring = np.zeros(max(self.requested, 2), dtype=np.float64)
-        self.seen = 0  # timestamps ever written into the ring
-        self.dw = max(self.requested, 1)  # effective default window
-        self.rate = 0.0
-        self.total = 0
-        self.retained = 0
-        self.tmin = 0.0
-        self.tmax = 0.0
-        self.last_ts = math.nan
+        self.slab: _Slab | None = None
+        self.index = -1
+        self.ring: Ring | None = None
 
-    def apply(self, delta: DeltaSnapshot, cursor: SnapshotCursor) -> bool:
-        """Fold one delta into the cached rolling state.
+    def sync(
+        self, pool: _SlabPool, delta_source: DeltaSource, probe: ProbeSource | None, requested: int
+    ) -> None:
+        """Replay what the source produced since the last sync into the row.
 
-        Returns True when the ring covers every timestamp the effective
-        window can ask for.  False means the rate would be computed over too
-        few beats — the producer grew its default window past what the ring
-        retained — and the caller must re-read with a fresh cursor (a full
-        resync refills the ring from the backend's retained history).
+        An unchanged ``version`` token skips the read.  Otherwise the delta
+        since the cursor lands by :class:`DeltaSnapshot`'s replay rule: a
+        resync restarts the row at the delta's first beat, an increment
+        appends, and ``held`` trims to what the source retains.  A window
+        that outgrew the row moves the stream once, with a full resync.  A
+        read that raises leaves the cursor unset, so the next one resyncs.
         """
-        self.cursor = cursor
-        self.total = delta.total_beats
-        self.retained = delta.retained
-        self.tmin = delta.target_min
-        self.tmax = delta.target_max
-        dw = delta.default_window if delta.default_window > 0 else max(self.requested, 1)
-        if delta.resync:
-            self.seen = 0
-        if dw != self.dw or dw > self.ring.shape[0]:
-            self._resize(max(dw, 2))
-        self.dw = dw
-        timestamps = delta.records["timestamp"]
-        k = int(timestamps.shape[0])
-        cap = self.ring.shape[0]
-        if k:
-            place(self.ring, 0, cap, self.seen, timestamps)
-            self.seen += k
-            self.last_ts = float(self.ring[(self.seen - 1) % cap])
-        elif self.seen == 0:
-            self.last_ts = math.nan
-        self.rate = self._rate_for(self.requested)
-        return min(self.seen, cap) >= min(self.retained, self.dw)
-
-    def consume(self, delta_source: DeltaSource) -> None:
-        """Read and fold the next delta, resyncing in full when needed.
-
-        The one consume protocol shared by the monitor and the aggregator:
-        when :meth:`apply` reports the ring cannot cover the effective
-        window (the producer grew its default window past what the ring
-        retained), re-read with a fresh cursor so a full resync refills the
-        ring from the backend's retained history.
-        """
-        delta, cursor = delta_source(self.cursor)
-        if not self.apply(delta, cursor):
-            delta, cursor = delta_source(None)
-            self.apply(delta, cursor)
-
-    def reading(self, now: float, liveness_timeout: float | None) -> MonitorReading:
-        """Classify the cached state exactly like :func:`reading_from_snapshot`."""
-        no_beats = math.isnan(self.last_ts)
-        age = None if no_beats else now - self.last_ts
-        return MonitorReading(
-            rate=self.rate,
-            total_beats=self.total,
-            target_min=self.tmin,
-            target_max=self.tmax,
-            last_timestamp=None if no_beats else self.last_ts,
-            age=age,
-            status=classify(
-                self.rate, self.retained, self.tmin, self.tmax, age, liveness_timeout
-            ),
-        )
-
-    def _rate_for(self, requested: int) -> float:
-        effective = resolve_window(requested, self.dw, self.retained)
-        entries = min(self.seen, self.ring.shape[0])
-        if effective > entries:  # pragma: no cover - defensive; ring covers dw
-            effective = entries
-        if effective < 2:
-            return 0.0
-        cap = self.ring.shape[0]
-        last = float(self.ring[(self.seen - 1) % cap])
-        first = float(self.ring[(self.seen - effective) % cap])
-        span = last - first
-        if span < 0:
-            raise ValueError("timestamps are not sorted in non-decreasing order")
-        if span == 0.0:
-            return 0.0
-        return (effective - 1) / span
-
-    def _resize(self, cap: int) -> None:
-        """Grow (or shrink) the ring, preserving the newest timestamps."""
-        entries = min(self.seen, self.ring.shape[0])
-        if entries:
-            end = self.seen % self.ring.shape[0]
-            if self.seen <= self.ring.shape[0]:
-                ordered = self.ring[:entries].copy()
-            elif end == 0:
-                ordered = self.ring.copy()
-            else:
-                ordered = np.concatenate((self.ring[end:], self.ring[:end]))
-        else:
-            ordered = self.ring[:0]
-        keep = min(int(ordered.shape[0]), cap)
-        ring = np.zeros(cap, dtype=np.float64)
-        ring[:keep] = ordered[ordered.shape[0] - keep :]
-        self.ring = ring
-        self.seen = keep
+        version = None
+        if probe is not None:
+            try:
+                version = probe()
+            except HeartbeatError:
+                pass  # let the delta read report the failure
+        cursor, ring = self.cursor, self.ring
+        if cursor is not None and version is not None and version == self.version:
+            window = ring.words[ring.window_at]  # type: ignore[union-attr]
+            if (window if window > 0 else requested) <= ring.capacity:  # type: ignore[union-attr]
+                return  # no new beats, no goal change, and the row holds the window
+        self.cursor = None
+        delta, cursor = delta_source(cursor)
+        need = _need(delta.default_window, requested)
+        if ring is None or need > ring.capacity:
+            if ring is not None:  # the window outgrew the row: move, with a full resync
+                pool.give(self.slab, self.index)  # type: ignore[arg-type]
+                self.slab = self.ring = None
+                delta, cursor = delta_source(None)
+                need = max(need, _need(delta.default_window, requested))
+            self.slab, self.index = pool.take(need)
+            ring = self.ring = self.slab.arena._ring(self.index)
+        records = delta.records[-ring.capacity :]
+        if delta.resync or records.shape[0] < delta.new:
+            ring.total = ring.words[ring.total_at] = delta.total_beats - records.shape[0]
+        ring.append_many(records)
+        ring.words[ring.window_at] = delta.default_window
+        ring.reals[ring.window_at + 1] = delta.target_min
+        ring.reals[ring.window_at + 2] = delta.target_max
+        self.slab.held[self.index] = delta.retained  # type: ignore[union-attr]
+        self.cursor, self.version = cursor, version
 
 
 class HeartbeatMonitor:
@@ -303,11 +277,13 @@ class HeartbeatMonitor:
     :meth:`read` re-polls the source, so a monitor held by a scheduler
     naturally tracks the application over time.
 
-    :meth:`read` polls incrementally: the source's ``snapshot_since`` (found
-    with :func:`repro.core.stream.capabilities_of`) delivers only the beats
-    produced since the previous read, and two equal ``version`` tokens skip
-    even that on an idle stream.  A source with neither is re-snapshotted in
-    full and read through the same path.
+    :meth:`read` is the aggregator's read path for one row: the source's
+    ``snapshot_since`` (found with :func:`repro.core.stream.capabilities_of`)
+    delivers only the beats produced since the previous read into a private
+    slab row — two equal ``version`` tokens skip even that on an idle
+    stream — and :meth:`Arena.snapshot_since_all` and :func:`classify_codes`
+    read the row.  A source with neither is re-snapshotted in full and read
+    through the same path.
 
     The monitor is itself a ``StreamSource`` (:meth:`snapshot`,
     :meth:`snapshot_since`, :meth:`version` forward to what it observes), so
@@ -349,7 +325,8 @@ class HeartbeatMonitor:
         self._clock = clock if clock is not None else WallClock()
         self._window = int(window)
         self._liveness_timeout = liveness_timeout
-        self._state: StreamDeltaState | None = None
+        self._pool = _SlabPool(first_bytes=0)  # one stream, one row
+        self._mirror = _Mirror()
 
     # ------------------------------------------------------------------ #
     # Attachment constructors
@@ -402,30 +379,25 @@ class HeartbeatMonitor:
     def read(self, window: int | None = None) -> MonitorReading:
         """Poll the source and classify the application's current health.
 
-        Only the beats produced since the previous ``read`` are fetched and
-        folded into cached rolling-window state, so a steady poll costs
-        O(new beats) instead of O(history).  A ``window`` override different
-        from the monitor's configured window is answered from a full
-        snapshot instead (the cached state is sized for one window).
+        Only the beats produced since the previous ``read`` are fetched, so
+        a steady poll costs O(new beats) instead of O(history).  Raises what
+        the source raises, and ``ValueError`` when the rate window holds a
+        backwards timestamp.
         """
         requested = self._window if window is None else int(window)
-        if requested != self._window:
-            return reading_from_snapshot(
-                self._source(),
-                now=self._clock.now(),
-                window=requested,
-                liveness_timeout=self._liveness_timeout,
-            )
-        state = self._state
-        if state is None:
-            state = self._state = StreamDeltaState(self._window)
-        version = self.version()
-        # Probe *before* the read: a beat landing in between is consumed now
-        # and read again next time — never the other way around.
-        if state.cursor is None or version is None or version != state.version:
-            state.consume(self._delta)
-            state.version = version
-        return state.reading(self._clock.now(), self._liveness_timeout)
+        mirror = self._mirror
+        mirror.sync(self._pool, self._delta, self._probe, requested)
+        slab, i = mirror.slab, slice(mirror.index, mirror.index + 1)
+        fleet = slab.arena.snapshot_since_all(  # type: ignore[union-attr]
+            window=requested, include_records=False, held=slab.held  # type: ignore[union-attr]
+        )
+        rate, last_ts = fleet.rate[i], fleet.last_timestamp[i]
+        if np.isnan(rate[0]):
+            raise ValueError("timestamps are not sorted in non-decreasing order")
+        age = self._clock.now() - last_ts
+        tmin, tmax = fleet.target_min[i], fleet.target_max[i]
+        codes = classify_codes(rate, fleet.retained[i], tmin, tmax, age, self._liveness_timeout)
+        return next(_rows((rate, fleet.totals[i], tmin, tmax, last_ts, age, codes)))
 
     def snapshot(self) -> BackendSnapshot:
         """A full snapshot of the observed stream."""
@@ -452,20 +424,12 @@ class HeartbeatMonitor:
 
     def get_history(self, n: int | None = None) -> list[HeartbeatRecord]:
         """The last ``n`` observed heartbeat records."""
-        snap = self._source()
-        records = snap.records
-        if n is not None and n < records.shape[0]:
-            records = records[records.shape[0] - n :]
-        return array_to_records(records)
+        return array_to_records(self.history_array(n))
 
     def history_array(self, n: int | None = None) -> np.ndarray:
-        snap = self._source()
-        records = snap.records
-        if n is not None and n < records.shape[0]:
-            records = records[records.shape[0] - n :]
-        if records.dtype != RECORD_DTYPE:  # pragma: no cover - defensive
-            records = records.astype(RECORD_DTYPE)
-        return records
+        """The last ``n`` observed records as a structured array."""
+        records = self._source().records
+        return records if n is None or n >= records.shape[0] else records[records.shape[0] - n :]
 
     def is_alive(self, timeout: float) -> bool:
         """True when a beat has been observed within the last ``timeout`` seconds."""

@@ -249,20 +249,35 @@ class TestFailureIsolation:
             assert list(sample.names) == ["healthy"]
             assert "malformed" in sample.errors["log"]
 
-    @pytest.mark.parametrize("healthy", [1, 2])
-    def test_backwards_timestamp_poisons_only_its_own_stream(self, healthy):
+    @pytest.mark.parametrize(
+        ("healthy", "route"),
+        [
+            pytest.param(1, "object", id="1"),
+            pytest.param(2, "object", id="2"),
+            pytest.param(1, "arena", id="arena-1"),
+            pytest.param(2, "arena", id="arena-2"),
+        ],
+    )
+    def test_backwards_timestamp_poisons_only_its_own_stream(self, healthy, route):
         """A backwards stamp inside one stream's rate window (wall-clock
         step, clock-skewed relay) lands that stream in ``errors``; the rest
         of the fleet is still sampled, and the stream recovers by a full
         resync once the bad stamp has left its window.  With two healthy
         streams the poisoned one sits between them, so the sample's columns
-        must close over the gap it leaves."""
+        must close over the gap it leaves.  The rule is the same whether the
+        streams are per-object sources or rows of an attached slab."""
         from repro.clock import ManualClock
-        from repro.core.backends import MemoryBackend
+        from repro.core.backends import Arena, MemoryBackend
 
-        goods = {f"good{i}": MemoryBackend(16) for i in range(healthy)}
-        bad = MemoryBackend(16)
-        for backend in (*goods.values(), bad):
+        names = ["good0", "bad", "good1"][: healthy + 1]
+        if route == "arena":
+            arena = Arena(streams=4, depth=16)
+            backends = {name: arena.allocate(name) for name in names}
+        else:
+            backends = {name: MemoryBackend(16) for name in names}
+        goods = {name: backend for name, backend in backends.items() if name != "bad"}
+        bad = backends["bad"]
+        for backend in backends.values():
             backend.set_default_window(4)
         for good in goods.values():
             for beat, stamp in enumerate((10.0, 11.0, 12.0, 13.0)):
@@ -270,10 +285,11 @@ class TestFailureIsolation:
         for beat, stamp in enumerate((10.0, 11.0, 12.0, 3.0)):
             bad.append(beat, stamp, 0, 1)
         with HeartbeatAggregator(clock=ManualClock(13.0)) as agg:
-            agg.attach_stream("good0", goods["good0"])
-            agg.attach_stream("bad", bad)
-            if healthy == 2:
-                agg.attach_stream("good1", goods["good1"])
+            if route == "arena":
+                agg.attach_arena(arena, own=True)
+            else:
+                for name, backend in backends.items():
+                    agg.attach_stream(name, backend)
             for _ in range(2):  # the poisoned state is not kept between polls
                 sample = agg.poll()
                 assert sample.names == tuple(goods)
@@ -286,6 +302,44 @@ class TestFailureIsolation:
             assert sample.errors == {}
             assert sample.reading("bad").rate == pytest.approx(1.0)
             assert sample.reading("bad").total_beats == 8
+
+    def test_a_move_whose_resync_fails_frees_its_row_once(self, sim_clock):
+        """A window that outgrew its row moves the stream with a full
+        re-read; when that re-read fails the stream is an error, and its
+        old row is freed exactly once — no two streams ever share a row."""
+        from repro.core.backends import MemoryBackend
+
+        class Flaky:
+            def __init__(self, backend):
+                self.backend, self.fail_full_reads = backend, False
+                self.snapshot, self.version = backend.snapshot, backend.version
+
+            def snapshot_since(self, cursor=None):
+                if cursor is None and self.fail_full_reads:
+                    raise HeartbeatError("full re-read failed")
+                return self.backend.snapshot_since(cursor)
+
+        backends = {name: MemoryBackend(64) for name in ("flaky", "b", "c", "d")}
+        flaky = Flaky(backends["flaky"])
+        with HeartbeatAggregator(clock=sim_clock) as agg:
+            agg.attach_stream("flaky", flaky)
+            agg.attach_stream("b", backends["b"])
+            for name, backend in backends.items():
+                backend.set_default_window(4)
+                for beat in range(10):
+                    backend.append(beat, float(beat), 0, 1)
+            agg.poll()
+            backends["flaky"].set_default_window(40)  # past the 4-deep row
+            flaky.fail_full_reads = True
+            for _ in range(2):
+                assert "full re-read failed" in agg.poll().errors["flaky"]
+            agg.detach("flaky")
+            agg.attach_stream("c", backends["c"])
+            agg.attach_stream("d", backends["d"])
+            sample = agg.poll()
+            assert sample.names == ("b", "c", "d") and sample.errors == {}
+            rows = {(id(s.slab), s.index) for s in agg._streams.values()}
+            assert len(rows) == 3
 
     def test_contains_agrees_with_names_and_len_for_arena_rows(self, sim_clock):
         from repro.core.backends import Arena
@@ -309,6 +363,27 @@ class TestFailureIsolation:
         assert sample.reading("s0").rate > 0
         with pytest.raises(KeyError):
             sample.reading("absent")
+
+
+class TestMetrics:
+    def test_streams_gauge_counts_every_stream_of_a_mixed_fleet(self, sim_clock):
+        """``aggregator_streams`` is ``len(aggregator)``: per-object streams
+        and attached slab rows alike, as ``/metrics`` renders it."""
+        from repro.core.backends import Arena
+
+        arena = Arena(streams=4, depth=8)
+        for name in ("r0", "r1", "r2"):
+            arena.allocate(name)
+        with HeartbeatAggregator(clock=sim_clock) as agg:
+            agg.attach_stream("object", Heartbeat(window=5, clock=sim_clock))
+            agg.attach_arena(arena, prefix="slab/", own=True)
+            agg.poll()
+            assert len(agg) == 4
+            gauge = [
+                line for line in agg.metrics.render_text().splitlines()
+                if line.startswith("aggregator_streams ")
+            ]
+            assert len(gauge) == 1 and float(gauge[0].split()[1]) == 4.0
 
 
 class TestLifecycle:

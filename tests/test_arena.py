@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+from model import StreamModel
 
 from repro.clock import WallClock
 from repro.core.aggregator import HeartbeatAggregator
@@ -27,7 +28,6 @@ from repro.core.backends.arena import (
 )
 from repro.core.errors import BackendError, InvalidWindowError
 from repro.core.heartbeat import Heartbeat
-from repro.core.monitor import StreamDeltaState
 from repro.core.record import RECORD_DTYPE
 from repro.endpoints import (
     Endpoint,
@@ -94,12 +94,11 @@ class TestGeometry:
 
 class TestSnapshotSinceAll:
     def test_matches_scalar_reads_exactly(self):
-        """The one equivalence that matters: fleet columns == per-row reads.
+        """Fleet columns == ``tests/model.py`` over each row's own snapshot.
 
         Rate, totals, targets and last timestamps from the vectorized pass
-        must match a ``StreamDeltaState`` consuming each row individually —
-        same window-resolution rule, same cursor arithmetic — including rows
-        that wrapped, rows still warming up, and empty rows.
+        must match the model of each row — same window-resolution rule —
+        including rows that wrapped, rows still warming up, and empty rows.
         """
         with Arena(streams=6, depth=8) as arena:
             rows = [arena.allocate(f"s{i}") for i in range(5)]
@@ -110,17 +109,16 @@ class TestSnapshotSinceAll:
                 fill(row, n)
             fleet = arena.snapshot_since_all(None, window=0)
             for i, row in enumerate(rows):
-                state = StreamDeltaState(0)
-                state.consume(row.snapshot_since)
-                assert fleet.totals[i] == state.total
-                assert fleet.retained[i] == state.retained
-                assert fleet.rate[i] == pytest.approx(state.rate, abs=1e-12)
-                if state.last_ts is None or np.isnan(state.last_ts):
+                model = StreamModel.of(row.snapshot())
+                assert fleet.totals[i] == model.total
+                assert fleet.retained[i] == len(model.stamps)
+                assert fleet.rate[i] == model.rate()
+                if model.last is None:
                     assert np.isnan(fleet.last_timestamp[i])
                 else:
-                    assert fleet.last_timestamp[i] == state.last_ts
-                assert fleet.target_min[i] == state.tmin
-                assert fleet.target_max[i] == state.tmax
+                    assert fleet.last_timestamp[i] == model.last
+                assert fleet.target_min[i] == model.target_min
+                assert fleet.target_max[i] == model.target_max
 
     def test_cursor_delta_and_lap_resync(self):
         with Arena(streams=2, depth=8) as arena:
@@ -241,6 +239,11 @@ class TestAggregatorArenaPath:
                 assert sorted(sample.names) == [f"fleet/svc-{i}" for i in range(4)]
                 assert all(r.total_beats == 10 for _, r in sample)
                 assert sample.reading("fleet/svc-0").rate == pytest.approx(10.0, rel=0.2)
+                for i in range(4):  # each row reads as the model of its snapshot
+                    model = StreamModel.of(arena.row(i).snapshot())
+                    assert sample.reading(f"fleet/svc-{i}") == model.reading(
+                        sample.taken_at, liveness=60.0
+                    )
 
                 # A row allocated after attachment appears on the next poll.
                 arena.allocate("late").append(0, clock.now(), 0, 0)

@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 import pytest
+from model import StreamModel
 
 from repro.clock import ManualClock
 from repro.core.aggregator import HeartbeatAggregator, classify_codes
@@ -31,7 +32,7 @@ from repro.core.backends.base import delta_from_snapshot
 from repro.core.backends.file import FileReader, tail_heartbeat_log
 from repro.core.backends.shared_memory import SharedMemoryReader
 from repro.core.heartbeat import Heartbeat
-from repro.core.monitor import HealthStatus, HeartbeatMonitor, classify, reading_from_snapshot
+from repro.core.monitor import HealthStatus, HeartbeatMonitor
 from repro.core.record import RECORD_DTYPE
 from repro.net import HeartbeatCollector, NetworkBackend
 
@@ -122,9 +123,9 @@ class _CollectorHarness:
 
 def full_snapshot_reading(source, *, now, window=0, liveness_timeout=None):
     """The full-snapshot oracle: one stream's whole retained history, read
-    and classified from scratch — what every incremental read must equal."""
-    return reading_from_snapshot(
-        source.snapshot(), now=now, window=window, liveness_timeout=liveness_timeout
+    and classified by ``tests/model.py`` — what every observer must equal."""
+    return StreamModel.of(source.snapshot()).reading(
+        now, requested=window, liveness=liveness_timeout
     )
 
 
@@ -939,7 +940,7 @@ class TestOneDoor:
     def test_every_source_kind_matches_the_full_snapshot_oracle(
         self, kind, tmp_path, monkeypatch
     ):
-        from repro.core.monitor import StreamDeltaState
+        from repro.core.monitor import _Mirror
 
         clock = ManualClock()
         cleanup: list = []
@@ -955,13 +956,16 @@ class TestOneDoor:
             reference = source if hasattr(source, "snapshot") else writer
 
             reads = {"n": 0}
-            consume = StreamDeltaState.consume
+            sync = _Mirror.sync
 
-            def counting(state, delta_source):
-                reads["n"] += 1
-                return consume(state, delta_source)
+            def counting(mirror, pool, delta_source, probe, requested):
+                def counted(cursor):
+                    reads["n"] += 1
+                    return delta_source(cursor)
 
-            monkeypatch.setattr(StreamDeltaState, "consume", counting)
+                return sync(mirror, pool, counted, probe, requested)
+
+            monkeypatch.setattr(_Mirror, "sync", counting)
 
             def check():
                 expected = full_snapshot_reading(
@@ -992,8 +996,8 @@ class TestOneDoor:
             check()
             assert reads["n"] == (2 if kind == "callable" else 0)
 
-            # The producer grows its default window past what the rolling
-            # state retained: consume() retries with a fresh cursor.
+            # The producer grows its default window past the observer's row:
+            # the stream moves to a deeper row with a fresh cursor.
             writer.set_default_window(50)
             clock.time += 0.1
             writer.append(beat, clock.time, 0, 1)
@@ -1008,6 +1012,7 @@ class TestOneDoor:
 
 class TestVectorizedClassification:
     def test_matches_scalar_rule_everywhere(self):
+        """``classify_codes`` equals the model's health rule, case by case."""
         cases = []
         for retained in (0, 1, 5):
             for rate in (0.0, 1.0, 5.0, 20.0):
@@ -1016,7 +1021,7 @@ class TestVectorizedClassification:
                         cases.append((rate, retained, tmin, tmax, age))
         for timeout in (None, 2.0):
             expected = [
-                classify(rate, retained, tmin, tmax, age, timeout)
+                StreamModel(None, [0.0] * retained, 0, tmin, tmax).status(rate, age, timeout)
                 for rate, retained, tmin, tmax, age in cases
             ]
             codes = classify_codes(
@@ -1027,13 +1032,13 @@ class TestVectorizedClassification:
                 np.array([np.nan if c[4] is None else c[4] for c in cases]),
                 timeout,
             )
-            from repro.core.aggregator import _STATUS_BY_CODE
+            from repro.core.monitor import _STATUS_BY_CODE
 
             got = [_STATUS_BY_CODE[code] for code in codes]
             assert got == expected
 
     def test_reading_from_snapshot_agrees_with_delta_state(self):
-        """End-to-end: snapshot classification == delta-state classification."""
+        """End-to-end: the monitor's read == the model of a full snapshot."""
         clock = ManualClock()
         hb = Heartbeat(window=8, clock=clock)
         hb.set_target_rate(3.0, 12.0)
@@ -1041,7 +1046,5 @@ class TestVectorizedClassification:
         for i in range(30):
             clock.time = i * 0.2
             hb.heartbeat()
-            expected = reading_from_snapshot(
-                hb.backend.snapshot(), now=clock.now(), window=0, liveness_timeout=4.0
-            )
+            expected = full_snapshot_reading(hb.backend, now=clock.now(), liveness_timeout=4.0)
             assert monitor.read() == expected

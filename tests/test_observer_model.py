@@ -1,0 +1,325 @@
+"""Every local observer route against ``tests/model.py``.
+
+One state machine drives five streams — a ``mem://`` backend, an ``shm://``
+segment seen through a ``SharedMemoryReader``, a ``file://`` log seen
+through a ``FileReader``, a row of an attached ``mem-arena`` slab and a
+``Heartbeat`` — through beats, batches, backwards stamps, goal and window
+changes (past the observer's row depth and past the source's capacity),
+laps, log truncation and rotation, and detach / re-attach.  After every
+poll each ``FleetSample`` row and each ``HeartbeatMonitor.read()``, at the
+default window and at an explicit one, must equal :class:`StreamModel`.
+
+Tier-1 runs a fixed-seed profile; the ``slow`` twin explores.  Two fixed
+cases pin what the machine cannot schedule: a read a writer overlaps (the
+source's ``retained`` shrinks mid-read), and rows filling their slabs.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
+from model import BACKWARDS, StreamModel
+
+from repro.clock import ManualClock
+from repro.core.aggregator import HeartbeatAggregator
+from repro.core.backends import Arena, FileBackend, MemoryBackend, SharedMemoryBackend
+from repro.core.backends.file import FileReader
+from repro.core.backends.shared_memory import SharedMemoryReader
+from repro.core.heartbeat import Heartbeat
+from repro.core.monitor import HeartbeatMonitor
+from repro.core.record import RECORD_DTYPE
+
+LIVENESS = 5.0
+KINDS = ("mem", "shm", "file", "arena", "hb")
+#: Retained beats per kind (``None``: a log keeps every line).
+CAPACITY = {"mem": 8, "shm": 16, "file": None, "arena": 8, "hb": 8}
+#: Published windows: inside the row, past a row's depth, past every capacity.
+WINDOWS = st.sampled_from([1, 2, 3, 4, 5, 9, 17, 40])
+
+
+class _Route:
+    """One stream: what the test writes through, what observers attach to."""
+
+    def __init__(self, kind: str, machine: "ObserverMachine") -> None:
+        self.kind = kind
+        self.name = kind
+        self.model = StreamModel(CAPACITY[kind])
+        self.beat = 0
+        self.rotations = 0
+        self.attached = True
+        clock, directory = machine.clock, machine.directory
+        if kind == "mem":
+            self.writer = self.source = MemoryBackend(8)
+        elif kind == "shm":
+            self.writer = SharedMemoryBackend(capacity=16)
+            self.source = SharedMemoryReader(self.writer.name)
+        elif kind == "file":
+            self.path = os.path.join(directory, "stream.hblog")
+            self.writer = FileBackend(self.path, buffered=False)
+            self.source = FileReader(self.path)
+        elif kind == "arena":
+            self.arena = Arena(streams=2, depth=8)
+            self.writer = self.arena.allocate("row")
+            self.source = self.arena.row(0)
+            self.name = "arena/row"
+        else:
+            self.hb = Heartbeat(window=4, clock=clock, history=8, name="hb")
+            self.writer, self.source = self.hb.backend, self.hb
+            self.model.window = 4
+        self.monitor = HeartbeatMonitor(self.source, clock=clock, liveness_timeout=LIVENESS)
+
+    def append(self, stamp: float, clock: ManualClock) -> None:
+        if stamp > clock.now():
+            clock.time = stamp  # the clock follows the writes; a Heartbeat stamps with it
+        if self.kind == "hb":
+            self.hb.heartbeat()
+        else:
+            self.writer.append(self.beat, stamp, 0, 1)
+        self.beat += 1
+        self.model.beat(stamp)
+
+    def append_many(self, stamps: list[float], clock: ManualClock) -> None:
+        if self.kind == "hb":
+            for stamp in stamps:
+                self.append(stamp, clock)
+            return
+        clock.time = max(clock.now(), stamps[-1])
+        records = np.zeros(len(stamps), dtype=RECORD_DTYPE)
+        records["beat"] = np.arange(self.beat, self.beat + len(stamps))
+        records["timestamp"] = stamps
+        records["thread_id"] = 1
+        self.writer.append_many(records)
+        self.beat += len(stamps)
+        for stamp in stamps:
+            self.model.beat(stamp)
+
+    def close(self) -> None:
+        if self.kind == "shm":
+            self.source.close()
+        if self.kind == "arena":
+            self.arena.close()
+        elif self.kind != "hb":
+            self.writer.close()
+
+
+class ObserverMachine(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.clock = ManualClock(100.0)
+        self.directory = tempfile.mkdtemp(prefix="hb-model-")
+        self.aggregator = HeartbeatAggregator(clock=self.clock, liveness_timeout=LIVENESS)
+        self.routes = {kind: _Route(kind, self) for kind in KINDS}
+        for route in self.routes.values():
+            if route.kind == "arena":
+                self.aggregator.attach_arena(route.arena, prefix="arena/")
+            else:
+                self.aggregator.attach_stream(route.name, route.source)
+
+    @initialize()
+    def seed_goals(self) -> None:
+        for route in self.routes.values():
+            self._targets(route, 2.0, 50.0)
+
+    def teardown(self) -> None:
+        self.aggregator.close()
+        for route in self.routes.values():
+            route.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    # ------------------------------------------------------------------ #
+    # What producers do
+    # ------------------------------------------------------------------ #
+    def _stamps(self, count: int, dt: float) -> list[float]:
+        """``count`` stamps ``dt`` apart after now."""
+        now = self.clock.now()
+        return [now + dt * (i + 1) for i in range(count)]
+
+    @rule(kind=st.sampled_from(KINDS), dt=st.sampled_from([0.0, 0.05, 0.1, 0.5, 2.0]))
+    def beat(self, kind: str, dt: float) -> None:
+        self.routes[kind].append(self._stamps(1, dt)[0], self.clock)
+
+    @rule(kind=st.sampled_from(KINDS), count=st.integers(1, 12), dt=st.sampled_from([0.01, 0.1]))
+    def batch(self, kind: str, count: int, dt: float) -> None:
+        self.routes[kind].append_many(self._stamps(count, dt), self.clock)
+
+    @rule(kind=st.sampled_from(("mem", "shm", "file", "arena")), back=st.sampled_from([0.5, 3.0]))
+    def backwards(self, kind: str, back: float) -> None:
+        """A stamp older than the last one (a stepped wall clock)."""
+        route = self.routes[kind]
+        last = route.model.last
+        route.append(self.clock.now() - back if last is None else last - back, self.clock)
+
+    @rule(kind=st.sampled_from(("mem", "shm", "arena", "hb")), extra=st.integers(1, 20))
+    def lap(self, kind: str, extra: int) -> None:
+        """More beats than the storage holds, all between two polls."""
+        route = self.routes[kind]
+        route.append_many(self._stamps(route.model.capacity + extra, 0.02), self.clock)
+
+    def _targets(self, route: _Route, low: float, high: float) -> None:
+        route.writer.set_targets(low, high)
+        route.model.target_min, route.model.target_max = low, high
+
+    @rule(
+        kind=st.sampled_from(KINDS),
+        goal=st.sampled_from([(0.0, 0.0), (2.0, 50.0), (20.0, 0.0), (0.0, 3.0), (5.0, 8.0)]),
+    )
+    def set_targets(self, kind: str, goal: tuple[float, float]) -> None:
+        self._targets(self.routes[kind], *goal)
+
+    @rule(kind=st.sampled_from(KINDS), window=WINDOWS)
+    def set_window(self, kind: str, window: int) -> None:
+        route = self.routes[kind]
+        route.writer.set_default_window(window)
+        route.model.window = window
+
+    @rule(rotate=st.booleans(), beats=st.integers(0, 6))
+    def restart_log(self, rotate: bool, beats: int) -> None:
+        """Truncate the log in place, or rotate it away, and write afresh.
+
+        Beat numbers keep counting across the restart: a reader tells an
+        in-place restart from a continuation by the beat number ending at its
+        cursor (``tail_heartbeat_log``), so a log that regrew byte for byte
+        to the same beat number is, by that rule, a continuation.
+        """
+        route = self.routes["file"]
+        route.writer.close()
+        if rotate:  # the old inode lives on under another name
+            route.rotations += 1
+            os.rename(route.path, f"{route.path}.{route.rotations}")
+        route.writer = FileBackend(route.path, buffered=False)
+        route.model.restart()
+        for stamp in self._stamps(beats, 0.1):
+            route.append(stamp, self.clock)
+
+    @rule(dt=st.sampled_from([0.5, 3.0, 6.0]))
+    def idle(self, dt: float) -> None:
+        self.clock.time = self.clock.now() + dt
+
+    # ------------------------------------------------------------------ #
+    # What observers do
+    # ------------------------------------------------------------------ #
+    @precondition(lambda self: any(r.attached for r in self.routes.values() if r.kind != "arena"))
+    @rule(data=st.data())
+    def detach(self, data: st.DataObject) -> None:
+        names = sorted(r.kind for r in self.routes.values() if r.attached and r.kind != "arena")
+        route = self.routes[data.draw(st.sampled_from(names))]
+        self.aggregator.detach(route.name)
+        route.attached = False
+
+    @precondition(lambda self: any(not r.attached for r in self.routes.values()))
+    @rule(data=st.data())
+    def reattach(self, data: st.DataObject) -> None:
+        names = sorted(r.kind for r in self.routes.values() if not r.attached)
+        route = self.routes[data.draw(st.sampled_from(names))]
+        self.aggregator.attach_stream(route.name, route.source)
+        route.monitor = HeartbeatMonitor(route.source, clock=self.clock, liveness_timeout=LIVENESS)
+        route.attached = True
+
+    @rule(requested=st.sampled_from([1, 2, 3, 6, 12]))
+    def poll(self, requested: int) -> None:
+        now = self.clock.now()
+        sample = self.aggregator.poll()
+        expected = {
+            route.name: route.model.reading(now, liveness=LIVENESS)
+            for route in self.routes.values()
+            if route.attached
+        }
+        assert set(sample.names) == {n for n, r in expected.items() if r != BACKWARDS}
+        assert set(sample.errors) == {n for n, r in expected.items() if r == BACKWARDS}
+        for name in sample.names:
+            assert sample.reading(name) == expected[name], name
+        for route in self.routes.values():
+            if not route.attached:
+                continue
+            for window in (0, requested):
+                want = route.model.reading(now, requested=window, liveness=LIVENESS)
+                if want == BACKWARDS:
+                    with pytest.raises(ValueError, match="not sorted"):
+                        route.monitor.read(window)
+                else:
+                    assert route.monitor.read(window) == want, (route.name, window)
+
+
+def test_a_read_a_writer_overlapped_keeps_only_what_the_source_still_held(monkeypatch):
+    """An ``shm://`` read that a writer laps mid-copy reports a shortened
+    ``retained``: the observer's rate window must shrink with it, never
+    reach into row slots the delta did not fill."""
+    from repro.core.backends.ring import Ring
+
+    clock = ManualClock(100.0)
+    writer = SharedMemoryBackend(capacity=16)
+    reader = SharedMemoryReader(writer.name)
+    try:
+        writer.set_default_window(10)
+        stamps = [100.0 + 0.1 * i for i in range(34)]
+        for beat, stamp in enumerate(stamps[:20]):
+            writer.append(beat, stamp, 0, 1)
+        real = Ring._copy_last
+
+        def overlapped(ring, total, count):
+            copied = real(ring, total, count)
+            monkeypatch.setattr(Ring, "_copy_last", real)
+            for beat in range(20, 34):  # 14 beats land while the read settles
+                writer.append(beat, stamps[beat], 0, 1)
+            return copied
+
+        monkeypatch.setattr(Ring, "_copy_last", overlapped)
+        clock.time = stamps[33]
+        reading = HeartbeatMonitor(reader, clock=clock).read()
+        model = StreamModel(None, stamps[18:20], 20, window=10)  # 2 of 16 left intact
+        assert reading == model.reading(clock.now())
+    finally:
+        reader.close()
+        writer.close()
+
+
+def test_rows_sit_in_their_window_class_and_full_slabs_chain():
+    """A stream's row is as deep as the smallest power of two holding its
+    published window, whatever the fleet's largest; a full slab chains one
+    with twice the rows; every row still reads as the model."""
+    clock = ManualClock(100.0)
+    backends = [MemoryBackend(64) for _ in range(150)]
+    with HeartbeatAggregator(clock=clock) as aggregator:
+        for i, backend in enumerate(backends):
+            backend.set_default_window(40 if i % 3 == 0 else 3)
+            for beat in range(i % 7 + 1):
+                backend.append(beat, 100.0 + 0.1 * beat + 0.001 * i, 0, 1)
+            aggregator.attach_stream(f"s{i}", backend)
+        sample = aggregator.poll()
+        for i, backend in enumerate(backends):
+            model = StreamModel.of(backend.snapshot())
+            assert sample.reading(f"s{i}") == model.reading(clock.now())
+        depths = [stream.ring.capacity for stream in aggregator._streams.values()]
+        assert depths == [64 if i % 3 == 0 else 4 for i in range(150)]
+        chains = aggregator._pool.chains
+        assert sorted(chains) == [4, 64]
+        for chain in chains.values():
+            rows = [slab.arena.streams for slab in chain]
+            assert rows == [rows[0] << k for k in range(len(rows))]
+        assert len(chains[64]) > 1  # fifty 64-deep rows outgrew the first slab
+
+
+def _run(**profile: object) -> None:
+    machine = ObserverMachine
+    machine.TestCase.settings = settings(
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+        **profile,  # type: ignore[arg-type]
+    )
+    machine.TestCase().runTest()
+
+
+def test_every_local_route_matches_the_model():
+    _run(max_examples=60, stateful_step_count=40, derandomize=True, database=None)
+
+
+@pytest.mark.slow
+def test_every_local_route_matches_the_model_exploring():
+    _run(max_examples=300, stateful_step_count=50)
