@@ -159,9 +159,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--arena",
         default=None,
         metavar="URL",
-        help="back registered streams with one columnar arena slab "
+        help="keep registered streams in this arena slab first "
         "(mem-arena://name?streams=N&depth=D, or shm-arena:// to let other "
-        "processes observe the slab) instead of per-stream buffers",
+        "processes observe it) instead of private slabs",
     )
 
     watch = sub.add_parser("watch", help="live fleet table from any mix of endpoints")
@@ -413,13 +413,13 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         with TelemetrySession(liveness_timeout=args.liveness) as session:
             collector = session.collect(args.endpoint, arena=args.arena)
             _announce([collector])
-            if collector.arena is not None:
-                arena = collector.arena
-                _emit(
-                    f"arena slab: {args.arena} "
-                    f"({arena.streams} rows x {arena.depth} records, "
-                    f"{arena.nbytes / 1e6:.1f} MB)"
-                )
+            arena = collector.arena
+            _emit(
+                "streams: private slab rows as deep as each HELLO's capacity"
+                if arena is None
+                else f"streams: rows of {args.arena} ({arena.streams} rows x {arena.depth} "
+                f"records, {arena.nbytes / 1e6:.1f} MB), then private slabs of that depth"
+            )
             if collector.is_edge:
                 up_host, up_port = collector.upstream_address or ("", 0)
                 _emit(f"forwarding upstream to {up_host}:{up_port}")

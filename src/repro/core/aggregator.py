@@ -10,9 +10,9 @@ evaluation loops.
 
 :class:`HeartbeatAggregator` is that fan-in stage.  It attaches to any mix of
 stream kinds — every one a :class:`~repro.core.stream.StreamSource` object
-handed to :meth:`HeartbeatAggregator.attach_stream` (endpoint URLs,
-registries and collectors all end there), plus whole arena slabs — and
-turns one :meth:`poll` into a
+handed to :meth:`HeartbeatAggregator.attach_stream` (endpoint URLs and
+registries end there), plus whole arena slabs, a collector's among them —
+and turns one :meth:`poll` into a
 :class:`FleetSample`: a columnar view of every stream's rate, goal and health
 on which fleet-level queries (:meth:`rates`, :meth:`lagging`,
 :meth:`FleetSample.percentiles`) are vectorized numpy operations rather than
@@ -21,7 +21,8 @@ per-stream loops.
 Polling is incremental, and there is one read path.  Every per-object
 stream mirrors into a row of a private ``mem-arena`` slab: a poll probes
 its cheap change token (``version``) and, only when it moved, replays
-``snapshot_since(cursor)`` into the row.  Then one
+``snapshot_since(cursor)`` into the row.  A collector's streams already are
+slab rows, so those slabs are read as they are.  Then one
 :meth:`~repro.core.backends.arena.Arena.snapshot_since_all` pass per slab —
 private and attached alike — yields every stream's columns, and
 :func:`~repro.core.monitor.classify_codes` classifies the whole fleet in one
@@ -45,7 +46,7 @@ from typing import Callable, Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from repro.clock import Clock, WallClock
-from repro.core.backends.arena import Arena
+from repro.core.backends.arena import Arena, _SlabPool
 from repro.core.errors import HeartbeatError, MonitorAttachError
 from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import (
@@ -56,7 +57,6 @@ from repro.core.monitor import (
     MonitorReading,
     _Mirror,
     _rows,
-    _SlabPool,
     classify_codes,
 )
 from repro.core.registry import HeartbeatRegistry
@@ -72,16 +72,18 @@ __all__ = [
 
 
 class CollectorLike(Protocol):
-    """What :meth:`HeartbeatAggregator.attach_collector` needs from a collector.
+    """A fan-in stage holding named streams as rows of arena slabs.
 
-    :class:`repro.net.HeartbeatCollector` satisfies it; so would
-    any other fan-in stage that registers named streams dynamically and
-    hands each one out as a :class:`~repro.core.stream.StreamSource`.
+    :class:`repro.net.HeartbeatCollector` satisfies it.
+    :meth:`HeartbeatAggregator.attach_collector` needs only :meth:`slabs`:
+    every slab with its live row → stream-id table, in creation order.
     """
 
     def stream_ids(self) -> list[str]: ...  # pragma: no cover - protocol stub
 
     def source(self, stream_id: str) -> StreamSource: ...  # pragma: no cover - protocol stub
+
+    def slabs(self) -> list[tuple[Arena, list[str]]]: ...  # pragma: no cover - protocol stub
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,9 +348,11 @@ class _ArenaShard:
 
     Every allocated row joins the sample as ``prefix + row_name``; ``names``
     caches those and is refreshed only when the slab allocates new rows.
+    Row names come from ``table`` (a collector's stream-id list) when given,
+    else from the slab header, which keeps only a name's first 64 bytes.
     """
 
-    __slots__ = ("label", "arena", "prefix", "names", "close")
+    __slots__ = ("label", "arena", "prefix", "table", "names", "close")
 
     def __init__(
         self,
@@ -356,18 +360,22 @@ class _ArenaShard:
         arena: Arena,
         prefix: str,
         close: Callable[[], None] | None,
+        table: list[str] | None = None,
     ) -> None:
         self.label = label
         self.arena = arena
         self.prefix = prefix
+        self.table = table
         self.names: tuple[str, ...] = ()
         self.close = close
 
     def refresh_names(self) -> None:
-        """Re-derive the prefixed row-name tuple from the slab header table."""
+        """Re-derive the prefixed row-name tuple."""
         self.names = tuple(
             self.prefix + (name if name else f"{self.label}[{i}]")
-            for i, name in enumerate(self.arena.row_names())
+            for i, name in enumerate(
+                self.arena.row_names() if self.table is None else list(self.table)
+            )
         )
 
 
@@ -375,10 +383,10 @@ class HeartbeatAggregator:
     """Fan-in observer over many heartbeat streams.
 
     A stream joins the fleet as one :class:`~repro.core.stream.StreamSource`
-    object through :meth:`attach_stream` — :meth:`attach_endpoint`,
-    :meth:`attach_registry` and :meth:`attach_collector` open or look up
-    such objects and end there — or as a row of a slab attached with
-    :meth:`attach_arena`.  :meth:`poll` mirrors each per-object stream
+    object through :meth:`attach_stream` — :meth:`attach_endpoint` and
+    :meth:`attach_registry` open or look up such objects and end there — or
+    as a row of a slab attached with :meth:`attach_arena` or, a collector's
+    slabs, with :meth:`attach_collector`.  :meth:`poll` mirrors each per-object stream
     into a private slab row the same cursored way (version probe, then
     ``snapshot_since`` only when the token moved) and reads every slab,
     private and attached, in one vectorized pass each.
@@ -426,7 +434,8 @@ class HeartbeatAggregator:
         #: Wall seconds the current poll spent in the arena slab path;
         #: reset by :meth:`poll`, accumulated by :meth:`_poll_arenas`.
         self._arena_seconds = 0.0
-        self._collectors: list[tuple[str, CollectorLike]] = []
+        #: ``[prefix, collector, slabs attached so far]`` per collector.
+        self._collectors: list[list] = []
         self._closed = False
         #: Bumped on every attach/detach.  With the pool's layout it keys
         #: the cached stream names and their positions among the slab rows.
@@ -581,68 +590,49 @@ class HeartbeatAggregator:
     def attach_collector(self, collector: CollectorLike, *, prefix: str = "") -> list[str]:
         """Observe every stream of a network collector; returns the names added.
 
-        The attachment is *dynamic*: streams that register with the collector
-        after this call are picked up automatically at the start of every
-        :meth:`poll`, so a fleet observer attaches once and new producers
-        simply appear.  Stream names are ``prefix + stream_id``; ids already
-        attached (by an earlier sync or manually) are left untouched.
+        A collector keeps each stream as a row of one of its slabs, so each
+        slab attaches whole, as :meth:`attach_arena` attaches one, and its
+        rows join the sample as ``prefix + stream_id``.  The attachment is
+        *dynamic*: rows and slabs that appear after this call join at the
+        start of every :meth:`poll`, so a fleet observer attaches once and
+        new producers simply appear.  A collector's rows cannot be detached
+        one by one.
 
         The producers and this aggregator must share a time base for
         liveness ages to mean anything — remote producers normally stamp
         beats with ``WallClock(rebase=False)``, so pass the same here.
-
-        Collectors running in arena mode (an ``arena=`` slab backing their
-        streams) are attached through the slab fast path: the whole arena
-        becomes one vectorized shard via :meth:`attach_arena`, and only the
-        overflow streams the slab could not hold are attached per-object.
         """
-        arena = getattr(collector, "arena", None)
         with self._lock:
             if self._closed:
                 raise MonitorAttachError("aggregator is closed")
-            self._collectors.append((str(prefix), collector))
-        if arena is not None:
-            self.attach_arena(arena, prefix=str(prefix))
+            self._collectors.append([str(prefix), collector, 0])
         return self._sync_collectors()
 
     @property
     def collectors(self) -> tuple[CollectorLike, ...]:
         """The collectors attached through :meth:`attach_collector`, in order."""
         with self._lock:
-            return tuple(collector for _, collector in self._collectors)
+            return tuple(collector for _, collector, _ in self._collectors)
 
     def _sync_collectors(self) -> list[str]:
-        """Attach collector streams that appeared since the last sync."""
+        """Attach collector slabs that appeared since the last sync; returns their rows' names."""
         with self._lock:
             collectors = list(self._collectors)
-            existing = set(self._streams)
         added: list[str] = []
-        for prefix, collector in collectors:
-            # One lock acquisition per collector with news, not one per
-            # stream id: the steady state (thousands of long-lived streams,
-            # nothing new) stays a lock-free set scan.  Arena-mode
-            # collectors expose only their slab-overflow streams here — the
-            # slab rows are already covered by the arena shard.
-            ids_fn = getattr(collector, "unpooled_stream_ids", None)
-            stream_ids = ids_fn() if ids_fn is not None else collector.stream_ids()
-            missing = [
-                (prefix + stream_id, stream_id)
-                for stream_id in stream_ids
-                if prefix + stream_id not in existing
-            ]
-            if not missing:
-                continue
+        for entry in collectors:
+            prefix, collector, _ = entry
+            slabs = collector.slabs()
             with self._lock:
                 if self._closed:
                     break
-                for name, stream_id in missing:
-                    if name in self._streams:
-                        continue
-                    caps = capabilities_of(collector.source(stream_id))
-                    self._streams[name] = _Stream(name, caps.delta, caps.probe, None)
+                for arena, table in slabs[entry[2] :]:
+                    label = arena.name if arena.name else f"arena-{len(self._arenas)}"
+                    shard = _ArenaShard(label, arena, prefix, None, table)
+                    shard.refresh_names()
+                    added.extend(shard.names)
+                    self._arenas.append(shard)
                     self._membership += 1
-                    existing.add(name)
-                    added.append(name)
+                entry[2] = max(entry[2], len(slabs))
         return added
 
     def detach(self, name: str) -> None:
@@ -818,6 +808,9 @@ class HeartbeatAggregator:
             rows = columns[0].shape[0]
             if rows != len(shard.names):
                 shard.refresh_names()
+            if rows > len(shard.names):  # a collector row published ahead of its id waits
+                rows = len(shard.names)
+                columns = tuple(column[:rows] for column in columns)
             names = names + shard.names[:rows]  # a row allocated since the read waits
             parts.append(columns)
         self._arena_seconds += time.perf_counter() - t0

@@ -27,7 +27,8 @@ that is the point of the layout: :meth:`Arena.snapshot_since_all` reads the
 new records since a cursor vector — as a handful of vectorized numpy passes
 with zero per-stream Python dispatch.
 
-The slab is anonymous process memory for ``mem-arena://`` endpoints and a
+The slab is an anonymous mapping for ``mem-arena://`` endpoints (pages no
+row has written cost no memory), chained by :class:`_SlabPool`, and a
 ``multiprocessing.shared_memory`` segment for ``shm-arena://``, so one
 segment (not ~512) serves an arbitrarily large fleet across processes.
 
@@ -60,6 +61,7 @@ offset                 type      field
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
 import struct
 import threading
@@ -238,7 +240,7 @@ class Arena:
 
     def __init__(self, streams: int = DEFAULT_STREAMS, depth: int = DEFAULT_DEPTH) -> None:
         streams, depth = _validate_geometry(streams, depth)
-        self._mem: bytearray | None = bytearray(arena_size(streams, depth))
+        self._mem: mmap.mmap | None = mmap.mmap(-1, arena_size(streams, depth))
         self._shm: Any = None
         self._owner = True
         self.name: str | None = None
@@ -798,6 +800,75 @@ class ArenaRowView(Backend):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArenaRowView(arena={self._arena.name!r}, index={self.index})"
+
+
+#: Bytes of a chain's first private slab; each slab chained after it
+#: doubles the rows of the one before.
+_FIRST_SLAB_BYTES = 1 << 16
+
+
+class _Slab:
+    """One slab of a :class:`_SlabPool` chain: the arena, its row → name
+    table, the ``held`` column (beats each row's source still retains, for
+    an observer mirroring a source into the row) and the rows freed."""
+
+    __slots__ = ("arena", "names", "held", "free")
+
+    def __init__(self, arena: Arena) -> None:
+        self.arena = arena
+        self.names: list[str] = arena.row_names()
+        self.held = np.zeros(arena.streams, dtype=np.int64)
+        self.free: list[int] = []
+
+
+class _SlabPool:
+    """Private slabs, one chain per row depth.
+
+    :meth:`take` hands out a row of exactly the depth asked for: a freed
+    row, else the next row of the chain's last slab, else the first of a
+    new slab with twice the rows of the last (a chain's first slab holds
+    ``first_bytes``).  A caller's ``first`` arena opens the chain of its
+    depth.  ``layout`` moves whenever a row is taken or freed.
+    """
+
+    __slots__ = ("first_bytes", "chains", "slabs", "layout")
+
+    def __init__(self, first_bytes: int = _FIRST_SLAB_BYTES, first: Arena | None = None) -> None:
+        self.first_bytes = first_bytes  # 0: every chain starts at one row
+        self.chains: dict[int, list[_Slab]] = {}
+        self.slabs: list[_Slab] = []  # every chain's slabs, in creation order
+        self.layout = 0
+        if first is not None:
+            self._chain(first.depth, first)
+
+    def _chain(self, depth: int, arena: Arena) -> _Slab:
+        slab = _Slab(arena)
+        self.chains.setdefault(depth, []).append(slab)
+        self.slabs.append(slab)
+        return slab
+
+    def take(self, depth: int, name: str = "") -> tuple[_Slab, int]:
+        chain = self.chains.get(depth, [])
+        self.layout += 1
+        for slab in chain:
+            if slab.free:
+                index = slab.free.pop()
+                slab.names[index] = name
+                return slab, index
+        last = chain[-1] if chain else None
+        if last is None or last.arena.rows_in_use == last.arena.streams:
+            row_bytes = ROW_HEADER_SIZE + depth * RECORD_DTYPE.itemsize
+            rows = 2 * last.arena.streams if last else max(1, self.first_bytes // row_bytes)
+            last = self._chain(depth, Arena(streams=rows, depth=depth))
+        index = last.arena.allocate(name).index
+        names = last.names
+        names.extend(map(last.arena.row_name, range(len(names), index)))  # rows others took
+        names.append(name)
+        return last, index
+
+    def give(self, slab: _Slab, index: int) -> None:
+        slab.free.append(index)
+        self.layout += 1
 
 
 # --------------------------------------------------------------------- #

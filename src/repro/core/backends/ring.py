@@ -4,8 +4,8 @@ The paper stores heartbeats "in a circular buffer; when the buffer fills, old
 heartbeats are simply dropped" (Section 3).  This module is that buffer, both
 halves of it, for every place the tree keeps one: the in-process
 :class:`~repro.core.backends.memory.MemoryBackend` (and with it the network
-exporter's local mirror and every collector stream), a ``shm://`` segment and
-an arena row.  They are the same object seen through different headers: one
+exporter's local mirror), a ``shm://`` segment and an arena row (and with it
+every collector stream).  They are the same object seen through different headers: one
 writer, a header carrying ``total`` (the publication word), ``sequence`` (odd
 while a write is in progress), the default window and the target range, and
 ``capacity`` record slots where beat *i* lives in slot ``i % capacity``.  A
@@ -18,7 +18,7 @@ Writer protocol — *one sequence cycle per publication*:
 1. take ``total`` and ``sequence`` from the ring object's own copy of the two
    words (:attr:`Ring.total`, :attr:`Ring.sequence`).  An object that is its
    ring's only writer for life — a ``MemoryBackend``, the creator of a
-   ``shm://`` segment — never reads them back: it stored them last.  Where
+   ``shm://`` segment, a collector stream's row — never reads them back.  Where
    several objects may write one ring in turn — ``Arena.row(i)`` hands out any
    number of views of a row, in any process — each calls :meth:`Ring.reload`
    before it writes, because only the header's words are shared;

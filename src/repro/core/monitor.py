@@ -37,12 +37,12 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from repro.clock import Clock, WallClock
-from repro.core.backends.arena import ROW_HEADER_SIZE, Arena
+from repro.core.backends.arena import _Slab, _SlabPool
 from repro.core.backends.base import BackendSnapshot, DeltaSnapshot, SnapshotCursor
 from repro.core.backends.ring import Ring
 from repro.core.errors import HeartbeatError
 from repro.core.heartbeat import Heartbeat
-from repro.core.record import RECORD_DTYPE, HeartbeatRecord, array_to_records
+from repro.core.record import HeartbeatRecord, array_to_records
 from repro.core.stream import DeltaSource, ProbeSource, capabilities_of
 
 __all__ = [
@@ -144,60 +144,6 @@ def _rows(columns: Sequence[np.ndarray]) -> Iterator[MonitorReading]:
     return map(partial(tuple.__new__, MonitorReading), rows)
 
 
-#: Bytes of a depth class's first private slab; each slab chained after it
-#: doubles the rows of the one before.
-_FIRST_SLAB_BYTES = 1 << 16
-
-
-class _Slab:
-    """One private observer slab: an anonymous arena, the ``held`` column
-    (beats each row's source still retains) and the rows detach freed."""
-
-    __slots__ = ("arena", "held", "free")
-
-    def __init__(self, rows: int, depth: int) -> None:
-        self.arena = Arena(streams=rows, depth=depth)
-        self.held = np.zeros(rows, dtype=np.int64)
-        self.free: list[int] = []
-
-
-class _SlabPool:
-    """The private slabs of one observer, chained per power-of-two depth.
-
-    A stream's row sits in the class of the smallest power of two holding
-    its published window, so it costs O(its own window) whatever the
-    fleet's largest.  ``layout`` moves whenever a row is taken or freed.
-    """
-
-    __slots__ = ("first_bytes", "chains", "slabs", "layout")
-
-    def __init__(self, first_bytes: int = _FIRST_SLAB_BYTES) -> None:
-        self.first_bytes = first_bytes  # 0: every chain starts at one row
-        self.chains: dict[int, list[_Slab]] = {}
-        self.slabs: list[_Slab] = []  # every chain's slabs, in creation order
-        self.layout = 0
-
-    def take(self, need: int) -> tuple[_Slab, int]:
-        depth = 1 << max(need - 1, 1).bit_length()
-        chain = self.chains.setdefault(depth, [])
-        self.layout += 1
-        for slab in chain:
-            if slab.free:
-                return slab, slab.free.pop()
-        last = chain[-1] if chain else None
-        if last is None or last.arena.rows_in_use == last.arena.streams:
-            row_bytes = ROW_HEADER_SIZE + depth * RECORD_DTYPE.itemsize
-            rows = 2 * last.arena.streams if last else max(1, self.first_bytes // row_bytes)
-            last = _Slab(rows, depth)
-            chain.append(last)
-            self.slabs.append(last)
-        return last, last.arena.allocate().index
-
-    def give(self, slab: _Slab, index: int) -> None:
-        slab.free.append(index)
-        self.layout += 1
-
-
 def _need(window: int, requested: int) -> int:
     """The beats a row must hold: the published window, else the requested one."""
     return window if window > 0 else max(requested, 1)
@@ -253,7 +199,8 @@ class _Mirror:
                 self.slab = self.ring = None
                 delta, cursor = delta_source(None)
                 need = max(need, _need(delta.default_window, requested))
-            self.slab, self.index = pool.take(need)
+            # A row of the smallest power-of-two depth holding the window.
+            self.slab, self.index = pool.take(1 << max(need - 1, 1).bit_length())
             ring = self.ring = self.slab.arena._ring(self.index)
         records = delta.records[-ring.capacity :]
         if delta.resync or records.shape[0] < delta.new:

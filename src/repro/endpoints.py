@@ -823,10 +823,10 @@ def open_collector(
     every registered stream to the named parent collector, so collectors
     compose into a federation tree (producers → edges → root).
 
-    ``arena`` (an :class:`~repro.core.backends.arena.Arena` or a
-    ``mem-arena://`` / ``shm-arena://`` URL) puts the collector in arena
-    mode: registered streams demux into slab rows, so fleet observers poll
-    them through one vectorized pass instead of per-stream dispatch.
+    Registered streams are slab rows, which fleet observers read one
+    vectorized pass per slab.  ``arena`` (an
+    :class:`~repro.core.backends.arena.Arena` or a ``mem-arena://`` /
+    ``shm-arena://`` URL) is the first slab their rows go to.
 
     A ``?journal=DIR`` parameter makes the collector durable: every ingested
     frame is appended to a per-stream journal under ``DIR`` and replayed if

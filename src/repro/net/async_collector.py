@@ -5,11 +5,14 @@
 ``epoll``/``kqueue``, so the connection count is bounded by file descriptors
 rather than threads — one collector is an ingest *tier*, not "a host's fleet".
 
-The observation surface is exactly the one the rest of the system already
-speaks: per-stream sources (``snapshot`` / ``snapshot_since`` / ``version``),
-:meth:`stream_ids`, aggregator attachment via
-:meth:`~repro.core.aggregator.HeartbeatAggregator.attach_collector`, and
-streams that survive disconnects so a producer death reads ``STALLED``.
+Every stream is a row of a slab chain (one chain per retained depth, see
+:class:`~repro.core.backends.arena._SlabPool`), and there is no other store.
+The observation surface is the one the rest of the system already speaks:
+per-stream sources (``snapshot`` / ``snapshot_since`` / ``version``),
+:meth:`stream_ids`, the slabs themselves (:meth:`slabs`), which
+:meth:`~repro.core.aggregator.HeartbeatAggregator.attach_collector` reads
+whole, and streams that survive disconnects so a producer death reads
+``STALLED``.
 
 Collectors also *compose*.  A collector constructed with ``upstream=`` runs
 in **edge mode**: the event loop marks each stream that has news for the
@@ -23,8 +26,9 @@ semantics at the root.
 
 Design points:
 
-* one event-loop thread owns every socket; per-stream backends are guarded
-  by their own locks, so observer threads read concurrently with ingest;
+* one event-loop thread owns every socket and writes every row, each under
+  its stream's lock; observers read rows through the ring's sequence word,
+  so they read concurrently with ingest;
 * the unit of ingest is the *read*, not the frame: each ``recv`` is scanned
   once (:meth:`FrameDecoder.feed_runs <repro.net.protocol.FrameDecoder.feed_runs>`)
   and every run of consecutive BATCH frames in it costs one lock, one
@@ -54,10 +58,10 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.backends.arena import Arena
-from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
-from repro.core.backends.memory import MemoryBackend
-from repro.core.errors import BackendError, MonitorAttachError, ProtocolError
+from repro.core.backends.arena import Arena, _SlabPool
+from repro.core.backends.base import BackendSnapshot, DeltaSnapshot, SnapshotCursor
+from repro.core.backends.ring import Ring
+from repro.core.errors import MonitorAttachError, ProtocolError
 from repro.net import protocol
 from repro.net.persistence import JournalWriter, StreamJournal
 from repro.obs.registry import Histogram, MetricsRegistry
@@ -99,10 +103,11 @@ class CollectorStreamInfo:
 
 
 class _CollectorStream:
-    """One registered stream: a locked in-memory backend plus liveness state.
+    """One registered stream: its slab row's ring plus liveness state.
 
-    The backend is written by the collector's event-loop thread and read by
-    any number of observer threads, so every access goes through ``lock``.
+    The ring is written by the collector's event-loop thread and read
+    through this view by any number of threads, so every access goes
+    through ``lock``.
     """
 
     __slots__ = (
@@ -117,7 +122,7 @@ class _CollectorStream:
         stream_id: str,
         hello: protocol.Hello,
         capacity: int,
-        backend: Backend | None = None,
+        ring: Ring,
     ) -> None:
         self.stream_id = stream_id
         self.name = hello.name
@@ -125,7 +130,7 @@ class _CollectorStream:
         self.nonce = hello.nonce
         self.capacity = capacity
         self.lock = threading.Lock()
-        self.backend: Backend = backend if backend is not None else MemoryBackend(capacity)
+        self.backend = ring
         self.backend.set_default_window(hello.default_window)
         self.backend.set_targets(hello.target_min, hello.target_max)
         self.connected = True
@@ -255,15 +260,13 @@ class AsyncHeartbeatCollector:
         journal's lifetime (closed with the collector).
     arena:
         An :class:`~repro.core.backends.arena.Arena` (or a
-        ``mem-arena://`` / ``shm-arena://`` endpoint URL) that becomes the
-        backing store for registered streams: incoming BATCH and RELAY
-        frames demux straight into slab rows instead of per-stream
-        :class:`MemoryBackend` objects, so an aggregator attaching this
-        collector observes the whole fleet through one vectorized
-        ``snapshot_since_all`` pass.  Streams arriving after the slab is
-        full fall back to private in-memory backends (and are reported by
-        :meth:`unpooled_stream_ids`).  The arena's lifetime is the
-        caller's/registry's — the collector never closes it.
+        ``mem-arena://`` / ``shm-arena://`` endpoint URL) that holds the
+        streams' rows, so other processes can map them.  Without one each
+        stream is a row of a private slab as deep as its clipped HELLO
+        capacity; with one every row has the arena's depth, and streams
+        arriving after it is full go to private slabs of that depth chained
+        behind it.  The arena's lifetime is the caller's/registry's — the
+        collector never closes it.
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` holding this
         collector's counters (and, in edge mode, its forwarder's).  A
@@ -307,9 +310,8 @@ class AsyncHeartbeatCollector:
 
             arena = open_arena(arena)
         self._arena: Arena | None = arena
-        #: Arena mode only: stream ids that overflowed the slab and run on
-        #: private in-memory backends (insertion order preserved).
-        self._unpooled: dict[str, None] = {}
+        #: Every stream's row: a chain of slabs per depth, ``arena`` first.
+        self._pool = _SlabPool(first=arena)
         self._streams_changed = threading.Condition(self._lock)
         self._stopping = False
         self._closed = False
@@ -457,28 +459,20 @@ class AsyncHeartbeatCollector:
 
     @property
     def arena(self) -> Arena | None:
-        """The arena slab backing registered streams (``None``: per-object).
-
-        Observers use this for the slab fast path:
-        :meth:`HeartbeatAggregator.attach_collector
-        <repro.core.aggregator.HeartbeatAggregator.attach_collector>` sees
-        it and attaches the whole slab as one vectorized shard instead of
-        one source per stream.
-        """
+        """The caller's ``arena=`` slab, first of the chain (``None``: none given)."""
         return self._arena
 
-    def unpooled_stream_ids(self) -> list[str]:
-        """Stream ids *not* backed by the arena slab, in registration order.
+    def slabs(self) -> list[tuple[Arena, list[str]]]:
+        """Every slab holding a stream's row, in creation order.
 
-        Without an arena this is every stream (equal to :meth:`stream_ids`);
-        in arena mode it is only the overflow streams that arrived after the
-        slab filled up.  Observers that already watch the slab attach just
-        these the per-object way.
+        Each comes with its row → stream-id table, a live list the
+        collector extends as streams register (a row may be published a
+        moment before its id).  :meth:`HeartbeatAggregator.attach_collector
+        <repro.core.aggregator.HeartbeatAggregator.attach_collector>` reads
+        each slab whole and names its rows from the table.
         """
         with self._lock:
-            if self._arena is None:
-                return list(self._streams)
-            return list(self._unpooled)
+            return [(slab.arena, slab.names) for slab in self._pool.slabs]
 
     def snapshot(self, stream_id: str) -> BackendSnapshot:
         """A consistent snapshot of one stream's retained history."""
@@ -923,15 +917,8 @@ class AsyncHeartbeatCollector:
     def _new_stream(self, stream_id: str, hello: protocol.Hello) -> _CollectorStream:
         capacity = hello.capacity if hello.capacity > 0 else self._default_capacity
         capacity = min(max(capacity, _MIN_STREAM_CAPACITY), _MAX_STREAM_CAPACITY)
-        backend: Backend | None = None
-        if self._arena is not None:
-            try:
-                backend = self._arena.allocate(stream_id)
-            except BackendError:
-                # Slab full: this stream overflows onto a private
-                # backend and stays observable the per-object way.
-                self._unpooled[stream_id] = None
-        return _CollectorStream(stream_id, hello, capacity, backend)
+        slab, index = self._pool.take(capacity if self._arena is None else self._arena.depth, stream_id)
+        return _CollectorStream(stream_id, hello, capacity, slab.arena._ring(index))
 
     def _restore_from_journal(self) -> None:
         """Re-register every journaled stream (construction time only).

@@ -307,11 +307,10 @@ class TelemetrySession:
         federation tree is built from URLs alone (see
         ``docs/architecture.md`` §3).
 
-        ``arena`` (a ``mem-arena://`` / ``shm-arena://`` URL) puts the
-        collector in arena mode: incoming streams demux into one columnar
-        slab, so a 100k-stream fleet neither allocates 100k backend objects
-        nor costs 100k Python calls per observer poll — fleet observers
-        attach the slab as a single vectorized shard.
+        Every incoming stream is a slab row, so fleet observers read the
+        collector's slabs whole, one vectorized pass per slab.  ``arena``
+        (a ``mem-arena://`` / ``shm-arena://`` URL) only puts the rows in
+        that slab first, so other processes can map them (``shm-arena://``).
 
         Returns
         -------

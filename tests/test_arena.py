@@ -296,7 +296,9 @@ class TestAggregatorArenaPath:
 
 
 class TestCollectorArenaMode:
-    def test_streams_demux_into_slab_with_overflow_fallback(self):
+    def test_streams_demux_into_slab_then_chain_private_slabs(self):
+        """A full ``arena=`` slab chains private slabs of its depth: the
+        third stream lands in one, named and counted like the first two."""
         with Arena(streams=2, depth=64) as arena:
             with HeartbeatCollector(arena=arena) as collector:
                 clock = WallClock(rebase=False)
@@ -315,7 +317,12 @@ class TestCollectorArenaMode:
                             break
                         time.sleep(0.01)
                     assert arena.rows_in_use == 2  # slab full after two streams
-                    assert len(collector.unpooled_stream_ids()) == 1
+                    slabs = collector.slabs()
+                    assert [a.depth for a, _ in slabs] == [64, 64]
+                    (first, pooled), (chained, spilled) = slabs
+                    assert first is arena and chained.streams == 4
+                    assert len(pooled) == 2 and len(spilled) == 1
+                    assert sorted(pooled + spilled) == ["svc-0", "svc-1", "svc-2"]
 
                     agg = HeartbeatAggregator(clock=clock, liveness_timeout=60.0)
                     try:

@@ -379,3 +379,160 @@ def _doomed_producer(endpoint: str) -> None:
         time.sleep(0.01)
     time.sleep(0.2)  # let the sender flush before dying without finalize()
     os._exit(17)
+
+
+def _raw_producer(collector: HeartbeatCollector, name: str, **hello: object) -> socket.socket:
+    sock = raw_connection(collector)
+    sock.sendall(protocol.encode_hello(name, pid=os.getpid(), **hello))  # type: ignore[arg-type]
+    return sock
+
+
+def _batch_frame(first: int, count: int, t0: float = 0.0) -> bytes:
+    records = records_for([(first + i, t0 + 0.001 * (first + i)) for i in range(count)])
+    return protocol.encode_frame(protocol.FRAME_BATCH, protocol.batch_payload(records))
+
+
+class TestCollectorSlabRows:
+    """Every collector stream is a slab row, read whole by ``attach_collector``."""
+
+    @pytest.mark.parametrize("with_arena", [False, True], ids=["private", "arena"])
+    def test_long_stream_ids_keep_their_full_names(self, with_arena):
+        """A row header stores 64 name bytes; the sample names rows from the
+        collector's stream-id table, so longer ids neither truncate nor collide."""
+        from repro.core.backends import Arena
+
+        arena = Arena(streams=4, depth=64) if with_arena else None
+        stem = "x" * 64
+        ids = [stem + "-long-tail-a" + "y" * 8, stem + "-long-tail-b" + "y" * 8]
+        assert all(len(i.encode()) == 84 for i in ids)
+        try:
+            with HeartbeatCollector(arena=arena) as collector:
+                socks = [_raw_producer(collector, name, default_window=4) for name in ids]
+                for n, sock in enumerate(socks):
+                    sock.sendall(_batch_frame(0, 3 + n))
+                assert wait_until(lambda: [s.total_beats for s in collector.streams()] == [3, 4])
+                assert collector.stream_ids() == ids
+                with HeartbeatAggregator(clock=WallClock(rebase=False)) as agg:
+                    attached = agg.attach_collector(collector, prefix="c/")
+                    sample = agg.poll()
+                    assert sorted(sample.names) == ["c/" + i for i in ids]
+                    assert [sample.reading("c/" + i).total_beats for i in ids] == [3, 4]
+                    assert sorted(attached) == ["c/" + i for i in ids]
+                for sock in socks:
+                    sock.close()
+        finally:
+            if arena is not None:
+                arena.close()
+
+    def test_a_capacity_that_is_not_a_power_of_two_is_retained_exactly(self):
+        with HeartbeatCollector() as collector:
+            sock = _raw_producer(collector, "odd", capacity=1000, default_window=10)
+            for first in range(0, 1500, 100):
+                sock.sendall(_batch_frame(first, 100))
+            assert collector.wait_for_streams(1)
+            assert wait_until(lambda: collector.snapshot("odd").total_beats == 1500)
+            snap = collector.snapshot("odd")
+            assert snap.retained == 1000
+            assert snap.records["beat"].tolist() == list(range(500, 1500))
+            with HeartbeatAggregator() as agg:
+                agg.attach_collector(collector)
+                reading = agg.poll().reading("odd")
+                assert reading.total_beats == 1500
+                assert reading.rate == pytest.approx(9 / 0.009)
+            sock.close()
+
+    def test_polling_a_collector_mirrors_no_stream(self, monkeypatch):
+        """The aggregator reads the collector's slabs whole: no stream is
+        replayed into a private mirror row."""
+        from repro.core.monitor import _Mirror
+
+        calls = []
+        real = _Mirror.sync
+        monkeypatch.setattr(
+            _Mirror, "sync", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+        )
+        with HeartbeatCollector() as collector:
+            # Three capacities: three slab chains.
+            socks = [
+                _raw_producer(collector, f"s{i}", capacity=cap, default_window=8)
+                for i, cap in enumerate((16, 64, 64, 4096, 16))
+            ]
+            for sock in socks:
+                sock.sendall(_batch_frame(0, 40))
+            assert wait_until(
+                lambda: [s.total_beats for s in collector.streams()] == [40] * 5
+            )
+            with HeartbeatAggregator() as agg:
+                agg.attach_collector(collector)
+                for _ in range(3):
+                    sample = agg.poll()
+                assert sorted(sample.names) == [f"s{i}" for i in range(5)]
+                assert sample.errors == {}
+                assert sample.total_beats() == 200
+            assert calls == []
+            for sock in socks:
+                sock.close()
+
+    def test_concurrent_writers_against_a_polling_observer(self):
+        """Producers ingest at full rate on their own sockets while another
+        thread polls: totals never go backwards, no row errors, and every
+        record sent is counted."""
+        import sys
+        import threading
+
+        frames, batch = 300, 64
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with HeartbeatCollector() as collector:
+                names = [f"w{i}" for i in range(3)]
+                socks = [
+                    _raw_producer(collector, name, capacity=4096, default_window=32)
+                    for name in names
+                ]
+                assert collector.wait_for_streams(len(names))
+                agg = HeartbeatAggregator(clock=WallClock(rebase=False))
+                agg.attach_collector(collector)
+                stop = threading.Event()
+                seen: dict[str, list[int]] = {name: [] for name in names}
+                errors: list[dict[str, str]] = []
+
+                def observe() -> None:
+                    while not stop.is_set():
+                        sample = agg.poll()
+                        if sample.errors:
+                            errors.append(dict(sample.errors))
+                        for name, total in zip(sample.names, sample.totals().tolist()):
+                            seen[name].append(total)
+
+                def write(sock: socket.socket) -> None:
+                    for f in range(frames):
+                        sock.sendall(_batch_frame(f * batch, batch, time.time()))
+
+                observer = threading.Thread(target=observe)
+                writers = [threading.Thread(target=write, args=(sock,)) for sock in socks]
+                observer.start()
+                for thread in writers:
+                    thread.start()
+                for thread in writers:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+                sent = frames * batch
+                assert wait_until(
+                    lambda: [s.total_beats for s in collector.streams()] == [sent] * len(names),
+                    timeout=10.0,
+                )
+                stop.set()
+                observer.join(timeout=10.0)
+                assert not observer.is_alive()
+                final = agg.poll()
+                agg.close()
+                for sock in socks:
+                    sock.close()
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == [] and final.errors == {}
+        assert dict(zip(final.names, final.totals().tolist())) == {name: sent for name in names}
+        for name, totals in seen.items():
+            assert totals, name
+            assert all(a <= b for a, b in zip(totals, totals[1:])), name

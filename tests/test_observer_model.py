@@ -1,13 +1,17 @@
-"""Every local observer route against ``tests/model.py``.
+"""Every observer route against ``tests/model.py``.
 
-One state machine drives five streams — a ``mem://`` backend, an ``shm://``
+One state machine drives six streams — a ``mem://`` backend, an ``shm://``
 segment seen through a ``SharedMemoryReader``, a ``file://`` log seen
-through a ``FileReader``, a row of an attached ``mem-arena`` slab and a
-``Heartbeat`` — through beats, batches, backwards stamps, goal and window
-changes (past the observer's row depth and past the source's capacity),
-laps, log truncation and rotation, and detach / re-attach.  After every
-poll each ``FleetSample`` row and each ``HeartbeatMonitor.read()``, at the
-default window and at an explicit one, must equal :class:`StreamModel`.
+through a ``FileReader``, a row of an attached ``mem-arena`` slab, a
+``Heartbeat`` and a ``tcp://`` stream whose raw-socket frames reach a live
+collector observed through ``attach_collector`` — through beats, batches,
+backwards stamps, goal and window changes (past the observer's row depth
+and past the source's capacity), laps, log truncation and rotation, CLOSE
+and redial, and detach / re-attach.  After every poll each ``FleetSample``
+row and each ``HeartbeatMonitor.read()``, at the default window and at an
+explicit one, must equal :class:`StreamModel`.  The wire cannot change a
+window mid-connection, so the ``tcp://`` stream keeps its HELLO's, and each
+poll first waits at most :data:`DELIVERY_S` for its frames to land.
 
 Tier-1 runs a fixed-seed profile; the ``slow`` twin explores.  Two fixed
 cases pin what the machine cannot schedule: a read a writer overlaps (the
@@ -18,7 +22,9 @@ from __future__ import annotations
 
 import os
 import shutil
+import socket
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -35,13 +41,82 @@ from repro.core.backends.shared_memory import SharedMemoryReader
 from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import HeartbeatMonitor
 from repro.core.record import RECORD_DTYPE
+from repro.net import HeartbeatCollector, protocol
 
 LIVENESS = 5.0
-KINDS = ("mem", "shm", "file", "arena", "hb")
-#: Retained beats per kind (``None``: a log keeps every line).
-CAPACITY = {"mem": 8, "shm": 16, "file": None, "arena": 8, "hb": 8}
+KINDS = ("mem", "shm", "file", "arena", "hb", "tcp")
+#: Kinds a producer can change the published window of mid-stream, and
+#: kinds attached one stream at a time (a slab's or a collector's rows are not).
+WINDOWED = ("mem", "shm", "file", "arena", "hb")
+DETACHABLE = ("mem", "shm", "file", "hb")
+#: Retained beats per kind (``None``: a log keeps every line).  The
+#: ``tcp://`` stream asks for the collector's smallest capacity.
+CAPACITY = {"mem": 8, "shm": 16, "file": None, "arena": 8, "hb": 8, "tcp": 16}
+#: The ``tcp://`` stream's HELLO window, and the bound on one delivery.
+TCP_WINDOW = 5
+DELIVERY_S = 2.0
 #: Published windows: inside the row, past a row's depth, past every capacity.
 WINDOWS = st.sampled_from([1, 2, 3, 4, 5, 9, 17, 40])
+
+
+class _Wire:
+    """A ``tcp://`` producer as raw frames on one socket, counting what it sent."""
+
+    def __init__(self, collector: HeartbeatCollector) -> None:
+        self.collector = collector
+        self.frames = 0  # frames sent over every connection so far
+        self.target_min = self.target_max = 0.0
+        self._dial()
+
+    def _dial(self) -> None:
+        self.sock = socket.create_connection(self.collector.address, timeout=5.0)
+        self._send(
+            protocol.encode_hello(
+                "tcp", pid=4242, nonce=7, default_window=TCP_WINDOW, capacity=CAPACITY["tcp"],
+                target_min=self.target_min, target_max=self.target_max,
+            )
+        )
+
+    def _send(self, frame: bytes) -> None:
+        self.sock.sendall(frame)
+        self.frames += 1
+
+    def append(self, beat: int, stamp: float, tag: int, thread_id: int) -> None:
+        records = np.zeros(1, dtype=RECORD_DTYPE)
+        records[0] = (beat, stamp, tag, thread_id)
+        self.append_many(records)
+
+    def append_many(self, records: np.ndarray) -> None:
+        self._send(protocol.encode_frame(protocol.FRAME_BATCH, protocol.batch_payload(records)))
+
+    def set_targets(self, target_min: float, target_max: float) -> None:
+        self._send(protocol.encode_targets(target_min, target_max))
+        self.target_min, self.target_max = target_min, target_max
+
+    def redial(self, total: int) -> None:
+        """CLOSE the stream, hang up, and resume it on a new connection."""
+        self._send(protocol.encode_close(total))
+        self.delivered(total)
+        self.sock.close()
+        self._dial()
+
+    def delivered(self, total: int) -> None:
+        """Wait, at most :data:`DELIVERY_S`, until every frame sent has landed.
+
+        The frame counter moves as a frame's ingest starts, so the stream
+        must also show the beats and the goal the last frame carried.
+        """
+        deadline = time.monotonic() + DELIVERY_S
+        want = (total, self.target_min, self.target_max)
+        while self.collector.stats()["frames"] < self.frames or want != (
+            (snap := self.collector.snapshot("tcp")).total_beats, snap.target_min, snap.target_max
+        ):
+            assert time.monotonic() < deadline, "tcp:// frames not delivered in time"
+            time.sleep(0.0005)
+
+    def close(self) -> None:
+        self.sock.close()
+        self.collector.close()
 
 
 class _Route:
@@ -69,10 +144,16 @@ class _Route:
             self.writer = self.arena.allocate("row")
             self.source = self.arena.row(0)
             self.name = "arena/row"
-        else:
+        elif kind == "hb":
             self.hb = Heartbeat(window=4, clock=clock, history=8, name="hb")
             self.writer, self.source = self.hb.backend, self.hb
             self.model.window = 4
+        else:
+            self.collector = HeartbeatCollector()
+            self.writer = _Wire(self.collector)
+            assert self.collector.wait_for_streams(1, timeout=DELIVERY_S)
+            self.source = self.collector.source("tcp")
+            self.model.window = TCP_WINDOW
         self.monitor = HeartbeatMonitor(self.source, clock=clock, liveness_timeout=LIVENESS)
 
     def append(self, stamp: float, clock: ManualClock) -> None:
@@ -119,6 +200,8 @@ class ObserverMachine(RuleBasedStateMachine):
         for route in self.routes.values():
             if route.kind == "arena":
                 self.aggregator.attach_arena(route.arena, prefix="arena/")
+            elif route.kind == "tcp":
+                self.aggregator.attach_collector(route.collector)
             else:
                 self.aggregator.attach_stream(route.name, route.source)
 
@@ -149,14 +232,14 @@ class ObserverMachine(RuleBasedStateMachine):
     def batch(self, kind: str, count: int, dt: float) -> None:
         self.routes[kind].append_many(self._stamps(count, dt), self.clock)
 
-    @rule(kind=st.sampled_from(("mem", "shm", "file", "arena")), back=st.sampled_from([0.5, 3.0]))
+    @rule(kind=st.sampled_from(("mem", "shm", "file", "arena", "tcp")), back=st.sampled_from([0.5, 3.0]))
     def backwards(self, kind: str, back: float) -> None:
         """A stamp older than the last one (a stepped wall clock)."""
         route = self.routes[kind]
         last = route.model.last
         route.append(self.clock.now() - back if last is None else last - back, self.clock)
 
-    @rule(kind=st.sampled_from(("mem", "shm", "arena", "hb")), extra=st.integers(1, 20))
+    @rule(kind=st.sampled_from(("mem", "shm", "arena", "hb", "tcp")), extra=st.integers(1, 20))
     def lap(self, kind: str, extra: int) -> None:
         """More beats than the storage holds, all between two polls."""
         route = self.routes[kind]
@@ -173,7 +256,7 @@ class ObserverMachine(RuleBasedStateMachine):
     def set_targets(self, kind: str, goal: tuple[float, float]) -> None:
         self._targets(self.routes[kind], *goal)
 
-    @rule(kind=st.sampled_from(KINDS), window=WINDOWS)
+    @rule(kind=st.sampled_from(WINDOWED), window=WINDOWS)
     def set_window(self, kind: str, window: int) -> None:
         route = self.routes[kind]
         route.writer.set_default_window(window)
@@ -198,6 +281,12 @@ class ObserverMachine(RuleBasedStateMachine):
         for stamp in self._stamps(beats, 0.1):
             route.append(stamp, self.clock)
 
+    @rule()
+    def redial(self) -> None:
+        """The ``tcp://`` producer sends CLOSE, hangs up and resumes its stream."""
+        route = self.routes["tcp"]
+        route.writer.redial(route.model.total)
+
     @rule(dt=st.sampled_from([0.5, 3.0, 6.0]))
     def idle(self, dt: float) -> None:
         self.clock.time = self.clock.now() + dt
@@ -205,10 +294,10 @@ class ObserverMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------ #
     # What observers do
     # ------------------------------------------------------------------ #
-    @precondition(lambda self: any(r.attached for r in self.routes.values() if r.kind != "arena"))
+    @precondition(lambda self: any(r.attached for r in self.routes.values() if r.kind in DETACHABLE))
     @rule(data=st.data())
     def detach(self, data: st.DataObject) -> None:
-        names = sorted(r.kind for r in self.routes.values() if r.attached and r.kind != "arena")
+        names = sorted(r.kind for r in self.routes.values() if r.attached and r.kind in DETACHABLE)
         route = self.routes[data.draw(st.sampled_from(names))]
         self.aggregator.detach(route.name)
         route.attached = False
@@ -224,6 +313,8 @@ class ObserverMachine(RuleBasedStateMachine):
 
     @rule(requested=st.sampled_from([1, 2, 3, 6, 12]))
     def poll(self, requested: int) -> None:
+        wire = self.routes["tcp"]
+        wire.writer.delivered(wire.model.total)
         now = self.clock.now()
         sample = self.aggregator.poll()
         expected = {
