@@ -17,8 +17,8 @@ fleet manager on a different machine entirely:
   class as :class:`AsyncHeartbeatCollector`, the name its module gives it),
   an event-loop TCP server that multiplexes
   thousands of producer connections through one ``selectors`` loop thread,
-  demultiplexes their streams into per-stream in-memory backends and exposes
-  them to :class:`repro.core.aggregator.HeartbeatAggregator` via
+  keeps every stream as a row of a slab and exposes the slabs whole to
+  :class:`repro.core.aggregator.HeartbeatAggregator` via
   ``attach_collector()``;
 * :mod:`repro.net.relay` — :class:`RelayForwarder`, the edge half of
   collector federation: collectors built with ``upstream=`` batch their

@@ -103,27 +103,24 @@ class CollectorStreamInfo:
 
 
 class _CollectorStream:
-    """One registered stream: its slab row's ring plus liveness state.
+    """One registered stream: its slab row plus liveness state.
 
-    The ring is written by the collector's event-loop thread and read
-    through this view by any number of threads, so every access goes
-    through ``lock``.
+    The row is the only copy of the stream's records and goals.  A stream
+    changes only through its transitions — :meth:`register`,
+    :meth:`append`, :meth:`set_targets`, :meth:`set_window`,
+    :meth:`close` and :meth:`disconnect` — and each takes ``lock`` and
+    writes the row, the liveness fields and the journal frame together, so
+    producer frames, relay entries and journal restore change a stream the
+    same way.  The collector's event-loop thread is the one writer; any
+    number of threads read through ``lock``.
     """
 
     __slots__ = (
         "stream_id", "name", "pid", "nonce", "lock", "backend", "capacity",
-        "connected", "closed", "reported_total", "conn_gen",
-        "target_min", "target_max", "default_window", "last_beat", "via_relay",
-        "journal",
+        "connected", "closed", "reported_total", "conn_gen", "via_relay", "journal",
     )
 
-    def __init__(
-        self,
-        stream_id: str,
-        hello: protocol.Hello,
-        capacity: int,
-        ring: Ring,
-    ) -> None:
+    def __init__(self, stream_id: str, hello: protocol.Hello, capacity: int, ring: Ring, via_relay: bool) -> None:
         self.stream_id = stream_id
         self.name = hello.name
         self.pid = hello.pid
@@ -131,38 +128,93 @@ class _CollectorStream:
         self.capacity = capacity
         self.lock = threading.Lock()
         self.backend = ring
-        self.backend.set_default_window(hello.default_window)
-        self.backend.set_targets(hello.target_min, hello.target_max)
-        self.connected = True
+        self.connected = False
         self.closed = False
         self.reported_total: int | None = None
         #: Connection generation: bumped on every (re)registration so a
         #: superseded connection cannot clobber its successor's state.
-        self.conn_gen = 1
-        #: Mirrors of the backend's metadata, so relay ingestion and
-        #: forwarding can diff goals without a full snapshot read.
-        self.target_min = hello.target_min
-        self.target_max = hello.target_max
-        self.default_window = hello.default_window
-        #: Highest beat number ever appended via a relay link (−1: none);
-        #: relay replays are deduplicated against it.
-        self.last_beat = -1
-        self.via_relay = False
+        self.conn_gen = 0
+        self.via_relay = via_relay
         #: Persistence hook: the stream's journal writer, or ``None``.
         self.journal: "JournalWriter | None" = None
 
     def hello(self) -> protocol.Hello:
-        """A HELLO carrying the stream's current metadata (caller holds ``lock``)."""
-        return protocol.Hello(
-            name=self.name,
-            pid=self.pid,
-            nonce=self.nonce,
-            default_window=self.default_window,
-            capacity=self.capacity,
-            target_min=self.target_min,
-            target_max=self.target_max,
-        )
+        """A HELLO carrying the row's current goals (caller holds ``lock``)."""
+        _total, window, target_min, target_max = self.backend.capture()
+        return protocol.Hello(self.name, self.pid, window, self.capacity, target_min, target_max, self.nonce)
 
+    def newest_beat(self) -> int:
+        """Beat number of the row's newest record (−1: none), the relay dedup mark.
+
+        The origin beat counter is monotonic, so a relayed record at or
+        below it was already ingested.
+        """
+        with self.lock:
+            newest, _ = self.backend.copy_newest(self.backend.version()[0], 1)
+        return int(newest["beat"][0]) if newest.shape[0] else -1
+
+    # ------------------------------------------------------------------ #
+    # Transitions (event-loop thread, or construction-time restore)
+    # ------------------------------------------------------------------ #
+    def register(self, hello: protocol.Hello) -> int:
+        """(Re-)register from a HELLO: connected, open, its goals; returns the generation."""
+        with self.lock:
+            self.conn_gen += 1
+            self.connected = True
+            self.closed = False
+            self.reported_total = None
+            self.backend.set_default_window(hello.default_window)
+            self.backend.set_targets(hello.target_min, hello.target_max)
+            if self.journal is not None:
+                self.journal.append_hello(hello)
+            return self.conn_gen
+
+    def append(self, records: np.ndarray) -> None:
+        """Append records to the row, journaled as one BATCH run."""
+        with self.lock:
+            self.backend.append_many(records)
+            if self.journal is not None:
+                self.journal.append_records(records)
+
+    def set_targets(self, target_min: float, target_max: float) -> None:
+        with self.lock:
+            self.backend.set_targets(target_min, target_max)
+            if self.journal is not None:
+                self.journal.append_targets(target_min, target_max)
+
+    def set_window(self, window: int) -> None:
+        """Publish a new default window, journaled as a HELLO.
+
+        No frame carries a window alone, so replay takes it from the latest
+        HELLO; a HELLO re-registers, so a closed stream repeats its CLOSE.
+        """
+        with self.lock:
+            self.backend.set_default_window(window)
+            if self.journal is not None:
+                self.journal.append_hello(self.hello())
+                if self.closed:
+                    self.journal.append_close(self.reported_total)
+
+    def close(self, reported_total: int | None, gen: int) -> None:
+        """A CLOSE from connection generation ``gen`` (a superseded one is ignored)."""
+        with self.lock:
+            if self.conn_gen != gen:
+                return
+            self.closed = True
+            self.connected = False
+            self.reported_total = reported_total
+            if self.journal is not None:
+                self.journal.append_close(reported_total)
+
+    def disconnect(self, gen: int) -> None:
+        """Connection generation ``gen`` is gone (a superseded one is ignored)."""
+        with self.lock:
+            if self.conn_gen == gen:
+                self.connected = False
+
+    # ------------------------------------------------------------------ #
+    # Reads
+    # ------------------------------------------------------------------ #
     def snapshot(self) -> BackendSnapshot:
         with self.lock:
             return self.backend.snapshot()
@@ -538,11 +590,12 @@ class AsyncHeartbeatCollector:
 
         Each value is a histogram summary (``count`` / ``mean`` / ``min`` /
         ``max`` / ``p50`` / ``p99``, seconds) of edge→here RELAY delivery
-        latency, measured from the hop timestamp annotated on v2 RELAY
-        frames.  Empty at a leaf collector, and for links whose sender does
-        not annotate (v1 edges).  Hop timestamps are monotonic-clock
-        readings, so the numbers are meaningful when sender and receiver
-        share a host clock (the in-tree federation and loopback cases).
+        latency, measured from the hop timestamp annotated on RELAY frames.
+        Empty at a leaf collector, and for links whose sender does not
+        annotate (a hop timestamp of ``0.0``).  Hop timestamps are
+        monotonic-clock readings, so the numbers are meaningful when sender
+        and receiver share a host clock (the in-tree federation and
+        loopback cases).
         """
         with self._lock:
             links = dict(self._link_latency)
@@ -715,17 +768,10 @@ class AsyncHeartbeatCollector:
                 pass
         conn.sock.close()
         if conn.stream is not None:
-            with conn.stream.lock:
-                # Only the stream's current connection may mark it
-                # disconnected; a superseded connection (the producer
-                # already redialled) must not clobber its successor.
-                if conn.stream.conn_gen == conn.gen:
-                    conn.stream.connected = False
+            conn.stream.disconnect(conn.gen)
             self._news(conn.stream)
         for stream, gen in conn.relay_streams.values():
-            with stream.lock:
-                if stream.conn_gen == gen:
-                    stream.connected = False
+            stream.disconnect(gen)
             self._news(stream)
         conn.relay_streams.clear()
 
@@ -755,21 +801,9 @@ class AsyncHeartbeatCollector:
         if stream is None:
             raise ProtocolError("first frame of a connection must be HELLO")
         if frame.type == protocol.FRAME_TARGETS:
-            tmin, tmax = protocol.decode_targets(frame.payload)
-            with stream.lock:
-                stream.backend.set_targets(tmin, tmax)
-                stream.target_min, stream.target_max = tmin, tmax
-                if stream.journal is not None:
-                    stream.journal.append_frame(protocol.FRAME_TARGETS, frame.payload)
+            stream.set_targets(*protocol.decode_targets(frame.payload))
         elif frame.type == protocol.FRAME_CLOSE:
-            reported = protocol.decode_close(frame.payload)
-            with stream.lock:
-                if stream.conn_gen == conn.gen:
-                    stream.closed = True
-                    stream.connected = False
-                    stream.reported_total = reported
-                    if stream.journal is not None:
-                        stream.journal.append_frame(protocol.FRAME_CLOSE, frame.payload)
+            stream.close(protocol.decode_close(frame.payload), conn.gen)
         self._news(stream)
 
     def _ingest_run(self, conn: _Connection, run: protocol.BatchRun) -> None:
@@ -780,74 +814,48 @@ class AsyncHeartbeatCollector:
         stream = conn.stream
         if stream is None:
             raise ProtocolError("first frame of a connection must be HELLO")
-        with stream.lock:
-            stream.backend.append_many(run.records)
-            if stream.journal is not None:
-                stream.journal.append_records(run.records)  # one journal frame
+        stream.append(run.records)
         self._records.inc(int(run.records.shape[0]))
         self._news(stream)
         self._maybe_compact(stream)
 
     def _ingest_relay(self, conn: _Connection, entries: list[protocol.RelayEntry]) -> None:
+        """Turn each entry into the transitions that bring the row to it."""
         appended = 0
         duplicates = 0
         for entry in entries:
             known = conn.relay_streams.get(entry.stream_id)
             if known is None:
-                hello = protocol.Hello(
-                    name=entry.stream_id,
-                    pid=entry.pid,
-                    default_window=entry.default_window,
-                    capacity=0,
-                    target_min=entry.target_min,
-                    target_max=entry.target_max,
-                    nonce=entry.nonce,
-                )
-                stream, gen = self._register(hello, via_relay=True)
-                conn.relay_streams[entry.stream_id] = (stream, gen)
-            else:
-                stream, gen = known
+                known = self._register(_entry_hello(entry), via_relay=True)
+                conn.relay_streams[entry.stream_id] = known
+            stream, gen = known
             records = entry.records
-            with stream.lock:
+            if records.shape[0]:
                 # Replays (edge reconnect, root restart) are deduplicated by
-                # beat number: the origin beat counter is monotonic, so
-                # anything at or below the high-water mark was already seen.
-                if records.shape[0] and stream.last_beat >= 0:
-                    fresh = records["beat"] > stream.last_beat
-                    if not fresh.all():
-                        duplicates += int(records.shape[0] - np.count_nonzero(fresh))
-                        records = records[fresh]
+                # beat number against the row's newest record.
+                fresh = records["beat"] > stream.newest_beat()
+                if not fresh.all():
+                    duplicates += int(records.shape[0] - np.count_nonzero(fresh))
+                    records = records[fresh]
                 if records.shape[0]:
-                    stream.backend.append_many(records)
-                    stream.last_beat = int(records["beat"][-1])
+                    stream.append(records)  # only what survived dedup is journaled
                     appended += int(records.shape[0])
-                    if stream.journal is not None:
-                        # Journal only what survived dedup, so a restart
-                        # replays exactly the records this collector holds.
-                        stream.journal.append_records(records)
-                if (entry.target_min, entry.target_max) != (
-                    stream.target_min, stream.target_max,
-                ):
-                    stream.backend.set_targets(entry.target_min, entry.target_max)
-                    stream.target_min = entry.target_min
-                    stream.target_max = entry.target_max
-                    if stream.journal is not None:
-                        stream.journal.append_targets(entry.target_min, entry.target_max)
-                if entry.default_window != stream.default_window:
-                    stream.backend.set_default_window(entry.default_window)
-                    stream.default_window = entry.default_window
-                    if stream.journal is not None:
-                        # Replay takes the window from the latest HELLO.
-                        stream.journal.append_hello(stream.hello())
-                if stream.conn_gen == gen:
-                    stream.connected = entry.connected
-                    if entry.closed and not stream.closed:
-                        stream.closed = True
-                        stream.reported_total = entry.reported_total
-                        if stream.journal is not None:
-                            stream.journal.append_close(
-                                -1 if entry.reported_total is None else entry.reported_total
-                            )
+            # The event loop is the row's only writer, so these reads are stable.
+            if stream.conn_gen == gen:
+                if entry.closed:
+                    if not stream.closed or stream.reported_total != entry.reported_total:
+                        stream.close(entry.reported_total, gen)
+                elif stream.closed or (entry.connected and not stream.connected):
+                    # The edge re-registered the stream: so does this hop.
+                    gen = stream.register(_entry_hello(entry))
+                    conn.relay_streams[entry.stream_id] = (stream, gen)
+                if not entry.connected and stream.connected:
+                    stream.disconnect(gen)
+            _total, window, target_min, target_max = stream.backend.capture()
+            if (entry.target_min, entry.target_max) != (target_min, target_max):
+                stream.set_targets(entry.target_min, entry.target_max)
+            if entry.default_window != window:
+                stream.set_window(entry.default_window)
             self._news(stream)
             self._maybe_compact(stream)
         self._relay_frames.inc()
@@ -877,7 +885,7 @@ class AsyncHeartbeatCollector:
         with self._streams_changed:
             stream_id = hello.name
             suffix = 1
-            while stream_id in self._streams:
+            while (existing := self._streams.get(stream_id)) is not None:
                 # A reconnecting producer resumes its own stream — identified
                 # by (pid, nonce), so a same-named sibling backend in the
                 # same process can never splice into another's history.  The
@@ -885,60 +893,46 @@ class AsyncHeartbeatCollector:
                 # supersedes the old connection even if the loop has not yet
                 # observed the disconnect.  Other collisions get a distinct
                 # id instead.
-                existing = self._streams[stream_id]
-                with existing.lock:
-                    if existing.pid == hello.pid and existing.nonce == hello.nonce:
-                        existing.conn_gen += 1
-                        existing.connected = True
-                        existing.closed = False
-                        existing.reported_total = None
-                        existing.backend.set_default_window(hello.default_window)
-                        existing.backend.set_targets(hello.target_min, hello.target_max)
-                        existing.target_min = hello.target_min
-                        existing.target_max = hello.target_max
-                        existing.default_window = hello.default_window
-                        if existing.journal is not None:
-                            # Journal the re-registration: replay applies
-                            # the freshest metadata, later HELLOs winning.
-                            existing.journal.append_hello(hello)
-                        return existing, existing.conn_gen
+                if existing.pid == hello.pid and existing.nonce == hello.nonce:
+                    return existing, existing.register(hello)
                 suffix += 1
                 stream_id = f"{hello.name}@{suffix}"
-            stream = self._new_stream(stream_id, hello)
-            stream.via_relay = via_relay
+            stream = self._new_stream(stream_id, hello, via_relay)
             if self._journal is not None:
-                stream.journal = self._journal.writer(
-                    stream_id, hello, via_relay=via_relay
-                )
+                stream.journal = self._journal.writer(stream_id, hello, via_relay=via_relay)
             self._streams[stream_id] = stream
             self._streams_changed.notify_all()
             return stream, stream.conn_gen
 
-    def _new_stream(self, stream_id: str, hello: protocol.Hello) -> _CollectorStream:
+    def _new_stream(self, stream_id: str, hello: protocol.Hello, via_relay: bool) -> _CollectorStream:
+        """A stream on a fresh row, registered from ``hello`` (not yet journaled or published)."""
         capacity = hello.capacity if hello.capacity > 0 else self._default_capacity
         capacity = min(max(capacity, _MIN_STREAM_CAPACITY), _MAX_STREAM_CAPACITY)
         slab, index = self._pool.take(capacity if self._arena is None else self._arena.depth, stream_id)
-        return _CollectorStream(stream_id, hello, capacity, slab.arena._ring(index))
+        stream = _CollectorStream(stream_id, hello, capacity, slab.arena._ring(index), via_relay)
+        stream.register(hello)
+        return stream
 
     def _restore_from_journal(self) -> None:
         """Re-register every journaled stream (construction time only).
 
-        Restored streams start disconnected — their producers redial with
+        Each replayed stream goes through the live transitions — register
+        from its latest HELLO, append its records, then CLOSE or disconnect
+        — before its journal is reopened, so nothing is journaled twice.
+        Restored streams start disconnected: their producers redial with
         the same (pid, nonce) and resume, their relay links re-register and
-        are deduplicated against the restored ``last_beat`` high-water mark.
-        ``total_beats`` restarts from the retained window (the ring never
-        journaled what it had already shed).
+        are deduplicated against the row's newest beat.  ``total_beats``
+        restarts from the journaled records (the ring never journaled what
+        it had already shed).
         """
         assert self._journal is not None
         for replayed in self._journal.replay():
-            stream = self._new_stream(replayed.stream_id, replayed.hello)
-            stream.connected = False
-            stream.closed = replayed.closed
-            stream.reported_total = replayed.reported_total
-            stream.via_relay = replayed.via_relay
-            stream.last_beat = replayed.last_beat
-            if replayed.records.shape[0]:
-                stream.backend.append_many(replayed.records)
+            stream = self._new_stream(replayed.stream_id, replayed.hello, replayed.via_relay)
+            stream.append(replayed.records)
+            if replayed.closed:
+                stream.close(replayed.reported_total, stream.conn_gen)
+            else:
+                stream.disconnect(stream.conn_gen)
             try:
                 stream.journal = self._journal.resume(replayed)
             except OSError:
@@ -960,3 +954,10 @@ class AsyncHeartbeatCollector:
                 closed=stream.closed,
                 reported_total=stream.reported_total,
             )
+
+
+def _entry_hello(entry: protocol.RelayEntry) -> protocol.Hello:
+    """The HELLO a relay entry stands for: its origin identity and goals."""
+    return protocol.Hello(
+        entry.stream_id, entry.pid, entry.default_window, 0, entry.target_min, entry.target_max, entry.nonce
+    )

@@ -82,9 +82,10 @@ class ReplayedStream:
     """One stream's state recovered from its journal file.
 
     ``hello`` carries the *latest* registration metadata (a journal may hold
-    several HELLO frames — one per producer reconnect — and later ones win);
+    several HELLO frames — one per producer reconnect — and later ones win,
+    each clearing an earlier CLOSE as a live re-registration does);
     ``records`` is every journaled record in append order; ``last_beat`` is
-    the highest beat number seen, the relay-dedup high-water mark.
+    the highest beat number seen.
     ``valid_bytes`` is the length of the parseable prefix — resuming the
     journal truncates the file there, so a torn tail can never corrupt
     frames appended after restart.
@@ -146,8 +147,8 @@ class JournalWriter:
     def append_targets(self, target_min: float, target_max: float) -> None:
         self._write(protocol.encode_targets(target_min, target_max))
 
-    def append_close(self, reported_total: int) -> None:
-        self._write(protocol.encode_close(reported_total))
+    def append_close(self, reported_total: int | None) -> None:
+        self._write(_close_frame(reported_total))
 
     # -------------------------------------------------------------- #
     # Compaction
@@ -185,7 +186,7 @@ class JournalWriter:
                     payload = protocol.batch_payload(records[start : start + _RECORDS_PER_BATCH])
                     tmp.writelines(protocol.frame_buffers(protocol.FRAME_BATCH, payload))
                 if closed:
-                    tmp.write(protocol.encode_close(reported_total or 0))
+                    tmp.write(_close_frame(reported_total))
                 tmp.flush()
                 if self._sync:
                     os.fsync(tmp.fileno())
@@ -389,15 +390,15 @@ class StreamJournal:
                 continue
             try:
                 if item.type == protocol.FRAME_HELLO:
+                    # A HELLO re-registers: it clears an earlier CLOSE, as live.
                     hello = protocol.decode_hello(item.payload)
+                    closed, reported_total = False, None
                 elif item.type == protocol.FRAME_TARGETS:
                     tmin, tmax = protocol.decode_targets(item.payload)
                     if hello is not None:
                         hello = replace(hello, target_min=tmin, target_max=tmax)
                 elif item.type == protocol.FRAME_CLOSE:
                     closed = True
-                    # Relay links can propagate a CLOSE whose origin total is
-                    # unknown; the journal encodes that as a negative count.
                     value = protocol.decode_close(item.payload)
                     reported_total = None if value < 0 else value
             except protocol.ProtocolError:
@@ -435,6 +436,12 @@ def _hello_frame(hello: protocol.Hello) -> bytes:
         target_min=hello.target_min,
         target_max=hello.target_max,
     )
+
+
+def _close_frame(reported_total: int | None) -> bytes:
+    # Relay links can propagate a CLOSE whose origin total is unknown; the
+    # journal encodes that as a negative count.
+    return protocol.encode_close(-1 if reported_total is None else reported_total)
 
 
 def _file_header(via_relay: bool) -> bytes:

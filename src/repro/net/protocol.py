@@ -87,7 +87,6 @@ __all__ = [
     "FRAME_CLOSE",
     "FRAME_RELAY",
     "RELAY_VERSION",
-    "RELAY_MIN_VERSION",
     "MAX_RELAY_ENTRIES",
     "Frame",
     "BatchRun",
@@ -140,15 +139,9 @@ _KNOWN_FRAMES = frozenset((FRAME_HELLO, FRAME_BATCH, FRAME_TARGETS, FRAME_CLOSE,
 #: collector↔collector, so their layout can evolve (new flags, compression)
 #: without bumping :data:`PROTOCOL_VERSION` and breaking every producer.
 #: Version 2 widened the payload header with a hop-timestamp field so a
-#: parent can measure per-link delivery latency; senders always emit the
-#: current version, receivers accept every version down to
-#: :data:`RELAY_MIN_VERSION`.
+#: parent can measure per-link delivery latency.  Senders emit this version
+#: and receivers decode only it: no edge of this tree sends version 1.
 RELAY_VERSION = 2
-
-#: Oldest RELAY payload version a receiver still decodes.  Version 1 frames
-#: (no hop timestamp) decode as unannotated, so a new root keeps accepting
-#: old edges during a rolling upgrade.
-RELAY_MIN_VERSION = 1
 
 #: Upper bound on stream entries in one RELAY frame (the count field is u16).
 MAX_RELAY_ENTRIES = 0xFFFF
@@ -167,11 +160,10 @@ _HELLO = struct.Struct("!qqqqqddH")
 _TARGETS = struct.Struct("!dd")
 _CLOSE = struct.Struct("!q")
 
-#: RELAY v1 payload header: relay version, record itemsize, entry count.
-_RELAY_HEADER_V1 = struct.Struct("!BHH")
-#: RELAY v2 payload header: v1 fields plus the sender's hop timestamp (an
-#: f64 ``time.perf_counter()`` reading; 0.0 means "not annotated").
-_RELAY_HEADER_V2 = struct.Struct("!BHHd")
+#: RELAY payload header: relay version, record itemsize, entry count and the
+#: sender's hop timestamp (an f64 ``time.perf_counter()`` reading; 0.0
+#: means "not annotated").
+_RELAY_HEADER = struct.Struct("!BHHd")
 #: One RELAY entry header: pid, nonce, default window, target min/max,
 #: reported total (-1: none), flags, stream-id byte length, record count.
 _RELAY_ENTRY = struct.Struct("!qqqddqBHI")
@@ -415,12 +407,12 @@ class RelayFrame:
     """One decoded RELAY payload: its entries plus the hop annotation.
 
     ``hop_timestamp`` is the sending collector's ``time.perf_counter()``
-    reading at the moment the frame was encoded, or ``None`` for a v1 frame
-    (or a v2 frame whose sender chose not to annotate).  It is only
-    meaningful to a receiver on the *same host* time base or one measuring
-    latency against its own clock via round-trip-free estimation; the
-    collector uses it for same-process federation trees and loopback hops,
-    where sender and receiver share one monotonic clock.
+    reading at the moment the frame was encoded, or ``None`` when the
+    sender chose not to annotate.  It is only meaningful to a receiver on
+    the *same host* time base or one measuring latency against its own
+    clock via round-trip-free estimation; the collector uses it for
+    same-process federation trees and loopback hops, where sender and
+    receiver share one monotonic clock.
     """
 
     entries: list[RelayEntry]
@@ -444,7 +436,7 @@ def encode_relay(
     """Encode one RELAY frame carrying ``entries``.
 
     ``hop_timestamp`` stamps the frame with the sender's monotonic send
-    time (v2 annotation); ``None`` encodes the "not annotated" sentinel.
+    time (the hop annotation); ``None`` encodes the "not annotated" sentinel.
     The caller is responsible for keeping the total payload under
     :data:`MAX_PAYLOAD` (use :func:`relay_entry_size` to chunk); an
     oversized payload raises :class:`ProtocolError` like any other frame.
@@ -452,7 +444,7 @@ def encode_relay(
     if len(entries) > MAX_RELAY_ENTRIES:
         raise ProtocolError(f"{len(entries)} entries exceed the {MAX_RELAY_ENTRIES} per-frame limit")
     stamp = 0.0 if hop_timestamp is None else float(hop_timestamp)
-    parts = [_RELAY_HEADER_V2.pack(RELAY_VERSION, RECORD_DTYPE.itemsize, len(entries), stamp)]
+    parts = [_RELAY_HEADER.pack(RELAY_VERSION, RECORD_DTYPE.itemsize, len(entries), stamp)]
     for entry in entries:
         raw_id = entry.stream_id.encode("utf-8")
         if not raw_id:
@@ -498,28 +490,18 @@ def decode_relay(payload: bytes) -> list[RelayEntry]:
 def decode_relay_frame(payload: bytes) -> RelayFrame:
     """Decode a RELAY payload into entries plus its hop annotation.
 
-    Accepts payload versions :data:`RELAY_MIN_VERSION` through
-    :data:`RELAY_VERSION` (v1 frames decode with ``hop_timestamp=None``);
-    rejects anything else and mismatched record layouts up front — a relay
-    link negotiates nothing, so the first frame already proves (or
-    disproves) compatibility.
+    Accepts payload version :data:`RELAY_VERSION` only; rejects any other
+    version and mismatched record layouts up front — a relay link
+    negotiates nothing, so the first frame already proves (or disproves)
+    compatibility.
     """
-    if len(payload) < _RELAY_HEADER_V1.size:
+    if payload and payload[0] != RELAY_VERSION:
+        raise ProtocolError(f"unsupported relay version {payload[0]}")
+    if len(payload) < _RELAY_HEADER.size:
         raise ProtocolError(f"relay payload truncated: {len(payload)} bytes")
-    version = payload[0]
-    if not RELAY_MIN_VERSION <= version <= RELAY_VERSION:
-        raise ProtocolError(f"unsupported relay version {version}")
-    hop_timestamp: float | None = None
-    if version >= 2:
-        if len(payload) < _RELAY_HEADER_V2.size:
-            raise ProtocolError(f"relay payload truncated: {len(payload)} bytes")
-        version, itemsize, count, stamp = _RELAY_HEADER_V2.unpack_from(payload)
-        if stamp > 0.0:
-            hop_timestamp = float(stamp)
-        offset = _RELAY_HEADER_V2.size
-    else:
-        version, itemsize, count = _RELAY_HEADER_V1.unpack_from(payload)
-        offset = _RELAY_HEADER_V1.size
+    _version, itemsize, count, stamp = _RELAY_HEADER.unpack_from(payload)
+    hop_timestamp = float(stamp) if stamp > 0.0 else None
+    offset = _RELAY_HEADER.size
     if itemsize != RECORD_DTYPE.itemsize:
         raise ProtocolError(
             f"relay records are {itemsize} bytes per record, expected {RECORD_DTYPE.itemsize}"

@@ -293,9 +293,9 @@ class RelayForwarder:
                 # ahead of the records that preceded it.
                 delta, cursor = stream.backend.snapshot_since(state.cursor)
                 meta: _Meta = (
-                    stream.target_min,
-                    stream.target_max,
-                    stream.default_window,
+                    delta.target_min,
+                    delta.target_max,
+                    delta.default_window,
                     stream.connected,
                     stream.closed,
                     stream.reported_total,

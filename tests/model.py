@@ -2,10 +2,11 @@
 
 An external observer (the paper's Figure 1b) can know four things about an
 application's stream: the records its storage still holds, how many beats it
-has produced, the target range it published and its default rate window.
-:class:`StreamModel` keeps exactly those, as Python lists and numbers, and
-derives what every observer route must report from the paper's definitions
-alone:
+has produced, the target range it published and its default rate window.  A
+wire stream adds two: whether its producer closed it, and the total it
+reported in that CLOSE.  :class:`StreamModel` keeps exactly those, as Python
+lists and numbers, and derives what every observer route must report from
+the paper's definitions alone:
 
 * the heart rate is the average over the last *N* beats the storage still
   holds: ``(N - 1) / (t_last - t_first)``.  *N* is the observer's window, or
@@ -18,9 +19,11 @@ alone:
   beat is older than the liveness timeout, HEALTHY without a published goal,
   SLOW below the minimum, FAST above a set maximum, HEALTHY inside.
 
-``tests/test_observer_model.py`` drives every local route — ``mem://``,
-``shm://``, ``file://``, an arena row and a ``Heartbeat`` — and compares the
-aggregator's ``FleetSample`` and each ``HeartbeatMonitor.read()`` with it.
+``tests/test_observer_model.py`` drives every route — ``mem://``,
+``shm://``, ``file://``, an arena row, a ``Heartbeat``, ``tcp://`` into a
+journaled collector and an edge → root relay hop — and compares the
+aggregator's ``FleetSample``, each ``HeartbeatMonitor.read()`` and a wire
+collector's ``streams()`` with it.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ class StreamModel:
     target_min: float = 0.0
     target_max: float = 0.0
     window: int = 0
+    closed: bool = False
+    reported_total: int | None = None
 
     @classmethod
     def of(cls, snap: object) -> "StreamModel":
@@ -65,6 +70,14 @@ class StreamModel:
         self.total += 1
         if self.capacity is not None and len(self.stamps) > self.capacity:
             del self.stamps[: len(self.stamps) - self.capacity]
+
+    def close(self) -> None:
+        """The producer sent CLOSE carrying the total it produced."""
+        self.closed, self.reported_total = True, self.total
+
+    def resume(self) -> None:
+        """A HELLO re-registered the stream, clearing any CLOSE."""
+        self.closed, self.reported_total = False, None
 
     def restart(self) -> None:
         """The storage starts over empty (a truncated or rotated log)."""

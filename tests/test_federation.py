@@ -112,6 +112,28 @@ class TestEdgeForwarding:
                 agg.close()
                 backend.close()
 
+    def test_resume_after_close_reopens_the_stream_at_the_root(self):
+        """A HELLO after CLOSE re-registers at the edge, and so at the root."""
+
+        def liveness(collector: HeartbeatCollector) -> list[tuple[bool, int | None]]:
+            return [(i.closed, i.reported_total) for i in collector.streams()]
+
+        hello = protocol.encode_hello("svc", pid=41, nonce=7, default_window=8, capacity=64)
+
+        def batch(beats: range) -> bytes:
+            payload = protocol.batch_payload(records_for([(b, b * 0.01) for b in beats]))
+            return protocol.encode_frame(protocol.FRAME_BATCH, payload)
+
+        with HeartbeatCollector() as root, edge_for(root) as edge:
+            with socket.create_connection(edge.address, timeout=5.0) as sock:
+                sock.sendall(hello + batch(range(5)) + protocol.encode_close(5))
+                assert wait_until(lambda: liveness(root) == [(True, 5)])
+            with socket.create_connection(edge.address, timeout=5.0) as sock:
+                sock.sendall(hello + batch(range(5, 8)))
+                assert wait_until(lambda: root_total(root, "svc") == 8)
+                assert liveness(edge) == [(False, None)]
+                assert wait_until(lambda: liveness(root) == liveness(edge), timeout=2.0)
+
 
 class TestTreeTopology:
     def test_two_edges_one_root_keeps_streams_distinct(self):

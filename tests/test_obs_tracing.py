@@ -76,18 +76,18 @@ class TestRelayHopTimestampWire:
         payload = protocol.strip_header(protocol.encode_relay([self.entry()]))
         assert protocol.decode_relay_frame(payload).hop_timestamp is None
 
-    def test_v1_payload_still_decodes(self):
+    def test_v1_payload_is_rejected(self):
         # Rewrite a v2 payload into the 5-byte v1 header a pre-upgrade edge
-        # would emit: same entries, no hop timestamp.
+        # would emit: same entries, no hop timestamp.  No edge of this tree
+        # sends v1, so a receiver refuses it like any unknown version.
         v2 = protocol.strip_header(protocol.encode_relay([self.entry()]))
         version, itemsize, count, _stamp = struct.Struct("!BHHd").unpack_from(v2)
         assert version == 2
         v1 = struct.pack("!BHH", 1, itemsize, count) + v2[13:]
-        frame = protocol.decode_relay_frame(v1)
-        assert frame.hop_timestamp is None
-        assert frame.entries[0].records["beat"].tolist() == [1, 2]
-        # The legacy entries-only decoder sees the same thing.
-        assert [e.stream_id for e in protocol.decode_relay(v1)] == ["svc"]
+        with pytest.raises(protocol.ProtocolError, match="unsupported relay version 1"):
+            protocol.decode_relay_frame(v1)
+        with pytest.raises(protocol.ProtocolError, match="unsupported relay version 1"):
+            protocol.decode_relay(struct.pack("!BHH", 1, itemsize, 0))  # shorter than a v2 header
 
     def test_future_relay_version_rejected(self):
         v2 = protocol.strip_header(protocol.encode_relay([self.entry()]))

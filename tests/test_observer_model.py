@@ -1,17 +1,20 @@
 """Every observer route against ``tests/model.py``.
 
-One state machine drives six streams — a ``mem://`` backend, an ``shm://``
+One state machine drives seven streams — a ``mem://`` backend, an ``shm://``
 segment seen through a ``SharedMemoryReader``, a ``file://`` log seen
 through a ``FileReader``, a row of an attached ``mem-arena`` slab, a
-``Heartbeat`` and a ``tcp://`` stream whose raw-socket frames reach a live
-collector observed through ``attach_collector`` — through beats, batches,
-backwards stamps, goal and window changes (past the observer's row depth
-and past the source's capacity), laps, log truncation and rotation, CLOSE
-and redial, and detach / re-attach.  After every poll each ``FleetSample``
-row and each ``HeartbeatMonitor.read()``, at the default window and at an
-explicit one, must equal :class:`StreamModel`.  The wire cannot change a
-window mid-connection, so the ``tcp://`` stream keeps its HELLO's, and each
-poll first waits at most :data:`DELIVERY_S` for its frames to land.
+``Heartbeat``, and two wire streams sent as raw-socket frames: ``tcp://``
+into a collector with a journal, and ``relay`` into an edge whose root is
+the collector observed — through beats, batches, backwards stamps, goal and
+window changes (past the observer's row depth and past the source's
+capacity), laps, log truncation and rotation, CLOSE and redial, a restart
+of the journaled collector, and detach / re-attach.  After every poll each
+``FleetSample`` row and each ``HeartbeatMonitor.read()``, at the default
+window and at an explicit one, must equal :class:`StreamModel`, and so must
+each wire collector's ``streams()`` (total, CLOSE state, reported total).
+The wire changes a window only with a HELLO, so a wire stream redials to
+change one, and each poll first waits at most :data:`DELIVERY_S` for the
+wire streams to show what was sent.
 
 Tier-1 runs a fixed-seed profile; the ``slow`` twin explores.  Two fixed
 cases pin what the machine cannot schedule: a read a writer overlaps (the
@@ -44,40 +47,64 @@ from repro.core.record import RECORD_DTYPE
 from repro.net import HeartbeatCollector, protocol
 
 LIVENESS = 5.0
-KINDS = ("mem", "shm", "file", "arena", "hb", "tcp")
-#: Kinds a producer can change the published window of mid-stream, and
-#: kinds attached one stream at a time (a slab's or a collector's rows are not).
-WINDOWED = ("mem", "shm", "file", "arena", "hb")
+KINDS = ("mem", "shm", "file", "arena", "hb", "tcp", "relay")
+#: Wire kinds, and kinds attached one stream at a time (a slab's or a
+#: collector's rows are not).
+WIRES = ("tcp", "relay")
 DETACHABLE = ("mem", "shm", "file", "hb")
 #: Retained beats per kind (``None``: a log keeps every line).  The
-#: ``tcp://`` stream asks for the collector's smallest capacity.
-CAPACITY = {"mem": 8, "shm": 16, "file": None, "arena": 8, "hb": 8, "tcp": 16}
-#: The ``tcp://`` stream's HELLO window, and the bound on one delivery.
-TCP_WINDOW = 5
+#: ``tcp://`` stream asks for the collector's smallest capacity; the relay
+#: root's rows are that deep, behind an edge that never laps.
+CAPACITY = {"mem": 8, "shm": 16, "file": None, "arena": 8, "hb": 8, "tcp": 16, "relay": 16}
+EDGE_CAPACITY = 4096
+#: The wire streams' first HELLO window, and the bound on one delivery.
+WIRE_WINDOW = 5
 DELIVERY_S = 2.0
 #: Published windows: inside the row, past a row's depth, past every capacity.
 WINDOWS = st.sampled_from([1, 2, 3, 4, 5, 9, 17, 40])
 
 
+def _bounded(done, what: str) -> None:
+    """Wait at most :data:`DELIVERY_S` for ``done()``."""
+    deadline = time.monotonic() + DELIVERY_S
+    while not done():
+        assert time.monotonic() < deadline, f"{what} not delivered in time"
+        time.sleep(0.0005)
+
+
 class _Wire:
-    """A ``tcp://`` producer as raw frames on one socket, counting what it sent."""
+    """A wire producer as raw frames, one connection per HELLO.
 
-    def __init__(self, collector: HeartbeatCollector) -> None:
-        self.collector = collector
-        self.frames = 0  # frames sent over every connection so far
-        self.target_min = self.target_max = 0.0
-        self._dial()
+    ``collector`` ingests the frames; ``observed`` is the collector the
+    stream is read from — the same one for ``tcp://``, the root behind the
+    edge for ``relay``.  The HELLO carries the model's goals and window.
+    """
 
-    def _dial(self) -> None:
+    def __init__(self, name: str, collector: HeartbeatCollector, observed: HeartbeatCollector,
+                 model: StreamModel, capacity: int) -> None:
+        self.name = name
+        self.collector, self.observed = collector, observed
+        self.model = model
+        self.capacity = capacity
+        self.frames = 0  # frames sent to ``collector`` so far
+        self.sock: socket.socket | None = None
+        self.dial()
+
+    def dial(self) -> None:
+        """(Re)register the stream with a HELLO on a new connection."""
         self.sock = socket.create_connection(self.collector.address, timeout=5.0)
+        model = self.model
         self._send(
             protocol.encode_hello(
-                "tcp", pid=4242, nonce=7, default_window=TCP_WINDOW, capacity=CAPACITY["tcp"],
-                target_min=self.target_min, target_max=self.target_max,
+                self.name, pid=4242, nonce=7, default_window=model.window, capacity=self.capacity,
+                target_min=model.target_min, target_max=model.target_max,
             )
         )
+        model.resume()
 
     def _send(self, frame: bytes) -> None:
+        if self.sock is None:  # the producer closed the stream: a write redials
+            self.dial()
         self.sock.sendall(frame)
         self.frames += 1
 
@@ -91,32 +118,66 @@ class _Wire:
 
     def set_targets(self, target_min: float, target_max: float) -> None:
         self._send(protocol.encode_targets(target_min, target_max))
-        self.target_min, self.target_max = target_min, target_max
 
-    def redial(self, total: int) -> None:
-        """CLOSE the stream, hang up, and resume it on a new connection."""
-        self._send(protocol.encode_close(total))
-        self.delivered(total)
-        self.sock.close()
-        self._dial()
+    def set_default_window(self, window: int) -> None:
+        self.hang_up()
+        self.model.window = window
+        self.dial()
 
-    def delivered(self, total: int) -> None:
-        """Wait, at most :data:`DELIVERY_S`, until every frame sent has landed.
+    def finish(self) -> None:
+        """CLOSE the stream with the total produced and hang up."""
+        if self.sock is not None:
+            self._send(protocol.encode_close(self.model.total))
+            self.model.close()
+            self.hang_up()
+
+    def hang_up(self) -> None:
+        """Close the connection once its frames landed, so no redial overtakes them."""
+        if self.sock is not None:
+            _bounded(lambda: self.collector.stats()["frames"] >= self.frames, self.name)
+            self.sock.close()
+            self.sock = None
+
+    def restart(self, journal: str) -> None:
+        """Stop the collector, reopen it on its journal, and redial an open stream."""
+        redial = self.sock is not None
+        self.hang_up()
+        self.collector.close()
+        self.collector = self.observed = HeartbeatCollector(journal=journal)
+        self.frames = 0
+        assert self.state() == self.expected()  # restored as it was, nothing re-sent yet
+        if redial:
+            self.dial()
+
+    def state(self) -> tuple:
+        """The observed stream's counters, goals and CLOSE state."""
+        snap = self.observed.snapshot(self.name)
+        [info] = self.observed.streams()
+        return (snap.total_beats, snap.target_min, snap.target_max, snap.default_window,
+                info.total_beats, info.closed, info.reported_total)
+
+    def expected(self) -> tuple:
+        model = self.model
+        return (model.total, model.target_min, model.target_max, model.window,
+                model.total, model.closed, model.reported_total)
+
+    def delivered(self) -> None:
+        """Wait, at most :data:`DELIVERY_S`, until the observed stream shows the model.
 
         The frame counter moves as a frame's ingest starts, so the stream
-        must also show the beats and the goal the last frame carried.
+        must also show the beats, goals and CLOSE state the last frame carried.
         """
+        _bounded(lambda: self.collector.stats()["frames"] >= self.frames, self.name)
         deadline = time.monotonic() + DELIVERY_S
-        want = (total, self.target_min, self.target_max)
-        while self.collector.stats()["frames"] < self.frames or want != (
-            (snap := self.collector.snapshot("tcp")).total_beats, snap.target_min, snap.target_max
-        ):
-            assert time.monotonic() < deadline, "tcp:// frames not delivered in time"
+        while self.state() != self.expected() and time.monotonic() < deadline:
             time.sleep(0.0005)
+        assert self.state() == self.expected(), self.name
 
     def close(self) -> None:
-        self.sock.close()
+        if self.sock is not None:
+            self.sock.close()
         self.collector.close()
+        self.observed.close()
 
 
 class _Route:
@@ -129,7 +190,7 @@ class _Route:
         self.beat = 0
         self.rotations = 0
         self.attached = True
-        clock, directory = machine.clock, machine.directory
+        self.clock, directory = machine.clock, machine.directory
         if kind == "mem":
             self.writer = self.source = MemoryBackend(8)
         elif kind == "shm":
@@ -145,16 +206,31 @@ class _Route:
             self.source = self.arena.row(0)
             self.name = "arena/row"
         elif kind == "hb":
-            self.hb = Heartbeat(window=4, clock=clock, history=8, name="hb")
+            self.hb = Heartbeat(window=4, clock=self.clock, history=8, name="hb")
             self.writer, self.source = self.hb.backend, self.hb
             self.model.window = 4
         else:
-            self.collector = HeartbeatCollector()
-            self.writer = _Wire(self.collector)
-            assert self.collector.wait_for_streams(1, timeout=DELIVERY_S)
-            self.source = self.collector.source("tcp")
-            self.model.window = TCP_WINDOW
-        self.monitor = HeartbeatMonitor(self.source, clock=clock, liveness_timeout=LIVENESS)
+            self.model.window = WIRE_WINDOW
+            if kind == "tcp":
+                self.journal = os.path.join(directory, "journal")
+                collector = observed = HeartbeatCollector(journal=self.journal)
+                capacity = CAPACITY["tcp"]
+            else:
+                observed = HeartbeatCollector(default_capacity=CAPACITY["relay"])
+                collector = HeartbeatCollector(upstream=observed.endpoint)
+                capacity = EDGE_CAPACITY
+            self.writer = _Wire(kind, collector, observed, self.model, capacity)
+            assert observed.wait_for_streams(1, timeout=DELIVERY_S)
+            self.collector = observed
+            self.source = observed.source(kind)
+        self.monitor = HeartbeatMonitor(self.source, clock=self.clock, liveness_timeout=LIVENESS)
+
+    def restart(self) -> None:
+        """The journaled collector stops and comes back on its journal."""
+        self.writer.restart(self.journal)
+        self.collector = self.writer.observed
+        self.source = self.collector.source(self.kind)
+        self.monitor = HeartbeatMonitor(self.source, clock=self.clock, liveness_timeout=LIVENESS)
 
     def append(self, stamp: float, clock: ManualClock) -> None:
         if stamp > clock.now():
@@ -195,14 +271,18 @@ class ObserverMachine(RuleBasedStateMachine):
         super().__init__()
         self.clock = ManualClock(100.0)
         self.directory = tempfile.mkdtemp(prefix="hb-model-")
-        self.aggregator = HeartbeatAggregator(clock=self.clock, liveness_timeout=LIVENESS)
         self.routes = {kind: _Route(kind, self) for kind in KINDS}
+        self._attach()
+
+    def _attach(self) -> None:
+        """A fresh aggregator observing every attached route."""
+        self.aggregator = HeartbeatAggregator(clock=self.clock, liveness_timeout=LIVENESS)
         for route in self.routes.values():
             if route.kind == "arena":
                 self.aggregator.attach_arena(route.arena, prefix="arena/")
-            elif route.kind == "tcp":
+            elif route.kind in WIRES:
                 self.aggregator.attach_collector(route.collector)
-            else:
+            elif route.attached:
                 self.aggregator.attach_stream(route.name, route.source)
 
     @initialize()
@@ -232,14 +312,14 @@ class ObserverMachine(RuleBasedStateMachine):
     def batch(self, kind: str, count: int, dt: float) -> None:
         self.routes[kind].append_many(self._stamps(count, dt), self.clock)
 
-    @rule(kind=st.sampled_from(("mem", "shm", "file", "arena", "tcp")), back=st.sampled_from([0.5, 3.0]))
+    @rule(kind=st.sampled_from(("mem", "shm", "file", "arena") + WIRES), back=st.sampled_from([0.5, 3.0]))
     def backwards(self, kind: str, back: float) -> None:
         """A stamp older than the last one (a stepped wall clock)."""
         route = self.routes[kind]
         last = route.model.last
         route.append(self.clock.now() - back if last is None else last - back, self.clock)
 
-    @rule(kind=st.sampled_from(("mem", "shm", "arena", "hb", "tcp")), extra=st.integers(1, 20))
+    @rule(kind=st.sampled_from(("mem", "shm", "arena", "hb") + WIRES), extra=st.integers(1, 20))
     def lap(self, kind: str, extra: int) -> None:
         """More beats than the storage holds, all between two polls."""
         route = self.routes[kind]
@@ -256,7 +336,7 @@ class ObserverMachine(RuleBasedStateMachine):
     def set_targets(self, kind: str, goal: tuple[float, float]) -> None:
         self._targets(self.routes[kind], *goal)
 
-    @rule(kind=st.sampled_from(WINDOWED), window=WINDOWS)
+    @rule(kind=st.sampled_from(KINDS), window=WINDOWS)
     def set_window(self, kind: str, window: int) -> None:
         route = self.routes[kind]
         route.writer.set_default_window(window)
@@ -281,11 +361,20 @@ class ObserverMachine(RuleBasedStateMachine):
         for stamp in self._stamps(beats, 0.1):
             route.append(stamp, self.clock)
 
+    @rule(kind=st.sampled_from(WIRES), redial=st.booleans())
+    def finish(self, kind: str, redial: bool) -> None:
+        """A wire producer sends CLOSE and hangs up; it redials now or at its next write."""
+        wire = self.routes[kind].writer
+        wire.finish()
+        if redial:
+            wire.dial()
+
     @rule()
-    def redial(self) -> None:
-        """The ``tcp://`` producer sends CLOSE, hangs up and resumes its stream."""
-        route = self.routes["tcp"]
-        route.writer.redial(route.model.total)
+    def restart_collector(self) -> None:
+        """The journaled collector stops and restarts; observers attach afresh."""
+        self.aggregator.close()
+        self.routes["tcp"].restart()
+        self._attach()
 
     @rule(dt=st.sampled_from([0.5, 3.0, 6.0]))
     def idle(self, dt: float) -> None:
@@ -313,8 +402,8 @@ class ObserverMachine(RuleBasedStateMachine):
 
     @rule(requested=st.sampled_from([1, 2, 3, 6, 12]))
     def poll(self, requested: int) -> None:
-        wire = self.routes["tcp"]
-        wire.writer.delivered(wire.model.total)
+        for kind in WIRES:
+            self.routes[kind].writer.delivered()
         now = self.clock.now()
         sample = self.aggregator.poll()
         expected = {

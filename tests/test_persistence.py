@@ -47,6 +47,10 @@ def make_records(beats: range) -> np.ndarray:
     return out
 
 
+def batch_frame(beats: range) -> bytes:
+    return protocol.encode_frame(protocol.FRAME_BATCH, protocol.batch_payload(make_records(beats)))
+
+
 class TestJournalRoundTrip:
     def test_records_targets_close_replay(self, tmp_path):
         journal = StreamJournal(tmp_path)
@@ -176,6 +180,13 @@ class TestCompaction:
         assert replayed.reported_total == 4
         assert replayed.records.shape[0] == 4
 
+    def test_rewrite_keeps_an_unknown_close_total_unknown(self, tmp_path):
+        journal = StreamJournal(tmp_path, max_bytes=128)
+        writer = journal.writer("svc", make_hello())
+        writer.rewrite(make_hello(), make_records(range(4)), closed=True, reported_total=None)
+        journal.close()
+        [replayed] = StreamJournal(tmp_path).replay()
+        assert (replayed.closed, replayed.reported_total) == (True, None)
 
     def test_retained_window_over_max_bytes_does_not_compact_every_append(self, tmp_path):
         """A 4096-record (128 KiB) window into a 64 KiB journal: each rewrite is
@@ -305,3 +316,102 @@ class TestCollectorFailover:
             fresh.close()
         finally:
             restarted.close()
+
+    def test_close_then_resume_restarts_as_the_live_stream(self, tmp_path):
+        """A HELLO re-registers, so replay clears an earlier CLOSE as live ingest does."""
+        collector = HeartbeatCollector("127.0.0.1", 0, journal=str(tmp_path))
+        hello = protocol.encode_hello("svc", pid=41, nonce=7, default_window=8, capacity=64)
+        try:
+            with socket.create_connection(collector.address, timeout=5.0) as sock:
+                sock.sendall(hello + batch_frame(range(5)) + protocol.encode_close(5))
+                assert wait_until(lambda: [(i.closed, i.reported_total) for i in collector.streams()] == [(True, 5)])
+            with socket.create_connection(collector.address, timeout=5.0) as sock:
+                sock.sendall(hello + batch_frame(range(5, 8)))
+                assert wait_until(lambda: collector.snapshot("svc").total_beats == 8)
+        finally:
+            collector.close()
+        [live] = collector.streams()
+        assert (live.closed, live.reported_total, live.connected) == (False, None, False)
+        restarted = HeartbeatCollector("127.0.0.1", 0, journal=str(tmp_path))
+        try:
+            assert restarted.streams() == [live]
+        finally:
+            restarted.close()
+
+
+def collector_state(collector: HeartbeatCollector) -> tuple | None:
+    """What a restart must restore: records, goals, window and CLOSE state."""
+    if "svc" not in collector.stream_ids():
+        return None
+    snap = collector.snapshot("svc")
+    [info] = collector.streams()
+    beats = snap.records["beat"].tolist()
+    goals = (snap.target_min, snap.target_max, snap.default_window)
+    return beats, snap.total_beats, goals, info.closed, info.reported_total
+
+
+@pytest.mark.network
+def test_a_journal_cut_anywhere_restores_the_last_whole_frame(tmp_path):
+    """Kill points: the journal cut at every frame boundary and one byte
+    inside every frame.  A restart holds what live ingest of the whole
+    frames before the cut holds: a contiguous record tail, the goals, the
+    window and the CLOSE state."""
+    steps = [  # one RELAY entry each; the comment names what it journals
+        dict(default_window=4, target_min=2.0, target_max=9.0, records=make_records(range(6))),  # HELLO, BATCH
+        dict(default_window=4, target_min=2.0, target_max=9.0, records=make_records(range(6, 10))),  # BATCH
+        dict(default_window=4, target_min=3.0, target_max=12.0),  # TARGETS
+        dict(default_window=16, target_min=3.0, target_max=12.0),  # HELLO (the relayed window)
+        dict(default_window=16, target_min=3.0, target_max=12.0, connected=False, closed=True,
+             reported_total=10),  # CLOSE
+        dict(default_window=32, target_min=3.0, target_max=12.0, connected=False, closed=True,
+             reported_total=10),  # HELLO, CLOSE (a window change while closed)
+        dict(default_window=32, target_min=3.0, target_max=12.0),  # HELLO (the resume)
+        dict(default_window=32, target_min=3.0, target_max=12.0, records=make_records(range(10, 13))),  # BATCH
+    ]
+    with HeartbeatCollector("127.0.0.1", 0, journal=str(tmp_path / "source")) as source:
+        with socket.create_connection(source.address, timeout=5.0) as sock:
+            for sent, fields in enumerate(steps, 1):
+                entry = protocol.RelayEntry(stream_id="svc", pid=41, nonce=7, **fields)
+                sock.sendall(protocol.encode_relay([entry]))
+                assert wait_until(lambda: source.stats()["relay_frames"] == sent)
+    data = (tmp_path / "source" / "svc.hbj").read_bytes()
+    frames, end, error = protocol.scan_frames(data, 12, runs=False)
+    assert (end, error) == (len(data), None)
+    assert [f.type for f in frames] == [
+        protocol.FRAME_HELLO, protocol.FRAME_BATCH, protocol.FRAME_BATCH, protocol.FRAME_TARGETS,
+        protocol.FRAME_HELLO, protocol.FRAME_CLOSE, protocol.FRAME_HELLO, protocol.FRAME_CLOSE,
+        protocol.FRAME_HELLO, protocol.FRAME_BATCH,
+    ]
+
+    # Live ingest of each whole-frame prefix: a HELLO is a (re)dial.
+    expected = [None]
+    bounds = [12]
+    with HeartbeatCollector() as live:
+        socks: list[socket.socket] = []
+        try:
+            for sent, frame in enumerate(frames, 1):
+                encoded = protocol.encode_frame(frame.type, frame.payload)
+                if frame.type == protocol.FRAME_HELLO:
+                    socks.append(socket.create_connection(live.address, timeout=5.0))
+                socks[-1].sendall(encoded)
+                assert wait_until(lambda: live.stats()["frames"] == sent)
+                expected.append(collector_state(live))
+                bounds.append(bounds[-1] + len(encoded))
+        finally:
+            for sock in socks:
+                sock.close()
+    assert expected[6][2:] == ((3.0, 12.0, 16), True, 10)
+    assert expected[7][2:] == ((3.0, 12.0, 32), False, None)  # cut between a HELLO and its CLOSE
+    assert expected[8][2:] == ((3.0, 12.0, 32), True, 10)
+    assert expected[-1] == (list(range(13)), 13, (3.0, 12.0, 32), False, None)
+
+    cuts = [(bound, whole) for whole, bound in enumerate(bounds)]
+    cuts += [(bound + 1, whole) for whole, bound in enumerate(bounds[:-1])]
+    for cut, whole in cuts:
+        directory = tmp_path / f"cut-{cut}"
+        directory.mkdir()
+        (directory / "svc.hbj").write_bytes(data[:cut])
+        with HeartbeatCollector("127.0.0.1", 0, journal=str(directory)) as restarted:
+            state = collector_state(restarted)
+        assert state == expected[whole], (cut, whole)
+        assert state is None or state[0] == list(range(state[1]))  # a contiguous tail
