@@ -59,6 +59,7 @@ from repro.core.monitor import (
     _rows,
     classify_codes,
 )
+from repro.core.rate import BACKWARDS
 from repro.core.registry import HeartbeatRegistry
 from repro.core.stream import DeltaSource, ProbeSource, StreamSource, capabilities_of
 from repro.obs.registry import MetricsRegistry
@@ -763,7 +764,7 @@ class HeartbeatAggregator:
         backwards = np.isnan(rate)
         if backwards.any():
             for i in np.flatnonzero(backwards):
-                errors[names[i]] = "timestamps are not sorted in non-decreasing order"
+                errors[names[i]] = BACKWARDS
             keep = ~backwards
             names = tuple(compress(names, keep))
             rate, total, tmin, tmax, last_ts, retained = (

@@ -72,17 +72,13 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.backends.base import (
-    Backend,
-    BackendSnapshot,
-    DeltaSnapshot,
-    SnapshotCursor,
-    delta_bounds,
-)
-from repro.core.backends.ring import Ring
+from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
+from repro.core.backends.ring import _ATTEMPTS, Ring
 from repro.core.backends.shared_memory import _attach_untracked, _untrack_segment
-from repro.core.errors import BackendError, BackendFormatError, InvalidWindowError
+from repro.core.errors import BackendError, BackendFormatError
+from repro.core.rate import interval_rates
 from repro.core.record import RECORD_DTYPE, pack_record
+from repro.core.window import resolve_windows
 
 __all__ = [
     "Arena",
@@ -431,30 +427,30 @@ class Arena:
         (``None`` or shorter-than-the-fleet entries mean "never read": those
         rows resync in full, exactly like a per-stream ``snapshot_since``
         with no cursor).  ``window`` is the observer's requested rate window
-        (``0``: each producer's published default), resolved per row by the
-        same rule :func:`repro.core.window.resolve_window` applies to single
-        streams.  ``include_records=False`` skips gathering the new record
-        payloads and returns columns only — the aggregator's classification
-        pass needs nothing more.  ``held`` caps each row's ``retained`` (one
-        entry per slab row): an observer mirroring a source into a row passes
-        what the source itself still holds, so the rate window never reaches
-        past it.  A row whose rate window spans backwards in time reads rate
-        ``nan``.
+        (``0``: each producer's published default), resolved per row by
+        :func:`repro.core.window.resolve_windows`, the column form of the
+        rule single streams use.  ``include_records=False`` skips gathering
+        the new record payloads and returns columns only — the aggregator's
+        classification pass needs nothing more.  ``held`` caps each row's
+        ``retained`` (one entry per slab row): an observer mirroring a
+        source into a row passes what the source itself still holds, so the
+        rate window never reaches past it.  Rates come from
+        :func:`repro.core.rate.interval_rates`: a row whose rate window spans
+        backwards in time reads rate ``nan``.
 
-        Consistency: header columns are captured under a vectorized seqlock
-        check (rows whose writer raced the read are retried as a shrinking
-        subset); the record gather is then validated against the captured
-        sequences and any row a writer touched mid-gather is re-read through
-        the scalar ring kernel (copy once, drop what the writer can have
-        reached).  Cost is a handful of O(rows) numpy passes — no per-stream
-        Python dispatch.
+        Consistency follows the ring's reader protocol
+        (:mod:`repro.core.backends.ring`), every row at once.  The header
+        columns — with the last stamp and the rate window's stamps — are
+        captured under a vectorized seqlock check (rows whose writer raced
+        the capture are retried as a shrinking subset).  The new records are
+        then copied once.  Rows whose sequence word moved meanwhile are
+        settled, not re-read: once their writers are quiet, the prefix of
+        each row's copy that a write can have reached is dropped and
+        ``retained``, ``new``, ``gap`` and ``resync`` follow, exactly as
+        :meth:`Ring.snapshot_since` would report them.  Cost is a handful of
+        O(rows) numpy passes — no per-stream Python dispatch.
         """
         self._check_open()
-        if isinstance(window, bool) or not isinstance(window, int):
-            raise InvalidWindowError(f"window must be an int, got {window!r}")
-        if window < 0:
-            raise InvalidWindowError(f"window must be >= 0, got {window}")
-        requested = int(window)
         count = self.rows_in_use
         depth = self.depth
 
@@ -470,7 +466,7 @@ class Arena:
         ts2d = self._records["timestamp"]
 
         pending = np.arange(count, dtype=np.int64)
-        for attempt in range(256):
+        for attempt in range(_ATTEMPTS):
             if attempt:
                 # Yield so writers mid-batch (possibly sharing our GIL) can
                 # publish; escalate to a real sleep if they keep winning.
@@ -498,20 +494,9 @@ class Arena:
             has = retained > 0
             safe_total = np.maximum(totals, 1)
             last_ts = ts2d[idx, (safe_total - 1) % depth]
-            # Effective window per row: resolve_window(requested, dw, retained),
-            # a producer without a published window (dw <= 0) read at the
-            # observer's requested one.
-            dw_eff = np.where(dw > 0, dw, max(requested, 1))
-            base = dw_eff if requested == 0 else np.minimum(requested, dw_eff)
-            effective = np.minimum(base, retained)
+            effective = resolve_windows(window, dw, retained)
             first_ts = ts2d[idx, (safe_total - np.maximum(effective, 1)) % depth]
-            span = last_ts - first_ts
-            measurable = (effective >= 2) & (span > 0)
-            rate = np.where(
-                measurable,
-                (np.maximum(effective, 2) - 1) / np.where(span > 0, span, 1.0),
-                np.where(span < 0, np.nan, 0.0),
-            )
+            rate = interval_rates(effective - 1, last_ts - first_ts)
             seq1 = rows["sequence"][:count] if full_pass else rows["sequence"][idx]
             ok = (seq0 % 2 == 0) & (seq1 == seq0)
             if full_pass and bool(ok.all()):
@@ -555,19 +540,22 @@ class Arena:
 
         included, gap, resync = bounds()
         offsets = np.zeros(count + 1, dtype=np.int64)
+        records = np.empty(0, dtype=RECORD_DTYPE)
         if include_records and count:
-            counts = included.astype(np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            flat, bad = self._gather(counts, offsets, out_total, out_seq)
-            if bad is not None and bad.any():
-                flat, offsets = self._repair(
-                    bad, cur, explicit, requested, held, flat, offsets,
-                    out_total, out_retained, out_dw, out_tmin, out_tmax, out_last, out_rate,
+            np.cumsum(included, out=offsets[1:])
+            records = self._gather(included, offsets, out_total)
+            raced = np.flatnonzero(rows["sequence"][:count] != out_seq)
+            if raced.size:  # settle: the ring's reader step 3, every raced row at once
+                advanced = self._quiet_totals(raced) - out_total[raced]
+                out_retained = out_retained.copy()  # without cursors it is ``included``
+                out_retained[raced] = np.minimum(
+                    out_retained[raced], np.maximum(np.minimum(out_total[raced], depth - advanced), 0)
                 )
-                included, gap, resync = bounds()
-            records = flat
-        else:
-            records = np.empty(0, dtype=RECORD_DTYPE)
+                kept, gap, resync = bounds()
+                position = np.arange(offsets[-1]) - np.repeat(offsets[:-1], included)
+                records = records[position >= np.repeat(included - kept, included)]
+                included = kept
+                np.cumsum(included, out=offsets[1:])
 
         return ArenaFleetDelta(
             totals=out_total,
@@ -585,91 +573,34 @@ class Arena:
             offsets=offsets,
         )
 
-    def _gather(
-        self,
-        counts: np.ndarray,
-        offsets: np.ndarray,
-        totals: np.ndarray,
-        seqs: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One vectorized gather of every row's newest ``counts`` records.
-
-        Returns ``(flat, bad)`` where ``bad`` flags rows whose writer moved
-        between the header capture and the gather (``None`` when the gather
-        was empty) — those rows' slices in ``flat`` may be torn.
-        """
+    def _gather(self, counts: np.ndarray, offsets: np.ndarray, totals: np.ndarray) -> np.ndarray:
+        """One vectorized copy of every row's newest ``counts`` records ending at ``totals``."""
         total_new = int(offsets[-1])
         if total_new == 0:
-            return np.empty(0, dtype=RECORD_DTYPE), None
-        count = counts.shape[0]
-        reps = np.repeat(np.arange(count, dtype=np.int64), counts)
-        starts = totals - counts
+            return np.empty(0, dtype=RECORD_DTYPE)
+        reps = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
         positions = np.arange(total_new, dtype=np.int64) - np.repeat(offsets[:-1], counts)
-        slots = (np.repeat(starts, counts) + positions) % self.depth
-        flat = self._records[reps, slots]
-        seq_after = self._rows["sequence"][:count]
-        bad = seq_after != seqs
-        return flat, bad
+        slots = (np.repeat(totals - counts, counts) + positions) % self.depth
+        return self._records[reps, slots]
 
-    def _repair(
-        self,
-        bad: np.ndarray,
-        cur: np.ndarray,
-        explicit: np.ndarray,
-        requested: int,
-        held: np.ndarray | None,
-        flat: np.ndarray,
-        offsets: np.ndarray,
-        out_total: np.ndarray,
-        out_retained: np.ndarray,
-        out_dw: np.ndarray,
-        out_tmin: np.ndarray,
-        out_tmax: np.ndarray,
-        out_last: np.ndarray,
-        out_rate: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Re-read the (rare) rows a writer touched mid-gather, scalar-ly.
+    def _quiet_totals(self, index: np.ndarray) -> np.ndarray:
+        """The ``total`` of each row in ``index``, read once its sequence word is even.
 
-        Splits the flat gather back into per-row segments, replaces the torn
-        ones with one ring-kernel read each — the delta and the rate window
-        come out of the same copy — and reassembles.  Only rows with an
-        actively racing writer pay this path.
+        :meth:`Ring.copy_newest`'s wait, for many rows: each row's total is
+        read after a poll found no write in progress on it, with the same
+        bound on polls before the writer is given up as stuck.
         """
-        count = bad.shape[0]
-        parts: list[np.ndarray] = np.split(flat, offsets[1:-1]) if count else []
-        for i in np.nonzero(bad)[0]:
-            i = int(i)
-            row_cursor = SnapshotCursor(total=int(cur[i])) if explicit[i] else None
-            ring = self._ring(i)
-            total, dw, tmin, tmax = ring.capture()
-            cap = self.depth if held is None else int(held[i])
-            retained = min(total, self.depth, cap)
-            dw_eff = dw if dw > 0 else max(requested, 1)
-            eff = min(dw_eff if requested == 0 else min(requested, dw_eff), retained)
-            inc, _gap, _resync = delta_bounds(row_cursor, total, retained)
-            recs, retained = ring.copy_newest(total, max(inc, eff))
-            retained = min(retained, cap)
-            inc, eff = min(inc, retained), min(eff, retained)
-            stamps = recs["timestamp"]
-            last, rate = (float(stamps[-1]) if retained else np.nan), 0.0
-            if eff >= 2:
-                span = last - float(stamps[-eff])
-                if span > 0:
-                    rate = (eff - 1) / span
-                elif span < 0:
-                    rate = np.nan
-            out_total[i] = total
-            out_retained[i] = retained
-            out_dw[i] = dw
-            out_tmin[i] = tmin
-            out_tmax[i] = tmax
-            out_last[i] = last
-            out_rate[i] = rate
-            parts[i] = recs[recs.shape[0] - inc :]
-        new_offsets = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum([part.shape[0] for part in parts], out=new_offsets[1:])
-        merged = np.concatenate(parts) if parts else np.empty(0, dtype=RECORD_DTYPE)
-        return merged, new_offsets
+        totals = np.empty(index.shape[0], dtype=np.int64)
+        waiting = np.arange(index.shape[0])
+        for attempt in range(_ATTEMPTS):
+            quiet = self._rows["sequence"][index[waiting]] % 2 == 0
+            totals[waiting[quiet]] = self._rows["total"][index[waiting[quiet]]]
+            waiting = waiting[~quiet]
+            if waiting.size == 0:
+                return totals
+            if attempt > 3:
+                time.sleep(0.0001 if attempt % 32 == 31 else 0)
+        raise BackendError("ring writer stayed mid-write; no consistent read")
 
     def _ring(self, index: int) -> Ring:
         """The ring kernel over row ``index``.

@@ -60,9 +60,10 @@ Reader protocol — *copy once, then bound the damage*:
 A reader therefore pays one copy of what it asked for, and a writer that laps
 it costs it some of the oldest records — never a re-copy, never a torn or
 out-of-order record, and never an error.  The sequence word also serves
-:meth:`Ring.version` as the change token, and
-:meth:`repro.core.backends.arena.Arena.snapshot_since_all` and readers built
-from the published byte layouts validate against it.
+:meth:`Ring.version` as the change token;
+:meth:`repro.core.backends.arena.Arena.snapshot_since_all` runs steps 2 and 3
+for every row of a slab at once, and readers built from the published byte
+layouts validate against it.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ need.
 
 Both observers read one way.  Every stream they observe is a row of a
 private ``mem-arena`` slab, in the chain of the smallest power-of-two depth
-holding its published window.  The sync step (:meth:`_Mirror.sync`) replays
-the source's deltas into the row by :class:`DeltaSnapshot`'s replay rule and
+holding the window it is read at (:func:`~repro.core.window.resolve_window`,
+not clipped to what is retained).  The sync step (:meth:`_Mirror.sync`)
+replays the source's deltas into the row by :class:`DeltaSnapshot`'s replay rule and
 records what the source still retains; one :meth:`Arena.snapshot_since_all`
 pass then computes the windowed rate and liveness stamp of every row, and
 :func:`classify_codes` is the health rule.  A monitor is that path for one
@@ -30,6 +31,7 @@ row; :class:`~repro.core.aggregator.HeartbeatAggregator` runs it for a fleet.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from functools import partial
 from typing import Iterator, NamedTuple, Sequence
@@ -42,8 +44,10 @@ from repro.core.backends.base import BackendSnapshot, DeltaSnapshot, SnapshotCur
 from repro.core.backends.ring import Ring
 from repro.core.errors import HeartbeatError
 from repro.core.heartbeat import Heartbeat
+from repro.core.rate import BACKWARDS
 from repro.core.record import HeartbeatRecord, array_to_records
 from repro.core.stream import DeltaSource, ProbeSource, capabilities_of
+from repro.core.window import resolve_window
 
 __all__ = [
     "HeartbeatMonitor",
@@ -144,11 +148,6 @@ def _rows(columns: Sequence[np.ndarray]) -> Iterator[MonitorReading]:
     return map(partial(tuple.__new__, MonitorReading), rows)
 
 
-def _need(window: int, requested: int) -> int:
-    """The beats a row must hold: the published window, else the requested one."""
-    return window if window > 0 else max(requested, 1)
-
-
 class _Mirror:
     """One observed stream's private slab row, with its cursor and version token.
 
@@ -188,17 +187,17 @@ class _Mirror:
         cursor, ring = self.cursor, self.ring
         if cursor is not None and version is not None and version == self.version:
             window = ring.words[ring.window_at]  # type: ignore[union-attr]
-            if (window if window > 0 else requested) <= ring.capacity:  # type: ignore[union-attr]
+            if resolve_window(requested, window, sys.maxsize) <= ring.capacity:  # type: ignore[union-attr]
                 return  # no new beats, no goal change, and the row holds the window
         self.cursor = None
         delta, cursor = delta_source(cursor)
-        need = _need(delta.default_window, requested)
+        need = resolve_window(requested, delta.default_window, sys.maxsize)
         if ring is None or need > ring.capacity:
             if ring is not None:  # the window outgrew the row: move, with a full resync
                 pool.give(self.slab, self.index)  # type: ignore[arg-type]
                 self.slab = self.ring = None
                 delta, cursor = delta_source(None)
-                need = max(need, _need(delta.default_window, requested))
+                need = max(need, resolve_window(requested, delta.default_window, sys.maxsize))
             # A row of the smallest power-of-two depth holding the window.
             self.slab, self.index = pool.take(1 << max(need - 1, 1).bit_length())
             ring = self.ring = self.slab.arena._ring(self.index)
@@ -340,7 +339,7 @@ class HeartbeatMonitor:
         )
         rate, last_ts = fleet.rate[i], fleet.last_timestamp[i]
         if np.isnan(rate[0]):
-            raise ValueError("timestamps are not sorted in non-decreasing order")
+            raise ValueError(BACKWARDS)
         age = self._clock.now() - last_ts
         tmin, tmax = fleet.target_min[i], fleet.target_max[i]
         codes = classify_codes(rate, fleet.retained[i], tmin, tmax, age, self._liveness_timeout)

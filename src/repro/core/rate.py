@@ -1,4 +1,4 @@
-"""Heart-rate computation.
+"""Heart-rate computation: the one rate rule.
 
 A *heart rate* is the average number of heartbeats per second over a window
 of the most recent heartbeats.  Given the timestamps ``t_0 .. t_{w-1}`` of the
@@ -8,14 +8,23 @@ last ``w`` beats the windowed rate is::
 
 i.e. the number of inter-beat intervals divided by the time they span, which
 matches the intuitive reading "beats per second over the last ``w`` beats".
-A window of one beat (or a zero-length span) has an undefined instantaneous
-rate; those cases return ``0.0`` so that observers polling a freshly started
+Fewer than one interval (a window of one beat) or a zero span has no
+measurable rate and reads ``0.0``, so observers polling a freshly started
 application see "no measurable progress yet" rather than an exception — the
 same behaviour an external observer reading a file with a single entry would
-get from the paper's reference implementation.
+get from the paper's reference implementation.  A span that runs backwards
+(stamps out of production order) has no rate at all, and that has one
+answer: ``nan`` from the array form, ``ValueError(BACKWARDS)`` from every
+scalar function and from :func:`moving_rate_series`.
 
-The module also provides global (whole-history) rates and moving-average
-series used to regenerate the paper's figures.
+The rule is written twice, once per form, and nowhere else:
+:func:`interval_rate` (pure Python: a one-window query such as
+``Heartbeat.current_rate`` builds no array for the rule) behind
+:func:`windowed_rate`, :func:`global_rate` and :func:`instantaneous_rate`,
+and :func:`interval_rates` behind :meth:`Arena.snapshot_since_all
+<repro.core.backends.arena.Arena.snapshot_since_all>` and
+:func:`moving_rate_series`.  The module also provides the summary
+statistics used to regenerate the paper's figures.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ import numpy as np
 from repro.core.errors import InvalidWindowError
 
 __all__ = [
+    "BACKWARDS",
+    "interval_rate",
+    "interval_rates",
     "windowed_rate",
     "global_rate",
     "instantaneous_rate",
@@ -35,6 +47,28 @@ __all__ = [
     "RateStatistics",
     "rate_statistics",
 ]
+
+#: The ``ValueError`` message of a rate window whose span runs backwards.
+BACKWARDS = "timestamps are not sorted in non-decreasing order"
+
+
+def interval_rate(intervals: int, span: float) -> float:
+    """The rule for one window: ``intervals`` inter-beat intervals over ``span`` seconds."""
+    if intervals < 1:
+        return 0.0
+    if span < 0:
+        raise ValueError(BACKWARDS)
+    return intervals / span if span > 0 else 0.0
+
+
+def interval_rates(intervals: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The rule for many windows at once: ``nan`` where a span runs backwards."""
+    counted = intervals >= 1
+    measurable = counted & (spans > 0)
+    rates = np.zeros(spans.shape)
+    np.divide(intervals, spans, out=rates, where=measurable)
+    rates[counted & (spans < 0)] = np.nan
+    return rates
 
 
 def windowed_rate(timestamps: Sequence[float] | np.ndarray) -> float:
@@ -48,12 +82,7 @@ def windowed_rate(timestamps: Sequence[float] | np.ndarray) -> float:
         raise ValueError(f"timestamps must be one-dimensional, got shape {ts.shape}")
     if ts.size < 2:
         return 0.0
-    span = float(ts[-1] - ts[0])
-    if span < 0:
-        raise ValueError("timestamps are not sorted in non-decreasing order")
-    if span == 0.0:
-        return 0.0
-    return (ts.size - 1) / span
+    return interval_rate(ts.size - 1, float(ts[-1] - ts[0]))
 
 
 def global_rate(first_timestamp: float, last_timestamp: float, total_beats: int) -> float:
@@ -63,24 +92,12 @@ def global_rate(first_timestamp: float, last_timestamp: float, total_beats: int)
     produced over the full run divided by the elapsed time between the first
     and last beat.
     """
-    if total_beats < 2:
-        return 0.0
-    span = last_timestamp - first_timestamp
-    if span < 0:
-        raise ValueError("last_timestamp precedes first_timestamp")
-    if span == 0.0:
-        return 0.0
-    return (total_beats - 1) / span
+    return interval_rate(total_beats - 1, last_timestamp - first_timestamp)
 
 
 def instantaneous_rate(previous_timestamp: float, current_timestamp: float) -> float:
     """Return the instantaneous rate implied by a single inter-beat interval."""
-    interval = current_timestamp - previous_timestamp
-    if interval < 0:
-        raise ValueError("current_timestamp precedes previous_timestamp")
-    if interval == 0.0:
-        return 0.0
-    return 1.0 / interval
+    return interval_rate(1, current_timestamp - previous_timestamp)
 
 
 def moving_rate_series(
@@ -92,7 +109,7 @@ def moving_rate_series(
     ``max(0, i - window + 1) .. i`` — exactly the series plotted in the
     paper's Figures 2, 3, 5–8 ("a moving average of heart rate ... using a
     20 beat window").  Beats with fewer than two timestamps in their window
-    report ``0.0``.
+    report ``0.0``; a window whose span runs backwards raises ``ValueError``.
     """
     if isinstance(window, bool) or not isinstance(window, (int, np.integer)):
         raise InvalidWindowError(f"window must be an int, got {window!r}")
@@ -101,16 +118,12 @@ def moving_rate_series(
     ts = np.asarray(timestamps, dtype=np.float64)
     if ts.ndim != 1:
         raise ValueError(f"timestamps must be one-dimensional, got shape {ts.shape}")
-    n = ts.size
-    out = np.zeros(n, dtype=np.float64)
-    if n < 2:
-        return out
-    starts = np.maximum(0, np.arange(n) - (window - 1))
-    spans = ts - ts[starts]
-    counts = np.arange(n) - starts  # number of intervals in each window
-    valid = (counts >= 1) & (spans > 0)
-    out[valid] = counts[valid] / spans[valid]
-    return out
+    beats = np.arange(ts.size)
+    starts = np.maximum(0, beats - (window - 1))
+    rates = interval_rates(beats - starts, ts - ts[starts])
+    if np.isnan(rates).any():
+        raise ValueError(BACKWARDS)
+    return rates
 
 
 @dataclass(frozen=True, slots=True)

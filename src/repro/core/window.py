@@ -9,15 +9,28 @@ application register a *default* window at initialisation time:
 * implementations should retain at least as much history as the default
   window requested by the application (Section 3).
 
-:func:`resolve_window` centralises those rules so the object API, the
-functional API and the external monitor all behave identically.
+:func:`resolve_window` states those rules once for one stream and
+:func:`resolve_windows` once for a column of them (every row of an arena
+slab), so the object API, the functional API, the external monitor and the
+fleet read all behave identically.  The rule: a request of 0 reads the
+published window, any other request reads ``min(requested, published)``; a
+stream with no published window (``<= 0``) is read at ``max(requested, 1)``;
+the result is clipped to the beats retained.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.errors import InvalidWindowError
 
-__all__ = ["resolve_window", "validate_default_window", "DEFAULT_WINDOW", "MAX_WINDOW"]
+__all__ = [
+    "resolve_window",
+    "resolve_windows",
+    "validate_default_window",
+    "DEFAULT_WINDOW",
+    "MAX_WINDOW",
+]
 
 #: Default window used when the application does not specify one.
 DEFAULT_WINDOW = 20
@@ -44,6 +57,13 @@ def validate_default_window(window: int) -> int:
     return window
 
 
+def _check_request(requested: int) -> None:
+    if isinstance(requested, bool) or not isinstance(requested, int):
+        raise InvalidWindowError(f"window must be an int, got {requested!r}")
+    if requested < 0:
+        raise InvalidWindowError(f"window must be >= 0, got {requested}")
+
+
 def resolve_window(requested: int, default_window: int, available: int) -> int:
     """Resolve the window actually used for a heart-rate query.
 
@@ -53,7 +73,8 @@ def resolve_window(requested: int, default_window: int, available: int) -> int:
         Window requested by the caller.  ``0`` means "use the default
         window" per the paper's API.
     default_window:
-        The default window registered at initialisation time.
+        The default window registered at initialisation time (``<= 0``:
+        none was published, and the request is read as it stands).
     available:
         Number of heartbeats currently retained in the history buffer.
 
@@ -66,11 +87,17 @@ def resolve_window(requested: int, default_window: int, available: int) -> int:
         HB_current_rate they may be silently clipped to the default value" —
         and then to the available history.
     """
-    if isinstance(requested, bool) or not isinstance(requested, int):
-        raise InvalidWindowError(f"window must be an int, got {requested!r}")
-    if requested < 0:
-        raise InvalidWindowError(f"window must be >= 0, got {requested}")
-    window = default_window if requested == 0 else requested
-    if window > default_window:
-        window = default_window
+    _check_request(requested)
+    if default_window <= 0:
+        window = max(requested, 1)
+    else:
+        window = default_window if requested == 0 else min(requested, default_window)
     return min(window, available)
+
+
+def resolve_windows(requested: int, default_window: np.ndarray, available: np.ndarray) -> np.ndarray:
+    """:func:`resolve_window` for a column of streams read at one request."""
+    _check_request(requested)
+    published = np.where(default_window > 0, default_window, max(requested, 1))
+    window = published if requested == 0 else np.minimum(requested, published)
+    return np.minimum(window, available)

@@ -10,7 +10,7 @@ Every experiment module exposes
 
 ``repro-experiments`` (see :mod:`repro.experiments.runner`) runs any subset
 from the command line; the benchmark harness under ``benchmarks/`` calls the
-same ``run`` functions so the numbers in EXPERIMENTS.md and the benchmark
+same ``run`` functions so the test suite's quick checks and the benchmark
 output come from identical code paths.
 """
 

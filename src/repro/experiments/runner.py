@@ -2,8 +2,7 @@
 
 ``repro-experiments`` (installed as a console script) runs any subset of the
 experiments and prints their tables; ``--output`` additionally appends the
-text to a file, which is how ``EXPERIMENTS.md``'s measured columns were
-produced.
+text to a file.
 
 Examples
 --------

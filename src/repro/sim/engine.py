@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.clock import SimulatedClock
+from repro.core.rate import global_rate
 from repro.sim.process import SimulatedProcess
 
 __all__ = ["BeatEvent", "RunResult", "ExecutionEngine"]
@@ -82,12 +83,9 @@ class RunResult:
 
     def average_heart_rate(self) -> float:
         """Whole-run average rate (Table 2 metric) from the recorded events."""
-        if len(self.events) < 2:
+        if not self.events:
             return 0.0
-        span = self.events[-1].timestamp - self.events[0].timestamp
-        if span <= 0:
-            return 0.0
-        return (len(self.events) - 1) / span
+        return global_rate(self.events[0].timestamp, self.events[-1].timestamp, len(self.events))
 
 
 class ExecutionEngine:

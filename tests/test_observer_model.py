@@ -11,7 +11,9 @@ capacity), laps, log truncation and rotation, CLOSE and redial, a restart
 of the journaled collector, and detach / re-attach.  After every poll each
 ``FleetSample`` row and each ``HeartbeatMonitor.read()``, at the default
 window and at an explicit one, must equal :class:`StreamModel`, and so must
-each wire collector's ``streams()`` (total, CLOSE state, reported total).
+each wire collector's ``streams()`` (total, CLOSE state, reported total),
+and after every step the ``Heartbeat``'s own ``current_rate()`` must equal
+the model's rate.
 The wire changes a window only with a HELLO, so a wire stream redials to
 change one, and each poll first waits at most :data:`DELIVERY_S` for the
 wire streams to show what was sent.
@@ -23,6 +25,7 @@ source's ``retained`` shrinks mid-read), and rows filling their slabs.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import socket
@@ -33,7 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from model import BACKWARDS, StreamModel
 
 from repro.clock import ManualClock
@@ -289,6 +292,21 @@ class ObserverMachine(RuleBasedStateMachine):
     def seed_goals(self) -> None:
         for route in self.routes.values():
             self._targets(route, 2.0, 50.0)
+
+    @invariant()
+    def producer_reads_its_own_rate(self) -> None:
+        """``Heartbeat.current_rate``, what ``HB_current_rate`` calls, is the
+        model's rate at the producer's own window (``set_window`` rewrites
+        only the copy its backend publishes to observers)."""
+        route = self.routes["hb"]
+        model = dataclasses.replace(route.model, window=route.hb.window)
+        for requested in (0, 1, 3, 12):
+            want = model.rate(requested)
+            if want == BACKWARDS:
+                with pytest.raises(ValueError, match="not sorted"):
+                    route.hb.current_rate(requested)
+            else:
+                assert route.hb.current_rate(requested) == want, requested
 
     def teardown(self) -> None:
         self.aggregator.close()

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from repro.clock import ManualClock, SimulatedClock
 from repro.core.backends import MemoryBackend
 from repro.core.heartbeat import Heartbeat
-from repro.core.rate import moving_rate_series, windowed_rate
-from repro.core.window import resolve_window
+from repro.core.rate import interval_rate, interval_rates, moving_rate_series, windowed_rate
+from repro.core.window import resolve_window, resolve_windows
 from repro.sim.scaling import AmdahlScaling, LinearScaling, SaturatingScaling
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,45 @@ class TestWindowResolutionProperties:
     )
     def test_zero_request_equals_default_request(self, default, available) -> None:
         assert resolve_window(0, default, available) == resolve_window(default, default, available)
+
+
+# ---------------------------------------------------------------------------
+# One rule, two forms: the array form agrees with the scalar one element-wise
+# ---------------------------------------------------------------------------
+
+#: Spans around the rule's edges: backwards, zero, tiny and ordinary.
+spans = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestOneRuleTwoForms:
+    @given(windows=st.lists(st.tuples(st.integers(min_value=-2, max_value=50), spans), max_size=30))
+    def test_rate_forms_agree(self, windows: list[tuple[int, float]]) -> None:
+        intervals = np.array([n for n, _ in windows], dtype=np.int64)
+        with np.errstate(over="ignore"):  # 1 / 5e-324 is inf in both forms
+            columns = interval_rates(intervals, np.array([s for _, s in windows], dtype=np.float64))
+        for (n, span), column in zip(windows, columns.tolist(), strict=True):
+            try:
+                scalar = interval_rate(n, span)
+            except ValueError:
+                assert np.isnan(column), (n, span)  # the one backwards answer, in each form
+            else:
+                assert column == scalar, (n, span)
+
+    @given(
+        requested=st.sampled_from([0, 0, 1, 2]) | st.integers(min_value=0, max_value=80),
+        rows=st.lists(
+            st.tuples(st.integers(min_value=-3, max_value=40), st.integers(min_value=0, max_value=40)),
+            max_size=30,
+        ),
+    )
+    def test_window_forms_agree(self, requested: int, rows: list[tuple[int, int]]) -> None:
+        published = np.array([p for p, _ in rows], dtype=np.int64)
+        retained = np.array([r for _, r in rows], dtype=np.int64)
+        columns = resolve_windows(requested, published, retained).tolist()
+        assert columns == [resolve_window(requested, p, r) for p, r in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,14 @@ class TestMovingRateSeries:
         with pytest.raises(InvalidWindowError):
             moving_rate_series([0.0, 1.0], window=1.5)  # type: ignore[arg-type]
 
+    def test_backwards_window_raises_like_windowed_rate(self):
+        # One answer for a span that runs backwards: this series used to
+        # read [0, 0.5, 0] where windowed_rate([2.0, 1.0]) raised.
+        with pytest.raises(ValueError, match="not sorted"):
+            moving_rate_series([0.0, 2.0, 1.0], 2)
+        with pytest.raises(ValueError, match="not sorted"):
+            windowed_rate([2.0, 1.0])
+
     def test_length_matches_input(self):
         ts = np.sort(np.random.default_rng(0).uniform(0, 10, 37))
         assert moving_rate_series(ts, 5).shape == (37,)

@@ -164,34 +164,46 @@ class TestClobberedPrefix:
         assert np.array_equal(delta.records, pair.expect(CAPACITY, CAPACITY + 3))
 
     def test_fleet_read_repairs_a_raced_row_with_the_same_arithmetic(self, monkeypatch):
-        """``snapshot_since_all`` re-reads a row its gather raced through the
-        kernel: the row's slice, ``retained`` and ``gap`` follow the rule."""
-        made = _Pair("arena-row")
-        try:
-            arena = made._owned[0]
-            made.write(CAPACITY + 3)
-            cursors = arena.snapshot_since_all(None).cursors
-            made.write(4)
-            real = Arena._gather
+        """``snapshot_since_all`` settles a row its gather raced by the ring's
+        rule: the row's slice, ``retained``, ``new``, ``gap`` and ``resync``
+        are what a ring read lapped by the same writer reports.  The last
+        stamp and the rate were read with the header, under its sequence
+        check, so the settle leaves them as read.  (A loop over the writer's
+        advance, not a parametrization, so the test keeps its one id.)"""
+        for advance in (1, CAPACITY - 1, CAPACITY, CAPACITY + 5):
+            made = _Pair("arena-row")
+            try:
+                arena = made._owned[0]
+                made.write(CAPACITY + 3)
+                cursor = len(made.written)
+                cursors = arena.snapshot_since_all(None).cursors
+                made.write(4)
+                before = len(made.written)
+                real = Arena._gather
+                gathers: list[int] = []
 
-            def gather_then_write(self, *args):
-                made.write(1)  # the row moves under the gather -> flagged bad
-                return real(self, *args)
+                def gather_then_write(self, *args):
+                    copied = real(self, *args)
+                    gathers.append(copied.shape[0])
+                    made.write(advance)  # the writer moves between the copy and the settle
+                    return copied
 
-            monkeypatch.setattr(Arena, "_gather", gather_then_write)
-            before = len(made.written)
-            (fleet, _) = _racing(
-                monkeypatch, made, 6, False, lambda: arena.snapshot_since_all(cursors, window=4)
-            )
-            total = before + 1  # the repair re-captured after gather_then_write's beat
-            assert int(fleet.totals[0]) == total
-            assert int(fleet.retained[0]) == CAPACITY - 6
-            assert np.array_equal(fleet.records_for(0), made.expect(total - 5, total))
-            assert (int(fleet.new[0]), int(fleet.gap[0]), bool(fleet.resync[0])) == (5, 0, False)
-            assert fleet.last_timestamp[0] == made.written[total - 1][1]
-            assert fleet.rate[0] == pytest.approx(2.0)  # 0.5 s per beat
-        finally:
-            made.close()
+                with monkeypatch.context() as patched:
+                    patched.setattr(Arena, "_gather", gather_then_write)
+                    fleet = arena.snapshot_since_all(cursors, window=4)
+                assert gathers == [before - cursor], "a fleet read copies records exactly once"
+                retained = max(min(before, CAPACITY - advance), 0)
+                start = max(cursor, before - retained)
+                new, gap = before - start, start - cursor
+                assert int(fleet.totals[0]) == int(fleet.cursors[0]) == before, advance
+                assert int(fleet.retained[0]) == retained, advance
+                assert np.array_equal(fleet.records_for(0), made.expect(start, before)), advance
+                assert (int(fleet.new[0]), int(fleet.gap[0]), bool(fleet.resync[0])) == (new, gap, gap > 0)
+                assert list(fleet.offsets) == [0, new]
+                assert fleet.last_timestamp[0] == made.written[before - 1][1]
+                assert fleet.rate[0] == 2.0  # 3 intervals of 0.5 s in the 4-beat window
+            finally:
+                made.close()
 
 
 class TestOneRing:

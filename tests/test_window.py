@@ -48,6 +48,11 @@ class TestResolveWindow:
     def test_no_history(self):
         assert resolve_window(0, default_window=20, available=0) == 0
 
+    def test_nothing_published_reads_the_request(self):
+        assert resolve_window(7, default_window=-1, available=10) == 7
+        assert resolve_window(0, default_window=0, available=10) == 1
+        assert resolve_window(30, default_window=0, available=12) == 12
+
     def test_negative_rejected(self):
         with pytest.raises(InvalidWindowError):
             resolve_window(-2, default_window=20, available=10)
