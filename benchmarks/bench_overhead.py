@@ -163,12 +163,12 @@ def run_network_comparison() -> dict:
         }
         endpoint = collector.endpoint
     # The collector above is now closed: same endpoint, nobody listening.
-    # The queue bound sits below the beat count so drop-oldest must engage.
+    # The ring (the send backlog's one bound) sits below the beat count so
+    # drop-oldest must engage.
     backend = NetworkBackend(
         endpoint,
         stream="bench-down",
-        capacity=8192,
-        max_pending=max(256, beats // 4),
+        capacity=max(256, beats // 4),
         backoff_initial=0.05,
         close_deadline=0.5,
     )

@@ -158,6 +158,19 @@ class _Closed:
 _CLOSED: Any = _Closed()
 
 
+def _release(ring: Ring) -> None:
+    """Release ``ring``'s header views and leave :data:`_CLOSED` in their place.
+
+    Released, not just dropped, as :meth:`Arena.close` does: a traceback
+    frame of a read that raised still holds them, and the mapping refuses
+    to close while any view of it is alive — the close would then raise
+    ``BufferError`` in place of the read's own error.
+    """
+    ring.words.release()
+    ring.reals.release()
+    ring.words = ring.reals = ring.slots = _CLOSED
+
+
 class SharedMemoryBackend(Ring, Backend):
     """Writer side of the shared-memory heartbeat segment: the
     :class:`~repro.core.backends.ring.Ring` over it, as ``MemoryBackend`` is over private memory.
@@ -193,8 +206,7 @@ class SharedMemoryBackend(Ring, Backend):
         if self._closed:
             return
         self._closed = True
-        # Drop views before closing the buffer, otherwise close() raises.
-        self.words = self.reals = self.slots = _CLOSED
+        _release(self)
         self._shm.close()
         try:
             self._shm.unlink()
@@ -257,8 +269,7 @@ class SharedMemoryReader:
         """Detach; every read raises :class:`BackendError` afterwards."""
         if not self._closed:
             self._closed = True
-            ring = self._ring  # drop the views first, or closing the mapping raises
-            ring.words = ring.reals = ring.slots = _CLOSED
+            _release(self._ring)
             self._shm.close()
 
     def __enter__(self) -> "SharedMemoryReader":

@@ -1,54 +1,55 @@
 """Producer-side network backend.
 
 :class:`NetworkBackend` implements the :class:`repro.core.backends.Backend`
-interface on top of a TCP connection to a
-:class:`repro.net.HeartbeatCollector`.  Its contract mirrors the
-paper's overhead story: registering a heartbeat must stay cheap and
-predictable no matter what the observer is doing, so the beat path only ever
-touches process-local state —
+interface on top of a TCP connection to a :class:`repro.net.HeartbeatCollector`.
+Registering a heartbeat must stay cheap and predictable whatever the observer
+is doing (the paper's overhead story), so the beat path touches only
+process-local state and stores each beat once —
 
-* every record lands in a local mirror — a
-  :class:`~repro.core.backends.memory.MemoryBackend`, so the producer (and
-  any observer thread in its process) reads itself through the same ring
-  kernel, delta cursors and change token as any in-process stream;
-* records are *also* queued for a background sender thread — as their *wire
-  bytes* (:func:`repro.net.protocol.record_bytes`: one ``tobytes`` per batch,
-  one 32-byte ``pack`` per single beat), so coalescing a frame is a
-  ``b"".join`` and nothing downstream touches an array again;
-* the sender is woken when the queue goes empty → non-empty (and by
-  ``set_targets`` / ``close``); while it is busy or backing off, further
-  appends only queue — it comes straight back when a drain leaves records
-  behind, and its ``flush_interval`` time-out covers the rest, so a dead
-  collector costs the beat path no thread hand-offs;
-* each BATCH frame leaves in one ``sendall``.  A single send into a silently
-  severed link *succeeds*, so before every drain the sender probes the link
-  for EOF (:func:`repro.net.protocol.link_alive`, the relay's rule) and
-  redials first.  Delivery stays at-most-once per in-flight frame: a link
-  can still die between probe and send;
-* the queue is bounded: when the collector is slow, unreachable or dead, the
-  oldest queued records are dropped (and counted) instead of the producer
-  blocking — heartbeats are telemetry, and recent beats are worth more than
-  old ones;
+* in a local ring, a :class:`~repro.core.backends.memory.MemoryBackend`: the
+  producer's own history, the metadata HELLO and TARGETS frames carry, and the
+  send queue.  A background sender keeps one cursor — the ring total it has
+  shipped or counted as dropped — and ships what the ring holds beyond it;
+* so ``capacity`` is the one bound (local history, the collector's capacity
+  hint, the send backlog).  A slow, unreachable or dead collector lets the
+  writer lap the cursor: the oldest unsent records are dropped and counted
+  and the producer never blocks — "when the buffer fills, old heartbeats are
+  simply dropped";
+* the beat path takes no lock.  It wakes the sender when the cursor, read
+  *after* the append, equals the total from *before* it; after a drain the
+  sender stores its cursor, then re-reads the total and wakes itself if it
+  moved, so no wake-up is lost.  A busy or backing-off sender is not woken
+  (its ``flush_interval`` time-out covers it), so a dead collector costs the
+  beat path no thread hand-offs;
+* a drain copies at most ``max_batch_records`` of the oldest unsent records
+  with the ring's reader half (``capture``, then ``copy_newest``, which drops
+  a prefix the writer lapped mid-copy) into one BATCH frame and one
+  ``sendall``.  A failed send leaves the cursor, so the records go again after
+  the redial.  A send into a silently severed link *succeeds*, so each drain
+  first probes the link for EOF (:func:`repro.net.protocol.link_alive`, the
+  relay's rule) and redials; a link dying between probe and send loses at
+  most its in-flight frame;
 * a lost connection is retried with exponential backoff, and every
-  (re)connect replays a HELLO frame carrying the stream's metadata so the
-  collector is re-synchronised without any extra bookkeeping here.
+  (re)connect sends a HELLO with the stream's metadata.  A link carries one
+  HELLO, so a new default window is published by hanging up (without CLOSE)
+  and redialling.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import socket
 import threading
 import time
-from collections import deque
 
 import numpy as np
 
 from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
 from repro.core.backends.memory import MemoryBackend
 from repro.core.errors import BackendError
-from repro.core.record import RECORD_STRUCT, pack_record
+from repro.core.record import pack_record
 from repro.net import protocol
 from repro.obs.registry import MetricsRegistry
 
@@ -58,8 +59,6 @@ __all__ = ["NetworkBackend"]
 #: gives every backend a fleet-unique nonce, so a collector can tell a
 #: reconnect of the same stream from a same-named sibling in one process.
 _nonce_counter = itertools.count(1)
-
-_RECORD_SIZE = RECORD_STRUCT.size
 
 
 class NetworkBackend(Backend):
@@ -74,23 +73,22 @@ class NetworkBackend(Backend):
         ``"hb-<pid>"`` so several unnamed producers on one host stay
         distinguishable.
     capacity:
-        Record slots in the local history buffer (what :meth:`snapshot`
-        serves) and the capacity hint sent to the collector.
-    max_pending:
-        Upper bound on records queued for transmission.  Beyond it the
-        oldest queued records are dropped; the producer never blocks.
+        Record slots in the local ring: the history :meth:`snapshot` serves,
+        the capacity hint sent to the collector and the send backlog.  Once
+        the collector is ``capacity`` records behind, the oldest unsent
+        records are dropped; the producer never blocks.
     flush_interval:
-        Longest time the sender lets queued records sit before shipping
+        Longest time the sender lets unsent records sit before shipping
         them, in seconds.
     max_batch_records:
-        Largest number of records coalesced into one BATCH frame.
+        Largest number of records shipped in one BATCH frame.
     connect_timeout / send_timeout:
         Socket timeouts for connecting and sending, in seconds.
     backoff_initial / backoff_max:
         Reconnect backoff: delay starts at ``backoff_initial`` and doubles
         per failed attempt up to ``backoff_max``.
     close_deadline:
-        Longest :meth:`close` waits for the pending queue to flush.
+        Longest :meth:`close` waits for the backlog to flush.
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` holding the
         exporter's transmission counters (labelled by stream name).  A
@@ -120,7 +118,6 @@ class NetworkBackend(Backend):
         *,
         stream: str | None = None,
         capacity: int = 2048,
-        max_pending: int = 65536,
         flush_interval: float = 0.05,
         max_batch_records: int = 8192,
         connect_timeout: float = 1.0,
@@ -132,18 +129,17 @@ class NetworkBackend(Backend):
     ) -> None:
         if capacity <= 0:
             raise BackendError(f"capacity must be positive, got {capacity}")
-        if max_pending <= 0:
-            raise BackendError(f"max_pending must be positive, got {max_pending}")
         if max_batch_records <= 0:
             raise BackendError(f"max_batch_records must be positive, got {max_batch_records}")
         self.address = protocol.parse_address(address)
         self.stream = stream if stream is not None else f"hb-{os.getpid()}"
         self._nonce = next(_nonce_counter)
         self.capacity = int(capacity)
-        #: Local history *and* the stream's metadata: HELLO and TARGETS
-        #: frames are read back from its header.
+        #: Local history, the stream's metadata (HELLO and TARGETS frames are
+        #: read back from its header) and the send queue.
         self._mirror = MemoryBackend(self.capacity)
-        self._max_pending = int(max_pending)
+        #: The sender's cursor: the mirror total shipped or counted as dropped.
+        self._sent = 0
         self._flush_interval = float(flush_interval)
         self._max_batch_records = int(max_batch_records)
         self._connect_timeout = float(connect_timeout)
@@ -152,13 +148,10 @@ class NetworkBackend(Backend):
         self._backoff_max = float(backoff_max)
         self._close_deadline = float(close_deadline)
 
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # the books and the goal flags; never the beat path's
         self._wake = threading.Event()
-        #: Wire bytes of the records awaiting transmission, oldest first;
-        #: every chunk is a whole number of records (a view once split).
-        self._queue: deque[bytes | memoryview] = deque()
-        self._pending_records = 0
         self._targets_dirty = False
+        self._window_dirty = False
         self._closing = False
         self._closed = False
 
@@ -183,8 +176,8 @@ class NetworkBackend(Backend):
             "exporter_connect_failures_total", help="failed collector dials", labels=labels
         )
         self.metrics.gauge(
-            "exporter_pending_records", help="records queued for transmission",
-            labels=labels, fn=lambda: float(self._pending_records),
+            "exporter_pending_records", help="records awaiting transmission",
+            labels=labels, fn=lambda: float(min(self._mirror.total - self._sent, self.capacity)),
         )
         self.metrics.gauge(
             "exporter_connected", help="1 while the collector link is up",
@@ -201,19 +194,23 @@ class NetworkBackend(Backend):
     # Backend interface — the producer's beat path
     # ------------------------------------------------------------------ #
     def append(self, beat: int, timestamp: float, tag: int, thread_id: int) -> None:
-        if self._closed or self._closing:
+        if self._closing:
             raise BackendError("network backend is closed")
-        record = pack_record(beat, timestamp, tag, thread_id)  # before the mirror: the check
-        self._mirror.append(beat, timestamp, tag, thread_id)
-        self._enqueue(record)
+        pack_record(beat, timestamp, tag, thread_id)  # the range check, before the ring's
+        mirror = self._mirror
+        before = mirror.total
+        mirror.append(beat, timestamp, tag, thread_id)
+        if self._sent == before:  # the sender had caught up: wake it
+            self._wake.set()
 
     def append_many(self, records: np.ndarray) -> None:
-        if self._closed or self._closing:
+        if self._closing:
             raise BackendError("network backend is closed")
-        self._mirror.append_many(records)  # rejects a wrong dtype
-        if records.shape[0]:
-            # The queue keeps its own bytes: the caller may reuse its array.
-            self._enqueue(protocol.record_bytes(records))
+        mirror = self._mirror
+        before = mirror.total
+        mirror.append_many(records)  # rejects a wrong dtype
+        if self._sent == before:
+            self._wake.set()
 
     def set_targets(self, target_min: float, target_max: float) -> None:
         if self._closed:
@@ -226,7 +223,10 @@ class NetworkBackend(Backend):
     def set_default_window(self, window: int) -> None:
         if self._closed:
             raise BackendError("network backend is closed")
-        self._mirror.set_default_window(window)
+        with self._lock:
+            self._mirror.set_default_window(window)
+            self._window_dirty = True  # only a HELLO carries it: redial
+        self._wake.set()
 
     def snapshot(self, n: int | None = None) -> BackendSnapshot:
         """Local view of the stream (the mirror's, so ``MemoryBackend``'s).
@@ -248,7 +248,7 @@ class NetworkBackend(Backend):
         return self._mirror.version()
 
     def close(self) -> None:
-        """Flush the pending queue (bounded by ``close_deadline``) and stop.
+        """Flush the backlog (bounded by ``close_deadline``) and stop.
 
         Idempotent, and deliberately exception-free: teardown must succeed
         even when the collector died first, the socket is half-open, or
@@ -265,38 +265,36 @@ class NetworkBackend(Backend):
         with self._lock:
             if not self._closed:  # a concurrent close() settles exactly once
                 self._closed = True
-                undelivered = self._pending_records
-                self._pending_records = 0
-                self._queue.clear()
-                if undelivered:
-                    self._dropped_records.inc(undelivered)
+                self._advance_locked(self._mirror.total, 0)  # the undelivered are dropped
         if self._sender.is_alive():
             # The sender is wedged on a slow or dead peer; abort its socket.
             # Setting _closed above makes its loop exit on the next pass, so
             # an abandoned sender can never reconnect and keep transmitting.
-            self._abort_socket()
+            self._shutdown_socket("abort")
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, int | bool]:
-        """Transmission counters (sent / dropped / reconnects / queue depth).
+        """Transmission counters (sent / dropped / reconnects / backlog).
 
-        A view over the backend's :attr:`metrics` registry; the keys predate
-        the registry and stay stable.
+        A view over the backend's :attr:`metrics` registry (the keys predate
+        it and stay stable), plus the records the writer lapped since the
+        sender last looked: they count as dropped at once, so
+        ``sent + dropped + pending`` is the mirror's total at every call.
         """
         with self._lock:
-            pending = self._pending_records
-            connected = self._sock is not None
-        return {
-            "sent_batches": int(self._sent_batches.value),
-            "sent_records": int(self._sent_records.value),
-            "dropped_records": int(self._dropped_records.value),
-            "pending_records": pending,
-            "connects": int(self._connects.value),
-            "connect_failures": int(self._connect_failures.value),
-            "connected": connected,
-        }
+            backlog = self._mirror.total - self._sent
+            lapped = max(backlog - self.capacity, 0)
+            return {
+                "sent_batches": int(self._sent_batches.value),
+                "sent_records": int(self._sent_records.value),
+                "dropped_records": int(self._dropped_records.value) + lapped,
+                "pending_records": backlog - lapped,
+                "connects": int(self._connects.value),
+                "connect_failures": int(self._connect_failures.value),
+                "connected": self._sock is not None,
+            }
 
     @property
     def closed(self) -> bool:
@@ -307,36 +305,15 @@ class NetworkBackend(Backend):
         return f"NetworkBackend(stream={self.stream!r}, address={host}:{port})"
 
     # ------------------------------------------------------------------ #
-    # Queueing (called from the beat path; must never block on the network)
-    # ------------------------------------------------------------------ #
-    def _enqueue(self, chunk: bytes) -> None:
-        with self._lock:
-            was_idle = not self._queue
-            self._queue.append(chunk)
-            self._pending_records += len(chunk) // _RECORD_SIZE
-            if self._pending_records > self._max_pending:
-                self._trim_pending_locked()
-        if was_idle:
-            # Only the empty → non-empty edge wakes the sender; it drains
-            # whatever else was queued by the time it looks.
-            self._wake.set()
-
-    def _trim_pending_locked(self) -> None:
-        """Drop the oldest queued records down to the bound (lock held)."""
-        while self._pending_records > self._max_pending:
-            oldest = self._queue[0]
-            count = len(oldest) // _RECORD_SIZE
-            overflow = min(count, self._pending_records - self._max_pending)
-            if overflow == count:
-                self._queue.popleft()
-            else:  # mid-chunk, on a record boundary; a view, so O(1) per trim
-                self._queue[0] = memoryview(oldest)[overflow * _RECORD_SIZE :]
-            self._pending_records -= overflow
-            self._dropped_records.inc(overflow)
-
-    # ------------------------------------------------------------------ #
     # Sender thread
     # ------------------------------------------------------------------ #
+    def _advance_locked(self, end: int, shipped: int) -> None:
+        """Move the cursor to ``end``: its last ``shipped`` records went out,
+        the unsent ones before them are dropped (lock held)."""
+        if end - shipped > self._sent:
+            self._dropped_records.inc(end - shipped - self._sent)
+        self._sent = end
+
     def _sender_loop(self) -> None:
         backoff = self._backoff_initial
         next_attempt = 0.0
@@ -346,16 +323,19 @@ class NetworkBackend(Backend):
             with self._lock:
                 if self._closed:
                     return  # close() gave up on us; do not touch the wire again
-                closing = self._closing
-                has_work = bool(self._queue) or self._targets_dirty
+                closing, redial = self._closing, self._window_dirty and self._sock is not None
+                total = self._mirror.total
+                if total - self._sent > self.capacity:  # lapped while we were away
+                    self._advance_locked(total - self.capacity, 0)
+                has_work = total != self._sent or self._targets_dirty or redial
             if closing and not has_work:
                 break
             if not has_work:
                 continue
-            if self._sock is not None and not protocol.link_alive(self._sock):
-                # The collector went away quietly (FIN, no RST): one send into
-                # such a link would still succeed and lose the frame.
-                self._shutdown_socket()
+            if self._sock is not None and (redial or not protocol.link_alive(self._sock)):
+                # A new window needs a new HELLO, and a link the collector left
+                # quietly (FIN, no RST) would still take one send, losing it.
+                self._shutdown_socket("redial" if redial else "close")
             if self._sock is None:
                 if time.monotonic() < next_attempt and not closing:
                     continue
@@ -366,7 +346,7 @@ class NetworkBackend(Backend):
                         break  # flush deadline work is pointless with no peer
                     continue
                 backoff = self._backoff_initial
-            self._drain_once()  # a connection lost mid-send requeued its records
+            self._drain_once()
         self._shutdown_socket()
 
     def _connect(self) -> bool:
@@ -385,8 +365,8 @@ class NetworkBackend(Backend):
                     target_min=target_min,
                     target_max=target_max,
                 )
-                # HELLO already carries the current targets.
-                self._targets_dirty = False
+                # HELLO already carries the current targets and window.
+                self._targets_dirty = self._window_dirty = False
             sock.sendall(hello)
         except OSError:
             self._connect_failures.inc()
@@ -397,78 +377,53 @@ class NetworkBackend(Backend):
         return True
 
     def _drain_once(self) -> None:
-        """Ship queued targets and one coalesced BATCH frame; requeue on a lost link."""
+        """Ship pending targets and one BATCH frame of the oldest unsent records."""
         sock = self._sock
         if sock is None:  # pragma: no cover - only racing an abort
             return
+        mirror = self._mirror
         with self._lock:
-            targets = self._mirror.capture()[2:] if self._targets_dirty else None
+            targets = mirror.capture()[2:] if self._targets_dirty else None
             self._targets_dirty = False
-            batch = self._pop_batch_locked()
+        total = mirror.total  # the writer's copy: its records are placed
+        first = max(self._sent, total - self.capacity)
+        end = min(total, first + self._max_batch_records)
+        records, _ = mirror.copy_newest(end, end - first)  # minus a prefix lapped meanwhile
+        shipped = records.shape[0]
         try:
             if targets is not None:
                 sock.sendall(protocol.encode_targets(*targets))
-            if batch:
-                sock.sendall(protocol.encode_frame(protocol.FRAME_BATCH, batch))
+            if shipped:
+                sock.sendall(protocol.encode_frame(protocol.FRAME_BATCH, protocol.batch_payload(records)))
         except OSError:
-            self._drop_connection(requeue=batch, targets_dirty=targets is not None)
-            return
-        if batch:
-            self._sent_batches.inc()
-            self._sent_records.inc(len(batch) // _RECORD_SIZE)
-            if self._queue:
-                self._wake.set()  # more pending; come straight back
-
-    def _pop_batch_locked(self) -> bytes:
-        """Coalesce up to ``max_batch_records`` queued records (lock held)."""
-        parts: list[bytes | memoryview] = []
-        room = self._max_batch_records * _RECORD_SIZE
-        while self._queue and room:
-            chunk = self._queue.popleft()
-            if len(chunk) > room:
-                self._queue.appendleft(memoryview(chunk)[room:])
-                chunk = memoryview(chunk)[:room]
-            parts.append(chunk)
-            room -= len(chunk)
-        batch = b"".join(parts)
-        self._pending_records -= len(batch) // _RECORD_SIZE
-        return batch
-
-    def _drop_connection(self, *, requeue: bytes, targets_dirty: bool) -> None:
-        self._shutdown_socket()
-        count = len(requeue) // _RECORD_SIZE
+            with self._lock:
+                self._targets_dirty |= targets is not None
+            self._shutdown_socket()
+            return  # the cursor stays: the records go again after the redial
         with self._lock:
             if self._closed:
-                # close() already settled the books (queue cleared, pending
-                # counted as dropped); the in-flight batch joins the dropped
-                # tally instead of resurrecting pending on a closed backend.
-                self._dropped_records.inc(count)
-                return
-            if targets_dirty:
-                self._targets_dirty = True
-            if count:
-                # Unsent records return to the head of the queue so ordering
-                # holds; the bound still applies, trimming their oldest part.
-                self._queue.appendleft(requeue)
-                self._pending_records += count
-                self._trim_pending_locked()
+                return  # close() already counted them as dropped
+            if shipped:
+                self._sent_batches.inc()
+                self._sent_records.inc(shipped)
+            self._advance_locked(end, shipped)
+        if mirror.total != end:
+            self._wake.set()  # more to ship, or appended meanwhile: come straight back
 
-    def _shutdown_socket(self) -> None:
+    def _shutdown_socket(self, how: str = "close") -> None:
+        """Hang up.  ``"close"`` sends CLOSE first when closing; ``"redial"``
+        sends none and waits until the collector hung up in turn — it has then
+        ingested every frame of this link, so the next HELLO cannot overtake
+        them; ``"abort"`` just closes the link a wedged sender holds."""
         with self._lock:
             sock, self._sock = self._sock, None
-        if sock is not None:
-            if self._closing:
-                try:
-                    sock.sendall(protocol.encode_close(self._mirror.version()[0]))
-                except OSError:
-                    pass
+        if sock is None:
+            return
+        with contextlib.suppress(OSError):
+            if how == "redial":
+                sock.shutdown(socket.SHUT_WR)
+                sock.recv(1)  # a collector never sends: EOF (or a time-out)
+            elif how == "close" and self._closing:
+                sock.sendall(protocol.encode_close(self._mirror.version()[0]))
+        with contextlib.suppress(OSError):  # teardown never raises
             sock.close()
-
-    def _abort_socket(self) -> None:
-        with self._lock:
-            sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close barely ever raises
-                pass

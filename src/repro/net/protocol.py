@@ -100,7 +100,6 @@ __all__ = [
     "encode_hello",
     "decode_hello",
     "batch_payload",
-    "record_bytes",
     "decode_batch",
     "encode_targets",
     "decode_targets",
@@ -288,16 +287,6 @@ def batch_payload(records: np.ndarray) -> bytes | memoryview:
     if not wire.flags.c_contiguous:  # pragma: no cover - callers pass fresh arrays
         wire = np.ascontiguousarray(wire)
     return memoryview(wire).cast("B")
-
-
-def record_bytes(records: np.ndarray) -> bytes:
-    """An owned copy of ``records`` as BATCH payload bytes (any strides).
-
-    What a sender queues instead of the array; one record packed with
-    :data:`repro.core.record.RECORD_STRUCT` (always little-endian) is the
-    same 32 bytes.
-    """
-    return (records if _NATIVE_IS_WIRE else records.astype(WIRE_RECORD_DTYPE)).tobytes()
 
 
 def decode_batch(payload: bytes) -> np.ndarray:

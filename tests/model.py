@@ -21,7 +21,8 @@ the paper's definitions alone:
 
 ``tests/test_observer_model.py`` drives every route — ``mem://``,
 ``shm://``, ``file://``, an arena row, a ``Heartbeat``, ``tcp://`` into a
-journaled collector and an edge → root relay hop — and compares the
+journaled collector, an edge → root relay hop and a ``NetworkBackend``
+producer — and compares the
 aggregator's ``FleetSample``, each ``HeartbeatMonitor.read()`` and a wire
 collector's ``streams()`` with it.
 """

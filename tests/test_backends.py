@@ -199,6 +199,24 @@ class TestSharedMemoryBackend:
         with pytest.raises(BackendError):
             backend.snapshot()
 
+    @pytest.mark.parametrize("side", ["writer", "reader"])
+    def test_close_in_a_finally_surfaces_the_read_error(self, side):
+        """A failed read's traceback still holds the ring's views: close()
+        must release them, not raise ``BufferError`` in place of the read's
+        own error."""
+        backend = SharedMemoryBackend(capacity=8)
+        reader = SharedMemoryReader(backend.name)
+        backend.words[backend.sequence_at] = backend.sequence + 1  # a writer died mid-write
+        target, other = (backend, reader) if side == "writer" else (reader, backend)
+        try:
+            with pytest.raises(BackendError, match="mid-write"):
+                try:
+                    target.snapshot()
+                finally:
+                    target.close()
+        finally:
+            other.close()
+
     def test_writer_pid_recorded(self):
         import os
 

@@ -225,7 +225,7 @@ def wrapped(request):
         backend = arena.allocate("row")
     else:
         backend = NetworkBackend(
-            f"127.0.0.1:{_dead_port()}", stream="mirror", capacity=4, max_pending=64, close_deadline=0.2
+            f"127.0.0.1:{_dead_port()}", stream="mirror", capacity=4, close_deadline=0.2
         )
     clock = ManualClock()
     hb = Heartbeat(clock=clock, backend=backend)

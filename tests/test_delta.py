@@ -78,6 +78,13 @@ class _CollectorHarness:
         self._empty = MemoryBackend(16)
 
     def append(self, beat, timestamp, tag, thread_id) -> None:
+        # A closed-loop producer, as the ledger's wire-tree one: the
+        # exporter's ring is its send backlog, so a burst longer than it
+        # waits for the sender instead of dropping beats the collector's
+        # row is meant to lap.
+        assert wait_until(
+            lambda: self.exporter.stats()["pending_records"] < self.exporter.capacity, interval=0.0005
+        ), "the exporter's sender never caught up"
         self.exporter.append(beat, timestamp, tag, thread_id)
         self.sent += 1
 

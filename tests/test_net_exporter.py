@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import socket
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.core.backends import Arena
 from repro.core.errors import BackendError
 from repro.core.heartbeat import Heartbeat
 from repro.core.record import RECORD_DTYPE
@@ -96,7 +99,7 @@ class TestBackpressure:
 
     def test_drop_oldest_when_collector_down(self):
         backend = NetworkBackend(
-            unreachable_endpoint(), stream="drop", capacity=4096, max_pending=100
+            unreachable_endpoint(), stream="drop", capacity=100
         )
         try:
             for i in range(10):
@@ -111,7 +114,7 @@ class TestBackpressure:
 
     def test_oversized_single_batch_keeps_newest_tail(self):
         backend = NetworkBackend(
-            unreachable_endpoint(), stream="huge", capacity=4096, max_pending=64
+            unreachable_endpoint(), stream="huge", capacity=64
         )
         try:
             backend.append_many(make_batch(1000))
@@ -124,7 +127,7 @@ class TestBackpressure:
     def test_beat_path_stays_fast_with_collector_down(self):
         """10k beats into a dead endpoint must take milliseconds, not timeouts."""
         backend = NetworkBackend(
-            unreachable_endpoint(), stream="fast", capacity=8192, max_pending=1024
+            unreachable_endpoint(), stream="fast", capacity=1024
         )
         hb = Heartbeat(window=20, backend=backend)
         try:
@@ -172,8 +175,6 @@ class TestTeardown:
 
     def test_concurrent_close_flushes_without_deadlock(self):
         """Racing closers must not starve the sender of the queue lock."""
-        import threading
-
         with HeartbeatCollector() as collector:
             backend = NetworkBackend(collector.endpoint, stream="race", capacity=4096)
             backend.append_many(make_batch(300))
@@ -250,3 +251,78 @@ class TestReconnect:
                 restarted.close()
         finally:
             backend.close()
+
+    def test_a_new_default_window_reaches_the_collector_by_redialling(self):
+        """Only a HELLO carries the window and a link gets one HELLO, so a
+        window set after the first connect is published by a redial without
+        CLOSE — and no record is lost or reordered across it."""
+        with HeartbeatCollector() as collector:
+            backend = NetworkBackend(collector.endpoint, stream="win", flush_interval=0.01)
+            try:
+                backend.set_default_window(5)
+                backend.append_many(make_batch(40))
+                assert collector.wait_for_streams(1, timeout=5.0)
+                assert wait_until(lambda: collector.snapshot("win").total_beats == 40)
+                assert collector.snapshot("win").default_window == 5
+                backend.set_default_window(9)
+                backend.append_many(make_batch(40, start=40))
+                assert wait_until(
+                    lambda: (collector.snapshot("win").default_window, collector.snapshot("win").total_beats)
+                    == (9, 80)
+                ), collector.snapshot("win")
+                [info] = collector.streams()
+                assert not info.closed and info.connected
+                want = np.concatenate([make_batch(40), make_batch(40, start=40)])
+                assert collector.snapshot("win").records.tobytes() == want.tobytes()
+                assert backend.stats()["connects"] == 2
+            finally:
+                backend.close()
+
+
+@pytest.mark.network
+def test_beat_thread_against_sender_thread_stores_each_beat_once():
+    """A 64-slot exporter beaten flat out, in single beats and batches of 64,
+    with the interpreter switching threads every 10 µs: the sender copies
+    out of the ring the beat thread is writing, so whatever reaches the
+    collector must be byte-identical to what was appended under the same
+    beat number, in order and once, and the books must balance."""
+    rounds, singles = 1500, 32
+    appended = rounds * (singles + 64)
+    want = make_batch(appended)
+    want["tag"] = np.arange(appended) * 7 + 3
+    arena = Arena(streams=1, depth=1 << 18)  # deeper than the run: the collector laps nothing
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with HeartbeatCollector(arena=arena) as collector:
+            backend = NetworkBackend(collector.endpoint, stream="stress", capacity=64)
+
+            def beat() -> None:
+                beat = 0
+                for _ in range(rounds):
+                    for record in want[beat : beat + singles].tolist():
+                        backend.append(*record)
+                    backend.append_many(want[beat + singles : beat + singles + 64])
+                    beat += singles + 64
+
+            thread = threading.Thread(target=beat)
+            thread.start()
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            backend.close()
+            stats = backend.stats()
+            assert stats["sent_records"] + stats["dropped_records"] == appended, stats
+            assert stats["pending_records"] == 0
+            assert wait_until(lambda: collector.snapshot("stress").total_beats == stats["sent_records"])
+            got = collector.snapshot("stress").records
+    finally:
+        sys.setswitchinterval(interval)
+        arena.close()
+    assert np.all(np.diff(got["beat"]) > 0)
+    assert got.tobytes() == want[got["beat"]].tobytes()
+
+
+def test_capacity_is_the_one_bound():
+    """The send backlog is the ring: there is no separate queue bound to set."""
+    with pytest.raises(TypeError, match="max_pending"):
+        NetworkBackend(unreachable_endpoint(), stream="gone", max_pending=100)

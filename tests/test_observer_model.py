@@ -1,11 +1,12 @@
 """Every observer route against ``tests/model.py``.
 
-One state machine drives seven streams — a ``mem://`` backend, an ``shm://``
+One state machine drives eight streams — a ``mem://`` backend, an ``shm://``
 segment seen through a ``SharedMemoryReader``, a ``file://`` log seen
 through a ``FileReader``, a row of an attached ``mem-arena`` slab, a
-``Heartbeat``, and two wire streams sent as raw-socket frames: ``tcp://``
-into a collector with a journal, and ``relay`` into an edge whose root is
-the collector observed — through beats, batches, backwards stamps, goal and
+``Heartbeat``, two wire streams sent as raw-socket frames (``tcp://`` into a
+collector with a journal, and ``relay`` into an edge whose root is the
+collector observed) and ``net``, a real ``NetworkBackend`` into its own
+collector — through beats, batches, backwards stamps, goal and
 window changes (past the observer's row depth and past the source's
 capacity), laps, log truncation and rotation, CLOSE and redial, a restart
 of the journaled collector, and detach / re-attach.  After every poll each
@@ -15,8 +16,8 @@ each wire collector's ``streams()`` (total, CLOSE state, reported total),
 and after every step the ``Heartbeat``'s own ``current_rate()`` must equal
 the model's rate.
 The wire changes a window only with a HELLO, so a wire stream redials to
-change one, and each poll first waits at most :data:`DELIVERY_S` for the
-wire streams to show what was sent.
+change one (the exporter by its own rule), and each poll first waits at
+most :data:`DELIVERY_S` for the collected streams to show what was sent.
 
 Tier-1 runs a fixed-seed profile; the ``slow`` twin explores.  Two fixed
 cases pin what the machine cannot schedule: a read a writer overlaps (the
@@ -47,18 +48,20 @@ from repro.core.backends.shared_memory import SharedMemoryReader
 from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import HeartbeatMonitor
 from repro.core.record import RECORD_DTYPE
-from repro.net import HeartbeatCollector, protocol
+from repro.net import HeartbeatCollector, NetworkBackend, protocol
 
 LIVENESS = 5.0
-KINDS = ("mem", "shm", "file", "arena", "hb", "tcp", "relay")
-#: Wire kinds, and kinds attached one stream at a time (a slab's or a
-#: collector's rows are not).
+KINDS = ("mem", "shm", "file", "arena", "hb", "tcp", "relay", "net")
+#: Raw-frame wire kinds, every kind read off a collector, and kinds
+#: attached one stream at a time (a slab's or a collector's rows are not).
 WIRES = ("tcp", "relay")
+COLLECTED = WIRES + ("net",)
 DETACHABLE = ("mem", "shm", "file", "hb")
 #: Retained beats per kind (``None``: a log keeps every line).  The
 #: ``tcp://`` stream asks for the collector's smallest capacity; the relay
-#: root's rows are that deep, behind an edge that never laps.
-CAPACITY = {"mem": 8, "shm": 16, "file": None, "arena": 8, "hb": 8, "tcp": 16, "relay": 16}
+#: root's rows are that deep, behind an edge that never laps.  The exporter's
+#: ring is its HELLO's capacity hint, so the collector's row is as deep.
+CAPACITY = {"mem": 8, "shm": 16, "file": None, "arena": 8, "hb": 8, "tcp": 16, "relay": 16, "net": 16}
 EDGE_CAPACITY = 4096
 #: The wire streams' first HELLO window, and the bound on one delivery.
 WIRE_WINDOW = 5
@@ -183,6 +186,49 @@ class _Wire:
         self.observed.close()
 
 
+class _Exporter(_Wire):
+    """A real ``NetworkBackend`` into its own collector; reads are :class:`_Wire`'s.
+
+    A closed-loop producer: each write first waits, at most
+    :data:`DELIVERY_S`, until the exporter's ring has room for it beyond
+    the records not yet sent, so the exporter drops nothing and the
+    collector's row laps as the model does.  A window change is the
+    exporter's own redial.
+    """
+
+    def __init__(self, model: StreamModel) -> None:
+        self.name, self.model, self.frames = "net", model, 0
+        self.collector = self.observed = HeartbeatCollector()
+        self.backend = NetworkBackend(self.collector.endpoint, stream=self.name, capacity=CAPACITY["net"])
+        self.backend.set_default_window(model.window)
+        self.backend.set_targets(model.target_min, model.target_max)  # the sender dials: HELLO carries both
+        assert self.collector.wait_for_streams(1, timeout=DELIVERY_S)
+
+    def _room(self, count: int) -> None:
+        backend = self.backend
+        _bounded(lambda: backend.stats()["pending_records"] + count <= backend.capacity, "exporter backlog")
+
+    def append(self, beat: int, stamp: float, tag: int, thread_id: int) -> None:
+        self._room(1)
+        self.backend.append(beat, stamp, tag, thread_id)
+
+    def append_many(self, records: np.ndarray) -> None:
+        for start in range(0, records.shape[0], self.backend.capacity):
+            chunk = records[start : start + self.backend.capacity]
+            self._room(chunk.shape[0])
+            self.backend.append_many(chunk)
+
+    def set_targets(self, target_min: float, target_max: float) -> None:
+        self.backend.set_targets(target_min, target_max)
+
+    def set_default_window(self, window: int) -> None:
+        self.backend.set_default_window(window)
+
+    def close(self) -> None:
+        self.backend.close()
+        self.collector.close()
+
+
 class _Route:
     """One stream: what the test writes through, what observers attach to."""
 
@@ -212,6 +258,11 @@ class _Route:
             self.hb = Heartbeat(window=4, clock=self.clock, history=8, name="hb")
             self.writer, self.source = self.hb.backend, self.hb
             self.model.window = 4
+        elif kind == "net":
+            self.model.window = WIRE_WINDOW
+            self.writer = _Exporter(self.model)
+            self.collector = self.writer.observed
+            self.source = self.collector.source(kind)
         else:
             self.model.window = WIRE_WINDOW
             if kind == "tcp":
@@ -283,7 +334,7 @@ class ObserverMachine(RuleBasedStateMachine):
         for route in self.routes.values():
             if route.kind == "arena":
                 self.aggregator.attach_arena(route.arena, prefix="arena/")
-            elif route.kind in WIRES:
+            elif route.kind in COLLECTED:
                 self.aggregator.attach_collector(route.collector)
             elif route.attached:
                 self.aggregator.attach_stream(route.name, route.source)
@@ -330,14 +381,14 @@ class ObserverMachine(RuleBasedStateMachine):
     def batch(self, kind: str, count: int, dt: float) -> None:
         self.routes[kind].append_many(self._stamps(count, dt), self.clock)
 
-    @rule(kind=st.sampled_from(("mem", "shm", "file", "arena") + WIRES), back=st.sampled_from([0.5, 3.0]))
+    @rule(kind=st.sampled_from(("mem", "shm", "file", "arena") + COLLECTED), back=st.sampled_from([0.5, 3.0]))
     def backwards(self, kind: str, back: float) -> None:
         """A stamp older than the last one (a stepped wall clock)."""
         route = self.routes[kind]
         last = route.model.last
         route.append(self.clock.now() - back if last is None else last - back, self.clock)
 
-    @rule(kind=st.sampled_from(("mem", "shm", "arena", "hb") + WIRES), extra=st.integers(1, 20))
+    @rule(kind=st.sampled_from(("mem", "shm", "arena", "hb") + COLLECTED), extra=st.integers(1, 20))
     def lap(self, kind: str, extra: int) -> None:
         """More beats than the storage holds, all between two polls."""
         route = self.routes[kind]
@@ -420,7 +471,7 @@ class ObserverMachine(RuleBasedStateMachine):
 
     @rule(requested=st.sampled_from([1, 2, 3, 6, 12]))
     def poll(self, requested: int) -> None:
-        for kind in WIRES:
+        for kind in COLLECTED:
             self.routes[kind].writer.delivered()
         now = self.clock.now()
         sample = self.aggregator.poll()

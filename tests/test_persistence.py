@@ -218,6 +218,8 @@ class TestCompaction:
             for start in range(0, 400 * 64, 64):
                 payload = protocol.batch_payload(make_records(range(start, start + 64)))
                 sock.sendall(protocol.encode_frame(protocol.FRAME_BATCH, payload))
+            # Loopback buffers can take every frame before the loop reads the HELLO.
+            assert collector.wait_for_streams(1, timeout=5.0)
             assert wait_until(lambda: collector.snapshot("svc").total_beats == 400 * 64)
         finally:
             sock.close()

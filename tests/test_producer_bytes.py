@@ -1,12 +1,13 @@
-"""The producer half moves bytes: in-place batch records, a queue of wire bytes.
+"""The producer half moves bytes: in-place batch records, frames copied out of the ring.
 
 ``Heartbeat.heartbeat_batch`` used to build its records from temporaries and
 ``NetworkBackend`` used to queue array copies and coalesce them with
-``np.concatenate``.  Both bodies survive here only as oracles —
-``reference_heartbeat_batch`` and the mirror's own ``snapshot()`` — and the
-tests hold the byte path to them bit for bit: every batch size and tag shape,
-every interleaving of appends, target updates and link flaps, frame
-coalescing, drop-oldest trimming inside a chunk, and arrays of any stride.
+``np.concatenate``; its send queue is now a cursor into the mirror ring.
+The old bodies survive here only as oracles — ``reference_heartbeat_batch``
+and the mirror's own ``snapshot()`` — and the tests hold the byte path to
+them bit for bit: every batch size and tag shape, every interleaving of
+appends, target updates and link flaps, frame coalescing, drop-oldest
+trimming inside a batch and under a lapped copy, and arrays of any stride.
 """
 
 from __future__ import annotations
@@ -268,10 +269,8 @@ def listener():
 
 
 def outage_backend(endpoint: str, **kwargs) -> NetworkBackend:
-    return NetworkBackend(
-        endpoint, stream="raw", capacity=16384, flush_interval=0.005,
-        backoff_initial=0.005, backoff_max=0.01, **kwargs,
-    )
+    options = dict(stream="raw", capacity=16384, flush_interval=0.005, backoff_initial=0.005, backoff_max=0.01)
+    return NetworkBackend(endpoint, **{**options, **kwargs})
 
 
 @pytest.mark.network
@@ -294,7 +293,7 @@ class TestWhatReachesTheWire:
             backend.close()
 
     def test_drop_oldest_trims_inside_a_chunk_on_record_boundaries(self, listener):
-        backend = outage_backend(listener.endpoint, max_pending=100)
+        backend = outage_backend(listener.endpoint, capacity=100)
         try:
             for i in range(3):
                 backend.append_many(make_batch(64, start=64 * i))
@@ -302,6 +301,30 @@ class TestWhatReachesTheWire:
             assert (stats["pending_records"], stats["dropped_records"]) == (100, 92)
             batches = listener.accept_frames(100)
             assert np.concatenate(batches).tobytes() == make_batch(192)[92:].tobytes()
+        finally:
+            backend.close()
+
+    def test_beats_that_lap_the_sender_s_copy_are_dropped_not_sent(self, listener, monkeypatch):
+        """Beats landing between the sender's capture and its copy overwrite
+        the oldest slots it is about to copy: those records count as dropped,
+        and what reaches the wire is intact and in order."""
+        from repro.core.backends.ring import Ring
+
+        backend = outage_backend(listener.endpoint, capacity=16)
+        real = Ring._copy_last
+
+        def lap_then_copy(ring, total, count):
+            monkeypatch.setattr(Ring, "_copy_last", real)
+            backend.append_many(make_batch(10, start=16))
+            return real(ring, total, count)
+
+        try:
+            backend.append_many(make_batch(16))
+            monkeypatch.setattr(Ring, "_copy_last", lap_then_copy)
+            batches = listener.accept_frames(16)
+            assert np.concatenate(batches).tobytes() == make_batch(26)[10:].tobytes()
+            assert wait_until(lambda: backend.stats()["sent_records"] == 16)
+            assert backend.stats()["dropped_records"] == 10
         finally:
             backend.close()
 
@@ -331,7 +354,7 @@ class TestWhatReachesTheWire:
 def test_sender_passes_track_time_not_appends_while_the_collector_is_down(listener):
     flush_interval = backoff = 0.05
     backend = NetworkBackend(
-        listener.endpoint, stream="outage", max_pending=1500,
+        listener.endpoint, stream="outage", capacity=1500,
         flush_interval=flush_interval, backoff_initial=backoff, backoff_max=4 * backoff,
     )
     passes = 0

@@ -49,7 +49,7 @@ def _local_backend(kind: str, capacity: int):
     port = probe.getsockname()[1]
     probe.close()  # bound then closed: a loopback port with no listener
     return NetworkBackend(
-        f"127.0.0.1:{port}", stream="ring", capacity=capacity, max_pending=256, close_deadline=0.2
+        f"127.0.0.1:{port}", stream="ring", capacity=capacity, close_deadline=0.2
     )
 
 
