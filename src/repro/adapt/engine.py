@@ -22,6 +22,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterator, Mapping, Union
 
 import numpy as np
@@ -99,7 +100,8 @@ class AdaptationEngine:
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` holding the
         engine's tick/decision counters, the rows each tick stepped and
-        skipped for want of news, and the tick-duration histogram.  A
+        skipped for want of news, the ticks that re-synced membership, and
+        the tick-duration histogram.  A
         private registry is created when omitted.
     """
 
@@ -151,6 +153,10 @@ class AdaptationEngine:
         self._m_rows_skipped = self.metrics.counter(
             "engine_rows_skipped_no_news_total",
             help="managed rows left unstepped because they had no new beats",
+        )
+        self._m_resyncs = self.metrics.counter(
+            "engine_membership_resyncs_total",
+            help="ticks that re-synced loops with a changed stream membership",
         )
         self._m_tick_duration = self.metrics.histogram(
             "engine_tick_duration_seconds", help="wall time of one engine tick, poll included"
@@ -291,6 +297,7 @@ class AdaptationEngine:
         A stream in ``sample.errors`` is merely unreadable this poll: its
         loop, or the factory's refusal of it, is kept.
         """
+        self._m_resyncs.inc()
         names = sample.names
         present = set(names).union(sample.errors)
         detached = tuple(name for name in self.loops if name not in present)
@@ -326,12 +333,19 @@ class AdaptationEngine:
         other refusal, and a factory that raises, declines the stream.
         """
         names = sample.names
-        # Many pending (a fleet's first tick): one bulk build beats row by row.
-        reading_at = sample.readings.__getitem__ if 4 * len(rows) >= len(names) else sample.reading_at
+        if 4 * len(rows) >= len(names):
+            # Many pending (a fleet's first tick): one pass over the bulk
+            # rows beats building them one by one.  ``rows`` is ascending,
+            # so ``compress`` yields them in its order.
+            picked = np.zeros(len(names), dtype=bool)
+            picked[rows] = True
+            readings = compress(sample.readings, picked.tolist())
+        else:
+            readings = map(sample.reading_at, rows)
         attached: list[int] = []
         awaiting: list[int] = []
-        for i in rows:
-            name, reading = names[i], reading_at(i)
+        for i, reading in zip(rows, readings):
+            name = names[i]
             try:
                 loop = self._factory(name, reading)
             except Exception as exc:

@@ -57,6 +57,7 @@ from repro.core.monitor import (
     MonitorReading,
     _Mirror,
     _rows,
+    _values,
     classify_codes,
 )
 from repro.core.rate import BACKWARDS
@@ -107,6 +108,52 @@ class FleetSummary:
     stalled: int
 
 
+class _Readings(Sequence[MonitorReading]):
+    """A :class:`FleetSample`'s per-stream readings: a read-only sequence view.
+
+    The columns become Python values once, on first use (one ``tolist()``
+    per column, see :func:`~repro.core.monitor._values`), and a row is
+    built only as it is iterated.  Iteration keeps no row: a row holds a
+    :class:`HealthStatus`, so the cyclic collector tracks it, and 10 000
+    rows kept per sample set off a gen-0 collection every 700 of them and
+    a full one every few samples.  A row fetched by index is built once
+    and kept, so ``readings[i] is readings[i]`` as for a tuple.  The view
+    equals a tuple of the same readings; it is not hashable.
+    """
+
+    __slots__ = ("_columns", "_lists", "_indexed")
+
+    def __init__(self, columns: tuple[np.ndarray, ...]) -> None:
+        self._columns = columns
+        self._lists: tuple[list, ...] | None = None
+        self._indexed: dict[int, MonitorReading] = {}
+
+    def _converted(self) -> tuple[list, ...]:
+        if self._lists is None:
+            self._lists = _values(self._columns)
+        return self._lists
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[MonitorReading]:
+        return _rows(self._converted())
+
+    def __getitem__(self, index: int | slice) -> MonitorReading | tuple[MonitorReading, ...]:  # type: ignore[override]
+        if isinstance(index, slice):
+            return tuple(_rows([values[index] for values in self._converted()]))
+        i = range(len(self))[index]  # IndexError, and negative i, as a tuple would
+        row = self._indexed.get(i)
+        if row is None:
+            row = self._indexed[i] = next(_rows([values[i : i + 1] for values in self._converted()]))
+        return row
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _Readings)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
 class FleetSample:
     """One consistent observation of every attached stream.
 
@@ -114,9 +161,9 @@ class FleetSample:
     parallel numpy columns (:meth:`rates`, :meth:`totals`,
     :meth:`stalled_mask`, plus the internal target/age/status arrays the
     fleet queries operate on), so fleet-level questions are vectorized
-    instead of per-stream loops.  ``readings`` materialises
-    :class:`MonitorReading` rows lazily for callers that want the
-    per-stream view of the whole fleet; :meth:`reading_at` and
+    instead of per-stream loops.  ``readings`` is the per-stream view of
+    the whole fleet, a read-only sequence of :class:`MonitorReading` rows
+    built as they are read (:class:`_Readings`); :meth:`reading_at` and
     :meth:`reading` build one row's.  Streams whose source failed to
     answer (e.g. their writer exited and the segment vanished mid-poll)
     appear in ``errors`` instead, so one dead producer never poisons the
@@ -153,29 +200,33 @@ class FleetSample:
         self._last_ts = last_ts
         self._age = age
         self._codes = codes
-        self._readings: tuple[MonitorReading, ...] | None = None
+        self._readings: _Readings | None = None
         self._index: dict[str, int] | None = None
 
     # ------------------------------------------------------------------ #
     # Per-stream view
     # ------------------------------------------------------------------ #
     @property
-    def readings(self) -> tuple[MonitorReading, ...]:
-        """Per-stream readings in attachment order (materialised lazily)."""
+    def readings(self) -> Sequence[MonitorReading]:
+        """Per-stream readings in attachment order, as a read-only sequence view.
+
+        Rows are built as they are read and iteration keeps none of them;
+        see :class:`_Readings`.
+        """
         if self._readings is None:
-            self._readings = tuple(_rows(self._columns()))
+            self._readings = _Readings(self._columns())
         return self._readings
 
     def reading_at(self, i: int) -> MonitorReading:
         """The reading of row ``i`` of :attr:`names`, built for that row alone.
 
-        Equal to ``readings[i]`` without materialising the other rows (and
-        served from them when they already exist).
+        Equal to ``readings[i]``, without converting the other rows (and
+        the same object once ``readings`` exists).
         """
         if self._readings is not None:
             return self._readings[i]
         i = range(len(self.names))[i]  # IndexError, and negative i, as a tuple would
-        return next(_rows([column[i : i + 1] for column in self._columns()]))
+        return next(_rows(_values([column[i : i + 1] for column in self._columns()])))
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         """The per-stream columns, in :class:`MonitorReading` field order."""

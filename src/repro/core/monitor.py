@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import sys
 from enum import Enum
-from functools import partial
+from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -132,8 +132,8 @@ def classify_codes(
     return codes
 
 
-def _rows(columns: Sequence[np.ndarray]) -> Iterator[MonitorReading]:
-    """Readings from ``(rate, total, target_min, target_max, last_ts, age, codes)``.
+def _values(columns: Sequence[np.ndarray]) -> tuple[list, ...]:
+    """Python values of ``(rate, total, target_min, target_max, last_ts, age, codes)``.
 
     One ``tolist()`` per column and no Python call per row: ``nan`` stamps
     and ages become ``None`` in one object-array pass, codes become
@@ -144,8 +144,17 @@ def _rows(columns: Sequence[np.ndarray]) -> Iterator[MonitorReading]:
     held = stamps.astype(object)
     held[np.isnan(stamps)] = None
     statuses = _STATUS_BY_CODE[codes].tolist()
-    rows = zip(rate.tolist(), total.tolist(), tmin.tolist(), tmax.tolist(), *held.tolist(), statuses)
-    return map(partial(tuple.__new__, MonitorReading), rows)
+    return (rate.tolist(), total.tolist(), tmin.tolist(), tmax.tolist(), *held.tolist(), statuses)
+
+
+def _rows(values: Sequence[list]) -> Iterator[MonitorReading]:
+    """Readings from :func:`_values` lists, each built only as it is consumed.
+
+    The one place a :class:`MonitorReading` row is built.  A row holds a
+    :class:`HealthStatus`, so the cyclic collector tracks it: a caller
+    passing over many rows should keep none of them.
+    """
+    return map(tuple.__new__, repeat(MonitorReading), zip(*values))
 
 
 class _Mirror:
@@ -168,10 +177,11 @@ class _Mirror:
 
     def sync(
         self, pool: _SlabPool, delta_source: DeltaSource, probe: ProbeSource | None, requested: int
-    ) -> None:
+    ) -> bool:
         """Replay what the source produced since the last sync into the row.
 
-        An unchanged ``version`` token skips the read.  Otherwise the delta
+        An unchanged ``version`` token skips the read and returns True: the
+        row is as the previous sync left it.  Otherwise the delta
         since the cursor lands by :class:`DeltaSnapshot`'s replay rule: a
         resync restarts the row at the delta's first beat, an increment
         appends, and ``held`` trims to what the source retains.  A window
@@ -188,7 +198,7 @@ class _Mirror:
         if cursor is not None and version is not None and version == self.version:
             window = ring.words[ring.window_at]  # type: ignore[union-attr]
             if resolve_window(requested, window, sys.maxsize) <= ring.capacity:  # type: ignore[union-attr]
-                return  # no new beats, no goal change, and the row holds the window
+                return True  # no new beats, no goal change, and the row holds the window
         self.cursor = None
         delta, cursor = delta_source(cursor)
         need = resolve_window(requested, delta.default_window, sys.maxsize)
@@ -210,6 +220,7 @@ class _Mirror:
         ring.reals[ring.window_at + 2] = delta.target_max
         self.slab.held[self.index] = delta.retained  # type: ignore[union-attr]
         self.cursor, self.version = cursor, version
+        return False
 
 
 class HeartbeatMonitor:
@@ -273,6 +284,9 @@ class HeartbeatMonitor:
         self._liveness_timeout = liveness_timeout
         self._pool = _SlabPool(first_bytes=0)  # one stream, one row
         self._mirror = _Mirror()
+        #: ``(window, rate, total, target_min, target_max, last_ts, retained)``
+        #: of the last kernel read, reused while the row is unchanged.
+        self._kernel: tuple | None = None
 
     # ------------------------------------------------------------------ #
     # Attachment constructors
@@ -326,24 +340,31 @@ class HeartbeatMonitor:
         """Poll the source and classify the application's current health.
 
         Only the beats produced since the previous ``read`` are fetched, so
-        a steady poll costs O(new beats) instead of O(history).  Raises what
-        the source raises, and ``ValueError`` when the rate window holds a
-        backwards timestamp.
+        a steady poll costs O(new beats) instead of O(history), and a read
+        of an unchanged stream at the same window reuses the previous
+        rate and stamp, recomputing only the age and the class.  Raises
+        what the source raises, and ``ValueError`` when the rate window
+        holds a backwards timestamp.
         """
         requested = self._window if window is None else int(window)
         mirror = self._mirror
-        mirror.sync(self._pool, self._delta, self._probe, requested)
-        slab, i = mirror.slab, slice(mirror.index, mirror.index + 1)
-        fleet = slab.arena.snapshot_since_all(  # type: ignore[union-attr]
-            window=requested, include_records=False, held=slab.held  # type: ignore[union-attr]
-        )
-        rate, last_ts = fleet.rate[i], fleet.last_timestamp[i]
+        unchanged = mirror.sync(self._pool, self._delta, self._probe, requested)
+        kernel = self._kernel
+        if not unchanged or kernel is None or kernel[0] != requested:
+            slab, i = mirror.slab, slice(mirror.index, mirror.index + 1)
+            fleet = slab.arena.snapshot_since_all(  # type: ignore[union-attr]
+                window=requested, include_records=False, held=slab.held  # type: ignore[union-attr]
+            )
+            kernel = self._kernel = (
+                requested, fleet.rate[i], fleet.totals[i], fleet.target_min[i],
+                fleet.target_max[i], fleet.last_timestamp[i], fleet.retained[i],
+            )
+        _, rate, total, tmin, tmax, last_ts, retained = kernel
         if np.isnan(rate[0]):
             raise ValueError(BACKWARDS)
         age = self._clock.now() - last_ts
-        tmin, tmax = fleet.target_min[i], fleet.target_max[i]
-        codes = classify_codes(rate, fleet.retained[i], tmin, tmax, age, self._liveness_timeout)
-        return next(_rows((rate, fleet.totals[i], tmin, tmax, last_ts, age, codes)))
+        codes = classify_codes(rate, retained, tmin, tmax, age, self._liveness_timeout)
+        return next(_rows(_values((rate, total, tmin, tmax, last_ts, age, codes))))
 
     def snapshot(self) -> BackendSnapshot:
         """A full snapshot of the observed stream."""

@@ -65,6 +65,7 @@ True
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 import sys
@@ -675,7 +676,17 @@ def link_alive(sock: socket.socket) -> bool:
     Collectors never send on a link, so readable means EOF or error and
     nothing-to-read means healthy.  Without the probe a peer that went away
     quietly (FIN, no RST) is only noticed by the *second* send after it.
+    The healthy path is one zero-timeout ``poll`` (``select.select`` cannot
+    take a descriptor past 1 023); a readable link is read to tell EOF or
+    an error (dead) from bytes a peer did send (alive).
     """
+    try:
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        if not poller.poll(0):
+            return True
+    except (OSError, ValueError):
+        pass  # a closed or broken socket: the read below reports it
     timeout = sock.gettimeout()
     try:
         sock.setblocking(False)

@@ -422,6 +422,40 @@ class TestAdaptationEngine:
             heartbeats["svc-0"].heartbeat()
             assert [trace.loop for trace in engine.tick().traces] == ["svc-0"]
 
+    def test_membership_resyncs_are_counted_once_per_change(self):
+        clock = SimulatedClock()
+        aggregator = HeartbeatAggregator(clock=clock)
+        heartbeats = {}
+        for i in range(3):
+            hb = heartbeats[f"svc-{i}"] = Heartbeat(window=4, clock=clock)
+            if i:  # svc-0 stays goalless, so it is re-offered every tick
+                hb.set_target_rate(5.0, 6.0)
+            aggregator.attach_stream(f"svc-{i}", hb)
+
+        def factory(name, reading):
+            if reading.target_min <= 0:
+                return None
+            return ControlLoop(None, StepController(TargetWindow(5.0, 6.0)), LogActuator(), name=name, warmup=0)
+
+        with AdaptationEngine(aggregator, factory) as engine:
+            def resyncs_after_a_tick():
+                clock.advance(0.1)
+                for hb in heartbeats.values():
+                    hb.heartbeat()
+                engine.tick()
+                return engine.metrics.as_dict()["engine_membership_resyncs_total"]
+
+            assert resyncs_after_a_tick() == 1.0  # the first tick
+            assert [resyncs_after_a_tick() for _ in range(4)] == [1.0] * 4
+            heartbeats["svc-3"] = Heartbeat(window=4, clock=clock)
+            aggregator.attach_stream("svc-3", heartbeats["svc-3"])
+            assert resyncs_after_a_tick() == 2.0  # an attach
+            assert resyncs_after_a_tick() == 2.0
+            aggregator.detach("svc-1")
+            del heartbeats["svc-1"]
+            assert resyncs_after_a_tick() == 3.0  # a detach
+            assert resyncs_after_a_tick() == 3.0
+
     def test_vanished_streams_lose_their_loops(self):
         clock = SimulatedClock()
         streams = {"svc-0": SimStream(clock, 5.0)}

@@ -509,6 +509,26 @@ def test_steady_state_tick_constructs_no_readings(reading_count):
         arena.close()
 
 
+def test_a_10k_first_tick_builds_each_pending_row_once(reading_count):
+    clock = SimulatedClock()
+    arena = Arena(streams=10_000, depth=4)
+    aggregator = HeartbeatAggregator(clock=clock, liveness_timeout=None)
+    aggregator.attach_arena(arena)
+    for i in range(10_000):
+        arena.allocate(f"row-{i:05d}")
+    spec = AdaptSpec.from_dict({"loops": [{"match": "*", "target": [8.0, 12.0]}]})
+    engine = spec.build_engine(aggregator=aggregator)
+    try:
+        tick = engine.tick()
+        assert len(tick.attached) == 10_000 and len(reading_count) == 10_000
+        assert [reading.total_beats for reading in reading_count] == [0] * 10_000
+        assert tick.sample._readings._indexed == {}, "the bulk offer kept rows"
+        assert engine.tick().attached == () and len(reading_count) == 10_000
+    finally:
+        engine.close(close_aggregator=True)
+        arena.close()
+
+
 def test_dashboard_builds_readings_for_the_rows_it_shows(reading_count):
     from repro.obs.serve import TelemetryServer
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import select
+import socket
 import struct
 import zlib
 
@@ -208,3 +210,58 @@ def decode_one(wire: bytes) -> protocol.Frame:
     frames = FrameDecoder().feed(wire)
     assert len(frames) == 1
     return frames[0]
+
+
+# ---------------------------------------------------------------------- #
+# link_alive: the EOF probe exporters and relays run before each drain
+# ---------------------------------------------------------------------- #
+@pytest.fixture
+def link():
+    """A connected localhost TCP pair: ``(ours, peer)``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    ours = socket.create_connection(listener.getsockname(), timeout=2.0)
+    peer, _ = listener.accept()
+    listener.close()
+    yield ours, peer
+    ours.close()
+    peer.close()
+
+
+def wait_readable(sock: socket.socket) -> None:
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    assert poller.poll(2000), "the peer's packet never arrived"
+
+
+@pytest.mark.network
+class TestLinkAlive:
+    def test_a_quiet_healthy_peer_is_alive_and_the_timeout_is_kept(self, link):
+        ours, _ = link
+        assert protocol.link_alive(ours) is True
+        assert protocol.link_alive(ours) is True
+        assert ours.gettimeout() == 2.0
+
+    def test_a_peer_that_sent_bytes_is_alive(self, link):
+        ours, peer = link
+        peer.sendall(b"stray")
+        wait_readable(ours)
+        assert protocol.link_alive(ours) is True
+        assert ours.gettimeout() == 2.0
+
+    def test_a_peer_that_closed_quietly_is_dead(self, link):
+        ours, peer = link
+        peer.close()  # FIN, no RST
+        wait_readable(ours)
+        assert protocol.link_alive(ours) is False
+
+    def test_a_peer_that_reset_the_link_is_dead(self, link):
+        ours, peer = link
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        peer.close()  # linger 0: RST
+        wait_readable(ours)
+        assert protocol.link_alive(ours) is False
+
+    def test_a_closed_socket_is_dead(self, link):
+        ours, _ = link
+        ours.close()
+        assert protocol.link_alive(ours) is False
