@@ -177,11 +177,10 @@ class _Mirror:
 
     def sync(
         self, pool: _SlabPool, delta_source: DeltaSource, probe: ProbeSource | None, requested: int
-    ) -> bool:
+    ) -> None:
         """Replay what the source produced since the last sync into the row.
 
-        An unchanged ``version`` token skips the read and returns True: the
-        row is as the previous sync left it.  Otherwise the delta
+        An unchanged ``version`` token skips the read.  Otherwise the delta
         since the cursor lands by :class:`DeltaSnapshot`'s replay rule: a
         resync restarts the row at the delta's first beat, an increment
         appends, and ``held`` trims to what the source retains.  A window
@@ -198,7 +197,7 @@ class _Mirror:
         if cursor is not None and version is not None and version == self.version:
             window = ring.words[ring.window_at]  # type: ignore[union-attr]
             if resolve_window(requested, window, sys.maxsize) <= ring.capacity:  # type: ignore[union-attr]
-                return True  # no new beats, no goal change, and the row holds the window
+                return  # no new beats, no goal change, and the row holds the window
         self.cursor = None
         delta, cursor = delta_source(cursor)
         need = resolve_window(requested, delta.default_window, sys.maxsize)
@@ -220,7 +219,6 @@ class _Mirror:
         ring.reals[ring.window_at + 2] = delta.target_max
         self.slab.held[self.index] = delta.retained  # type: ignore[union-attr]
         self.cursor, self.version = cursor, version
-        return False
 
 
 class HeartbeatMonitor:
@@ -284,9 +282,6 @@ class HeartbeatMonitor:
         self._liveness_timeout = liveness_timeout
         self._pool = _SlabPool(first_bytes=0)  # one stream, one row
         self._mirror = _Mirror()
-        #: ``(window, rate, total, target_min, target_max, last_ts, retained)``
-        #: of the last kernel read, reused while the row is unchanged.
-        self._kernel: tuple | None = None
 
     # ------------------------------------------------------------------ #
     # Attachment constructors
@@ -340,31 +335,24 @@ class HeartbeatMonitor:
         """Poll the source and classify the application's current health.
 
         Only the beats produced since the previous ``read`` are fetched, so
-        a steady poll costs O(new beats) instead of O(history), and a read
-        of an unchanged stream at the same window reuses the previous
-        rate and stamp, recomputing only the age and the class.  Raises
-        what the source raises, and ``ValueError`` when the rate window
-        holds a backwards timestamp.
+        a steady poll costs O(new beats) instead of O(history).  Raises what
+        the source raises, and ``ValueError`` when the rate window holds a
+        backwards timestamp.
         """
         requested = self._window if window is None else int(window)
         mirror = self._mirror
-        unchanged = mirror.sync(self._pool, self._delta, self._probe, requested)
-        kernel = self._kernel
-        if not unchanged or kernel is None or kernel[0] != requested:
-            slab, i = mirror.slab, slice(mirror.index, mirror.index + 1)
-            fleet = slab.arena.snapshot_since_all(  # type: ignore[union-attr]
-                window=requested, include_records=False, held=slab.held  # type: ignore[union-attr]
-            )
-            kernel = self._kernel = (
-                requested, fleet.rate[i], fleet.totals[i], fleet.target_min[i],
-                fleet.target_max[i], fleet.last_timestamp[i], fleet.retained[i],
-            )
-        _, rate, total, tmin, tmax, last_ts, retained = kernel
+        mirror.sync(self._pool, self._delta, self._probe, requested)
+        slab, i = mirror.slab, slice(mirror.index, mirror.index + 1)
+        fleet = slab.arena.snapshot_since_all(  # type: ignore[union-attr]
+            window=requested, include_records=False, held=slab.held  # type: ignore[union-attr]
+        )
+        rate, last_ts = fleet.rate[i], fleet.last_timestamp[i]
         if np.isnan(rate[0]):
             raise ValueError(BACKWARDS)
         age = self._clock.now() - last_ts
-        codes = classify_codes(rate, retained, tmin, tmax, age, self._liveness_timeout)
-        return next(_rows(_values((rate, total, tmin, tmax, last_ts, age, codes))))
+        tmin, tmax = fleet.target_min[i], fleet.target_max[i]
+        codes = classify_codes(rate, fleet.retained[i], tmin, tmax, age, self._liveness_timeout)
+        return next(_rows(_values((rate, fleet.totals[i], tmin, tmax, last_ts, age, codes))))
 
     def snapshot(self) -> BackendSnapshot:
         """A full snapshot of the observed stream."""

@@ -676,29 +676,17 @@ def link_alive(sock: socket.socket) -> bool:
     Collectors never send on a link, so readable means EOF or error and
     nothing-to-read means healthy.  Without the probe a peer that went away
     quietly (FIN, no RST) is only noticed by the *second* send after it.
-    The healthy path is one zero-timeout ``poll`` (``select.select`` cannot
-    take a descriptor past 1 023); a readable link is read to tell EOF or
-    an error (dead) from bytes a peer did send (alive).
+    The probe is one zero-timeout ``poll`` (``select.select`` cannot take a
+    descriptor past 1 023); only a readable link is read, to tell EOF or an
+    error (dead) from bytes a peer did send (alive).  A closed socket fails
+    the registration and reads as dead.
     """
     try:
         poller = select.poll()
         poller.register(sock, select.POLLIN)
-        if not poller.poll(0):
-            return True
+        return not poller.poll(0) or sock.recv(4096) != b""
     except (OSError, ValueError):
-        pass  # a closed or broken socket: the read below reports it
-    timeout = sock.gettimeout()
-    try:
-        sock.setblocking(False)
-        try:
-            data = sock.recv(4096)
-        finally:
-            sock.settimeout(timeout)
-    except (BlockingIOError, InterruptedError):
-        return True
-    except OSError:
         return False
-    return data != b""
 
 
 def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:

@@ -9,7 +9,11 @@ fleet read row by row runs no collection in any generation.
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 from collections.abc import Sequence
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ import pytest
 from repro.core.aggregator import FleetSample
 from repro.core.monitor import HealthStatus, MonitorReading
 
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
 STATUS_BY_CODE = tuple(HealthStatus)
 
 
@@ -53,20 +59,30 @@ def collections() -> list[int]:
     return [generation["collections"] for generation in gc.get_stats()]
 
 
-def test_two_passes_over_10k_readings_run_no_collection():
+def two_passes_collections() -> tuple[list[int], list[int]]:
+    """Collections per generation before and after two passes over 10 000 rows."""
     sample = sample_of(10_000)
-    threshold = gc.get_threshold()
     gc.set_threshold(700, 10, 10)  # the interpreter's defaults
-    try:
-        assert gc.isenabled()
-        gc.collect()
-        before = collections()
-        for _ in range(2):
-            for _reading in sample.readings:
-                pass
-        after = collections()
-    finally:
-        gc.set_threshold(*threshold)
+    assert gc.isenabled()
+    gc.collect()
+    before = collections()
+    for _ in range(2):
+        for _reading in sample.readings:
+            pass
+    return before, collections()
+
+
+def test_two_passes_over_10k_readings_run_no_collection():
+    # In a child process: the counts are process-wide, and a thread another
+    # test left running could allocate enough to start a collection.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(HERE), env.get("PYTHONPATH", "")])
+    script = "from test_fleet_readings_view import two_passes_collections as f; print(*f(), sep='\\n')"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    before, after = result.stdout.splitlines()
     assert after == before
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.clock import ManualClock
 from repro.core.backends import FileBackend, SharedMemoryBackend
-from repro.core.backends.arena import Arena
 from repro.core.errors import MonitorAttachError
 from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import HealthStatus, HeartbeatMonitor
@@ -80,54 +79,6 @@ class TestInProcessAttachment:
             hb.heartbeat()
         monitor = HeartbeatMonitor.attach(hb)
         assert monitor.current_rate(5) > monitor.current_rate(20)
-
-
-class TestIdleReads:
-    """A read of an unchanged stream at the same window reuses the last rate."""
-
-    def test_cached_reads_equal_a_fresh_monitors(self, manual_clock, monkeypatch):
-        hb = make_beating_heartbeat(manual_clock)  # last beat at 2.9 s
-        hb.set_target_rate(8.0, 12.0)
-        cached = HeartbeatMonitor.attach(hb, liveness_timeout=1.0)
-        kernel_reads = []
-        fleet_read = Arena.snapshot_since_all
-
-        def counting(arena, *args, **kwargs):
-            kernel_reads.append(arena)
-            return fleet_read(arena, *args, **kwargs)
-
-        monkeypatch.setattr(Arena, "snapshot_since_all", counting)
-        # (clock, window, beat first, kernel read expected)
-        script = [
-            (3.0, None, False, True),   # first read
-            (3.2, None, False, False),  # idle: age moves, the rate is reused
-            (3.8, None, False, False),  # idle, age 0.9: still HEALTHY
-            (4.0, None, False, False),  # idle, age 1.1: crosses into STALLED
-            (4.1, 5, False, True),      # a window change reads the row again
-            (4.2, 5, False, False),
-            (4.3, None, False, True),   # and back
-            (4.4, None, True, True),    # a beat: the row changed
-            (4.6, None, False, False),
-        ]
-        statuses = []
-        for now, window, beat, expect_kernel in script:
-            manual_clock.time = now
-            if beat:
-                hb.heartbeat()
-            before = len(kernel_reads)
-            reading = cached.read(window)
-            assert (len(kernel_reads) > before) is expect_kernel, now
-            assert reading == HeartbeatMonitor.attach(hb, liveness_timeout=1.0).read(window), now
-            statuses.append(reading.status)
-        assert statuses[2] is HealthStatus.HEALTHY and statuses[3] is HealthStatus.STALLED
-        assert statuses[-2] is HealthStatus.SLOW  # a new beat ends the stall; the gap slows the rate
-
-    def test_a_goal_change_is_not_served_from_the_last_read(self, manual_clock):
-        hb = make_beating_heartbeat(manual_clock)
-        monitor = HeartbeatMonitor.attach(hb)
-        assert monitor.read().status is HealthStatus.HEALTHY
-        hb.set_target_rate(20.0, 40.0)
-        assert monitor.read().status is HealthStatus.SLOW
 
 
 class TestFileAttachment:
