@@ -10,8 +10,9 @@ exercised end to end:
 * :class:`CloudCluster` — nodes with capacity, virtual machines whose hosted
   applications register heartbeats against a shared simulated clock;
 * :class:`HeartbeatLoadBalancer` — the manager that watches each VM's
-  heartbeat stream (through the same :class:`~repro.core.monitor.HeartbeatMonitor`
-  abstraction every other observer uses) and migrates, scales and consolidates.
+  heartbeat stream as one row of an :class:`~repro.adapt.AdaptationEngine`
+  (the fleet runtime every other adaptation uses) and migrates, fails over
+  and consolidates.
 """
 
 from repro.cloud.balancer import BalancerAction, HeartbeatLoadBalancer, VMPlacementActuator

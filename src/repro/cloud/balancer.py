@@ -19,15 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro.adapt.engine import AdaptationEngine
 from repro.adapt.loop import ControlLoop
 from repro.clock import Clock
 from repro.cloud.cluster import CloudCluster, CloudNode, CloudVM
 from repro.control import ControlDecision, StepController, TargetWindow
 from repro.core.aggregator import CollectorLike, FleetSample, HeartbeatAggregator
+from repro.core.monitor import HealthStatus, MonitorReading
+
+if TYPE_CHECKING:
+    from repro.net import HeartbeatCollector
 
 __all__ = ["BalancerAction", "VMPlacementActuator", "HeartbeatLoadBalancer"]
-
 
 @dataclass(frozen=True, slots=True)
 class BalancerAction:
@@ -54,7 +59,8 @@ class VMPlacementActuator:
     the heart rate decreases, the load balancer would shift traffic to a
     different server").  Negative deltas are ignored — fast VMs are handled
     by the balancer's consolidation pass, which needs the whole fleet's
-    state, not one VM's.
+    state, not one VM's — and so is a VM no longer in the cluster (a
+    collector keeps its stream, and so its loop, after it left).
     """
 
     def __init__(self, balancer: "HeartbeatLoadBalancer", vm: CloudVM) -> None:
@@ -70,17 +76,14 @@ class VMPlacementActuator:
         return float(self._vm.node_id) if self._vm.node_id is not None else -1.0
 
     def apply(self, decision: ControlDecision, *, beat: int = -1) -> float:
-        if not decision.delta or decision.delta <= 0:
+        vm, balancer = self._vm, self._balancer
+        if not decision.delta or decision.delta <= 0 or vm.node_id is None:
             return self.current()
-        vm = self._vm
-        if vm.node_id is None:
+        if balancer.cluster.vms.get(vm.vm_id) is not vm:
             return self.current()
-        balancer = self._balancer
         candidate = balancer._best_node(exclude={vm.node_id})
-        if candidate is None:
-            return self.current()
         current_node = balancer.cluster.nodes[vm.node_id]
-        if balancer._spare_capacity(candidate) > balancer._spare_capacity(current_node):
+        if candidate is not None and balancer._spare_capacity(candidate) > balancer._spare_capacity(current_node):
             balancer.cluster.place(vm.vm_id, candidate.node_id)
         return self.current()
 
@@ -88,13 +91,30 @@ class VMPlacementActuator:
 class HeartbeatLoadBalancer:
     """Observes every VM's heartbeats and manages placement.
 
+    The balancer is a client of one :class:`~repro.adapt.AdaptationEngine`
+    (:attr:`engine`): each VM's stream is an engine row, and the engine's
+    loop factory gives it a ``StepController → VMPlacementActuator`` loop
+    against ``[target_min, inf)``.  One :meth:`manage` pass runs, in order:
+
+    1. the engine tick — one fleet poll, and the slow VMs' loops migrate
+       them (a STALLED stream is never stepped, so a dead VM's stale rate
+       moves nothing);
+    2. fail-over, on the tick's sample, of every VM whose stream is
+       STALLED, whose stream errored after the VM had beaten, or whose host
+       failed;
+    3. placement of unplaced VMs;
+    4. consolidation, when every placed VM comfortably exceeds its goal.
+
+    Every action is appended to :attr:`actions` as it is taken, and
+    :meth:`manage` returns those its pass took.
+
     Parameters
     ----------
     cluster:
         The cluster to manage.
     liveness_timeout:
-        Seconds without a heartbeat after which a VM's host is presumed
-        failed.
+        Seconds without a heartbeat after which a VM's stream is STALLED
+        and its host presumed failed.
     headroom:
         Fractional rate above a VM's target maximum regarded as "comfortably
         exceeding" its goal for consolidation purposes.
@@ -102,14 +122,16 @@ class HeartbeatLoadBalancer:
         Remote-fleet mode: a :class:`repro.net.HeartbeatCollector`
         (or anything :class:`~repro.core.aggregator.CollectorLike`) whose
         registered streams — named ``vm-<id>`` by each VM's network backend —
-        are polled *instead of* the VMs' in-process heartbeat objects.  This
+        are observed *instead of* the VMs' in-process heartbeat objects.  This
         is the balancer of the paper's Section 2.6 moved off-box: the VMs
         run anywhere, ship heartbeats over TCP, and the balancer manages
         placement purely from the collected telemetry.  A ``tcp://host:port``
         endpoint URL (or :class:`~repro.endpoints.TcpEndpoint`) may be
         passed instead of an object: the balancer then binds its own
         collector there (port ``0`` for ephemeral; see
-        :attr:`collector_endpoint`) and closes it with :meth:`close`.
+        :attr:`collector_endpoint`) and closes it with :meth:`close`.  A
+        stream is offered to the loop factory when it first appears, so a
+        VM must be in ``cluster.vms`` by then to get a slow-VM loop.
     clock:
         Observer time base for liveness ages; defaults to the cluster clock.
         Remote fleets stamped with ``WallClock(rebase=False)`` pass the same
@@ -133,22 +155,22 @@ class HeartbeatLoadBalancer:
         self.liveness_timeout = float(liveness_timeout)
         self.headroom = float(headroom)
         self.actions: list[BalancerAction] = []
-        self._own_collector = None
+        self._own_collector: HeartbeatCollector | None = None
         if collector is not None and not callable(getattr(collector, "stream_ids", None)):
             # A tcp:// endpoint URL: bind (and own) the collector ourselves.
             from repro.endpoints import open_collector
 
             collector = self._own_collector = open_collector(collector)  # type: ignore[arg-type]
-        self._collector = collector
-        self._aggregator = HeartbeatAggregator(
+        aggregator = HeartbeatAggregator(
             clock=clock if clock is not None else cluster.clock,
             liveness_timeout=self.liveness_timeout,
         )
-        self._expected: set[str] = set()
+        #: The engine whose rows are the VM streams and whose loops move slow VMs.
+        self.engine = AdaptationEngine(aggregator, self._loop_for)
+        self._remote = collector is not None
+        if collector is not None:
+            self.engine.attach_collector(collector)
         self._last_sample: FleetSample | None = None
-        #: Per-VM slow-handling loops (StepController → VMPlacementActuator),
-        #: created lazily and pruned as VMs leave the cluster.
-        self._slow_loops: dict[int, ControlLoop] = {}
 
     # ------------------------------------------------------------------ #
     # Observation
@@ -156,196 +178,122 @@ class HeartbeatLoadBalancer:
     @property
     def aggregator(self) -> HeartbeatAggregator:
         """The fleet aggregator observing every VM's heartbeat stream."""
-        return self._aggregator
+        return self.engine.aggregator
 
     def observe(self) -> FleetSample:
         """Poll every VM's heartbeats in one fleet pass."""
         self._sync_streams()
-        self._last_sample = self._aggregator.poll()
+        self._last_sample = self.aggregator.poll()
         return self._last_sample
 
     def vm_rate(self, vm: CloudVM) -> float:
         """The VM's observed heart rate; ``0.0`` when its stream is unreadable."""
-        reading = self._fleet().get(_stream_name(vm))
+        reading = self._reading(vm)
         return reading.rate if reading is not None else 0.0
 
     def vm_alive(self, vm: CloudVM) -> bool:
-        """Liveness of the VM's stream; an unreadable stream counts as dead."""
-        reading = self._fleet().get(_stream_name(vm))
-        if reading is None:
-            return False
-        return reading.age is not None and reading.age <= self.liveness_timeout
+        """Whether the VM's stream has beaten and is not STALLED; unreadable counts as dead."""
+        reading = self._reading(vm)
+        return reading is not None and reading.age is not None and reading.status is not HealthStatus.STALLED
 
-    def _fleet(self) -> FleetSample:
-        """The current fleet sample, reusing this tick's poll when possible."""
-        sample = self._last_sample
+    def _reading(self, vm: CloudVM) -> MonitorReading | None:
+        """The VM's reading, from the last sample if it was taken at this instant and holds the VM."""
+        name, sample = _stream_name(vm), self._last_sample
         if sample is not None and sample.taken_at == self.cluster.clock.now():
-            # Membership, not count: same-tick VM churn (one added, one
-            # removed) must invalidate the cache, and errored streams —
-            # absent from the readings but present in errors — must not.
-            observed = set(sample.names) | set(sample.errors)
-            if self._collector is None:
-                expected = {_stream_name(vm) for vm in self.cluster.vms.values()}
-            else:
-                # Collector registrations only change on a sync, so the last
-                # sync's membership is the right cache key for remote mode.
-                expected = self._expected & {_stream_name(vm) for vm in self.cluster.vms.values()}
-            if observed == expected:
-                return sample
-        return self.observe()
+            reading = sample.get(name)
+            if reading is not None or name in sample.errors:
+                return reading
+        return self.observe().get(name)
 
     def _sync_streams(self) -> None:
-        """Reconcile aggregator attachments with the cluster's VM set.
+        """Attach each local VM's heartbeat and detach the streams of VMs that left.
 
-        In local mode every VM's in-process heartbeat is attached directly;
-        in remote-fleet mode VM streams are attached from the collector as
-        they register, so a VM whose producer has not dialled in yet simply
-        has no reading (and is treated as silent by the failure handler once
-        it should have beaten).
+        In remote-fleet mode the collector is the membership: its rows
+        join the engine as they register and are never detached.
         """
+        if self._remote:
+            return
+        aggregator = self.aggregator
         current = {_stream_name(vm): vm for vm in self.cluster.vms.values()}
-        if self._collector is not None:
-            available = set(self._collector.stream_ids())
-            expected = set(current) & available
-        else:
-            expected = set(current)
-        for name in self._aggregator.names:
-            if name not in expected:
-                self._aggregator.detach(name)
+        for name in aggregator.names:
+            if name not in current:
+                aggregator.detach(name)
         for name, vm in current.items():
-            if name in self._aggregator or name not in expected:
-                continue
-            if self._collector is not None:
-                self._aggregator.attach_stream(name, self._collector.source(name))
-            else:
-                self._aggregator.attach_stream(name, vm.heartbeat)
-        self._expected = expected
+            if name not in aggregator:
+                aggregator.attach_stream(name, vm.heartbeat)
+
+    def _vm_named(self, name: str) -> CloudVM | None:
+        return next((vm for vm in self.cluster.vms.values() if _stream_name(vm) == name), None)
+
+    def _loop_for(self, name: str, reading: MonitorReading) -> ControlLoop | None:
+        """The engine's loop factory: a VM's slow-handling loop, ``None`` for other streams.
+
+        Only "too slow" triggers a placement request, so the controller's
+        window is ``[target_min, inf)``.
+        """
+        vm = self._vm_named(name)
+        if vm is None:
+            return None
+        return ControlLoop(
+            None,
+            StepController(TargetWindow(vm.target_min, math.inf)),
+            VMPlacementActuator(self, vm),
+            name=name,
+            decision_interval=1,
+            warmup=0,
+        )
 
     # ------------------------------------------------------------------ #
     # Management pass
     # ------------------------------------------------------------------ #
     def manage(self) -> list[BalancerAction]:
-        """Run one observe-decide-act pass; returns the actions taken."""
-        fleet = self.observe()
-        actions: list[BalancerAction] = []
-        actions.extend(self._handle_failures(fleet))
-        actions.extend(self._handle_slow_vms(fleet))
-        actions.extend(self._consolidate(fleet))
-        self.actions.extend(actions)
-        return actions
+        """Run one observe-decide-act pass; returns the actions it took."""
+        start = len(self.actions)
+        self._sync_streams()
+        tick = self.engine.tick()
+        sample = self._last_sample = tick.sample
+        for trace in tick.traces:
+            vm = self._vm_named(trace.loop) if trace.changed else None
+            if vm is not None:
+                reason = f"heart rate {trace.observed_rate:.2f} below target minimum {vm.target_min:.2f}"
+                self._record("migrate", vm.vm_id, int(trace.before), int(trace.after), reason)
+        self._fail_over(sample)
+        for vm in self.cluster.vms.values():
+            target = None if vm.placed else self._best_node()
+            if target is not None:
+                self._move(vm, target.node_id, "migrate", "unplaced VM")
+        self._consolidate(sample)
+        return self.actions[start:]
 
     # ------------------------------------------------------------------ #
     # Individual behaviours
     # ------------------------------------------------------------------ #
-    def _handle_failures(self, fleet: FleetSample) -> list[BalancerAction]:
-        actions: list[BalancerAction] = []
+    def _fail_over(self, sample: FleetSample) -> None:
+        stalled = set(sample.stalled())
         for vm in self.cluster.vms.values():
-            if not vm.placed:
+            if vm.node_id is None:
                 continue
-            reading = fleet.get(_stream_name(vm))
-            node = self.cluster.nodes[vm.node_id]
-            node_failed = not node.alive
-            # A stream that errored during the poll (reading is None) is as
-            # good as silent: its producer can no longer be observed.
-            silent = reading is None or (
-                reading.total_beats > 0
-                and not (reading.age is not None and reading.age <= self.liveness_timeout)
-            )
-            if reading is None and vm.heartbeat.count == 0:
-                silent = False  # never-started VM, not a failure signal
-            if node_failed or silent:
+            name = _stream_name(vm)
+            # A stream that errored during the poll is as good as silent once
+            # the VM has beaten: its producer can no longer be observed.
+            silent = name in stalled or (name in sample.errors and vm.heartbeat.count > 0)
+            if silent or not self.cluster.nodes[vm.node_id].alive:
                 target = self._best_node(exclude={vm.node_id})
-                if target is None:
-                    continue
-                origin = vm.node_id
-                self.cluster.place(vm.vm_id, target.node_id)
-                actions.append(
-                    BalancerAction(
-                        kind="failover",
-                        vm_id=vm.vm_id,
-                        from_node=origin,
-                        to_node=target.node_id,
-                        reason="no heartbeats within the liveness timeout"
-                        if silent
-                        else "host reported failed",
-                    )
-                )
-        return actions
-
-    def _slow_loop_for(self, vm: CloudVM) -> ControlLoop:
-        """The VM's slow-handling control loop (lazily created).
-
-        One :class:`~repro.adapt.loop.ControlLoop` per VM: a
-        :class:`StepController` against ``[target_min, inf)`` — only "too
-        slow" triggers a placement request — driving a
-        :class:`VMPlacementActuator`.  The balancer feeds the fleet sample's
-        observed rate in, so the whole fleet still costs one aggregator poll.
-        """
-        loop = self._slow_loops.get(vm.vm_id)
-        if loop is None:
-            loop = ControlLoop(
-                None,
-                StepController(TargetWindow(vm.target_min, math.inf)),
-                VMPlacementActuator(self, vm),
-                name=_stream_name(vm),
-                decision_interval=1,
-                warmup=0,
-            )
-            self._slow_loops[vm.vm_id] = loop
-        return loop
-
-    def _handle_slow_vms(self, fleet: FleetSample) -> list[BalancerAction]:
-        actions: list[BalancerAction] = []
-        if len(self._slow_loops) > len(self.cluster.vms):
-            self._slow_loops = {
-                vm_id: loop for vm_id, loop in self._slow_loops.items() if vm_id in self.cluster.vms
-            }
-        for vm in self.cluster.vms.values():
-            if not vm.placed:
-                target = self._best_node()
+                reason = "no heartbeats within the liveness timeout" if silent else "host reported failed"
                 if target is not None:
-                    self.cluster.place(vm.vm_id, target.node_id)
-                    actions.append(
-                        BalancerAction(
-                            kind="migrate",
-                            vm_id=vm.vm_id,
-                            from_node=None,
-                            to_node=target.node_id,
-                            reason="unplaced VM",
-                        )
-                    )
-                continue
-            reading = fleet.get(_stream_name(vm))
-            if reading is None or reading.total_beats < 2:
-                continue
-            trace = self._slow_loop_for(vm).step(rate=reading.rate)
-            if trace is not None and trace.changed:
-                actions.append(
-                    BalancerAction(
-                        kind="migrate",
-                        vm_id=vm.vm_id,
-                        from_node=int(trace.before),
-                        to_node=int(trace.after),
-                        reason=(
-                            f"heart rate {trace.observed_rate:.2f} below target "
-                            f"minimum {vm.target_min:.2f}"
-                        ),
-                    )
-                )
-        return actions
+                    self._move(vm, target.node_id, "failover", reason)
 
-    def _consolidate(self, fleet: FleetSample) -> list[BalancerAction]:
-        actions: list[BalancerAction] = []
+    def _consolidate(self, sample: FleetSample) -> None:
         # Only consolidate when every placed VM comfortably exceeds its goal.
         placed = [vm for vm in self.cluster.vms.values() if vm.placed]
         if not placed:
-            return actions
+            return
         for vm in placed:
-            reading = fleet.get(_stream_name(vm))
+            reading = sample.get(_stream_name(vm))
             if reading is None or reading.total_beats < 2:
-                return actions
+                return
             if reading.rate < vm.target_max * (1.0 + self.headroom):
-                return actions
+                return
         # Pack VMs onto the fewest nodes whose capacity covers their demand.
         nodes = sorted(
             (n for n in self.cluster.nodes.values() if n.available),
@@ -365,37 +313,18 @@ class HeartbeatLoadBalancer:
                     remaining[node.node_id] -= demand_of[vm.vm_id]
                     break
         if not assignments or len(assignments) < len(placed):
-            return actions
+            return
         used_nodes = set(assignments.values())
         if len(used_nodes) >= len({vm.node_id for vm in placed}):
-            return actions  # no reduction in node count; leave placement alone
+            return  # no reduction in node count; leave placement alone
         for vm in placed:
-            target = assignments[vm.vm_id]
-            if target != vm.node_id:
-                origin = vm.node_id
-                self.cluster.place(vm.vm_id, target)
-                actions.append(
-                    BalancerAction(
-                        kind="consolidate",
-                        vm_id=vm.vm_id,
-                        from_node=origin,
-                        to_node=target,
-                        reason="all goals comfortably met; packing onto fewer nodes",
-                    )
-                )
+            if assignments[vm.vm_id] != vm.node_id:
+                reason = "all goals comfortably met; packing onto fewer nodes"
+                self._move(vm, assignments[vm.vm_id], "consolidate", reason)
         for node in nodes:
             if node.node_id not in used_nodes and not self.cluster.vms_on(node.node_id):
                 node.power_down()
-                actions.append(
-                    BalancerAction(
-                        kind="power_down",
-                        vm_id=None,
-                        from_node=node.node_id,
-                        to_node=None,
-                        reason="node emptied by consolidation",
-                    )
-                )
-        return actions
+                self._record("power_down", None, node.node_id, None, "node emptied by consolidation")
 
     @property
     def collector_endpoint(self) -> str | None:
@@ -409,41 +338,38 @@ class HeartbeatLoadBalancer:
         return self._own_collector.endpoint_url
 
     def close(self) -> None:
-        """Release the fleet aggregator (and any owned collector).  Idempotent."""
-        self._aggregator.close()
+        """Release the engine, its aggregator and any owned collector.  Idempotent."""
+        self.engine.close(close_aggregator=True)
         if self._own_collector is not None:
             self._own_collector.close()
         self._last_sample = None
-        self._slow_loops.clear()
 
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
+    def _record(self, kind: str, vm_id: int | None, from_node: int | None, to_node: int | None, reason: str) -> None:
+        self.actions.append(BalancerAction(kind, vm_id, from_node, to_node, reason))
+
+    def _move(self, vm: CloudVM, node_id: int, kind: str, reason: str) -> None:
+        origin = vm.node_id
+        self.cluster.place(vm.vm_id, node_id)
+        self._record(kind, vm.vm_id, origin, node_id, reason)
+
     def _spare_capacity(self, node: CloudNode) -> float:
         if not node.available:
             return float("-inf")
         return node.capacity - self.cluster.node_load(node.node_id)
 
-    def _best_node(self, exclude: set[int | None] | None = None) -> CloudNode | None:
-        """The available node with the most spare capacity (powering up if needed)."""
+    def _best_node(self, exclude: set[int] | None = None) -> CloudNode | None:
+        """The alive node with the most spare capacity (powering it up if needed)."""
         exclude = exclude or set()
-        candidates = [
-            n for n in self.cluster.nodes.values() if n.alive and n.node_id not in exclude
-        ]
+        candidates = [n for n in self.cluster.nodes.values() if n.alive and n.node_id not in exclude]
         if not candidates:
             return None
         best = max(candidates, key=self._spare_capacity_or_powered)
         if not best.powered:
             best.power_up()
-            self.actions.append(
-                BalancerAction(
-                    kind="power_up",
-                    vm_id=None,
-                    from_node=None,
-                    to_node=best.node_id,
-                    reason="additional capacity required",
-                )
-            )
+            self._record("power_up", None, None, best.node_id, "additional capacity required")
         return best
 
     def _spare_capacity_or_powered(self, node: CloudNode) -> float:

@@ -760,8 +760,8 @@ class TestDeprecatedFacades:
         assert migrations and migrations[0].to_node == spare.node_id
         assert vm.node_id == spare.node_id
         # The decision came from a per-VM ControlLoop over the new runtime.
-        assert set(balancer._slow_loops) == {vm.vm_id}
-        trace = balancer._slow_loops[vm.vm_id].last_trace
+        assert set(balancer.engine.loops) == {f"vm-{vm.vm_id}"}
+        trace = balancer.engine.loops[f"vm-{vm.vm_id}"].last_trace
         assert trace is not None and trace.changed
         assert int(trace.before) == busy.node_id and int(trace.after) == spare.node_id
         balancer.close()

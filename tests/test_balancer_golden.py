@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import pytest
 
 import repro.cloud
 import test_adapt
 import test_faults_and_cloud
-from repro.cloud import BalancerAction, HeartbeatLoadBalancer
+from repro.cloud import BalancerAction, CloudCluster, HeartbeatLoadBalancer
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "cloud_balancer.py"
 
@@ -32,7 +32,7 @@ class _Recorded(HeartbeatLoadBalancer):
 
     built: list["_Recorded"] = []
 
-    def __init__(self, cluster, **options):  # type: ignore[no-untyped-def]
+    def __init__(self, cluster: CloudCluster, **options: Any) -> None:
         super().__init__(cluster, **options)
         self.vm_base = min(cluster.vms, default=0)
         self.node_base = min(cluster.nodes, default=0)
@@ -100,7 +100,8 @@ _SILENT = "no heartbeats within the liveness timeout"
 _POWER_UP = "additional capacity required"
 
 #: Each run's balancers, in construction order: ``passes`` holds what each
-#: ``manage()`` returned, ``log`` the ``actions`` log after the run.
+#: ``manage()`` returned (every action its pass took, power-ups included),
+#: ``log`` the ``actions`` log after the run.
 GOLDEN: dict[str, list[dict[str, list]]] = {
     "example": [
         {
@@ -111,8 +112,12 @@ GOLDEN: dict[str, list[dict[str, list]]] = {
                     ("power_down", None, 1, None, _EMPTIED),
                     ("power_down", None, 2, None, _EMPTIED),
                 ],
-                [("migrate", 0, 0, 1, "heart rate 5.58 below target minimum 8.00")],
                 [
+                    ("power_up", None, None, 1, _POWER_UP),
+                    ("migrate", 0, 0, 1, "heart rate 5.58 below target minimum 8.00"),
+                ],
+                [
+                    ("power_up", None, None, 2, _POWER_UP),
                     ("failover", 1, 0, 2, _SILENT),
                     ("failover", 2, 0, 2, _SILENT),
                     ("consolidate", 1, 2, 1, _PACK),
