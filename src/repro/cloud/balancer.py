@@ -50,6 +50,13 @@ def _stream_name(vm: CloudVM) -> str:
     return f"vm-{vm.vm_id}"
 
 
+def _vm_id(name: str) -> int | None:
+    """The VM id a ``vm-<id>`` stream name carries; ``None`` for other names."""
+    digits = name[3:] if name.startswith("vm-") else ""
+    vm_id = int(digits) if digits.isdecimal() else None
+    return vm_id if vm_id is not None and str(vm_id) == digits else None
+
+
 class VMPlacementActuator:
     """Placement knob for one VM: a positive delta asks for a better node.
 
@@ -59,13 +66,15 @@ class VMPlacementActuator:
     the heart rate decreases, the load balancer would shift traffic to a
     different server").  Negative deltas are ignored — fast VMs are handled
     by the balancer's consolidation pass, which needs the whole fleet's
-    state, not one VM's — and so is a VM no longer in the cluster (a
-    collector keeps its stream, and so its loop, after it left).
+    state, not one VM's.  ``vm`` is the VM or its id; the VM is looked up in
+    ``cluster.vms`` at every call, so a collector stream's loop can exist
+    before its VM joins the cluster and outlive it, and steers it only
+    while it is a member.
     """
 
-    def __init__(self, balancer: "HeartbeatLoadBalancer", vm: CloudVM) -> None:
+    def __init__(self, balancer: "HeartbeatLoadBalancer", vm: CloudVM | int) -> None:
         self._balancer = balancer
-        self._vm = vm
+        self._vm_id = vm if isinstance(vm, int) else vm.vm_id
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -73,13 +82,13 @@ class VMPlacementActuator:
         return (-math.inf, math.inf)
 
     def current(self) -> float:
-        return float(self._vm.node_id) if self._vm.node_id is not None else -1.0
+        vm = self._balancer.cluster.vms.get(self._vm_id)
+        return float(vm.node_id) if vm is not None and vm.node_id is not None else -1.0
 
     def apply(self, decision: ControlDecision, *, beat: int = -1) -> float:
-        vm, balancer = self._vm, self._balancer
-        if not decision.delta or decision.delta <= 0 or vm.node_id is None:
-            return self.current()
-        if balancer.cluster.vms.get(vm.vm_id) is not vm:
+        balancer = self._balancer
+        vm = balancer.cluster.vms.get(self._vm_id)
+        if not decision.delta or decision.delta <= 0 or vm is None or vm.node_id is None:
             return self.current()
         candidate = balancer._best_node(exclude={vm.node_id})
         current_node = balancer.cluster.nodes[vm.node_id]
@@ -129,9 +138,7 @@ class HeartbeatLoadBalancer:
         endpoint URL (or :class:`~repro.endpoints.TcpEndpoint`) may be
         passed instead of an object: the balancer then binds its own
         collector there (port ``0`` for ephemeral; see
-        :attr:`collector_endpoint`) and closes it with :meth:`close`.  A
-        stream is offered to the loop factory when it first appears, so a
-        VM must be in ``cluster.vms`` by then to get a slow-VM loop.
+        :attr:`collector_endpoint`) and closes it with :meth:`close`.
     clock:
         Observer time base for liveness ages; defaults to the cluster clock.
         Remote fleets stamped with ``WallClock(rebase=False)`` pass the same
@@ -223,21 +230,23 @@ class HeartbeatLoadBalancer:
                 aggregator.attach_stream(name, vm.heartbeat)
 
     def _vm_named(self, name: str) -> CloudVM | None:
-        return next((vm for vm in self.cluster.vms.values() if _stream_name(vm) == name), None)
+        vm_id = _vm_id(name)
+        return None if vm_id is None else self.cluster.vms.get(vm_id)
 
     def _loop_for(self, name: str, reading: MonitorReading) -> ControlLoop | None:
-        """The engine's loop factory: a VM's slow-handling loop, ``None`` for other streams.
+        """The engine's loop factory: a ``vm-<id>`` stream's slow-handling loop.
 
         Only "too slow" triggers a placement request, so the controller's
-        window is ``[target_min, inf)``.
+        window is ``[target_min, inf)``, from the goal the stream publishes;
+        other streams, and streams with no minimum, get no loop.
         """
-        vm = self._vm_named(name)
-        if vm is None:
+        vm_id = _vm_id(name)
+        if vm_id is None or reading.target_min <= 0.0:
             return None
         return ControlLoop(
             None,
-            StepController(TargetWindow(vm.target_min, math.inf)),
-            VMPlacementActuator(self, vm),
+            StepController(TargetWindow(reading.target_min, math.inf)),
+            VMPlacementActuator(self, vm_id),
             name=name,
             decision_interval=1,
             warmup=0,

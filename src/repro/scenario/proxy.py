@@ -446,6 +446,9 @@ class ChaosProxy:
             if self._stopping:
                 down.close()
                 return
+            # An op posted before this peer dialled (a heal, a partition)
+            # may share this wake-up; apply it before the mode is read.
+            self._drain_ops()
             with self._lock:
                 mode = self._partition_mode
             if mode == "drop":

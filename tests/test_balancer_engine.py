@@ -97,6 +97,38 @@ def test_remote_vm_that_left_the_cluster_is_not_moved():
             heartbeat.finalize()
 
 
+def test_remote_vm_that_joins_after_its_stream_is_migrated_when_slow():
+    """The loop is built from the stream's published goal; the VM is looked up when it acts."""
+    from repro.net import HeartbeatCollector, NetworkBackend
+
+    with HeartbeatCollector() as collector:
+        cluster = CloudCluster()
+        small = cluster.add_node(capacity=10.0)
+        spare = cluster.add_node(capacity=100.0)
+        backend = NetworkBackend(collector.endpoint, stream="vm-7001", capacity=256, flush_interval=0.01)
+        heartbeat = Heartbeat(window=20, clock=cluster.clock, backend=backend, history=256)
+        late = CloudVM(work_per_beat=10.0, target_min=20.0, target_max=30.0, heartbeat=heartbeat, vm_id=7001)
+        balancer = HeartbeatLoadBalancer(cluster, collector=collector, clock=cluster.clock, liveness_timeout=3.0)
+        try:
+            heartbeat.heartbeat()
+            _wait_for_total(collector, "vm-7001", 1)
+            assert balancer.manage() == []
+            assert "vm-7001" in balancer.engine.loops  # before the VM is a member
+
+            cluster.vms[late.vm_id] = late
+            cluster.place(late.vm_id, small.node_id)
+            for _ in range(5):
+                cluster.step(1.0)  # 1 beat/s against a 20 beats/s minimum
+            _wait_for_total(collector, "vm-7001", 6)
+            [migrate] = balancer.manage()
+            assert (migrate.kind, migrate.vm_id) == ("migrate", late.vm_id)
+            assert (migrate.from_node, migrate.to_node) == (small.node_id, spare.node_id)
+            assert late.node_id == spare.node_id
+        finally:
+            balancer.close()
+            heartbeat.finalize()
+
+
 def _wait_for_total(collector, stream: str, total: int, timeout: float = 10.0) -> None:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
