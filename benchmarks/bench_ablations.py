@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the reproduction's own design choices (docs/claims.md).
 
 These are not paper figures; they quantify how the reproduction behaves when
 its own design knobs change:

@@ -1,10 +1,10 @@
 """Benchmark E9 — heartbeat API overhead (paper Section 5.1).
 
-Covers both the paper's overhead claims (blackscholes per-option vs
-per-25 000, facesim under 5%) and microbenchmarks of the heartbeat call
-itself on each storage backend, plus the single-beat vs. batched ingestion
-comparison that justifies ``heartbeat_batch`` with a measurement instead of
-an assertion.
+Microbenchmarks of the heartbeat call itself on each storage backend, plus
+the single-beat vs. batched ingestion comparison that justifies
+``heartbeat_batch`` with a measurement instead of an assertion.  The
+paper's own overhead claims (blackscholes per-option vs per-25 000, facesim
+under 5%) are rows of ``repro.experiments.claims`` (see docs/claims.md).
 
 Run under pytest for the benchmark suite, or directly —
 
@@ -29,7 +29,6 @@ import pytest
 from repro.core.backends import FileBackend, MemoryBackend, SharedMemoryBackend
 from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import HeartbeatMonitor
-from repro.experiments.overhead import OverheadConfig, run
 from repro.net import HeartbeatCollector, NetworkBackend
 
 #: Batch size at which the tentpole speedup is measured and asserted.
@@ -190,16 +189,6 @@ def run_network_comparison() -> dict:
         "connect_failures": stats["connect_failures"],
     }
     return results
-
-
-def test_overhead_study(benchmark, once):
-    result = once(benchmark, run, OverheadConfig())
-    rows = {row[0]: row[2] for row in result.rows}
-    per_batch = rows["blackscholes, heartbeat per 25000 options (slowdown)"]
-    per_option = rows["blackscholes, heartbeat per option (slowdown)"]
-    assert per_batch < 1.3
-    assert per_option > 3.0 * per_batch
-    assert float(rows["facesim, heartbeat per frame (overhead)"].rstrip("%")) < 10.0
 
 
 @pytest.mark.parametrize("backend_kind", ["memory", "file", "shared_memory"])

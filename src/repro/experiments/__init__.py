@@ -4,16 +4,17 @@ Every experiment module exposes
 
 * a ``Config`` dataclass with the paper's parameters as defaults (scaled-down
   frame counts are noted where used),
-* ``run(config) -> ExperimentResult`` producing the table rows and/or
-  beat-indexed traces the corresponding figure plots, and
-* ``report(result) -> str`` rendering them as text.
+* ``run(config) -> ExperimentResult`` producing the table rows, the
+  beat-indexed traces the figure plots, and the named ``metrics`` the
+  paper's claims read.
 
-``repro-experiments`` (see :mod:`repro.experiments.runner`) runs any subset
-from the command line; the benchmark harness under ``benchmarks/`` calls the
-same ``run`` functions so the test suite's quick checks and the benchmark
-output come from identical code paths.
+:mod:`repro.experiments.claims` names every experiment (``EXPERIMENTS``)
+and states each claim once, as a band over one metric at a quick and/or the
+full size (``docs/claims.md``); ``tests/test_experiments.py`` checks every
+row and ``repro-experiments`` (:mod:`repro.experiments.runner`) prints the
+full rows' verdicts.
 """
 
-from repro.experiments.base import ExperimentResult, EXPERIMENTS, register_experiment
+from repro.experiments.base import ExperimentResult
 
-__all__ = ["ExperimentResult", "EXPERIMENTS", "register_experiment"]
+__all__ = ["ExperimentResult"]

@@ -1,14 +1,14 @@
-"""Shared experiment result container and registry."""
+"""Shared experiment result container."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.analysis.tables import render_rows
 from repro.analysis.traces import TraceSet
 
-__all__ = ["ExperimentResult", "EXPERIMENTS", "register_experiment"]
+__all__ = ["ExperimentResult"]
 
 
 @dataclass
@@ -30,6 +30,9 @@ class ExperimentResult:
     notes:
         Free-form remarks recorded during the run (calibration values,
         substitutions, ...).
+    metrics:
+        Every number a claim of :mod:`repro.experiments.claims` reads, by
+        name; the rows render some of them, and nothing parses the rows.
     """
 
     name: str
@@ -38,6 +41,7 @@ class ExperimentResult:
     rows: list[Sequence[object]] = field(default_factory=list)
     traces: TraceSet | None = None
     notes: list[str] = field(default_factory=list)
+    metrics: dict[str, float] = field(default_factory=dict)
 
     def to_text(self, *, precision: int = 2) -> str:
         """Render the result (title, table, notes) as plain text."""
@@ -52,19 +56,3 @@ class ExperimentResult:
         for note in self.notes:
             parts.append(f"note: {note}")
         return "\n".join(parts)
-
-
-#: Registry of experiment run functions, keyed by experiment name.  Each
-#: entry is a zero-argument callable returning an :class:`ExperimentResult`
-#: with default configuration (the CLI runner uses it).
-EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {}
-
-
-def register_experiment(name: str) -> Callable[[Callable[[], ExperimentResult]], Callable[[], ExperimentResult]]:
-    """Decorator registering a default-config experiment runner."""
-
-    def decorator(fn: Callable[[], ExperimentResult]) -> Callable[[], ExperimentResult]:
-        EXPERIMENTS[name] = fn
-        return fn
-
-    return decorator

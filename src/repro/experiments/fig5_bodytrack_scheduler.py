@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.base import ExperimentResult, register_experiment
+from repro.experiments.base import ExperimentResult
 from repro.experiments.scheduler_runner import SchedulerRunConfig, run_scheduled_workload
 from repro.workloads.bodytrack import BodytrackWorkload
 
-__all__ = ["Fig5Config", "run", "report"]
+__all__ = ["Fig5Config", "run"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,31 +52,27 @@ def run(config: Fig5Config = Fig5Config()) -> ExperimentResult:
     steady_start = 3 * warmup
     before_drop = slice(steady_start, config.load_drop_beat)
     after_drop = slice(config.load_drop_beat + warmup, None)
+    in_window = float(np.mean((rates[before_drop] >= config.target_min) & (rates[before_drop] <= config.target_max)))
+    metrics = {
+        "cores_before_drop": float(np.max(cores[before_drop])),
+        "cores_at_end": int(cores[-1]),
+        "fraction_in_window": in_window,
+        "mean_rate_before_drop": float(np.mean(rates[before_drop])),
+    }
     result = ExperimentResult(
         name="fig5",
         description="bodytrack scheduled into a 2.5-3.5 beat/s window (paper Figure 5)",
         headers=("Quantity", "Paper", "Measured"),
         rows=[
-            ("cores needed before the load drop", "7-8", round(float(np.max(cores[before_drop])), 1)),
-            ("cores needed at the end of the run", 1, int(cores[-1])),
-            (
-                "fraction of beats inside the window (steady state, pre-drop)",
-                "most",
-                round(
-                    float(
-                        np.mean(
-                            (rates[before_drop] >= config.target_min)
-                            & (rates[before_drop] <= config.target_max)
-                        )
-                    ),
-                    3,
-                ),
-            ),
-            ("mean rate before the load drop (beat/s)", "2.5-3.5", round(float(np.mean(rates[before_drop])), 2)),
+            ("cores needed before the load drop", "7-8", round(metrics["cores_before_drop"], 1)),
+            ("cores needed at the end of the run", 1, metrics["cores_at_end"]),
+            ("fraction of beats inside the window (steady state, pre-drop)", "most", round(in_window, 3)),
+            ("mean rate before the load drop (beat/s)", "2.5-3.5", round(metrics["mean_rate_before_drop"], 2)),
             ("mean rate after the load drop (beat/s)", "2.5-3.5", round(float(np.mean(rates[after_drop])), 2)),
             ("scheduler decisions taken", "n/a", output.scheduler.decisions),
         ],
         traces=output.traces,
+        metrics=metrics,
     )
     result.notes.append(
         "the load drop at beat "
@@ -84,12 +80,3 @@ def run(config: Fig5Config = Fig5Config()) -> ExperimentResult:
         "computational load, after which the scheduler reclaims cores"
     )
     return result
-
-
-def report(result: ExperimentResult | None = None) -> str:
-    return (result or run()).to_text()
-
-
-@register_experiment("fig5")
-def _default() -> ExperimentResult:
-    return run()

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.control import TargetWindow
-from repro.experiments.base import ExperimentResult, register_experiment
+from repro.experiments.base import ExperimentResult
 from repro.experiments.scheduler_runner import SchedulerRunConfig, run_scheduled_workload
 from repro.workloads.streamcluster import StreamclusterWorkload
 
-__all__ = ["Fig6Config", "run", "report"]
+__all__ = ["Fig6Config", "run"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,38 +50,28 @@ def run(config: Fig6Config = Fig6Config()) -> ExperimentResult:
     rates = output.traces["heart_rate"].values
     in_window = np.nonzero((rates >= config.target_min) & (rates <= config.target_max))[0]
     first_in_window = int(in_window[0]) if in_window.size else -1
+    metrics = {
+        "first_in_window": first_in_window,
+        "fraction_in_window": float(output.fraction_in_window(target, skip=max(first_in_window, 0) + 5)),
+        "mean_rate": float(np.mean(rates[first_in_window:])) if first_in_window >= 0 else 0.0,
+        "max_cores": int(np.max(output.traces["cores"].values)),
+    }
     result = ExperimentResult(
         name="fig6",
         description="streamcluster scheduled into a 0.50-0.55 beat/s window (paper Figure 6)",
         headers=("Quantity", "Paper", "Measured"),
         rows=[
             ("first beat inside the window", "~22", first_in_window),
-            (
-                "fraction of beats inside the window after reaching it",
-                "most",
-                round(output.fraction_in_window(target, skip=max(first_in_window, 0) + 5), 3),
-            ),
-            (
-                "mean steady-state rate (beat/s)",
-                "0.50-0.55",
-                round(float(np.mean(rates[first_in_window:])), 3) if first_in_window >= 0 else 0.0,
-            ),
-            ("maximum cores used", "<= 8", int(np.max(output.traces["cores"].values))),
+            ("fraction of beats inside the window after reaching it", "most", round(metrics["fraction_in_window"], 3)),
+            ("mean steady-state rate (beat/s)", "0.50-0.55", round(metrics["mean_rate"], 3)),
+            ("maximum cores used", "<= 8", metrics["max_cores"]),
             ("scheduler decisions taken", "n/a", output.scheduler.decisions),
         ],
         traces=output.traces,
+        metrics=metrics,
     )
     result.notes.append(
         "the Figure-6 configuration registers a heartbeat every 5000 points rather "
         "than Table 2's 200000, matching the paper's scheduler experiment"
     )
     return result
-
-
-def report(result: ExperimentResult | None = None) -> str:
-    return (result or run()).to_text()
-
-
-@register_experiment("fig6")
-def _default() -> ExperimentResult:
-    return run()

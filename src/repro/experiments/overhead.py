@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 from repro.core.backends import FileBackend, MemoryBackend, SharedMemoryBackend
 from repro.core.heartbeat import Heartbeat
-from repro.experiments.base import ExperimentResult, register_experiment
+from repro.experiments.base import ExperimentResult
 from repro.workloads.base import Workload
 from repro.workloads.blackscholes import BlackscholesWorkload
 from repro.workloads.facesim import FacesimWorkload
 
-__all__ = ["OverheadConfig", "run", "report", "measure_backend_latency"]
+__all__ = ["OverheadConfig", "run", "measure_backend_latency"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,13 +92,14 @@ def measure_backend_latency(calls: int = 20_000) -> dict[str, float]:
     # File backend — write-through, like the paper's one-write-per-beat
     # reference implementation (the buffered default would amortize the
     # syscall this row exists to measure).
-    path = os.path.join(tempfile.mkdtemp(prefix="hb-overhead-"), "heartbeat.log")
-    hb_file = Heartbeat(window=20, backend=FileBackend(path, buffered=False))
-    start = time.perf_counter()
-    for i in range(calls):
-        hb_file.heartbeat(tag=i)
-    results["file"] = (time.perf_counter() - start) / calls * 1e6
-    hb_file.finalize()
+    with tempfile.TemporaryDirectory(prefix="hb-overhead-") as directory:
+        path = os.path.join(directory, "heartbeat.log")
+        hb_file = Heartbeat(window=20, backend=FileBackend(path, buffered=False))
+        start = time.perf_counter()
+        for i in range(calls):
+            hb_file.heartbeat(tag=i)
+        results["file"] = (time.perf_counter() - start) / calls * 1e6
+        hb_file.finalize()
     # Shared-memory backend.
     shm = SharedMemoryBackend(capacity=4096)
     hb_shm = Heartbeat(window=20, backend=shm)
@@ -116,22 +117,15 @@ def run(config: OverheadConfig = OverheadConfig()) -> ExperimentResult:
     facesim = FacesimWorkload(seed=config.seed)
     facesim_share = _beat_share(facesim, config.facesim_frames, 1, Heartbeat(window=20))
     latency = measure_backend_latency(config.backend_calls)
+    metrics = {
+        "per_batch_slowdown": per_batch,
+        "per_option_over_per_batch": per_option / per_batch,
+        "facesim_overhead_pct": facesim_share * 100.0,
+    }
     rows = [
-        (
-            "blackscholes, heartbeat per 25000 options (slowdown)",
-            "negligible",
-            round(per_batch, 3),
-        ),
-        (
-            "blackscholes, heartbeat per option (slowdown)",
-            "order of magnitude",
-            round(per_option, 2),
-        ),
-        (
-            "facesim, heartbeat per frame (overhead)",
-            "< 5%",
-            f"{facesim_share * 100.0:.2f}%",
-        ),
+        ("blackscholes, heartbeat per 25000 options (slowdown)", "negligible", round(per_batch, 3)),
+        ("blackscholes, heartbeat per option (slowdown)", "order of magnitude", round(per_option, 2)),
+        ("facesim, heartbeat per frame (overhead)", "< 5%", f"{metrics['facesim_overhead_pct']:.2f}%"),
         ("memory backend latency (us/beat)", "n/a", round(latency["memory"], 2)),
         ("file backend latency (us/beat)", "n/a", round(latency["file"], 2)),
         ("shared-memory backend latency (us/beat)", "n/a", round(latency["shared_memory"], 2)),
@@ -141,6 +135,7 @@ def run(config: OverheadConfig = OverheadConfig()) -> ExperimentResult:
         description="Heartbeat API overhead (paper Section 5.1)",
         headers=("Quantity", "Paper", "Measured"),
         rows=rows,
+        metrics=metrics,
     )
     result.notes.append(
         "wall-clock measurement with the real kernels, each beat timed beside the work it "
@@ -149,12 +144,3 @@ def run(config: OverheadConfig = OverheadConfig()) -> ExperimentResult:
         "the per-25000 configuration while facesim's per-frame beat stays cheap"
     )
     return result
-
-
-def report(result: ExperimentResult | None = None) -> str:
-    return (result or run()).to_text()
-
-
-@register_experiment("overhead")
-def _default() -> ExperimentResult:
-    return run()

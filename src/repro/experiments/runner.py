@@ -1,18 +1,20 @@
 """Command-line runner regenerating every table and figure.
 
-``repro-experiments`` (installed as a console script) runs any subset of the
-experiments and prints their tables; ``--output`` additionally appends the
-text to a file.
+``repro-experiments`` (``python -m repro.experiments.runner``) runs any
+subset of the experiments at full size and prints their tables, then one
+claim / measured / band / verdict line per full-size row of
+:mod:`repro.experiments.claims`; it exits 1 when a claim fails.
+``--output`` additionally appends the text to a file.
 
 Examples
 --------
 Run everything::
 
-    repro-experiments all
+    python -m repro.experiments.runner all
 
 Run only the scheduler figures::
 
-    repro-experiments fig5 fig6 fig7
+    python -m repro.experiments.runner fig5 fig6 fig7
 """
 
 from __future__ import annotations
@@ -22,37 +24,26 @@ import sys
 import time
 from typing import Sequence
 
-# Importing the experiment modules populates the registry.
-from repro.experiments import (  # noqa: F401  (imported for registration side effects)
-    fig2_x264_phases,
-    fig3_adaptive_rate,
-    fig4_adaptive_psnr,
-    fig5_bodytrack_scheduler,
-    fig6_streamcluster_scheduler,
-    fig7_x264_scheduler,
-    fig8_fault_tolerance,
-    overhead,
-    table2,
-)
-from repro.experiments.base import EXPERIMENTS, ExperimentResult
+from repro.experiments import claims
+from repro.experiments.base import ExperimentResult
 
 __all__ = ["main", "run_experiments", "available_experiments"]
 
 
 def available_experiments() -> list[str]:
-    """Names of every registered experiment, in registration order."""
-    return list(EXPERIMENTS)
+    """Names of every experiment, in the order ``claims.EXPERIMENTS`` lists them."""
+    return list(claims.EXPERIMENTS)
 
 
 def run_experiments(names: Sequence[str]) -> list[ExperimentResult]:
     """Run the named experiments (``["all"]`` runs every one) and return results."""
     selected = available_experiments() if list(names) == ["all"] else list(names)
-    unknown = [n for n in selected if n not in EXPERIMENTS]
+    unknown = [n for n in selected if n not in claims.EXPERIMENTS]
     if unknown:
         raise KeyError(
             f"unknown experiment(s) {unknown}; available: {available_experiments()}"
         )
-    return [EXPERIMENTS[name]() for name in selected]
+    return [claims.EXPERIMENTS[name]() for name in selected]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -85,18 +76,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    failed = 0
     for result in results:
-        text = result.to_text()
+        verdicts = claims.check(result, "full")
+        failed += sum(not holds for _, _, holds in verdicts)
+        text = "\n".join([result.to_text(), *(claims.verdict_line(*verdict) for verdict in verdicts)])
         chunks.append(text)
         print(text)
         print()
     elapsed = time.perf_counter() - start
-    footer = f"ran {len(results)} experiment(s) in {elapsed:.1f}s"
+    footer = f"ran {len(results)} experiment(s) in {elapsed:.1f}s; {failed} claim(s) failed"
     print(footer)
     if args.output:
         with open(args.output, "a", encoding="utf-8") as fh:
             fh.write("\n\n".join(chunks) + "\n" + footer + "\n")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - direct execution

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.base import ExperimentResult, register_experiment
+from repro.experiments.base import ExperimentResult
 from repro.workloads.suite import run_table2
 
-__all__ = ["Table2Config", "run", "report"]
+__all__ = ["Table2Config", "run"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,6 +55,7 @@ def run(config: Table2Config = Table2Config()) -> ExperimentResult:
             )
             for r in rows
         ],
+        metrics={"benchmarks": len(rows), "worst_relative_error_pct": max(r.relative_error for r in rows) * 100.0},
     )
     result.notes.append(
         "per-beat cost models are calibrated to the paper's Table-2 rates on the "
@@ -62,13 +63,3 @@ def run(config: Table2Config = Table2Config()) -> ExperimentResult:
         "instrumentation, simulation and rate computation reproduce them"
     )
     return result
-
-
-def report(result: ExperimentResult | None = None) -> str:
-    """Render the reproduced table as text."""
-    return (result or run()).to_text()
-
-
-@register_experiment("table2")
-def _default() -> ExperimentResult:
-    return run()

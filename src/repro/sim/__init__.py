@@ -2,7 +2,7 @@
 
 The paper's experiments run on a dual-socket, eight-core Xeon X5460 server
 whose OS can restrict an application to a subset of cores.  This package is
-the substitution documented in DESIGN.md: a deterministic simulated machine
+the substitution documented in docs/claims.md: a deterministic simulated machine
 with the pieces those experiments actually exercise —
 
 * cores that can change frequency (DVFS) and fail (:mod:`repro.sim.core`);

@@ -3,7 +3,7 @@
 Each module implements one benchmark of the suite as a :class:`Workload`:
 a calibrated per-beat cost model for the simulated machine plus a real numpy
 kernel of the same character for wall-clock instrumented runs.  See
-``DESIGN.md`` for the substitution rationale.
+``docs/claims.md`` for the substitution and the claims it reproduces.
 """
 
 from repro.workloads.base import REFERENCE_CORES, Workload, WorkloadInfo

@@ -17,6 +17,7 @@ from repro import cli
 from repro.clock import WallClock
 from repro.core.backends import FileBackend
 from repro.core.heartbeat import Heartbeat
+from repro.experiments import claims
 from repro.experiments.runner import available_experiments, main
 from repro.net import NetworkBackend
 
@@ -37,6 +38,10 @@ class TestRunnerCLI:
         assert "fig6" in stdout
         assert "ran 1 experiment(s)" in stdout
         assert "fig6" in out_file.read_text()
+        # One PASS line per full-size claim row of the experiment.
+        verdicts = [line for line in stdout.splitlines() if line.startswith("claim ")]
+        assert len(verdicts) == sum(c.experiment == "fig6" and c.size == "full" for c in claims.CLAIMS)
+        assert all(line.endswith("PASS") for line in verdicts)
 
     def test_unknown_experiment_returns_error_code(self, capsys):
         assert main(["definitely-not-real"]) == 2

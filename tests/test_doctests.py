@@ -26,6 +26,7 @@ DOCUMENTED_MODULES = [
     "repro.net.async_collector",
     "repro.net.relay",
     "repro.net.persistence",
+    "repro.experiments.claims",
     "repro.faults.timeline",
     "repro.scenario.proxy",
     "repro.scenario.spec",

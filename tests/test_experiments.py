@@ -1,136 +1,67 @@
-"""Tests for the experiment regeneration harness (scaled-down configurations).
+"""The paper's claims, one test per row of ``repro.experiments.claims.CLAIMS``.
 
-These tests assert the *shape* claims of each paper table/figure on reduced
-problem sizes so the whole suite stays fast; the full-size runs live in
-``benchmarks/`` and EXPERIMENTS.md.
+Quick rows run in tier-1; full rows are marked ``slow`` (``-m slow
+--runslow``).  Each experiment runs once per size, however many rows read
+it.  ``docs/claims.md`` lists every row and why a claim's sizes differ.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
+import functools
+import pathlib
+import tempfile
+
 import pytest
 
-from repro.experiments.adaptive_runner import AdaptiveRunConfig, calibrate_work_rate, run_encoder
+from repro.experiments import claims
 from repro.experiments.base import ExperimentResult
 from repro.experiments.fig2_x264_phases import Fig2Config
 from repro.experiments.fig2_x264_phases import run as run_fig2
-from repro.experiments.fig5_bodytrack_scheduler import Fig5Config
-from repro.experiments.fig5_bodytrack_scheduler import run as run_fig5
-from repro.experiments.fig6_streamcluster_scheduler import Fig6Config
-from repro.experiments.fig6_streamcluster_scheduler import run as run_fig6
-from repro.experiments.fig7_x264_scheduler import Fig7Config
-from repro.experiments.fig7_x264_scheduler import run as run_fig7
-from repro.experiments.fig8_fault_tolerance import Fig8Config
-from repro.experiments.overhead import OverheadConfig
-from repro.experiments.overhead import run as run_overhead
-from repro.experiments.runner import available_experiments, run_experiments
-from repro.experiments.table2 import Table2Config
-from repro.experiments.table2 import run as run_table2
+from repro.experiments.overhead import measure_backend_latency
+from repro.experiments.runner import available_experiments, main, run_experiments
 
-#: Small encoder configuration shared by the adaptive-encoder tests.
-SMALL_ADAPTIVE = AdaptiveRunConfig(frames=130, frame_width=32, frame_height=32, check_interval=20, rate_window=20)
+CLAIMS_DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "claims.md"
 
 
-class TestTable2:
-    def test_every_benchmark_within_five_percent(self):
-        result = run_table2(Table2Config(beats_per_workload=40))
-        assert result.name == "table2"
-        assert len(result.rows) == 10
-        for row in result.rows:
-            relative_error = float(row[4].rstrip("%"))
-            assert relative_error < 5.0, row[0]
+@functools.cache
+def _measured(experiment: str, size: str) -> ExperimentResult:
+    return claims.measure(experiment, size)
 
 
-class TestFig2:
-    def test_three_phases_in_paper_bands(self):
-        result = run_fig2(Fig2Config(beats=400))
-        assert len(result.rows) == 3
-        # Every phase mean must sit within 20% of the paper's band.
-        assert all(row[3] for row in result.rows)
-        # The middle phase is roughly twice as fast as the opening phase.
-        opening = result.rows[0][2]
-        middle = result.rows[1][2]
-        assert middle > 1.6 * opening
+@pytest.mark.parametrize(
+    "claim",
+    [
+        pytest.param(claim, id=f"{claim.id}-{claim.size}", marks=pytest.mark.slow if claim.size == "full" else ())
+        for claim in claims.CLAIMS
+    ],
+)
+def test_claim(claim: claims.Claim) -> None:
+    value = claim.read(_measured(claim.experiment, claim.size))
+    assert claim.band.holds(value), claims.verdict_line(claim, value, False)
 
 
-class TestAdaptiveEncoder:
-    def test_fig3_shape_adaptive_reaches_goal(self):
-        config = SMALL_ADAPTIVE
-        output = run_encoder(config, adaptive=True)
-        rates = output.heart_rates()
-        warm = config.rate_window
-        # Starts well below the goal with the demanding settings...
-        assert np.mean(rates[warm : warm + 10]) < config.target_min
-        # ...ends at or above it after adaptation.
-        assert np.mean(rates[-20:]) >= config.target_min * 0.95
-        assert output.levels()[-1] > 0
+class TestClaimsTable:
+    def test_docs_claims_is_the_rendering(self):
+        assert CLAIMS_DOC.read_text(encoding="utf-8") == claims.claims_reference()
 
-    def test_fig4_shape_adaptation_costs_bounded_quality(self):
-        config = SMALL_ADAPTIVE
-        work_rate = calibrate_work_rate(config)
-        adaptive = run_encoder(config, adaptive=True, work_rate=work_rate)
-        baseline = run_encoder(config, adaptive=False, work_rate=work_rate)
-        diff = adaptive.psnrs() - baseline.psnrs()
-        assert np.mean(diff) <= 0.05          # adaptation never improves quality
-        assert np.mean(diff) > -3.0           # but the loss stays bounded
-        assert baseline.levels().max() == 0   # the baseline never adapts
-
-    def test_fig8_shape_adaptive_survives_failures(self):
-        from repro.experiments.fig8_fault_tolerance import run as fig8_run
-
-        config = Fig8Config(
-            frames=180,
-            failure_beats=(60, 100, 140),
-            frame_size=32,
-            check_interval=20,
-            rate_window=20,
+    def test_a_failing_band_prints_fail_and_exits_1(self, monkeypatch, capsys):
+        rows = tuple(
+            dataclasses.replace(c, band=claims.Band(">", 8)) if (c.id, c.size) == ("fig6.cores", "full") else c
+            for c in claims.CLAIMS
         )
-        result = fig8_run(config)
-        traces = result.traces
-        tail = slice(150, None)
-        healthy = float(np.mean(traces["healthy"].values[30:]))
-        unhealthy = float(np.mean(traces["unhealthy"].values[tail]))
-        adaptive = float(np.mean(traces["adaptive"].values[tail]))
-        assert healthy >= config.target_min
-        assert unhealthy < config.target_min
-        assert adaptive >= config.target_min * 0.95
-        assert adaptive > unhealthy
+        monkeypatch.setattr(claims, "CLAIMS", rows)
+        assert main(["fig6"]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("claim fig6.cores") and line.endswith("FAIL")]
+        assert "1 claim(s) failed" in out
 
 
-class TestSchedulerFigures:
-    def test_fig5_shape(self):
-        result = run_fig5(Fig5Config(beats=200, load_drop_beat=110))
-        rows = {row[0]: row[2] for row in result.rows}
-        assert rows["cores needed before the load drop"] >= 5
-        assert rows["cores needed at the end of the run"] <= 2
-        assert rows["fraction of beats inside the window (steady state, pre-drop)"] > 0.5
-
-    def test_fig6_shape(self):
-        result = run_fig6(Fig6Config(beats=60))
-        rows = {row[0]: row[2] for row in result.rows}
-        assert rows["first beat inside the window"] <= 30
-        assert rows["fraction of beats inside the window after reaching it"] > 0.7
-        assert 0.45 <= rows["mean steady-state rate (beat/s)"] <= 0.60
-
-    def test_fig7_shape(self):
-        result = run_fig7(Fig7Config(beats=300))
-        rows = {row[0]: row[2] for row in result.rows}
-        assert rows["fraction of beats inside the window (steady state)"] > 0.6
-        assert 30.0 <= rows["mean steady-state rate (beat/s)"] <= 35.0
-        cores = result.traces["cores"].values
-        assert 3 <= np.median(cores[100:]) <= 6
-
-
-class TestOverhead:
-    def test_per_option_much_worse_than_per_batch(self):
-        result = run_overhead(OverheadConfig(blackscholes_batches=2, facesim_frames=4, backend_calls=2_000))
-        rows = {row[0]: row[2] for row in result.rows}
-        per_batch = rows["blackscholes, heartbeat per 25000 options (slowdown)"]
-        per_option = rows["blackscholes, heartbeat per option (slowdown)"]
-        assert per_batch < 1.5
-        assert per_option > 2.0 * per_batch
-        facesim_overhead = float(rows["facesim, heartbeat per frame (overhead)"].rstrip("%"))
-        assert facesim_overhead < 10.0
+class TestOverheadTempFiles:
+    def test_backend_latency_removes_its_log_directory(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        measure_backend_latency(calls=100)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunner:
