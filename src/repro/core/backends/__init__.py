@@ -10,13 +10,16 @@ and defines how (and whether) external observers can read them:
   thread ID is written into a file").  Any process able to read the file can
   observe the application.
 * :class:`SharedMemoryBackend` — a ``multiprocessing.shared_memory`` segment
-  with a fixed binary layout (header + circular record array), the Python
-  analogue of the memory layout the paper proposes for hardware observers.
+  any process on the host can read, the Python analogue of the memory layout
+  the paper proposes for hardware observers.  The segment is a one-row
+  shared-memory :class:`Arena`, whose creator writes the row as its ring.
 * :class:`Arena` / :class:`ArenaRowView` — one columnar slab (anonymous or
   shared-memory) holding N streams as rows of a single records matrix, so a
   fleet observer reads *all* of them in one vectorized pass
   (:meth:`Arena.snapshot_since_all`) while each row still speaks the full
-  per-stream :class:`Backend` interface.
+  per-stream :class:`Backend` interface.  Its layout (``docs/arena.md``) is
+  the one every cross-process reader parses: ``shm://`` and
+  ``shm-arena://`` differ only in row count.
 
 All backends expose the same :class:`Backend` interface so
 :class:`repro.core.heartbeat.Heartbeat` is backend-agnostic.  Every backend

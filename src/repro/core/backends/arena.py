@@ -14,9 +14,12 @@ fleet* in one mmap-able slab:
 * a per-stream header table with one fixed 128-byte row per stream carrying
   the beat total, target range, default window and a per-row sequence
   counter (odd while a write is in progress) — every row is one ring of the
-  kernel in :mod:`repro.core.backends.ring`, exactly like a ``shm://``
-  segment;
+  kernel in :mod:`repro.core.backends.ring`;
 * one arena header naming the geometry.
+
+This is the tree's one cross-process layout: an ``shm://NAME`` segment
+(:mod:`repro.core.backends.shared_memory`) is an ``shm-arena://NAME`` slab
+of exactly one row, so the two schemes differ only in row count.
 
 Producers write through :class:`ArenaRowView` — a full
 :class:`~repro.core.backends.base.Backend` over one row, so ``Heartbeat``,
@@ -64,17 +67,22 @@ import atexit
 import mmap
 import os
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+try:  # POSIX only; Windows uses named file mappings with no resource tracker.
+    import _posixshmem
+except ImportError:  # pragma: no cover - non-POSIX platform
+    _posixshmem = None  # type: ignore[assignment]
+
 from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
 from repro.core.backends.ring import _ATTEMPTS, Ring
-from repro.core.backends.shared_memory import _attach_untracked, _untrack_segment
 from repro.core.errors import BackendError, BackendFormatError
 from repro.core.rate import interval_rates
 from repro.core.record import RECORD_DTYPE, pack_record
@@ -149,6 +157,81 @@ _ROW_FREE, _ROW_IN_USE = 0, 1
 def arena_size(streams: int, depth: int) -> int:
     """Total slab size in bytes for an ``(streams, depth)`` arena."""
     return ARENA_HEADER_SIZE + streams * ROW_HEADER_SIZE + streams * depth * RECORD_DTYPE.itemsize
+
+
+def _untrack_segment(shm: shared_memory.SharedMemory) -> None:
+    """Remove ``shm`` from this process's resource tracker, if present.
+
+    The tracker assumes whoever registered a segment will also unlink it; a
+    writer whose segment was already unlinked elsewhere must deregister
+    explicitly or the tracker warns about a leaked segment at process exit.
+    """
+    try:  # pragma: no cover - platform dependent
+        resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
+    except Exception:
+        pass
+
+
+class _PosixAttachment:
+    """Read/write mapping of an existing POSIX segment, tracker-free.
+
+    Duck-types the slice of :class:`multiprocessing.shared_memory.SharedMemory`
+    the readers use (``buf``, ``name``, ``close``) while opening the segment
+    with ``shm_open`` + ``mmap`` directly, so nothing is ever registered with
+    the resource tracker.
+    """
+
+    __slots__ = ("name", "_name", "_mmap", "buf")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._name = name if name.startswith("/") else "/" + name
+        fd = _posixshmem.shm_open(self._name, os.O_RDWR, mode=0)
+        try:
+            size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, size)
+        finally:
+            os.close(fd)
+        self.buf: memoryview | None = memoryview(self._mmap)
+
+    def close(self) -> None:
+        if self.buf is not None:
+            self.buf.release()
+            self.buf = None
+            self._mmap.close()
+
+
+def _attach_untracked(name: str) -> Any:
+    """Attach to an existing segment without registering it for cleanup.
+
+    Only the writer owns a segment's lifetime.  Python < 3.13 registers
+    *every* mapping with the resource tracker, and the tracker — which may be
+    shared with the writer's process — keeps one cache entry per name, so a
+    reader that registers and later unregisters clobbers the writer's entry
+    and turns the writer's eventual unlink into a tracker ``KeyError``.
+    Keeping readers entirely off the tracker's books (what ``track=False``
+    does natively from 3.13 on) avoids both that and the converse leak.
+    """
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, create=False, track=False)
+    if _posixshmem is not None:
+        return _PosixAttachment(name)
+    # Windows named mappings are not resource-tracked; a plain attach is safe.
+    return shared_memory.SharedMemory(name=name, create=False)  # pragma: no cover
+
+
+class _Closed:
+    """What a closed ``shm://`` writer's ring holds in place of the slab's views: any access raises."""
+
+    __slots__ = ()
+
+    def _raise(self, *index_and_value: object) -> Any:
+        raise BackendError("shared-memory segment is closed")
+
+    __getitem__ = __setitem__ = _raise
+
+
+_CLOSED: Any = _Closed()
 
 
 def _validate_geometry(streams: int, depth: int) -> tuple[int, int]:
@@ -602,23 +685,22 @@ class Arena:
                 time.sleep(0.0001 if attempt % 32 == 31 else 0)
         raise BackendError("ring writer stayed mid-write; no consistent read")
 
-    def _ring(self, index: int) -> Ring:
-        """The ring kernel over row ``index``.
+    def _ring_args(self, index: int) -> tuple[Any, ...]:
+        """:class:`Ring`'s arguments over row ``index``.
 
-        It borrows the arena's own views and makes none, so a row view may
-        keep it: :meth:`close` releases those views and nothing pins the slab.
+        They are the arena's own views, so a ring built from them makes none
+        and may be kept: :meth:`close` releases those views and nothing pins
+        the slab.
         """
         base = index * _ROW_WORDS
-        return Ring(
-            self._words,
-            self._reals,
-            base + _SEQUENCE_AT,
-            base + _TOTAL_AT,
-            base + _WINDOW_AT,
-            self._buf,
-            self._records_offset + index * self.depth * RECORD_DTYPE.itemsize,
-            self.depth,
+        return (
+            self._words, self._reals, base + _SEQUENCE_AT, base + _TOTAL_AT, base + _WINDOW_AT,
+            self._buf, self._records_offset + index * self.depth * RECORD_DTYPE.itemsize, self.depth,
         )
+
+    def _ring(self, index: int) -> Ring:
+        """The ring kernel over row ``index`` (see :meth:`_ring_args`)."""
+        return Ring(*self._ring_args(index))
 
     # ------------------------------------------------------------------ #
     # Lifecycle

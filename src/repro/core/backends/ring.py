@@ -4,24 +4,26 @@ The paper stores heartbeats "in a circular buffer; when the buffer fills, old
 heartbeats are simply dropped" (Section 3).  This module is that buffer, both
 halves of it, for every place the tree keeps one: the in-process
 :class:`~repro.core.backends.memory.MemoryBackend` (and with it the network
-exporter's local mirror), a ``shm://`` segment and an arena row (and with it
-every collector stream).  They are the same object seen through different headers: one
-writer, a header carrying ``total`` (the publication word), ``sequence`` (odd
-while a write is in progress), the default window and the target range, and
-``capacity`` record slots where beat *i* lives in slot ``i % capacity``.  A
-:class:`Ring` is told where its header words and its slots are and does
-everything else; this docstring is the normative statement of the protocol
-and the other modules only point here.
+exporter's local mirror) and an arena row (and with it every collector
+stream, and a ``shm://`` segment, which is a one-row arena).  They are the
+same object seen through different headers: one writer, a header carrying
+``total`` (the publication word), ``sequence`` (odd while a write is in
+progress), the default window and the target range, and ``capacity`` record
+slots where beat *i* lives in slot ``i % capacity``.  A :class:`Ring` is
+told where its header words and its slots are and does everything else;
+this docstring is the normative statement of the protocol and the other
+modules only point here.
 
 Writer protocol — *one sequence cycle per publication*:
 
 1. take ``total`` and ``sequence`` from the ring object's own copy of the two
    words (:attr:`Ring.total`, :attr:`Ring.sequence`).  An object that is its
    ring's only writer for life — a ``MemoryBackend``, the creator of a
-   ``shm://`` segment, a collector stream's row — never reads them back.  Where
-   several objects may write one ring in turn — ``Arena.row(i)`` hands out any
-   number of views of a row, in any process — each calls :meth:`Ring.reload`
-   before it writes, because only the header's words are shared;
+   ``shm://`` segment (the ring over its one row), a collector stream's
+   row — never reads them back.  Where several objects may write one ring in
+   turn — ``Arena.row(i)`` hands out any number of views of a row, in any
+   process — each calls :meth:`Ring.reload` before it writes, because only
+   the header's words are shared;
 2. store ``sequence + 1`` (odd: write in progress);
 3. place the records — one record packed in place, or a batch as one byte
    copy (two when it wraps; a batch larger than the ring keeps its tail, at
@@ -63,7 +65,8 @@ out-of-order record, and never an error.  The sequence word also serves
 :meth:`Ring.version` as the change token;
 :meth:`repro.core.backends.arena.Arena.snapshot_since_all` runs steps 2 and 3
 for every row of a slab at once, and readers built from the published byte
-layouts validate against it.
+layout (``docs/arena.md``, the one a ``shm://`` segment has too) validate
+against it.
 """
 
 from __future__ import annotations

@@ -65,6 +65,22 @@ def _clip_offset(
     return top, left
 
 
+def _best_candidate(sads: np.ndarray, origin: tuple[int, int]) -> tuple[int, ...]:
+    """Index into ``sads`` of the match both exhaustive searches keep.
+
+    ``sads`` ends in the candidate rows and columns of a search window whose
+    first candidate sits at displacement ``origin``; a leading axis, if any,
+    is the reference index.  Among the minimum-SAD candidates the smallest
+    ``|di| + |dj|`` wins, then the smallest ``di``, then the smallest ``dj``,
+    then the lowest reference index — a rule on displacements alone, so the
+    vector does not depend on where the frame edge clipped the window.
+    """
+    tied = np.argwhere(sads == sads.min())
+    di, dj = tied[:, -2] + origin[0], tied[:, -1] + origin[1]
+    first = np.lexsort((*tied[:, :-2].T, dj, di, np.abs(di) + np.abs(dj)))[0]
+    return tuple(int(i) for i in tied[first])
+
+
 def full_search(
     block: np.ndarray,
     reference: np.ndarray,
@@ -76,7 +92,8 @@ def full_search(
 
     Vectorised over all candidates: the search window is expanded into a
     sliding-window view and the SADs of every candidate are computed in one
-    tensor operation (no Python loop over candidates).
+    tensor operation (no Python loop over candidates).  Equal SADs resolve
+    toward the smallest displacement (:func:`_best_candidate`).
     """
     if search_range < 0:
         raise ValueError(f"search_range must be >= 0, got {search_range}")
@@ -89,10 +106,9 @@ def full_search(
     candidates = np.lib.stride_tricks.sliding_window_view(window, (bh, bw))
     diffs = np.abs(candidates - np.asarray(block, dtype=np.float64))
     sads = diffs.sum(axis=(2, 3))
-    best_flat = int(np.argmin(sads))
-    best_row, best_col = np.unravel_index(best_flat, sads.shape)
-    best_top = top0 + int(best_row)
-    best_left = left0 + int(best_col)
+    best_row, best_col = _best_candidate(sads, (top0 - block_top, left0 - block_left))
+    best_top = top0 + best_row
+    best_left = left0 + best_col
     return MotionResult(
         motion_vector=(best_top - block_top, best_left - block_left),
         prediction=reference[best_top : best_top + bh, best_left : best_left + bw].copy(),
@@ -130,18 +146,17 @@ def full_search_multi(
     stack = np.stack([np.asarray(r, dtype=np.float64)[top0:top1, left0:left1] for r in references])
     candidates = np.lib.stride_tricks.sliding_window_view(stack, (bh, bw), axis=(1, 2))
     sads = np.abs(candidates - np.asarray(block, dtype=np.float64)).sum(axis=(3, 4))
-    best_flat = int(np.argmin(sads))
-    ref_idx, best_row, best_col = np.unravel_index(best_flat, sads.shape)
-    best_top = top0 + int(best_row)
-    best_left = left0 + int(best_col)
-    reference = references[int(ref_idx)]
+    ref_idx, best_row, best_col = _best_candidate(sads, (top0 - block_top, left0 - block_left))
+    best_top = top0 + best_row
+    best_left = left0 + best_col
+    reference = references[ref_idx]
     result = MotionResult(
         motion_vector=(best_top - block_top, best_left - block_left),
         prediction=reference[best_top : best_top + bh, best_left : best_left + bw].copy(),
         sad=float(sads[ref_idx, best_row, best_col]),
         candidates_evaluated=int(sads.size),
     )
-    return result, int(ref_idx)
+    return result, ref_idx
 
 
 _SMALL_DIAMOND = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))

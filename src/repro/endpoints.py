@@ -455,11 +455,12 @@ class ShmEndpoint(Endpoint):
     history (the producer sizes the segment; observers ignore it).  An empty
     name lets the producer auto-generate a segment name.
 
-    Each ``shm://`` stream is its own POSIX segment, and hosts commonly cap
-    the number of mapped segments around ~512 — fine for hundreds of
-    producers, a hard ceiling for large fleets.  Point fleets past that at
-    ``shm-arena://`` (:class:`ShmArenaEndpoint`), which packs N streams into
-    *one* segment.
+    Each ``shm://`` stream is its own POSIX segment: the ``shm-arena://``
+    slab of one row, so the two schemes differ only in row count.  Hosts
+    commonly cap the number of mapped segments around ~512 — fine for
+    hundreds of producers, a hard ceiling for large fleets.  Point fleets
+    past that at ``shm-arena://`` (:class:`ShmArenaEndpoint`), which packs N
+    streams into *one* segment.
     """
 
     scheme: ClassVar[str] = "shm"

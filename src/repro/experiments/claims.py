@@ -254,7 +254,8 @@ def claims_reference() -> str:
         "**quick** size runs the config listed under *Sizes* and is checked by tier-1",
         "(`python -m pytest tests/test_experiments.py`). The **full** size runs each experiment's defaults; it is",
         "checked by `python -m pytest -m slow --runslow tests/test_experiments.py` and printed, one verdict per",
-        "row, by `python -m repro.experiments.runner`.",
+        "row, by the installed `repro-experiments all` command (`python -m repro.experiments.runner all` from a",
+        "source tree).",
         "",
         "| claim | statement | quick | full | why the sizes differ |",
         "|---|---|---|---|---|",

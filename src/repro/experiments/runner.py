@@ -1,6 +1,7 @@
 """Command-line runner regenerating every table and figure.
 
-``repro-experiments`` (``python -m repro.experiments.runner``) runs any
+``repro-experiments``, the command ``pip install`` puts on the path
+(``python -m repro.experiments.runner`` from a source tree), runs any
 subset of the experiments at full size and prints their tables, then one
 claim / measured / band / verdict line per full-size row of
 :mod:`repro.experiments.claims`; it exits 1 when a claim fails.
@@ -10,11 +11,11 @@ Examples
 --------
 Run everything::
 
-    python -m repro.experiments.runner all
+    repro-experiments all
 
 Run only the scheduler figures::
 
-    python -m repro.experiments.runner fig5 fig6 fig7
+    repro-experiments fig5 fig6 fig7
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ from repro.core.backends import (
     SharedMemoryBackend,
 )
 from repro.core.backends.file import read_heartbeat_log, tail_heartbeat_log
-from repro.core.backends.shared_memory import SharedMemoryReader, segment_size
+from repro.core.backends.arena import Arena
+from repro.core.backends.shared_memory import SharedMemoryReader
+from repro.endpoints import open_arena
 from repro.core.errors import BackendError, BackendFormatError
 from repro.core.heartbeat import Heartbeat
 from repro.core.record import RECORD_DTYPE
@@ -146,9 +148,6 @@ class TestFileBackend:
 
 
 class TestSharedMemoryBackend:
-    def test_segment_size_layout(self):
-        assert segment_size(10) == 128 + 10 * RECORD_DTYPE.itemsize
-
     def test_writer_reader_roundtrip(self):
         backend = SharedMemoryBackend(capacity=32)
         try:
@@ -216,6 +215,38 @@ class TestSharedMemoryBackend:
                     target.close()
         finally:
             other.close()
+
+    def test_an_arena_observer_reads_the_segment_as_a_one_row_fleet(self):
+        """One format: ``shm://NAME`` is the ``shm-arena://NAME`` slab with one row."""
+        backend = SharedMemoryBackend(capacity=8)
+        try:
+            write_beats(backend, 11)
+            backend.set_targets(2.0, 3.0)
+            backend.set_default_window(4)
+            arena = open_arena(f"shm-arena://{backend.name}")
+            try:
+                assert (arena.streams, arena.depth, arena.row_names()) == (1, 8, [""])
+                fleet = arena.snapshot_since_all()
+                assert fleet.rows == 1
+                delta, cursor = fleet.delta_for(0)
+                assert (delta.total_beats, delta.retained, cursor.total) == (11, 8, 11)
+                assert list(delta.records["beat"]) == list(range(3, 11))
+                assert (delta.target_min, delta.target_max, delta.default_window) == (2.0, 3.0, 4)
+                write_beats(backend, 2)
+                assert arena.snapshot_since_all(fleet.cursors).new.tolist() == [2]
+            finally:
+                arena.close()
+        finally:
+            backend.close()
+
+    def test_reader_refuses_a_fleet_slab(self):
+        arena = Arena.create(streams=2, depth=8)
+        try:
+            arena.allocate("a")
+            with pytest.raises(BackendFormatError, match="2 rows"):
+                SharedMemoryReader(arena.name)
+        finally:
+            arena.close()
 
     def test_writer_pid_recorded(self):
         import os

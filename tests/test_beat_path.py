@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.clock import ManualClock
 from repro.core.backends import Arena, MemoryBackend, SharedMemoryBackend
+from repro.core.backends.ring import Ring
 from repro.core.backends.shared_memory import SharedMemoryReader
 from repro.core.errors import BackendError, HeartbeatClosedError
 from repro.core.heartbeat import Heartbeat
@@ -157,6 +158,17 @@ class TestBinding:
                 hb.heartbeat_batch(2)
         assert hb.count == beats_first
         hb.finalize()
+
+    def test_a_beat_on_shm_binds_the_rings_own_append(self):
+        """An ``shm://`` writer is the one-row arena's ``Ring`` itself: no row
+        view's reload or record check sits on the beat path."""
+        hb = Heartbeat(clock=ManualClock(), backend="shm://?depth=64")
+        try:
+            hb.heartbeat()
+            assert isinstance(hb.backend, Ring)
+            assert hb._append.__func__ is Ring.append
+        finally:
+            hb.finalize()
 
     def test_a_closed_segment_raises_from_every_method(self):
         backend = SharedMemoryBackend(capacity=8)

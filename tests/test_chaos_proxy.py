@@ -10,21 +10,13 @@ from __future__ import annotations
 import time
 
 import pytest
+from waiting import wait_until
 
 from repro.faults.timeline import Timeline, TimelineEvent
 from repro.net import HeartbeatCollector, NetworkBackend
 from repro.scenario import ChaosProxy
 
 pytestmark = pytest.mark.network
-
-
-def wait_until(predicate, timeout: float = 5.0, interval: float = 0.01) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
 
 
 def total_at(collector: HeartbeatCollector, stream: str) -> int:

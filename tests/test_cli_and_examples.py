@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import pathlib
@@ -23,6 +24,17 @@ from repro.net import NetworkBackend
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def test_every_console_script_resolves_to_a_callable():
+    """Each ``[project.scripts]`` target names a callable an install can run."""
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
+    assert {"repro", "repro-experiments"} <= set(scripts)
+    for command, target in scripts.items():
+        module, _, attribute = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attribute)), command
 
 
 class TestRunnerCLI:

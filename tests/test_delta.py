@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
+import waiting
 from model import StreamModel
 
 from repro.clock import ManualClock
@@ -37,13 +39,7 @@ from repro.core.record import RECORD_DTYPE
 from repro.net import HeartbeatCollector, NetworkBackend
 
 
-def wait_until(predicate, timeout: float = 10.0, interval: float = 0.01) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
+wait_until = partial(waiting.wait_until, timeout=10.0)
 
 
 class _Replay:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.encoder.frames import SceneCut, SyntheticVideoSource
 from repro.encoder.motion import (
@@ -149,6 +151,71 @@ class TestMotionSearch:
         multi, _ = full_search_multi(block, [reference], 8, 8, 4)
         assert multi.motion_vector == single.motion_vector
         assert multi.sad == pytest.approx(single.sad)
+
+    def test_equal_sads_resolve_to_the_smallest_displacement(self):
+        """A flat block on a flat frame ties everywhere: the zero vector wins
+        in the interior and at the corner alike, and so does the first reference."""
+        flat = np.full((64, 64), 7.0)
+        block = flat[:16, :16]
+        for top, left in ((24, 24), (0, 0), (48, 0)):
+            assert full_search(block, flat, top, left, 4).motion_vector == (0, 0)
+            result, ref_idx = full_search_multi(block, [flat, flat], top, left, 4)
+            assert (result.motion_vector, ref_idx) == ((0, 0), 0)
+
+    @pytest.mark.parametrize(
+        ("matches", "expected"),
+        [
+            (((-2, 0), (0, 1)), (0, 1)),  # smaller |di| + |dj| first
+            (((1, -1), (-1, 1)), (-1, 1)),  # then the smaller di
+            (((0, 1), (0, -1)), (0, -1)),  # then the smaller dj
+        ],
+    )
+    def test_the_tie_ladder(self, matches, expected):
+        reference = np.zeros((9, 9))
+        for di, dj in matches:
+            reference[4 + di, 4 + dj] = 1.0
+        assert full_search(np.ones((1, 1)), reference, 4, 4, 2).motion_vector == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.integers(1, 3),
+        top=st.integers(0, 8),
+        left=st.integers(0, 8),
+        search_range=st.integers(0, 4),
+        pad=st.integers(1, 6),
+        padding=st.sampled_from(["edge", "wrap", "reflect", "zeros", "far"]),
+        own_patch=st.booleans(),
+    )
+    def test_padding_the_reference_does_not_move_the_vector(
+        self, seed, levels, top, left, search_range, pad, padding, own_patch
+    ):
+        """Pad the reference, shift the block by the padding: same vector.
+
+        A few grey levels make equal SADs common.  A block cut from the
+        reference at its own position keeps its zero vector whatever the
+        padding holds; any other block keeps its vector when the padding
+        is far from every value, so no candidate reaching into it ties.
+        """
+        rng = np.random.default_rng(seed)
+        reference = rng.integers(0, levels, (12, 12)).astype(float)
+        if own_patch:
+            block = reference[top : top + 4, left : left + 4].copy()
+        else:
+            block = rng.integers(0, levels, (4, 4)).astype(float)
+            padding = "far"
+        if padding in ("zeros", "far"):
+            padded = np.pad(reference, pad, constant_values=0.0 if padding == "zeros" else 1e6)
+        else:
+            padded = np.pad(reference, pad, mode=padding)
+        plain = full_search(block, reference, top, left, search_range)
+        shifted = full_search(block, padded, top + pad, left + pad, search_range)
+        assert shifted.motion_vector == plain.motion_vector
+        assert shifted.sad == plain.sad
+        if own_patch:
+            assert plain.motion_vector == (0, 0)
+        multi, ref_idx = full_search_multi(block, [padded, padded], top + pad, left + pad, search_range)
+        assert (multi.motion_vector, ref_idx) == (plain.motion_vector, 0)
 
     def test_unknown_algorithm_rejected(self):
         current, reference = self.make_pair()

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import socket
 import time
+from functools import partial
 
 import numpy as np
 import pytest
+import waiting
 
 from repro.clock import WallClock
 from repro.core.aggregator import HeartbeatAggregator
@@ -24,13 +26,7 @@ from repro.net import HeartbeatCollector, NetworkBackend, protocol
 from repro.session import TelemetrySession
 
 
-def wait_until(predicate, timeout: float = 10.0, interval: float = 0.02) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
+wait_until = partial(waiting.wait_until, timeout=10.0, interval=0.02)
 
 
 def records_for(beats: list[tuple[int, float]]) -> np.ndarray:

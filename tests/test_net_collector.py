@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from waiting import wait_until
 
 from repro.clock import WallClock
 from repro.core.aggregator import HeartbeatAggregator
@@ -22,15 +23,6 @@ from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import HealthStatus
 from repro.core.record import RECORD_DTYPE
 from repro.net import HeartbeatCollector, NetworkBackend, protocol
-
-
-def wait_until(predicate, timeout: float = 5.0, interval: float = 0.01) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
 
 
 def raw_connection(collector: HeartbeatCollector) -> socket.socket:

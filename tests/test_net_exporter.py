@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from waiting import wait_until
 
 from repro.core.backends import Arena
 from repro.core.errors import BackendError
@@ -33,15 +34,6 @@ def make_batch(n: int, start: int = 0, t0: float = 1.0) -> np.ndarray:
     records["tag"] = 0
     records["thread_id"] = 1
     return records
-
-
-def wait_until(predicate, timeout: float = 5.0, interval: float = 0.01) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
 
 
 class TestLocalSemantics:

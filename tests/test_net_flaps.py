@@ -9,9 +9,10 @@ summary keyed by a live peer, counts only growing.
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
 import pytest
+import waiting
 
 from repro.net import HeartbeatCollector, NetworkBackend
 from repro.scenario import ChaosProxy
@@ -19,13 +20,7 @@ from repro.scenario import ChaosProxy
 pytestmark = [pytest.mark.network]
 
 
-def wait_until(predicate, timeout: float = 10.0, interval: float = 0.01) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
+wait_until = partial(waiting.wait_until, timeout=10.0)
 
 
 def total_at(collector: HeartbeatCollector, stream: str) -> int:

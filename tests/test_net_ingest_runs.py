@@ -13,11 +13,12 @@ from __future__ import annotations
 import socket
 import sys
 import threading
-import time
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
+import waiting
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -132,13 +133,7 @@ def reference_replay(path) -> tuple[np.ndarray, int, bool, int | None, int]:
 # ---------------------------------------------------------------------- #
 # Helpers
 # ---------------------------------------------------------------------- #
-def wait_until(predicate, timeout: float = 5.0, interval: float = 0.005) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
+wait_until = partial(waiting.wait_until, interval=0.005)
 
 
 def make_records(first_beat: int, count: int) -> np.ndarray:

@@ -14,6 +14,9 @@ import json
 import time
 import urllib.error
 import urllib.request
+from functools import partial
+
+import waiting
 
 from repro.net import HeartbeatCollector, NetworkBackend
 from repro.obs import MetricsRegistry
@@ -21,13 +24,7 @@ from repro.obs.serve import TelemetryServer
 from repro.session import TelemetrySession
 
 
-def wait_until(predicate, timeout: float = 10.0, interval: float = 0.02) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
+wait_until = partial(waiting.wait_until, timeout=10.0, interval=0.02)
 
 
 def http_get(url: str, timeout: float = 5.0) -> bytes:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import struct
-import time
+from functools import partial
 
 import numpy as np
 import pytest
+import waiting
 
 from repro.adapt import AdaptationEngine, ControlLoop, FunctionActuator
 from repro.clock import SimulatedClock
@@ -38,13 +39,7 @@ except ImportError:  # pragma: no cover
     DecisionTrace = None
 
 
-def wait_until(predicate, timeout: float = 10.0, interval: float = 0.02) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
+wait_until = partial(waiting.wait_until, timeout=10.0, interval=0.02)
 
 
 def records_for(beats: list[tuple[int, float]]) -> np.ndarray:

@@ -19,6 +19,13 @@ The wire changes a window only with a HELLO, so a wire stream redials to
 change one (the exporter by its own rule), and each poll first waits at
 most :data:`DELIVERY_S` for the collected streams to show what was sent.
 
+``shm`` and ``arena`` read one byte layout (an ``shm://`` segment is a
+one-row arena) and stay two kinds because their writers and attachments
+differ: ``shm`` is the segment creator's sole-writer ``Ring``, attached per
+object through a ``SharedMemoryReader``; ``arena`` writes through a row view
+that reloads the row's words before each write, and its slab is attached
+whole with ``attach_arena``.
+
 Tier-1 runs a fixed-seed profile; the ``slow`` twin explores.  Two fixed
 cases pin what the machine cannot schedule: a read a writer overlaps (the
 source's ``retained`` shrinks mid-read), and rows filling their slabs.

@@ -8,24 +8,15 @@ journal directory and assert that nothing acknowledged is lost.
 from __future__ import annotations
 
 import socket
-import time
 
 import numpy as np
 import pytest
+from waiting import wait_until
 
 from repro.core.backends import MemoryBackend
 from repro.core.record import RECORD_DTYPE
 from repro.net import HeartbeatCollector, NetworkBackend, protocol
 from repro.net.persistence import StreamJournal
-
-
-def wait_until(predicate, timeout: float = 5.0, interval: float = 0.01) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
 
 
 def make_hello(name: str = "svc", nonce: int = 7) -> protocol.Hello:

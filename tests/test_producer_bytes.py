@@ -16,9 +16,11 @@ import socket
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
+import waiting
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,13 +31,7 @@ from repro.net import HeartbeatCollector, NetworkBackend, protocol
 from repro.scenario import ChaosProxy
 
 
-def wait_until(predicate, timeout: float = 10.0, interval: float = 0.002) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
+wait_until = partial(waiting.wait_until, timeout=10.0, interval=0.002)
 
 
 def make_batch(n: int, start: int = 0) -> np.ndarray:

@@ -12,9 +12,11 @@ import socket
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
+import waiting
 
 from repro.core.record import RECORD_DTYPE
 from repro.net import HeartbeatCollector, protocol
@@ -24,13 +26,7 @@ from repro.net import relay as relay_module
 IDLE = 10.0
 
 
-def wait_until(predicate, timeout: float = 5.0, interval: float = 0.005) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
+wait_until = partial(waiting.wait_until, interval=0.005)
 
 
 def batch(first: int, count: int) -> bytes:
@@ -190,7 +186,7 @@ class TestSendFailureMidSweep:
             def delta(before: dict, after: dict, key: str) -> int:
                 return after[key] - before[key]
 
-            def replay_landed() -> bool:
+            def replay_landed() -> waiting.Facts:
                 # The reconnect replayed all 120 retained records, and all
                 # the edge shipped since arming reached the root.
                 after_root, after_edge = root.stats(), edge.relay_stats()
@@ -199,7 +195,10 @@ class TestSendFailureMidSweep:
                     before_root, after_root, "relay_duplicates"
                 )
                 connects = delta(before_edge, after_edge, "connects")
-                return connects == 1 and shipped >= 120 and landed == shipped
+                return waiting.Facts(
+                    connects == 1 and shipped >= 120 and landed == shipped,
+                    connects=connects, shipped=shipped, landed=landed,
+                )
 
             assert wait_until(replay_landed)
             assert len(sends) > 3  # the failure was mid-sweep, and a replay followed

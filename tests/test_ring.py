@@ -12,6 +12,13 @@ local mirror — and the same evidence is collected for each:
 * a real concurrent writer beating as fast as it can — a second process for
   the cross-process kinds, a second thread for the in-process ones — while
   this one hammers every read the backends offer.
+
+``shm://`` segments and arena rows share one byte layout (a segment is a
+one-row arena), yet they stay two kinds here because their writers and
+attachments differ: ``shm`` is the segment creator's sole-writer ``Ring``,
+which never reloads its words, read through a reader attached per object;
+``arena-row`` writes through row views that reload the row's words before
+every write, read through a slab attached whole.
 """
 
 from __future__ import annotations
@@ -220,8 +227,9 @@ class TestOneRing:
             for name in ("CircularBuffer", "circular_batch_slices", "buffer"):
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
                 assert name not in module.__all__
-        # Every in-process ring is the kernel itself, and says so.
+        # Every sole-writer ring is the kernel itself, and says so.
         assert issubclass(MemoryBackend, Ring)
+        assert issubclass(SharedMemoryBackend, Ring)
 
 
 class TestWriterCoherence:
