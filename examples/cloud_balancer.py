@@ -8,7 +8,8 @@ sketches for cloud providers:
 1. consolidation — when every service comfortably exceeds its goal, the VMs
    are packed onto fewer nodes and the emptied node is powered down;
 2. scale-out — when one service's load rises and its heart rate drops below
-   its published minimum, it is migrated to the node with the most headroom;
+   its published minimum, it is migrated to the node where it would beat
+   fastest;
 3. failure detection — when a node dies, its VMs stop producing heartbeats
    and are failed over to healthy nodes.
 
@@ -41,8 +42,8 @@ def main() -> None:
     node_b = cluster.add_node(capacity=100.0)
     node_c = cluster.add_node(capacity=100.0)
 
-    # Three light services: each needs ~10 work/s to hit the middle of its
-    # target window, so one node could host all of them.
+    # Three light services: sharing one node, each would still beat above its
+    # target minimum with the balancer's headroom, so one node can host all.
     web = cluster.add_vm(work_per_beat=1.0, target_min=8.0, target_max=12.0, node=node_a)
     api = cluster.add_vm(work_per_beat=2.0, target_min=4.0, target_max=6.0, node=node_b)
     cluster.add_vm(work_per_beat=5.0, target_min=1.5, target_max=2.5, node=node_c)
@@ -60,7 +61,7 @@ def main() -> None:
         cluster.step(1.0)
     describe(cluster, balancer, "after consolidation")
 
-    # Phase 2: the web service's demand triples -> its rate collapses.
+    # Phase 2: the web service's work per beat grows sixfold -> its rate collapses.
     web.demand_factor = 6.0
     for _ in range(10):
         cluster.step(1.0)

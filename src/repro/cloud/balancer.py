@@ -3,7 +3,7 @@
 Implements the three Section-2.6 behaviours on a :class:`CloudCluster`:
 
 * **scale-out / migration** — a VM whose heart rate sits below its published
-  minimum is migrated to the node with the most spare capacity (powering one
+  minimum is migrated to the node where it would beat fastest (powering one
   up if needed), because "as the heart rate decreases, the load balancer
   would shift traffic to a different server";
 * **failure detection and fail-over** — a VM that has produced no heartbeat
@@ -13,13 +13,16 @@ Implements the three Section-2.6 behaviours on a :class:`CloudCluster`:
   packed onto fewer nodes and emptied nodes are powered down, so "these
   'light' VMs can be consolidated onto a smaller number of physical machines
   to save energy".
+
+Every placement is predicted by the rule the cluster beats by,
+:meth:`CloudCluster.rate_on`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection
 
 from repro.adapt.engine import AdaptationEngine
 from repro.adapt.loop import ControlLoop
@@ -61,8 +64,8 @@ class VMPlacementActuator:
     """Placement knob for one VM: a positive delta asks for a better node.
 
     The "value" of the knob is the VM's current node id; ``apply`` migrates
-    the VM to the node with the most spare capacity when that node offers
-    strictly more headroom than the current host (the Section-2.6 rule: "as
+    the VM to the node where it would beat fastest when its predicted rate
+    there is strictly higher than on its current host (the Section-2.6 rule: "as
     the heart rate decreases, the load balancer would shift traffic to a
     different server").  Negative deltas are ignored — fast VMs are handled
     by the balancer's consolidation pass, which needs the whole fleet's
@@ -90,10 +93,10 @@ class VMPlacementActuator:
         vm = balancer.cluster.vms.get(self._vm_id)
         if not decision.delta or decision.delta <= 0 or vm is None or vm.node_id is None:
             return self.current()
-        candidate = balancer._best_node(exclude={vm.node_id})
-        current_node = balancer.cluster.nodes[vm.node_id]
-        if candidate is not None and balancer._spare_capacity(candidate) > balancer._spare_capacity(current_node):
-            balancer.cluster.place(vm.vm_id, candidate.node_id)
+        candidate = balancer._best_node(vm, exclude={vm.node_id})
+        host = balancer.cluster.nodes[vm.node_id]
+        if candidate is not None and balancer._predicted(vm, candidate) > balancer._predicted(vm, host):
+            balancer._place(vm, candidate)
         return self.current()
 
 
@@ -112,7 +115,8 @@ class HeartbeatLoadBalancer:
        STALLED, whose stream errored after the VM had beaten, or whose host
        failed;
     3. placement of unplaced VMs;
-    4. consolidation, when every placed VM comfortably exceeds its goal.
+    4. consolidation, when every placed VM comfortably exceeds its goal and
+       no VM moved in this pass (its sampled rate is its old node's).
 
     Every action is appended to :attr:`actions` as it is taken, and
     :meth:`manage` returns those its pass took.
@@ -125,8 +129,9 @@ class HeartbeatLoadBalancer:
         Seconds without a heartbeat after which a VM's stream is STALLED
         and its host presumed failed.
     headroom:
-        Fractional rate above a VM's target maximum regarded as "comfortably
-        exceeding" its goal for consolidation purposes.
+        Consolidation's margin: it runs only when every VM beats at least
+        ``target_max × (1 + headroom)``, and packs only so that every VM is
+        predicted to keep ``target_min × (1 + headroom)``.
     collector:
         Remote-fleet mode: a :class:`repro.net.HeartbeatCollector`
         (or anything :class:`~repro.core.aggregator.CollectorLike`) whose
@@ -268,10 +273,11 @@ class HeartbeatLoadBalancer:
                 self._record("migrate", vm.vm_id, int(trace.before), int(trace.after), reason)
         self._fail_over(sample)
         for vm in self.cluster.vms.values():
-            target = None if vm.placed else self._best_node()
+            target = None if vm.placed else self._best_node(vm)
             if target is not None:
-                self._move(vm, target.node_id, "migrate", "unplaced VM")
-        self._consolidate(sample)
+                self._move(vm, target, "migrate", "unplaced VM")
+        if all(action.vm_id is None for action in self.actions[start:]):  # power_up moves no VM
+            self._consolidate(sample)
         return self.actions[start:]
 
     # ------------------------------------------------------------------ #
@@ -287,15 +293,20 @@ class HeartbeatLoadBalancer:
             # the VM has beaten: its producer can no longer be observed.
             silent = name in stalled or (name in sample.errors and vm.heartbeat.count > 0)
             if silent or not self.cluster.nodes[vm.node_id].alive:
-                target = self._best_node(exclude={vm.node_id})
+                target = self._best_node(vm, exclude={vm.node_id})
                 reason = "no heartbeats within the liveness timeout" if silent else "host reported failed"
                 if target is not None:
-                    self._move(vm, target.node_id, "failover", reason)
+                    self._move(vm, target, "failover", reason)
 
     def _consolidate(self, sample: FleetSample) -> None:
         # Only consolidate when every placed VM comfortably exceeds its goal.
         placed = [vm for vm in self.cluster.vms.values() if vm.placed]
-        if not placed:
+        nodes = sorted(
+            (n for n in self.cluster.nodes.values() if n.available),
+            key=lambda n: n.capacity,
+            reverse=True,
+        )
+        if not placed or not nodes:
             return
         for vm in placed:
             reading = sample.get(_stream_name(vm))
@@ -303,31 +314,26 @@ class HeartbeatLoadBalancer:
                 return
             if reading.rate < vm.target_max * (1.0 + self.headroom):
                 return
-        # Pack VMs onto the fewest nodes whose capacity covers their demand.
-        nodes = sorted(
-            (n for n in self.cluster.nodes.values() if n.available),
-            key=lambda n: n.capacity,
-            reverse=True,
-        )
-        demand_of = {
-            vm.vm_id: 0.5 * (vm.target_min + vm.target_max) * vm.work_per_beat * vm.demand_factor
-            for vm in placed
-        }
-        assignments: dict[int, int] = {}
-        remaining = {n.node_id: n.capacity for n in nodes}
-        for vm in sorted(placed, key=lambda v: demand_of[v.vm_id], reverse=True):
-            for node in nodes:
-                if remaining[node.node_id] >= demand_of[vm.vm_id]:
-                    assignments[vm.vm_id] = node.node_id
-                    remaining[node.node_id] -= demand_of[vm.vm_id]
-                    break
-        if not assignments or len(assignments) < len(placed):
-            return
-        used_nodes = set(assignments.values())
+        # First fit onto the largest nodes, the VM whose floor needs the
+        # largest share of a node first: a VM joins a node only if every VM
+        # there, itself included, is predicted to keep its floor.
+        rate_on, floor = self.cluster.rate_on, 1.0 + self.headroom
+        assignments: dict[int, CloudNode] = {}
+
+        def fits(vm: CloudVM, node: CloudNode) -> bool:
+            sharers = [v for v in placed if assignments.get(v.vm_id) is node] + [vm]
+            return all(rate_on(v, node, len(sharers)) >= v.target_min * floor for v in sharers)
+
+        for vm in sorted(placed, key=lambda v: v.target_min / rate_on(v, nodes[0], 1), reverse=True):
+            node = next((n for n in nodes if fits(vm, n)), None)
+            if node is None:
+                return
+            assignments[vm.vm_id] = node
+        used_nodes = {node.node_id for node in assignments.values()}
         if len(used_nodes) >= len({vm.node_id for vm in placed}):
             return  # no reduction in node count; leave placement alone
         for vm in placed:
-            if assignments[vm.vm_id] != vm.node_id:
+            if assignments[vm.vm_id].node_id != vm.node_id:
                 reason = "all goals comfortably met; packing onto fewer nodes"
                 self._move(vm, assignments[vm.vm_id], "consolidate", reason)
         for node in nodes:
@@ -359,30 +365,24 @@ class HeartbeatLoadBalancer:
     def _record(self, kind: str, vm_id: int | None, from_node: int | None, to_node: int | None, reason: str) -> None:
         self.actions.append(BalancerAction(kind, vm_id, from_node, to_node, reason))
 
-    def _move(self, vm: CloudVM, node_id: int, kind: str, reason: str) -> None:
+    def _move(self, vm: CloudVM, node: CloudNode, kind: str, reason: str) -> None:
         origin = vm.node_id
-        self.cluster.place(vm.vm_id, node_id)
-        self._record(kind, vm.vm_id, origin, node_id, reason)
+        self._place(vm, node)
+        self._record(kind, vm.vm_id, origin, node.node_id, reason)
 
-    def _spare_capacity(self, node: CloudNode) -> float:
-        if not node.available:
-            return float("-inf")
-        return node.capacity - self.cluster.node_load(node.node_id)
+    def _place(self, vm: CloudVM, node: CloudNode) -> None:
+        """Place ``vm`` on ``node``, powering the node up first if it is down."""
+        if not node.powered:
+            node.power_up()
+            self._record("power_up", None, None, node.node_id, "additional capacity required")
+        self.cluster.place(vm.vm_id, node.node_id)
 
-    def _best_node(self, exclude: set[int] | None = None) -> CloudNode | None:
-        """The alive node with the most spare capacity (powering it up if needed)."""
-        exclude = exclude or set()
-        candidates = [n for n in self.cluster.nodes.values() if n.alive and n.node_id not in exclude]
-        if not candidates:
-            return None
-        best = max(candidates, key=self._spare_capacity_or_powered)
-        if not best.powered:
-            best.power_up()
-            self._record("power_up", None, None, best.node_id, "additional capacity required")
-        return best
+    def _predicted(self, vm: CloudVM, node: CloudNode) -> float:
+        """``vm``'s rate on ``node`` beside the other VMs placed there now."""
+        others = sum(1 for v in self.cluster.vms_on(node.node_id) if v is not vm)
+        return self.cluster.rate_on(vm, node, others + 1)
 
-    def _spare_capacity_or_powered(self, node: CloudNode) -> float:
-        # Powered-down nodes are usable (after power-up) but rank below
-        # already-powered nodes with the same spare capacity.
-        spare = node.capacity - self.cluster.node_load(node.node_id)
-        return spare - (0.001 if not node.powered else 0.0)
+    def _best_node(self, vm: CloudVM, exclude: Collection[int] = ()) -> CloudNode | None:
+        """The alive node where ``vm`` would beat fastest; a powered node wins a tie."""
+        candidates = (n for n in self.cluster.nodes.values() if n.alive and n.node_id not in exclude)
+        return max(candidates, key=lambda n: (self._predicted(vm, n), n.powered), default=None)

@@ -18,9 +18,9 @@ _node_ids = itertools.count(1)
 class CloudNode:
     """A physical machine of the cluster.
 
-    ``capacity`` is expressed in work units per second; the node's capacity is
-    shared equally among the VMs placed on it.  ``powered`` models the
-    consolidation use case (idle nodes are powered down to save energy);
+    ``capacity`` is expressed in work units per second, shared equally among
+    the VMs placed on it (:meth:`CloudCluster.rate_on`).  ``powered`` models
+    the consolidation use case (idle nodes are powered down to save energy);
     ``alive`` models hardware failure.
     """
 
@@ -141,14 +141,13 @@ class CloudCluster:
     def vms_on(self, node_id: int) -> list[CloudVM]:
         return [vm for vm in self.vms.values() if vm.node_id == node_id]
 
-    def node_load(self, node_id: int) -> float:
-        """Aggregate work demand per second required to keep the node's VMs at
-        the *midpoint* of their target windows."""
-        total = 0.0
-        for vm in self.vms_on(node_id):
-            midpoint = 0.5 * (vm.target_min + vm.target_max)
-            total += midpoint * vm.work_per_beat * vm.demand_factor
-        return total
+    @staticmethod
+    def rate_on(vm: CloudVM, node: CloudNode, sharers: int) -> float:
+        """The heart rate ``vm`` makes on ``node`` while ``sharers`` VMs, itself
+        included, run there: an equal share of the node's capacity over the
+        VM's work per beat.  This is the cluster's one rate rule: :meth:`step`
+        beats by it and the load balancer predicts placements by it."""
+        return node.capacity / sharers / (vm.work_per_beat * vm.demand_factor)
 
     # ------------------------------------------------------------------ #
     # Time
@@ -183,14 +182,10 @@ class CloudCluster:
         return rates
 
     def _achievable_rate(self, vm: CloudVM) -> float:
-        if vm.node_id is None:
+        node = None if vm.node_id is None else self.nodes[vm.node_id]
+        if node is None or not node.available:
             return 0.0
-        node = self.nodes[vm.node_id]
-        if not node.available:
-            return 0.0
-        sharers = len(self.vms_on(node.node_id))
-        share = node.capacity / sharers if sharers else node.capacity
-        return share / (vm.work_per_beat * vm.demand_factor)
+        return self.rate_on(vm, node, len(self.vms_on(node.node_id)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CloudCluster(nodes={len(self.nodes)}, vms={len(self.vms)})"

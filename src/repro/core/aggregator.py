@@ -582,8 +582,8 @@ class HeartbeatAggregator:
         """Attach every row of an arena slab as one vectorized shard.
 
         The slab is polled through :meth:`Arena.snapshot_since_all` — one
-        masked numpy pass over all allocated rows, zero per-stream Python
-        dispatch — and its rows join the fleet sample named
+        masked numpy pass over all allocated rows, per-stream Python only
+        for a row a writer keeps racing — and its rows join the fleet sample named
         ``prefix + row_name``.  Rows allocated *after* this call appear
         automatically on the next poll (the slab header is the membership).
         ``own=True`` hands the arena's ``close`` to :meth:`close`.

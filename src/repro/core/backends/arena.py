@@ -27,8 +27,8 @@ Producers write through :class:`ArenaRowView` — a full
 stay lock-free with respect to every observer.  Observers get the fast path
 that is the point of the layout: :meth:`Arena.snapshot_since_all` reads the
 *entire fleet* — totals, targets, last timestamps, windowed rates and the
-new records since a cursor vector — as a handful of vectorized numpy passes
-with zero per-stream Python dispatch.
+new records since a cursor vector — as a handful of vectorized numpy passes,
+with per-stream Python only for a row a writer keeps racing.
 
 The slab is an anonymous mapping for ``mem-arena://`` endpoints (pages no
 row has written cost no memory), chained by :class:`_SlabPool`, and a
@@ -84,9 +84,9 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
 from repro.core.backends.ring import _ATTEMPTS, Ring
 from repro.core.errors import BackendError, BackendFormatError
-from repro.core.rate import interval_rates
+from repro.core.rate import interval_rate, interval_rates
 from repro.core.record import RECORD_DTYPE, pack_record
-from repro.core.window import resolve_windows
+from repro.core.window import resolve_window, resolve_windows
 
 __all__ = [
     "Arena",
@@ -109,6 +109,8 @@ NAME_SIZE = 64
 #: Default geometry applied by the endpoint layer when a URL names neither.
 DEFAULT_STREAMS = 1024
 DEFAULT_DEPTH = 1024
+#: Vectorized header captures a fleet read tries before a raced row is read alone.
+_VECTOR_TRIES = 4
 
 _ARENA_HEADER_DTYPE = np.dtype(
     [
@@ -524,14 +526,16 @@ class Arena:
         Consistency follows the ring's reader protocol
         (:mod:`repro.core.backends.ring`), every row at once.  The header
         columns — with the last stamp and the rate window's stamps — are
-        captured under a vectorized seqlock check (rows whose writer raced
-        the capture are retried as a shrinking subset).  The new records are
-        then copied once.  Rows whose sequence word moved meanwhile are
-        settled, not re-read: once their writers are quiet, the prefix of
-        each row's copy that a write can have reached is dropped and
-        ``retained``, ``new``, ``gap`` and ``resync`` follow, exactly as
-        :meth:`Ring.snapshot_since` would report them.  Cost is a handful of
-        O(rows) numpy passes — no per-stream Python dispatch.
+        captured under a vectorized seqlock check, tried a few times.  A row
+        a writer raced every time is read alone through its :class:`Ring`
+        (``capture``, one copy of its rate window; what the copy kept gives
+        its rate, last stamp and ``retained``), so a hot writer costs its
+        own row some Python, never an error.  The new records are then
+        copied once.  Rows whose sequence word moved meanwhile, and rows
+        read alone, are settled, not re-read: once their writers are quiet,
+        the prefix of each row's copy that a write can have reached is
+        dropped and ``retained``, ``new``, ``gap`` and ``resync`` follow,
+        exactly as :meth:`Ring.snapshot_since` would report them.
         """
         self._check_open()
         count = self.rows_in_use
@@ -549,28 +553,18 @@ class Arena:
         ts2d = self._records["timestamp"]
 
         pending = np.arange(count, dtype=np.int64)
-        for attempt in range(_ATTEMPTS):
+        for attempt in range(_VECTOR_TRIES):
             if attempt:
-                # Yield so writers mid-batch (possibly sharing our GIL) can
-                # publish; escalate to a real sleep if they keep winning.
-                time.sleep(0.0001 if attempt % 32 == 31 else 0)
+                time.sleep(0)  # let a writer mid-batch (possibly sharing our GIL) publish
             idx = pending
             # The first pass covers every row: contiguous slice copies beat
             # fancy indexing there, and when no writer raced us the whole
             # capture is adopted without a per-row scatter.
             full_pass = attempt == 0
-            if full_pass:
-                seq0 = rows["sequence"][:count].copy()
-                totals = rows["total"][:count].copy()
-                dw = rows["default_window"][:count].copy()
-                tmin = rows["target_min"][:count].copy()
-                tmax = rows["target_max"][:count].copy()
-            else:
-                seq0 = rows["sequence"][idx].copy()
-                totals = rows["total"][idx].copy()
-                dw = rows["default_window"][idx].copy()
-                tmin = rows["target_min"][idx].copy()
-                tmax = rows["target_max"][idx].copy()
+            at = slice(0, count) if full_pass else idx
+            seq0, totals, dw, tmin, tmax = (
+                rows[field][at].copy() for field in ("sequence", "total", "default_window", "target_min", "target_max")
+            )
             retained = np.minimum(totals, depth)
             if held is not None:
                 retained = np.minimum(retained, held[idx])
@@ -580,7 +574,7 @@ class Arena:
             effective = resolve_windows(window, dw, retained)
             first_ts = ts2d[idx, (safe_total - np.maximum(effective, 1)) % depth]
             rate = interval_rates(effective - 1, last_ts - first_ts)
-            seq1 = rows["sequence"][:count] if full_pass else rows["sequence"][idx]
+            seq1 = rows["sequence"][at]
             ok = (seq0 % 2 == 0) & (seq1 == seq0)
             if full_pass and bool(ok.all()):
                 out_seq, out_total, out_dw = seq0, totals, dw
@@ -604,12 +598,23 @@ class Arena:
             pending = idx[~ok]
             if pending.size == 0:
                 break
-        else:  # pragma: no cover - requires a pathologically hot writer
-            raise BackendError("could not obtain a consistent arena read")
 
         out_retained = np.minimum(out_total, depth)
         if held is not None:
             out_retained = np.minimum(out_retained, held[:count])
+        for i in pending.tolist():  # still raced: the ring's own read, capture then copy the window
+            ring = self._ring(i)
+            for _ in range(_ATTEMPTS):  # a window the writer lapped whole is read again
+                total, dw, out_tmin[i], out_tmax[i] = ring.capture()
+                cap = min(total, depth, depth if held is None else int(held[i]))
+                kept_window, kept = ring.copy_newest(total, resolve_window(window, dw, cap))
+                if kept_window.size or not cap:
+                    break
+            stamps = kept_window["timestamp"].tolist() or [np.nan]  # nan: the read kept no beat
+            # Retained is what this read kept; -1 is never a sequence, so the record path settles the row.
+            out_total[i], out_dw[i], out_retained[i], out_seq[i] = total, dw, min(kept, cap), -1
+            out_last[i], span = stamps[-1], stamps[-1] - stamps[0]
+            out_rate[i] = np.nan if span < 0 else interval_rate(kept_window.shape[0] - 1, span)  # backwards reads nan
 
         def bounds() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             # delta_bounds, vectorized: (included, gap, resync) per row.

@@ -119,10 +119,7 @@ GOLDEN: dict[str, list[dict[str, list]]] = {
                 [
                     ("power_up", None, None, 2, _POWER_UP),
                     ("failover", 1, 0, 2, _SILENT),
-                    ("failover", 2, 0, 2, _SILENT),
-                    ("consolidate", 1, 2, 1, _PACK),
-                    ("consolidate", 2, 2, 1, _PACK),
-                    ("power_down", None, 2, None, _EMPTIED),
+                    ("failover", 2, 0, 1, _SILENT),
                 ],
             ],
             "log": [
@@ -134,10 +131,7 @@ GOLDEN: dict[str, list[dict[str, list]]] = {
                 ("migrate", 0, 0, 1, "heart rate 5.58 below target minimum 8.00"),
                 ("power_up", None, None, 2, _POWER_UP),
                 ("failover", 1, 0, 2, _SILENT),
-                ("failover", 2, 0, 2, _SILENT),
-                ("consolidate", 1, 2, 1, _PACK),
-                ("consolidate", 2, 2, 1, _PACK),
-                ("power_down", None, 2, None, _EMPTIED),
+                ("failover", 2, 0, 1, _SILENT),
             ],
         }
     ],

@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro.clock import ManualClock
-from repro.core.backends import Arena, MemoryBackend, SharedMemoryBackend, SnapshotCursor
+from repro.core.backends import Arena, BackendSnapshot, MemoryBackend, SharedMemoryBackend, SnapshotCursor
 from repro.core.backends.arena import ArenaRowView
 from repro.core.backends.ring import Ring
 from repro.core.backends.shared_memory import SharedMemoryReader
@@ -309,6 +309,9 @@ class TestWriterCoherence:
 _DT = 0.001
 _THREAD = 7
 _STRESS_SECONDS = 1.0
+#: Slots of the fleet kinds' one row: a flat-out writer laps it inside one
+#: vectorized header capture, so a raced capture adopted as it stands shows.
+_FLEET_DEPTH = 64
 
 
 def _tags(beats):
@@ -407,9 +410,68 @@ class _Follower:
         assert self.reads > 20
 
 
+def _check_columns(fleet) -> None:
+    """Row 0's columns against the payload rule: beat ``i`` is stamped ``(i + 1) * _DT``."""
+    total = int(fleet.totals[0])
+    assert 0 <= fleet.retained[0] <= min(total, _FLEET_DEPTH)
+    assert fleet.last_timestamp[0] == pytest.approx(total * _DT, rel=1e-9)
+    assert fleet.rate[0] == (pytest.approx(1 / _DT, rel=1e-6) if total > 1 else 0.0)
+
+
+class _FleetRow:
+    """Row 0 of a slab read as the aggregator reads it: the whole-slab
+    ``snapshot_since_all``, each read's columns checked as well."""
+
+    capacity = _FLEET_DEPTH
+
+    def __init__(self, arena: Arena) -> None:
+        self.arena = arena
+
+    def snapshot_since(self, cursor=None):
+        fleet = self.arena.snapshot_since_all(None if cursor is None else [cursor.total])
+        _check_columns(fleet)
+        return fleet.delta_for(0)
+
+    def snapshot(self, n=None):
+        delta, _ = self.snapshot_since()
+        records = delta.records if n is None else delta.records[max(delta.records.shape[0] - n, 0) :]
+        return BackendSnapshot(records, delta.total_beats, delta.target_min, delta.target_max, delta.default_window)
+
+
+class _ColumnFollower:
+    """Hammers the columns-only fleet read, which the aggregator's poll makes."""
+
+    def __init__(self, arena: Arena) -> None:
+        self.arena, self.total, self.reads = arena, 0, 0
+
+    def read(self) -> int:
+        fleet = self.arena.snapshot_since_all(include_records=False)
+        _check_columns(fleet)
+        assert int(fleet.totals[0]) >= self.total
+        self.total = int(fleet.totals[0])
+        return self.total
+
+    def follow(self, seconds: float) -> None:
+        """At least ``seconds``, and (bounded) until the writer has wrapped the ring."""
+        start = time.monotonic()
+        while (elapsed := time.monotonic() - start) < seconds or (elapsed < 30.0 and self.total <= _FLEET_DEPTH):
+            self.read()
+            self.reads += 1
+
+    def finish(self, total: int) -> None:
+        assert self.read() == total
+        assert total > _FLEET_DEPTH, "the writer never wrapped the ring"
+        assert self.reads > 20
+
+
 class TestCrossProcessStress:
+    """A writer process beating flat out, read through every cross-process
+    door: the ``shm://`` reader, an arena row view, and the whole-slab fleet
+    read with records (``arena-fleet``) and columns only
+    (``arena-fleet-header``)."""
+
     @pytest.mark.parametrize("batch", [1, 64], ids=["heartbeat", "heartbeat_batch64"])
-    @pytest.mark.parametrize("kind", ["shm", "arena-row"])
+    @pytest.mark.parametrize("kind", ["shm", "arena-row", "arena-fleet", "arena-fleet-header"])
     def test_hot_writer_never_starves_or_tears_a_reader(self, kind, batch):
         ctx = mp.get_context("spawn")
         ready, stop, done = ctx.Event(), ctx.Event(), ctx.Event()
@@ -418,7 +480,7 @@ class TestCrossProcessStress:
         if kind == "shm":
             name = f"hb-ring-{os.getpid()}-{batch}"
         else:
-            arena = Arena.create(streams=1, depth=4096)
+            arena = Arena.create(streams=1, depth=_FLEET_DEPTH if kind.startswith("arena-fleet") else 4096)
             arena.allocate("stress")
             name = arena.name
         child = ctx.Process(
@@ -428,8 +490,13 @@ class TestCrossProcessStress:
         reader = None
         try:
             assert ready.wait(60.0), "the writer process never came up"
-            reader = SharedMemoryReader(name) if kind == "shm" else arena.row(0)
-            follower = _Follower(reader)
+            if kind == "arena-fleet-header":
+                follower = _ColumnFollower(arena)
+            elif kind == "arena-fleet":
+                follower = _Follower(_FleetRow(arena))
+            else:
+                reader = SharedMemoryReader(name) if kind == "shm" else arena.row(0)
+                follower = _Follower(reader)
             follower.follow(_STRESS_SECONDS)
             stop.set()
             follower.finish(written.get(timeout=60.0))
