@@ -41,8 +41,8 @@ slipping past them tears its slot; the word still goes even.
 
 Targets and the default window are stored inside the same cycle with
 ``total`` unchanged.  There is exactly one writer per ring at a time: callers
-that write from several threads serialise them (``Heartbeat``'s lock, the
-collector's ``stream.lock``).
+that write from several threads serialise them (``Heartbeat``'s lock), and a
+collector stream's row has one writer thread, the collector's event loop.
 
 Reader protocol — *copy once, then bound the damage*:
 

@@ -125,11 +125,10 @@ def capabilities_of(obj: object) -> SourceCapabilities:
     Accepted shapes, probed in order:
 
     * anything with ``snapshot`` (a ``Backend``, a ``SharedMemoryReader`` or
-      ``FileReader``, an arena row, a collector per-stream view, a
-      ``HeartbeatMonitor``, ...) — ``snapshot_since`` / ``version`` /
+      ``FileReader``, an arena row, a collector's ``source(stream_id)``
+      row, a ``HeartbeatMonitor``, ...) — ``snapshot_since`` / ``version`` /
       ``close`` ride along when present.  An object's own ``snapshot``
-      always wins over any ``backend`` it wraps, so locking wrappers are
-      never bypassed;
+      always wins over any ``backend`` it wraps;
     * anything with a ``backend`` attribute that is itself a source (a
       ``Heartbeat`` — the backend's capabilities are adopted);
     * a bare zero-argument callable, treated as a snapshot provider with no
@@ -149,8 +148,7 @@ def capabilities_of(obj: object) -> SourceCapabilities:
             "or pick one stream via its source(stream_id) view"
         )
     # The object's own snapshot wins over any `backend` attribute it holds:
-    # a wrapper like the collector's per-stream view serialises access to
-    # its inner backend, and unwrapping would bypass that lock.
+    # what an object's reads mean is its own to define.
     snapshot = getattr(obj, "snapshot", None)
     if snapshot is not None and callable(snapshot):
         close = getattr(obj, "close", None)

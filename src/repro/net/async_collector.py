@@ -8,7 +8,8 @@ rather than threads — one collector is an ingest *tier*, not "a host's fleet".
 Every stream is a row of a slab chain (one chain per retained depth, see
 :class:`~repro.core.backends.arena._SlabPool`), and there is no other store.
 The observation surface is the one the rest of the system already speaks:
-per-stream sources (``snapshot`` / ``snapshot_since`` / ``version``),
+per-stream sources (:meth:`source` is the stream's row, a
+:class:`~repro.core.backends.ring.Ring`),
 :meth:`stream_ids`, the slabs themselves (:meth:`slabs`), which
 :meth:`~repro.core.aggregator.HeartbeatAggregator.attach_collector` reads
 whole, and streams that survive disconnects so a producer death reads
@@ -26,14 +27,15 @@ semantics at the root.
 
 Design points:
 
-* one event-loop thread owns every socket and writes every row, each under
-  its stream's lock; observers read rows through the ring's sequence word,
-  so they read concurrently with ingest;
+* one event-loop thread owns every socket and is the one writer of every
+  row and every stream's liveness value; observers read rows through the
+  ring's sequence word, so they read concurrently with ingest, and order
+  comes from what they read first, never from mutual exclusion;
 * the unit of ingest is the *read*, not the frame: each ``recv`` is scanned
   once (:meth:`FrameDecoder.feed_runs <repro.net.protocol.FrameDecoder.feed_runs>`)
-  and every run of consecutive BATCH frames in it costs one lock, one
-  ``append_many``, one journal frame and one counter update, however many
-  wire frames it spans — ``frames``/``records`` still count the wire;
+  and every run of consecutive BATCH frames in it costs one ``append_many``,
+  one journal frame and one counter update, however many wire frames it
+  spans — ``frames``/``records`` still count the wire;
 * a malformed byte stream poisons only its own connection — producer or
   relay — and every other link keeps flowing;
 * relayed records are deduplicated by beat number per stream, so an edge
@@ -54,12 +56,12 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from repro.core.backends.arena import Arena, _SlabPool
-from repro.core.backends.base import BackendSnapshot, DeltaSnapshot, SnapshotCursor
+from repro.core.backends.base import BackendSnapshot
 from repro.core.backends.ring import Ring
 from repro.core.errors import MonitorAttachError, ProtocolError
 from repro.net import protocol
@@ -102,22 +104,33 @@ class CollectorStreamInfo:
     via_relay: bool = False
 
 
+class _Liveness(NamedTuple):
+    """A stream's liveness, replaced whole by each transition, never edited."""
+
+    connected: bool
+    closed: bool
+    reported_total: int | None
+
+
 class _CollectorStream:
     """One registered stream: its slab row plus liveness state.
 
     The row is the only copy of the stream's records and goals.  A stream
     changes only through its transitions — :meth:`register`,
     :meth:`append`, :meth:`set_targets`, :meth:`set_window`,
-    :meth:`close` and :meth:`disconnect` — and each takes ``lock`` and
-    writes the row, the liveness fields and the journal frame together, so
-    producer frames, relay entries and journal restore change a stream the
-    same way.  The collector's event-loop thread is the one writer; any
-    number of threads read through ``lock``.
+    :meth:`close` and :meth:`disconnect` — each writing the row, the
+    liveness value and the journal frame, so producer frames, relay entries
+    and journal restore change a stream the same way.  The collector's
+    event-loop thread is the only writer (journal restore runs before it
+    starts), so transitions never wait on a reader.  Other threads read the row
+    through the ring's sequence word and ``liveness`` as one stored value:
+    a CLOSE stores it after the records it counts are published, so whoever
+    reads ``liveness`` *before* the row never sees a CLOSE ahead of them.
     """
 
     __slots__ = (
-        "stream_id", "name", "pid", "nonce", "lock", "backend", "capacity",
-        "connected", "closed", "reported_total", "conn_gen", "via_relay", "journal",
+        "stream_id", "name", "pid", "nonce", "ring", "capacity",
+        "liveness", "conn_gen", "via_relay", "journal",
     )
 
     def __init__(self, stream_id: str, hello: protocol.Hello, capacity: int, ring: Ring, via_relay: bool) -> None:
@@ -126,11 +139,8 @@ class _CollectorStream:
         self.pid = hello.pid
         self.nonce = hello.nonce
         self.capacity = capacity
-        self.lock = threading.Lock()
-        self.backend = ring
-        self.connected = False
-        self.closed = False
-        self.reported_total: int | None = None
+        self.ring = ring
+        self.liveness = _Liveness(False, False, None)
         #: Connection generation: bumped on every (re)registration so a
         #: superseded connection cannot clobber its successor's state.
         self.conn_gen = 0
@@ -139,48 +149,33 @@ class _CollectorStream:
         self.journal: "JournalWriter | None" = None
 
     def hello(self) -> protocol.Hello:
-        """A HELLO carrying the row's current goals (caller holds ``lock``)."""
-        _total, window, target_min, target_max = self.backend.capture()
+        """A HELLO carrying the row's current goals."""
+        _total, window, target_min, target_max = self.ring.capture()
         return protocol.Hello(self.name, self.pid, window, self.capacity, target_min, target_max, self.nonce)
-
-    def newest_beat(self) -> int:
-        """Beat number of the row's newest record (−1: none), the relay dedup mark.
-
-        The origin beat counter is monotonic, so a relayed record at or
-        below it was already ingested.
-        """
-        with self.lock:
-            newest, _ = self.backend.copy_newest(self.backend.version()[0], 1)
-        return int(newest["beat"][0]) if newest.shape[0] else -1
 
     # ------------------------------------------------------------------ #
     # Transitions (event-loop thread, or construction-time restore)
     # ------------------------------------------------------------------ #
     def register(self, hello: protocol.Hello) -> int:
         """(Re-)register from a HELLO: connected, open, its goals; returns the generation."""
-        with self.lock:
-            self.conn_gen += 1
-            self.connected = True
-            self.closed = False
-            self.reported_total = None
-            self.backend.set_default_window(hello.default_window)
-            self.backend.set_targets(hello.target_min, hello.target_max)
-            if self.journal is not None:
-                self.journal.append_hello(hello)
-            return self.conn_gen
+        self.conn_gen += 1
+        self.ring.set_default_window(hello.default_window)
+        self.ring.set_targets(hello.target_min, hello.target_max)
+        self.liveness = _Liveness(True, False, None)
+        if self.journal is not None:
+            self.journal.append_hello(hello)
+        return self.conn_gen
 
     def append(self, records: np.ndarray) -> None:
         """Append records to the row, journaled as one BATCH run."""
-        with self.lock:
-            self.backend.append_many(records)
-            if self.journal is not None:
-                self.journal.append_records(records)
+        self.ring.append_many(records)
+        if self.journal is not None:
+            self.journal.append_records(records)
 
     def set_targets(self, target_min: float, target_max: float) -> None:
-        with self.lock:
-            self.backend.set_targets(target_min, target_max)
-            if self.journal is not None:
-                self.journal.append_targets(target_min, target_max)
+        self.ring.set_targets(target_min, target_max)
+        if self.journal is not None:
+            self.journal.append_targets(target_min, target_max)
 
     def set_window(self, window: int) -> None:
         """Publish a new default window, journaled as a HELLO.
@@ -188,60 +183,24 @@ class _CollectorStream:
         No frame carries a window alone, so replay takes it from the latest
         HELLO; a HELLO re-registers, so a closed stream repeats its CLOSE.
         """
-        with self.lock:
-            self.backend.set_default_window(window)
-            if self.journal is not None:
-                self.journal.append_hello(self.hello())
-                if self.closed:
-                    self.journal.append_close(self.reported_total)
+        self.ring.set_default_window(window)
+        if self.journal is not None:
+            self.journal.append_hello(self.hello())
+            if self.liveness.closed:
+                self.journal.append_close(self.liveness.reported_total)
 
     def close(self, reported_total: int | None, gen: int) -> None:
         """A CLOSE from connection generation ``gen`` (a superseded one is ignored)."""
-        with self.lock:
-            if self.conn_gen != gen:
-                return
-            self.closed = True
-            self.connected = False
-            self.reported_total = reported_total
-            if self.journal is not None:
-                self.journal.append_close(reported_total)
+        if self.conn_gen != gen:
+            return
+        self.liveness = _Liveness(False, True, reported_total)
+        if self.journal is not None:
+            self.journal.append_close(reported_total)
 
     def disconnect(self, gen: int) -> None:
         """Connection generation ``gen`` is gone (a superseded one is ignored)."""
-        with self.lock:
-            if self.conn_gen == gen:
-                self.connected = False
-
-    # ------------------------------------------------------------------ #
-    # Reads
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> BackendSnapshot:
-        with self.lock:
-            return self.backend.snapshot()
-
-    def snapshot_since(
-        self, cursor: SnapshotCursor | None = None
-    ) -> tuple[DeltaSnapshot, SnapshotCursor]:
-        with self.lock:
-            return self.backend.snapshot_since(cursor)
-
-    def version(self) -> tuple[int, int]:
-        with self.lock:
-            return self.backend.version()
-
-    def info(self) -> CollectorStreamInfo:
-        with self.lock:
-            total = self.backend.version()[0]  # the counter, not a copy of the ring
-            return CollectorStreamInfo(
-                stream_id=self.stream_id,
-                name=self.name,
-                pid=self.pid,
-                connected=self.connected,
-                closed=self.closed,
-                total_beats=total,
-                reported_total=self.reported_total,
-                via_relay=self.via_relay,
-            )
+        if self.conn_gen == gen:
+            self.liveness = self.liveness._replace(connected=False)
 
 
 class _Connection:
@@ -528,28 +487,44 @@ class AsyncHeartbeatCollector:
 
     def snapshot(self, stream_id: str) -> BackendSnapshot:
         """A consistent snapshot of one stream's retained history."""
-        return self._get_stream(stream_id).snapshot()
+        return self._get_stream(stream_id).ring.snapshot()
 
-    def source(self, stream_id: str) -> "_CollectorStream":
+    def source(self, stream_id: str) -> Ring:
         """One registered stream as a :class:`~repro.core.stream.StreamSource`.
 
-        The returned per-stream view carries the full capability set —
-        ``snapshot`` / ``snapshot_since`` / ``version`` — so it attaches
-        anywhere a source does (``HeartbeatMonitor``,
-        ``HeartbeatAggregator.attach_stream``, a ``ControlLoop`` rate
-        source) with incremental polling intact.
+        It is the stream's row itself: a :class:`~repro.core.backends.ring.
+        Ring`, read under its sequence word while the event loop writes it,
+        with the full capability set — ``snapshot`` / ``snapshot_since`` /
+        ``version`` — so it attaches anywhere a source does
+        (``HeartbeatMonitor``, ``HeartbeatAggregator.attach_stream``, a
+        ``ControlLoop`` rate source) with incremental polling intact.
         """
-        return self._get_stream(stream_id)
+        return self._get_stream(stream_id).ring
 
     def version_source(self, stream_id: str) -> Callable[[], tuple[int, int]]:
         """A cheap change-token provider for the aggregator's idle-skip path."""
-        return self._get_stream(stream_id).version
+        return self._get_stream(stream_id).ring.version
 
     def streams(self) -> list[CollectorStreamInfo]:
         """Metadata for every registered stream."""
         with self._lock:
             streams = list(self._streams.values())
-        return [stream.info() for stream in streams]
+        infos = []
+        for stream in streams:
+            # Liveness before the counter: a CLOSE is stored after the
+            # records it counts, so ``total_beats`` already holds them.
+            live = stream.liveness
+            infos.append(CollectorStreamInfo(
+                stream_id=stream.stream_id,
+                name=stream.name,
+                pid=stream.pid,
+                connected=live.connected,
+                closed=live.closed,
+                total_beats=stream.ring.version()[0],  # the counter, not a copy of the ring
+                reported_total=live.reported_total,
+                via_relay=stream.via_relay,
+            ))
+        return infos
 
     def stats(self) -> dict[str, int]:
         """Server counters (connections, frames, records, errors, relay).
@@ -807,7 +782,7 @@ class AsyncHeartbeatCollector:
         self._news(stream)
 
     def _ingest_run(self, conn: _Connection, run: protocol.BatchRun) -> None:
-        """One read's consecutive BATCH frames: one lock, one append, one count."""
+        """One read's consecutive BATCH frames: one append, one journal frame, one count."""
         self._frames.inc(run.frames)
         if conn.is_relay:
             raise ProtocolError("producer frame on a relay connection")
@@ -832,8 +807,10 @@ class AsyncHeartbeatCollector:
             records = entry.records
             if records.shape[0]:
                 # Replays (edge reconnect, root restart) are deduplicated by
-                # beat number against the row's newest record.
-                fresh = records["beat"] > stream.newest_beat()
+                # beat number against the row's newest record: the origin
+                # beat counter is monotonic, so one at or below it is stored.
+                newest, _ = stream.ring.copy_newest(stream.ring.total, 1)
+                fresh = records["beat"] > (int(newest["beat"][0]) if newest.shape[0] else -1)
                 if not fresh.all():
                     duplicates += int(records.shape[0] - np.count_nonzero(fresh))
                     records = records[fresh]
@@ -842,16 +819,17 @@ class AsyncHeartbeatCollector:
                     appended += int(records.shape[0])
             # The event loop is the row's only writer, so these reads are stable.
             if stream.conn_gen == gen:
+                live = stream.liveness
                 if entry.closed:
-                    if not stream.closed or stream.reported_total != entry.reported_total:
+                    if not live.closed or live.reported_total != entry.reported_total:
                         stream.close(entry.reported_total, gen)
-                elif stream.closed or (entry.connected and not stream.connected):
+                elif live.closed or (entry.connected and not live.connected):
                     # The edge re-registered the stream: so does this hop.
                     gen = stream.register(_entry_hello(entry))
                     conn.relay_streams[entry.stream_id] = (stream, gen)
-                if not entry.connected and stream.connected:
+                if not entry.connected and stream.liveness.connected:
                     stream.disconnect(gen)
-            _total, window, target_min, target_max = stream.backend.capture()
+            _total, window, target_min, target_max = stream.ring.capture()
             if (entry.target_min, entry.target_max) != (target_min, target_max):
                 stream.set_targets(entry.target_min, entry.target_max)
             if entry.default_window != window:
@@ -946,14 +924,13 @@ class AsyncHeartbeatCollector:
         writer = stream.journal
         if writer is None or not writer.oversized:
             return
-        with stream.lock:
-            writer.rewrite(
-                stream.hello(),
-                stream.backend.snapshot().records,
-                via_relay=stream.via_relay,
-                closed=stream.closed,
-                reported_total=stream.reported_total,
-            )
+        writer.rewrite(
+            stream.hello(),
+            stream.ring.snapshot().records,
+            via_relay=stream.via_relay,
+            closed=stream.liveness.closed,
+            reported_total=stream.liveness.reported_total,
+        )
 
 
 def _entry_hello(entry: protocol.RelayEntry) -> protocol.Hello:

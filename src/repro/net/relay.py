@@ -30,9 +30,11 @@ The discipline is the exporter's, applied one tier up:
   retained window and the oldest records are the ones lost;
 * **at-least-once delivery** — cursors commit only after a successful send,
   so a connection lost mid-sweep re-sends from the last committed cursor;
-* **metadata never overtakes records** — a stream's delta and its
-  metadata (targets, liveness, CLOSE) are read under one lock, so a CLOSE
-  reaches the root with, never ahead of, the records before it.
+* **metadata never overtakes records** — the edge's event loop stores a
+  stream's liveness (connected, CLOSE and its count) only after the records
+  before it are published, and a sweep reads that liveness *before* the
+  stream's delta, so a CLOSE reaches the root with, never ahead of, the
+  records before it.
 
 >>> def chunks(total, per_entry):
 ...     return (total + per_entry - 1) // per_entry
@@ -287,25 +289,18 @@ class RelayForwarder:
             state = self._states.get(stream.stream_id)
             if state is None:
                 state = self._states[stream.stream_id] = _StreamState()
-            with stream.lock:
-                # Records and metadata in ONE critical section: a CLOSE
-                # ingested between two reads would otherwise be relayed
-                # ahead of the records that preceded it.
-                delta, cursor = stream.backend.snapshot_since(state.cursor)
-                meta: _Meta = (
-                    delta.target_min,
-                    delta.target_max,
-                    delta.default_window,
-                    stream.connected,
-                    stream.closed,
-                    stream.reported_total,
-                )
-                pid, nonce = stream.pid, stream.nonce
+            # Liveness first, records second: a CLOSE read here was stored
+            # after its records, so the delta read next holds all of them.
+            # Swapped, a CLOSE landing between the reads would be relayed
+            # ahead of the records that preceded it.
+            liveness = stream.liveness
+            delta, cursor = stream.ring.snapshot_since(state.cursor)
+            meta: _Meta = (delta.target_min, delta.target_max, delta.default_window, *liveness)
             if delta.records.shape[0] == 0 and meta == state.sent_meta:
                 # cursors for pure clock-stamp advances still need committing
                 state.cursor = cursor
                 continue
-            entries = self._build_entries(stream.stream_id, pid, nonce, meta, delta.records)
+            entries = self._build_entries(stream.stream_id, stream.pid, stream.nonce, meta, delta.records)
             for i, entry in enumerate(entries):
                 size = protocol.relay_entry_size(entry.stream_id, entry.records.shape[0])
                 if pending and (

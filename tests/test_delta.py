@@ -918,9 +918,9 @@ def _open_source_kind(kind, tmp_path, clock, cleanup):
             lambda: "door" in collector.stream_ids()
             and collector.snapshot("door").total_beats == 1
         )
-        view = collector.source("door")
-        # The producer is gone, so the test is the stream's only writer.
-        return view.backend, view
+        row = collector.source("door")
+        # The producer is gone, so the test is the row's only writer.
+        return row, row
     if kind == "exporter":
         writer = _unreachable_exporter(256)
         cleanup.append(writer.close)

@@ -84,8 +84,8 @@ class TestEndToEnd:
 
     def test_listing_streams_copies_no_ring(self, monkeypatch):
         """``streams()`` reads each stream's beat counter, not its history:
-        it runs under ``stream.lock`` — the event loop's ingest waits on it —
-        and wait loops poll it."""
+        wait loops poll it while the event loop writes the rows, and a
+        listing costs no copy of any ring."""
         with HeartbeatCollector(default_capacity=65536) as collector:
             backend = NetworkBackend(collector.endpoint, stream="svc", flush_interval=0.01)
             hb = Heartbeat(window=20, backend=backend, clock=WallClock(rebase=False))
@@ -94,7 +94,7 @@ class TestEndToEnd:
             assert wait_until(
                 lambda: [s.total_beats for s in collector.streams()] == [500]
             )
-            kind = type(collector.source("svc").backend)
+            kind = type(collector.source("svc"))
             real, calls = kind.snapshot, []
             monkeypatch.setattr(
                 kind, "snapshot", lambda self, n=None: calls.append(n) or real(self, n)

@@ -83,7 +83,7 @@ def reference_next_frame(data: bytes | bytearray, offset: int) -> tuple[protocol
 
 
 class PerFrameCollector(AsyncHeartbeatCollector):
-    """The parent's ingest: every BATCH frame decoded, locked, appended alone."""
+    """The parent's ingest: every BATCH frame decoded, appended and journaled alone."""
 
     def _ingest(self, conn: _Connection, data: bytes) -> None:
         for frame in conn.decoder.feed(data):
@@ -97,10 +97,9 @@ class PerFrameCollector(AsyncHeartbeatCollector):
             if stream is None:
                 raise ProtocolError("first frame of a connection must be HELLO")
             records = protocol.decode_batch(frame.payload)
-            with stream.lock:
-                stream.backend.append_many(records)
-                if stream.journal is not None:
-                    stream.journal.append_frame(protocol.FRAME_BATCH, frame.payload)
+            stream.ring.append_many(records)
+            if stream.journal is not None:
+                stream.journal.append_frame(protocol.FRAME_BATCH, frame.payload)
             self._records.inc(int(records.shape[0]))
             self._maybe_compact(stream)
 
@@ -457,6 +456,62 @@ def test_reader_polling_while_runs_outgrow_the_ring_sees_contiguous_tails():
             assert failures == []
             assert collector.stats()["frames"] == 1 + sends * per_send
             assert list(collector.snapshot("svc").records["beat"]) == list(range(total - CAPACITY, total))
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+
+
+def test_listings_and_delta_reads_racing_close_and_redial_see_only_written_states():
+    """The event loop is each stream's one writer and stores its liveness as
+    one value, after the records a CLOSE counts: a reader polling flat out
+    never sees a half-written transition or a CLOSE ahead of its records."""
+    cycles, per = 60, 24  # 24 records a cycle into a 16-slot ring
+    counts = {per * (cycle + 1) for cycle in range(cycles)}
+    failures: list[str] = []
+    closed_seen: list[int] = []
+    done = threading.Event()
+
+    def read(collector: AsyncHeartbeatCollector) -> None:
+        source, cursor, polls = collector.source("svc"), None, 0
+        while not done.is_set() or polls == 0:
+            for info in collector.streams():
+                if info.closed:
+                    closed_seen.append(info.reported_total)
+                    if info.connected or info.reported_total not in counts:
+                        failures.append(f"a closed state no transition writes: {info}")
+                    elif info.total_beats < info.reported_total:
+                        failures.append(f"CLOSE ahead of its records: {info}")
+                elif info.reported_total is not None:
+                    failures.append(f"open state with a CLOSE count: {info}")
+            delta, cursor = source.snapshot_since(cursor)
+            beats = delta.records["beat"]
+            if beats.size and (np.any(np.diff(beats) != 1) or beats[-1] != delta.total_beats - 1):
+                failures.append(f"delta {beats.tolist()} at total {delta.total_beats}")
+            polls += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with AsyncHeartbeatCollector() as collector:
+            reader = threading.Thread(target=read, args=(collector,), daemon=True)
+            for cycle in range(cycles):
+                sent = per * (cycle + 1)
+                with socket.create_connection(collector.address, timeout=5.0) as sock:
+                    sock.sendall(hello_frame() + batch_frame(make_records(sent - per, per)))
+                    if cycle == 0:
+                        assert collector.wait_for_streams(1)
+                        reader.start()
+                    sock.sendall(protocol.encode_close(sent))
+                    assert wait_until(
+                        lambda: [(s.closed, s.reported_total) for s in collector.streams()] == [(True, sent)]
+                    )
+            done.set()
+            reader.join(timeout=10.0)
+            assert not reader.is_alive()
+            [info] = collector.streams()
+            assert (info.total_beats, info.reported_total, info.connected) == (cycles * per, cycles * per, False)
+        assert failures == []
+        assert closed_seen  # the reader raced the transitions, not an idle stream
     finally:
         done.set()
         sys.setswitchinterval(interval)

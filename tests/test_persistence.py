@@ -7,6 +7,8 @@ journal directory and assert that nothing acknowledged is lost.
 
 from __future__ import annotations
 
+import os
+import shutil
 import socket
 
 import numpy as np
@@ -16,6 +18,7 @@ from waiting import wait_until
 from repro.core.backends import MemoryBackend
 from repro.core.record import RECORD_DTYPE
 from repro.net import HeartbeatCollector, NetworkBackend, protocol
+from repro.net import persistence
 from repro.net.persistence import StreamJournal
 
 
@@ -408,3 +411,142 @@ def test_a_journal_cut_anywhere_restores_the_last_whole_frame(tmp_path):
             state = collector_state(restarted)
         assert state == expected[whole], (cut, whole)
         assert state is None or state[0] == list(range(state[1]))  # a contiguous tail
+
+
+
+class _CrashPoints:
+    """The journal module's ``open`` and ``os``, calling ``step(name)`` at each
+    step of a compaction: temp file written, flushed, fsynced, before and
+    after the rename."""
+
+    def __init__(self, step) -> None:
+        self.step = step
+        self.tmp_fd: int | None = None
+
+    def open(self, file, mode="r", *args, **kwargs):
+        opened = open(file, mode, *args, **kwargs)
+        return _TmpFile(opened, self) if str(file).endswith(".tmp") else opened
+
+    def __getattr__(self, name: str):
+        return getattr(os, name)
+
+    def fsync(self, fd: int) -> None:
+        os.fsync(fd)
+        if fd == self.tmp_fd:  # not an append's own fsync
+            self.tmp_fd = None
+            self.step("fsynced")
+
+    def replace(self, src, dst) -> None:
+        self.step("before-replace")
+        os.replace(src, dst)
+        self.step("after-replace")
+
+
+class _TmpFile:
+    """A compaction's temp file: every write and flush is a crash point."""
+
+    def __init__(self, file, points: _CrashPoints) -> None:
+        self._file = file
+        self._points = points
+
+    def __enter__(self) -> "_TmpFile":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._file.close()
+
+    def write(self, data) -> int:
+        written = self._file.write(data)
+        self._points.step("written")
+        return written
+
+    def writelines(self, lines) -> None:
+        self._file.writelines(lines)
+        self._points.step("written")
+
+    def flush(self) -> None:
+        self._file.flush()
+        self._points.step("flushed")
+
+    def fileno(self) -> int:
+        self._points.tmp_fd = self._file.fileno()
+        return self._points.tmp_fd
+
+
+def relay_entry(first: int, count: int, **fields) -> bytes:
+    records = make_records(range(first, first + count))
+    return protocol.encode_relay([protocol.RelayEntry(stream_id="svc", pid=41, nonce=7, records=records, **fields)])
+
+
+@pytest.mark.network
+@pytest.mark.parametrize("sync", [False, True], ids=["nosync", "sync"])
+def test_a_kill_at_any_step_of_a_compaction_replays_the_whole_stream(tmp_path, monkeypatch, sync):
+    """The journal directory, copied at every step of ``JournalWriter.rewrite``,
+    replays the stream as it stood: a contiguous tail ending at the last
+    journaled beat, the latest goals and the CLOSE state.  The temp file a
+    kill leaves behind is not a stream, and the next compaction goes ahead."""
+    live, per = tmp_path / "live", 16
+    crashes: list[tuple[str, object, tuple]] = []
+
+    def step(name: str) -> None:
+        # Runs inside the event loop's compaction: the loop, the row's one
+        # writer, is here, so the stream reads as it stands.
+        snap = collector.snapshot("svc")
+        [info] = collector.streams()
+        expected = (
+            int(snap.records["beat"][-1]),
+            (snap.target_min, snap.target_max, snap.default_window),
+            info.closed,
+            info.reported_total,
+        )
+        directory = tmp_path / f"crash-{len(crashes):03d}-{name}"
+        shutil.copytree(live, directory)
+        crashes.append((name, directory, expected))
+
+    points = _CrashPoints(step)
+    monkeypatch.setattr(persistence, "open", points.open, raising=False)
+    monkeypatch.setattr(persistence, "os", points)
+
+    steps = [dict(default_window=4, target_min=2.0, target_max=9.0)] * 4
+    steps += [dict(default_window=4, target_min=3.0, target_max=12.0)] * 4  # TARGETS
+    steps += [dict(default_window=16, target_min=3.0, target_max=12.0)] * 2  # HELLO (a window)
+    steps += [  # CLOSE, then window changes while closed: HELLO, CLOSE
+        dict(default_window=window, target_min=3.0, target_max=12.0, connected=False, closed=True,
+             reported_total=per * (11 + i))
+        for i, window in enumerate((16, 32, 32, 8))
+    ]
+    journal = StreamJournal(live, max_bytes=1024, sync=sync)
+    with HeartbeatCollector("127.0.0.1", 0, journal=journal, default_capacity=per) as collector:
+        with socket.create_connection(collector.address, timeout=5.0) as sock:
+            for sent, fields in enumerate(steps, 1):
+                sock.sendall(relay_entry(per * (sent - 1), per, **fields))
+                assert wait_until(lambda: collector.stats()["relay_frames"] == sent)
+    monkeypatch.undo()
+
+    names = {"written", "flushed", "before-replace", "after-replace"} | ({"fsynced"} if sync else set())
+    assert {name for name, _, _ in crashes} == names
+    assert {expected[2] for _, _, expected in crashes} == {False, True}  # open and closed rewrites
+    for name, directory, (last_beat, goals, closed, reported) in crashes:
+        [replayed] = StreamJournal(directory).replay()
+        beats = replayed.records["beat"]
+        assert beats[-1] == last_beat and (np.diff(beats) == 1).all(), directory.name
+        hello = replayed.hello
+        assert (hello.target_min, hello.target_max, hello.default_window) == goals, directory.name
+        assert (replayed.closed, replayed.reported_total) == (closed, reported), directory.name
+
+    # A restart over each kind of kill that left the temp file compacts again.
+    leftovers = {name: directory for name, directory, _ in reversed(crashes) if any(directory.glob("*.tmp"))}
+    assert set(leftovers) == names - {"after-replace"}
+    for directory in leftovers.values():
+        journal = StreamJournal(directory, max_bytes=1024)
+        with HeartbeatCollector("127.0.0.1", 0, journal=journal, default_capacity=per) as restarted:
+            last_beat = int(restarted.snapshot("svc").records["beat"][-1])
+            with socket.create_connection(restarted.address, timeout=5.0) as sock:
+                for sent in range(1, 5):
+                    sock.sendall(relay_entry(last_beat + 1 + per * (sent - 1), per, default_window=4))
+                    assert wait_until(lambda: restarted.stats()["relay_frames"] == sent)
+        assert journal._compactions.value >= 1
+        assert list(directory.glob("*.tmp")) == []
+        [replayed] = StreamJournal(directory).replay()
+        beats = replayed.records["beat"]
+        assert beats[-1] == last_beat + 4 * per and (np.diff(beats) == 1).all()

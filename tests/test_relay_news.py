@@ -129,15 +129,15 @@ class TestSweepReadsOnlyTheStreamsThatMoved:
                 timeout=10.0,
             )
             reads: list[int] = []
-            backend_type = type(edge.source("s000").backend)
-            original = backend_type.snapshot_since
+            ring_type = type(edge.source("s000"))
+            original = ring_type.snapshot_since
 
             def counting(self, cursor=None):
                 if on_relay_thread():
                     reads.append(1)
                 return original(self, cursor)
 
-            monkeypatch.setattr(backend_type, "snapshot_since", counting)
+            monkeypatch.setattr(ring_type, "snapshot_since", counting)
             time.sleep(0.3)  # let any trailing pass of the fill-up finish
             reads.clear()
             frames = edge.relay_stats()["frames_sent"]
@@ -253,27 +253,12 @@ class TestNoLostWakeUp:
                 sock.close()
 
 
-class _PausingLock:
-    """Stand-in for one stream's lock (used only as ``with stream.lock:``)
-    that calls ``on_release`` after each release."""
-
-    def __init__(self, lock: threading.Lock, on_release) -> None:
-        self._lock = lock
-        self._on_release = on_release
-
-    def __enter__(self) -> "_PausingLock":
-        self._lock.acquire()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._lock.release()
-        self._on_release()
-
-
 class TestCloseNeverOvertakesItsRecords:
     def test_close_ingested_after_the_delta_read_is_not_relayed_ahead(self, tree, monkeypatch):
         """A CLOSE landing right after the forwarder read a stream's records
-        must not reach the root before the records that preceded it."""
+        must not reach the root before the records that preceded it: the
+        sweep reads the stream's liveness before its delta, so the CLOSE
+        waits for the next sweep, which carries the records too."""
         root, edge = tree
         sock = dial(edge, "svc", pid=1)
         try:
@@ -291,27 +276,21 @@ class TestCloseNeverOvertakesItsRecords:
 
             monkeypatch.setattr(root, "_ingest_relay", checked_ingest)
 
-            stream = edge.source("svc")
-            read = threading.Event()
+            row = edge.source("svc")
             paused = threading.Event()
-            backend_type = type(stream.backend)
-            original_read = backend_type.snapshot_since
+            original_read = type(row).snapshot_since
 
-            def flagged_read(self, cursor=None):
-                if on_relay_thread() and self is stream.backend:
-                    read.set()
-                return original_read(self, cursor)
-
-            def ingest_behind_the_read() -> None:
-                # The first time the forwarder lets go of the lock after
-                # reading records, the producer's tail and CLOSE land.
-                if on_relay_thread() and read.is_set() and not paused.is_set():
+            def ingest_behind_the_read(self, cursor=None):
+                delta, cursor = original_read(self, cursor)
+                # Right after the forwarder's first delta read with records,
+                # the producer's tail and CLOSE land at the edge.
+                if on_relay_thread() and self is row and delta.records.shape[0] and not paused.is_set():
                     paused.set()
                     sock.sendall(batch(16, 5) + protocol.encode_close(20))
-                    assert wait_until(lambda: stream.closed, timeout=2.0)
+                    assert wait_until(lambda: info_at(edge, "svc").closed, timeout=2.0)
+                return delta, cursor
 
-            monkeypatch.setattr(backend_type, "snapshot_since", flagged_read)
-            stream.lock = _PausingLock(stream.lock, ingest_behind_the_read)
+            monkeypatch.setattr(type(row), "snapshot_since", ingest_behind_the_read)
 
             sock.sendall(batch(11, 5))
 

@@ -221,24 +221,32 @@ class TestReviewRegressions:
             with pytest.raises(Exception):
                 SharedMemoryReader("repro-leak-test")
 
-    def test_capabilities_of_keeps_locking_wrappers(self):
-        """A per-stream collector view is attached as-is, never unwrapped to
-        its raw backend (which would bypass the per-stream lock)."""
+    def test_capabilities_of_attaches_a_collector_row_as_is(self):
+        """``collector.source(id)`` is the stream's row, its ``Ring`` itself,
+        and a source attaches it as-is."""
+        from repro.core.backends.ring import Ring
         from repro.core.stream import capabilities_of
         from repro.net.exporter import NetworkBackend
 
         with HeartbeatCollector() as collector:
-            backend = NetworkBackend(collector.endpoint, stream="locked")
+            backend = NetworkBackend(collector.endpoint, stream="row")
             hb = Heartbeat(window=5, backend=backend)
             hb.heartbeat()
             hb.finalize()
             deadline = time.monotonic() + 5
-            while "locked" not in collector.stream_ids() and time.monotonic() < deadline:
+            while "row" not in collector.stream_ids() and time.monotonic() < deadline:
                 time.sleep(0.02)
-            view = collector.source("locked")
+            view = collector.source("row")
+            assert isinstance(view, Ring)
+            [(slab, names)] = [(a, n) for a, n in collector.slabs() if "row" in n]
+            words, _, sequence_at, _, _, slots, slots_at, _ = slab._ring_args(names.index("row"))
+            assert view.words is words and view.slots is slots  # the slab's own views
+            assert (view.sequence_at, view.slots_at) == (sequence_at, slots_at)
             caps = capabilities_of(view)
-            assert caps.snapshot.__self__ is view  # not view.backend
+            assert caps.snapshot.__self__ is view
             assert caps.delta.__self__ is view
+            assert caps.probe.__self__ is view
+            assert caps.close is None  # a row is the collector's to release
 
     def test_capabilities_of_rejects_whole_collectors(self):
         from repro.core.stream import capabilities_of
