@@ -35,7 +35,10 @@ Design points:
   once (:meth:`FrameDecoder.feed_runs <repro.net.protocol.FrameDecoder.feed_runs>`)
   and every run of consecutive BATCH frames in it costs one ``append_many``,
   one journal frame and one counter update, however many wire frames it
-  spans — ``frames``/``records`` still count the wire;
+  spans — ``frames``/``records`` still count the wire, ``batch_runs`` the
+  appends.  The scan validates a run of same-shape frames per step, so a
+  read of many small frames pays Python per run; what lands before a
+  malformed frame is what a frame-by-frame walk would land;
 * a malformed byte stream poisons only its own connection — producer or
   relay — and every other link keeps flowing;
 * relayed records are deduplicated by beat number per stream, so an edge
@@ -334,6 +337,9 @@ class AsyncHeartbeatCollector:
         self._frames = self.metrics.counter(
             "collector_frames_total", help="protocol frames ingested"
         )
+        self._batch_runs = self.metrics.counter(
+            "collector_batch_runs_total", help="runs of consecutive BATCH frames ingested"
+        )
         self._records = self.metrics.counter(
             "collector_records_total", help="heartbeat records ingested (producer + relay)"
         )
@@ -534,7 +540,9 @@ class AsyncHeartbeatCollector:
         dict
             ``connections_accepted`` / ``open_connections`` — lifetime and
             current connection counts; ``frames`` / ``records`` — ingest
-            totals; ``protocol_errors`` — connections dropped for malformed
+            totals; ``batch_runs`` — runs of consecutive BATCH frames
+            ingested, one append each (``frames`` per run is how much one
+            read batches); ``protocol_errors`` — connections dropped for malformed
             input; ``streams`` — registered streams; ``relay_frames`` /
             ``relay_records`` / ``relay_duplicates`` — RELAY-link ingest and
             the replayed records deduplication discarded.
@@ -548,6 +556,7 @@ class AsyncHeartbeatCollector:
             "connections_accepted": int(self._accepted.value),
             "open_connections": len(self._connections),
             "frames": int(self._frames.value),
+            "batch_runs": int(self._batch_runs.value),
             "records": int(self._records.value),
             "protocol_errors": int(self._protocol_errors.value),
             "streams": streams,
@@ -784,6 +793,7 @@ class AsyncHeartbeatCollector:
     def _ingest_run(self, conn: _Connection, run: protocol.BatchRun) -> None:
         """One read's consecutive BATCH frames: one append, one journal frame, one count."""
         self._frames.inc(run.frames)
+        self._batch_runs.inc()
         if conn.is_relay:
             raise ProtocolError("producer frame on a relay connection")
         stream = conn.stream

@@ -188,7 +188,10 @@ def drive(collector: AsyncHeartbeatCollector, chunks: list[bytes], decoder=None)
 
 
 def observable_state(collector: AsyncHeartbeatCollector) -> dict:
-    state: dict = {"stats": collector.stats(), "streams": collector.streams()}
+    """What a reader sees; ``batch_runs`` aside, as it counts appends, not the wire."""
+    stats = collector.stats()
+    del stats["batch_runs"]
+    state: dict = {"stats": stats, "streams": collector.streams()}
     for stream_id in collector.stream_ids():
         snap = collector.snapshot(stream_id)
         state[stream_id] = (
@@ -239,6 +242,12 @@ def test_run_ingest_equals_per_frame_ingest(tmp_path_factory, ops, cuts):
         assert observable_state(run) == observable_state(frame)
         assert run.stats()["records"] == beats
         assert run.stats()["frames"] == len(ops) + 1
+        # One run per stretch of BATCH frames at least, per BATCH frame at most.
+        stretches = sum(
+            op[0] == "batch" and (i == 0 or ops[i - 1][0] != "batch") for i, op in enumerate(ops)
+        )
+        batches = sum(op[0] == "batch" for op in ops)
+        assert stretches <= run.stats()["batch_runs"] <= batches
         beat_numbers = run.snapshot("svc").records["beat"]
         assert list(beat_numbers) == list(range(beats))[-CAPACITY:]
     assert replayed_state(root / "run") == replayed_state(root / "frame")
@@ -310,7 +319,10 @@ def test_counters_count_wire_frames_and_records_over_a_real_socket():
         assert stats["records"] == beats == sum(sizes) + 10
         assert stats["protocol_errors"] == 1
         assert stats["connections_accepted"] == 2
-        assert collector.metrics.as_dict()["collector_frames_total"] == stats["frames"]
+        assert 2 <= stats["batch_runs"] <= len(sizes) + 2  # the TARGETS splits the BATCH frames
+        scraped = collector.metrics.as_dict()
+        assert scraped["collector_frames_total"] == stats["frames"]
+        assert scraped["collector_batch_runs_total"] == stats["batch_runs"]
 
 
 def test_valid_frames_before_a_corrupt_one_in_the_same_read_are_ingested():

@@ -145,6 +145,7 @@ class TestMetricsEquivalence:
                 assert scraped[f"relay_send_errors_total{label}"] == relay_stats["send_errors"]
                 assert scraped["collector_frames_total"] == edge_stats["frames"]
                 assert scraped["collector_records_total"] == edge_stats["records"]
+                assert scraped["collector_batch_runs_total"] == edge_stats["batch_runs"] >= 1
                 assert (
                     scraped["collector_connections_accepted_total"]
                     == edge_stats["connections_accepted"]
