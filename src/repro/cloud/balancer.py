@@ -3,9 +3,9 @@
 Implements the three Section-2.6 behaviours on a :class:`CloudCluster`:
 
 * **scale-out / migration** — a VM whose heart rate sits below its published
-  minimum is migrated to the node where it would beat fastest (powering one
-  up if needed), because "as the heart rate decreases, the load balancer
-  would shift traffic to a different server";
+  minimum is migrated to the node where it would beat fastest among those
+  it fits (powering one up if needed), because "as the heart rate
+  decreases, the load balancer would shift traffic to a different server";
 * **failure detection and fail-over** — a VM that has produced no heartbeat
   for longer than the liveness timeout is treated as running on a failed (or
   failing) machine and is migrated away;
@@ -15,7 +15,7 @@ Implements the three Section-2.6 behaviours on a :class:`CloudCluster`:
   to save energy".
 
 Every placement is predicted by the rule the cluster beats by,
-:meth:`CloudCluster.rate_on`.
+:meth:`CloudCluster.rate_on`, and admitted by one rule, ``_fits``.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ class VMPlacementActuator:
     """Placement knob for one VM: a positive delta asks for a better node.
 
     The "value" of the knob is the VM's current node id; ``apply`` migrates
-    the VM to the node where it would beat fastest when its predicted rate
-    there is strictly higher than on its current host (the Section-2.6 rule: "as
-    the heart rate decreases, the load balancer would shift traffic to a
+    the VM to the balancer's best node when its predicted rate there is
+    strictly higher than on its current host (the Section-2.6 rule: "as the
+    heart rate decreases, the load balancer would shift traffic to a
     different server").  Negative deltas are ignored — fast VMs are handled
     by the balancer's consolidation pass, which needs the whole fleet's
     state, not one VM's.  ``vm`` is the VM or its id; the VM is looked up in
@@ -314,18 +314,11 @@ class HeartbeatLoadBalancer:
                 return
             if reading.rate < vm.target_max * (1.0 + self.headroom):
                 return
-        # First fit onto the largest nodes, the VM whose floor needs the
-        # largest share of a node first: a VM joins a node only if every VM
-        # there, itself included, is predicted to keep its floor.
-        rate_on, floor = self.cluster.rate_on, 1.0 + self.headroom
+        # First fit onto the largest nodes, the VM whose floor needs the largest share of a node first.
         assignments: dict[int, CloudNode] = {}
-
-        def fits(vm: CloudVM, node: CloudNode) -> bool:
-            sharers = [v for v in placed if assignments.get(v.vm_id) is node] + [vm]
-            return all(rate_on(v, node, len(sharers)) >= v.target_min * floor for v in sharers)
-
-        for vm in sorted(placed, key=lambda v: v.target_min / rate_on(v, nodes[0], 1), reverse=True):
-            node = next((n for n in nodes if fits(vm, n)), None)
+        for vm in sorted(placed, key=lambda v: v.target_min / self.cluster.rate_on(v, nodes[0], 1), reverse=True):
+            planned = {n.node_id: [v for v in placed if assignments.get(v.vm_id) is n] for n in nodes}
+            node = next((n for n in nodes if self._fits(vm, n, planned[n.node_id])), None)
             if node is None:
                 return
             assignments[vm.vm_id] = node
@@ -382,7 +375,13 @@ class HeartbeatLoadBalancer:
         others = sum(1 for v in self.cluster.vms_on(node.node_id) if v is not vm)
         return self.cluster.rate_on(vm, node, others + 1)
 
+    def _fits(self, vm: CloudVM, node: CloudNode, others: Collection[CloudVM] | None = None) -> bool:
+        """The one admission rule: ``vm`` beside ``others`` (default: the VMs on ``node`` now)
+        leaves every one of them predicted at ``target_min × (1 + headroom)`` or more."""
+        sharers = [v for v in (self.cluster.vms_on(node.node_id) if others is None else others) if v is not vm] + [vm]
+        return all(self.cluster.rate_on(v, node, len(sharers)) >= v.target_min * (1.0 + self.headroom) for v in sharers)
+
     def _best_node(self, vm: CloudVM, exclude: Collection[int] = ()) -> CloudNode | None:
-        """The alive node where ``vm`` would beat fastest; a powered node wins a tie."""
+        """The alive node ranked first by (``vm`` fits there, its predicted rate there, powered)."""
         candidates = (n for n in self.cluster.nodes.values() if n.alive and n.node_id not in exclude)
-        return max(candidates, key=lambda n: (self._predicted(vm, n), n.powered), default=None)
+        return max(candidates, key=lambda n: (self._fits(vm, n), self._predicted(vm, n), n.powered), default=None)

@@ -18,17 +18,17 @@ on which fleet-level queries (:meth:`rates`, :meth:`lagging`,
 :meth:`FleetSample.percentiles`) are vectorized numpy operations rather than
 per-stream loops.
 
-Polling is incremental, and there is one read path.  Every per-object
-stream mirrors into a row of a private ``mem-arena`` slab: a poll probes
-its cheap change token (``version``) and, only when it moved, replays
-``snapshot_since(cursor)`` into the row.  A collector's streams already are
-slab rows, so those slabs are read as they are.  Then one
-:meth:`~repro.core.backends.arena.Arena.snapshot_since_all` pass per slab —
-private and attached alike — yields every stream's columns, and
+Polling is incremental, and there is one read path: every stream is a
+slab row, read where it lies.  A source that is a row (a ``MemoryBackend``
+or a ``Heartbeat`` on one, an ``shm://`` reader, an arena row: see
+:func:`repro.core.stream.capabilities_of`) joins its slab by row index, as
+a collector's streams and an attached slab's rows do.  Any other is
+mirrored into a row of a private ``mem-arena`` slab: a poll probes its
+change token (``version``) and, only when it moved, replays
+``snapshot_since(cursor)`` into the row.  Then one vectorized column pass
+per slab over its attached rows yields every stream's columns, and
 :func:`~repro.core.monitor.classify_codes` classifies the whole fleet in one
-vectorized pass.  A source that cannot read incrementally is
-re-snapshotted in full and read through the same path (see
-:func:`repro.core.stream.capabilities_of`).
+vectorized pass.
 
 The per-stream :class:`~repro.core.monitor.HeartbeatMonitor` is the same
 path for one row, so "slow" means the same thing to a fleet observer as to
@@ -62,7 +62,7 @@ from repro.core.monitor import (
 )
 from repro.core.rate import BACKWARDS
 from repro.core.registry import HeartbeatRegistry
-from repro.core.stream import DeltaSource, ProbeSource, StreamSource, capabilities_of
+from repro.core.stream import SourceCapabilities, StreamSource, capabilities_of
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -346,17 +346,6 @@ _NO_COLUMNS = tuple(
 )
 
 
-def _read_slab(
-    arena: Arena, window: int, held: np.ndarray | None = None
-) -> tuple[np.ndarray, ...]:
-    """One slab's ``(rate, total, target_min, target_max, last_ts, retained)``."""
-    fleet = arena.snapshot_since_all(window=window, include_records=False, held=held)
-    return (
-        fleet.rate, fleet.totals, fleet.target_min, fleet.target_max,
-        fleet.last_timestamp, fleet.retained,
-    )
-
-
 def _concat(parts: Sequence[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
     """Column-wise concatenation of slab reads (each read's arrays are fresh)."""
     if len(parts) == 1:
@@ -377,26 +366,36 @@ def _zero_if_closed(fn: Callable[[], float]) -> Callable[[], float]:
 
 
 class _Stream(_Mirror):
-    """One attached per-object stream: its providers plus its mirror row."""
+    """One attached per-object stream.  Holding its capabilities holds the
+    source, so a pooled row is not handed on while the stream is attached."""
 
-    __slots__ = ("name", "delta", "probe", "close")
+    __slots__ = ("name", "close")
 
-    def __init__(
-        self,
-        name: str,
-        delta: DeltaSource,
-        probe: ProbeSource | None,
-        close: Callable[[], None] | None,
-    ) -> None:
-        super().__init__()
+    def __init__(self, name: str, caps: SourceCapabilities, close: Callable[[], None] | None) -> None:
+        super().__init__(caps)
         self.name = name
-        self.delta = delta
-        self.probe = probe
         self.close = close
 
 
+def _by_slab(streams: Sequence[_Stream]) -> list[tuple[Arena, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """``(slab, its rows, their streams' positions, held column or None)`` per
+    slab holding a stream's row; ``held`` caps mirrored rows only."""
+    groups: dict[int, tuple[Arena, list[int], list[int], np.ndarray | None]] = {}
+    for position, stream in enumerate(streams):
+        if stream.caps.row is not None:
+            (arena, row), held = stream.caps.row, None
+        elif stream.slab is not None:
+            arena, row, held = stream.slab.arena, stream.index, stream.slab.held
+        else:
+            continue  # a mirror whose first read failed has no row yet
+        group = groups.setdefault(id(arena), (arena, [], [], held))
+        group[1].append(row)
+        group[2].append(position)
+    return [(arena, np.array(rows), np.array(at), held) for arena, rows, at, held in groups.values()]
+
+
 class _ArenaShard:
-    """One attached arena slab, read whole by one :meth:`Arena.snapshot_since_all`.
+    """One attached arena slab, read whole by one column pass (``Arena._columns``).
 
     Every allocated row joins the sample as ``prefix + row_name``; ``names``
     caches those and is refreshed only when the slab allocates new rows.
@@ -438,10 +437,11 @@ class HeartbeatAggregator:
     object through :meth:`attach_stream` — :meth:`attach_endpoint` and
     :meth:`attach_registry` open or look up such objects and end there — or
     as a row of a slab attached with :meth:`attach_arena` or, a collector's
-    slabs, with :meth:`attach_collector`.  :meth:`poll` mirrors each per-object stream
-    into a private slab row the same cursored way (version probe, then
-    ``snapshot_since`` only when the token moved) and reads every slab,
-    private and attached, in one vectorized pass each.
+    slabs, with :meth:`attach_collector`.  A per-object source that is a
+    slab row is read in place; :meth:`poll` mirrors any other into a
+    private slab row the cursored way (version probe, then
+    ``snapshot_since`` only when the token moved).  Every slab is then
+    read in one vectorized pass over the rows attached from it.
 
     Parameters
     ----------
@@ -489,37 +489,27 @@ class HeartbeatAggregator:
         #: ``[prefix, collector, slabs attached so far]`` per collector.
         self._collectors: list[list] = []
         self._closed = False
-        #: Bumped on every attach/detach.  With the pool's layout it keys
-        #: the cached stream names and their positions among the slab rows.
+        #: Bumped on every attach/detach: it keys ``_members``, the streams,
+        #: the mirrored ones among them and their names, and with the pool's
+        #: layout ``_slabs``, the streams' rows by slab.
         self._membership = 0
-        self._layout: tuple[int, int] = (-1, -1)
-        self._names: tuple[str, ...] = ()
-        self._order = np.zeros(0, dtype=np.int64)
+        self._members: tuple[int, tuple[_Stream, ...], tuple[_Stream, ...], tuple[str, ...]] = (-1, (), (), ())
+        self._slabs: tuple[tuple[int, int], list] = ((-1, -1), [])
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._m_polls = self.metrics.counter(
-            "aggregator_polls_total", help="fleet polls run"
-        )
+        self._m_polls = self.metrics.counter("aggregator_polls_total", help="fleet polls run")
         self._m_stream_errors = self.metrics.counter(
             "aggregator_stream_errors_total", help="per-stream read failures across polls"
         )
-        self._m_poll_duration = self.metrics.histogram(
-            "aggregator_poll_duration_seconds", help="wall time of one fleet poll"
-        )
+        poll_help = "wall time of one fleet poll"
+        self._m_poll_duration = self.metrics.histogram("aggregator_poll_duration_seconds", help=poll_help)
         self._m_poll_arena = self.metrics.histogram(
-            "aggregator_poll_duration_seconds",
-            help="wall time of one fleet poll",
-            labels={"path": "arena"},
+            "aggregator_poll_duration_seconds", help=poll_help, labels={"path": "arena"}
         )
         self._m_poll_per_object = self.metrics.histogram(
-            "aggregator_poll_duration_seconds",
-            help="wall time of one fleet poll",
-            labels={"path": "per_object"},
+            "aggregator_poll_duration_seconds", help=poll_help, labels={"path": "per_object"}
         )
-        self.metrics.gauge(
-            "aggregator_streams", help="attached streams",
-            fn=_zero_if_closed(lambda: len(self)),
-        )
+        self.metrics.gauge("aggregator_streams", help="attached streams", fn=_zero_if_closed(lambda: len(self)))
 
     # ------------------------------------------------------------------ #
     # Attachment
@@ -532,7 +522,9 @@ class HeartbeatAggregator:
         :func:`repro.core.stream.capabilities_of`, so backends, readers,
         collector per-stream views, arena rows, ``Heartbeat`` objects,
         monitors and bare snapshot callables all come in through the same
-        door.  ``own=True`` hands the source's ``close`` to
+        door.  A source that is a slab row (``capabilities_of`` reports its
+        ``row``) is read in place under ``name``; any other is mirrored.
+        ``own=True`` hands the source's ``close`` to
         :meth:`detach`/:meth:`close`.
         """
         caps = capabilities_of(source)
@@ -543,7 +535,7 @@ class HeartbeatAggregator:
                     raise MonitorAttachError("aggregator is closed")
                 if name in self._streams:
                     raise MonitorAttachError(f"stream {name!r} is already attached")
-                self._streams[name] = _Stream(str(name), caps.delta, caps.probe, close)
+                self._streams[name] = _Stream(str(name), caps, close)
                 self._membership += 1
         except MonitorAttachError:
             if close is not None:
@@ -581,8 +573,8 @@ class HeartbeatAggregator:
     ) -> None:
         """Attach every row of an arena slab as one vectorized shard.
 
-        The slab is polled through :meth:`Arena.snapshot_since_all` — one
-        masked numpy pass over all allocated rows, per-stream Python only
+        The slab is polled by the capture step of :meth:`Arena.snapshot_since_all`
+        — one masked numpy pass over all allocated rows, per-stream Python only
         for a row a writer keeps racing — and its rows join the fleet sample named
         ``prefix + row_name``.  Rows allocated *after* this call appear
         automatically on the next poll (the slab header is the membership).
@@ -735,21 +727,21 @@ class HeartbeatAggregator:
     def poll(self) -> FleetSample:
         """Observe every attached stream and classify the whole fleet.
 
-        A poll costs O(new beats) plus one cheap change-token probe per
-        per-object stream: a delta is read only from streams whose source
-        reports news and replayed into their private slab rows, then one
-        ``snapshot_since_all`` pass per slab and one vectorized
-        classification cover the whole fleet.
+        A poll costs one vectorized column pass per slab holding an
+        attached row.  A stream that is no row adds one cheap change-token
+        probe: a delta is read only from such a source when it reports news,
+        and replayed into its private slab row.  One vectorized
+        classification then covers the whole fleet.
 
         A stream whose read fails — its source raises a
         :class:`~repro.core.errors.HeartbeatError` (writer gone, segment
-        unlinked) or its rate window holds a backwards timestamp — is left
-        out of the sample and reported in ``FleetSample.errors`` under its
-        name; a failed read is redone in full on the next poll.  Arena rows
-        follow the same rule, since every row is read by the same pass.
+        unlinked, slab closed) or its rate window holds a backwards
+        timestamp — is left out of the sample and reported in
+        ``FleetSample.errors`` under its name; a failed mirror read is redone
+        in full on the next poll.  Attached slabs follow the same rule.
 
         Concurrent ``poll`` calls from different threads are serialised
-        internally (the per-stream cursors and private slabs are aggregator
+        internally (the mirrors' cursors and private slabs are aggregator
         state).
         """
         with self._poll_lock:
@@ -772,8 +764,12 @@ class HeartbeatAggregator:
         if self._collectors:
             self._sync_collectors()
         with self._lock:
-            streams = list(self._streams.values())
             layout = self._membership
+            if self._members[0] != layout:
+                streams = tuple(self._streams.values())
+                mirrored = tuple(s for s in streams if s.caps.row is None)
+                self._members = (layout, streams, mirrored, tuple(s.name for s in streams))
+            _, streams, mirrored, names = self._members
             released, self._released = self._released, []
         pool, window = self._pool, self._window
         for stream in released:
@@ -782,34 +778,28 @@ class HeartbeatAggregator:
         now = self._clock.now()
 
         errors: dict[str, str] = {}
-        failed: list[int] = []
-        for i, stream in enumerate(streams):
+        for stream in mirrored:
             try:
-                stream.sync(pool, stream.delta, stream.probe, window)
+                stream.sync(pool, window)
             except (HeartbeatError, ValueError) as exc:
                 # ValueError: records the row cannot hold — one producer's
                 # bad data must not fail the fleet's poll.
                 errors[stream.name] = str(exc)
-                failed.append(i)
-        if (layout, pool.layout) != self._layout:
-            # Where each stream's row sits among the private slabs' rows.
-            bases = np.cumsum([0] + [slab.arena.rows_in_use for slab in pool.slabs])
-            base_of = {id(slab): int(base) for slab, base in zip(pool.slabs, bases)}
-            self._order = np.array(
-                [-1 if s.slab is None else base_of[id(s.slab)] + s.index for s in streams],
-                dtype=np.int64,
-            )
-            self._names = tuple(stream.name for stream in streams)
-            self._layout = (layout, pool.layout)
-        names, order = self._names, self._order
-        if failed:
-            keep = np.ones(len(streams), dtype=bool)
-            keep[failed] = False
-            names, order = tuple(compress(names, keep)), order[keep]
-        parts: list[tuple[np.ndarray, ...]] = []
-        if pool.slabs:  # a fleet of attached slabs only pays for no private one
-            rows = _concat([_read_slab(slab.arena, window, slab.held) for slab in pool.slabs])
-            parts.append(tuple(column[order] for column in rows))
+        if self._slabs[0] != (layout, pool.layout):
+            self._slabs = ((layout, pool.layout), _by_slab(streams))
+        columns = tuple(np.zeros(len(names), dtype=column.dtype) for column in _NO_COLUMNS)
+        for arena, rows, at, held in self._slabs[1]:
+            try:
+                part = arena._columns(rows, window, held)
+            except (HeartbeatError, ValueError) as exc:  # as a mirror's sync fails
+                errors.update((names[i], str(exc)) for i in at.tolist())
+                continue
+            for column, values in zip(columns, part):
+                column[at] = values
+        if errors:
+            keep = np.array([name not in errors for name in names], dtype=bool)
+            names, columns = tuple(compress(names, keep)), tuple(column[keep] for column in columns)
+        parts = [columns] if names else []  # a fleet of attached slabs only pays for no per-object column
         names = names + self._poll_arenas(parts, errors)
         rate, total, tmin, tmax, last_ts, retained = _concat(parts)
         backwards = np.isnan(rate)
@@ -841,7 +831,7 @@ class HeartbeatAggregator:
     ) -> tuple[str, ...]:
         """Read every attached slab into ``parts``; returns their row names.
 
-        One ``snapshot_since_all`` call per slab — the per-row work is
+        One column pass per slab — the per-row work is
         numpy's, not the interpreter's.  A slab that fails to answer (e.g.
         its creator unlinked it mid-poll) lands in ``errors`` under
         ``arena:<label>`` and drops out of this sample, as a dead per-object
@@ -853,7 +843,7 @@ class HeartbeatAggregator:
         t0 = time.perf_counter()
         for shard in shards:
             try:
-                columns = _read_slab(shard.arena, self._window)
+                columns = shard.arena._columns(None, self._window, None)[:6]
             except HeartbeatError as exc:
                 errors[f"arena:{shard.label}"] = str(exc)
                 continue

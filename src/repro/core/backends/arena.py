@@ -106,11 +106,16 @@ ROW_HEADER_SIZE = 128
 #: Maximum bytes of a row's UTF-8 stream name stored in the slab.
 NAME_SIZE = 64
 
+#: ``mmap`` keywords of an anonymous slab that a forked child does not share.
+_PRIVATE: dict[str, int] = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
 #: Default geometry applied by the endpoint layer when a URL names neither.
 DEFAULT_STREAMS = 1024
 DEFAULT_DEPTH = 1024
-#: Vectorized header captures a fleet read tries before a raced row is read alone.
-_VECTOR_TRIES = 4
+#: Vectorized header captures a fleet read tries before a raced row is read
+#: alone: a retry catches the rows a long capture of a big slab raced, while
+#: a row one writer keeps racing goes to its ring after a single retry.
+_VECTOR_TRIES = 2
 
 _ARENA_HEADER_DTYPE = np.dtype(
     [
@@ -296,6 +301,28 @@ class ArenaFleetDelta:
         return delta, SnapshotCursor(total=int(self.totals[index]))
 
 
+def _read_alone(ring: Ring, window: int, cap: int) -> tuple[float, int, float, float, float, int, int]:
+    """One row read through its ring: ``capture``, then one copy of the rate window.
+
+    Returns ``(rate, total, target_min, target_max, last_timestamp,
+    retained, default_window)`` as :meth:`Arena.snapshot_since_all` reports
+    a row, with ``retained`` capped at ``cap`` (the row's depth, or what a
+    mirrored source still holds) and cut to what the copy kept.  The last
+    stamp is ``nan`` when the read kept no beat, the rate ``nan`` when the
+    window runs backwards.
+    """
+    for _ in range(_ATTEMPTS):  # a window the writer lapped whole is read again
+        total, default_window, target_min, target_max = ring.capture()
+        held = min(total, cap)
+        kept_window, kept = ring.copy_newest(total, resolve_window(window, default_window, held))
+        if kept_window.size or not held:
+            break
+    stamps = kept_window["timestamp"].tolist() or [np.nan]
+    last, span = stamps[-1], stamps[-1] - stamps[0]
+    rate = np.nan if span < 0 else interval_rate(len(stamps) - 1, span)
+    return rate, total, target_min, target_max, last, min(kept, held), default_window
+
+
 class Arena:
     """One columnar slab holding the circular history of N heartbeat streams.
 
@@ -321,7 +348,8 @@ class Arena:
 
     def __init__(self, streams: int = DEFAULT_STREAMS, depth: int = DEFAULT_DEPTH) -> None:
         streams, depth = _validate_geometry(streams, depth)
-        self._mem: mmap.mmap | None = mmap.mmap(-1, arena_size(streams, depth))
+        # Private, not shared: a forked child writes its own copy of the slab.
+        self._mem: mmap.mmap | None = mmap.mmap(-1, arena_size(streams, depth), **_PRIVATE)
         self._shm: Any = None
         self._owner = True
         self.name: str | None = None
@@ -504,7 +532,6 @@ class Arena:
         *,
         window: int = 0,
         include_records: bool = True,
-        held: np.ndarray | None = None,
     ) -> ArenaFleetDelta:
         """Read the whole fleet's state — and new beats — in one masked pass.
 
@@ -516,21 +543,19 @@ class Arena:
         :func:`repro.core.window.resolve_windows`, the column form of the
         rule single streams use.  ``include_records=False`` skips gathering
         the new record payloads and returns columns only — the aggregator's
-        classification pass needs nothing more.  ``held`` caps each row's
-        ``retained`` (one entry per slab row): an observer mirroring a
-        source into a row passes what the source itself still holds, so the
-        rate window never reaches past it.  Rates come from
+        classification pass needs nothing more.  Rates come from
         :func:`repro.core.rate.interval_rates`: a row whose rate window spans
         backwards in time reads rate ``nan``.
 
         Consistency follows the ring's reader protocol
         (:mod:`repro.core.backends.ring`), every row at once.  The header
         columns — with the last stamp and the rate window's stamps — are
-        captured under a vectorized seqlock check, tried a few times.  A row
-        a writer raced every time is read alone through its :class:`Ring`
-        (``capture``, one copy of its rate window; what the copy kept gives
+        captured under a vectorized seqlock check, tried twice (the retry
+        over the raced rows only).  A row a writer raced both times goes
+        straight to its :class:`Ring` and is read alone (:func:`_read_alone`:
+        ``capture``, one copy of its rate window; what the copy kept gives
         its rate, last stamp and ``retained``), so a hot writer costs its
-        own row some Python, never an error.  The new records are then
+        own row one scalar read, never an error.  The new records are then
         copied once.  Rows whose sequence word moved meanwhile, and rows
         read alone, are settled, not re-read: once their writers are quiet,
         the prefix of each row's copy that a write can have reached is
@@ -549,72 +574,9 @@ class Arena:
             cur[:k] = arr[:k]
             explicit[:k] = True
 
-        rows = self._rows
-        ts2d = self._records["timestamp"]
-
-        pending = np.arange(count, dtype=np.int64)
-        for attempt in range(_VECTOR_TRIES):
-            if attempt:
-                time.sleep(0)  # let a writer mid-batch (possibly sharing our GIL) publish
-            idx = pending
-            # The first pass covers every row: contiguous slice copies beat
-            # fancy indexing there, and when no writer raced us the whole
-            # capture is adopted without a per-row scatter.
-            full_pass = attempt == 0
-            at = slice(0, count) if full_pass else idx
-            seq0, totals, dw, tmin, tmax = (
-                rows[field][at].copy() for field in ("sequence", "total", "default_window", "target_min", "target_max")
-            )
-            retained = np.minimum(totals, depth)
-            if held is not None:
-                retained = np.minimum(retained, held[idx])
-            has = retained > 0
-            safe_total = np.maximum(totals, 1)
-            last_ts = ts2d[idx, (safe_total - 1) % depth]
-            effective = resolve_windows(window, dw, retained)
-            first_ts = ts2d[idx, (safe_total - np.maximum(effective, 1)) % depth]
-            rate = interval_rates(effective - 1, last_ts - first_ts)
-            seq1 = rows["sequence"][at]
-            ok = (seq0 % 2 == 0) & (seq1 == seq0)
-            if full_pass and bool(ok.all()):
-                out_seq, out_total, out_dw = seq0, totals, dw
-                out_tmin, out_tmax = tmin, tmax
-                out_last = np.where(has, last_ts, np.nan)
-                out_rate = rate
-                pending = idx[:0]
-                break
-            if full_pass:  # a writer raced the capture: assemble row by row
-                out_seq, out_total, out_dw = (np.zeros(count, dtype=np.int64) for _ in range(3))
-                out_tmin, out_tmax, out_rate = (np.zeros(count) for _ in range(3))
-                out_last = np.full(count, np.nan)
-            good = idx[ok]
-            out_seq[good] = seq0[ok]
-            out_total[good] = totals[ok]
-            out_dw[good] = dw[ok]
-            out_tmin[good] = tmin[ok]
-            out_tmax[good] = tmax[ok]
-            out_last[good] = np.where(has[ok], last_ts[ok], np.nan)
-            out_rate[good] = rate[ok]
-            pending = idx[~ok]
-            if pending.size == 0:
-                break
-
-        out_retained = np.minimum(out_total, depth)
-        if held is not None:
-            out_retained = np.minimum(out_retained, held[:count])
-        for i in pending.tolist():  # still raced: the ring's own read, capture then copy the window
-            ring = self._ring(i)
-            for _ in range(_ATTEMPTS):  # a window the writer lapped whole is read again
-                total, dw, out_tmin[i], out_tmax[i] = ring.capture()
-                cap = min(total, depth, depth if held is None else int(held[i]))
-                kept_window, kept = ring.copy_newest(total, resolve_window(window, dw, cap))
-                if kept_window.size or not cap:
-                    break
-            stamps = kept_window["timestamp"].tolist() or [np.nan]  # nan: the read kept no beat
-            # Retained is what this read kept; -1 is never a sequence, so the record path settles the row.
-            out_total[i], out_dw[i], out_retained[i], out_seq[i] = total, dw, min(kept, cap), -1
-            out_last[i], span = stamps[-1], stamps[-1] - stamps[0]
-            out_rate[i] = np.nan if span < 0 else interval_rate(kept_window.shape[0] - 1, span)  # backwards reads nan
+        out_rate, out_total, out_tmin, out_tmax, out_last, out_retained, out_dw, out_seq = self._columns(
+            None, window, None
+        )
 
         def bounds() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             # delta_bounds, vectorized: (included, gap, resync) per row.
@@ -632,7 +594,7 @@ class Arena:
         if include_records and count:
             np.cumsum(included, out=offsets[1:])
             records = self._gather(included, offsets, out_total)
-            raced = np.flatnonzero(rows["sequence"][:count] != out_seq)
+            raced = np.flatnonzero(self._rows["sequence"][:count] != out_seq)
             if raced.size:  # settle: the ring's reader step 3, every raced row at once
                 advanced = self._quiet_totals(raced) - out_total[raced]
                 out_retained = out_retained.copy()  # without cursors it is ``included``
@@ -660,6 +622,65 @@ class Arena:
             records=records,
             offsets=offsets,
         )
+
+    def _columns(
+        self, rows: np.ndarray | None, window: int, held: np.ndarray | None
+    ) -> tuple[np.ndarray, ...]:
+        """``(rate, total, target_min, target_max, last_timestamp, retained,
+        default_window, sequence)`` of slab rows ``rows``, in that order
+        (every allocated row when ``None``).
+
+        The capture step of :meth:`snapshot_since_all` (see there).  ``held``
+        (indexed by slab row) caps each row's ``retained``: an observer
+        mirroring a source into a row passes what the source itself still
+        holds, so the rate window never reaches past it.  A row a writer
+        raced is read alone by :func:`_read_alone` and reports sequence
+        ``-1``, which no row holds.
+        """
+        self._check_open()
+        depth, table = self.depth, self._rows
+        index = np.arange(self.rows_in_use) if rows is None else rows
+        ts2d = self._records["timestamp"]
+        pending = np.arange(index.shape[0])
+        for attempt in range(_VECTOR_TRIES):
+            if attempt:
+                time.sleep(0)  # let a writer mid-batch (possibly sharing our GIL) publish
+            idx = index[pending]
+            # The first pass over a whole slab copies contiguous slices, which
+            # beat fancy indexing, and when no writer raced us the whole
+            # capture is adopted without a per-row scatter.
+            full_pass = attempt == 0
+            at = slice(0, idx.shape[0]) if full_pass and rows is None else idx
+            seq0, totals, dw, tmin, tmax = (
+                table[field][at].copy() for field in ("sequence", "total", "default_window", "target_min", "target_max")
+            )
+            retained = np.minimum(totals, depth)
+            if held is not None:
+                retained = np.minimum(retained, held[idx])
+            safe_total = np.maximum(totals, 1)
+            last_ts = np.where(retained > 0, ts2d[idx, (safe_total - 1) % depth], np.nan)
+            effective = resolve_windows(window, dw, retained)
+            first_ts = ts2d[idx, (safe_total - np.maximum(effective, 1)) % depth]
+            rate = interval_rates(effective - 1, last_ts - first_ts)
+            ok = (seq0 % 2 == 0) & (table["sequence"][at] == seq0)
+            if full_pass:
+                columns = (rate, totals, tmin, tmax, last_ts, retained, dw, seq0)
+                if bool(ok.all()):
+                    return columns
+                columns = tuple(column.copy() for column in columns)  # a writer raced: assemble
+            else:
+                for out, column in zip(columns, (rate, totals, tmin, tmax, last_ts, retained, dw, seq0)):
+                    out[pending[ok]] = column[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
+                return columns
+        for p in pending.tolist():  # still raced: the ring's own read
+            i = int(index[p])
+            cap = depth if held is None else min(depth, int(held[i]))
+            values = _read_alone(self._ring(i), window, cap)
+            for out, value in zip(columns, (*values, -1)):
+                out[p] = value
+        return columns
 
     def _gather(self, counts: np.ndarray, offsets: np.ndarray, totals: np.ndarray) -> np.ndarray:
         """One vectorized copy of every row's newest ``counts`` records ending at ``totals``."""
@@ -702,6 +723,19 @@ class Arena:
             self._words, self._reals, base + _SEQUENCE_AT, base + _TOTAL_AT, base + _WINDOW_AT,
             self._buf, self._records_offset + index * self.depth * RECORD_DTYPE.itemsize, self.depth,
         )
+
+    def _discard_records(self, index: int) -> None:
+        """Hand the whole pages of a freed row's records back to the OS.
+
+        Only an anonymous slab's; they read as zeros until written again.
+        """
+        if self._mem is None or not hasattr(mmap, "MADV_DONTNEED"):
+            return
+        size = self.depth * RECORD_DTYPE.itemsize
+        start = self._records_offset + index * size
+        first, last = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE, (start + size) // mmap.PAGESIZE * mmap.PAGESIZE
+        if last > first:
+            self._mem.madvise(mmap.MADV_DONTNEED, first, last - first)
 
     def _ring(self, index: int) -> Ring:
         """The ring kernel over row ``index`` (see :meth:`_ring_args`)."""
@@ -812,6 +846,10 @@ class ArenaRowView(Backend):
         """Cheap change token: ``(total, sequence)``, same contract as shm."""
         return self._open_ring().version()
 
+    def slab_row(self) -> tuple[Arena, int]:
+        """The slab and row index this view is: observers read the row in place."""
+        return self._arena, self.index
+
     def close(self) -> None:
         """Mark this view closed.  The slab (and the row's history) remain."""
         self._closed = True
@@ -843,19 +881,24 @@ class _SlabPool:
     """Private slabs, one chain per row depth.
 
     :meth:`take` hands out a row of exactly the depth asked for: a freed
-    row, else the next row of the chain's last slab, else the first of a
-    new slab with twice the rows of the last (a chain's first slab holds
-    ``first_bytes``).  A caller's ``first`` arena opens the chain of its
-    depth.  ``layout`` moves whenever a row is taken or freed.
+    row (its ``total``, window and targets zeroed), else the next row of
+    the chain's last slab, else the first of a new slab with twice the rows
+    of the last (a chain's first slab holds ``first_bytes``).  A chain only
+    grows, so a row never moves.  A caller's ``first`` arena opens the
+    chain of its depth.  ``layout`` moves whenever a row is taken or freed;
+    a freed row's record pages go back to the OS.  The lock is reentrant
+    because :meth:`give` runs from a garbage-collected backend's finalizer,
+    which may fire inside :meth:`take`.
     """
 
-    __slots__ = ("first_bytes", "chains", "slabs", "layout")
+    __slots__ = ("first_bytes", "chains", "slabs", "layout", "_lock")
 
     def __init__(self, first_bytes: int = _FIRST_SLAB_BYTES, first: Arena | None = None) -> None:
         self.first_bytes = first_bytes  # 0: every chain starts at one row
         self.chains: dict[int, list[_Slab]] = {}
         self.slabs: list[_Slab] = []  # every chain's slabs, in creation order
         self.layout = 0
+        self._lock = threading.RLock()
         if first is not None:
             self._chain(first.depth, first)
 
@@ -866,27 +909,43 @@ class _SlabPool:
         return slab
 
     def take(self, depth: int, name: str = "") -> tuple[_Slab, int]:
-        chain = self.chains.get(depth, [])
-        self.layout += 1
-        for slab in chain:
-            if slab.free:
-                index = slab.free.pop()
-                slab.names[index] = name
-                return slab, index
-        last = chain[-1] if chain else None
-        if last is None or last.arena.rows_in_use == last.arena.streams:
-            row_bytes = ROW_HEADER_SIZE + depth * RECORD_DTYPE.itemsize
-            rows = 2 * last.arena.streams if last else max(1, self.first_bytes // row_bytes)
-            last = self._chain(depth, Arena(streams=rows, depth=depth))
-        index = last.arena.allocate(name).index
-        names = last.names
-        names.extend(map(last.arena.row_name, range(len(names), index)))  # rows others took
-        names.append(name)
-        return last, index
+        with self._lock:
+            chain = self.chains.get(depth, [])
+            self.layout += 1
+            for slab in chain:
+                if slab.free:
+                    index = slab.free.pop()
+                    slab.names[index] = name
+                    base = index * _ROW_WORDS  # a row given back still holds its last stream's header
+                    slab.arena._words[base + _TOTAL_AT] = slab.arena._words[base + _WINDOW_AT] = 0
+                    slab.arena._reals[base + _WINDOW_AT + 1] = slab.arena._reals[base + _WINDOW_AT + 2] = 0.0
+                    return slab, index
+            last = chain[-1] if chain else None
+            if last is None or last.arena.rows_in_use == last.arena.streams:
+                row_bytes = ROW_HEADER_SIZE + depth * RECORD_DTYPE.itemsize
+                rows = 2 * last.arena.streams if last else max(1, self.first_bytes // row_bytes)
+                last = self._chain(depth, Arena(streams=rows, depth=depth))
+            index = last.arena.allocate(name).index
+            names = last.names
+            names.extend(map(last.arena.row_name, range(len(names), index)))  # rows others took
+            names.append(name)
+            return last, index
 
     def give(self, slab: _Slab, index: int) -> None:
-        slab.free.append(index)
-        self.layout += 1
+        with self._lock:
+            slab.free.append(index)
+            self.layout += 1
+        slab.arena._discard_records(index)
+
+
+#: The process-wide pool every private-memory ring (``MemoryBackend``)
+#: takes its row from: in-process streams are slab rows like every other.
+#: Its chains start at 4 MiB of rows (address space: a page no row wrote
+#: costs no memory), so a fleet of in-process streams sits in few slabs
+#: and an observer reads it in few passes.
+_ROW_POOL = _SlabPool(1 << 22)
+if hasattr(os, "register_at_fork"):  # a lock held by a thread that did not fork would never be released
+    os.register_at_fork(after_in_child=lambda: setattr(_ROW_POOL, "_lock", threading.RLock()))
 
 
 # --------------------------------------------------------------------- #

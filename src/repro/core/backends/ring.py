@@ -64,9 +64,9 @@ it costs it some of the oldest records — never a re-copy, never a torn or
 out-of-order record, and never an error.  The sequence word also serves
 :meth:`Ring.version` as the change token;
 :meth:`repro.core.backends.arena.Arena.snapshot_since_all` runs the protocol
-for every row of a slab at once: step 1 as a vectorized capture tried a few
-times, a row a writer raced every time read alone by this class (``capture``,
-then a copy of its rate window), then steps 2 and 3.  Readers built from the
+for every row of a slab at once: step 1 as a vectorized capture tried twice,
+a row a writer raced both times read alone by this class (``capture``, then
+a copy of its rate window), then steps 2 and 3.  Readers built from the
 published byte layout (``docs/arena.md``, the one a ``shm://`` segment has
 too) validate against it.
 """

@@ -53,6 +53,10 @@ class SharedMemoryBackend(Ring, Backend):
         Ring.__init__(self, *self._arena._ring_args(0))
         self._closed = False
 
+    def slab_row(self) -> tuple[Arena, int]:
+        """The slab and row index this ring is: observers read the row in place."""
+        return self._arena, 0
+
     def close(self) -> None:
         """Release (and unlink) the segment; every method, even one bound earlier, then raises."""
         if not self._closed:

@@ -17,16 +17,18 @@ last beat) and simple health classification, which is what the
 fault-tolerance and cloud use cases in the paper's Sections 2.3, 2.6 and 5.4
 need.
 
-Both observers read one way.  Every stream they observe is a row of a
-private ``mem-arena`` slab, in the chain of the smallest power-of-two depth
-holding the window it is read at (:func:`~repro.core.window.resolve_window`,
-not clipped to what is retained).  The sync step (:meth:`_Mirror.sync`)
-replays the source's deltas into the row by :class:`DeltaSnapshot`'s replay rule and
-records what the source still retains; one :meth:`Arena.snapshot_since_all`
-pass then computes the windowed rate and liveness stamp of every row, and
-:func:`classify_codes` is the health rule.  A monitor is that path for one
-row; :class:`~repro.core.aggregator.HeartbeatAggregator` runs it for a fleet.
-``tests/model.py`` states the contract both must meet.
+Both observers read one way: every stream they observe is a slab row,
+read where it lies.  A source that is a row (a ``MemoryBackend``, so a
+``Heartbeat`` on ``mem://``; an ``shm://`` segment; an arena row: see
+:func:`~repro.core.stream.capabilities_of`) is its own row.  Any other (a
+``file://`` log, a snapshot callable) is mirrored by :meth:`_Mirror.sync`
+into a row of a private ``mem-arena`` slab, in the chain of the smallest
+power-of-two depth holding the window it is read at.  A monitor reads its
+row through the row's ring (:func:`~repro.core.backends.arena._read_alone`);
+:class:`~repro.core.aggregator.HeartbeatAggregator` reads a fleet's rows by
+slab, in vectorized passes that fall back to that read for a raced row.
+:func:`classify_codes` is the health rule of both, and ``tests/model.py``
+states the contract both must meet.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from repro.clock import Clock, WallClock
-from repro.core.backends.arena import _Slab, _SlabPool
+from repro.core.backends.arena import Arena, _read_alone, _Slab, _SlabPool
 from repro.core.backends.base import BackendSnapshot, DeltaSnapshot, SnapshotCursor
 from repro.core.backends.ring import Ring
 from repro.core.errors import HeartbeatError
 from repro.core.heartbeat import Heartbeat
 from repro.core.rate import BACKWARDS
 from repro.core.record import HeartbeatRecord, array_to_records
-from repro.core.stream import DeltaSource, ProbeSource, capabilities_of
+from repro.core.stream import SourceCapabilities, capabilities_of
 from repro.core.window import resolve_window
 
 __all__ = [
@@ -150,7 +152,8 @@ def _values(columns: Sequence[np.ndarray]) -> tuple[list, ...]:
 def _rows(values: Sequence[list]) -> Iterator[MonitorReading]:
     """Readings from :func:`_values` lists, each built only as it is consumed.
 
-    The one place a :class:`MonitorReading` row is built.  A row holds a
+    The one place a fleet sample's :class:`MonitorReading` rows are built
+    (a monitor builds its one reading itself).  A row holds a
     :class:`HealthStatus`, so the cyclic collector tracks it: a caller
     passing over many rows should keep none of them.
     """
@@ -158,26 +161,25 @@ def _rows(values: Sequence[list]) -> Iterator[MonitorReading]:
 
 
 class _Mirror:
-    """One observed stream's private slab row, with its cursor and version token.
+    """An observed stream's capabilities and its slab row.
 
-    :meth:`sync` is the one sync step of both observers; the windowed
-    rate, the liveness stamp and the health class are then read for every
-    row at once by :meth:`Arena.snapshot_since_all` and
-    :func:`classify_codes`.
+    A source that is a row (``caps.row``) is read where it lies, through
+    ``ring``.  Any other is mirrored: :meth:`sync`, the one sync step of
+    both observers, replays its deltas into a row of a private slab, with
+    a cursor and the source's version token.
     """
 
-    __slots__ = ("cursor", "version", "slab", "index", "ring")
+    __slots__ = ("caps", "cursor", "version", "slab", "index", "ring")
 
-    def __init__(self) -> None:
+    def __init__(self, caps: SourceCapabilities) -> None:
+        self.caps = caps
         self.cursor: SnapshotCursor | None = None
         self.version: object | None = None
         self.slab: _Slab | None = None
         self.index = -1
-        self.ring: Ring | None = None
+        self.ring: Ring | None = None if caps.row is None else caps.row[0]._ring(caps.row[1])
 
-    def sync(
-        self, pool: _SlabPool, delta_source: DeltaSource, probe: ProbeSource | None, requested: int
-    ) -> None:
+    def sync(self, pool: _SlabPool, requested: int) -> None:
         """Replay what the source produced since the last sync into the row.
 
         An unchanged ``version`` token skips the read.  Otherwise the delta
@@ -187,7 +189,7 @@ class _Mirror:
         that outgrew the row moves the stream once, with a full resync.  A
         read that raises leaves the cursor unset, so the next one resyncs.
         """
-        version = None
+        delta_source, probe, version = self.caps.delta, self.caps.probe, None
         if probe is not None:
             try:
                 version = probe()
@@ -214,9 +216,8 @@ class _Mirror:
         if delta.resync or records.shape[0] < delta.new:
             ring.total = ring.words[ring.total_at] = delta.total_beats - records.shape[0]
         ring.append_many(records)
-        ring.words[ring.window_at] = delta.default_window
-        ring.reals[ring.window_at + 1] = delta.target_min
-        ring.reals[ring.window_at + 2] = delta.target_max
+        ring.set_default_window(delta.default_window)  # each a sequence cycle: the row's version moves
+        ring.set_targets(delta.target_min, delta.target_max)
         self.slab.held[self.index] = delta.retained  # type: ignore[union-attr]
         self.cursor, self.version = cursor, version
 
@@ -232,16 +233,15 @@ class HeartbeatMonitor:
     :meth:`read` re-polls the source, so a monitor held by a scheduler
     naturally tracks the application over time.
 
-    :meth:`read` is the aggregator's read path for one row: the source's
-    ``snapshot_since`` (found with :func:`repro.core.stream.capabilities_of`)
-    delivers only the beats produced since the previous read into a private
-    slab row — two equal ``version`` tokens skip even that on an idle
-    stream — and :meth:`Arena.snapshot_since_all` and :func:`classify_codes`
-    read the row.  A source with neither is re-snapshotted in full and read
-    through the same path.
+    :meth:`read` reads one slab row through its ring — the source's own,
+    or a private row its ``snapshot_since`` deltas (found with
+    :func:`repro.core.stream.capabilities_of`) are replayed into, skipped
+    on equal ``version`` tokens — and classifies it with
+    :func:`classify_codes`.
 
     The monitor is itself a ``StreamSource`` (:meth:`snapshot`,
-    :meth:`snapshot_since`, :meth:`version` forward to what it observes), so
+    :meth:`snapshot_since`, :meth:`version` and :meth:`slab_row` forward to
+    what it observes), so
     ``HeartbeatAggregator.attach_stream(name, monitor)`` adopts an existing
     attachment as one stream of a fleet.
 
@@ -272,16 +272,14 @@ class HeartbeatMonitor:
         liveness_timeout: float | None = None,
         own: bool = False,
     ) -> None:
-        caps = capabilities_of(source)
-        self._source = caps.snapshot
-        self._delta: DeltaSource = caps.delta
-        self._probe = caps.probe
-        self._close = caps.close if own else None
+        self._stream = _Mirror(capabilities_of(source))
+        self._close = self._stream.caps.close if own else None
         self._clock = clock if clock is not None else WallClock()
         self._window = int(window)
         self._liveness_timeout = liveness_timeout
-        self._pool = _SlabPool(first_bytes=0)  # one stream, one row
-        self._mirror = _Mirror()
+        self._pool = _SlabPool(first_bytes=0)  # a mirror's: one stream, one row
+        #: The last read of the row, keyed by its version, the window and the cap.
+        self._last: tuple[object, tuple] = (None, ())
 
     # ------------------------------------------------------------------ #
     # Attachment constructors
@@ -334,39 +332,50 @@ class HeartbeatMonitor:
     def read(self, window: int | None = None) -> MonitorReading:
         """Poll the source and classify the application's current health.
 
-        Only the beats produced since the previous ``read`` are fetched, so
-        a steady poll costs O(new beats) instead of O(history).  Raises what
-        the source raises, and ``ValueError`` when the rate window holds a
-        backwards timestamp.
+        A read copies the rate window once, and a row whose version did not
+        move is not read again (only its age, and so its class, moves).
+        Raises what the source raises, and ``ValueError`` when the rate
+        window holds a backwards timestamp.
         """
         requested = self._window if window is None else int(window)
-        mirror = self._mirror
-        mirror.sync(self._pool, self._delta, self._probe, requested)
-        slab, i = mirror.slab, slice(mirror.index, mirror.index + 1)
-        fleet = slab.arena.snapshot_since_all(  # type: ignore[union-attr]
-            window=requested, include_records=False, held=slab.held  # type: ignore[union-attr]
-        )
-        rate, last_ts = fleet.rate[i], fleet.last_timestamp[i]
-        if np.isnan(rate[0]):
+        stream = self._stream
+        if stream.caps.row is None:
+            stream.sync(self._pool, requested)
+            cap = int(stream.slab.held[stream.index])  # type: ignore[union-attr]
+        else:
+            stream.caps.row[0]._check_open()
+            cap = stream.ring.capacity  # type: ignore[union-attr]
+        key = (stream.ring.version(), requested, cap)  # type: ignore[union-attr]
+        if key != self._last[0]:  # an idle row is not read again: only its age moves
+            self._last = (key, _read_alone(stream.ring, requested, cap))  # type: ignore[arg-type]
+        rate, total, tmin, tmax, last_ts, retained, _ = self._last[1]
+        if rate != rate:
             raise ValueError(BACKWARDS)
         age = self._clock.now() - last_ts
-        tmin, tmax = fleet.target_min[i], fleet.target_max[i]
-        codes = classify_codes(rate, fleet.retained[i], tmin, tmax, age, self._liveness_timeout)
-        return next(_rows(_values((rate, fleet.totals[i], tmin, tmax, last_ts, age, codes))))
+        columns = np.array([[rate], [retained], [tmin], [tmax], [age]])
+        code = classify_codes(*columns, self._liveness_timeout)[0]
+        if last_ts != last_ts:  # nan: no beat observed
+            last_ts = age = None
+        return MonitorReading(rate, total, tmin, tmax, last_ts, age, _STATUS_BY_CODE[code])
 
     def snapshot(self) -> BackendSnapshot:
         """A full snapshot of the observed stream."""
-        return self._source()
+        return self._stream.caps.snapshot()
 
     def snapshot_since(
         self, cursor: SnapshotCursor | None = None
     ) -> tuple[DeltaSnapshot, SnapshotCursor]:
         """The observed stream's records since ``cursor`` (see :class:`DeltaSnapshot`)."""
-        return self._delta(cursor)
+        return self._stream.caps.delta(cursor)
 
     def version(self) -> object | None:
         """The observed stream's cheap change token (``None``: it has none)."""
-        return self._probe() if self._probe is not None else None
+        probe = self._stream.caps.probe
+        return probe() if probe is not None else None
+
+    def slab_row(self) -> tuple[Arena, int] | None:
+        """The observed stream's slab row (``None``: it is not a row)."""
+        return self._stream.caps.row
 
     def current_rate(self, window: int | None = None) -> float:
         """Convenience: the windowed rate only."""
@@ -374,7 +383,7 @@ class HeartbeatMonitor:
 
     def target_range(self) -> tuple[float, float]:
         """The application's published target heart-rate range."""
-        snap = self._source()
+        snap = self._stream.caps.snapshot()
         return snap.target_min, snap.target_max
 
     def get_history(self, n: int | None = None) -> list[HeartbeatRecord]:
@@ -383,12 +392,12 @@ class HeartbeatMonitor:
 
     def history_array(self, n: int | None = None) -> np.ndarray:
         """The last ``n`` observed records as a structured array."""
-        records = self._source().records
+        records = self._stream.caps.snapshot().records
         return records if n is None or n >= records.shape[0] else records[records.shape[0] - n :]
 
     def is_alive(self, timeout: float) -> bool:
         """True when a beat has been observed within the last ``timeout`` seconds."""
-        snap = self._source()
+        snap = self._stream.caps.snapshot()
         if snap.retained == 0:
             return False
         age = self._clock.now() - float(snap.records["timestamp"][-1])

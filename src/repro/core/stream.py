@@ -28,7 +28,7 @@ both sides once:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from repro.core.backends.base import (
     SnapshotCursor,
     delta_from_snapshot,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing aid only
+    from repro.core.backends.arena import Arena
 
 __all__ = [
     "StreamSource",
@@ -110,13 +113,16 @@ class SourceCapabilities:
     way.  ``probe`` and ``close`` are ``None`` when the source does not offer
     them.  ``close`` is *reported*, not exercised — whether detaching the
     consumer should also release the source is an ownership decision the
-    attacher makes (``own=True`` on the attach surfaces).
+    attacher makes (``own=True`` on the attach surfaces).  ``row`` is the
+    ``(slab, row index)`` of a source that is a slab row (its
+    ``slab_row()``), which observers read in place; ``None`` for the rest.
     """
 
     snapshot: Callable[[], BackendSnapshot]
     delta: DeltaSource
     probe: ProbeSource | None = None
     close: Callable[[], None] | None = None
+    row: tuple[Arena, int] | None = None
 
 
 def capabilities_of(obj: object) -> SourceCapabilities:
@@ -127,7 +133,7 @@ def capabilities_of(obj: object) -> SourceCapabilities:
     * anything with ``snapshot`` (a ``Backend``, a ``SharedMemoryReader`` or
       ``FileReader``, an arena row, a collector's ``source(stream_id)``
       row, a ``HeartbeatMonitor``, ...) — ``snapshot_since`` / ``version`` /
-      ``close`` ride along when present.  An object's own ``snapshot``
+      ``close`` / ``slab_row`` ride along when present.  An object's own ``snapshot``
       always wins over any ``backend`` it wraps;
     * anything with a ``backend`` attribute that is itself a source (a
       ``Heartbeat`` — the backend's capabilities are adopted);
@@ -151,12 +157,13 @@ def capabilities_of(obj: object) -> SourceCapabilities:
     # what an object's reads mean is its own to define.
     snapshot = getattr(obj, "snapshot", None)
     if snapshot is not None and callable(snapshot):
-        close = getattr(obj, "close", None)
+        close, slab_row = getattr(obj, "close", None), getattr(obj, "slab_row", None)
         return SourceCapabilities(
             snapshot=snapshot,
             delta=getattr(obj, "snapshot_since", None) or _delta_of(snapshot),
             probe=getattr(obj, "version", None),
             close=close if callable(close) else None,
+            row=slab_row() if callable(slab_row) else None,
         )
     backend = getattr(obj, "backend", None)
     if backend is not None and callable(getattr(backend, "snapshot", None)):

@@ -46,6 +46,7 @@ import time
 
 import numpy as np
 
+from repro.core.backends.arena import Arena
 from repro.core.backends.base import Backend, BackendSnapshot, DeltaSnapshot, SnapshotCursor
 from repro.core.backends.memory import MemoryBackend
 from repro.core.errors import BackendError
@@ -242,6 +243,10 @@ class NetworkBackend(Backend):
     ) -> tuple[DeltaSnapshot, SnapshotCursor]:
         """O(new beats) local delta read (the mirror's)."""
         return self._mirror.snapshot_since(cursor)
+
+    def slab_row(self) -> tuple[Arena, int] | None:
+        """The mirror's slab row: observers read the local view in place."""
+        return self._mirror.slab_row()
 
     def version(self) -> tuple[int, int]:
         """The mirror's change token, so local observers idle-skip."""

@@ -320,10 +320,11 @@ class TestFailureIsolation:
                 return self.backend.snapshot_since(cursor)
 
         backends = {name: MemoryBackend(64) for name in ("flaky", "b", "c", "d")}
-        flaky = Flaky(backends["flaky"])
+        # A wrapper is no slab row, so every stream here is mirrored.
+        flaky, b, c, d = (Flaky(backends[name]) for name in ("flaky", "b", "c", "d"))
         with HeartbeatAggregator(clock=sim_clock) as agg:
             agg.attach_stream("flaky", flaky)
-            agg.attach_stream("b", backends["b"])
+            agg.attach_stream("b", b)
             for name, backend in backends.items():
                 backend.set_default_window(4)
                 for beat in range(10):
@@ -334,8 +335,8 @@ class TestFailureIsolation:
             for _ in range(2):
                 assert "full re-read failed" in agg.poll().errors["flaky"]
             agg.detach("flaky")
-            agg.attach_stream("c", backends["c"])
-            agg.attach_stream("d", backends["d"])
+            agg.attach_stream("c", c)
+            agg.attach_stream("d", d)
             sample = agg.poll()
             assert sample.names == ("b", "c", "d") and sample.errors == {}
             rows = {(id(s.slab), s.index) for s in agg._streams.values()}

@@ -119,7 +119,7 @@ GOLDEN: dict[str, list[dict[str, list]]] = {
                 [
                     ("power_up", None, None, 2, _POWER_UP),
                     ("failover", 1, 0, 2, _SILENT),
-                    ("failover", 2, 0, 1, _SILENT),
+                    ("failover", 2, 0, 2, _SILENT),
                 ],
             ],
             "log": [
@@ -131,7 +131,7 @@ GOLDEN: dict[str, list[dict[str, list]]] = {
                 ("migrate", 0, 0, 1, "heart rate 5.58 below target minimum 8.00"),
                 ("power_up", None, None, 2, _POWER_UP),
                 ("failover", 1, 0, 2, _SILENT),
-                ("failover", 2, 0, 1, _SILENT),
+                ("failover", 2, 0, 2, _SILENT),
             ],
         }
     ],

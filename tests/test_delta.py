@@ -13,6 +13,7 @@ and the incremental observers built on top.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from functools import partial
@@ -685,28 +686,24 @@ class TestIncrementalMonitor:
         assert incremental.read().status is HealthStatus.STALLED
 
     def test_idle_monitor_skips_delta_reads(self):
+        """A mirrored source (here one that forwards a heartbeat's backend
+        but is no slab row) is read once per change: the version probe
+        answers every idle read."""
         clock = ManualClock()
         hb = Heartbeat(window=10, clock=clock)
         for i in range(10):
             clock.time = float(i)
             hb.heartbeat()
-        monitor = HeartbeatMonitor.attach(hb)
-        calls = {"n": 0}
-        inner = monitor._delta
-
-        def counting(cursor=None):
-            calls["n"] += 1
-            return inner(cursor)
-
-        monitor._delta = counting
+        calls = {"delta": 0}
+        monitor = HeartbeatMonitor(_CountingSource(hb.backend, calls), clock=clock)
         first = monitor.read()
-        assert calls["n"] == 1
+        assert calls["delta"] == 1
         for _ in range(5):
             assert monitor.read() == first
-        assert calls["n"] == 1  # version probe answered every idle read
+        assert calls["delta"] == 1  # version probe answered every idle read
         hb.heartbeat()
         assert monitor.read().total_beats == 11
-        assert calls["n"] == 2
+        assert calls["delta"] == 2
 
     def test_default_window_growth_matches_full_read(self):
         """Growing the producer's default window mid-stream must not leave
@@ -936,6 +933,11 @@ def _open_source_kind(kind, tmp_path, clock, cleanup):
     return writer, lambda: writer.snapshot()
 
 
+#: The kinds that are no slab row, so both observers mirror them; every
+#: other kind of :data:`SOURCE_KINDS` is a row and is read in place.
+MIRRORED_KINDS = {"file_reader", "collector", "callable"}
+
+
 class TestOneDoor:
     """Every source kind attaches as one object and reads the one way."""
 
@@ -958,15 +960,23 @@ class TestOneDoor:
             # bare callable have none, so theirs is the backend's.
             reference = source if hasattr(source, "snapshot") else writer
 
-            reads = {"n": 0}
+            # Delta reads made through a mirror's sync, and syncs made at all.
+            reads = {"n": 0, "syncs": 0}
             sync = _Mirror.sync
 
-            def counting(mirror, pool, delta_source, probe, requested):
+            def counting(mirror, pool, requested):
+                caps = mirror.caps
+
                 def counted(cursor):
                     reads["n"] += 1
-                    return delta_source(cursor)
+                    return caps.delta(cursor)
 
-                return sync(mirror, pool, counted, probe, requested)
+                reads["syncs"] += 1
+                mirror.caps = dataclasses.replace(caps, delta=counted)
+                try:
+                    return sync(mirror, pool, requested)
+                finally:
+                    mirror.caps = caps
 
             monkeypatch.setattr(_Mirror, "sync", counting)
 
@@ -998,6 +1008,8 @@ class TestOneDoor:
             reads["n"] = 0
             check()
             assert reads["n"] == (2 if kind == "callable" else 0)
+            # A row is read where it lies: neither observer ever syncs a mirror.
+            assert (reads["syncs"] > 0) == (kind in MIRRORED_KINDS)
 
             # The producer grows its default window past the observer's row:
             # the stream moves to a deeper row with a fresh cursor.
@@ -1008,6 +1020,71 @@ class TestOneDoor:
 
             clock.time += 30.0
             assert check().status is HealthStatus.STALLED
+            assert (reads["syncs"] > 0) == (kind in MIRRORED_KINDS)
+        finally:
+            for fn in reversed(cleanup):
+                fn()
+
+    @pytest.mark.parametrize(
+        "kind", ["memory", "heartbeat", "mem_url", "shm_reader", "shm_writer", "arena_row", "exporter", "monitor"]
+    )
+    def test_no_row_source_is_mirrored(self, kind, monkeypatch):
+        """Every source that is a slab row is read where it lies, by both
+        observers, under the name it was attached with: no mirror sync runs
+        on a poll or on a monitor read, and ``detach`` still drops the one
+        row."""
+        from repro.core.backends.arena import Arena, ArenaRowView
+        from repro.core.monitor import _Mirror
+
+        calls: list = []
+        real = _Mirror.sync
+        monkeypatch.setattr(_Mirror, "sync", lambda *args: calls.append(1) or real(*args))
+        clock = ManualClock()
+        cleanup: list = []
+        try:
+            if kind in ("shm_reader", "shm_writer"):
+                writer = SharedMemoryBackend(capacity=64)
+                cleanup.append(writer.close)
+                source = writer
+                if kind == "shm_reader":
+                    source = SharedMemoryReader(writer.name)
+                    cleanup.append(source.close)
+            elif kind == "arena_row":
+                arena = Arena(streams=4, depth=64)
+                cleanup.append(arena.close)
+                arena.allocate("other")
+                writer = source = arena.allocate("")  # an empty header name
+                assert isinstance(source, ArenaRowView)
+            elif kind == "exporter":
+                writer = source = _unreachable_exporter(64)
+                cleanup.append(writer.close)
+            elif kind == "mem_url":
+                source = Heartbeat(window=10, clock=clock, backend="mem://")
+                writer = source.backend
+            else:
+                writer = MemoryBackend(64)
+                source = {
+                    "memory": writer,
+                    "heartbeat": Heartbeat(window=10, backend=writer, clock=clock),
+                    "monitor": HeartbeatMonitor(writer, clock=clock),
+                }[kind]
+            writer.set_default_window(10)
+            with HeartbeatAggregator(clock=clock) as agg:
+                agg.attach_stream("local", source)
+                agg.attach_stream("twin", HeartbeatMonitor(source, clock=clock))
+                monitor = HeartbeatMonitor(source, clock=clock)
+                for beat in range(30):
+                    clock.time = beat * 0.1
+                    writer.append(beat, clock.time, 0, 1)
+                    if beat % 7 == 0:
+                        sample = agg.poll()
+                        assert sample.names == ("local", "twin") and sample.errors == {}
+                        expected = full_snapshot_reading(writer, now=clock.now())
+                        assert sample.reading("local") == sample.reading("twin") == expected
+                        assert monitor.read() == expected
+                agg.detach("twin")
+                assert agg.poll().names == ("local",)
+            assert calls == []
         finally:
             for fn in reversed(cleanup):
                 fn()

@@ -160,6 +160,9 @@ class TestHeartbeatLoadBalancer:
         broken.heartbeat.backend.snapshot = exploding_snapshot
         # The incremental poll reads through the delta path; kill it too.
         broken.heartbeat.backend.snapshot_since = lambda cursor=None: exploding_snapshot()
+        # A slab row is read in place, past both: make this one no row, so
+        # the observer reads it through the failing calls.
+        broken.heartbeat.backend.slab_row = lambda: None
         actions = balancer.manage()  # must not raise KeyError
         failovers = [a for a in actions if a.kind == "failover" and a.vm_id == broken.vm_id]
         assert len(failovers) == 1

@@ -146,3 +146,38 @@ class TestReads:
         records = backend.snapshot().records
         records["timestamp"][:] = -1.0
         assert backend.snapshot(1).records["timestamp"][0] == 3.0
+
+
+class TestPooledRow:
+    """A backend's ring is a row of a private slab from one process-wide pool."""
+
+    def test_a_row_outlives_close_and_goes_back_only_when_collected(self):
+        import gc
+
+        capacity = 4111  # a depth no other test uses: its chain is this test's
+        backend = MemoryBackend(capacity)
+        slab_row = backend.slab_row()
+        assert slab_row is not None and slab_row[0].depth == capacity
+        backend.set_default_window(7)
+        backend.set_targets(1.0, 2.0)
+        fill(backend, capacity + 5)
+        backend.close()
+        assert beats(backend, 3) == [capacity + 2, capacity + 3, capacity + 4]  # a closed backend serves its history
+        other = MemoryBackend(capacity)
+        assert other.slab_row() != slab_row  # the closed backend's row is still its own
+        del backend
+        gc.collect()
+        reused = MemoryBackend(capacity)
+        assert reused.slab_row() == slab_row  # given back when collected, and taken again
+        snap = reused.snapshot()
+        assert (snap.total_beats, snap.retained, snap.default_window) == (0, 0, 0)
+        assert (snap.target_min, snap.target_max) == (0.0, 0.0)
+        # The freed row's whole record pages went back to the OS: they read as zeros.
+        middle = reused._copy_last(capacity // 2 + 64, 128)
+        assert not middle["beat"].any() and not middle["timestamp"].any()
+        fill(reused, 3)
+        assert beats(reused) == [0, 1, 2]
+        assert other.slab_row() != reused.slab_row()
+
+    def test_caller_storage_is_no_row(self):
+        assert MemoryBackend(4, storage=np.zeros(4, dtype=RECORD_DTYPE)).slab_row() is None

@@ -537,9 +537,11 @@ def test_a_read_a_writer_overlapped_keeps_only_what_the_source_still_held(monkey
 
 
 def test_rows_sit_in_their_window_class_and_full_slabs_chain():
-    """A stream's row is as deep as the smallest power of two holding its
-    published window, whatever the fleet's largest; a full slab chains one
-    with twice the rows; every row still reads as the model."""
+    """A mirrored stream's row is as deep as the smallest power of two
+    holding its published window, whatever the fleet's largest; a full slab
+    chains one with twice the rows; every row still reads as the model.
+    (Each backend is attached as its bound ``snapshot``, a source that is
+    no slab row.)"""
     clock = ManualClock(100.0)
     backends = [MemoryBackend(64) for _ in range(150)]
     with HeartbeatAggregator(clock=clock) as aggregator:
@@ -547,7 +549,7 @@ def test_rows_sit_in_their_window_class_and_full_slabs_chain():
             backend.set_default_window(40 if i % 3 == 0 else 3)
             for beat in range(i % 7 + 1):
                 backend.append(beat, 100.0 + 0.1 * beat + 0.001 * i, 0, 1)
-            aggregator.attach_stream(f"s{i}", backend)
+            aggregator.attach_stream(f"s{i}", backend.snapshot)
         sample = aggregator.poll()
         for i, backend in enumerate(backends):
             model = StreamModel.of(backend.snapshot())

@@ -33,13 +33,17 @@ import time
 
 import numpy as np
 import pytest
+from model import StreamModel
 
+import repro.core.backends.arena as arena_module
 from repro.clock import ManualClock
+from repro.core.aggregator import HeartbeatAggregator
 from repro.core.backends import Arena, BackendSnapshot, MemoryBackend, SharedMemoryBackend, SnapshotCursor
-from repro.core.backends.arena import ArenaRowView
+from repro.core.backends.arena import _ROW_POOL, ArenaRowView
 from repro.core.backends.ring import Ring
 from repro.core.backends.shared_memory import SharedMemoryReader
 from repro.core.heartbeat import Heartbeat
+from repro.core.monitor import HeartbeatMonitor
 from repro.core.record import RECORD_DTYPE
 from repro.net import NetworkBackend
 
@@ -560,3 +564,131 @@ class TestThreadStress:
             stop.set()
             writer.join(timeout=60.0)
             hb.finalize()
+
+
+class TestInPlaceHotWriter:
+    """A writer process beats flat out into ``shm://`` while this process
+    polls an aggregator that reads the segment's row where it lies, and a
+    monitor of the same reader.  A row the writer raced costs its poll at
+    most two vectorized captures, and when it raced both, exactly one read
+    alone through its ring."""
+
+    def test_polls_under_a_hot_writer_read_the_ring_once(self, monkeypatch):
+        ctx = mp.get_context("spawn")
+        ready, stop, done = ctx.Event(), ctx.Event(), ctx.Event()
+        written = ctx.Queue()
+        name = f"hb-in-place-{os.getpid()}"
+        child = ctx.Process(target=_stress_writer, args=("shm", name, 1, ready, stop, written, done))
+        child.start()
+        reader = None
+        rings: list[int] = []
+        captures: list[int] = []
+        real_ring, real_rates = Arena._ring, arena_module.interval_rates
+        monkeypatch.setattr(Arena, "_ring", lambda arena, i: rings.append(i) or real_ring(arena, i))
+        monkeypatch.setattr(
+            arena_module, "interval_rates", lambda *args: captures.append(1) or real_rates(*args)
+        )
+        try:
+            assert ready.wait(60.0), "the writer process never came up"
+            reader = SharedMemoryReader(name)
+            with HeartbeatAggregator() as agg:
+                agg.attach_stream("local", reader)
+                monitor = HeartbeatMonitor(reader)
+                total = monitored = raced = polls = 0
+                start = time.monotonic()
+                while time.monotonic() - start < _STRESS_SECONDS or (time.monotonic() - start < 30.0 and not raced):
+                    del rings[:], captures[:]
+                    sample = agg.poll()
+                    assert (len(captures), len(rings)) in ((1, 0), (2, 0), (2, 1)), (captures, rings)
+                    assert sample.names == ("local",) and sample.errors == {}
+                    raced += len(rings)
+                    polls += 1
+                    assert int(sample.totals()[0]) >= total
+                    total = int(sample.totals()[0])
+                    reading = monitor.read()
+                    assert reading.total_beats >= monitored
+                    monitored = reading.total_beats
+                stop.set()
+                final = written.get(timeout=60.0)
+                quiet = StreamModel.of(reader.snapshot()).rate()
+                sample = agg.poll()
+                assert int(sample.totals()[0]) == monitor.read().total_beats == final
+                assert sample.reading("local").rate == monitor.read().rate == quiet
+                assert raced > 0 and polls > 20, (raced, polls)
+        finally:
+            stop.set()
+            done.set()
+            child.join(timeout=60.0)
+            if reader is not None:
+                reader.close()
+        assert not child.is_alive()
+        assert child.exitcode == 0
+
+
+class TestPooledRowStress:
+    """Writer threads beat into pooled ``MemoryBackend`` rows while this
+    thread takes new rows from the same chain — so the pool adds slabs under
+    the writers — and reads every writer's row in place."""
+
+    def test_writers_keep_their_rows_while_the_pool_grows(self):
+        capacity = 4099  # a depth no other test uses: its chain is this test's
+        backends = [MemoryBackend(capacity) for _ in range(3)]
+        rows = [backend.slab_row() for backend in backends]
+        stop = threading.Event()
+        outcome: dict[int, object] = {}
+
+        def beat_until_stopped(i: int) -> None:
+            clock = ManualClock()
+            hb = Heartbeat(window=20, clock=clock, backend=backends[i])
+            count = 0
+            try:
+                while not stop.is_set():
+                    clock.time = (count + 1) * _DT
+                    hb.heartbeat(_tags(count), thread_id=_THREAD)
+                    count += 1
+                outcome[i] = count
+            except BaseException as exc:  # surfaced by the assertion below
+                outcome[i] = exc
+                raise
+
+        writers = [threading.Thread(target=beat_until_stopped, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-write as often as possible
+        grown: list[MemoryBackend] = []
+        try:
+            with HeartbeatAggregator() as agg:
+                for i, backend in enumerate(backends):
+                    agg.attach_stream(f"w{i}", backend)
+                for writer in writers:
+                    writer.start()
+                slabs = len(_ROW_POOL.chains[capacity])
+                totals = np.zeros(3, dtype=np.int64)
+                start = time.monotonic()
+                while time.monotonic() - start < _STRESS_SECONDS or len(grown) < 80:
+                    if len(grown) < 80:
+                        grown.append(MemoryBackend(capacity))
+                    sample = agg.poll()
+                    assert sample.errors == {}
+                    assert np.all(sample.totals() >= totals)
+                    totals = sample.totals().copy()
+                    for backend in backends:
+                        snap = backend.snapshot(20)
+                        _check_records(snap.records, snap.total_beats)
+                stop.set()
+                for writer in writers:
+                    writer.join(timeout=60.0)
+                assert len(_ROW_POOL.chains[capacity]) > slabs, "the pool never added a slab"
+                assert [backend.slab_row() for backend in backends] == rows
+                assert len({backend.slab_row() for backend in backends + grown}) == 83
+                sample = agg.poll()
+                for i, backend in enumerate(backends):
+                    assert outcome[i] == backend.snapshot().total_beats > capacity, outcome
+                    snap = backend.snapshot()
+                    _check_records(snap.records, snap.total_beats)
+                    expected = StreamModel.of(snap).reading(sample.taken_at)
+                    assert sample.reading(f"w{i}")[:5] == expected[:5]  # rate, total, goals, last stamp
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            for writer in writers:
+                writer.join(timeout=60.0)
