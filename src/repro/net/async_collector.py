@@ -67,7 +67,7 @@ from repro.core.backends.arena import Arena, _SlabPool
 from repro.core.backends.base import BackendSnapshot
 from repro.core.backends.ring import Ring
 from repro.core.errors import MonitorAttachError, ProtocolError
-from repro.net import protocol
+from repro.net import link, protocol
 from repro.net.persistence import JournalWriter, StreamJournal
 from repro.obs.registry import Histogram, MetricsRegistry
 
@@ -227,8 +227,11 @@ class _Connection:
         self.latency: Histogram | None = None
 
 
-class AsyncHeartbeatCollector:
+class AsyncHeartbeatCollector(link.SelectorServer):
     """Event-loop TCP fan-in server turning remote producers into streams.
+
+    It binds and runs its loop by the wire tier's one rule
+    (:class:`~repro.net.link.SelectorServer`).
 
     Parameters
     ----------
@@ -242,9 +245,6 @@ class AsyncHeartbeatCollector:
     backlog:
         ``listen()`` backlog.  Raise it for connect storms of thousands of
         producers (the kernel clamps it to ``net.core.somaxconn``).
-    poll_timeout:
-        Upper bound on one ``select()`` wait, which doubles as the shutdown
-        poll interval for the loop thread.
     upstream:
         ``"host:port"`` (or ``(host, port)``) of the next collector up the
         tree.  When given, the collector runs in edge mode: a background
@@ -306,7 +306,6 @@ class AsyncHeartbeatCollector:
         *,
         default_capacity: int = 4096,
         backlog: int = 128,
-        poll_timeout: float = 0.25,
         upstream: str | tuple[str, int] | None = None,
         relay_interval: float = 0.05,
         relay_backoff_initial: float = 0.05,
@@ -316,7 +315,6 @@ class AsyncHeartbeatCollector:
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self._default_capacity = int(default_capacity)
-        self._poll_timeout = float(poll_timeout)
         self._lock = threading.Lock()
         self._streams: dict[str, _CollectorStream] = {}
         if isinstance(arena, str):
@@ -327,11 +325,9 @@ class AsyncHeartbeatCollector:
         #: Every stream's row: a chain of slabs per depth, ``arena`` first.
         self._pool = _SlabPool(first=arena)
         self._streams_changed = threading.Condition(self._lock)
-        self._stopping = False
-        self._closed = False
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._accepted = self.metrics.counter(
+        self._connections_accepted = self.metrics.counter(
             "collector_connections_accepted_total", help="connections accepted over the lifetime"
         )
         self._frames = self.metrics.counter(
@@ -381,31 +377,7 @@ class AsyncHeartbeatCollector:
             # first sweep in edge mode).
             self._restore_from_journal()
 
-        server: socket.socket | None = None
-        try:
-            # The listen family follows the address (tcp://[::1]:0 is IPv6).
-            family, _, _, _, sockaddr = socket.getaddrinfo(
-                host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
-            )[0]
-            server = socket.socket(family, socket.SOCK_STREAM)
-            server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            server.bind(sockaddr)
-            server.listen(backlog)
-            server.setblocking(False)
-        except OSError as exc:
-            if server is not None:
-                server.close()
-            # Say which address: "Address already in use" alone names nothing.
-            raise OSError(exc.errno, f"cannot bind {host}:{port}: {exc.strerror or exc}") from exc
-        self._server = server
-        self.host, self.port = self._server.getsockname()[:2]
-
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._server, selectors.EVENT_READ, None)
-        #: Self-pipe so close() interrupts a parked select() immediately.
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._selector.register(self._wake_r, selectors.EVENT_READ, None)
+        super().__init__(host, port, backlog, "hb-collector")
 
         self._relay: "RelayForwarder | None" = None
         if upstream is not None:
@@ -420,42 +392,13 @@ class AsyncHeartbeatCollector:
                 metrics=self.metrics,
             )
 
-        self._loop_thread = threading.Thread(
-            target=self._run_loop, name=f"hb-collector-{self.port}", daemon=True
-        )
-        self._loop_thread.start()
+        self._start()
         if self._relay is not None:
             self._relay.start()
 
     # ------------------------------------------------------------------ #
-    # Addressing
+    # Role (``address`` / ``endpoint`` / ``endpoint_url`` are the server's)
     # ------------------------------------------------------------------ #
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` actually bound (port 0 resolved to the real one)."""
-        return (self.host, self.port)
-
-    @property
-    def endpoint(self) -> str:
-        """The bound address as the ``"host:port"`` string producers dial.
-
-        An IPv6 host is bracketed (``"[::1]:7717"``), the form
-        :func:`~repro.net.protocol.parse_address` reads back.
-        """
-        return self.endpoint_url[len("tcp://"):]
-
-    @property
-    def endpoint_url(self) -> str:
-        """The bound address as a ``tcp://host:port`` endpoint URL.
-
-        The string producers pass to ``TelemetrySession.produce`` /
-        ``open_backend`` / ``Heartbeat(backend=...)`` to dial this collector
-        (port ``0`` already resolved to the real port).
-        """
-        from repro.endpoints import TcpEndpoint
-
-        return str(TcpEndpoint(host=str(self.host), port=int(self.port)))
-
     @property
     def is_edge(self) -> bool:
         """True when this collector forwards its streams to an upstream."""
@@ -553,7 +496,7 @@ class AsyncHeartbeatCollector:
         with self._lock:
             streams = len(self._streams)
         return {
-            "connections_accepted": int(self._accepted.value),
+            "connections_accepted": int(self._connections_accepted.value),
             "open_connections": len(self._connections),
             "frames": int(self._frames.value),
             "batch_runs": int(self._batch_runs.value),
@@ -626,28 +569,13 @@ class AsyncHeartbeatCollector:
         the upstream, bounded by its close deadline), then tears down the
         event loop.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._stopping = True
+        if not self._begin_close():
+            return
         if self._relay is not None:
             self._relay.close()
-        try:
-            self._wake_w.send(b"x")
-        except OSError:  # pragma: no cover - loop already gone
-            pass
-        self._loop_thread.join(timeout=5.0)
-        self._server.close()
-        self._wake_w.close()
+        self._stop_loop()
         if self._journal is not None:
             self._journal.close()
-
-    def __enter__(self) -> "AsyncHeartbeatCollector":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "edge" if self.is_edge else "root"
@@ -659,56 +587,21 @@ class AsyncHeartbeatCollector:
     # ------------------------------------------------------------------ #
     # Event loop
     # ------------------------------------------------------------------ #
-    def _run_loop(self) -> None:
-        try:
-            while not self._stopping:
-                events = self._selector.select(timeout=self._poll_timeout)
-                for key, _mask in events:
-                    if key.fileobj is self._server:
-                        self._accept_ready()
-                    elif key.fileobj is self._wake_r:
-                        self._drain_wake()
-                    else:
-                        self._service(key.fileobj)  # type: ignore[arg-type]
-        finally:
-            for conn in list(self._connections.values()):
-                self._drop_connection(conn)
-            self._selector.close()
-            self._wake_r.close()
+    def _teardown(self) -> None:
+        for conn in list(self._connections.values()):
+            self._drop_connection(conn)
 
-    def _drain_wake(self) -> None:
-        try:
-            while self._wake_r.recv(4096):
-                pass
-        except (BlockingIOError, OSError):
-            pass
+    def _accepted(self, sock: socket.socket, peer: object) -> None:
+        sock.setblocking(False)
+        conn = _Connection(sock, f"{peer[0]}:{peer[1]}")  # type: ignore[index]  # an INET or INET6 peer
+        self._connections[sock.fileno()] = conn
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self._connections_accepted.inc()
 
-    def _accept_ready(self) -> None:
-        """Accept every pending connection (storms arrive in bursts)."""
-        while True:
-            try:
-                sock, _peer = self._server.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return  # listening socket closed under us
-            if self._stopping:
-                sock.close()
-                return
-            sock.setblocking(False)
-            try:
-                peer = f"{_peer[0]}:{_peer[1]}"
-            except (IndexError, TypeError):  # pragma: no cover - non-INET family
-                peer = str(_peer)
-            conn = _Connection(sock, peer)
-            self._connections[sock.fileno()] = conn
-            self._selector.register(sock, selectors.EVENT_READ, conn)
-            self._accepted.inc()
-
-    def _service(self, sock: socket.socket) -> None:
-        conn = self._connections.get(sock.fileno())
-        if conn is None:  # pragma: no cover - stale readiness after a drop
-            return
+    def _ready(self, key: selectors.SelectorKey, mask: int) -> None:
+        """Read one ready connection: up to ``_MAX_READS_PER_EVENT`` reads."""
+        conn: _Connection = key.data  # dropped only by its own read, so never stale
+        sock = conn.sock
         for _ in range(_MAX_READS_PER_EVENT):
             try:
                 data = sock.recv(_RECV_SIZE)
@@ -746,10 +639,7 @@ class AsyncHeartbeatCollector:
         fd = conn.sock.fileno()
         if fd >= 0 and fd in self._connections:
             del self._connections[fd]
-            try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError):  # pragma: no cover - already gone
-                pass
+            self._unregister(conn.sock)
         conn.sock.close()
         if conn.stream is not None:
             conn.stream.disconnect(conn.gen)

@@ -18,9 +18,10 @@ process-local state and stores each beat once —
 * the beat path takes no lock.  It wakes the sender when the cursor, read
   *after* the append, equals the total from *before* it; after a drain the
   sender stores its cursor, then re-reads the total and wakes itself if it
-  moved, so no wake-up is lost.  A busy or backing-off sender is not woken
-  (its ``flush_interval`` time-out covers it), so a dead collector costs the
-  beat path no thread hand-offs;
+  moved, so no wake-up is lost.  A busy sender is not woken, and one whose
+  link is down sleeps until its next redial whatever its ``flush_interval``
+  (the wire tier's one redial rule, :class:`~repro.net.link.Backoff`), so a
+  dead collector costs the beat path no thread hand-offs;
 * a drain copies at most ``max_batch_records`` of the oldest unsent records
   with the ring's reader half (``capture``, then ``copy_newest``, which drops
   a prefix the writer lapped mid-copy) into one BATCH frame and one
@@ -29,10 +30,11 @@ process-local state and stores each beat once —
   first probes the link for EOF (:func:`repro.net.protocol.link_alive`, the
   relay's rule) and redials; a link dying between probe and send loses at
   most its in-flight frame;
-* a lost connection is retried with exponential backoff, and every
-  (re)connect sends a HELLO with the stream's metadata.  A link carries one
-  HELLO, so a new default window is published by hanging up (without CLOSE)
-  and redialling.
+* a lost connection is redialled at once, then with exponential backoff
+  (:func:`~repro.net.link.dial`: connect time-out 1 s, send time-out 2 s),
+  and every (re)connect sends a HELLO with the stream's metadata.  A link
+  carries one HELLO, so a new default window is published by hanging up
+  (without CLOSE) and redialling.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import itertools
 import os
 import socket
 import threading
-import time
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from repro.core.backends.memory import MemoryBackend
 from repro.core.errors import BackendError
 from repro.core.record import pack_record
 from repro.net import protocol
+from repro.net.link import Backoff, dial, hang_up
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["NetworkBackend"]
@@ -60,6 +62,10 @@ __all__ = ["NetworkBackend"]
 #: gives every backend a fleet-unique nonce, so a collector can tell a
 #: reconnect of the same stream from a same-named sibling in one process.
 _nonce_counter = itertools.count(1)
+
+#: Socket time-outs for dialling the collector and for one send, in seconds.
+_CONNECT_TIMEOUT = 1.0
+_SEND_TIMEOUT = 2.0
 
 
 class NetworkBackend(Backend):
@@ -80,11 +86,9 @@ class NetworkBackend(Backend):
         records are dropped; the producer never blocks.
     flush_interval:
         Longest time the sender lets unsent records sit before shipping
-        them, in seconds.
+        them, in seconds.  It never delays a redial.
     max_batch_records:
         Largest number of records shipped in one BATCH frame.
-    connect_timeout / send_timeout:
-        Socket timeouts for connecting and sending, in seconds.
     backoff_initial / backoff_max:
         Reconnect backoff: delay starts at ``backoff_initial`` and doubles
         per failed attempt up to ``backoff_max``.
@@ -121,8 +125,6 @@ class NetworkBackend(Backend):
         capacity: int = 2048,
         flush_interval: float = 0.05,
         max_batch_records: int = 8192,
-        connect_timeout: float = 1.0,
-        send_timeout: float = 2.0,
         backoff_initial: float = 0.05,
         backoff_max: float = 2.0,
         close_deadline: float = 2.0,
@@ -143,8 +145,6 @@ class NetworkBackend(Backend):
         self._sent = 0
         self._flush_interval = float(flush_interval)
         self._max_batch_records = int(max_batch_records)
-        self._connect_timeout = float(connect_timeout)
-        self._send_timeout = float(send_timeout)
         self._backoff_initial = float(backoff_initial)
         self._backoff_max = float(backoff_max)
         self._close_deadline = float(close_deadline)
@@ -320,10 +320,12 @@ class NetworkBackend(Backend):
         self._sent = end
 
     def _sender_loop(self) -> None:
-        backoff = self._backoff_initial
-        next_attempt = 0.0
+        backoff = Backoff(self._backoff_initial, self._backoff_max)
+        has_work = False
         while True:
-            self._wake.wait(timeout=self._flush_interval)
+            # Work waiting on a down link sleeps no longer than its next redial.
+            idle = self._flush_interval
+            self._wake.wait(timeout=backoff.wait(idle) if has_work and self._sock is None else idle)
             self._wake.clear()
             with self._lock:
                 if self._closed:
@@ -341,24 +343,16 @@ class NetworkBackend(Backend):
                 # A new window needs a new HELLO, and a link the collector left
                 # quietly (FIN, no RST) would still take one send, losing it.
                 self._shutdown_socket("redial" if redial else "close")
-            if self._sock is None:
-                if time.monotonic() < next_attempt and not closing:
-                    continue
-                if not self._connect():
-                    backoff = min(backoff * 2.0, self._backoff_max)
-                    next_attempt = time.monotonic() + backoff
-                    if closing:
-                        break  # flush deadline work is pointless with no peer
-                    continue
-                backoff = self._backoff_initial
+            if self._sock is None and not backoff.attempt(self._connect, force=closing):
+                if closing:
+                    break  # flush deadline work is pointless with no peer
+                continue
             self._drain_once()
         self._shutdown_socket()
 
     def _connect(self) -> bool:
         try:
-            sock = socket.create_connection(self.address, timeout=self._connect_timeout)
-            sock.settimeout(self._send_timeout)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock = dial(self.address, _CONNECT_TIMEOUT, _SEND_TIMEOUT)
             with self._lock:
                 _, default_window, target_min, target_max = self._mirror.capture()
                 hello = protocol.encode_hello(
@@ -430,5 +424,4 @@ class NetworkBackend(Backend):
                 sock.recv(1)  # a collector never sends: EOF (or a time-out)
             elif how == "close" and self._closing:
                 sock.sendall(protocol.encode_close(self._mirror.version()[0]))
-        with contextlib.suppress(OSError):  # teardown never raises
-            sock.close()
+        hang_up(sock)

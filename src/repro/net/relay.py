@@ -17,7 +17,9 @@ sweep's batch, so forwarding keeps pace with ingest rather than a timer;
 The discipline is the exporter's, applied one tier up:
 
 * **reconnect with exponential backoff** — the upstream being down never
-  blocks local ingest; the forwarder retries from 50 ms up to 2 s;
+  blocks local ingest; the forwarder redials a lost link at once, then
+  retries from 50 ms up to 2 s by the exporter's rule
+  (:class:`~repro.net.link.Backoff`; connect time-out 2 s, send time-out 5 s);
 * **full replay on reconnect** — every per-stream cursor is discarded when
   a connection is established and the first sweep on it covers every
   registered stream, moved or not.  A restarted (empty) root rebuilds the
@@ -53,6 +55,7 @@ import numpy as np
 
 from repro.core.backends.base import SnapshotCursor
 from repro.net import protocol
+from repro.net.link import Backoff, dial, hang_up
 from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,6 +66,10 @@ __all__ = ["RelayForwarder"]
 #: Per-frame payload budget, below the protocol hard cap so header and entry
 #: overheads can never push a frame over :data:`repro.net.protocol.MAX_PAYLOAD`.
 _FRAME_BUDGET = protocol.MAX_PAYLOAD - 4096
+
+#: Socket time-outs for dialling the upstream and for one ``sendall``, in seconds.
+_CONNECT_TIMEOUT = 2.0
+_SEND_TIMEOUT = 5.0
 
 #: Metadata/liveness fingerprint of one stream as last sent upstream.
 _Meta = tuple[float, float, int, bool, bool, "int | None"]
@@ -95,8 +102,6 @@ class RelayForwarder:
         Idle cadence: with no news, the forwarder wakes this often to probe
         the upstream for EOF (and redials no later than this while the link
         is down).  It does not pace forwarding — a mark does.
-    connect_timeout, send_timeout:
-        Socket timeouts for dialling and for one ``sendall``.
     backoff_initial, backoff_max:
         Reconnect backoff window (doubles on each failure).
     metrics:
@@ -117,8 +122,6 @@ class RelayForwarder:
         upstream: str | tuple[str, int],
         *,
         interval: float = 0.05,
-        connect_timeout: float = 2.0,
-        send_timeout: float = 5.0,
         backoff_initial: float = 0.05,
         backoff_max: float = 2.0,
         metrics: MetricsRegistry | None = None,
@@ -128,8 +131,6 @@ class RelayForwarder:
             upstream = upstream.strip().removeprefix("tcp://")
         self.address = protocol.parse_address(upstream)
         self._interval = float(interval)
-        self._connect_timeout = float(connect_timeout)
-        self._send_timeout = float(send_timeout)
         self._backoff_initial = float(backoff_initial)
         self._backoff_max = float(backoff_max)
 
@@ -223,28 +224,19 @@ class RelayForwarder:
     # Forwarding thread
     # ------------------------------------------------------------------ #
     def _run(self) -> None:
-        backoff = self._backoff_initial
-        next_attempt = 0.0
+        backoff = Backoff(self._backoff_initial, self._backoff_max)
         replay = False
         while True:
-            timeout = self._interval
-            if self._sock is None:  # redial on the backoff schedule
-                timeout = min(timeout, max(0.0, next_attempt - time.monotonic()))
-            self._wake.wait(timeout=timeout)
+            # A down link sleeps no longer than its next redial.
+            self._wake.wait(timeout=self._interval if self._sock is not None else backoff.wait(self._interval))
             self._wake.clear()
             with self._lock:
                 closing = self._closing
             if self._sock is None:
-                now = time.monotonic()
-                if now < next_attempt and not closing:
-                    continue
-                if not self._connect():
-                    backoff = min(backoff * 2.0, self._backoff_max)
-                    next_attempt = time.monotonic() + backoff
+                if not backoff.attempt(self._connect, force=closing):
                     if closing:
                         return  # no peer; a final flush is pointless
                     continue
-                backoff = self._backoff_initial
                 replay = True
             # Probed before every sweep, so no send goes into a link already
             # half-closed: the upstream went away quietly (FIN, no RST) and
@@ -265,9 +257,7 @@ class RelayForwarder:
 
     def _connect(self) -> bool:
         try:
-            sock = socket.create_connection(self.address, timeout=self._connect_timeout)
-            sock.settimeout(self._send_timeout)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock = dial(self.address, _CONNECT_TIMEOUT, _SEND_TIMEOUT)
         except OSError:
             self._connect_failures.inc()
             return False
@@ -382,7 +372,4 @@ class RelayForwarder:
         with self._lock:
             sock, self._sock = self._sock, None
         if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close barely ever raises
-                pass
+            hang_up(sock)

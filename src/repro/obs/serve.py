@@ -39,6 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.aggregator import FleetSample, HeartbeatAggregator
+from repro.net.link import host_port, listen
 from repro.obs.registry import MetricsRegistry, render_registries
 from repro.obs.tracing import FlightRecorder
 
@@ -52,11 +53,16 @@ _CLIENT_TIMEOUT = 10.0
 
 
 class _DashboardHTTPServer(ThreadingHTTPServer):
-    """The HTTP server, carrying a reference back to its telemetry owner."""
+    """The HTTP server on a :func:`~repro.net.link.listen` socket, carrying a reference to its owner."""
 
     daemon_threads = True
-    allow_reuse_address = True
     telemetry: "TelemetryServer"
+
+    def __init__(self, host: str, port: int) -> None:
+        super().__init__((host, port), _Handler, bind_and_activate=False)
+        self.socket.close()  # the class's unbound AF_INET socket
+        self.socket = listen(host, port, self.request_queue_size)
+        self.server_address = self.socket.getsockname()
 
 
 class TelemetryServer:
@@ -79,8 +85,8 @@ class TelemetryServer:
         Extra :class:`~repro.obs.registry.MetricsRegistry` objects to merge
         into ``/metrics`` and the snapshot.
     host, port:
-        Bind address; port ``0`` (default) picks an ephemeral port — read
-        :attr:`port` / :attr:`url` for the real one.
+        Bind address, IPv4 or IPv6 (``"::1"``); port ``0`` (default) picks
+        an ephemeral port — read :attr:`port` / :attr:`url` for the real one.
     interval:
         Seconds between fleet samples (and SSE events).
     max_streams:
@@ -125,7 +131,7 @@ class TelemetryServer:
         snapshot["seq"] = self._seq
         self._snapshot = snapshot
 
-        self._httpd = _DashboardHTTPServer((host, port), _Handler)
+        self._httpd = _DashboardHTTPServer(host, port)
         self._httpd.telemetry = self
         self.host, self.port = self._httpd.server_address[:2]
 
@@ -146,8 +152,8 @@ class TelemetryServer:
     # ------------------------------------------------------------------ #
     @property
     def url(self) -> str:
-        """The dashboard's base URL (port 0 resolved to the bound port)."""
-        return f"http://{self.host}:{self.port}"
+        """The dashboard's base URL (port 0 resolved to the bound port, an IPv6 host bracketed)."""
+        return f"http://{host_port(self.host, self.port)}"
 
     def close(self) -> None:
         """Stop sampling, disconnect every client, release the port.  Idempotent."""

@@ -44,15 +44,18 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Optional
 
 from repro.faults.timeline import Timeline, TimelineEvent
 from repro.net import protocol
+from repro.net.link import SelectorServer, dial, hang_up, nodelay
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["ChaosProxy"]
 
 _RECV_SIZE = 1 << 16
+
+#: Time-out for dialling the target per accepted connection, in seconds.
+_CONNECT_TIMEOUT = 1.0
 
 #: Partition modes: silent (park connections, forward nothing) and hard
 #: (sever every link, refuse new ones).
@@ -104,8 +107,11 @@ class _Link:
         return self.inbound if sock is self.down else self.outbound
 
 
-class ChaosProxy:
+class ChaosProxy(SelectorServer):
     """Transparent TCP proxy with scriptable link impairments.
+
+    It binds by the collector's rule (:class:`~repro.net.link.SelectorServer`):
+    the family follows ``host``, so ``host="::1"`` listens on IPv6.
 
     Parameters
     ----------
@@ -131,10 +137,6 @@ class ChaosProxy:
         (``partition`` / ``heal`` / ``latency`` / ``bandwidth`` / ``drop`` /
         ``flap`` — see :meth:`apply`).  The clock starts when the proxy
         starts.
-    connect_timeout:
-        Timeout for dialling the target per accepted connection.
-    poll_timeout:
-        Upper bound on one event-loop wait (also the shutdown poll).
     metrics:
         :class:`~repro.obs.registry.MetricsRegistry` for the proxy's
         counters; a private registry is created when omitted.
@@ -142,7 +144,7 @@ class ChaosProxy:
     Raises
     ------
     OSError
-        When the listening address cannot be bound.
+        When the listening address cannot be bound (the message names it).
     ValueError
         For an unparseable target address or invalid impairment values.
     """
@@ -159,13 +161,9 @@ class ChaosProxy:
         drop_probability: float = 0.0,
         seed: int | None = None,
         schedule: Timeline | None = None,
-        connect_timeout: float = 1.0,
-        poll_timeout: float = 0.25,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.target = protocol.parse_address(target)
-        self._connect_timeout = float(connect_timeout)
-        self._poll_timeout = float(poll_timeout)
         self._rng = random.Random(seed)
         self._schedule = schedule if schedule is not None else Timeline()
         self._epoch: float | None = None
@@ -183,8 +181,6 @@ class ChaosProxy:
         #: Control operations handed to the loop thread (structural changes
         #: — partition/heal/flap — must run on the thread that owns sockets).
         self._ops: deque[TimelineEvent] = deque()
-        self._stopping = False
-        self._closed = False
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         labels = {"target": f"{self.target[0]}:{self.target[1]}"}
@@ -222,45 +218,8 @@ class ChaosProxy:
         self._parked: set[socket.socket] = set()
         self._write_interest: set[int] = set()
 
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._server.bind((host, port))
-            self._server.listen(128)
-            self._server.setblocking(False)
-        except OSError:
-            self._server.close()
-            raise
-        self.host, self.port = self._server.getsockname()[:2]
-
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._server, selectors.EVENT_READ, None)
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._selector.register(self._wake_r, selectors.EVENT_READ, None)
-
-        self._thread = threading.Thread(
-            target=self._run_loop, name=f"hb-proxy-{self.port}", daemon=True
-        )
-        self._thread.start()
-
-    # ------------------------------------------------------------------ #
-    # Addressing
-    # ------------------------------------------------------------------ #
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` the proxy listens on."""
-        return (self.host, self.port)
-
-    @property
-    def endpoint(self) -> str:
-        """The listening address as the ``"host:port"`` string peers dial."""
-        return f"{self.host}:{self.port}"
-
-    @property
-    def endpoint_url(self) -> str:
-        """The listening address as a ``tcp://host:port`` endpoint URL."""
-        return f"tcp://{self.host}:{self.port}"
+        super().__init__(host, port, 128, "hb-proxy")
+        self._start()
 
     # ------------------------------------------------------------------ #
     # Impairment controls (any thread)
@@ -335,12 +294,6 @@ class ChaosProxy:
             self._ops.append(event)
         self._wake()
 
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(b"x")
-        except OSError:  # pragma: no cover - loop already gone
-            pass
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -364,58 +317,23 @@ class ChaosProxy:
         )
 
     # ------------------------------------------------------------------ #
-    # Lifecycle
+    # Event loop (loop thread only below; ``close()`` severs every link)
     # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Tear the proxy down: sever every link, stop the loop.  Idempotent."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._stopping = True
-        self._wake()
-        self._thread.join(timeout=5.0)
-        self._server.close()
-        self._wake_w.close()
+    def _after_events(self) -> None:
+        self._drain_ops()
+        self._apply_schedule()
+        self._flush_all()
 
-    def __enter__(self) -> "ChaosProxy":
-        return self
+    def _teardown(self) -> None:
+        for link in list(self._links.values()):
+            self._close_link(link)
+        for sock in self._parked:
+            hang_up(sock)
+        self._parked.clear()
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Event loop (loop thread only below)
-    # ------------------------------------------------------------------ #
-    def _run_loop(self) -> None:
-        try:
-            while not self._stopping:
-                events = self._selector.select(timeout=self._timeout())
-                for key, mask in events:
-                    if key.fileobj is self._server:
-                        self._accept_ready()
-                    elif key.fileobj is self._wake_r:
-                        self._drain_wake()
-                    elif mask & selectors.EVENT_READ:
-                        self._read_ready(key.fileobj)  # type: ignore[arg-type]
-                self._drain_ops()
-                self._apply_schedule()
-                self._flush_all()
-        finally:
-            for link in list(self._links.values()):
-                self._close_link(link)
-            self._selector.close()
-            self._wake_r.close()
-            for sock in list(self._parked):
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover
-                    pass
-            self._parked.clear()
-
-    def _timeout(self) -> float:
+    def _select_timeout(self) -> float:
         """Sleep until the next due chunk or schedule event, capped."""
-        timeout = self._poll_timeout
+        timeout = super()._select_timeout()
         now = time.monotonic()
         for link in self._links.values():
             for pipe in link.pipes():
@@ -428,62 +346,42 @@ class ChaosProxy:
                 timeout = min(timeout, max(0.0, self._epoch + next_at - now))
         return timeout
 
-    def _drain_wake(self) -> None:
+    def _accepted(self, down: socket.socket, peer: object) -> None:
+        # An op posted before this peer dialled (a heal, a partition)
+        # may share this wake-up; apply it before the mode is read.
+        self._drain_ops()
+        with self._lock:
+            mode = self._partition_mode
+        if mode == "drop":
+            # Hard partition: the dialling peer sees an immediate close,
+            # exactly like a refused route, and keeps backing off.
+            self._m_refused.inc()
+            down.close()
+            return
         try:
-            while self._wake_r.recv(4096):
-                pass
-        except (BlockingIOError, OSError):
-            pass
+            up = dial(self.target, _CONNECT_TIMEOUT)
+        except OSError:
+            self._m_refused.inc()
+            down.close()
+            return
+        down.setblocking(False)
+        up.setblocking(False)
+        nodelay(down)
+        link = _Link(down, up)
+        self._links[down.fileno()] = link
+        self._links[up.fileno()] = link
+        self._m_connections.inc()
+        if mode == "blackhole":
+            # Parked from birth: the connection exists but nothing flows.
+            self._parked.update((down, up))
+        else:
+            self._selector.register(down, selectors.EVENT_READ, link)
+            self._selector.register(up, selectors.EVENT_READ, link)
 
-    def _accept_ready(self) -> None:
-        while True:
-            try:
-                down, _peer = self._server.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            if self._stopping:
-                down.close()
-                return
-            # An op posted before this peer dialled (a heal, a partition)
-            # may share this wake-up; apply it before the mode is read.
-            self._drain_ops()
-            with self._lock:
-                mode = self._partition_mode
-            if mode == "drop":
-                # Hard partition: the dialling peer sees an immediate close,
-                # exactly like a refused route, and keeps backing off.
-                self._m_refused.inc()
-                down.close()
-                continue
-            try:
-                up = socket.create_connection(self.target, timeout=self._connect_timeout)
-            except OSError:
-                self._m_refused.inc()
-                down.close()
-                continue
-            down.setblocking(False)
-            up.setblocking(False)
-            for sock in (down, up):
-                try:
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                except OSError:  # pragma: no cover - non-TCP family
-                    pass
-            link = _Link(down, up)
-            self._links[down.fileno()] = link
-            self._links[up.fileno()] = link
-            self._m_connections.inc()
-            if mode == "blackhole":
-                # Parked from birth: the connection exists but nothing flows.
-                self._parked.update((down, up))
-            else:
-                self._selector.register(down, selectors.EVENT_READ, link)
-                self._selector.register(up, selectors.EVENT_READ, link)
-
-    def _read_ready(self, sock: socket.socket) -> None:
+    def _ready(self, key: selectors.SelectorKey, mask: int) -> None:
+        sock: socket.socket = key.fileobj  # type: ignore[assignment]
         link = self._links.get(sock.fileno())
-        if link is None:  # pragma: no cover - stale readiness after teardown
+        if link is None or not mask & selectors.EVENT_READ:  # stale, or only writable
             return
         pipe = link.pipe_from(sock)
         try:
@@ -569,12 +467,6 @@ class ChaosProxy:
         if done == 2:
             self._close_link(link)
 
-    def _unregister(self, sock: socket.socket) -> None:
-        try:
-            self._selector.unregister(sock)
-        except (KeyError, ValueError):
-            pass
-
     def _close_link(self, link: _Link) -> None:
         for sock in (link.down, link.up):
             fd = sock.fileno()
@@ -582,10 +474,7 @@ class ChaosProxy:
                 self._links.pop(fd, None)
             self._unregister(sock)
             self._parked.discard(sock)
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
+            hang_up(sock)
 
     # ------------------------------------------------------------------ #
     # Control operations and the scripted schedule (loop thread)
@@ -659,7 +548,3 @@ class ChaosProxy:
             # Delivery deadlines kept ticking while parked; blocked flags are
             # stale either way, so force one fresh flush pass.
             link.pipe_into(sock).blocked = False
-
-
-#: Typing alias for callers that accept a proxy-or-none.
-OptionalChaosProxy = Optional[ChaosProxy]

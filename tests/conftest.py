@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.clock import ManualClock, SimulatedClock
@@ -51,3 +53,14 @@ def beat_at_times(hb: Heartbeat, clock: ManualClock, times: list[float], *, tag:
 def beat_recorder():
     """Expose the helper as a fixture so tests can import it uniformly."""
     return beat_at_times
+
+
+@pytest.fixture
+def ipv6_loopback() -> str:
+    """``"::1"``, or a skip where this host cannot bind it."""
+    try:
+        with socket.socket(socket.AF_INET6, socket.SOCK_STREAM) as probe:
+            probe.bind(("::1", 0))
+    except OSError as exc:
+        pytest.skip(f"cannot bind ::1 on this host: {exc}")
+    return "::1"

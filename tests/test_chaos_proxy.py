@@ -7,6 +7,7 @@ uses it: inserted between a NetworkBackend producer and a collector.
 
 from __future__ import annotations
 
+import socket
 import time
 
 import pytest
@@ -63,6 +64,31 @@ class TestTransparentForwarding:
                 assert wait_until(lambda: total_at(collector, "via-svc") == 1)
                 backend.close()
                 assert proxy.stats()["connections"] == 1
+
+
+class TestBindRule:
+    """The proxy binds by the collector's rule: family from the host, errors name the address."""
+
+    def test_binds_ipv6_loopback_with_a_bracketed_endpoint(self, ipv6_loopback):
+        with HeartbeatCollector(ipv6_loopback) as collector:
+            with ChaosProxy(collector.endpoint, host=ipv6_loopback) as proxy:
+                assert proxy.address == ("::1", proxy.port)
+                assert proxy.endpoint == f"[::1]:{proxy.port}"
+                assert proxy.endpoint_url == f"tcp://[::1]:{proxy.port}"
+                backend = NetworkBackend(proxy.endpoint, stream="v6", flush_interval=0.01)
+                backend.append(0, 0.0, 0, 1)
+                assert wait_until(lambda: total_at(collector, "v6") == 1)
+                backend.close()
+
+    def test_a_port_in_use_names_the_address_for_the_collector_and_the_proxy(self):
+        with socket.socket() as blocker:
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            port = blocker.getsockname()[1]
+            with pytest.raises(OSError, match=f"cannot bind 127.0.0.1:{port}: "):
+                HeartbeatCollector("127.0.0.1", port)
+            with pytest.raises(OSError, match=f"cannot bind 127.0.0.1:{port}: "):
+                ChaosProxy("127.0.0.1:9", port=port)
 
 
 class TestImpairments:

@@ -16,6 +16,7 @@ from repro.core.errors import BackendError
 from repro.core.heartbeat import Heartbeat
 from repro.core.record import RECORD_DTYPE
 from repro.net import HeartbeatCollector, NetworkBackend
+from repro.net.link import Backoff
 
 
 def unreachable_endpoint() -> str:
@@ -244,6 +245,29 @@ class TestReconnect:
         finally:
             backend.close()
 
+    @pytest.mark.parametrize("flush_interval", [0.05, 2.0])
+    def test_a_late_collector_is_reached_within_backoff_max_whatever_the_flush_interval(self, flush_interval):
+        """A down link sleeps until its next redial, not its ``flush_interval``,
+        and the appends it gets meanwhile need not wake it."""
+        host, port = unreachable_endpoint().rsplit(":", 1)
+        backoff_max = 0.1
+        backend = NetworkBackend(
+            f"{host}:{port}", stream="late", flush_interval=flush_interval,
+            backoff_initial=0.05, backoff_max=backoff_max,
+        )
+        try:
+            backend.append(0, 1.0, 0, 1)
+            assert wait_until(lambda: backend.stats()["connect_failures"] >= 2)
+            backend.append(1, 1.1, 0, 1)  # the sender has not caught up: no wake
+            with HeartbeatCollector(host, int(port)) as collector:
+                up = time.monotonic()
+                assert wait_until(lambda: backend.stats()["connected"])
+                assert time.monotonic() - up < backoff_max + 0.2
+                assert wait_until(lambda: collector.streams() and collector.streams()[0].total_beats == 2)
+                backend.close()
+        finally:
+            backend.close()
+
     def test_a_new_default_window_reaches_the_collector_by_redialling(self):
         """Only a HELLO carries the window and a link gets one HELLO, so a
         window set after the first connect is published by a redial without
@@ -318,3 +342,22 @@ def test_capacity_is_the_one_bound():
     """The send backlog is the ring: there is no separate queue bound to set."""
     with pytest.raises(TypeError, match="max_pending"):
         NetworkBackend(unreachable_endpoint(), stream="gone", max_pending=100)
+
+
+def test_backoff_doubles_caps_resets_on_success_and_clamps_the_idle_wait():
+    def refused() -> bool:
+        return False
+
+    def early() -> bool:
+        raise AssertionError("dialled before the redial was due")
+
+    backoff = Backoff(0.05, 0.3)
+    assert backoff.wait(1.0) == 0.0  # never failed: dial now
+    delays = [backoff.attempt(refused, force=True) or backoff.delay for _ in range(4)]
+    assert delays == [0.1, 0.2, 0.3, 0.3]
+    assert not backoff.attempt(early)
+    assert 0.2 < backoff.wait(1.0) <= 0.3  # an idle time-out longer than the redial is clamped
+    assert backoff.wait(0.01) == 0.01  # a shorter one stands
+    assert backoff.attempt(lambda: True, force=True)
+    assert backoff.wait(1.0) == 0.0  # a lost link redials at once
+    assert not backoff.attempt(refused) and backoff.delay == 0.1  # and the doubling starts over

@@ -11,11 +11,13 @@ arriving over SSE, and ``/metrics`` agreeing exactly with the historic
 from __future__ import annotations
 
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
 from functools import partial
 
+import pytest
 import waiting
 
 from repro.net import HeartbeatCollector, NetworkBackend
@@ -106,6 +108,24 @@ class TestServerEndpoints:
             aggregator = session.fleet()
             with TelemetryServer(aggregator, registries=[extra], interval=0.05) as server:
                 assert "custom_total 7" in http_get(f"{server.url}/metrics").decode()
+
+
+class TestBindRule:
+    """The dashboard binds by the collector's rule: family from the host, errors name the address."""
+
+    def test_binds_ipv6_loopback_with_a_bracketed_url(self, ipv6_loopback):
+        with TelemetrySession() as session:
+            server = session.watch(interval=0.05, host=ipv6_loopback)
+            assert server.url == f"http://[::1]:{server.port}"
+            assert "aggregator" in http_get(f"{server.url}/metrics").decode()
+
+    def test_a_port_in_use_names_the_address(self):
+        with socket.socket() as blocker, TelemetrySession() as session:
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            port = blocker.getsockname()[1]
+            with pytest.raises(OSError, match=f"cannot bind 127.0.0.1:{port}: "):
+                TelemetryServer(session.fleet(), port=port)
 
 
 class TestMetricsEquivalence:

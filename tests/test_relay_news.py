@@ -160,7 +160,13 @@ class TestSendFailureMidSweep:
         try:
             for sock in socks.values():
                 sock.sendall(batch(1, 20))
-            assert wait_until(lambda: all(total_at(root, n) == 20 for n in names))
+            # The edge counts ``records_sent`` after its ``sendall`` returns, so
+            # the root can hold all 80 before the edge has counted them: wait for
+            # both, or the baselines below are taken short.
+            assert wait_until(
+                lambda: all(total_at(root, n) == 20 for n in names)
+                and edge.relay_stats()["records_sent"] >= 80
+            )
 
             # Eight records per entry and one entry per frame, so one
             # stream's 40 new records leave as five frames of one sweep.
