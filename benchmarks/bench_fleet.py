@@ -846,13 +846,13 @@ def test_tree_delivers_every_beat_and_detects_stalls() -> None:
 def test_arena_slab_poll_10x_faster_than_per_object_100k() -> None:
     """The 100 000-stream arena acceptance gate.
 
-    One slab of 100k rows observed both ways: the vectorized slab shard
+    One slab of 100k rows observed both ways: the slab attached whole
     must deliver at least 10x the per-object poll throughput in the
     trickle regime (the steady state of a live fleet, and where the
     ingest beats/sec figure comes from).  The real margin is around two
     orders of magnitude, so the 10x floor only trips when the slab path
     has lost its vectorization (per-row Python dispatch sneaking back
-    into ``snapshot_since_all`` or ``_poll_arenas``) — CI scheduler noise
+    into ``Arena._columns``, the column pass both arms share) — CI scheduler noise
     cannot produce that.  Idle polls race the per-object arm's own fast
     path (100k inline change-token probes, no reads): ≈ 36 ms against the
     slab's ≈ 15–17 ms on a 2-vCPU host, a 2.2–2.4x margin.  The idle floor

@@ -34,7 +34,7 @@ import os
 import sys
 import time
 
-from repro import HeartbeatAggregator, TelemetrySession, WallClock
+from repro import HeartbeatAggregator, TelemetrySession
 from repro.core.monitor import HealthStatus
 from repro.net import HeartbeatCollector
 
@@ -122,9 +122,7 @@ def main() -> int:
                 return 1
             print(f"every surviving stream delivered {total} beats through its edge")
 
-            aggregator = HeartbeatAggregator(
-                clock=WallClock(rebase=False), liveness_timeout=1.0
-            )
+            aggregator = HeartbeatAggregator(liveness_timeout=1.0)
             try:
                 aggregator.attach_collector(root)
                 if not wait_until(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 
-from repro import TelemetrySession, WallClock
+from repro import TelemetrySession
 
 
 def do_work_unit(i: int) -> float:
@@ -29,10 +29,8 @@ def do_work_unit(i: int) -> float:
 
 
 def main() -> None:
-    # One session, one time base.  Sessions default to the host-wide
-    # monotonic clock (for cross-process alignment); this single-process
-    # demo passes a rebased wall clock so printed timestamps start near 0.
-    session = TelemetrySession(clock=WallClock())
+    # One session, one time base: the host-wide monotonic clock.
+    session = TelemetrySession()
     # HB_initialize(window=20) + HB_set_target_rate(150, 250): a heartbeat
     # stream at the mem:// endpoint with a 20-beat default window and the
     # goal this loop wants to maintain.  The same URL with file://, shm://

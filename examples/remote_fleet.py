@@ -35,7 +35,7 @@ import multiprocessing as mp
 import os
 import time
 
-from repro import Heartbeat, HeartbeatAggregator, TelemetrySession, WallClock
+from repro import Heartbeat, HeartbeatAggregator, TelemetrySession
 from repro.cloud.balancer import HeartbeatLoadBalancer
 from repro.cloud.cluster import CloudCluster, CloudVM
 from repro.net import HeartbeatCollector
@@ -89,7 +89,7 @@ def run_producers(collector: HeartbeatCollector) -> dict[str, tuple[int, float]]
     if not collector.wait_for_streams(PRODUCERS, timeout=30.0):
         raise SystemExit(f"only {len(collector.stream_ids())}/{PRODUCERS} producers registered")
 
-    aggregator = HeartbeatAggregator(clock=WallClock(rebase=False), liveness_timeout=30.0)
+    aggregator = HeartbeatAggregator(liveness_timeout=30.0)
     aggregator.attach_collector(collector)
     sample = aggregator.poll()
     print(f"mid-run: {len(sample)} streams, {sample.total_beats()} beats collected so far")

@@ -16,8 +16,9 @@ A loop can bind any of the stream shapes the observation side knows:
   :class:`~repro.core.monitor.HeartbeatMonitor` (both expose
   ``current_rate``), passed directly as ``source`` — and a monitor takes any
   stream object through its one door (``HeartbeatMonitor(backend)``,
-  ``HeartbeatMonitor(collector.source(stream_id))``), reading O(new beats)
-  per poll when the object offers ``snapshot_since`` cursors;
+  ``HeartbeatMonitor(collector.source(stream_id))``), reading a source
+  that is a slab row — a collector's stream among them — in place, and any
+  other O(new beats) per poll when it offers ``snapshot_since`` cursors;
 * no source at all (``source=None``) when a fleet engine feeds observed
   rates into :meth:`ControlLoop.step` directly.
 

@@ -24,15 +24,17 @@ class Clock(Protocol):
 class WallClock:
     """Monotonic wall-clock time source.
 
-    Uses :func:`time.perf_counter` so the origin is arbitrary but the
-    resolution is the best the platform offers.  An optional ``origin`` shifts
-    reported times so the first reading is close to zero, which keeps traces
-    readable.
+    Uses :func:`time.perf_counter`, the host-wide monotonic clock, so every
+    process on a host stamps and reads beats in one time base and liveness
+    ages mean the same to a producer and to any observer.  ``rebase=True``
+    moves the origin to this clock's construction: a time base no other
+    process shares, so observers elsewhere misread its beats' ages.  Leave
+    it at the default.
     """
 
     __slots__ = ("_origin",)
 
-    def __init__(self, *, rebase: bool = True) -> None:
+    def __init__(self, *, rebase: bool = False) -> None:
         self._origin = time.perf_counter() if rebase else 0.0
 
     def now(self) -> float:

@@ -146,8 +146,6 @@ class HeartbeatLoadBalancer:
         :attr:`collector_endpoint`) and closes it with :meth:`close`.
     clock:
         Observer time base for liveness ages; defaults to the cluster clock.
-        Remote fleets stamped with ``WallClock(rebase=False)`` pass the same
-        here.
     """
 
     def __init__(
@@ -168,7 +166,7 @@ class HeartbeatLoadBalancer:
         self.headroom = float(headroom)
         self.actions: list[BalancerAction] = []
         self._own_collector: HeartbeatCollector | None = None
-        if collector is not None and not callable(getattr(collector, "stream_ids", None)):
+        if collector is not None and not callable(getattr(collector, "slabs", None)):
             # A tcp:// endpoint URL: bind (and own) the collector ourselves.
             from repro.endpoints import open_collector
 

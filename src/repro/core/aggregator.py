@@ -20,13 +20,14 @@ per-stream loops.
 
 Polling is incremental, and there is one read path: every stream is a
 slab row, read where it lies.  A source that is a row (a ``MemoryBackend``
-or a ``Heartbeat`` on one, an ``shm://`` reader, an arena row: see
-:func:`repro.core.stream.capabilities_of`) joins its slab by row index, as
-a collector's streams and an attached slab's rows do.  Any other is
-mirrored into a row of a private ``mem-arena`` slab: a poll probes its
-change token (``version``) and, only when it moved, replays
-``snapshot_since(cursor)`` into the row.  Then one vectorized column pass
-per slab over its attached rows yields every stream's columns, and
+or a ``Heartbeat`` on one, an ``shm://`` reader, an arena row, a
+collector's ``source(stream_id)`` view: see
+:func:`repro.core.stream.capabilities_of`) joins its slab by row index.  Any
+other is mirrored into a row of a private ``mem-arena`` slab: a poll probes
+its change token (``version``) and, only when it moved, replays
+``snapshot_since(cursor)`` into the row.  Then one loop reads every group
+of rows — the per-object rows of one slab, or a whole attached slab, a
+collector's among them — in one vectorized column pass each, and
 :func:`~repro.core.monitor.classify_codes` classifies the whole fleet in one
 vectorized pass.
 
@@ -62,7 +63,7 @@ from repro.core.monitor import (
 )
 from repro.core.rate import BACKWARDS
 from repro.core.registry import HeartbeatRegistry
-from repro.core.stream import SourceCapabilities, StreamSource, capabilities_of
+from repro.core.stream import SourceCapabilities, capabilities_of
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -77,13 +78,9 @@ class CollectorLike(Protocol):
     """A fan-in stage holding named streams as rows of arena slabs.
 
     :class:`repro.net.HeartbeatCollector` satisfies it.
-    :meth:`HeartbeatAggregator.attach_collector` needs only :meth:`slabs`:
+    :meth:`HeartbeatAggregator.attach_collector` calls only :meth:`slabs`:
     every slab with its live row → stream-id table, in creation order.
     """
-
-    def stream_ids(self) -> list[str]: ...  # pragma: no cover - protocol stub
-
-    def source(self, stream_id: str) -> StreamSource: ...  # pragma: no cover - protocol stub
 
     def slabs(self) -> list[tuple[Arena, list[str]]]: ...  # pragma: no cover - protocol stub
 
@@ -377,9 +374,47 @@ class _Stream(_Mirror):
         self.close = close
 
 
-def _by_slab(streams: Sequence[_Stream]) -> list[tuple[Arena, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """``(slab, its rows, their streams' positions, held column or None)`` per
-    slab holding a stream's row; ``held`` caps mirrored rows only."""
+class _Group:
+    """Rows of one slab, read by one column pass (``Arena._columns``).
+
+    A group of per-object streams holds the slab ``rows`` they attached,
+    ``at``, their positions in the sample, and ``held``, which caps
+    mirrored rows only.  A whole slab (``rows`` is ``None``: every
+    allocated row) joins the sample after them as ``prefix + row name``,
+    named from ``table`` (a collector's stream-id list) when given, else
+    from the slab header, which keeps only a name's first 64 bytes.
+    """
+
+    __slots__ = ("arena", "rows", "at", "held", "label", "prefix", "table", "names", "close")
+
+    def __init__(
+        self,
+        arena: Arena,
+        rows: np.ndarray | None = None,
+        at: np.ndarray | None = None,
+        held: np.ndarray | None = None,
+        *,
+        label: str = "",
+        prefix: str = "",
+        table: list[str] | None = None,
+        close: Callable[[], None] | None = None,
+    ) -> None:
+        self.arena, self.rows, self.at, self.held = arena, rows, at, held
+        self.label, self.prefix, self.table, self.close = label, prefix, table, close
+        self.names: tuple[str, ...] = ()
+
+    def named(self, count: int) -> tuple[str, ...]:
+        """A whole slab's first ``count`` row names (fewer while a row's name is unpublished)."""
+        if count != len(self.names):
+            self.names = tuple(
+                self.prefix + (name if name else f"{self.label}[{i}]")
+                for i, name in enumerate(self.arena.row_names() if self.table is None else list(self.table))
+            )
+        return self.names[:count]
+
+
+def _by_slab(streams: Sequence[_Stream]) -> list[_Group]:
+    """One group per slab holding a per-object stream's row."""
     groups: dict[int, tuple[Arena, list[int], list[int], np.ndarray | None]] = {}
     for position, stream in enumerate(streams):
         if stream.caps.row is not None:
@@ -391,43 +426,7 @@ def _by_slab(streams: Sequence[_Stream]) -> list[tuple[Arena, np.ndarray, np.nda
         group = groups.setdefault(id(arena), (arena, [], [], held))
         group[1].append(row)
         group[2].append(position)
-    return [(arena, np.array(rows), np.array(at), held) for arena, rows, at, held in groups.values()]
-
-
-class _ArenaShard:
-    """One attached arena slab, read whole by one column pass (``Arena._columns``).
-
-    Every allocated row joins the sample as ``prefix + row_name``; ``names``
-    caches those and is refreshed only when the slab allocates new rows.
-    Row names come from ``table`` (a collector's stream-id list) when given,
-    else from the slab header, which keeps only a name's first 64 bytes.
-    """
-
-    __slots__ = ("label", "arena", "prefix", "table", "names", "close")
-
-    def __init__(
-        self,
-        label: str,
-        arena: Arena,
-        prefix: str,
-        close: Callable[[], None] | None,
-        table: list[str] | None = None,
-    ) -> None:
-        self.label = label
-        self.arena = arena
-        self.prefix = prefix
-        self.table = table
-        self.names: tuple[str, ...] = ()
-        self.close = close
-
-    def refresh_names(self) -> None:
-        """Re-derive the prefixed row-name tuple."""
-        self.names = tuple(
-            self.prefix + (name if name else f"{self.label}[{i}]")
-            for i, name in enumerate(
-                self.arena.row_names() if self.table is None else list(self.table)
-            )
-        )
+    return [_Group(arena, np.array(rows), np.array(at), held) for arena, rows, at, held in groups.values()]
 
 
 class HeartbeatAggregator:
@@ -440,8 +439,9 @@ class HeartbeatAggregator:
     slabs, with :meth:`attach_collector`.  A per-object source that is a
     slab row is read in place; :meth:`poll` mirrors any other into a
     private slab row the cursored way (version probe, then
-    ``snapshot_since`` only when the token moved).  Every slab is then
-    read in one vectorized pass over the rows attached from it.
+    ``snapshot_since`` only when the token moved).  One loop then reads
+    each slab's attached rows, or a whole attached slab, in one vectorized
+    column pass.
 
     Parameters
     ----------
@@ -482,32 +482,27 @@ class HeartbeatAggregator:
         #: Detached streams whose rows the next poll frees (a poll may be
         #: replaying into them right now).
         self._released: list[_Stream] = []
-        self._arenas: list[_ArenaShard] = []
-        #: Wall seconds the current poll spent in the arena slab path;
-        #: reset by :meth:`poll`, accumulated by :meth:`_poll_arenas`.
-        self._arena_seconds = 0.0
+        #: Whole slabs (``attach_arena``, a collector's), in attach order.
+        self._arenas: list[_Group] = []
         #: ``[prefix, collector, slabs attached so far]`` per collector.
         self._collectors: list[list] = []
         self._closed = False
         #: Bumped on every attach/detach: it keys ``_members``, the streams,
         #: the mirrored ones among them and their names, and with the pool's
-        #: layout ``_slabs``, the streams' rows by slab.
+        #: layout ``_groups``, the groups one poll reads.
         self._membership = 0
-        self._members: tuple[int, tuple[_Stream, ...], tuple[_Stream, ...], tuple[str, ...]] = (-1, (), (), ())
-        self._slabs: tuple[tuple[int, int], list] = ((-1, -1), [])
+        self._members: tuple[int, tuple[_Stream, ...], tuple[_Stream, ...], tuple[str, ...], tuple[_Group, ...]] = (
+            -1, (), (), (), ()
+        )
+        self._groups: tuple[tuple[int, int], list[_Group]] = ((-1, -1), [])
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_polls = self.metrics.counter("aggregator_polls_total", help="fleet polls run")
         self._m_stream_errors = self.metrics.counter(
             "aggregator_stream_errors_total", help="per-stream read failures across polls"
         )
-        poll_help = "wall time of one fleet poll"
-        self._m_poll_duration = self.metrics.histogram("aggregator_poll_duration_seconds", help=poll_help)
-        self._m_poll_arena = self.metrics.histogram(
-            "aggregator_poll_duration_seconds", help=poll_help, labels={"path": "arena"}
-        )
-        self._m_poll_per_object = self.metrics.histogram(
-            "aggregator_poll_duration_seconds", help=poll_help, labels={"path": "per_object"}
+        self._m_poll_duration = self.metrics.histogram(
+            "aggregator_poll_duration_seconds", help="wall time of one fleet poll"
         )
         self.metrics.gauge("aggregator_streams", help="attached streams", fn=_zero_if_closed(lambda: len(self)))
 
@@ -549,7 +544,7 @@ class HeartbeatAggregator:
         (named ``file:<basename>`` / ``shm:<segment>`` unless ``name`` is
         given), owned by the aggregator.  A fleet-shaped arena endpoint
         (``mem-arena://`` / ``shm-arena://`` without ``?stream=``) attaches
-        the *whole slab* as one vectorized shard via :meth:`attach_arena`
+        the *whole slab* via :meth:`attach_arena`
         (``name`` becomes the row-name prefix) and returns that prefix; with
         ``?stream=`` it attaches just that row like any single stream.
         ``tcp://`` endpoints are whole fleets — bind a collector
@@ -571,11 +566,12 @@ class HeartbeatAggregator:
     def attach_arena(
         self, arena: Arena, *, prefix: str = "", own: bool = False
     ) -> None:
-        """Attach every row of an arena slab as one vectorized shard.
+        """Attach every row of an arena slab; its rows follow the per-object streams.
 
-        The slab is polled by the capture step of :meth:`Arena.snapshot_since_all`
-        — one masked numpy pass over all allocated rows, per-stream Python only
-        for a row a writer keeps racing — and its rows join the fleet sample named
+        The slab is read by the poll's one column pass, the capture step of
+        :meth:`Arena.snapshot_since_all` — one masked numpy pass over all
+        allocated rows, per-stream Python only for a row a writer keeps
+        racing — and its rows join the fleet sample named
         ``prefix + row_name``.  Rows allocated *after* this call appear
         automatically on the next poll (the slab header is the membership).
         ``own=True`` hands the arena's ``close`` to :meth:`close`.
@@ -588,8 +584,7 @@ class HeartbeatAggregator:
             if self._closed:
                 raise MonitorAttachError("aggregator is closed")
             label = arena.name if arena.name else f"arena-{len(self._arenas)}"
-            shard = _ArenaShard(label, arena, prefix, arena.close if own else None)
-            self._arenas.append(shard)
+            self._arenas.append(_Group(arena, label=label, prefix=prefix, close=arena.close if own else None))
             self._membership += 1
         labels = {"arena": label}
         self.metrics.gauge(
@@ -641,10 +636,6 @@ class HeartbeatAggregator:
         start of every :meth:`poll`, so a fleet observer attaches once and
         new producers simply appear.  A collector's rows cannot be detached
         one by one.
-
-        The producers and this aggregator must share a time base for
-        liveness ages to mean anything — remote producers normally stamp
-        beats with ``WallClock(rebase=False)``, so pass the same here.
         """
         with self._lock:
             if self._closed:
@@ -671,10 +662,9 @@ class HeartbeatAggregator:
                     break
                 for arena, table in slabs[entry[2] :]:
                     label = arena.name if arena.name else f"arena-{len(self._arenas)}"
-                    shard = _ArenaShard(label, arena, prefix, None, table)
-                    shard.refresh_names()
-                    added.extend(shard.names)
-                    self._arenas.append(shard)
+                    group = _Group(arena, label=label, prefix=prefix, table=table)
+                    added.extend(group.named(len(table)))
+                    self._arenas.append(group)
                     self._membership += 1
                 entry[2] = max(entry[2], len(slabs))
         return added
@@ -695,23 +685,19 @@ class HeartbeatAggregator:
     def names(self) -> list[str]:
         """Names of the attached streams, in attachment order.
 
-        Arena shard rows follow the per-object streams; their names reflect
+        Whole slabs' rows follow the per-object streams; their names reflect
         the slab's *current* allocation table.
         """
         with self._lock:
             names = list(self._streams)
-            shards = list(self._arenas)
-        for shard in shards:
-            if shard.arena.rows_in_use != len(shard.names):
-                shard.refresh_names()
-            names.extend(shard.names)
+            wholes = list(self._arenas)
+        for group in wholes:
+            names.extend(group.named(group.arena.rows_in_use))
         return names
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._streams) + sum(
-                shard.arena.rows_in_use for shard in self._arenas
-            )
+            return len(self._streams) + sum(group.arena.rows_in_use for group in self._arenas)
 
     def __contains__(self, name: str) -> bool:
         with self._lock:
@@ -727,8 +713,8 @@ class HeartbeatAggregator:
     def poll(self) -> FleetSample:
         """Observe every attached stream and classify the whole fleet.
 
-        A poll costs one vectorized column pass per slab holding an
-        attached row.  A stream that is no row adds one cheap change-token
+        A poll costs one vectorized column pass per group: a slab's
+        attached rows, or a whole attached slab.  A stream that is no row adds one cheap change-token
         probe: a delta is read only from such a source when it reports news,
         and replayed into its private slab row.  One vectorized
         classification then covers the whole fleet.
@@ -738,24 +724,17 @@ class HeartbeatAggregator:
         unlinked, slab closed) or its rate window holds a backwards
         timestamp — is left out of the sample and reported in
         ``FleetSample.errors`` under its name; a failed mirror read is redone
-        in full on the next poll.  Attached slabs follow the same rule.
+        in full on the next poll.  A whole attached slab that fails is
+        reported as ``arena:<label>``.
 
         Concurrent ``poll`` calls from different threads are serialised
         internally (the mirrors' cursors and private slabs are aggregator
         state).
         """
         with self._poll_lock:
-            self._arena_seconds = 0.0
             start = time.perf_counter()
             sample = self._poll_locked()
-            elapsed = time.perf_counter() - start
-            self._m_poll_duration.observe(elapsed)
-            # Split the poll wall time by path (slab vs per-object) so the dashboard can
-            # show what the slab path saves over per-object dispatch.
-            if self._arenas:
-                self._m_poll_arena.observe(self._arena_seconds)
-            if self._streams:
-                self._m_poll_per_object.observe(elapsed - self._arena_seconds)
+            self._m_poll_duration.observe(time.perf_counter() - start)
         self._m_polls.inc()
         self._m_stream_errors.inc(len(sample.errors))
         return sample
@@ -768,8 +747,8 @@ class HeartbeatAggregator:
             if self._members[0] != layout:
                 streams = tuple(self._streams.values())
                 mirrored = tuple(s for s in streams if s.caps.row is None)
-                self._members = (layout, streams, mirrored, tuple(s.name for s in streams))
-            _, streams, mirrored, names = self._members
+                self._members = (layout, streams, mirrored, tuple(s.name for s in streams), tuple(self._arenas))
+            _, streams, mirrored, names, wholes = self._members
             released, self._released = self._released, []
         pool, window = self._pool, self._window
         for stream in released:
@@ -785,22 +764,35 @@ class HeartbeatAggregator:
                 # ValueError: records the row cannot hold — one producer's
                 # bad data must not fail the fleet's poll.
                 errors[stream.name] = str(exc)
-        if self._slabs[0] != (layout, pool.layout):
-            self._slabs = ((layout, pool.layout), _by_slab(streams))
-        columns = tuple(np.zeros(len(names), dtype=column.dtype) for column in _NO_COLUMNS)
-        for arena, rows, at, held in self._slabs[1]:
+        if self._groups[0] != (layout, pool.layout):
+            self._groups = ((layout, pool.layout), _by_slab(streams) + list(wholes))
+        # Per-object streams land at their positions in one block; each whole
+        # slab is a part of its own, so a fleet of whole slabs builds no block.
+        block = tuple(np.zeros(len(names), dtype=column.dtype) for column in _NO_COLUMNS) if names else ()
+        parts: list[tuple[np.ndarray, ...]] = []
+        tail: tuple[str, ...] = ()
+        for group in self._groups[1]:
             try:
-                part = arena._columns(rows, window, held)
+                part = group.arena._columns(group.rows, window, group.held)
             except (HeartbeatError, ValueError) as exc:  # as a mirror's sync fails
-                errors.update((names[i], str(exc)) for i in at.tolist())
+                if group.at is None:
+                    errors[f"arena:{group.label}"] = str(exc)
+                else:
+                    errors.update((names[i], str(exc)) for i in group.at.tolist())
                 continue
-            for column, values in zip(columns, part):
-                column[at] = values
-        if errors:
+            if group.at is not None:
+                for column, values in zip(block, part):
+                    column[group.at] = values
+                continue
+            rows = group.named(part[0].shape[0])  # a collector row published ahead of its id waits
+            tail = tail + rows
+            parts.append(tuple(column[: len(rows)] for column in part[:6]))
+        if names and errors:
             keep = np.array([name not in errors for name in names], dtype=bool)
-            names, columns = tuple(compress(names, keep)), tuple(column[keep] for column in columns)
-        parts = [columns] if names else []  # a fleet of attached slabs only pays for no per-object column
-        names = names + self._poll_arenas(parts, errors)
+            names, block = tuple(compress(names, keep)), tuple(column[keep] for column in block)
+        if names:
+            parts.insert(0, block)
+        names = names + tail
         rate, total, tmin, tmax, last_ts, retained = _concat(parts)
         backwards = np.isnan(rate)
         if backwards.any():
@@ -826,38 +818,6 @@ class HeartbeatAggregator:
             codes=codes,
         )
 
-    def _poll_arenas(
-        self, parts: list[tuple[np.ndarray, ...]], errors: dict[str, str]
-    ) -> tuple[str, ...]:
-        """Read every attached slab into ``parts``; returns their row names.
-
-        One column pass per slab — the per-row work is
-        numpy's, not the interpreter's.  A slab that fails to answer (e.g.
-        its creator unlinked it mid-poll) lands in ``errors`` under
-        ``arena:<label>`` and drops out of this sample, as a dead per-object
-        stream does.
-        """
-        with self._lock:
-            shards = list(self._arenas)
-        names: tuple[str, ...] = ()
-        t0 = time.perf_counter()
-        for shard in shards:
-            try:
-                columns = shard.arena._columns(None, self._window, None)[:6]
-            except HeartbeatError as exc:
-                errors[f"arena:{shard.label}"] = str(exc)
-                continue
-            rows = columns[0].shape[0]
-            if rows != len(shard.names):
-                shard.refresh_names()
-            if rows > len(shard.names):  # a collector row published ahead of its id waits
-                rows = len(shard.names)
-                columns = tuple(column[:rows] for column in columns)
-            names = names + shard.names[:rows]  # a row allocated since the read waits
-            parts.append(columns)
-        self._arena_seconds += time.perf_counter() - t0
-        return names
-
     def rates(self) -> dict[str, float]:
         """Convenience: poll once and return ``{stream name: rate}``."""
         sample = self.poll()
@@ -882,16 +842,16 @@ class HeartbeatAggregator:
             self._closed = True
             streams = list(self._streams.values())
             self._streams.clear()
-            shards = list(self._arenas)
+            wholes = list(self._arenas)
             self._arenas.clear()
             self._collectors.clear()
             self._membership += 1
         for stream in streams:
             if stream.close is not None:
                 stream.close()
-        for shard in shards:
-            if shard.close is not None:
-                shard.close()
+        for group in wholes:
+            if group.close is not None:
+                group.close()
 
     def __enter__(self) -> "HeartbeatAggregator":
         return self

@@ -87,17 +87,13 @@ def HB_initialize(
     registered as ``"global-<pid>"`` (or ``"local-<pid>-<tid>"``) unless the
     URL carries ``?stream=`` or a ``stream=`` keyword is passed;
     ``file://``/``shm://`` endpoints publish for same-host cross-process
-    observers.  For every cross-process endpoint, beats are stamped with the
-    host-wide monotonic clock (``WallClock(rebase=False)``) unless a
-    ``clock`` is supplied, so external observers compute liveness ages
-    against the producer's time base.
+    observers.
     """
     if endpoint is not None:
         if "backend" in kwargs:
             raise ValueError("pass either endpoint= or backend=, not both")
         from dataclasses import replace
 
-        from repro.clock import WallClock
         from repro.endpoints import Endpoint
 
         ep = Endpoint.parse(endpoint)  # type: ignore[arg-type]
@@ -125,8 +121,6 @@ def HB_initialize(
         # validates its arguments before opening, so a rejected stream never
         # leaves an opened backend behind.
         kwargs["backend"] = ep
-        if not ep.inline:
-            kwargs.setdefault("clock", WallClock(rebase=False))
     if local:
         return _registry.initialize_local(window, **kwargs)
     return _registry.initialize(window, **kwargs)

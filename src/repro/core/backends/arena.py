@@ -311,11 +311,12 @@ def _read_alone(ring: Ring, window: int, cap: int) -> tuple[float, int, float, f
     stamp is ``nan`` when the read kept no beat, the rate ``nan`` when the
     window runs backwards.
     """
-    for _ in range(_ATTEMPTS):  # a window the writer lapped whole is read again
+    for _ in range(_ATTEMPTS):  # a window the writer lapped to under two stamps is read again
         total, default_window, target_min, target_max = ring.capture()
         held = min(total, cap)
-        kept_window, kept = ring.copy_newest(total, resolve_window(window, default_window, held))
-        if kept_window.size or not held:
+        count = resolve_window(window, default_window, held)
+        kept_window, kept = ring.copy_newest(total, count)
+        if kept_window.size >= min(count, 2):
             break
     stamps = kept_window["timestamp"].tolist() or [np.nan]
     last, span = stamps[-1], stamps[-1] - stamps[0]

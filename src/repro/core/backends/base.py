@@ -243,19 +243,6 @@ class Backend(abc.ABC):
     def close(self) -> None:
         """Release any resources held by the backend (idempotent)."""
 
-    # ------------------------------------------------------------------ #
-    # Conveniences shared by all backends
-    # ------------------------------------------------------------------ #
-    def empty_snapshot(self) -> BackendSnapshot:
-        """A snapshot representing "no beats yet"."""
-        return BackendSnapshot(
-            records=np.empty(0, dtype=RECORD_DTYPE),
-            total_beats=0,
-            target_min=0.0,
-            target_max=0.0,
-            default_window=0,
-        )
-
     def __enter__(self) -> "Backend":
         return self
 

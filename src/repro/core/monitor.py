@@ -19,7 +19,8 @@ need.
 
 Both observers read one way: every stream they observe is a slab row,
 read where it lies.  A source that is a row (a ``MemoryBackend``, so a
-``Heartbeat`` on ``mem://``; an ``shm://`` segment; an arena row: see
+``Heartbeat`` on ``mem://``; an ``shm://`` segment; an arena row; a
+collector's ``source(stream_id)`` view: see
 :func:`~repro.core.stream.capabilities_of`) is its own row.  Any other (a
 ``file://`` log, a snapshot callable) is mirrored by :meth:`_Mirror.sync`
 into a row of a private ``mem-arena`` slab, in the chain of the smallest
@@ -233,8 +234,9 @@ class HeartbeatMonitor:
     :meth:`read` re-polls the source, so a monitor held by a scheduler
     naturally tracks the application over time.
 
-    :meth:`read` reads one slab row through its ring — the source's own,
-    or a private row its ``snapshot_since`` deltas (found with
+    :meth:`read` reads one slab row through its ring — the source's own
+    when it is a row (a collector's stream is read in place), else a
+    private row its ``snapshot_since`` deltas (found with
     :func:`repro.core.stream.capabilities_of`) are replayed into, skipped
     on equal ``version`` tokens — and classifies it with
     :func:`classify_codes`.

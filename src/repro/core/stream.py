@@ -132,8 +132,9 @@ def capabilities_of(obj: object) -> SourceCapabilities:
 
     * anything with ``snapshot`` (a ``Backend``, a ``SharedMemoryReader`` or
       ``FileReader``, an arena row, a collector's ``source(stream_id)``
-      row, a ``HeartbeatMonitor``, ...) — ``snapshot_since`` / ``version`` /
-      ``close`` / ``slab_row`` ride along when present.  An object's own ``snapshot``
+      view of its row, a ``HeartbeatMonitor``, ...) — ``snapshot_since`` /
+      ``version`` / ``close`` / ``slab_row`` ride along when present, and a
+      source with ``slab_row`` is read in place by both observers.  An object's own ``snapshot``
       always wins over any ``backend`` it wraps;
     * anything with a ``backend`` attribute that is itself a source (a
       ``Heartbeat`` — the backend's capabilities are adopted);
@@ -144,12 +145,12 @@ def capabilities_of(obj: object) -> SourceCapabilities:
     attribute, never by ``isinstance``: a third-party object that grew
     ``snapshot_since`` yesterday gets incremental polling today.
     """
-    if callable(getattr(obj, "stream_ids", None)):
+    if callable(getattr(obj, "slabs", None)):
         # A collector-like object is a *set* of streams, and its snapshot
         # surface takes a stream id — accepting it here would wire a source
         # whose every read fails.  Reject loudly.
         raise TypeError(
-            f"{type(obj).__name__} is collector-like (it has stream_ids); "
+            f"{type(obj).__name__} is collector-like (it has slabs); "
             "attach it with attach_collector() / TelemetrySession.fleet(), "
             "or pick one stream via its source(stream_id) view"
         )

@@ -26,11 +26,6 @@ fleet manager on a different machine entirely:
   with reconnect/backoff and idempotent replay.
 
 The full byte-level frame format is specified in ``docs/wire-protocol.md``.
-
-Producers that will be observed remotely should stamp beats with a time base
-the collector host shares — on the same host ``WallClock(rebase=False)``; the
-:func:`repro.core.api.HB_initialize` ``endpoint="tcp://..."`` mode selects
-that default.
 """
 
 from repro.net.async_collector import AsyncHeartbeatCollector, CollectorStreamInfo

@@ -8,8 +8,8 @@ rather than threads — one collector is an ingest *tier*, not "a host's fleet".
 Every stream is a row of a slab chain (one chain per retained depth, see
 :class:`~repro.core.backends.arena._SlabPool`), and there is no other store.
 The observation surface is the one the rest of the system already speaks:
-per-stream sources (:meth:`source` is the stream's row, a
-:class:`~repro.core.backends.ring.Ring`),
+per-stream sources (:meth:`source` is a view of the stream's row, an
+:class:`~repro.core.backends.arena.ArenaRowView`),
 :meth:`stream_ids`, the slabs themselves (:meth:`slabs`), which
 :meth:`~repro.core.aggregator.HeartbeatAggregator.attach_collector` reads
 whole, and streams that survive disconnects so a producer death reads
@@ -63,9 +63,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.backends.arena import Arena, _SlabPool
+from repro.core.backends.arena import Arena, ArenaRowView, _SlabPool
 from repro.core.backends.base import BackendSnapshot
-from repro.core.backends.ring import Ring
 from repro.core.errors import MonitorAttachError, ProtocolError
 from repro.net import link, protocol
 from repro.net.persistence import JournalWriter, StreamJournal
@@ -132,17 +131,20 @@ class _CollectorStream:
     """
 
     __slots__ = (
-        "stream_id", "name", "pid", "nonce", "ring", "capacity",
+        "stream_id", "name", "pid", "nonce", "row", "ring", "capacity",
         "liveness", "conn_gen", "via_relay", "journal",
     )
 
-    def __init__(self, stream_id: str, hello: protocol.Hello, capacity: int, ring: Ring, via_relay: bool) -> None:
+    def __init__(
+        self, stream_id: str, hello: protocol.Hello, capacity: int, row: tuple[Arena, int], via_relay: bool
+    ) -> None:
         self.stream_id = stream_id
         self.name = hello.name
         self.pid = hello.pid
         self.nonce = hello.nonce
         self.capacity = capacity
-        self.ring = ring
+        self.row = row
+        self.ring = row[0]._ring(row[1])
         self.liveness = _Liveness(False, False, None)
         #: Connection generation: bumped on every (re)registration so a
         #: superseded connection cannot clobber its successor's state.
@@ -438,17 +440,17 @@ class AsyncHeartbeatCollector(link.SelectorServer):
         """A consistent snapshot of one stream's retained history."""
         return self._get_stream(stream_id).ring.snapshot()
 
-    def source(self, stream_id: str) -> Ring:
+    def source(self, stream_id: str) -> ArenaRowView:
         """One registered stream as a :class:`~repro.core.stream.StreamSource`.
 
-        It is the stream's row itself: a :class:`~repro.core.backends.ring.
-        Ring`, read under its sequence word while the event loop writes it,
-        with the full capability set — ``snapshot`` / ``snapshot_since`` /
-        ``version`` — so it attaches anywhere a source does
-        (``HeartbeatMonitor``, ``HeartbeatAggregator.attach_stream``, a
-        ``ControlLoop`` rate source) with incremental polling intact.
+        A fresh view of the stream's row on each call, read under its
+        sequence word while the event loop writes it.  Its ``slab_row()``
+        is the collector's slab and row index, so it attaches anywhere a
+        source does (``HeartbeatMonitor``, ``HeartbeatAggregator.attach_stream``,
+        a ``ControlLoop`` rate source) and is read in place.  Closing it
+        touches neither the stream nor another caller's view.
         """
-        return self._get_stream(stream_id).ring
+        return ArenaRowView(*self._get_stream(stream_id).row)
 
     def version_source(self, stream_id: str) -> Callable[[], tuple[int, int]]:
         """A cheap change-token provider for the aggregator's idle-skip path."""
@@ -787,7 +789,7 @@ class AsyncHeartbeatCollector(link.SelectorServer):
         capacity = hello.capacity if hello.capacity > 0 else self._default_capacity
         capacity = min(max(capacity, _MIN_STREAM_CAPACITY), _MAX_STREAM_CAPACITY)
         slab, index = self._pool.take(capacity if self._arena is None else self._arena.depth, stream_id)
-        stream = _CollectorStream(stream_id, hello, capacity, slab.arena._ring(index), via_relay)
+        stream = _CollectorStream(stream_id, hello, capacity, (slab.arena, index), via_relay)
         stream.register(hello)
         return stream
 

@@ -47,7 +47,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.clock import WallClock
 from repro.core.aggregator import HeartbeatAggregator
 from repro.core.monitor import HealthStatus
 from repro.faults.timeline import TimelineEvent
@@ -515,9 +514,7 @@ class ScenarioRunner:
 
         # Root collector + aggregator: the observation plane. Never dies.
         self._root = HeartbeatCollector("127.0.0.1", 0)
-        self._aggregator = HeartbeatAggregator(
-            clock=WallClock(rebase=False), liveness_timeout=_LIVENESS_TIMEOUT
-        )
+        self._aggregator = HeartbeatAggregator(liveness_timeout=_LIVENESS_TIMEOUT)
         self._aggregator.attach_collector(self._root)
 
         root_address = f"127.0.0.1:{self._root.port}"

@@ -25,13 +25,9 @@ or ``file:///var/log/svc.hblog``) and an observer anywhere else runs
 with no other coordination.
 
 One session, one time base: unless a ``clock`` is supplied (to the session,
-or per call), every stream a session produces or observes — ``mem://``
-included — is stamped with the host-wide monotonic clock
-(``WallClock(rebase=False)``), so liveness ages are consistent across the
-whole session and across processes.  (A bare
-:class:`~repro.core.heartbeat.Heartbeat` keeps its process-rebased default;
-pass ``clock=WallClock()`` to a session that prefers readable near-zero
-timestamps and needs no cross-process alignment.)
+or per call), every stream a session produces or observes is stamped and
+read with the default :class:`~repro.clock.WallClock`, the host-wide
+monotonic clock, so liveness ages are consistent across processes.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import os
 import threading
 from typing import TYPE_CHECKING, Callable
 
-from repro.clock import Clock, WallClock
+from repro.clock import Clock
 from repro.core.aggregator import HeartbeatAggregator
 from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import HeartbeatMonitor
@@ -68,8 +64,7 @@ class TelemetrySession:
     ----------
     clock:
         Default time source for everything the session creates.  ``None``
-        selects the host-wide monotonic clock (``WallClock(rebase=False)``)
-        for every endpoint, keeping one time base across the session.
+        keeps each object's default, the host-wide monotonic ``WallClock``.
     window:
         Default rate window for produced and observed streams (``0``: the
         library / producer default).
@@ -158,7 +153,7 @@ class TelemetrySession:
         heartbeat = Heartbeat(
             self._window if window is None else window,
             name=stream_name,
-            clock=self._clock_for(clock),
+            clock=clock or self._clock,
             backend=ep,
             history=history,
             thread_safe=thread_safe,
@@ -232,7 +227,7 @@ class TelemetrySession:
             source = open_source(ep)
         monitor = HeartbeatMonitor(
             source,
-            clock=self._clock_for(clock),
+            clock=clock or self._clock,
             window=self._window if window is None else int(window),
             liveness_timeout=(
                 self._liveness_timeout if liveness_timeout is None else liveness_timeout
@@ -255,10 +250,10 @@ class TelemetrySession:
         binds a session-owned collector and observes every producer that
         dials in (dynamically, as they appear); ``file://`` / ``shm://`` /
         ``mem://NAME`` attach single streams; ``mem-arena://`` /
-        ``shm-arena://`` attach a whole arena slab as one vectorized shard
+        ``shm-arena://`` attach a whole arena slab
         (every allocated row, including rows allocated later) — or an
         already-running collector-like object (anything with
-        ``stream_ids``), which is observed without taking ownership.
+        ``slabs()``), which is observed without taking ownership.
 
         Returns
         -------
@@ -283,7 +278,7 @@ class TelemetrySession:
         5
         """
         aggregator = HeartbeatAggregator(
-            clock=self._clock_for(clock),
+            clock=clock or self._clock,
             window=self._window if window is None else int(window),
             liveness_timeout=(
                 self._liveness_timeout if liveness_timeout is None else liveness_timeout
@@ -490,18 +485,6 @@ class TelemetrySession:
         closer()
         raise EndpointError("telemetry session is closed")
 
-    def _clock_for(self, override: Clock | None) -> Clock:
-        """The time base of one stream or fleet: override > session > the default.
-
-        One session, one time base: every produced and observed stream
-        defaults to the same host-wide monotonic clock, so a fleet mixing
-        ``mem://`` and cross-process streams computes consistent liveness
-        ages for all of them.
-        """
-        if override is not None:
-            return override
-        return self._clock if self._clock is not None else WallClock(rebase=False)
-
     def _lookup(self, ep: Endpoint) -> Heartbeat:
         name = stream_name_for(ep)
         with self._lock:
@@ -523,7 +506,7 @@ class TelemetrySession:
         here, reading the scheme's row rather than its class.
         """
         if not isinstance(entry, (str, Endpoint)):
-            if callable(getattr(entry, "stream_ids", None)):
+            if callable(getattr(entry, "slabs", None)):
                 aggregator.attach_collector(entry)  # type: ignore[arg-type]
                 return
             raise EndpointError(

@@ -122,10 +122,6 @@ class ExecutionEngine:
         """Register a hook invoked right after each heartbeat is registered."""
         self._after_hooks.append(hook)
 
-    def clear_hooks(self) -> None:
-        self._before_hooks.clear()
-        self._after_hooks.clear()
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Union
+from typing import Union
 
 import numpy as np
 
@@ -236,8 +236,3 @@ class Tuner:
                 tuned=tuned_result.to_dict(), improved=result.improved,
             )
         return result
-
-
-def tune_spec(spec: AdaptSpec, **kwargs: Any) -> TuneResult:
-    """One-call convenience: ``Tuner(spec, **kwargs).run()``."""
-    return Tuner(spec, **kwargs).run()

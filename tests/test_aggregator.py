@@ -6,12 +6,16 @@ Streams attach through the object door (``attach_stream``) or the URL door
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import time
+
 import numpy as np
 import pytest
 
+from repro.clock import ManualClock
 from repro.core import api
 from repro.core.aggregator import HeartbeatAggregator
-from repro.core.backends import FileBackend, SharedMemoryBackend
+from repro.core.backends import Arena, FileBackend, MemoryBackend, SharedMemoryBackend
 from repro.core.errors import HeartbeatError, MonitorAttachError
 from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import HealthStatus
@@ -364,6 +368,120 @@ class TestFailureIsolation:
         assert sample.reading("s0").rate > 0
         with pytest.raises(KeyError):
             sample.reading("absent")
+
+
+#: Seconds between the spawned writer's beat stamps (its clock is manual).
+_WRITER_DT = 0.001
+
+
+def _row_writer(name: str, ready, stop, written) -> None:
+    """Beat flat out, round robin, into every allocated row of the slab ``name``."""
+    arena = Arena.attach(name)
+    clock = ManualClock()
+    beats = [Heartbeat(window=8, clock=clock, backend=arena.row(i)) for i in range(arena.rows_in_use)]
+    for i, hb in enumerate(beats):
+        hb.set_target_rate(100.0 * (i + 1), 1000.0)
+    ready.set()
+    count = 0
+    while not stop.is_set():
+        for _ in range(64):
+            count += 1
+            clock.time = count * _WRITER_DT
+            beats[count % len(beats)].heartbeat(count)
+    written.put(count)
+    arena.close()
+
+
+class TestOneLoop:
+    """A whole slab and per-object rows are groups of one read loop."""
+
+    def test_a_slab_read_whole_equals_its_rows_read_one_by_one(self):
+        """A writer in another process beats flat out into three rows of an
+        ``shm-arena://`` slab.  One aggregator attaches the slab whole, the
+        other each row as its own stream: under the writer no poll errs and
+        no total falls, and once it stops both read every row alike."""
+        ctx = mp.get_context("spawn")
+        ready, stop = ctx.Event(), ctx.Event()
+        written = ctx.Queue()
+        arena = Arena.create(streams=4, depth=256)
+        names = ("w0", "w1", "w2")
+        for name in names:
+            arena.allocate(name)
+        child = ctx.Process(target=_row_writer, args=(arena.name, ready, stop, written))
+        child.start()
+        attached = None
+        clock = ManualClock()
+        try:
+            assert ready.wait(60.0), "the writer process never came up"
+            attached = Arena.attach(arena.name)
+            with HeartbeatAggregator(clock=clock, liveness_timeout=5.0) as whole, HeartbeatAggregator(
+                clock=clock, liveness_timeout=5.0
+            ) as rows:
+                whole.attach_arena(attached)
+                for i, name in enumerate(names):
+                    rows.attach_stream(name, arena.row(i))
+                last = {id(whole): np.zeros(3, dtype=np.int64), id(rows): np.zeros(3, dtype=np.int64)}
+                polls, start = 0, time.monotonic()
+                while time.monotonic() - start < 1.0:
+                    for agg in (whole, rows):
+                        sample = agg.poll()
+                        assert sample.errors == {} and sample.names == names
+                        assert (sample.totals() >= last[id(agg)]).all()
+                        last[id(agg)] = sample.totals().copy()
+                    polls += 1
+                stop.set()
+                final = written.get(timeout=60.0)
+                clock.time = final * _WRITER_DT + 0.5
+                by_slab, by_row = whole.poll(), rows.poll()
+                assert by_slab.names == by_row.names == names
+                assert by_slab.total_beats() == by_row.total_beats() == final
+                for name in names:
+                    assert by_slab.reading(name) == by_row.reading(name)
+                    assert by_slab.reading(name).status is HealthStatus.HEALTHY
+                assert polls > 5 and int(last[id(whole)].sum()) > 0
+        finally:
+            stop.set()
+            child.join(timeout=60.0)
+            if attached is not None:
+                attached.close()
+            arena.close()
+        assert child.exitcode == 0
+
+    def test_a_closed_slab_fails_alone_in_a_mixed_poll(self, sim_clock, tmp_path):
+        """A slab closed mid-run reports ``arena:<label>`` for its whole
+        attachment and its own name for a per-object row in it; rows of
+        other slabs, a mirrored ``file://`` stream among them, still read."""
+        from repro.endpoints import FileEndpoint
+
+        closing, other, local = Arena(streams=4, depth=16), Arena(streams=2, depth=16), MemoryBackend(16)
+        log = FileBackend(tmp_path / "log.hblog", buffered=False)
+        writers = [closing.allocate("a"), closing.allocate("b"), other.allocate("c"), local, log]
+        for writer in writers:
+            writer.set_default_window(4)
+        for beat in range(3):
+            for writer in writers:
+                writer.append(beat, float(beat), 0, 1)
+        try:
+            with HeartbeatAggregator(clock=sim_clock) as agg:
+                agg.attach_arena(closing, prefix="slab/")
+                agg.attach_stream("mine", closing.row(1))
+                agg.attach_stream("theirs", other.row(0))
+                agg.attach_stream("local", local)
+                agg.attach_endpoint(FileEndpoint(path=str(log.path)), name="log")
+                sample = agg.poll()
+                assert sample.names == ("mine", "theirs", "local", "log", "slab/a", "slab/b")
+                assert sample.errors == {}
+                closing.close()
+                for writer in writers[2:]:
+                    writer.append(3, 3.0, 0, 1)
+                sample = agg.poll()
+                assert sample.names == ("theirs", "local", "log")
+                assert set(sample.errors) == {"arena:arena-0", "mine"}
+                assert sample.totals().tolist() == [4, 4, 4]
+                assert sample.rates().tolist() == pytest.approx([1.0, 1.0, 1.0])
+        finally:
+            log.close()
+            other.close()
 
 
 class TestMetrics:

@@ -290,7 +290,7 @@ class TestAggregatorArenaPath:
                 rendered = agg.metrics.render_text()
                 assert "aggregator_arena_streams" in rendered
                 assert "aggregator_arena_occupancy" in rendered
-                assert 'aggregator_poll_duration_seconds_count{path="arena"}' in rendered
+                assert "aggregator_poll_duration_seconds_count 1" in rendered
             finally:
                 agg.close()
 

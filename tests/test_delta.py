@@ -935,7 +935,7 @@ def _open_source_kind(kind, tmp_path, clock, cleanup):
 
 #: The kinds that are no slab row, so both observers mirror them; every
 #: other kind of :data:`SOURCE_KINDS` is a row and is read in place.
-MIRRORED_KINDS = {"file_reader", "collector", "callable"}
+MIRRORED_KINDS = {"file_reader", "callable"}
 
 
 class TestOneDoor:
@@ -1026,7 +1026,8 @@ class TestOneDoor:
                 fn()
 
     @pytest.mark.parametrize(
-        "kind", ["memory", "heartbeat", "mem_url", "shm_reader", "shm_writer", "arena_row", "exporter", "monitor"]
+        "kind",
+        ["memory", "heartbeat", "mem_url", "shm_reader", "shm_writer", "arena_row", "exporter", "collector", "monitor"],
     )
     def test_no_row_source_is_mirrored(self, kind, monkeypatch):
         """Every source that is a slab row is read where it lies, by both
@@ -1058,6 +1059,8 @@ class TestOneDoor:
             elif kind == "exporter":
                 writer = source = _unreachable_exporter(64)
                 cleanup.append(writer.close)
+            elif kind == "collector":
+                writer, source = _open_source_kind(kind, None, clock, cleanup)
             elif kind == "mem_url":
                 source = Heartbeat(window=10, clock=clock, backend="mem://")
                 writer = source.backend

@@ -18,6 +18,7 @@ from waiting import wait_until
 
 from repro.clock import WallClock
 from repro.core.aggregator import HeartbeatAggregator
+from repro.core.backends.ring import Ring
 from repro.core.errors import MonitorAttachError
 from repro.core.heartbeat import Heartbeat
 from repro.core.monitor import HealthStatus
@@ -94,10 +95,9 @@ class TestEndToEnd:
             assert wait_until(
                 lambda: [s.total_beats for s in collector.streams()] == [500]
             )
-            kind = type(collector.source("svc"))
-            real, calls = kind.snapshot, []
+            real, calls = Ring.snapshot, []
             monkeypatch.setattr(
-                kind, "snapshot", lambda self, n=None: calls.append(n) or real(self, n)
+                Ring, "snapshot", lambda self, n=None: calls.append(n) or real(self, n)
             )
             (info,) = collector.streams()
             assert info.total_beats == 500

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 import waiting
 
+from repro.core.backends.ring import Ring
 from repro.core.record import RECORD_DTYPE
 from repro.net import HeartbeatCollector, protocol
 from repro.net import relay as relay_module
@@ -129,15 +130,14 @@ class TestSweepReadsOnlyTheStreamsThatMoved:
                 timeout=10.0,
             )
             reads: list[int] = []
-            ring_type = type(edge.source("s000"))
-            original = ring_type.snapshot_since
+            original = Ring.snapshot_since
 
             def counting(self, cursor=None):
                 if on_relay_thread():
                     reads.append(1)
                 return original(self, cursor)
 
-            monkeypatch.setattr(ring_type, "snapshot_since", counting)
+            monkeypatch.setattr(Ring, "snapshot_since", counting)
             time.sleep(0.3)  # let any trailing pass of the fill-up finish
             reads.clear()
             frames = edge.relay_stats()["frames_sent"]
@@ -282,9 +282,9 @@ class TestCloseNeverOvertakesItsRecords:
 
             monkeypatch.setattr(root, "_ingest_relay", checked_ingest)
 
-            row = edge.source("svc")
+            row = edge._get_stream("svc").ring  # the row the forwarder reads
             paused = threading.Event()
-            original_read = type(row).snapshot_since
+            original_read = Ring.snapshot_since
 
             def ingest_behind_the_read(self, cursor=None):
                 delta, cursor = original_read(self, cursor)
@@ -296,7 +296,7 @@ class TestCloseNeverOvertakesItsRecords:
                     assert wait_until(lambda: info_at(edge, "svc").closed, timeout=2.0)
                 return delta, cursor
 
-            monkeypatch.setattr(type(row), "snapshot_since", ingest_behind_the_read)
+            monkeypatch.setattr(Ring, "snapshot_since", ingest_behind_the_read)
 
             sock.sendall(batch(11, 5))
 

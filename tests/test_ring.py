@@ -216,6 +216,37 @@ class TestClobberedPrefix:
             finally:
                 made.close()
 
+    def test_a_row_read_alone_reads_again_when_its_window_is_lapped_to_one_stamp(self, monkeypatch):
+        """One stamp gives no rate: a hot row must not read rate 0 for a poll."""
+        depth = 64
+        with Arena(streams=1, depth=depth) as arena:
+            clock = ManualClock()
+            hb = Heartbeat(window=20, clock=clock, backend=arena.allocate("lapped"))
+            written = [0]
+
+            def beat(n: int) -> None:
+                for _ in range(n):
+                    written[0] += 1
+                    clock.time = written[0] * 0.5
+                    hb.heartbeat()
+
+            beat(depth + 3)
+            real = Ring._copy_last
+            copies: list[int] = []
+
+            def copy_then_lap(ring, total, count):
+                copied = real(ring, total, count)
+                copies.append(count)
+                if len(copies) == 1:
+                    beat(depth - 1)  # overwrites all but the newest copied record
+                return copied
+
+            monkeypatch.setattr(Ring, "_copy_last", copy_then_lap)
+            rate, total, _, _, last, retained, _ = arena_module._read_alone(arena._ring(0), 0, depth)
+        assert copies == [20, 20]
+        assert total == 2 * depth + 2 and last == total * 0.5
+        assert rate == 2.0 and retained == depth
+
 
 class TestOneRing:
     def test_removed_spellings_are_not_importable(self):

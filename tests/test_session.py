@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 
 import pytest
+from waiting import wait_until
 
 from repro import (
     Heartbeat,
@@ -151,6 +152,24 @@ class TestSessionProduceObserve:
             with pytest.raises(EndpointError, match="fleet entries"):
                 session.fleet(object())
 
+    def test_fleet_attaches_an_object_with_only_slabs(self):
+        """CollectorLike is one method: an object with only ``slabs()`` is a collector."""
+        from repro.core.backends.arena import Arena
+
+        class SlabsOnly:
+            def __init__(self, arena):
+                self.arena = arena
+
+            def slabs(self):
+                return [(self.arena, ["one", "two"])]
+
+        with Arena(streams=2, depth=8) as arena, TelemetrySession() as session:
+            arena.allocate("one").append(1, time.perf_counter(), 0, 0)
+            arena.allocate("two")
+            fleet = session.fleet(SlabsOnly(arena))
+            assert fleet.names == ["one", "two"]
+            assert fleet.poll().reading("one").total_beats == 1
+
 
 class TestReviewRegressions:
     """Regressions pinned from the PR's code review."""
@@ -222,9 +241,9 @@ class TestReviewRegressions:
                 SharedMemoryReader("repro-leak-test")
 
     def test_capabilities_of_attaches_a_collector_row_as_is(self):
-        """``collector.source(id)`` is the stream's row, its ``Ring`` itself,
-        and a source attaches it as-is."""
-        from repro.core.backends.ring import Ring
+        """``collector.source(id)`` is a fresh view of the stream's row, and a
+        source attaches it as-is: in place, by its slab and row index."""
+        from repro.core.backends.arena import ArenaRowView
         from repro.core.stream import capabilities_of
         from repro.net.exporter import NetworkBackend
 
@@ -237,16 +256,25 @@ class TestReviewRegressions:
             while "row" not in collector.stream_ids() and time.monotonic() < deadline:
                 time.sleep(0.02)
             view = collector.source("row")
-            assert isinstance(view, Ring)
+            assert isinstance(view, ArenaRowView)
             [(slab, names)] = [(a, n) for a, n in collector.slabs() if "row" in n]
+            assert view.slab_row() == (slab, names.index("row"))
             words, _, sequence_at, _, _, slots, slots_at, _ = slab._ring_args(names.index("row"))
-            assert view.words is words and view.slots is slots  # the slab's own views
-            assert (view.sequence_at, view.slots_at) == (sequence_at, slots_at)
+            ring = view._ring
+            assert ring.words is words and ring.slots is slots  # the slab's own views
+            assert (ring.sequence_at, ring.slots_at) == (sequence_at, slots_at)
             caps = capabilities_of(view)
             assert caps.snapshot.__self__ is view
             assert caps.delta.__self__ is view
             assert caps.probe.__self__ is view
-            assert caps.close is None  # a row is the collector's to release
+            assert caps.row == (slab, names.index("row"))
+            # Closing one view closes that view only: the stream, and the
+            # next caller's view of it, still read.
+            view.close()
+            assert wait_until(lambda: collector.snapshot("row").total_beats == 1)
+            assert collector.source("row") is not view
+            assert collector.source("row").snapshot().total_beats == 1
+            assert collector.snapshot("row").total_beats == 1
 
     def test_capabilities_of_rejects_whole_collectors(self):
         from repro.core.stream import capabilities_of
